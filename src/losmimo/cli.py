@@ -205,6 +205,7 @@ def _cmd_simulate(args, out_dir: Path, manifest: Manifest) -> int:
                     _require(dist_cfg, "max", float, "distance"))
     else:
         raise ConfigError(f"distance law must be 'fixed' or 'uniform', got {law!r}")
+    sims = []
     for i, run in enumerate(runs):
         where = f"runs[{i}]"
         name = _require(run, "name", str, where)
@@ -230,6 +231,9 @@ def _cmd_simulate(args, out_dir: Path, manifest: Manifest) -> int:
             build_codebook(sim.scheme)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+        sims.append((name, sim))
+    # every run is checked before the first one starts
+    for name, sim in sims:
         curve = run_ber(sim)
         out = out_dir / f"{name}.csv"
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,6 +9,7 @@ for any worker count and independent of scheduling order.
 from __future__ import annotations
 
 import multiprocessing
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,31 @@ class SimConfig:
             if not 0 < lo <= hi:
                 raise ValueError("distance range must satisfy 0 < low <= high")
             object.__setattr__(self, "distance", (float(lo), float(hi)))
+        tx, rx = _layouts(self)
+        reach = float(tx.radii.max() + rx.radii.max())
+        low = self.distance[0] if isinstance(self.distance, tuple) else float(self.distance)
+        if low <= reach:
+            raise ValueError(f"distance law reaches {low:g} m, not beyond the {reach:g} m "
+                             "sum of the transmit and receive array radii")
+
+
+def _layouts(config: SimConfig) -> tuple[ArrayLayout, ArrayLayout]:
+    if config.tx_kind == "ula":
+        tx = make_layout("ula", 2, config.d_t)
+    elif config.tx_kind in ("triangle", "pentagon"):
+        tx = make_layout(config.tx_kind, spacing=config.d_t)
+    else:
+        raise ValueError(f"unsupported transmit kind {config.tx_kind!r}")
+    if config.rx_kind in ("ula", "ura", "spherical-code"):
+        rx = make_layout(config.rx_kind, config.n_r, config.d_r,
+                         coords_file=config.rx_coords_file)
+    elif config.rx_kind == "tetrahedron":
+        if config.n_r != 4:
+            raise ValueError("tetrahedral receiver has n_r = 4")
+        rx = make_layout("tetrahedron", spacing=config.d_r)
+    else:
+        raise ValueError(f"unsupported receive kind {config.rx_kind!r}")
+    return tx, rx
 
 
 @dataclass(frozen=True)
@@ -110,7 +136,9 @@ def _wilson(errors: int, n: int, z: float = 1.959963984540054) -> tuple[float, f
     denom = 1.0 + z2 / n
     center = (p + z2 / (2 * n)) / denom
     half = z * np.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # the ends are exact where p is: center - half rounds to ~1e-20 at p = 0
+    return (0.0 if errors == 0 else max(0.0, center - half),
+            1.0 if errors == n else min(1.0, center + half))
 
 
 class _Engine:
@@ -126,7 +154,7 @@ class _Engine:
         self.m_mats = np.einsum("kit,kjt->kij", cw, np.conj(cw))
         self.bits = self.codebook.bits
         self.n_bits = self.codebook.bits_per_codeword
-        self.tx_layout, self.rx_layout = self._layouts(config)
+        self.tx_layout, self.rx_layout = _layouts(config)
         self.snr_lin = tuple(10.0 ** (s / 10.0) for s in config.snr_db)
         if config.ideal_channel:
             phases = np.exp(2j * np.pi * np.arange(config.n_r) / config.n_r)
@@ -137,25 +165,6 @@ class _Engine:
             pos = self.tx_layout.positions
             self.pair_base = pos[self.pair_idx[:, 0]] - pos[self.pair_idx[:, 1]]
             self.pair_len = np.linalg.norm(self.pair_base, axis=1)
-
-    @staticmethod
-    def _layouts(config: SimConfig) -> tuple[ArrayLayout, ArrayLayout]:
-        if config.tx_kind == "ula":
-            tx = make_layout("ula", 2, config.d_t)
-        elif config.tx_kind in ("triangle", "pentagon"):
-            tx = make_layout(config.tx_kind, spacing=config.d_t)
-        else:
-            raise ValueError(f"unsupported transmit kind {config.tx_kind!r}")
-        if config.rx_kind in ("ula", "ura", "spherical-code"):
-            rx = make_layout(config.rx_kind, config.n_r, config.d_r,
-                             coords_file=config.rx_coords_file)
-        elif config.rx_kind == "tetrahedron":
-            if config.n_r != 4:
-                raise ValueError("tetrahedral receiver has n_r = 4")
-            rx = make_layout("tetrahedron", spacing=config.d_r)
-        else:
-            raise ValueError(f"unsupported receive kind {config.rx_kind!r}")
-        return tx, rx
 
     def _channels(self, n: int, rng: np.random.Generator) -> NDArray:
         """Draw n random links and return their n x (n_r x 2) channels."""
@@ -177,9 +186,6 @@ class _Engine:
         rx_pos = (r_link[:, None, None] * LINK_DIRECTION
                   + np.einsum("nij,mj->nmi", u_rx, self.rx_layout.positions))
         dist = np.linalg.norm(rx_pos[:, :, None, :] - tx_sel[:, None, :, :], axis=-1)
-        if np.any(dist <= 0):
-            raise RuntimeError("overlapping transmit/receive antennas; "
-                               "check distance law against array extents")
         return np.exp(2j * np.pi * dist / cfg.wavelength)
 
     def run_block(self, snr_index: int, block_index: int, n_trials: int) -> tuple[int, int]:
@@ -220,6 +226,22 @@ def _worker_block(task: tuple[int, int, int]) -> tuple[int, int]:
     return _WORKER_ENGINE.run_block(*task)
 
 
+def _block_results(engine: _Engine, pool, window: int, tasks):
+    """(trials, errors) of each task in order: run here without a pool, else
+    submitted in order with at most ``window`` blocks in flight, so that
+    nothing past an early stop is queued."""
+    if pool is None:
+        yield from (engine.run_block(*task) for task in tasks)
+        return
+    in_flight: deque = deque()
+    for task in tasks:
+        in_flight.append(pool.apply_async(_worker_block, (task,)))
+        if len(in_flight) == window:
+            yield in_flight.popleft().get()
+    while in_flight:
+        yield in_flight.popleft().get()
+
+
 def run_ber(config: SimConfig) -> BerCurve:
     """Run the full BER campaign described by ``config``.
 
@@ -240,23 +262,23 @@ def run_ber(config: SimConfig) -> BerCurve:
             left -= config.block_trials
 
     workers = max(1, int(config.workers))
-    for s in range(n_points):
-        if workers == 1:
-            for b, size in block_sizes():
-                t, e = engine.run_block(s, b, size)
+    # spawned, not forked: the parent holds BLAS threads
+    pool = None if workers == 1 else multiprocessing.get_context("spawn").Pool(
+        workers, initializer=_worker_init, initargs=(config,))
+    try:
+        for s in range(n_points):
+            tasks = ((s, b, size) for b, size in block_sizes())
+            for t, e in _block_results(engine, pool, workers, tasks):
                 trials[s] += t
                 errors[s] += e
                 if errors[s] >= config.target_errors:
                     break
-        else:
-            tasks = ((s, b, size) for b, size in block_sizes())
-            with multiprocessing.Pool(workers, initializer=_worker_init,
-                                      initargs=(config,)) as pool:
-                for t, e in pool.imap(_worker_block, tasks):
-                    trials[s] += t
-                    errors[s] += e
-                    if errors[s] >= config.target_errors:
-                        break
+    finally:
+        if pool is not None:
+            # blocks still in flight after an early stop finish and are
+            # dropped; terminating a pool with queued work can deadlock
+            pool.close()
+            pool.join()
 
     n_bits = engine.n_bits
     bits_total = trials * n_bits

@@ -272,19 +272,35 @@ DENSITY_SETUPS = {
 DENSITY_SCALE = 16
 
 
-def _density_flatness(scale):
-    """Worst per-mu-row chi-square of each density setup at the source
-    geometry with d_t / wavelength multiplied by ``scale``, together with the
-    1% family-wise critical value over all populated rows of both setups.
+def _density_grids(scale):
+    """Density grid of each setup at the source geometry with d_t / wavelength
+    multiplied by ``scale``: 10^6 samples, 25 x 25 bins, seed 20.
 
     R grows by ``scale`` and the wavelength shrinks by it, which holds eta and
     both Fresnel numbers fixed.
     """
-    worst, rows = {}, 0
+    grids = {}
     for name, build in DENSITY_SETUPS.items():
         tx, rx = build()
-        grid = joint_density(tx, rx, 10.0 * scale, WAVELENGTH / scale, bins=25,
-                             samples=1_000_000, seed=20)
+        grids[name] = joint_density(tx, rx, 10.0 * scale, WAVELENGTH / scale, bins=25,
+                                    samples=1_000_000, seed=20)
+    return grids
+
+
+@pytest.fixture(scope="module")
+def source_density():
+    """The source-geometry grids shared by criterion 9 and its companion,
+    with their build time."""
+    t0 = time.monotonic()
+    grids = _density_grids(1)
+    return SimpleNamespace(grids=grids, seconds=time.monotonic() - t0)
+
+
+def _density_flatness(grids):
+    """Worst per-mu-row chi-square of each grid, together with the 1%
+    family-wise critical value over all populated rows of all grids."""
+    worst, rows = {}, 0
+    for name, grid in grids.items():
         stats = _density_row_stats(grid)
         assert stats, f"{name}: no populated mu rows"
         worst[name] = max(stats.values())
@@ -292,7 +308,7 @@ def _density_flatness(scale):
     return worst, chi2.ppf(1.0 - 0.01 / rows, 24)
 
 
-def test_criterion_09_density_flatness():
+def test_criterion_09_density_flatness(source_density):
     # The uniform-and-independent theta_mu model is the limit d_t / wavelength
     # -> infinity at fixed eta: theta_mu ~ 2 pi (d_t / wavelength) sin(beta)
     # plus a receive-side term, and at the source geometry (d_t / wavelength
@@ -303,9 +319,9 @@ def test_criterion_09_density_flatness():
     # per-row 1% test over ~50 rows fails a flat density ~40% of the time.
     # The source-geometry ripple must stay resolvable at the same level.
     t0 = time.monotonic()
-    source, source_crit = _density_flatness(1)
-    scaled, crit = _density_flatness(DENSITY_SCALE)
-    elapsed = time.monotonic() - t0
+    source, source_crit = _density_flatness(source_density.grids)
+    scaled, crit = _density_flatness(_density_grids(DENSITY_SCALE))
+    elapsed = source_density.seconds + time.monotonic() - t0
     ok = (elapsed < 300 and max(scaled.values()) < crit
           and source["2x4"] > source_crit)
     ratio = DENSITY_SPACING / WAVELENGTH
@@ -317,7 +333,7 @@ def test_criterion_09_density_flatness():
                   f"2x4 ripple must exceed it); {elapsed:.0f}s")
 
 
-def test_density_flatness_at_model_precision():
+def test_density_flatness_at_model_precision(source_density):
     """Companion to criterion 9: the phase model holds at the precision the
     source experiments could resolve.
 
@@ -330,10 +346,7 @@ def test_density_flatness_at_model_precision():
     further down in mu).
     """
     crit = chi2.ppf(0.99, 24)
-    for name, build in DENSITY_SETUPS.items():
-        tx, rx = build()
-        grid = joint_density(tx, rx, 10.0, WAVELENGTH, bins=25,
-                             samples=1_000_000, seed=20)
+    for name, grid in source_density.grids.items():
         marginal = grid.counts.sum(axis=1).astype(float)
         expected = marginal.sum() / 25.0
         assert ((marginal - expected) ** 2 / expected).sum() < crit

@@ -97,6 +97,32 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
 
+    def test_overlapping_distance_law_is_config_error(self, tmp_path):
+        # arrays of radii 0.03 m (ULA, d_t 0.06) and 0.177 m (URA, d_r 0.25)
+        # can overlap anywhere below 0.207 m
+        cfg = dict(MINI_SIM, d_r=0.25, max_trials=2500,
+                   distance={"law": "uniform", "min": 0.0001, "max": 0.2})
+        cfg["runs"] = [{"name": "near", "scheme": "sm", "tx_kind": "ula", "rx_kind": "ura"}]
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "config-error"
+        assert "array radii" in manifest["error"]
+        assert not (out / "near.csv").exists()
+
+    def test_every_run_checked_before_the_first_starts(self, tmp_path):
+        # 0.19 m clears ULA x tetrahedron (0.183 m) but not ULA x URA (0.207 m)
+        cfg = dict(MINI_SIM, distance={"law": "uniform", "min": 0.19, "max": 0.5})
+        cfg["runs"] = [{"name": "first", "scheme": "sm", "tx_kind": "ula",
+                        "rx_kind": "tetrahedron"},
+                       {"name": "second", "scheme": "sm", "tx_kind": "ula", "rx_kind": "ura"}]
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "runs[1]" in json.loads((out / "manifest.json").read_text())["error"]
+        assert not (out / "first.csv").exists()
+
     def test_fig5_recipe_covers_three_schemes(self):
         cfg = _load_config("fig5")
         schemes = {run["scheme"] for run in cfg["runs"]}

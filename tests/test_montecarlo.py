@@ -12,6 +12,7 @@ from losmimo.geometry import (
 )
 from losmimo.montecarlo import (
     SimConfig,
+    _wilson,
     build_codebook,
     joint_density,
     ml_decode,
@@ -98,6 +99,50 @@ class TestRunBer:
         parallel = run_ber(SimConfig(**kw, workers=3, **BASE))
         assert np.array_equal(serial.bit_errors, parallel.bit_errors)
         assert np.array_equal(serial.trials, parallel.trials)
+
+    def test_csv_identical_for_one_and_two_workers(self, tmp_path):
+        # several blocks per point, early stops at the low SNRs and the full
+        # budget at the top one
+        kw = dict(scheme="sm", tx_kind="pentagon", rx_kind="tetrahedron",
+                  snr_db=(0, 8, 16), max_trials=6_000, target_errors=100,
+                  block_trials=500, seed=14)
+        paths = []
+        for workers in (1, 2):
+            paths.append(tmp_path / f"w{workers}.csv")
+            run_ber(SimConfig(**kw, workers=workers, **BASE)).write_csv(paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        rows = [r.split(",") for r in paths[0].read_text().splitlines()[1:]]
+        assert int(rows[0][1]) < 6_000 and int(rows[-1][1]) == 6_000
+
+    def test_interval_contains_ber(self):
+        # 15,000 trials of 4 bits: the lower end used to round to ~7e-21 at 32 dB
+        cfg = SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura", snr_db=(0, 32),
+                        max_trials=15_000, target_errors=10**9, seed=15,
+                        ideal_channel=True, **BASE)
+        curve = run_ber(cfg)
+        assert curve.bit_errors[0] > 0 and curve.bit_errors[-1] == 0
+        assert curve.ci_low[-1] == 0.0
+        assert np.all((curve.ci_low <= curve.ber) & (curve.ber <= curve.ci_high))
+
+    def test_wilson_ends_exact_at_the_boundaries(self):
+        # center -/+ half rounds away from 0 (1) at these n
+        for n in (3, 10, 13, 60_000, 120_000):
+            assert _wilson(0, n)[0] == 0.0
+            assert _wilson(n, n)[1] == 1.0
+        for n in (37, 20_000, 800_000):
+            lo, hi = _wilson(1, n)
+            assert 0.0 < lo < 1.0 / n < hi < 1.0
+
+    def test_distance_law_must_clear_the_arrays(self):
+        kw = dict(BASE, distance=(0.0001, 0.2))
+        with pytest.raises(ValueError, match="array radii"):
+            SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura", snr_db=(0.0,), **kw)
+        # 0.03 m (ULA) + 0.25 sqrt(3/8) m (tetrahedron) = 0.183 m
+        with pytest.raises(ValueError, match="array radii"):
+            SimConfig(scheme="sm", tx_kind="ula", rx_kind="tetrahedron", snr_db=(0.0,),
+                      **dict(BASE, distance=0.18))
+        SimConfig(scheme="sm", tx_kind="ula", rx_kind="tetrahedron", snr_db=(0.0,),
+                  **dict(BASE, distance=0.19))
 
     def test_error_target_stops_early(self):
         cfg = SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura", snr_db=(0.0,),

@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from losmimo.channel import mu_model, reduce_channel
 from losmimo.geometry import TETRAHEDRON_DIRECTIONS, make_layout, uniform_rotation
 from losmimo.orientation import (
     best_submatrix,
+    compute_mu_star_curve,
     edge_code,
     edge_code_region_minima,
     edge_code_worst_distortion,
@@ -18,6 +20,26 @@ from losmimo.orientation import (
 )
 
 SQRT_HALF = np.sqrt(0.5)
+
+
+def nelder_mead_mu_star(eta, candidates=10):
+    """Independent reference for mu*(eta): scalar Nelder-Mead in spherical
+    angles from each of the best icosphere points."""
+    pts = icosphere_vertices()
+    mu = mu_of_direction(eta, pts)
+    best = float(mu.max())
+
+    def neg_mu(x):
+        th, ph = x
+        v = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+        return -mu_of_direction(eta, v)
+
+    for i in np.argsort(mu)[-candidates:]:
+        x0 = [np.arccos(np.clip(pts[i, 2], -1.0, 1.0)), np.arctan2(pts[i, 1], pts[i, 0])]
+        res = minimize(neg_mu, x0, method="Nelder-Mead",
+                       options=dict(xatol=1e-10, fatol=1e-15, maxiter=1000))
+        best = max(best, -float(res.fun))
+    return best
 
 
 def model_tetra_channel(eta, v):
@@ -106,6 +128,30 @@ class TestMuStar:
         grid_best = float(np.max(mu_of_direction(1.0, icosphere_vertices())))
         assert val >= grid_best - 1e-12
         assert abs(np.linalg.norm(v) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("eta", [0.35, 0.62, 1.0, 2.0, 2.9])
+    def test_matches_nelder_mead_reference(self, eta):
+        val, v = mu_star(eta)
+        assert val == pytest.approx(nelder_mead_mu_star(eta), abs=1e-12)
+        assert val >= float(np.max(mu_of_direction(eta, icosphere_vertices())))
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        assert mu_of_direction(eta, v) == pytest.approx(val, abs=1e-15)
+
+    def test_curve_never_below_grid_maximum(self, curve):
+        pts = icosphere_vertices()
+        grid = np.array([np.max(mu_of_direction(eta, pts)) for eta in curve.etas])
+        assert np.all(curve.values >= grid)
+
+    def test_batched_curve_matches_scalar(self):
+        fine = compute_mu_star_curve(step=0.005)
+        for eta, val, v in zip(fine.etas, fine.values, fine.directions):
+            assert mu_star(eta)[0] == pytest.approx(val, abs=1e-15)
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+            assert mu_of_direction(eta, v) == pytest.approx(val, abs=1e-15)
+
+    def test_rejects_nonpositive_eta(self):
+        with pytest.raises(ValueError):
+            mu_star(0.0)
 
 
 class TestMuStarBound:
