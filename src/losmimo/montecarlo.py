@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import multiprocessing
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -48,8 +48,11 @@ class SimConfig:
     """One BER campaign: scheme, geometry, SNR grid and stopping rule.
 
     ``distance`` is either a float (fixed range) or a (low, high) pair for a
-    uniformly distributed inter-terminal distance. ``ideal_channel`` bypasses
-    the geometry and feeds the decoder a perfectly orthogonal channel.
+    uniformly distributed inter-terminal distance; unless ``ideal_channel`` is
+    set, it must stay beyond the sum of the transmit and receive array radii.
+    ``ideal_channel`` bypasses the geometry and feeds the decoder a perfectly
+    orthogonal channel. ``layouts`` holds the (transmit, receive) arrays built
+    from the config.
     """
 
     scheme: str
@@ -68,6 +71,7 @@ class SimConfig:
     block_trials: int = 2_500
     ideal_channel: bool = False
     rx_coords_file: str | None = None
+    layouts: tuple[ArrayLayout, ArrayLayout] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.max_trials < 1 or self.target_errors < 1 or self.block_trials < 1:
@@ -81,6 +85,9 @@ class SimConfig:
                 raise ValueError("distance range must satisfy 0 < low <= high")
             object.__setattr__(self, "distance", (float(lo), float(hi)))
         tx, rx = _layouts(self)
+        object.__setattr__(self, "layouts", (tx, rx))
+        if self.ideal_channel:
+            return
         reach = float(tx.radii.max() + rx.radii.max())
         low = self.distance[0] if isinstance(self.distance, tuple) else float(self.distance)
         if low <= reach:
@@ -154,7 +161,7 @@ class _Engine:
         self.m_mats = np.einsum("kit,kjt->kij", cw, np.conj(cw))
         self.bits = self.codebook.bits
         self.n_bits = self.codebook.bits_per_codeword
-        self.tx_layout, self.rx_layout = _layouts(config)
+        self.tx_layout, self.rx_layout = config.layouts
         self.snr_lin = tuple(10.0 ** (s / 10.0) for s in config.snr_db)
         if config.ideal_channel:
             phases = np.exp(2j * np.pi * np.arange(config.n_r) / config.n_r)
@@ -262,8 +269,7 @@ def run_ber(config: SimConfig) -> BerCurve:
             left -= config.block_trials
 
     workers = max(1, int(config.workers))
-    # spawned, not forked: the parent holds BLAS threads
-    pool = None if workers == 1 else multiprocessing.get_context("spawn").Pool(
+    pool = None if workers == 1 else multiprocessing.Pool(
         workers, initializer=_worker_init, initargs=(config,))
     try:
         for s in range(n_points):

@@ -263,8 +263,10 @@ def edge_code_region_minima(samples: int = 2_000_000, chunk: int = 500_000) -> N
         dots = v @ g.T
         region = np.argmax(dots, axis=1)
         best = dots[np.arange(len(v)), region]
-        minima = np.minimum(minima, [best[region == i].min(initial=np.inf)
-                                     for i in range(12)])
+        for i in range(12):
+            sel = best[region == i]
+            if sel.size:
+                minima[i] = min(minima[i], float(sel.min()))
     return minima
 
 
@@ -275,6 +277,9 @@ def best_submatrix(h: NDArray) -> tuple[tuple[int, int], float]:
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 2):
         raise ValueError("expected a 4 x 2 channel matrix")
-    mus = [reduce_channel(h[[m, l], :]).mu for m, l in _ROW_PAIRS]
-    best = int(np.argmin(mus))
-    return _ROW_PAIRS[best], float(mus[best])
+    best_pair, best_mu = _ROW_PAIRS[0], np.inf
+    for m, l in _ROW_PAIRS:
+        mu = reduce_channel(h[[m, l], :]).mu
+        if mu < best_mu:
+            best_pair, best_mu = (m, l), mu
+    return best_pair, float(best_mu)

@@ -92,26 +92,24 @@ class TestRunBer:
         assert np.array_equal(a.bit_errors, b.bit_errors)
         assert np.array_equal(a.trials, b.trials)
 
-    def test_worker_count_invariance(self):
-        kw = dict(scheme="sm", tx_kind="triangle", rx_kind="tetrahedron",
-                  snr_db=(0, 8), max_trials=10_000, target_errors=100, seed=6)
-        serial = run_ber(SimConfig(**kw, **BASE))
-        parallel = run_ber(SimConfig(**kw, workers=3, **BASE))
-        assert np.array_equal(serial.bit_errors, parallel.bit_errors)
-        assert np.array_equal(serial.trials, parallel.trials)
-
-    def test_csv_identical_for_one_and_two_workers(self, tmp_path):
-        # several blocks per point, early stops at the low SNRs and the full
-        # budget at the top one
-        kw = dict(scheme="sm", tx_kind="pentagon", rx_kind="tetrahedron",
-                  snr_db=(0, 8, 16), max_trials=6_000, target_errors=100,
-                  block_trials=500, seed=14)
-        paths = []
-        for workers in (1, 2):
-            paths.append(tmp_path / f"w{workers}.csv")
-            run_ber(SimConfig(**kw, workers=workers, **BASE)).write_csv(paths[-1])
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        rows = [r.split(",") for r in paths[0].read_text().splitlines()[1:]]
+    def test_worker_count_invariance(self, tmp_path):
+        # the CSV (trials, errors and the intervals that follow from them) is
+        # byte-identical across worker counts; the second set-up has several
+        # blocks per point, early stops at the low SNRs and the full budget at
+        # the top one
+        setups = [
+            (3, dict(scheme="sm", tx_kind="triangle", rx_kind="tetrahedron",
+                     snr_db=(0, 8), max_trials=10_000, target_errors=100, seed=6)),
+            (2, dict(scheme="sm", tx_kind="pentagon", rx_kind="tetrahedron",
+                     snr_db=(0, 8, 16), max_trials=6_000, target_errors=100,
+                     block_trials=500, seed=14)),
+        ]
+        for workers, kw in setups:
+            serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+            run_ber(SimConfig(**kw, **BASE)).write_csv(serial)
+            run_ber(SimConfig(**kw, workers=workers, **BASE)).write_csv(parallel)
+            assert serial.read_bytes() == parallel.read_bytes()
+        rows = [r.split(",") for r in serial.read_text().splitlines()[1:]]
         assert int(rows[0][1]) < 6_000 and int(rows[-1][1]) == 6_000
 
     def test_interval_contains_ber(self):
@@ -143,6 +141,9 @@ class TestRunBer:
                       **dict(BASE, distance=0.18))
         SimConfig(scheme="sm", tx_kind="ula", rx_kind="tetrahedron", snr_db=(0.0,),
                   **dict(BASE, distance=0.19))
+        # an ideal channel has no geometry to overlap
+        SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura", snr_db=(0.0,),
+                  ideal_channel=True, **kw)
 
     def test_error_target_stops_early(self):
         cfg = SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura", snr_db=(0.0,),
