@@ -256,11 +256,11 @@ def _cmd_design(args, out_dir: Path, manifest: Manifest) -> int:
             d_r=_require(cfg, "d_r", float, "design config"),
             tx_kind=_require(cfg, "tx_kind", str, "design config"),
         )
+        curve = compute_mu_star_curve(step=float(cfg.get("eta_step", 0.01)))
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"design config: {exc}") from exc
-    curve = compute_mu_star_curve(step=float(cfg.get("eta_step", 0.01)))
     result = design_link(spec, curve)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "design_report.csv"
@@ -278,7 +278,10 @@ def _cmd_design(args, out_dir: Path, manifest: Manifest) -> int:
 
 
 def _cmd_curves(args, out_dir: Path, manifest: Manifest) -> int:
-    curve = compute_mu_star_curve(args.eta_start, args.eta_stop, args.eta_step)
+    try:
+        curve = compute_mu_star_curve(args.eta_start, args.eta_stop, args.eta_step)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "mu_star_curve.csv"
     curve.write_csv(out)

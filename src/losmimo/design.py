@@ -46,32 +46,35 @@ def beta_cap(tx_kind: str) -> float:
 @dataclass(frozen=True)
 class PairSelection:
     """Chosen transmit pair: indices, realised elevation, baseline length and
-    (for pentagons) whether the pair is a neighbouring one."""
+    (for pentagons) whether the pair is a neighbouring one. A selection over a
+    batch of n rotations holds arrays: ``pair`` (n, 2) and the rest (n,)."""
 
-    pair: tuple[int, int]
-    beta: float
-    spacing: float
-    neighbouring: bool | None
+    pair: tuple[int, int] | NDArray
+    beta: float | NDArray
+    spacing: float | NDArray
+    neighbouring: bool | NDArray | None
 
 
 def select_tx_pair(tx_layout: ArrayLayout, u_tx: NDArray, u: NDArray,
                    restrict: str | None = None) -> PairSelection:
     """Pick the two transmit antennas minimising ``|sin(beta)| = |u . t|``.
 
-    ``u`` is the unit link direction and ``t`` the unit baseline vector of a
-    candidate pair in the global frame. Ties break towards the smallest
-    lexicographic index pair. For pentagons, ``restrict`` limits the candidates
-    to "neighbouring" or "non-neighbouring" pairs; either class on its own
-    still caps ``|beta|`` at pi/10.
+    ``u`` is the unit link direction and ``t`` the unit baseline of a candidate
+    pair, rotated by ``u_tx``: one (3, 3) rotation, or (n, 3, 3) for a batch.
+    Exact ties go to the smallest index pair, but each pentagon edge is
+    parallel to a diagonal, so their ``|sin(beta)|`` agree up to rounding
+    (4e-16) and rounding picks either, about half the time each. For pentagons,
+    ``restrict`` limits the candidates to "neighbouring" or "non-neighbouring"
+    pairs; either class on its own still caps ``|beta|`` at pi/10.
     """
     if tx_layout.n < 3:
         raise ValueError("pair selection needs at least 3 transmit antennas")
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-9:
         raise ValueError("link direction must be a unit vector")
-    pos = tx_layout.positions @ np.asarray(u_tx, dtype=float).T
-    pairs = [(m, n) for m in range(tx_layout.n) for n in range(m + 1, tx_layout.n)]
-    baselines = np.array([pos[m] - pos[n] for m, n in pairs])
+    pairs = np.array([(m, n) for m in range(tx_layout.n) for n in range(m + 1, tx_layout.n)])
+    pos = tx_layout.positions
+    baselines = pos[pairs[:, 0]] - pos[pairs[:, 1]]
     lengths = np.linalg.norm(baselines, axis=1)
     if restrict is not None:
         if restrict not in ("neighbouring", "non-neighbouring"):
@@ -81,16 +84,22 @@ def select_tx_pair(tx_layout: ArrayLayout, u_tx: NDArray, u: NDArray,
             keep = ~keep
         if not keep.any():
             raise ValueError(f"layout has no {restrict} pairs")
-        pairs = [p for p, k in zip(pairs, keep) if k]
-        baselines, lengths = baselines[keep], lengths[keep]
-    sin_beta = (baselines / lengths[:, None]) @ u
-    best = int(np.argmin(np.abs(sin_beta)))
-    spacing = float(lengths[best])
+        pairs, baselines, lengths = pairs[keep], baselines[keep], lengths[keep]
+    u_tx = np.asarray(u_tx, dtype=float)
+    rotated = np.einsum("nij,pj->npi", u_tx.reshape(-1, 3, 3), baselines)
+    sin_beta = (rotated / lengths[:, None]) @ u
+    best = np.argmin(np.abs(sin_beta), axis=1)
+    beta = np.arcsin(np.clip(sin_beta[np.arange(len(best)), best], -1, 1))
+    spacing = lengths[best]
     neighbouring = None
     if tx_layout.kind == "pentagon":
-        neighbouring = bool(abs(spacing - tx_layout.spacing) < 1e-9 * tx_layout.spacing)
-    return PairSelection(pair=pairs[best], beta=float(np.arcsin(np.clip(sin_beta[best], -1, 1))),
-                         spacing=spacing, neighbouring=neighbouring)
+        neighbouring = np.abs(spacing - tx_layout.spacing) < 1e-9 * tx_layout.spacing
+    if u_tx.ndim == 3:
+        return PairSelection(pair=pairs[best], beta=beta, spacing=spacing,
+                             neighbouring=neighbouring)
+    return PairSelection(pair=tuple(int(i) for i in pairs[best[0]]), beta=float(beta[0]),
+                         spacing=float(spacing[0]),
+                         neighbouring=None if neighbouring is None else bool(neighbouring[0]))
 
 
 def select_tx_pair_for_quality(tx_layout: ArrayLayout, u_tx: NDArray, u: NDArray,

@@ -22,6 +22,7 @@ __all__ = [
     "LinkScenario",
     "make_layout",
     "uniform_rotation",
+    "place_arrays",
     "place_antennas",
     "exact_distances",
     "approx_path_difference",
@@ -101,13 +102,13 @@ def _from_positions(kind: str, pos: NDArray, spacing: float) -> ArrayLayout:
     return ArrayLayout(kind=kind, directions=dirs, radii=radii, spacing=spacing)
 
 
-def _fibonacci_sphere(n: int) -> NDArray:
-    """Deterministic spiral lattice on the unit sphere.
+def _fibonacci_sphere(n: int, start: int = 0, stop: int | None = None) -> NDArray:
+    """Points ``start`` to ``stop`` (default n) of an n-point spiral lattice on the sphere.
 
     Fallback receive geometry when no spherical-code table is supplied; the
     packing is decent but not optimal.
     """
-    i = np.arange(n, dtype=float)
+    i = np.arange(start, n if stop is None else stop, dtype=float)
     golden = (1.0 + np.sqrt(5.0)) / 2.0
     z = 1.0 - (2.0 * i + 1.0) / n
     theta = 2.0 * np.pi * i / golden
@@ -280,21 +281,34 @@ class LinkScenario:
         return self.tx_layout.spacing
 
 
-def place_antennas(scenario: LinkScenario) -> tuple[NDArray, NDArray]:
-    """Global-frame antenna positions (tx (n_t, 3), rx (n_r, 3))."""
-    tx = scenario.tx_layout.positions @ scenario.U_tx.T
-    centroid = scenario.R * link_axis(scenario.beta)
-    rx = centroid + scenario.rx_layout.positions @ scenario.U_rx.T
+def place_arrays(tx_layout: ArrayLayout, rx_layout: ArrayLayout, u_tx: NDArray,
+                 u_rx: NDArray, r_link: NDArray, axis: NDArray) -> tuple[NDArray, NDArray]:
+    """Global-frame positions of n links: tx (n, n_t, 3) and rx (n, n_r, 3).
+
+    ``u_tx`` and ``u_rx`` (n, 3, 3) rotate the arrays about their centroids;
+    the receive centroid lies ``r_link`` (n,) along the unit vector ``axis``."""
+    tx = np.einsum("nij,mj->nmi", u_tx, tx_layout.positions)
+    rx = (r_link[:, None, None] * axis
+          + np.einsum("nij,mj->nmi", u_rx, rx_layout.positions))
     return tx, rx
 
 
+def place_antennas(scenario: LinkScenario) -> tuple[NDArray, NDArray]:
+    """Global-frame antenna positions (tx (n_t, 3), rx (n_r, 3)) of one link."""
+    tx, rx = place_arrays(scenario.tx_layout, scenario.rx_layout, scenario.U_tx[None],
+                          scenario.U_rx[None], np.array([scenario.R], dtype=float),
+                          link_axis(scenario.beta))
+    return tx[0], rx[0]
+
+
 def exact_distances(tx_positions: NDArray, rx_positions: NDArray) -> NDArray:
-    """Euclidean distances r[m, n] between receive antenna m and transmit antenna n."""
+    """Euclidean distances r[..., m, n] between receive antenna m and transmit
+    antenna n; leading axes are batch axes."""
     tx = np.atleast_2d(np.asarray(tx_positions, dtype=float))
     rx = np.atleast_2d(np.asarray(rx_positions, dtype=float))
     if tx.size == 0 or rx.size == 0:
         raise ValueError("empty position list")
-    r = np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=-1)
+    r = np.linalg.norm(rx[..., :, None, :] - tx[..., None, :, :], axis=-1)
     if np.any(r <= 0):
         raise ValueError("coincident transmit and receive antennas")
     return r

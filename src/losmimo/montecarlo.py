@@ -16,8 +16,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import codes
+from .channel import los_channel
 from .codes import Codebook
-from .geometry import ArrayLayout, make_layout, uniform_rotation
+from .design import select_tx_pair
+from .geometry import ArrayLayout, exact_distances, make_layout, place_arrays, uniform_rotation
 
 __all__ = [
     "SimConfig",
@@ -30,6 +32,8 @@ __all__ = [
 ]
 
 LINK_DIRECTION = np.array([1.0, 0.0, 0.0])
+# samples per batch of joint_density; it fixes the order of the random stream
+DENSITY_BLOCK = 200_000
 
 
 def build_codebook(scheme: str) -> Codebook:
@@ -149,29 +153,16 @@ def _wilson(errors: int, n: int, z: float = 1.959963984540054) -> tuple[float, f
 
 
 class _Engine:
-    """Precomputed per-campaign state shared by all trial blocks."""
+    """Per-campaign state shared by all trial blocks."""
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.codebook = build_codebook(config.scheme)
-        cw = self.codebook.codewords
-        self.cw = cw
-        self.cw_conj = np.conj(cw)
-        # M[k] = sum_t x_t x_t^H, so ||H X_k||^2 = Re tr(G M_k)
-        self.m_mats = np.einsum("kit,kjt->kij", cw, np.conj(cw))
-        self.bits = self.codebook.bits
-        self.n_bits = self.codebook.bits_per_codeword
         self.tx_layout, self.rx_layout = config.layouts
         self.snr_lin = tuple(10.0 ** (s / 10.0) for s in config.snr_db)
         if config.ideal_channel:
             phases = np.exp(2j * np.pi * np.arange(config.n_r) / config.n_r)
             self.h_ideal = np.column_stack([np.ones(config.n_r, dtype=complex), phases])
-        if config.tx_kind in ("triangle", "pentagon"):
-            n_t = self.tx_layout.n
-            self.pair_idx = np.array([(m, n) for m in range(n_t) for n in range(m + 1, n_t)])
-            pos = self.tx_layout.positions
-            self.pair_base = pos[self.pair_idx[:, 0]] - pos[self.pair_idx[:, 1]]
-            self.pair_len = np.linalg.norm(self.pair_base, axis=1)
 
     def _channels(self, n: int, rng: np.random.Generator) -> NDArray:
         """Draw n random links and return their n x (n_r x 2) channels."""
@@ -182,22 +173,17 @@ class _Engine:
             r_link = np.full(n, float(cfg.distance))
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
-        tx_pos = np.einsum("nij,mj->nmi", u_tx, self.tx_layout.positions)
-        if cfg.tx_kind == "ula":
-            tx_sel = tx_pos
-        else:
-            baselines = np.einsum("nij,pj->npi", u_tx, self.pair_base)
-            sin_beta = baselines[:, :, 0] / self.pair_len[None, :]
-            sel = np.argmin(np.abs(sin_beta), axis=1)
-            tx_sel = tx_pos[np.arange(n)[:, None], self.pair_idx[sel]]
-        rx_pos = (r_link[:, None, None] * LINK_DIRECTION
-                  + np.einsum("nij,mj->nmi", u_rx, self.rx_layout.positions))
-        dist = np.linalg.norm(rx_pos[:, :, None, :] - tx_sel[:, None, :, :], axis=-1)
-        return np.exp(2j * np.pi * dist / cfg.wavelength)
+        tx, rx = place_arrays(self.tx_layout, self.rx_layout, u_tx, u_rx, r_link,
+                              LINK_DIRECTION)
+        if self.tx_layout.n > 2:
+            pair = select_tx_pair(self.tx_layout, u_tx, LINK_DIRECTION).pair
+            tx = tx[np.arange(n)[:, None], pair]
+        return los_channel(exact_distances(tx, rx), cfg.wavelength)
 
     def run_block(self, snr_index: int, block_index: int, n_trials: int) -> tuple[int, int]:
         """Simulate one block; returns (trials, bit errors)."""
         cfg = self.config
+        cb = self.codebook
         rng = np.random.default_rng([cfg.seed, snr_index, block_index])
         snr = self.snr_lin[snr_index]
         n = n_trials
@@ -205,20 +191,12 @@ class _Engine:
             h = np.broadcast_to(self.h_ideal, (n, cfg.n_r, 2))
         else:
             h = self._channels(n, rng)
-        k_true = rng.integers(0, self.codebook.size, n)
-        x = self.cw[k_true]
-        slots = self.codebook.slots
-        noise = np.sqrt(0.5) * (rng.standard_normal((n, cfg.n_r, slots))
-                                + 1j * rng.standard_normal((n, cfg.n_r, slots)))
-        y = np.sqrt(snr) * np.einsum("nri,nit->nrt", h, x) + noise
-        gram = np.einsum("nri,nrj->nij", np.conj(h), h)
-        z = np.einsum("nri,nrt->nit", np.conj(h), y)
-        quad = np.einsum("nij,kji->nk", gram, self.m_mats).real
-        inner = np.einsum("kit,nit->nk", self.cw_conj, z).real
-        metric = snr * quad - 2.0 * np.sqrt(snr) * inner
-        k_hat = np.argmin(metric, axis=1)
-        errors = int(np.sum(self.bits[k_true] != self.bits[k_hat]))
-        return n, errors
+        k_true = rng.integers(0, cb.size, n)
+        noise = np.sqrt(0.5) * (rng.standard_normal((n, cfg.n_r, cb.slots))
+                                + 1j * rng.standard_normal((n, cfg.n_r, cb.slots)))
+        y = np.sqrt(snr) * np.einsum("nri,nit->nrt", h, cb.codewords[k_true]) + noise
+        _, bits = ml_decode(h, y, snr, cb)
+        return n, int(np.sum(cb.bits[k_true] != bits))
 
 
 _WORKER_ENGINE: _Engine | None = None
@@ -286,7 +264,7 @@ def run_ber(config: SimConfig) -> BerCurve:
             pool.close()
             pool.join()
 
-    n_bits = engine.n_bits
+    n_bits = engine.codebook.bits_per_codeword
     bits_total = trials * n_bits
     ber = np.where(bits_total > 0, errors / np.maximum(bits_total, 1), 0.0)
     ci = np.array([_wilson(int(e), int(nb)) for e, nb in zip(errors, bits_total)])
@@ -294,24 +272,33 @@ def run_ber(config: SimConfig) -> BerCurve:
                     ber=ber, ci_low=ci[:, 0], ci_high=ci[:, 1], bits_per_trial=n_bits)
 
 
-def ml_decode(h: NDArray, y: NDArray, snr: float, codebook: Codebook) -> tuple[int, NDArray]:
-    """Maximum-likelihood decoding of one received block.
+def ml_decode(h: NDArray, y: NDArray, snr: float,
+              codebook: Codebook) -> tuple[int | NDArray, NDArray]:
+    """Maximum-likelihood decoding of received blocks.
 
-    Returns the index minimising ``||y - sqrt(snr) h X_k||_F`` (lowest index
-    on ties) together with its bit label.
+    ``h`` (..., n_r, 2) and ``y`` (..., n_r, slots) share their leading batch
+    axes. Returns the index minimising ``||y - sqrt(snr) h X_k||_F`` (lowest
+    index on ties) and its bit label: an int and a bit row for one block,
+    arrays for a batch. The metric is its expansion without ``||y||^2``,
+    ``snr Re tr(G M_k) - 2 sqrt(snr) Re <X_k, h^H y>``, ``G = h^H h``, ``M_k = X_k X_k^H``.
     """
     h = np.asarray(h, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if h.ndim != 2 or h.shape[1] != 2:
+    if h.ndim < 2 or h.shape[-1] != 2:
         raise ValueError("channel must be n_r x 2")
-    if y.shape != (h.shape[0], codebook.slots):
-        raise ValueError(f"received block must be {h.shape[0]} x {codebook.slots}")
+    if y.shape != h.shape[:-1] + (codebook.slots,):
+        raise ValueError(f"received block must be {h.shape[-2]} x {codebook.slots}")
     if snr <= 0:
         raise ValueError("snr must be positive")
-    hx = np.einsum("ri,kit->krt", h, codebook.codewords)
-    metric = np.sum(np.abs(y[None] - np.sqrt(snr) * hx) ** 2, axis=(1, 2))
-    k = int(np.argmin(metric))
-    return k, codebook.bits[k].copy()
+    cw = codebook.codewords
+    gram = np.einsum("...ri,...rj->...ij", np.conj(h), h)
+    z = np.einsum("...ri,...rt->...it", np.conj(h), y)
+    quad = np.einsum("...ij,kji->...k", gram, np.einsum("kit,kjt->kij", cw, np.conj(cw))).real
+    inner = np.einsum("kit,...it->...k", np.conj(cw), z).real
+    k = np.argmin(snr * quad - 2.0 * np.sqrt(snr) * inner, axis=-1)
+    if h.ndim == 2:
+        return int(k), codebook.bits[k].copy()
+    return k, codebook.bits[k]
 
 
 @dataclass(frozen=True)
@@ -340,16 +327,13 @@ class DensityGrid:
 
 def joint_density(tx_layout: ArrayLayout, rx_layout: ArrayLayout, r_link: float,
                   wavelength: float, bins: int | tuple[int, int], samples: int,
-                  seed: int = 0, rotate: bool = True,
-                  block: int = 200_000) -> DensityGrid:
+                  seed: int = 0) -> DensityGrid:
     """Histogram of (theta_mu, mu) over independent random rotations of both
     arrays at a fixed link distance.
 
-    The transmit array must have two antennas here; ``rotate=False`` freezes
-    both arrays (all probability mass lands in a single bin). theta_mu is
-    uniform and independent of mu only as d_t / wavelength -> infinity at
-    fixed eta; at finite d_t / wavelength the high-mu rows keep a small
-    theta ripple.
+    The transmit array must have two antennas here. theta_mu is uniform and
+    independent of mu only as d_t / wavelength -> infinity at fixed eta; at
+    finite d_t / wavelength the high-mu rows keep a small theta ripple.
     """
     if tx_layout.n != 2:
         raise ValueError("joint density is defined for a 2-antenna transmitter")
@@ -363,18 +347,12 @@ def joint_density(tx_layout: ArrayLayout, rx_layout: ArrayLayout, r_link: float,
     counts = np.zeros((nt, nm), dtype=np.int64)
     rng = np.random.default_rng([seed])
     n_r = rx_layout.n
-    for start in range(0, samples, block):
-        n = min(block, samples - start)
-        if rotate:
-            u_tx = uniform_rotation(rng, n)
-            u_rx = uniform_rotation(rng, n)
-        else:
-            u_tx = np.broadcast_to(np.eye(3), (n, 3, 3))
-            u_rx = u_tx
-        tx_pos = np.einsum("nij,mj->nmi", u_tx, tx_layout.positions)
-        rx_pos = (r_link * LINK_DIRECTION
-                  + np.einsum("nij,mj->nmi", u_rx, rx_layout.positions))
-        dist = np.linalg.norm(rx_pos[:, :, None, :] - tx_pos[:, None, :, :], axis=-1)
+    for start in range(0, samples, DENSITY_BLOCK):
+        n = min(DENSITY_BLOCK, samples - start)
+        u_tx = uniform_rotation(rng, n)
+        u_rx = uniform_rotation(rng, n)
+        dist = exact_distances(*place_arrays(tx_layout, rx_layout, u_tx, u_rx,
+                                             np.full(n, float(r_link)), LINK_DIRECTION))
         # column inner product of the unit-modulus channel
         inner = np.exp(2j * np.pi * (dist[:, :, 1] - dist[:, :, 0]) / wavelength).sum(axis=1)
         mu = np.abs(inner) / n_r

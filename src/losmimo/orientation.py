@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 from scipy.optimize import minimize  # noqa: F401 - unused; bench/tracing.py wraps it
 
 from .channel import reduce_channel
-from .geometry import TETRAHEDRON_DIRECTIONS
+from .geometry import TETRAHEDRON_DIRECTIONS, _fibonacci_sphere
 
 __all__ = [
     "edge_code",
@@ -212,9 +212,13 @@ def compute_mu_star_curve(eta_start: float = 0.3, eta_stop: float = 3.0,
     """Evaluate ``mu*`` on a regular eta grid (plus the pentagon extension)."""
     if not 0 < eta_start < eta_stop:
         raise ValueError("need 0 < eta_start < eta_stop")
+    if step <= 0:
+        raise ValueError("eta step must be positive")
     lo = eta_start * PENTAGON_ETA_SCALE
     n_below = int(np.ceil((eta_start - lo) / step))
     etas = eta_start + step * np.arange(-n_below, np.floor((eta_stop - eta_start) / step) + 1)
+    if etas[0] <= 0:
+        raise ValueError(f"eta step {step:g} extends the grid to eta = {etas[0]:g} <= 0")
     values, dirs = _solve(etas)
     return MuStarCurve(etas=etas, values=values, directions=dirs, export_from=eta_start)
 
@@ -235,15 +239,6 @@ def mu_pent_star(eta: float, curve: MuStarCurve | None = None) -> float:
     return float(_solve(np.array([eta, eta * PENTAGON_ETA_SCALE]))[0].min())
 
 
-def _fibonacci_sphere_chunk(start: int, stop: int, n: int) -> NDArray:
-    i = np.arange(start, stop, dtype=float)
-    golden = (1.0 + np.sqrt(5.0)) / 2.0
-    z = 1.0 - (2.0 * i + 1.0) / n
-    theta = 2.0 * np.pi * i / golden
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
-
-
 def edge_code_worst_distortion(samples: int = 2_000_000, chunk: int = 500_000) -> float:
     """Worst-case inner product when quantising the sphere with the 12 edge
     directions: ``min_v max_i g_i . v`` over a dense deterministic sample.
@@ -259,7 +254,7 @@ def edge_code_region_minima(samples: int = 2_000_000, chunk: int = 500_000) -> N
     g = edge_code()
     minima = np.full(12, np.inf)
     for s in range(0, samples, chunk):
-        v = _fibonacci_sphere_chunk(s, min(s + chunk, samples), samples)
+        v = _fibonacci_sphere(samples, s, min(s + chunk, samples))
         dots = v @ g.T
         region = np.argmax(dots, axis=1)
         best = dots[np.arange(len(v)), region]

@@ -197,6 +197,19 @@ class TestCurves:
                 assert float(bound) >= float(mu) - 1e-9
         assert (out / "plot_curves.py").exists()
 
+    @pytest.mark.parametrize("step", ["0.3", "0", "-0.1"])
+    def test_bad_eta_step_is_config_error(self, tmp_path, step):
+        # 0.3 extends the pentagon grid below eta_start = 0.3 down to eta = 0
+        out = tmp_path / "curves"
+        assert main(["curves", f"--eta-step={step}", "--out", str(out)]) == EXIT_CONFIG
+        assert not (out / "mu_star_curve.csv").exists()
+        cfg = write_config(tmp_path, {
+            "mu_max": 0.6667, "wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25,
+            "tx_kind": "triangle", "eta_step": float(step)})
+        out = tmp_path / "design"
+        assert main(["design", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not (out / "design_report.csv").exists()
+
 
 class TestDensity:
     def test_small_run_counts(self, tmp_path):

@@ -60,6 +60,22 @@ class TestSelectTxPair:
                 assert sel.neighbouring == (cls == "neighbouring")
                 assert abs(np.sin(sel.beta)) <= cap + 1e-12
 
+    @pytest.mark.parametrize("kind,restrict", [
+        ("triangle", None), ("pentagon", None),
+        ("pentagon", "neighbouring"), ("pentagon", "non-neighbouring")])
+    def test_batch_matches_per_row(self, kind, restrict):
+        lay = make_layout(kind, spacing=0.06)
+        u_tx = uniform_rotation(np.random.default_rng(4), 2_000)
+        batch = select_tx_pair(lay, u_tx, LINK, restrict=restrict)
+        assert batch.pair.shape == (2_000, 2)
+        for i, u in enumerate(u_tx):
+            one = select_tx_pair(lay, u, LINK, restrict=restrict)
+            assert one.pair == tuple(batch.pair[i])
+            assert one.beta == batch.beta[i]
+            assert one.spacing == batch.spacing[i]
+            assert one.neighbouring == (None if batch.neighbouring is None
+                                        else batch.neighbouring[i])
+
     def test_too_few_antennas(self):
         with pytest.raises(ValueError, match="at least 3"):
             select_tx_pair(make_layout("ula", 2, 0.06), np.eye(3), LINK)
