@@ -43,9 +43,6 @@ class Constellation:
     def size(self) -> int:
         return len(self.points)
 
-    def labels(self) -> list[str]:
-        return [format(b, f"0{self.bits_per_symbol}b") for b in range(self.size)]
-
 
 def _gray_to_index(g: int) -> int:
     # inverse of the reflected Gray map i -> i ^ (i >> 1)

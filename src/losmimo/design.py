@@ -86,7 +86,11 @@ def select_tx_pair(tx_layout: ArrayLayout, u_tx: NDArray, u: NDArray,
             raise ValueError(f"layout has no {restrict} pairs")
         pairs, baselines, lengths = pairs[keep], baselines[keep], lengths[keep]
     u_tx = np.asarray(u_tx, dtype=float)
-    rotated = np.einsum("nij,pj->npi", u_tx.reshape(-1, 3, 3), baselines)
+    # u_tx @ baseline for every pair, summed in einsum's order (t0 + t2) + t1:
+    # the pentagon's spacing class hangs on the last bit of sin(beta)
+    cols = u_tx.reshape(-1, 3, 3).transpose(2, 0, 1).copy()   # cols[j] = u_tx[:, :, j]
+    t = [cols[j] * baselines[:, j, None, None] for j in range(3)]   # (pairs, n, 3)
+    rotated = ((t[0] + t[2]) + t[1]).transpose(1, 0, 2)
     sin_beta = (rotated / lengths[:, None]) @ u
     best = np.argmin(np.abs(sin_beta), axis=1)
     beta = np.arcsin(np.clip(sin_beta[np.arange(len(best)), best], -1, 1))

@@ -287,9 +287,8 @@ def place_arrays(tx_layout: ArrayLayout, rx_layout: ArrayLayout, u_tx: NDArray,
 
     ``u_tx`` and ``u_rx`` (n, 3, 3) rotate the arrays about their centroids;
     the receive centroid lies ``r_link`` (n,) along the unit vector ``axis``."""
-    tx = np.einsum("nij,mj->nmi", u_tx, tx_layout.positions)
-    rx = (r_link[:, None, None] * axis
-          + np.einsum("nij,mj->nmi", u_rx, rx_layout.positions))
+    tx = np.matmul(u_tx, tx_layout.positions.T).swapaxes(-1, -2)
+    rx = r_link[:, None, None] * axis + np.matmul(u_rx, rx_layout.positions.T).swapaxes(-1, -2)
     return tx, rx
 
 

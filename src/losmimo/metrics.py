@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import log_ndtr
+from scipy.special import i0e, log_ndtr
 
 from .codes import DiffSpectrum
 
@@ -28,33 +28,10 @@ __all__ = [
     "log_i0",
 ]
 
-# Below this argument I0 is summed as the ascending power series; above it the
-# large-argument expansion wins (relative error < 1e-12 on both sides).
-_I0_CROSSOVER = 20.0
-
-
 def log_i0(x: float) -> float:
     """Natural log of the modified Bessel function I0, stable for large x."""
-    x = float(abs(x))
-    if x <= _I0_CROSSOVER:
-        # sum_k (x^2/4)^k / (k!)^2, term ratio u / k^2
-        u = 0.25 * x * x
-        term, total, k = 1.0, 1.0, 1
-        while term > 1e-18 * total:
-            term *= u / (k * k)
-            total += term
-            k += 1
-        return math.log(total)
-    # I0(x) = e^x / sqrt(2 pi x) * sum_k a_k, a_k = a_{k-1} (2k-1)^2 / (8 k x);
-    # the series is asymptotic: stop at the smallest term
-    term, total = 1.0, 1.0
-    for k in range(1, 30):
-        nxt = term * (2 * k - 1) ** 2 / (8.0 * k * x)
-        if nxt >= term:
-            break
-        term = nxt
-        total += term
-    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(total)
+    x = abs(float(x))
+    return float(np.log(i0e(x)) + x)
 
 
 def _triple(diff) -> tuple[float, float, float]:

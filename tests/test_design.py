@@ -76,6 +76,27 @@ class TestSelectTxPair:
             assert one.neighbouring == (None if batch.neighbouring is None
                                         else batch.neighbouring[i])
 
+    @pytest.mark.parametrize("tilted", [False, True])
+    @pytest.mark.parametrize("kind", ["triangle", "pentagon", "custom"])
+    def test_bit_identical_to_einsum_reference(self, kind, tilted):
+        # the pentagon's spacing class hangs on the last bit of sin(beta); a
+        # non-planar custom layout and a tilted link also pin the order of
+        # the three terms of each product
+        if kind == "custom":
+            lay = make_layout("custom", coords=0.05 * np.random.default_rng(3).normal(size=(4, 3)))
+        else:
+            lay = make_layout(kind, spacing=0.06)
+        u_tx = uniform_rotation(np.random.default_rng(9), 200_000)
+        pairs = np.array([(m, n) for m in range(lay.n) for n in range(m + 1, lay.n)])
+        baselines = lay.positions[pairs[:, 0]] - lay.positions[pairs[:, 1]]
+        link = np.array([2.0, -1.0, 3.0]) / np.sqrt(14.0) if tilted else LINK
+        sin_beta = (np.einsum("nij,pj->npi", u_tx, baselines)
+                    / np.linalg.norm(baselines, axis=1)[:, None]) @ link
+        best = np.argmin(np.abs(sin_beta), axis=1)
+        sel = select_tx_pair(lay, u_tx, link)
+        assert np.array_equal(sel.pair, pairs[best])
+        assert np.array_equal(sel.beta, np.arcsin(sin_beta[np.arange(len(best)), best]))
+
     def test_too_few_antennas(self):
         with pytest.raises(ValueError, match="at least 3"):
             select_tx_pair(make_layout("ula", 2, 0.06), np.eye(3), LINK)

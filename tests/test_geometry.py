@@ -10,6 +10,7 @@ from losmimo.geometry import (
     is_rotation,
     make_layout,
     place_antennas,
+    place_arrays,
     uniform_rotation,
 )
 
@@ -142,6 +143,21 @@ class TestPlacement:
     def test_centroid_on_transmit_axis(self):
         _, rx = place_antennas(self._scenario(beta=np.pi / 2))
         np.testing.assert_allclose(rx.mean(axis=0), [0, 0, 10], atol=1e-9)
+
+    def test_place_arrays_matches_einsum_reference(self):
+        # a matrix product, not einsum: equal up to rounding, not bit for bit
+        tx_lay = make_layout("pentagon", spacing=0.06)
+        rx_lay = make_layout("tetrahedron", spacing=0.25)
+        rng = np.random.default_rng(12)
+        u_tx, u_rx = uniform_rotation(rng, 20_000), uniform_rotation(rng, 20_000)
+        r_link = rng.uniform(4.43, 12.7, 20_000)
+        axis = np.array([np.cos(0.3), 0.0, np.sin(0.3)])
+        tx, rx = place_arrays(tx_lay, rx_lay, u_tx, u_rx, r_link, axis)
+        ref_tx = np.einsum("nij,mj->nmi", u_tx, tx_lay.positions)
+        ref_rx = r_link[:, None, None] * axis + np.einsum("nij,mj->nmi", u_rx, rx_lay.positions)
+        for got, ref in ((tx, ref_tx), (rx, ref_rx)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_near_field_warning(self):
         with pytest.warns(UserWarning, match="array extent"):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -74,6 +76,55 @@ class TestMlDecode:
         # the expanded metric picks what the Frobenius distance picks
         dist = np.abs(y[:, None] - np.sqrt(snr) * np.einsum("nri,kit->nkrt", h, cb.codewords))
         assert np.array_equal(k, np.argmin((dist ** 2).sum(axis=(2, 3)), axis=1))
+
+    @pytest.mark.parametrize("snr_db", [0.0, 16.0, 32.0])
+    @pytest.mark.parametrize("link", ["ideal", "ula_ura", "pent_tetr"])
+    @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
+    def test_matches_frobenius_argmin(self, scheme, link, snr_db):
+        # 2,501 trials: not a multiple of the GEMM's row chunk
+        n = 2_501
+        tx_kind, rx_kind = ("pentagon", "tetrahedron") if link == "pent_tetr" else ("ula", "ura")
+        engine = _Engine(SimConfig(scheme=scheme, tx_kind=tx_kind, rx_kind=rx_kind,
+                                   snr_db=(snr_db,), ideal_channel=link == "ideal", **BASE))
+        cb = engine.codebook
+        rng = np.random.default_rng(23)
+        h = (np.broadcast_to(engine.h_ideal, (n, 4, 2)) if link == "ideal"
+             else engine._channels(n, rng))
+        snr = 10 ** (snr_db / 10)
+        k_true = rng.integers(0, cb.size, n)
+        noise = np.sqrt(0.5) * (rng.standard_normal((n, 4, cb.slots))
+                                + 1j * rng.standard_normal((n, 4, cb.slots)))
+        y = np.sqrt(snr) * np.einsum("nri,nit->nrt", h, cb.codewords[k_true]) + noise
+        # argmin of ||y - sqrt(snr) h X_k||_F, first index on ties
+        best = np.full(n, np.inf)
+        want = np.zeros(n, dtype=int)
+        for k, x in enumerate(cb.codewords):
+            d = (np.abs(y - np.sqrt(snr) * h @ x) ** 2).sum(axis=(1, 2))
+            want[d < best] = k
+            best = np.minimum(best, d)
+        k, bits = ml_decode(h, y, snr, cb)
+        assert np.array_equal(k, want)
+        assert np.array_equal(bits, cb.bits[want])
+        # extra leading axes, and batches of one and of two
+        lead, _ = ml_decode(h[:6 * 37].reshape(2, 3, 37, 4, 2),
+                            y[:6 * 37].reshape(2, 3, 37, 4, cb.slots), snr, cb)
+        assert np.array_equal(lead, want[:6 * 37].reshape(2, 3, 37))
+        for m in (1, 2):
+            assert np.array_equal(ml_decode(h[:m], y[:m], snr, cb)[0], want[:m])
+        assert ml_decode(h[-1], y[-1], snr, cb)[0] == want[-1]
+
+    def test_starts_no_blas_threads(self):
+        # a 2-D (2,500 x 12) @ (12 x 256) product makes OpenBLAS run extra
+        # threads, which spin after each call; the decoder's row chunks do not
+        cb = build_codebook("golden")
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal((2_500, 4, 2)) + 1j * rng.standard_normal((2_500, 4, 2))
+        y = rng.standard_normal((2_500, 4, 2)) + 1j * rng.standard_normal((2_500, 4, 2))
+        ml_decode(h, y, 10.0, cb)
+        cpu, wall = time.process_time(), time.perf_counter()
+        for _ in range(50):
+            ml_decode(h, y, 10.0, cb)
+        assert time.process_time() - cpu < 1.3 * (time.perf_counter() - wall)
 
     def test_awgn_ber_matches_analytic(self):
         # orthogonal 2x2 channel: two parallel AWGN 4-QAM streams
