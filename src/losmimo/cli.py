@@ -26,7 +26,7 @@ from .codes import difference_spectrum
 from .design import DesignSpec, InfeasibleDesignError, design_link
 from .geometry import make_layout
 from .metrics import coding_gain
-from .montecarlo import SimConfig, build_codebook, joint_density, run_ber
+from .montecarlo import SimConfig, build_codebook, check_density_inputs, joint_density, run_ber
 from .orientation import compute_mu_star_curve
 
 EXIT_OK = 0
@@ -298,21 +298,21 @@ def _cmd_density(args, out_dir: Path, manifest: Manifest) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     manifest.data["seed"] = seed
     wavelength = _require(cfg, "wavelength", float, "density config")
-    tx = make_layout("ula", 2, _require(cfg, "d_t", float, "density config"))
-    rx_kind = cfg.get("rx_kind", "ula")
-    n_r = int(cfg.get("n_r", 2))
+    d_t = _require(cfg, "d_t", float, "density config")
+    d_r = _require(cfg, "d_r", float, "density config")
+    r_link = _require(cfg, "distance", float, "density config")
+    bins, samples = cfg.get("bins", 25), cfg.get("samples", 1_000_000)
+    for key, val in (("bins", bins), ("samples", samples)):
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise ConfigError(f"density config: field {key!r} must be int")
     try:
-        rx = make_layout(rx_kind, n_r, _require(cfg, "d_r", float, "density config"))
+        tx = make_layout("ula", 2, d_t)
+        rx = make_layout(cfg.get("rx_kind", "ula"), int(cfg.get("n_r", 2)), d_r)
+        check_density_inputs(tx, rx, r_link, wavelength, bins, samples)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    grid = joint_density(
-        tx, rx,
-        r_link=_require(cfg, "distance", float, "density config"),
-        wavelength=wavelength,
-        bins=int(cfg.get("bins", 25)),
-        samples=int(cfg.get("samples", 1_000_000)),
-        seed=seed,
-    )
+        raise ConfigError(f"density config: {exc}") from exc
+    grid = joint_density(tx, rx, r_link=r_link, wavelength=wavelength, bins=bins,
+                         samples=samples, seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "density.csv"
     grid.write_csv(out)

@@ -24,12 +24,19 @@ __all__ = [
     "uniform_rotation",
     "place_arrays",
     "place_antennas",
+    "link_distances",
     "exact_distances",
     "approx_path_difference",
     "is_rotation",
     "link_axis",
     "transverse_axis",
 ]
+
+# links per piece of rotation sampling, placement and distances: a piece's
+# temporaries stay in cache
+PLACE_COLS = 4096
+# OpenBLAS runs a GEMM of at most this many multiply-adds on the calling thread
+BLAS_SERIAL_MADDS = 2 ** 18
 
 LAYOUT_KINDS = ("ula", "ura", "tetrahedron", "triangle", "pentagon", "spherical-code", "custom")
 
@@ -219,23 +226,42 @@ def uniform_rotation(rng: np.random.Generator, n: int | None = None) -> NDArray:
 
     A standard-normal 4-vector normalised to the unit 3-sphere is a uniform
     quaternion, which maps to a uniform rotation. Returns a single (3, 3)
-    matrix, or (n, 3, 3) when ``n`` is given.
+    matrix, or a C-contiguous (n, 3, 3) array when ``n`` is given.
     """
     m = 1 if n is None else int(n)
     q = rng.standard_normal((m, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
     u = np.empty((m, 3, 3))
-    u[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    u[:, 0, 1] = 2 * (x * y - z * w)
-    u[:, 0, 2] = 2 * (x * z + y * w)
-    u[:, 1, 0] = 2 * (x * y + z * w)
-    u[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    u[:, 1, 2] = 2 * (y * z - x * w)
-    u[:, 2, 0] = 2 * (x * z - y * w)
-    u[:, 2, 1] = 2 * (y * z + x * w)
-    u[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    for s in range(0, m, PLACE_COLS):
+        _quaternion_rotations(q[s:s + PLACE_COLS], u[s:s + PLACE_COLS])
     return u[0] if n is None else u
+
+
+def _quaternion_rotations(q: NDArray, out: NDArray) -> None:
+    """Write the rotations of the quaternions ``q`` (m, 4), normalised here,
+    into the C-contiguous ``out`` (m, 3, 3)."""
+    q = q.T.copy()                     # rows w, x, y, z
+    norm = q[0] * q[0]
+    for c in q[1:]:
+        norm += c * c                  # np.linalg.norm's order: ((w^2 + x^2) + y^2) + z^2
+    q /= np.sqrt(norm)
+    w, z = q[0], q[3]
+    # each product once, doubled: 2 (a b) = (2 a) b exactly
+    two = 2.0 * q[1:]                  # 2x, 2y, 2z
+    xx, yy, zz = two * q[1:]
+    xy, xz = two[0] * q[2:]
+    yz = two[1] * z
+    xw, yw, zw = two * w
+    u = out.reshape(-1, 9).T
+    np.add(yy, zz, out=u[0])
+    np.subtract(xy, zw, out=u[1])
+    np.add(xz, yw, out=u[2])
+    np.add(xy, zw, out=u[3])
+    np.add(xx, zz, out=u[4])
+    np.subtract(yz, xw, out=u[5])
+    np.subtract(xz, yw, out=u[6])
+    np.add(yz, xw, out=u[7])
+    np.add(xx, yy, out=u[8])
+    np.subtract(1.0, u[0::4], out=u[0::4])
 
 
 def link_axis(beta: float) -> NDArray:
@@ -283,13 +309,32 @@ class LinkScenario:
 
 def place_arrays(tx_layout: ArrayLayout, rx_layout: ArrayLayout, u_tx: NDArray,
                  u_rx: NDArray, r_link: NDArray, axis: NDArray) -> tuple[NDArray, NDArray]:
-    """Global-frame positions of n links: tx (n, n_t, 3) and rx (n, n_r, 3).
+    """Global-frame positions of n links, coordinate-major: tx (3, n_t, n) and
+    rx (3, n_r, n).
 
     ``u_tx`` and ``u_rx`` (n, 3, 3) rotate the arrays about their centroids;
     the receive centroid lies ``r_link`` (n,) along the unit vector ``axis``."""
-    tx = np.matmul(u_tx, tx_layout.positions.T).swapaxes(-1, -2)
-    rx = r_link[:, None, None] * axis + np.matmul(u_rx, rx_layout.positions.T).swapaxes(-1, -2)
-    return tx, rx
+    rx = _rotate(rx_layout.positions, u_rx)
+    rx += np.multiply.outer(axis, r_link)[:, None]
+    return _rotate(tx_layout.positions, u_tx), rx
+
+
+def _rotate(positions: NDArray, u: NDArray) -> NDArray:
+    """``out[i, m, l] = sum_j u[l, i, j] positions[m, j]``, coordinate-major.
+
+    One real GEMM per piece of links, (n_ant x 3) @ (3 x 3 links), whose right
+    factor is a view of ``u``. Each sum runs over j in order, as the
+    per-link product did. With 3 columns per link no product has a single
+    column, which NumPy would hand to a matrix-vector routine that rounds
+    differently, so one link gets the bits it gets in a batch."""
+    n_ant, n = len(positions), len(u)
+    out = np.empty((3, n_ant, n))
+    # a piece takes 9 n_ant multiply-adds per link and starts no BLAS threads
+    step = min(PLACE_COLS, BLAS_SERIAL_MADDS // (9 * n_ant))
+    for s in range(0, n, step):
+        prod = np.matmul(positions, u[s:s + step].transpose(2, 0, 1).reshape(3, -1))
+        out[:, :, s:s + step] = prod.reshape(n_ant, -1, 3).transpose(2, 0, 1)
+    return out
 
 
 def place_antennas(scenario: LinkScenario) -> tuple[NDArray, NDArray]:
@@ -297,20 +342,42 @@ def place_antennas(scenario: LinkScenario) -> tuple[NDArray, NDArray]:
     tx, rx = place_arrays(scenario.tx_layout, scenario.rx_layout, scenario.U_tx[None],
                           scenario.U_rx[None], np.array([scenario.R], dtype=float),
                           link_axis(scenario.beta))
-    return tx[0], rx[0]
+    return tx[:, :, 0].T, rx[:, :, 0].T
+
+
+def link_distances(tx: NDArray, rx: NDArray) -> NDArray:
+    """Distances r[m, j, l] between receive antenna m and transmit antenna j of
+    link l from coordinate-major positions tx (3, n_t, n) and rx (3, n_r, n).
+
+    Each is ``sqrt((dx dx + dy dy) + dz dz)``, ``np.linalg.norm``'s summation
+    order, taken over ``PLACE_COLS``-link pieces so that the temporaries stay
+    in cache."""
+    n = tx.shape[-1]
+    r = np.empty((rx.shape[1], tx.shape[1], n))
+    for s in range(0, n, PLACE_COLS):
+        t, q, out = tx[..., s:s + PLACE_COLS], rx[..., s:s + PLACE_COLS], r[..., s:s + PLACE_COLS]
+        np.square(q[0][:, None] - t[0], out=out)
+        for c in (1, 2):
+            d = q[c][:, None] - t[c]
+            out += np.multiply(d, d, out=d)
+        np.sqrt(out, out=out)
+    if np.any(r <= 0):
+        raise ValueError("coincident transmit and receive antennas")
+    return r
 
 
 def exact_distances(tx_positions: NDArray, rx_positions: NDArray) -> NDArray:
     """Euclidean distances r[..., m, n] between receive antenna m and transmit
-    antenna n; leading axes are batch axes."""
+    antenna n from (..., n_t, 3) and (..., n_r, 3) positions; leading axes are
+    batch axes."""
     tx = np.atleast_2d(np.asarray(tx_positions, dtype=float))
     rx = np.atleast_2d(np.asarray(rx_positions, dtype=float))
     if tx.size == 0 or rx.size == 0:
         raise ValueError("empty position list")
-    r = np.linalg.norm(rx[..., :, None, :] - tx[..., None, :, :], axis=-1)
-    if np.any(r <= 0):
-        raise ValueError("coincident transmit and receive antennas")
-    return r
+    batch = np.broadcast_shapes(tx.shape[:-2], rx.shape[:-2])
+    tx, rx = (np.broadcast_to(a, batch + a.shape[-2:]).reshape(-1, *a.shape[-2:]).T
+              for a in (tx, rx))
+    return link_distances(tx, rx).transpose(2, 0, 1).reshape(batch + (rx.shape[1], tx.shape[1]))
 
 
 def approx_path_difference(scenario: LinkScenario, m: int) -> float:

@@ -19,7 +19,7 @@ from . import codes
 from .channel import los_channel
 from .codes import Codebook
 from .design import select_tx_pair
-from .geometry import ArrayLayout, exact_distances, make_layout, place_arrays, uniform_rotation
+from .geometry import ArrayLayout, link_distances, make_layout, place_arrays, uniform_rotation
 
 __all__ = [
     "SimConfig",
@@ -28,6 +28,7 @@ __all__ = [
     "build_codebook",
     "ml_decode",
     "run_ber",
+    "check_density_inputs",
     "joint_density",
 ]
 
@@ -180,8 +181,9 @@ class _Engine:
                               LINK_DIRECTION)
         if self.tx_layout.n > 2:
             pair = select_tx_pair(self.tx_layout, u_tx, LINK_DIRECTION).pair
-            tx = tx[np.arange(n)[:, None], pair]
-        return los_channel(exact_distances(tx, rx), cfg.wavelength)
+            tx = tx[:, pair.T, np.arange(n)]
+        dist = np.ascontiguousarray(link_distances(tx, rx).transpose(2, 0, 1))
+        return los_channel(dist, cfg.wavelength)
 
     def run_block(self, snr_index: int, block_index: int, n_trials: int) -> tuple[int, int]:
         """Simulate one block; returns (trials, bit errors)."""
@@ -355,16 +357,11 @@ class DensityGrid:
                     f.write(f"{t:.12g},{m:.12g},{dens[i, j]:.12g}\n")
 
 
-def joint_density(tx_layout: ArrayLayout, rx_layout: ArrayLayout, r_link: float,
-                  wavelength: float, bins: int | tuple[int, int], samples: int,
-                  seed: int = 0) -> DensityGrid:
-    """Histogram of (theta_mu, mu) over independent random rotations of both
-    arrays at a fixed link distance.
-
-    The transmit array must have two antennas here. theta_mu is uniform and
-    independent of mu only as d_t / wavelength -> infinity at fixed eta; at
-    finite d_t / wavelength the high-mu rows keep a small theta ripple.
-    """
+def check_density_inputs(tx_layout: ArrayLayout, rx_layout: ArrayLayout, r_link: float,
+                         wavelength: float, bins: int | tuple[int, int],
+                         samples: int) -> tuple[int, int]:
+    """Reject ``joint_density`` inputs it cannot sample; returns the (theta_mu,
+    mu) bin counts."""
     if tx_layout.n != 2:
         raise ValueError("joint density is defined for a 2-antenna transmitter")
     if samples < 1:
@@ -372,6 +369,28 @@ def joint_density(tx_layout: ArrayLayout, rx_layout: ArrayLayout, r_link: float,
     nt, nm = (bins, bins) if isinstance(bins, int) else bins
     if nt < 5 or nm < 5:
         raise ValueError("use at least a 5 x 5 grid")
+    if wavelength <= 0:
+        raise ValueError("wavelength must be positive")
+    reach = float(tx_layout.radii.max() + rx_layout.radii.max())
+    if not r_link > reach:
+        raise ValueError(f"distance {r_link:g} m is not beyond the {reach:g} m sum of the "
+                         "transmit and receive array radii")
+    return nt, nm
+
+
+def joint_density(tx_layout: ArrayLayout, rx_layout: ArrayLayout, r_link: float,
+                  wavelength: float, bins: int | tuple[int, int], samples: int,
+                  seed: int = 0) -> DensityGrid:
+    """Histogram of (theta_mu, mu) over independent random rotations of both
+    arrays at a fixed link distance.
+
+    The transmit array must have two antennas here, and ``r_link`` must lie
+    beyond the sum of the array radii (see ``check_density_inputs``). theta_mu
+    is uniform and independent of mu only as d_t / wavelength -> infinity at
+    fixed eta; at finite d_t / wavelength the high-mu rows keep a small theta
+    ripple.
+    """
+    nt, nm = check_density_inputs(tx_layout, rx_layout, r_link, wavelength, bins, samples)
     theta_edges = np.linspace(0.0, 2.0 * np.pi, nt + 1)
     mu_edges = np.linspace(0.0, 1.0, nm + 1)
     counts = np.zeros((nt, nm), dtype=np.int64)
@@ -381,10 +400,12 @@ def joint_density(tx_layout: ArrayLayout, rx_layout: ArrayLayout, r_link: float,
         n = min(DENSITY_BLOCK, samples - start)
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
-        dist = exact_distances(*place_arrays(tx_layout, rx_layout, u_tx, u_rx,
-                                             np.full(n, float(r_link)), LINK_DIRECTION))
-        # column inner product of the unit-modulus channel
-        inner = np.exp(2j * np.pi * (dist[:, :, 1] - dist[:, :, 0]) / wavelength).sum(axis=1)
+        dist = link_distances(*place_arrays(tx_layout, rx_layout, u_tx, u_rx,
+                                            np.full(n, float(r_link)), LINK_DIRECTION))
+        # column inner product of the unit-modulus channel, summed over C-ordered
+        # (n, n_r) rows: the order of a reduction depends on the layout
+        diff = np.ascontiguousarray((dist[:, 1] - dist[:, 0]).T)
+        inner = np.exp(2j * np.pi * diff / wavelength).sum(axis=1)
         mu = np.abs(inner) / n_r
         theta = np.angle(inner) % (2.0 * np.pi)
         hist, _, _ = np.histogram2d(theta, np.clip(mu, 0.0, 1.0),

@@ -235,6 +235,24 @@ class TestDensity:
         assert main(["density", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert (out / "plot_density.py").exists()
 
+    # the 2x2 arrays of radius 0.0725 m overlap anywhere up to 0.145 m
+    @pytest.mark.parametrize("field,value,message", [
+        ("bins", 3, "5 x 5"), ("bins", "x", "'bins' must be int"),
+        ("samples", 0, "at least one sample"), ("wavelength", 0.0, "wavelength"),
+        ("distance", 0.1, "array radii"), ("distance", -10.0, "array radii")],
+        ids=["bins-3", "bins-x", "samples-0", "wavelength-0", "distance-0.1", "distance-neg"])
+    def test_bad_config_is_config_error(self, tmp_path, field, value, message):
+        cfg = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "n_r": 2,
+               "rx_kind": "ula", "distance": 10.0, "bins": 5, "samples": 1_000}
+        cfg[field] = value
+        out = tmp_path / "out"
+        assert main(["density", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "config-error"
+        assert message in manifest["error"]
+        assert not (out / "density.csv").exists()
+
     def test_bundled_recipe_resolves(self):
         cfg = _load_config("density_2x2")
         assert cfg["n_r"] == 2

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -8,11 +10,13 @@ from losmimo.geometry import (
     transverse_axis,
     exact_distances,
     is_rotation,
+    link_distances,
     make_layout,
     place_antennas,
     place_arrays,
     uniform_rotation,
 )
+from losmimo.montecarlo import LINK_DIRECTION
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -103,6 +107,23 @@ class TestUniformRotation:
         b = uniform_rotation(np.random.default_rng(123), 50)
         assert np.array_equal(a, b)
 
+    def test_bit_identical_to_quaternion_formula(self):
+        # the formula uniform_rotation evaluates in pieces, written out once;
+        # 10,000 rotations span three pieces, the last one partial
+        q = np.random.default_rng(8).standard_normal((10_000, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        w, x, y, z = q.T
+        ref = np.stack([
+            1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
+            2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
+            2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+            axis=1).reshape(-1, 3, 3)
+        u = uniform_rotation(np.random.default_rng(8), 10_000)
+        # einsum's summation order, used by pair selection, depends on strides
+        assert u.flags.c_contiguous
+        assert np.array_equal(u, ref)
+        assert np.array_equal(uniform_rotation(np.random.default_rng(8)), ref[0])
+
     def test_mean_axis_image_is_zero(self):
         rng = np.random.default_rng(7)
         us = uniform_rotation(rng, 200_000)
@@ -153,11 +174,53 @@ class TestPlacement:
         r_link = rng.uniform(4.43, 12.7, 20_000)
         axis = np.array([np.cos(0.3), 0.0, np.sin(0.3)])
         tx, rx = place_arrays(tx_lay, rx_lay, u_tx, u_rx, r_link, axis)
-        ref_tx = np.einsum("nij,mj->nmi", u_tx, tx_lay.positions)
-        ref_rx = r_link[:, None, None] * axis + np.einsum("nij,mj->nmi", u_rx, rx_lay.positions)
+        ref_tx = np.einsum("nij,mj->imn", u_tx, tx_lay.positions)
+        ref_rx = axis[:, None, None] * r_link + np.einsum("nij,mj->imn", u_rx, rx_lay.positions)
         for got, ref in ((tx, ref_tx), (rx, ref_rx)):
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("tilted", [False, True])
+    @pytest.mark.parametrize("kinds", [("ula", "ula"), ("ula", "ura"),
+                                       ("pentagon", "tetrahedron"), ("triangle", "ura")])
+    def test_bit_identical_to_per_link_reference(self, kinds, tilted):
+        # the per-link product and norm that placement and distances replace;
+        # every BER and density CSV hangs on these bits. 10,000 links span
+        # three GEMM pieces, the last one partial
+        layouts = {"ula": make_layout("ula", 2, 0.145), "ura": make_layout("ura", 4, 0.145),
+                   "triangle": make_layout("triangle", spacing=0.06),
+                   "pentagon": make_layout("pentagon", spacing=0.06),
+                   "tetrahedron": make_layout("tetrahedron", spacing=0.25)}
+        tx_lay, rx_lay = (layouts[k] for k in kinds)
+        rng = np.random.default_rng(31)
+        n = 10_000
+        u_tx, u_rx = uniform_rotation(rng, n), uniform_rotation(rng, n)
+        r_link = rng.uniform(4.43, 12.7, n)
+        axis = np.array([2.0, -1.0, 3.0]) / np.sqrt(14.0) if tilted else LINK_DIRECTION
+        ref_tx = np.matmul(u_tx, tx_lay.positions.T).swapaxes(-1, -2)
+        ref_rx = (r_link[:, None, None] * axis
+                  + np.matmul(u_rx, rx_lay.positions.T).swapaxes(-1, -2))
+        ref = np.linalg.norm(ref_rx[:, :, None, :] - ref_tx[:, None, :, :], axis=-1)
+        tx, rx = place_arrays(tx_lay, rx_lay, u_tx, u_rx, r_link, axis)
+        assert np.array_equal(tx, ref_tx.transpose(2, 1, 0))
+        assert np.array_equal(rx, ref_rx.transpose(2, 1, 0))
+        assert np.array_equal(link_distances(tx, rx), ref.transpose(1, 2, 0))
+        assert np.array_equal(exact_distances(ref_tx, ref_rx), ref)
+
+    @pytest.mark.parametrize("n_rx", [4, 16])
+    def test_starts_no_blas_threads(self, n_rx):
+        # one product over all links would make OpenBLAS run extra threads,
+        # which spin after each call; the pieces, smaller for 16 antennas, do not
+        tx_lay, rx_lay = make_layout("ula", 2, 0.06), make_layout("ura", n_rx, 0.05)
+        rng = np.random.default_rng(2)
+        u_tx, u_rx = uniform_rotation(rng, 100_000), uniform_rotation(rng, 100_000)
+        r_link = np.full(100_000, 10.0)
+        place_arrays(tx_lay, rx_lay, u_tx, u_rx, r_link, LINK_DIRECTION)
+        time.sleep(0.5)   # BLAS threads an earlier test left spinning go idle
+        cpu, wall = time.process_time(), time.perf_counter()
+        for _ in range(10):
+            place_arrays(tx_lay, rx_lay, u_tx, u_rx, r_link, LINK_DIRECTION)
+        assert time.process_time() - cpu < 1.3 * (time.perf_counter() - wall)
 
     def test_near_field_warning(self):
         with pytest.warns(UserWarning, match="array extent"):

@@ -283,11 +283,12 @@ class TestRunBer:
 
 
 class TestEngineChannels:
+    @pytest.mark.parametrize("rx_kind", ["ula", "ura", "tetrahedron"])
     @pytest.mark.parametrize("tx_kind", ["ula", "triangle", "pentagon"])
-    def test_match_scalar_link_pipeline(self, tx_kind):
+    def test_match_scalar_link_pipeline(self, tx_kind, rx_kind):
         # the engine draws distance, then transmit and receive rotations; the
         # scalar path gets the same draws one link at a time
-        cfg = SimConfig(scheme="sm", tx_kind=tx_kind, rx_kind="tetrahedron",
+        cfg = SimConfig(scheme="sm", tx_kind=tx_kind, rx_kind=rx_kind,
                         snr_db=(0.0,), **BASE)
         tx, rx = cfg.layouts
         n = 2_000
