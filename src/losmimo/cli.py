@@ -66,6 +66,14 @@ def _require(cfg: dict, key: str, kind, where: str):
     return val
 
 
+def _int_field(cfg: dict, key: str, default: int, where: str) -> int:
+    """An optional integer field; a float or bool is rejected, not truncated."""
+    val = cfg.get(key, default)
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise ConfigError(f"{where}: field {key!r} must be int")
+    return val
+
+
 def _resolve_workers(args) -> int:
     if args.workers is not None:
         return max(1, args.workers)
@@ -214,7 +222,7 @@ def _cmd_simulate(args, out_dir: Path, manifest: Manifest) -> int:
                 scheme=_require(run, "scheme", str, where),
                 tx_kind=run.get("tx_kind", "ula"),
                 rx_kind=run.get("rx_kind", "ura"),
-                n_r=int(run.get("n_r", cfg.get("n_r", 4))),
+                n_r=_int_field(run, "n_r", _int_field(cfg, "n_r", 4, "simulate config"), where),
                 wavelength=_require(cfg, "wavelength", float, "simulate config"),
                 d_t=_require(cfg, "d_t", float, "simulate config"),
                 d_r=_require(cfg, "d_r", float, "simulate config"),
@@ -301,13 +309,12 @@ def _cmd_density(args, out_dir: Path, manifest: Manifest) -> int:
     d_t = _require(cfg, "d_t", float, "density config")
     d_r = _require(cfg, "d_r", float, "density config")
     r_link = _require(cfg, "distance", float, "density config")
-    bins, samples = cfg.get("bins", 25), cfg.get("samples", 1_000_000)
-    for key, val in (("bins", bins), ("samples", samples)):
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ConfigError(f"density config: field {key!r} must be int")
+    bins = _int_field(cfg, "bins", 25, "density config")
+    samples = _int_field(cfg, "samples", 1_000_000, "density config")
+    n_r = _int_field(cfg, "n_r", 2, "density config")
     try:
         tx = make_layout("ula", 2, d_t)
-        rx = make_layout(cfg.get("rx_kind", "ula"), int(cfg.get("n_r", 2)), d_r)
+        rx = make_layout(cfg.get("rx_kind", "ula"), n_r, d_r)
         check_density_inputs(tx, rx, r_link, wavelength, bins, samples)
     except ValueError as exc:
         raise ConfigError(f"density config: {exc}") from exc

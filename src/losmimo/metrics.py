@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import i0e, log_ndtr
 
 from .codes import DiffSpectrum
 
@@ -30,6 +29,8 @@ __all__ = [
 
 def log_i0(x: float) -> float:
     """Natural log of the modified Bessel function I0, stable for large x."""
+    from scipy.special import i0e  # imported on use: it costs most of ``import losmimo``
+
     x = abs(float(x))
     return float(np.log(i0e(x)) + x)
 
@@ -69,6 +70,8 @@ def _received_sq_distance(r_matrix: NDArray, delta_x: NDArray) -> float:
 
 def pep_exact(r_matrix: NDArray, delta_x: NDArray, snr: float, log: bool = False) -> float:
     """Exact pairwise error probability ``Q(sqrt(SNR ||R dX||_F^2 / 2))``."""
+    from scipy.special import log_ndtr  # imported on use, as in ``log_i0``
+
     if snr <= 0:
         raise ValueError("snr must be positive")
     arg = math.sqrt(snr * _received_sq_distance(r_matrix, delta_x) / 2.0)

@@ -2,8 +2,11 @@
 
 The correlation of a tetrahedral channel depends on the receive rotation only
 through the transverse direction seen in the array frame, so maximising over
-all rotations reduces to maximising over the unit sphere. The global maximum
-``mu*(eta)`` is located on a dense deterministic icosphere grid and polished
+all rotations reduces to maximising over the unit sphere. The correlation is
+invariant under the tetrahedral symmetries and under ``v -> -v``, hence under
+T_h (the 24 cyclic coordinate permutations with any signs), and so is a dense
+deterministic icosphere grid. The global maximum ``mu*(eta)`` is therefore
+located on the grid points of one T_h cell (1/24 of the sphere) and polished
 by Newton ascent on the sphere, batched over every eta of a curve; the
 resulting curve drives the distance-range design.
 """
@@ -32,6 +35,7 @@ __all__ = [
     "edge_code_region_minima",
     "best_submatrix",
     "icosphere_vertices",
+    "fundamental_domain",
 ]
 
 # eta of a non-neighbouring pentagon pair relative to a neighbouring one
@@ -64,39 +68,54 @@ def mu_of_direction(eta: float, v: NDArray) -> NDArray | float:
 
 @lru_cache(maxsize=4)
 def icosphere_vertices(subdivisions: int = 6) -> NDArray:
-    """Vertices of a subdivided icosahedron (10 * 4^n + 2 points)."""
+    """Vertices of a subdivided icosahedron (10 * 4^n + 2 points).
+
+    Each level splits every face (a, b, c) into four at the edge midpoints
+    ab, bc, ca; a new vertex is numbered when its edge is first met in face
+    order. Midpoints are normalised by ``sqrt`` of a (1 x 3) @ (3 x 1) product,
+    which rounds as ``np.linalg.norm`` does on one 3-vector.
+    """
     t = (1.0 + np.sqrt(5.0)) / 2.0
     verts = [
         [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
         [0, -1, t], [0, 1, t], [0, -1, -t], [0, 1, -t],
         [t, 0, -1], [t, 0, 1], [-t, 0, -1], [-t, 0, 1],
     ]
-    verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in verts]
-    faces = [
+    verts = np.array([np.array(v, dtype=float) / np.linalg.norm(v) for v in verts])
+    faces = np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
+    ], dtype=np.int64)
     for _ in range(subdivisions):
-        cache: dict[tuple[int, int], int] = {}
+        n = len(verts)
+        edges = np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1).reshape(-1, 2)
+        keys = edges.min(axis=1) * n + edges.max(axis=1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # unique edges in order of first encounter
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        i, j = edges[first[order]].T
+        m = verts[i] + verts[j]
+        norms = np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+        verts = np.concatenate([verts, m / norms])
+        ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    verts.setflags(write=False)
+    return verts
 
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key not in cache:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                cache[key] = len(verts) - 1
-            return cache[key]
 
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    out = np.array(verts)
-    out.setflags(write=False)
-    return out
+def fundamental_domain(pts: NDArray) -> NDArray:
+    """The points of ``pts`` in the cell ``0 <= x <= z, 0 <= y <= z``.
+
+    The 24 maps of T_h (cyclic coordinate permutations with any signs) send
+    this cell onto the whole sphere. ``mu(v)`` is invariant under them (they
+    permute the tetrahedron directions up to a common sign) and so is the
+    icosphere, so a maximum over the cell is a maximum over the grid."""
+    x, y, z = pts.T
+    return pts[(x >= 0.0) & (y >= 0.0) & (z >= x) & (z >= y)]
 
 
 def _solve(etas: NDArray) -> tuple[NDArray, NDArray]:
@@ -105,8 +124,7 @@ def _solve(etas: NDArray) -> tuple[NDArray, NDArray]:
     if np.any(etas <= 0):
         raise ValueError("eta must be positive")
     a = (np.pi / etas) * np.sqrt(3.0 / 8.0)
-    pts = icosphere_vertices()
-    pts = pts[pts[:, 2] >= 0.0]  # mu(v) = mu(-v) and the grid is closed under negation
+    pts = fundamental_domain(icosphere_vertices())
     dots = TETRAHEDRON_DIRECTIONS @ pts.T
     start = np.empty((len(etas), candidates), dtype=np.intp)
     for i, scale in enumerate(a):
@@ -148,11 +166,15 @@ def mu_star(eta: float) -> tuple[float, NDArray]:
     """Global maximum of the tetrahedral correlation over all orientations,
     and a maximising transverse direction.
 
-    The best points of a 40,962-point icosphere grid start a Riemannian Newton
-    ascent on the unit sphere (gradient steps where the tangent Hessian is not
-    negative definite); no value falls below the grid maximum, and as the grid
-    pitch is far below the objective's angular scale (~eta / 2 rad), the best
-    cells bracket the global basin. ``compute_mu_star_curve`` batches all etas.
+    The 40,962-point icosphere grid is scanned on its 1,739 points in the
+    T_h cell ``0 <= x <= z, 0 <= y <= z`` (see ``fundamental_domain``); every
+    other grid point is a symmetric copy of one of them, with the same value.
+    The best cell points, so no two symmetric copies of one basin, start a
+    Riemannian Newton ascent on the unit sphere (gradient steps where the
+    tangent Hessian is not negative definite). No value falls below the grid
+    maximum, and as the grid pitch is far below the objective's angular scale
+    (~eta / 2 rad), the best cells bracket the global basin.
+    ``compute_mu_star_curve`` batches all etas.
     """
     values, dirs = _solve(np.array([eta], dtype=float))
     return float(values[0]), dirs[0]

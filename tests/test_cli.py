@@ -1,8 +1,13 @@
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import losmimo
 from losmimo.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -123,6 +128,24 @@ class TestSimulate:
         assert "runs[1]" in json.loads((out / "manifest.json").read_text())["error"]
         assert not (out / "first.csv").exists()
 
+    @pytest.mark.parametrize("level,value", [("run", 2.7), ("config", 2.7), ("run", True)],
+                             ids=["run-2.7", "config-2.7", "run-true"])
+    def test_non_integer_n_r_is_config_error(self, tmp_path, level, value):
+        # int() would silently run a 2-antenna (or 1-antenna) receiver
+        cfg = dict(MINI_SIM)
+        run = dict(cfg["runs"][0], tx_kind="ula", rx_kind="ula")
+        if level == "run":
+            run["n_r"] = value
+        else:
+            cfg["n_r"] = value
+        cfg["runs"] = [run]
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "'n_r' must be int" in manifest["error"]
+        assert not (out / "mini_sm.csv").exists()
+
     def test_fig5_recipe_covers_three_schemes(self):
         cfg = _load_config("fig5")
         schemes = {run["scheme"] for run in cfg["runs"]}
@@ -239,8 +262,10 @@ class TestDensity:
     @pytest.mark.parametrize("field,value,message", [
         ("bins", 3, "5 x 5"), ("bins", "x", "'bins' must be int"),
         ("samples", 0, "at least one sample"), ("wavelength", 0.0, "wavelength"),
-        ("distance", 0.1, "array radii"), ("distance", -10.0, "array radii")],
-        ids=["bins-3", "bins-x", "samples-0", "wavelength-0", "distance-0.1", "distance-neg"])
+        ("distance", 0.1, "array radii"), ("distance", -10.0, "array radii"),
+        ("n_r", 2.7, "'n_r' must be int"), ("n_r", True, "'n_r' must be int")],
+        ids=["bins-3", "bins-x", "samples-0", "wavelength-0", "distance-0.1", "distance-neg",
+             "n_r-2.7", "n_r-true"])
     def test_bad_config_is_config_error(self, tmp_path, field, value, message):
         cfg = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "n_r": 2,
                "rx_kind": "ula", "distance": 10.0, "bins": 5, "samples": 1_000}
@@ -293,3 +318,15 @@ class TestBundledDesignRecipe:
         assert abs(r_min - 4.43) <= 0.15
         assert 7.3 <= r_max <= 8.0
         assert beta_max == pytest.approx(3.141592653589793 / 6)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special is most of the package's import time and only
+    # metrics.log_i0 and metrics.pep_exact need it
+    src = str(Path(losmimo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, losmimo.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

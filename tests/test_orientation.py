@@ -3,15 +3,18 @@ import itertools
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 
 from losmimo.channel import mu_model, reduce_channel
-from losmimo.geometry import TETRAHEDRON_DIRECTIONS, make_layout, uniform_rotation
+from losmimo.geometry import TETRAHEDRON_DIRECTIONS, _fibonacci_sphere, make_layout, uniform_rotation
 from losmimo.orientation import (
+    PENTAGON_ETA_SCALE,
     best_submatrix,
     compute_mu_star_curve,
     edge_code,
     edge_code_region_minima,
     edge_code_worst_distortion,
+    fundamental_domain,
     icosphere_vertices,
     mu_of_direction,
     mu_pent_star,
@@ -20,6 +23,45 @@ from losmimo.orientation import (
 )
 
 SQRT_HALF = np.sqrt(0.5)
+
+# T_h: the 3 cyclic coordinate permutations, each with the 8 sign changes
+T_H = [np.diag(signs) @ np.eye(3)[list(perm)]
+       for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+       for signs in itertools.product((1.0, -1.0), repeat=3)]
+
+
+def icosphere_loop(subdivisions):
+    """Reference subdivision: one midpoint at a time, numbered on first use."""
+    t = (1.0 + np.sqrt(5.0)) / 2.0
+    verts = [
+        [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
+        [0, -1, t], [0, 1, t], [0, -1, -t], [0, 1, -t],
+        [t, 0, -1], [t, 0, 1], [-t, 0, -1], [-t, 0, 1],
+    ]
+    verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in verts]
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    for _ in range(subdivisions):
+        cache = {}
+
+        def midpoint(i, j):
+            key = (i, j) if i < j else (j, i)
+            if key not in cache:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    return np.array(verts)
 
 
 def nelder_mead_mu_star(eta, candidates=10):
@@ -99,6 +141,38 @@ class TestMuOfDirection:
         assert musub == pytest.approx(0.0, abs=1e-12)
 
 
+class TestIcosphere:
+    @pytest.mark.parametrize("subdivisions", range(7))
+    def test_matches_midpoint_loop(self, subdivisions):
+        pts = icosphere_vertices(subdivisions)
+        assert pts.shape == (10 * 4 ** subdivisions + 2, 3)
+        assert np.array_equal(pts, icosphere_loop(subdivisions))
+
+    def test_th_maps_grid_onto_itself_and_domain_covers_it(self):
+        pts = icosphere_vertices()
+        tree = cKDTree(pts)
+        cell = fundamental_domain(pts)
+        assert len(cell) == 1739
+        covered = np.zeros(len(pts), dtype=bool)
+        for g in T_H:
+            dist, _ = tree.query(pts @ g.T)
+            assert dist.max() < 1e-12
+            dist, idx = tree.query(cell @ g.T)
+            assert dist.max() < 1e-12
+            covered[idx] = True
+        assert covered.all()
+
+    # the phases, and so their rounding, grow as 1 / eta
+    @pytest.mark.parametrize("eta,atol", [(0.107 * PENTAGON_ETA_SCALE, 5e-15),
+                                          (0.3, 1e-15), (1.0, 1e-15), (2.9, 1e-15)],
+                             ids=["eta-0.066", "eta-0.3", "eta-1", "eta-2.9"])
+    def test_mu_invariant_under_th(self, eta, atol):
+        pts = icosphere_vertices()
+        mu = mu_of_direction(eta, pts)
+        for g in T_H:
+            np.testing.assert_allclose(mu_of_direction(eta, pts @ g.T), mu, rtol=0, atol=atol)
+
+
 class TestMuStar:
     def test_bound_at_one(self, curve):
         assert curve.value_at(1.0) <= 0.722 + 1e-9
@@ -136,6 +210,16 @@ class TestMuStar:
         assert val >= float(np.max(mu_of_direction(eta, icosphere_vertices())))
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         assert mu_of_direction(eta, v) == pytest.approx(val, abs=1e-15)
+
+    def test_low_eta_reaches_dense_lattice_maximum(self):
+        # at such a low eta the objective has many basins of nearly equal
+        # height; ten starts that are symmetric copies of one basin miss
+        # the global maximum (0.992586 against the lattice's 0.998803)
+        eta = 0.107 * PENTAGON_ETA_SCALE
+        n, chunk = 1_000_000, 250_000
+        lattice = max(float(np.max(mu_of_direction(eta, _fibonacci_sphere(n, s, s + chunk))))
+                      for s in range(0, n, chunk))
+        assert mu_star(eta)[0] >= lattice - 1e-12
 
     def test_curve_never_below_grid_maximum(self, curve):
         pts = icosphere_vertices()
