@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -75,15 +76,18 @@ def _int_field(cfg: dict, key: str, default: int, where: str) -> int:
 
 
 def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("LOSMIMO_WORKERS")
-    if env:
+    workers, source = args.workers, "--workers"
+    if workers is None:
+        env = os.environ.get("LOSMIMO_WORKERS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            workers, source = int(env), "LOSMIMO_WORKERS"
         except ValueError as exc:
             raise ConfigError(f"LOSMIMO_WORKERS={env!r} is not an integer") from exc
-    return 1
+    if workers < 1:
+        raise ConfigError(f"{source} must be at least 1, got {workers}")
+    return workers
 
 
 class Manifest:
@@ -228,11 +232,10 @@ def _cmd_simulate(args, out_dir: Path, manifest: Manifest) -> int:
                 d_r=_require(cfg, "d_r", float, "simulate config"),
                 distance=distance,
                 snr_db=tuple(snr_db),
-                max_trials=int(cfg.get("max_trials", 200_000)),
-                target_errors=int(cfg.get("target_errors", 200)),
+                max_trials=_int_field(cfg, "max_trials", 200_000, "simulate config"),
+                target_errors=_int_field(cfg, "target_errors", 200, "simulate config"),
                 seed=seed,
-                workers=workers,
-                block_trials=int(cfg.get("block_trials", 2_500)),
+                block_trials=_int_field(cfg, "block_trials", 2_500, "simulate config"),
                 ideal_channel=bool(run.get("ideal_channel", False)),
                 rx_coords_file=run.get("rx_coords_file"),
             )
@@ -240,14 +243,21 @@ def _cmd_simulate(args, out_dir: Path, manifest: Manifest) -> int:
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         sims.append((name, sim))
-    # every run is checked before the first one starts
-    for name, sim in sims:
-        curve = run_ber(sim)
-        out = out_dir / f"{name}.csv"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        curve.write_csv(out)
-        manifest.add_output(out)
-        print(f"simulate: wrote {out}")
+    # every run is checked before the first one starts; the runs share one pool
+    pool = multiprocessing.Pool(workers) if workers > 1 else None
+    try:
+        for name, sim in sims:
+            curve = run_ber(sim, pool)
+            out = out_dir / f"{name}.csv"
+            out_dir.mkdir(parents=True, exist_ok=True)
+            curve.write_csv(out)
+            manifest.add_output(out)
+            print(f"simulate: wrote {out}")
+    finally:
+        if pool is not None:
+            # close and join: terminating a pool with queued work can deadlock
+            pool.close()
+            pool.join()
     script = out_dir / "plot_ber.py"
     script.write_text(PLOT_BER)
     manifest.add_output(script)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .channel import deviation_factor
 from .geometry import ArrayLayout
 from .orientation import MuStarCurve
 
@@ -119,7 +120,7 @@ def select_tx_pair_for_quality(tx_layout: ArrayLayout, u_tx: NDArray, u: NDArray
     choice = select_tx_pair(tx_layout, u_tx, u)
     if tx_layout.kind != "pentagon":
         return choice
-    eta = r_link * wavelength / (2.0 * choice.spacing * d_r * np.cos(choice.beta))
+    eta = deviation_factor(r_link, choice.spacing, d_r, choice.beta, wavelength)
     if curve.value_at(min(max(eta, curve.etas[0]), curve.etas[-1])) <= mu_max:
         return choice
     other = "non-neighbouring" if choice.neighbouring else "neighbouring"

@@ -2,15 +2,15 @@
 orientations and distances, and the joint (theta_mu, mu) density experiment.
 
 Trials are partitioned into fixed-size blocks; the random stream of a block
-derives from (master seed, SNR index, block index), so results are identical
-for any worker count and independent of scheduling order.
+derives from (master seed, SNR index, block index), so the SNR points of a
+campaign are independent and results do not depend on where or in what order
+the points run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,6 +27,7 @@ __all__ = [
     "DensityGrid",
     "build_codebook",
     "ml_decode",
+    "run_point",
     "run_ber",
     "check_density_inputs",
     "joint_density",
@@ -75,7 +76,6 @@ class SimConfig:
     max_trials: int = 200_000
     target_errors: int = 200
     seed: int = 0
-    workers: int = 1
     block_trials: int = 2_500
     ideal_channel: bool = False
     rx_coords_file: str | None = None
@@ -94,13 +94,9 @@ class SimConfig:
             object.__setattr__(self, "distance", (float(lo), float(hi)))
         tx, rx = _layouts(self)
         object.__setattr__(self, "layouts", (tx, rx))
-        if self.ideal_channel:
-            return
-        reach = float(tx.radii.max() + rx.radii.max())
-        low = self.distance[0] if isinstance(self.distance, tuple) else float(self.distance)
-        if low <= reach:
-            raise ValueError(f"distance law reaches {low:g} m, not beyond the {reach:g} m "
-                             "sum of the transmit and receive array radii")
+        if not self.ideal_channel:
+            _check_clearance(tx, rx, self.distance[0] if isinstance(self.distance, tuple)
+                             else float(self.distance))
 
 
 def _layouts(config: SimConfig) -> tuple[ArrayLayout, ArrayLayout]:
@@ -120,6 +116,14 @@ def _layouts(config: SimConfig) -> tuple[ArrayLayout, ArrayLayout]:
     else:
         raise ValueError(f"unsupported receive kind {config.rx_kind!r}")
     return tx, rx
+
+
+def _check_clearance(tx_layout: ArrayLayout, rx_layout: ArrayLayout, distance: float) -> None:
+    """Reject a link distance at which the two arrays can overlap."""
+    reach = float(tx_layout.radii.max() + rx_layout.radii.max())
+    if not distance > reach:
+        raise ValueError(f"distance {distance:g} m is not beyond the {reach:g} m sum of the "
+                         "transmit and receive array radii")
 
 
 @dataclass(frozen=True)
@@ -204,72 +208,32 @@ class _Engine:
         return n, int(np.sum(cb.bits[k_true] != bits))
 
 
-_WORKER_ENGINE: _Engine | None = None
+def run_point(config: SimConfig, snr_index: int) -> tuple[int, int]:
+    """(trials, bit errors) of one SNR point: its blocks in index order until
+    the trial budget is used up or the bit-error target is reached."""
+    engine = _Engine(config)
+    trials = errors = 0
+    for b in range(-(-config.max_trials // config.block_trials)):
+        t, e = engine.run_block(snr_index, b,
+                                min(config.block_trials, config.max_trials - trials))
+        trials += t
+        errors += e
+        if errors >= config.target_errors:
+            break
+    return trials, errors
 
 
-def _worker_init(config: SimConfig) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = _Engine(config)
-
-
-def _worker_block(task: tuple[int, int, int]) -> tuple[int, int]:
-    return _WORKER_ENGINE.run_block(*task)
-
-
-def _block_results(engine: _Engine, pool, window: int, tasks):
-    """(trials, errors) of each task in order: run here without a pool, else
-    submitted in order with at most ``window`` blocks in flight, so that
-    nothing past an early stop is queued."""
-    if pool is None:
-        yield from (engine.run_block(*task) for task in tasks)
-        return
-    in_flight: deque = deque()
-    for task in tasks:
-        in_flight.append(pool.apply_async(_worker_block, (task,)))
-        if len(in_flight) == window:
-            yield in_flight.popleft().get()
-    while in_flight:
-        yield in_flight.popleft().get()
-
-
-def run_ber(config: SimConfig) -> BerCurve:
+def run_ber(config: SimConfig, pool=None) -> BerCurve:
     """Run the full BER campaign described by ``config``.
 
-    Each SNR point stops at its trial budget or once the bit-error target is
-    reached, scanning blocks in index order; with identical seeds the output
-    is bit-identical for any worker count.
+    Each SNR point is one ``run_point``, mapped over ``pool`` (a
+    ``multiprocessing.Pool``) when one is given; the points share no random
+    stream, so the output is bit-identical with or without a pool.
     """
-    engine = _Engine(config)
-    n_points = len(config.snr_db)
-    trials = np.zeros(n_points, dtype=np.int64)
-    errors = np.zeros(n_points, dtype=np.int64)
-    max_blocks = -(-config.max_trials // config.block_trials)
-
-    def block_sizes():
-        left = config.max_trials
-        for b in range(max_blocks):
-            yield b, min(config.block_trials, left)
-            left -= config.block_trials
-
-    workers = max(1, int(config.workers))
-    pool = None if workers == 1 else multiprocessing.Pool(
-        workers, initializer=_worker_init, initargs=(config,))
-    try:
-        for s in range(n_points):
-            tasks = ((s, b, size) for b, size in block_sizes())
-            for t, e in _block_results(engine, pool, workers, tasks):
-                trials[s] += t
-                errors[s] += e
-                if errors[s] >= config.target_errors:
-                    break
-    finally:
-        if pool is not None:
-            # blocks still in flight after an early stop finish and are
-            # dropped; terminating a pool with queued work can deadlock
-            pool.close()
-            pool.join()
-
-    n_bits = engine.codebook.bits_per_codeword
+    points = (map if pool is None else pool.map)(partial(run_point, config),
+                                                  range(len(config.snr_db)))
+    trials, errors = np.array(list(points), dtype=np.int64).reshape(-1, 2).T
+    n_bits = build_codebook(config.scheme).bits_per_codeword
     bits_total = trials * n_bits
     ber = np.where(bits_total > 0, errors / np.maximum(bits_total, 1), 0.0)
     ci = np.array([_wilson(int(e), int(nb)) for e, nb in zip(errors, bits_total)])
@@ -371,10 +335,7 @@ def check_density_inputs(tx_layout: ArrayLayout, rx_layout: ArrayLayout, r_link:
         raise ValueError("use at least a 5 x 5 grid")
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
-    reach = float(tx_layout.radii.max() + rx_layout.radii.max())
-    if not r_link > reach:
-        raise ValueError(f"distance {r_link:g} m is not beyond the {reach:g} m sum of the "
-                         "transmit and receive array radii")
+    _check_clearance(tx_layout, rx_layout, r_link)
     return nt, nm
 
 

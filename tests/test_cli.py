@@ -146,6 +146,64 @@ class TestSimulate:
         assert "'n_r' must be int" in manifest["error"]
         assert not (out / "mini_sm.csv").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_trials", 1000.9), ("target_errors", 10.5), ("block_trials", 500.7),
+        ("max_trials", True)],
+        ids=["max_trials-1000.9", "target_errors-10.5", "block_trials-500.7", "max_trials-true"])
+    def test_non_integer_budget_is_config_error(self, tmp_path, field, value):
+        # int() would silently run a truncated budget
+        cfg = dict(MINI_SIM, **{field: value})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert f"'{field}' must be int" in manifest["error"]
+        assert not (out / "mini_sm.csv").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_is_config_error(self, tmp_path, monkeypatch, via, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no pool may start")
+
+        monkeypatch.setattr(losmimo.cli.multiprocessing, "Pool", no_pool)
+        argv = ["simulate", "--config", write_config(tmp_path, MINI_SIM),
+                "--out", str(tmp_path / "out")]
+        if via == "flag":
+            monkeypatch.delenv("LOSMIMO_WORKERS", raising=False)
+            argv += [f"--workers={workers}"]
+        else:
+            monkeypatch.setenv("LOSMIMO_WORKERS", str(workers))
+        assert main(argv) == EXIT_CONFIG
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert "must be at least 1" in manifest["error"]
+        assert not (tmp_path / "out" / "mini_sm.csv").exists()
+
+    def test_one_pool_per_invocation(self, tmp_path, monkeypatch):
+        # two runs of three points each, with early stops at the low SNRs and
+        # several blocks per point, share one pool at --workers 2 and none at 1
+        cfg = dict(MINI_SIM, snr_db=[0, 8, 16], max_trials=3000, block_trials=500)
+        cfg["runs"] = [dict(MINI_SIM["runs"][0]),
+                       {"name": "mini_ula", "scheme": "sm", "tx_kind": "ula", "rx_kind": "ura"}]
+        path = write_config(tmp_path, cfg)
+        real_pool = losmimo.cli.multiprocessing.Pool
+        made = []
+
+        def counting_pool(*args, **kwargs):
+            made.append(args)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(losmimo.cli.multiprocessing, "Pool", counting_pool)
+        for workers in (1, 2):
+            assert main(["simulate", "--config", path, "--workers", str(workers),
+                         "--out", str(tmp_path / f"w{workers}")]) == EXIT_OK
+            assert len(made) == workers - 1
+        for name in ("mini_sm", "mini_ula"):
+            serial = (tmp_path / "w1" / f"{name}.csv").read_bytes()
+            assert serial == (tmp_path / "w2" / f"{name}.csv").read_bytes()
+            trials = [int(r.split(",")[1]) for r in serial.decode().splitlines()[1:]]
+            assert trials[0] < 3000 and trials[-1] == 3000
+
     def test_fig5_recipe_covers_three_schemes(self):
         cfg = _load_config("fig5")
         schemes = {run["scheme"] for run in cfg["runs"]}

@@ -1,3 +1,4 @@
+import multiprocessing
 import time
 
 import numpy as np
@@ -171,7 +172,8 @@ class TestRunBer:
 
     def test_worker_count_invariance(self, tmp_path):
         # the CSV (trials, errors and the intervals that follow from them) is
-        # byte-identical across worker counts; the second set-up has several
+        # byte-identical with a pool of 3 or 2 processes and without one; the
+        # second set-up has several
         # blocks per point, early stops at the low SNRs and the full budget at
         # the top one
         setups = [
@@ -184,7 +186,12 @@ class TestRunBer:
         for workers, kw in setups:
             serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
             run_ber(SimConfig(**kw, **BASE)).write_csv(serial)
-            run_ber(SimConfig(**kw, workers=workers, **BASE)).write_csv(parallel)
+            pool = multiprocessing.Pool(workers)
+            try:
+                run_ber(SimConfig(**kw, **BASE), pool).write_csv(parallel)
+            finally:
+                pool.close()
+                pool.join()
             assert serial.read_bytes() == parallel.read_bytes()
         rows = [r.split(",") for r in serial.read_text().splitlines()[1:]]
         assert int(rows[0][1]) < 6_000 and int(rows[-1][1]) == 6_000
