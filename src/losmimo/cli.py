@@ -352,11 +352,11 @@ def _cmd_gain(args, out_dir: Path, manifest: Manifest) -> int:
     mus = np.arange(0.0, 1.0 + 1e-12, args.mu_step)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "coding_gain.csv"
+    gains = np.column_stack([coding_gain(spectra[s], mus) for s in schemes])
     with open(out, "w", newline="") as f:
         f.write("mu," + ",".join(f"gain_{s}" for s in schemes) + "\n")
-        for mu in mus:
-            gains = [coding_gain(spectra[s], float(mu)) for s in schemes]
-            f.write(f"{mu:.12g}," + ",".join(f"{g:.12g}" for g in gains) + "\n")
+        for mu, row in zip(mus, gains):
+            f.write(f"{mu:.12g}," + ",".join(f"{g:.12g}" for g in row) + "\n")
     manifest.add_output(out)
     print(f"gain: wrote {out}")
     return EXIT_OK
@@ -376,10 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="JSON config path or bundled recipe name")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory (created if missing)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: LOSMIMO_WORKERS or 1)")
 
-    common(sub.add_parser("simulate", help="run BER campaigns"))
+    p_sim = sub.add_parser("simulate", help="run BER campaigns")
+    common(p_sim)
+    p_sim.add_argument("--workers", type=int, default=None,
+                       help="worker processes (default: LOSMIMO_WORKERS or 1)")
     common(sub.add_parser("design", help="compute an [R_min, R_max] design report"))
     p_curves = sub.add_parser("curves", help="export the worst-case correlation curve")
     common(p_curves, config=False)

@@ -180,7 +180,7 @@ class DiffSpectrum:
         return len(self.triples)
 
 
-def difference_spectrum(codebook: Codebook, decimals: int = 9) -> DiffSpectrum:
+def difference_spectrum(codebook: Codebook) -> DiffSpectrum:
     """Enumerate all ordered codeword pairs and reduce their differences."""
     cw = codebook.codewords
     if len(cw) < 2:
@@ -191,5 +191,5 @@ def difference_spectrum(codebook: Codebook, decimals: int = 9) -> DiffSpectrum:
     a = np.sum(np.abs(d[:, 0, :]) ** 2, axis=1)
     b = np.sum(np.abs(d[:, 1, :]) ** 2, axis=1)
     c = np.abs(np.sum(np.conj(d[:, 0, :]) * d[:, 1, :], axis=1))
-    triples = np.unique(np.round(np.column_stack([a, b, c]), decimals), axis=0)
+    triples = np.unique(np.round(np.column_stack([a, b, c]), 9), axis=0)
     return DiffSpectrum(triples=triples)

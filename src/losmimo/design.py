@@ -153,12 +153,11 @@ class DesignResult:
     mu_max: float
 
 
-def _bisect_crossing(curve_at, lo: float, hi: float, mu_max: float,
-                     rising: bool, tol: float = 1e-9) -> float:
-    # curve_at(lo) and curve_at(hi) straddle mu_max; find the crossing
+def _bisect_crossing(curve_at, lo: float, hi: float, mu_max: float, rising: bool) -> float:
+    # curve_at(lo) and curve_at(hi) straddle mu_max; find the crossing to 1e-9
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
+        if hi - lo < 1e-9:
             return mid
         above = curve_at(mid) > mu_max
         if rising == above:
@@ -179,18 +178,12 @@ def eta_range(spec: DesignSpec, curve: MuStarCurve) -> tuple[float, float]:
     if not feasible.any():
         raise InfeasibleDesignError(
             f"mu_max = {spec.mu_max:g} is below the curve minimum {vals.min():.4f}")
-    # longest run of feasible grid points
-    runs = []
-    start = None
-    for i, ok in enumerate(feasible):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(feasible) - 1))
-    i0, i1 = max(runs, key=lambda r: etas[r[1]] - etas[r[0]])
+    # runs of feasible grid points start at +1 and end before -1 steps of
+    # the zero-padded mask; the first of the widest in eta is taken
+    steps = np.diff(np.concatenate(([0], feasible.astype(np.int8), [0])))
+    starts, ends = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1) - 1
+    k = int(np.argmax(etas[ends] - etas[starts]))
+    i0, i1 = int(starts[k]), int(ends[k])
     eta_min = float(etas[i0])
     eta_max = float(etas[i1])
     if i0 > 0:

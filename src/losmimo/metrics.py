@@ -1,17 +1,17 @@
 """Pairwise-error-probability metrics and bounds.
 
-Everything here is a pure function of a codeword-difference triple
-``(||dx1||^2, ||dx2||^2, |dx1^H dx2|)``, the channel correlation ``mu`` and
-the SNR. Bounds are evaluated in the log domain so they remain meaningful far
-past the point where ``exp(-SNR d / 4)`` underflows.
+Everything here is a pure function of codeword-difference triples
+``(||dx1||^2, ||dx2||^2, |dx1^H dx2|)`` of shape ``(..., 3)``, the channel
+correlation ``mu``, the SNR and ``n_r``, and broadcasts over all of them; a
+call with one of each is a batch of one and returns a float. Bounds are
+evaluated in the log domain so they remain meaningful far past the point where
+``exp(-SNR d / 4)`` underflows.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .codes import DiffSpectrum
 
@@ -27,77 +27,88 @@ __all__ = [
     "log_i0",
 ]
 
-def log_i0(x: float) -> float:
-    """Natural log of the modified Bessel function I0, stable for large x."""
-    from scipy.special import i0e  # imported on use: it costs most of ``import losmimo``
 
-    x = abs(float(x))
-    return float(np.log(i0e(x)) + x)
+def _out(lp, log: bool = True) -> NDArray | float:
+    """``lp`` (or ``exp(lp)`` unless ``log``); a 0-d result as a float."""
+    x = np.asarray(lp if log else np.exp(lp))
+    return float(x) if x.ndim == 0 else x
 
 
-def _triple(diff) -> tuple[float, float, float]:
-    a, b, c = (float(v) for v in np.asarray(diff, dtype=float).reshape(3))
-    if a < 0 or b < 0 or c < 0:
+def _params(mu: ArrayLike = 0.0, snr: ArrayLike = 1.0, n_r: ArrayLike = 1):
+    mu, snr, n_r = (np.asarray(v, dtype=float) for v in (mu, snr, n_r))
+    if not np.all((0.0 <= mu) & (mu <= 1.0)):
+        raise ValueError("mu must lie in [0, 1]")
+    if np.any(snr <= 0) or np.any(n_r < 1):
+        raise ValueError("need snr > 0 and n_r >= 1")
+    return mu, snr, n_r
+
+
+def _triples(diff: ArrayLike) -> tuple[NDArray, NDArray, NDArray]:
+    t = np.asarray(diff, dtype=float)
+    if t.shape[-1:] != (3,):
+        raise ValueError("difference triples need a last axis of length 3")
+    a, b, c = t[..., 0], t[..., 1], t[..., 2]
+    if np.any(t < 0):
         raise ValueError("difference triple entries must be non-negative")
-    if c > math.sqrt(a * b) + 1e-9:
+    if np.any(c > np.sqrt(a * b) + 1e-9):
         raise ValueError("triple violates the Cauchy-Schwarz inequality")
     return a, b, c
 
 
-def d_metric(mu: float, diff) -> float:
+def log_i0(x: ArrayLike) -> NDArray | float:
+    """Natural log of the modified Bessel function I0, stable for large x."""
+    from scipy.special import i0e  # imported on use: it costs most of ``import losmimo``
+
+    x = np.abs(np.asarray(x, dtype=float))
+    return _out(np.log(i0e(x)) + x)
+
+
+def d_metric(mu: ArrayLike, diff: ArrayLike) -> NDArray | float:
     """Worst-phase squared receive distance per antenna:
     ``||dx1||^2 + ||dx2||^2 - 2 mu |dx1^H dx2|``."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must lie in [0, 1]")
-    a, b, c = _triple(diff)
-    return a + b - 2.0 * mu * c
+    mu = _params(mu=mu)[0]
+    a, b, c = _triples(diff)
+    return _out(a + b - 2.0 * mu * c)
 
 
-def coding_gain(spectrum: DiffSpectrum, mu: float) -> float:
-    """Minimum of the d-metric over the whole difference spectrum."""
+def coding_gain(spectrum: DiffSpectrum, mu: ArrayLike) -> NDArray | float:
+    """Minimum of the d-metric over the whole difference spectrum, per ``mu``."""
     if spectrum.size == 0:
         raise ValueError("empty difference spectrum")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must lie in [0, 1]")
-    t = spectrum.triples
-    return float(np.min(t[:, 0] + t[:, 1] - 2.0 * mu * t[:, 2]))
+    mu = np.asarray(mu, dtype=float)
+    return _out(np.min(d_metric(mu[..., None], spectrum.triples), axis=-1))
 
 
-def _received_sq_distance(r_matrix: NDArray, delta_x: NDArray) -> float:
+def _received_sq_distance(r_matrix: ArrayLike, delta_x: ArrayLike) -> NDArray:
     rd = np.asarray(r_matrix, dtype=complex) @ np.asarray(delta_x, dtype=complex)
-    return float(np.sum(np.abs(rd) ** 2))
+    return np.sum(np.abs(rd) ** 2, axis=(-2, -1))
 
 
-def pep_exact(r_matrix: NDArray, delta_x: NDArray, snr: float, log: bool = False) -> float:
-    """Exact pairwise error probability ``Q(sqrt(SNR ||R dX||_F^2 / 2))``."""
+def pep_exact(r_matrix: ArrayLike, delta_x: ArrayLike, snr: ArrayLike, log: bool = False):
+    """Exact pairwise error probability ``Q(sqrt(SNR ||R dX||_F^2 / 2))``;
+    ``r_matrix`` and ``delta_x`` broadcast as the operands of ``@``."""
     from scipy.special import log_ndtr  # imported on use, as in ``log_i0``
 
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    arg = math.sqrt(snr * _received_sq_distance(r_matrix, delta_x) / 2.0)
-    lp = float(log_ndtr(-arg))
-    return lp if log else math.exp(lp)
+    snr = _params(snr=snr)[1]
+    arg = np.sqrt(snr * _received_sq_distance(r_matrix, delta_x) / 2.0)
+    return _out(log_ndtr(-arg), log)
 
 
-def pep_chernoff(r_matrix: NDArray, delta_x: NDArray, snr: float, log: bool = False) -> float:
+def pep_chernoff(r_matrix: ArrayLike, delta_x: ArrayLike, snr: ArrayLike, log: bool = False):
     """Chernoff bound ``exp(-SNR ||R dX||_F^2 / 4) / 2`` on the exact PEP."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    lp = -0.25 * snr * _received_sq_distance(r_matrix, delta_x) - math.log(2.0)
-    return lp if log else math.exp(lp)
+    snr = _params(snr=snr)[1]
+    return _out(-0.25 * snr * _received_sq_distance(r_matrix, delta_x) - np.log(2.0), log)
 
 
-def pep_worst(mu: float, diff, snr: float, n_r: int, log: bool = False) -> float:
+def pep_worst(mu: ArrayLike, diff: ArrayLike, snr: ArrayLike, n_r: ArrayLike, log: bool = False):
     """Chernoff bound at the worst inner-product phase:
     ``exp(-n_r SNR d(mu, dX) / 4) / 2``."""
-    if snr <= 0 or n_r < 1:
-        raise ValueError("need snr > 0 and n_r >= 1")
-    lp = -0.25 * n_r * snr * d_metric(mu, diff) - math.log(2.0)
-    return lp if log else math.exp(lp)
+    _, snr, n_r = _params(snr=snr, n_r=n_r)
+    return _out(-0.25 * n_r * snr * d_metric(mu, diff) - np.log(2.0), log)
 
 
-def pep_avg_theta(mu: float, diff, snr: float, n_r: int, log: bool = False,
-                  form: str = "both"):
+def pep_avg_theta(mu: ArrayLike, diff: ArrayLike, snr: ArrayLike, n_r: ArrayLike,
+                  log: bool = False, form: str = "both"):
     """Phase-averaged PEP bounds for a fixed ``mu``.
 
     With ``form="both"`` returns ``(exact, asymptotic)``: the exact Bessel-I0
@@ -107,30 +118,25 @@ def pep_avg_theta(mu: float, diff, snr: float, n_r: int, log: bool = False,
     or ``"asymptotic"`` returns one value; the asymptotic form requires
     ``mu * c > 0``.
     """
-    if snr <= 0 or n_r < 1:
-        raise ValueError("need snr > 0 and n_r >= 1")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must lie in [0, 1]")
+    mu, snr, n_r = _params(mu, snr, n_r)
     if form not in ("both", "exact", "asymptotic"):
         raise ValueError("form must be 'both', 'exact' or 'asymptotic'")
-    a, b, c = _triple(diff)
+    a, b, c = _triples(diff)
+    values = []
     if form != "asymptotic":
-        log_exact = (-0.25 * snr * n_r * (a + b) - math.log(2.0)
-                     + log_i0(0.5 * snr * n_r * mu * c))
-        if form == "exact":
-            return log_exact if log else math.exp(log_exact)
-    if mu * c <= 0:
-        raise ValueError("asymptotic form needs mu |dx1^H dx2| > 0")
-    log_asym = (-0.25 * n_r * snr * (a + b - 2.0 * mu * c)
-                - 0.5 * math.log(4.0 * math.pi * n_r * snr * mu * c))
-    if form == "asymptotic":
-        return log_asym if log else math.exp(log_asym)
-    if log:
-        return log_exact, log_asym
-    return math.exp(log_exact), math.exp(log_asym)
+        values.append(-0.25 * snr * n_r * (a + b) - np.log(2.0)
+                      + log_i0(0.5 * snr * n_r * mu * c))
+    if form != "exact":
+        if np.any(mu * c <= 0):
+            raise ValueError("asymptotic form needs mu |dx1^H dx2| > 0")
+        values.append(-0.25 * n_r * snr * d_metric(mu, diff)
+                      - 0.5 * np.log(4.0 * np.pi * n_r * snr * mu * c))
+    values = tuple(_out(lp, log) for lp in values)
+    return values if form == "both" else values[0]
 
 
-def planar_lower_bound(diff, snr: float, n_r: int, c: float, log: bool = False) -> float:
+def planar_lower_bound(diff: ArrayLike, snr: ArrayLike, n_r: ArrayLike, c: ArrayLike,
+                       log: bool = False):
     """High-SNR lower bound on the rotation-averaged PEP for planar receive
     arrays.
 
@@ -138,29 +144,27 @@ def planar_lower_bound(diff, snr: float, n_r: int, c: float, log: bool = False) 
     (use the smallest link distance for a conservative value). The bound is
     degenerate when the difference rows are orthogonal.
     """
-    if snr <= 0 or n_r < 1:
-        raise ValueError("need snr > 0 and n_r >= 1")
-    if c <= 0:
+    _, snr, n_r = _params(snr=snr, n_r=n_r)
+    c = np.asarray(c, dtype=float)
+    if np.any(c <= 0):
         raise ValueError("geometry constant c must be positive")
-    a, b, cross = _triple(diff)
-    if cross <= 0:
+    a, b, cross = _triples(diff)
+    if np.any(cross <= 0):
         raise ValueError("bound degenerate: |dx1^H dx2| = 0")
-    d1 = a + b - 2.0 * cross
-    fro = math.sqrt(a + b)
     lp = (-0.5 * n_r * c * cross
-          - math.log(2.0 * n_r) - 3.0 * math.log(snr)
-          - 0.5 * math.log(2.0 * math.pi**2 * cross)
-          - math.log(fro + 1.0 / math.sqrt(n_r * snr))
-          - 0.25 * n_r * snr * d1)
-    return lp if log else math.exp(lp)
+          - np.log(2.0 * n_r) - 3.0 * np.log(snr)
+          - 0.5 * np.log(2.0 * np.pi**2 * cross)
+          - np.log(np.sqrt(a + b) + 1.0 / np.sqrt(n_r * snr))
+          - 0.25 * n_r * snr * d_metric(1.0, diff))
+    return _out(lp, log)
 
 
-def union_bound(n_codewords: int, spectrum: DiffSpectrum, mu_max: float,
-                snr: float, n_r: int, log: bool = False) -> float:
+def union_bound(n_codewords: int, spectrum: DiffSpectrum, mu_max: ArrayLike,
+                snr: ArrayLike, n_r: ArrayLike, log: bool = False):
     """Union bound ``|C|/2 exp(-n_r SNR min_d / 4)`` on the error rate under
     the worst admissible correlation ``mu_max``."""
     if n_codewords < 2:
         raise ValueError("need at least 2 codewords")
-    min_d = coding_gain(spectrum, mu_max)
-    lp = math.log(n_codewords / 2.0) - 0.25 * n_r * snr * min_d
-    return lp if log else math.exp(lp)
+    _, snr, n_r = _params(snr=snr, n_r=n_r)
+    lp = np.log(n_codewords / 2.0) - 0.25 * n_r * snr * coding_gain(spectrum, mu_max)
+    return _out(lp, log)

@@ -147,9 +147,10 @@ class BerCurve:
                         f"{row[3]:.12g},{row[4]:.12g},{row[5]:.12g}\n")
 
 
-def _wilson(errors: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def _wilson(errors: int, n: int) -> tuple[float, float]:
     if n == 0:
         return 0.0, 1.0
+    z = 1.959963984540054  # two-sided 95% normal quantile
     p = errors / n
     z2 = z * z
     denom = 1.0 + z2 / n

@@ -43,6 +43,9 @@ PENTAGON_ETA_SCALE = 2.0 / (1.0 + np.sqrt(5.0))
 
 _ROW_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
+# sphere samples per piece of the edge-code distortion scan (48 MB of dot products)
+_EDGE_CHUNK = 500_000
+
 
 def edge_code() -> NDArray:
     """The 12 unit vectors along the (signed) tetrahedron edges."""
@@ -260,29 +263,25 @@ def mu_pent_star(eta: float, curve: MuStarCurve | None = None) -> float:
     return float(_solve(np.array([eta, eta * PENTAGON_ETA_SCALE]))[0].min())
 
 
-def edge_code_worst_distortion(samples: int = 2_000_000, chunk: int = 500_000) -> float:
+def edge_code_worst_distortion(samples: int = 2_000_000) -> float:
     """Worst-case inner product when quantising the sphere with the 12 edge
     directions: ``min_v max_i g_i . v`` over a dense deterministic sample.
     Converges to sqrt(1/2) from above as the sample refines."""
     if samples < 12:
         raise ValueError("need a meaningful sample size")
-    return float(edge_code_region_minima(samples, chunk).min())
+    return float(edge_code_region_minima(samples).min())
 
 
-def edge_code_region_minima(samples: int = 2_000_000, chunk: int = 500_000) -> NDArray:
+def edge_code_region_minima(samples: int = 2_000_000) -> NDArray:
     """Per-Voronoi-region minima of ``g_i . v``; the 12 regions are congruent
     so the entries agree up to sampling error."""
     g = edge_code()
     minima = np.full(12, np.inf)
-    for s in range(0, samples, chunk):
-        v = _fibonacci_sphere(samples, s, min(s + chunk, samples))
+    for s in range(0, samples, _EDGE_CHUNK):
+        v = _fibonacci_sphere(samples, s, min(s + _EDGE_CHUNK, samples))
         dots = v @ g.T
         region = np.argmax(dots, axis=1)
-        best = dots[np.arange(len(v)), region]
-        for i in range(12):
-            sel = best[region == i]
-            if sel.size:
-                minima[i] = min(minima[i], float(sel.min()))
+        np.minimum.at(minima, region, dots[np.arange(len(v)), region])
     return minima
 
 

@@ -376,7 +376,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         "mu_max": 0.6667, "wavelength": WAVELENGTH, "d_t": D_T, "d_r": D_R,
         "tx_kind": "triangle", "eta_step": 0.05}))
     invocations = {
-        "simulate": ["simulate", "--config", str(sim_cfg), "--seed", "9"],
+        "simulate": ["simulate", "--config", str(sim_cfg), "--seed", "9", "--workers", "1"],
         "density": ["density", "--config", str(dens_cfg), "--seed", "9"],
         "design": ["design", "--config", str(des_cfg)],
         "curves": ["curves", "--eta-start", "0.9", "--eta-stop", "1.2",
@@ -386,8 +386,8 @@ def test_criterion_10_cli_determinism(tmp_path):
     compared = 0
     for name, argv in invocations.items():
         out_a, out_b = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
-        assert cli_main(argv + ["--out", str(out_a), "--workers", "1"]) == 0
-        assert cli_main(argv + ["--out", str(out_b), "--workers", "1"]) == 0
+        assert cli_main(argv + ["--out", str(out_a)]) == 0
+        assert cli_main(argv + ["--out", str(out_b)]) == 0
         csvs = sorted(p.name for p in out_a.glob("*.csv"))
         assert csvs, f"{name} produced no CSVs"
         for f in csvs:

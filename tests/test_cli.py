@@ -344,6 +344,17 @@ class TestDensity:
 
 
 class TestWorkerResolution:
+    @pytest.mark.parametrize("argv", [["design", "--config", "design_triangle"], ["curves"],
+                                      ["density", "--config", "density_2x2"], ["gain", "sm"]],
+                             ids=["design", "curves", "density", "gain"])
+    def test_workers_flag_belongs_to_simulate_alone(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", "2", "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flag_wins(self):
         ns = type("A", (), {"workers": 5})()
         assert _resolve_workers(ns) == 5

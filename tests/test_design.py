@@ -5,6 +5,7 @@ from losmimo.channel import mu_model
 from losmimo.design import (
     DesignSpec,
     InfeasibleDesignError,
+    _bisect_crossing,
     design_link,
     distance_range,
     eta_range,
@@ -12,6 +13,7 @@ from losmimo.design import (
     select_tx_pair_for_quality,
 )
 from losmimo.geometry import make_layout, uniform_rotation
+from losmimo.orientation import MuStarCurve
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 LINK = np.array([1.0, 0.0, 0.0])
@@ -19,6 +21,32 @@ LINK = np.array([1.0, 0.0, 0.0])
 
 def spec_for(kind, mu_max=2 / 3):
     return DesignSpec(mu_max=mu_max, wavelength=0.0042, d_t=0.06, d_r=0.25, tx_kind=kind)
+
+
+def eta_range_loop(spec, curve):
+    """eta_range with the feasible runs found by a state machine over the mask;
+    None where no grid point is feasible."""
+    etas = curve.etas[curve.export_mask()]
+    curve_at = curve.pent_at if spec.tx_kind == "pentagon" else curve.value_at
+    feasible = np.asarray(curve_at(etas)) <= spec.mu_max
+    runs, start = [], None
+    for i, ok in enumerate(feasible):
+        if ok and start is None:
+            start = i
+        elif not ok and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(feasible) - 1))
+    if not runs:
+        return None
+    i0, i1 = max(runs, key=lambda r: etas[r[1]] - etas[r[0]])
+    lo, hi = float(etas[i0]), float(etas[i1])
+    if i0 > 0:
+        lo = _bisect_crossing(curve_at, float(etas[i0 - 1]), lo, spec.mu_max, rising=False)
+    if i1 < len(etas) - 1:
+        hi = _bisect_crossing(curve_at, hi, float(etas[i1 + 1]), spec.mu_max, rising=True)
+    return lo, hi
 
 
 class TestSelectTxPair:
@@ -123,6 +151,23 @@ class TestEtaRange:
     def test_infeasible_quality(self, curve):
         with pytest.raises(InfeasibleDesignError):
             eta_range(spec_for("triangle", mu_max=0.01), curve)
+
+    @pytest.mark.parametrize("kind", ["triangle", "pentagon"])
+    def test_widest_run_matches_state_machine(self, kind):
+        # random curves have many feasible runs, often of equal width
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(30, 200))
+            etas = 0.1 + 0.01 * np.arange(n)
+            curve = MuStarCurve(etas=etas, values=rng.uniform(0.5, 0.9, n),
+                                directions=np.zeros((n, 3)), export_from=0.3)
+            spec = spec_for(kind, mu_max=float(rng.uniform(0.55, 0.85)))
+            expected = eta_range_loop(spec, curve)
+            if expected is None:
+                with pytest.raises(InfeasibleDesignError):
+                    eta_range(spec, curve)
+            else:
+                assert eta_range(spec, curve) == expected
 
     def test_endpoints_feasible(self, curve):
         spec = spec_for("triangle")

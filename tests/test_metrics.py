@@ -260,3 +260,74 @@ def test_union_bound_value():
     spec = difference_spectrum(sm_codebook(gray_qam(4, 0.5)))
     got = union_bound(16, spec, 0.5, 2.0, 4)
     assert got == pytest.approx(8.0 * np.exp(-0.25 * 4 * 2.0 * 1.0))
+
+
+# A grid over (triple i, mu j, snr k, n_r l): each batched argument broadcasts
+# to shape (5, 4, 3, 2); r_matrix and delta_x carry their matrix axes last.
+_rng = np.random.default_rng(11)
+_A, _B = _rng.uniform(0.05, 3.0, (2, 5))
+GRID_TRIPLES = np.column_stack([_A, _B, _rng.uniform(0.01, 1.0, 5) * np.sqrt(_A * _B)])
+GRID_MUS = np.array([0.05, 0.45, 0.722, 1.0])
+GRID_SNRS = np.array([0.3, 2.0, 40.0])
+GRID_N_RS = np.array([1, 4])
+GRID_DX = _rng.normal(size=(5, 2, 2)) + 1j * _rng.normal(size=(5, 2, 2))
+GRID_R = np.array([[r_matrix(m, 0.7, n) for n in GRID_N_RS] for m in GRID_MUS])
+GRID_SPEC = difference_spectrum(sm_codebook(gray_qam(4, 0.5)))
+
+BATCH_CASES = {
+    "d_metric": lambda t, mu, snr, n_r, r, dx: d_metric(mu, t),
+    "coding_gain": lambda t, mu, snr, n_r, r, dx: coding_gain(GRID_SPEC, mu),
+    "pep_exact": lambda t, mu, snr, n_r, r, dx: pep_exact(r, dx, snr),
+    "pep_exact-log": lambda t, mu, snr, n_r, r, dx: pep_exact(r, dx, snr, log=True),
+    "pep_chernoff": lambda t, mu, snr, n_r, r, dx: pep_chernoff(r, dx, snr),
+    "pep_chernoff-log": lambda t, mu, snr, n_r, r, dx: pep_chernoff(r, dx, snr, log=True),
+    "pep_worst": lambda t, mu, snr, n_r, r, dx: pep_worst(mu, t, snr, n_r),
+    "pep_worst-log": lambda t, mu, snr, n_r, r, dx: pep_worst(mu, t, snr, n_r, log=True),
+    "pep_avg_theta-exact":
+        lambda t, mu, snr, n_r, r, dx: pep_avg_theta(mu, t, snr, n_r, form="exact"),
+    "pep_avg_theta-asymptotic":
+        lambda t, mu, snr, n_r, r, dx: pep_avg_theta(mu, t, snr, n_r, form="asymptotic"),
+    "pep_avg_theta-both-log":
+        lambda t, mu, snr, n_r, r, dx: np.stack(pep_avg_theta(mu, t, snr, n_r, log=True), -1),
+    "planar_lower_bound": lambda t, mu, snr, n_r, r, dx: planar_lower_bound(t, snr, n_r, 2.0),
+    "planar_lower_bound-log":
+        lambda t, mu, snr, n_r, r, dx: planar_lower_bound(t, snr, n_r, 2.0, log=True),
+    "union_bound": lambda t, mu, snr, n_r, r, dx: union_bound(16, GRID_SPEC, mu, snr, n_r),
+    "union_bound-log":
+        lambda t, mu, snr, n_r, r, dx: union_bound(16, GRID_SPEC, mu, snr, n_r, log=True),
+    "log_i0": lambda t, mu, snr, n_r, r, dx: log_i0(7.0 * snr * n_r * mu),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_batched_call_equals_scalar_calls(case):
+    fn = BATCH_CASES[case]
+    batched = fn(GRID_TRIPLES[:, None, None, None], GRID_MUS[:, None, None],
+                 GRID_SNRS[:, None], GRID_N_RS, GRID_R[:, None], GRID_DX[:, None, None, None])
+    shape = (len(GRID_TRIPLES), len(GRID_MUS), len(GRID_SNRS), len(GRID_N_RS))
+    scalars = []
+    for i, j, k, l in np.ndindex(shape):
+        val = fn(tuple(float(v) for v in GRID_TRIPLES[i]), float(GRID_MUS[j]),
+                 float(GRID_SNRS[k]), int(GRID_N_RS[l]), GRID_R[j, l], GRID_DX[i])
+        if not case.startswith("pep_avg_theta-both"):
+            assert type(val) is float
+        scalars.append(val)
+    scalars = np.array(scalars).reshape(shape + np.shape(scalars[0]))
+    assert np.array_equal(np.broadcast_to(batched, scalars.shape), scalars)
+
+
+@pytest.mark.parametrize("bad,match", [((1.0, 1.0, 2.0), "Cauchy-Schwarz"),
+                                       ((1.0, -0.1, 0.0), "non-negative")])
+def test_one_bad_triple_in_a_batch_raises(bad, match):
+    batch = GRID_TRIPLES.copy()
+    batch[3] = bad
+    calls = [
+        lambda: d_metric(0.5, batch),
+        lambda: coding_gain(DiffSpectrum(triples=batch), GRID_MUS),
+        lambda: pep_worst(GRID_MUS[:, None], batch, 1.0, 4),
+        lambda: pep_avg_theta(0.5, batch, GRID_SNRS[:, None], 4, form="exact"),
+        lambda: planar_lower_bound(batch, 1.0, 4, 2.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=match):
+            call()

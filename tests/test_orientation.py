@@ -282,6 +282,20 @@ class TestDistortion:
         for v in g:
             assert np.max(g @ v) == pytest.approx(1.0)
 
+    def test_region_minima_match_per_region_loop(self):
+        # 1.1M samples: two full pieces of the scan and a partial one
+        samples, chunk = 1_100_000, 500_000
+        g = edge_code()
+        expected = np.full(12, np.inf)
+        for s in range(0, samples, chunk):
+            dots = _fibonacci_sphere(samples, s, min(s + chunk, samples)) @ g.T
+            region = np.argmax(dots, axis=1)
+            best = np.max(dots, axis=1)
+            for i in range(12):
+                if np.any(region == i):
+                    expected[i] = min(expected[i], best[region == i].min())
+        assert np.array_equal(edge_code_region_minima(samples), expected)
+
     def test_region_minima_congruent(self):
         minima = edge_code_region_minima(samples=2_000_000)
         assert np.all(np.isfinite(minima))
