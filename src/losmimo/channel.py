@@ -25,13 +25,21 @@ __all__ = [
 
 
 def los_channel(distances: NDArray, wavelength: float) -> NDArray:
-    """Unit-modulus channel matrix ``exp(i 2 pi r / wavelength)`` entrywise."""
+    """Unit-modulus channel matrix ``exp(i 2 pi r / wavelength)`` entrywise.
+
+    The phase ``(2 pi r) (1 / wavelength)`` is written into the imaginary part
+    of one zeroed buffer and exponentiated in place: the bits of
+    ``np.exp(2j * np.pi * r / wavelength)``, whose complex division by a real
+    number multiplies by its reciprocal, without its complex temporaries."""
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
     r = np.asarray(distances, dtype=float)
     if np.any(r <= 0):
         raise ValueError("distances must be positive")
-    return np.exp(2j * np.pi * r / wavelength)
+    h = np.zeros(r.shape, dtype=complex)
+    np.multiply(r, 2.0 * np.pi, out=h.imag)
+    h.imag *= 1.0 / wavelength
+    return np.exp(h, out=h)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,14 @@ def _require(cfg: dict, key: str, kind, where: str):
     return val
 
 
+def _length_field(cfg: dict, key: str, where: str) -> float:
+    """A required length in metres; NaN, infinity, zero and negatives are rejected."""
+    val = _require(cfg, key, float, where)
+    if not 0.0 < val < np.inf:
+        raise ConfigError(f"{where}: field {key!r} must be a finite length above 0, got {val!r}")
+    return val
+
+
 def _int_field(cfg: dict, key: str, default: int, where: str) -> int:
     """An optional integer field; a float or bool is rejected, not truncated."""
     val = cfg.get(key, default)
@@ -217,6 +225,8 @@ def _cmd_simulate(args, out_dir: Path, manifest: Manifest) -> int:
                     _require(dist_cfg, "max", float, "distance"))
     else:
         raise ConfigError(f"distance law must be 'fixed' or 'uniform', got {law!r}")
+    wavelength, d_t, d_r = (_length_field(cfg, key, "simulate config")
+                            for key in ("wavelength", "d_t", "d_r"))
     sims = []
     for i, run in enumerate(runs):
         where = f"runs[{i}]"
@@ -227,9 +237,9 @@ def _cmd_simulate(args, out_dir: Path, manifest: Manifest) -> int:
                 tx_kind=run.get("tx_kind", "ula"),
                 rx_kind=run.get("rx_kind", "ura"),
                 n_r=_int_field(run, "n_r", _int_field(cfg, "n_r", 4, "simulate config"), where),
-                wavelength=_require(cfg, "wavelength", float, "simulate config"),
-                d_t=_require(cfg, "d_t", float, "simulate config"),
-                d_r=_require(cfg, "d_r", float, "simulate config"),
+                wavelength=wavelength,
+                d_t=d_t,
+                d_r=d_r,
                 distance=distance,
                 snr_db=tuple(snr_db),
                 max_trials=_int_field(cfg, "max_trials", 200_000, "simulate config"),
@@ -269,9 +279,9 @@ def _cmd_design(args, out_dir: Path, manifest: Manifest) -> int:
     try:
         spec = DesignSpec(
             mu_max=_require(cfg, "mu_max", float, "design config"),
-            wavelength=_require(cfg, "wavelength", float, "design config"),
-            d_t=_require(cfg, "d_t", float, "design config"),
-            d_r=_require(cfg, "d_r", float, "design config"),
+            wavelength=_length_field(cfg, "wavelength", "design config"),
+            d_t=_length_field(cfg, "d_t", "design config"),
+            d_r=_length_field(cfg, "d_r", "design config"),
             tx_kind=_require(cfg, "tx_kind", str, "design config"),
         )
         curve = compute_mu_star_curve(step=float(cfg.get("eta_step", 0.01)))
@@ -315,9 +325,8 @@ def _cmd_density(args, out_dir: Path, manifest: Manifest) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     manifest.data["seed"] = seed
-    wavelength = _require(cfg, "wavelength", float, "density config")
-    d_t = _require(cfg, "d_t", float, "density config")
-    d_r = _require(cfg, "d_r", float, "density config")
+    wavelength, d_t, d_r = (_length_field(cfg, key, "density config")
+                            for key in ("wavelength", "d_t", "d_r"))
     r_link = _require(cfg, "distance", float, "density config")
     bins = _int_field(cfg, "bins", 25, "density config")
     samples = _int_field(cfg, "samples", 1_000_000, "density config")
@@ -342,6 +351,8 @@ def _cmd_density(args, out_dir: Path, manifest: Manifest) -> int:
 
 
 def _cmd_gain(args, out_dir: Path, manifest: Manifest) -> int:
+    if not args.mu_step > 0:
+        raise ConfigError("mu step must be positive")
     schemes = ["sm", "golden", "simo"] if args.scheme == "all" else [args.scheme]
     spectra = {}
     for s in schemes:

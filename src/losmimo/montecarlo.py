@@ -169,12 +169,15 @@ class _Engine:
         self.codebook = build_codebook(config.scheme)
         self.tx_layout, self.rx_layout = config.layouts
         self.snr_lin = tuple(10.0 ** (s / 10.0) for s in config.snr_db)
+        # (2, T, K): a gather over trials comes out n-last
+        self.codewords_nlast = np.ascontiguousarray(self.codebook.codewords.transpose(1, 2, 0))
         if config.ideal_channel:
             phases = np.exp(2j * np.pi * np.arange(config.n_r) / config.n_r)
             self.h_ideal = np.column_stack([np.ones(config.n_r, dtype=complex), phases])
 
     def _channels(self, n: int, rng: np.random.Generator) -> NDArray:
-        """Draw n random links and return their n x (n_r x 2) channels."""
+        """Draw n random links and return their n x (n_r x 2) channels, as the
+        transposed view of n-last (n_r, 2, n) memory."""
         cfg = self.config
         if isinstance(cfg.distance, tuple):
             r_link = rng.uniform(cfg.distance[0], cfg.distance[1], n)
@@ -187,25 +190,34 @@ class _Engine:
         if self.tx_layout.n > 2:
             pair = select_tx_pair(self.tx_layout, u_tx, LINK_DIRECTION).pair
             tx = tx[:, pair.T, np.arange(n)]
-        dist = np.ascontiguousarray(link_distances(tx, rx).transpose(2, 0, 1))
-        return los_channel(dist, cfg.wavelength)
+        return los_channel(link_distances(tx, rx), cfg.wavelength).transpose(2, 0, 1)
 
     def run_block(self, snr_index: int, block_index: int, n_trials: int) -> tuple[int, int]:
-        """Simulate one block; returns (trials, bit errors)."""
+        """Simulate one block; returns (trials, bit errors).
+
+        The block is n-last in memory, so every small complex product runs its
+        inner loop over the trials; ``ml_decode`` gets n-first views of it."""
         cfg = self.config
         cb = self.codebook
         rng = np.random.default_rng([cfg.seed, snr_index, block_index])
         snr = self.snr_lin[snr_index]
         n = n_trials
         if cfg.ideal_channel:
-            h = np.broadcast_to(self.h_ideal, (n, cfg.n_r, 2))
+            h = np.broadcast_to(self.h_ideal[..., None], (cfg.n_r, 2, n))
         else:
-            h = self._channels(n, rng)
+            h = self._channels(n, rng).transpose(1, 2, 0)
         k_true = rng.integers(0, cb.size, n)
-        noise = np.sqrt(0.5) * (rng.standard_normal((n, cfg.n_r, cb.slots))
-                                + 1j * rng.standard_normal((n, cfg.n_r, cb.slots)))
-        y = np.sqrt(snr) * np.einsum("nri,nit->nrt", h, cb.codewords[k_true]) + noise
-        _, bits = ml_decode(h, y, snr, cb)
+        # y = sqrt(snr) h X + noise, noise = sqrt(1/2) (a + i b) drawn n-first
+        y = np.empty((cfg.n_r, cb.slots, n), dtype=complex)
+        for part in (y.real, y.imag):
+            np.multiply(rng.standard_normal((n, cfg.n_r, cb.slots)), np.sqrt(0.5),
+                        out=part.transpose(2, 0, 1))
+        x = self.codewords_nlast[:, :, k_true]
+        hx = np.multiply(h[:, 0, None], x[0])
+        hx += np.multiply(h[:, 1, None], x[1])
+        hx *= np.sqrt(snr)
+        y += hx
+        _, bits = ml_decode(h.transpose(2, 0, 1), y.transpose(2, 0, 1), snr, cb)
         return n, int(np.sum(cb.bits[k_true] != bits))
 
 
@@ -254,6 +266,10 @@ def ml_decode(h: NDArray, y: NDArray, snr: float,
     ``M_k = X_k X_k^H``. It is linear in 4 + 4 slots real features per block (the
     Gram entries and Z), so all K codewords take one real matrix product,
     done in ``ML_ROWS``-row pieces.
+
+    The blocks are taken as n-last views, so the Gram and Z contractions run
+    their inner loops over the batch; inputs that are transposed views of
+    n-last memory, as ``run_block`` passes, cost no copy.
     """
     h = np.asarray(h, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -264,20 +280,23 @@ def ml_decode(h: NDArray, y: NDArray, snr: float,
     if snr <= 0:
         raise ValueError("snr must be positive")
     batch = h.shape[:-2]
-    h = h.reshape(-1, h.shape[-2], 2)
-    n = len(h)
+    h = np.moveaxis(h.reshape(-1, h.shape[-2], 2), 0, -1)
+    y = np.moveaxis(y.reshape(-1, *y.shape[-2:]), 0, -1)
+    n = h.shape[-1]
     hc = np.conj(h)
-    gram = np.einsum("nri,nrj->nij", hc, h)
-    z = np.einsum("nri,nrt->nit", hc, y.reshape(n, -1, codebook.slots)).reshape(n, -1)
-    # real features: G00, G11, Re G01, Im G01, Re Z, Im Z; padded rows stay 0
-    feats = np.zeros((-(-n // ML_ROWS) * ML_ROWS, 4 + 2 * z.shape[1]))
-    feats[:n, 0] = gram[:, 0, 0].real
-    feats[:n, 1] = gram[:, 1, 1].real
-    feats[:n, 2] = gram[:, 0, 1].real
-    feats[:n, 3] = gram[:, 0, 1].imag
-    feats[:n, 4:4 + z.shape[1]] = z.real
-    feats[:n, 4 + z.shape[1]:] = z.imag
-    metric = np.matmul(feats.reshape(-1, ML_ROWS, feats.shape[1]), _ml_weights(codebook, snr))
+    gram = np.einsum("rin,rjn->ijn", hc, h)
+    z = np.einsum("rin,rtn->itn", hc, y).reshape(-1, n)
+    # real features, feature-major: G00, G11, Re G01, Im G01, Re Z, Im Z;
+    # padded trials stay 0
+    feats = np.zeros((4 + 2 * len(z), -(-n // ML_ROWS) * ML_ROWS))
+    feats[0, :n] = gram[0, 0].real
+    feats[1, :n] = gram[1, 1].real
+    feats[2, :n] = gram[0, 1].real
+    feats[3, :n] = gram[0, 1].imag
+    feats[4:4 + len(z), :n] = z.real
+    feats[4 + len(z):, :n] = z.imag
+    rows = np.ascontiguousarray(feats.T).reshape(-1, ML_ROWS, len(feats))
+    metric = np.matmul(rows, _ml_weights(codebook, snr))
     k = np.argmin(metric.reshape(-1, codebook.size)[:n], axis=-1).reshape(batch)
     if not batch:
         return int(k), codebook.bits[k].copy()

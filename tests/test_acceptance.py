@@ -3,6 +3,7 @@ PASS/FAIL line. Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import json
+import multiprocessing
 import time
 from types import SimpleNamespace
 
@@ -39,24 +40,33 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def ber_curves():
-    """The desk-scale BER campaigns shared by criterion 8."""
+    """The desk-scale BER campaigns shared by criterion 8, on one 2-process
+    pool: the curves do not depend on the worker count. The workers are
+    spawned, since forking a process that may hold BLAS threads is unsafe."""
     t0 = time.monotonic()
     base = dict(n_r=4, wavelength=WAVELENGTH, d_t=D_T, d_r=D_R,
                 distance=R_RANGE, snr_db=SNR_GRID, target_errors=200, seed=2024)
-    curves = {
-        "sm_ula_ura": run_ber(SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura",
-                                        max_trials=1_000_000, **base)),
-        "sm_pent_tetr": run_ber(SimConfig(scheme="sm", tx_kind="pentagon",
-                                          rx_kind="tetrahedron",
-                                          max_trials=1_000_000, **base)),
-        "golden_pent_tetr": run_ber(SimConfig(scheme="golden", tx_kind="pentagon",
+    pool = multiprocessing.get_context("spawn").Pool(2)
+    try:
+        curves = {
+            "sm_ula_ura": run_ber(SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura",
+                                            max_trials=1_000_000, **base), pool),
+            "sm_pent_tetr": run_ber(SimConfig(scheme="sm", tx_kind="pentagon",
                                               rx_kind="tetrahedron",
-                                              max_trials=200_000, **base)),
-        "simo_ura": run_ber(SimConfig(scheme="simo", tx_kind="ula", rx_kind="ura",
-                                      max_trials=200_000, **base)),
-        "ideal_sm": run_ber(SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura",
-                                      max_trials=200_000, ideal_channel=True, **base)),
-    }
+                                              max_trials=1_000_000, **base), pool),
+            "golden_pent_tetr": run_ber(SimConfig(scheme="golden", tx_kind="pentagon",
+                                                  rx_kind="tetrahedron",
+                                                  max_trials=200_000, **base), pool),
+            "simo_ura": run_ber(SimConfig(scheme="simo", tx_kind="ula", rx_kind="ura",
+                                          max_trials=200_000, **base), pool),
+            "ideal_sm": run_ber(SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura",
+                                          max_trials=200_000, ideal_channel=True, **base),
+                                pool),
+        }
+    finally:
+        # close and join: terminating a pool with queued work can deadlock
+        pool.close()
+        pool.join()
     return SimpleNamespace(curves=curves, seconds=time.monotonic() - t0)
 
 

@@ -34,6 +34,16 @@ class TestLosChannel:
         h = los_channel(rng.uniform(1.0, 20.0, (6, 2)), 0.0042)
         np.testing.assert_allclose(np.abs(h), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(6, 2), (4, 2, 2501)])
+    def test_bits_of_the_complex_formula(self, shape):
+        # the phase built in place has the bits of the complex-arithmetic form
+        rng = np.random.default_rng(8)
+        r = rng.uniform(1.0, 20.0, shape)
+        for lam in (0.0042, 0.0042 / 16, 0.3):
+            got, want = los_channel(r, lam), np.exp(2j * np.pi * r / lam)
+            assert got.shape == shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_design_point_gives_orthogonal_columns(self):
         # aligned 2x2 link at the d = sqrt(R lambda / 2) design point, built
         # from the first-order path differences

@@ -36,6 +36,22 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+# lengths every subcommand must refuse before it runs; JSON carries NaN and
+# Infinity through as floats
+BAD_LENGTHS = pytest.mark.parametrize("field,value", [
+    ("wavelength", 0.0), ("wavelength", -0.0042), ("wavelength", float("nan")),
+    ("wavelength", float("inf")), ("d_t", float("nan")), ("d_r", float("nan"))],
+    ids=["wavelength-0", "wavelength-neg", "wavelength-nan", "wavelength-inf", "d_t-nan",
+         "d_r-nan"])
+
+
+def assert_length_rejected(out, field, csv):
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert f"{field!r} must be a finite length above 0" in manifest["error"]
+    assert not (out / csv).exists()
+
+
 class TestSimulate:
     def test_outputs_and_manifest(self, tmp_path):
         cfg = write_config(tmp_path, MINI_SIM)
@@ -115,6 +131,14 @@ class TestSimulate:
         assert manifest["status"] == "config-error"
         assert "array radii" in manifest["error"]
         assert not (out / "near.csv").exists()
+
+    @BAD_LENGTHS
+    def test_bad_length_is_config_error(self, tmp_path, field, value):
+        # a wavelength <= 0 used to fail mid-run (exit 4) and a NaN one to run
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, {**MINI_SIM, field: value}),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert_length_rejected(out, field, "mini_sm.csv")
 
     def test_every_run_checked_before_the_first_starts(self, tmp_path):
         # 0.19 m clears ULA x tetrahedron (0.183 m) but not ULA x URA (0.207 m)
@@ -221,6 +245,15 @@ class TestDesign:
         assert main(["design", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @BAD_LENGTHS
+    def test_bad_length_is_config_error(self, tmp_path, field, value):
+        cfg = {"mu_max": 0.6667, "wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25,
+               "tx_kind": "triangle", "eta_step": 0.05, field: value}
+        out = tmp_path / "out"
+        assert main(["design", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert_length_rejected(out, field, "design_report.csv")
+
     def test_infeasible_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {
             "mu_max": 0.01, "wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25,
@@ -262,6 +295,15 @@ class TestGain:
     def test_unknown_scheme_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["gain", "qpsk", "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    def test_bad_mu_step_is_config_error(self, tmp_path, step):
+        # 0 used to divide by zero (exit 4) and -0.1 to write a header alone
+        out = tmp_path / "out"
+        assert main(["gain", "sm", f"--mu-step={step}", "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "config-error"
+        assert not (out / "coding_gain.csv").exists()
 
 
 class TestCurves:
@@ -335,6 +377,15 @@ class TestDensity:
         assert manifest["status"] == "config-error"
         assert message in manifest["error"]
         assert not (out / "density.csv").exists()
+
+    @BAD_LENGTHS
+    def test_bad_length_is_config_error(self, tmp_path, field, value):
+        cfg = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "n_r": 2,
+               "rx_kind": "ula", "distance": 10.0, "bins": 5, "samples": 1_000, field: value}
+        out = tmp_path / "out"
+        assert main(["density", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert_length_rejected(out, field, "density.csv")
 
     def test_bundled_recipe_resolves(self):
         cfg = _load_config("density_2x2")

@@ -1,3 +1,5 @@
+import importlib.resources
+import json
 import multiprocessing
 import time
 
@@ -114,6 +116,32 @@ class TestMlDecode:
             assert np.array_equal(ml_decode(h[:m], y[:m], snr, cb)[0], want[:m])
         assert ml_decode(h[-1], y[-1], snr, cb)[0] == want[-1]
 
+    @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
+    def test_same_decisions_for_either_memory_layout(self, scheme):
+        # run_block passes transposed views of n-last memory; C-contiguous
+        # n-first copies of the same blocks decode to the same indices and bits
+        engine = _Engine(SimConfig(scheme=scheme, tx_kind="pentagon", rx_kind="tetrahedron",
+                                   snr_db=(8.0,), **BASE))
+        cb = engine.codebook
+        rng = np.random.default_rng(29)
+        n, snr = 2_501, 10 ** 0.8
+        h_last = engine._channels(n, rng)
+        assert h_last.transpose(1, 2, 0).flags.c_contiguous
+        k_true = rng.integers(0, cb.size, n)
+        noise = rng.standard_normal((n, 4, cb.slots)) + 1j * rng.standard_normal((n, 4, cb.slots))
+        y_first = (np.sqrt(snr) * np.einsum("nri,nit->nrt", h_last, cb.codewords[k_true])
+                   + np.sqrt(0.5) * noise)
+        y_last = np.ascontiguousarray(y_first.transpose(1, 2, 0)).transpose(2, 0, 1)
+        h_first = np.ascontiguousarray(h_last)
+        k, bits = ml_decode(h_last, y_last, snr, cb)
+        assert 0 < np.count_nonzero(k != k_true) < n // 2
+        k_first, bits_first = ml_decode(h_first, y_first, snr, cb)
+        assert np.array_equal(k, k_first) and np.array_equal(bits, bits_first)
+        for m in (slice(0, 1), slice(n - 1, n)):
+            one, one_bits = ml_decode(h_last[m], y_last[m], snr, cb)
+            assert np.array_equal(one, k[m]) and np.array_equal(one_bits, bits[m])
+            assert np.array_equal(ml_decode(h_first[m], y_first[m], snr, cb)[0], k[m])
+
     def test_starts_no_blas_threads(self):
         # a 2-D (2,500 x 12) @ (12 x 256) product makes OpenBLAS run extra
         # threads, which spin after each call; the decoder's row chunks do not
@@ -152,6 +180,31 @@ class TestMlDecode:
 
 
 class TestRunBer:
+    # (trials, bit errors) at 0, 16 and 32 dB with 5,000 trials per point and
+    # seed 1, as the engine gave them with n-first blocks in memory
+    FIG5_COUNTS = {
+        "sm_ula_ura": [(2500, 1316), (5000, 12), (5000, 0)],
+        "golden_ula_ura": [(2500, 2412), (5000, 0), (5000, 0)],
+        "sm_pent_tetr": [(2500, 1017), (5000, 0), (5000, 0)],
+        "golden_pent_tetr": [(2500, 2038), (5000, 0), (5000, 0)],
+        "simo_ura": [(2500, 1426), (5000, 0), (5000, 0)],
+        "ideal_sm": [(2500, 793), (5000, 0), (5000, 0)],
+    }
+
+    @pytest.mark.parametrize("name", list(FIG5_COUNTS))
+    def test_fig5_runs_keep_their_counts(self, name):
+        cfg = json.loads(importlib.resources.files("losmimo.recipes")
+                         .joinpath("fig5.json").read_text())
+        run = next(r for r in cfg["runs"] if r["name"] == name)
+        curve = run_ber(SimConfig(
+            scheme=run["scheme"], tx_kind=run["tx_kind"], rx_kind=run["rx_kind"],
+            n_r=cfg["n_r"], wavelength=cfg["wavelength"], d_t=cfg["d_t"], d_r=cfg["d_r"],
+            distance=(cfg["distance"]["min"], cfg["distance"]["max"]), snr_db=(0, 16, 32),
+            max_trials=5_000, target_errors=cfg["target_errors"], seed=1,
+            ideal_channel=run.get("ideal_channel", False)))
+        assert list(zip(curve.trials.tolist(), curve.bit_errors.tolist())) == \
+            self.FIG5_COUNTS[name]
+
     def test_ideal_mode_matches_analytic(self):
         cfg = SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura", snr_db=(0, 4, 8),
                         max_trials=60_000, target_errors=10**9, seed=11,
