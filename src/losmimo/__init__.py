@@ -40,6 +40,7 @@ from .design import (
 from .geometry import (
     ArrayLayout,
     LinkScenario,
+    LinkSpec,
     approx_path_difference,
     exact_distances,
     make_layout,

@@ -31,7 +31,7 @@ def los_channel(distances: NDArray, wavelength: float) -> NDArray:
     of one zeroed buffer and exponentiated in place: the bits of
     ``np.exp(2j * np.pi * r / wavelength)``, whose complex division by a real
     number multiplies by its reciprocal, without its complex temporaries."""
-    if wavelength <= 0:
+    if not 0.0 < wavelength < np.inf:
         raise ValueError("wavelength must be positive")
     r = np.asarray(distances, dtype=float)
     if np.any(r <= 0):
@@ -87,7 +87,7 @@ def reduce_channel(h: NDArray) -> ReducedChannel:
 
 def deviation_factor(R: float, d_t: float, d_r: float, beta: float, wavelength: float) -> float:
     """Deviation factor ``eta = R wavelength / (2 d_t d_r cos(beta))``."""
-    if min(R, d_t, d_r, wavelength) <= 0:
+    if not all(0.0 < x < np.inf for x in (R, d_t, d_r, wavelength)):
         raise ValueError("R, d_t, d_r and wavelength must be positive")
     c = np.cos(beta)
     if c <= 1e-12:

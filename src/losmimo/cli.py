@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .codes import difference_spectrum
 from .design import DesignSpec, InfeasibleDesignError, design_link
-from .geometry import make_layout
+from .geometry import LinkSpec, make_layout
 from .metrics import coding_gain
 from .montecarlo import SimConfig, build_codebook, check_density_inputs, joint_density, run_ber
 from .orientation import compute_mu_star_curve
@@ -36,8 +36,9 @@ EXIT_INFEASIBLE = 3
 EXIT_RUNTIME = 4
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(Exception):
+    """A config the run cannot use; not a ValueError, so the handlers' wrapping
+    of library ValueErrors passes it through with its own location."""
 
 
 def _load_config(spec: str) -> dict:
@@ -73,6 +74,17 @@ def _length_field(cfg: dict, key: str, where: str) -> float:
     if not 0.0 < val < np.inf:
         raise ConfigError(f"{where}: field {key!r} must be a finite length above 0, got {val!r}")
     return val
+
+
+def _link(cfg: dict, where: str, tx_kind: str, rx_kind: str, n_r: int,
+          coords_file=None) -> LinkSpec:
+    """The link of a config: ``wavelength``, ``d_t`` and ``d_r`` read from ``cfg``
+    as ``where``'s fields, and the arrays ``make_layout`` builds from them (a
+    transmit ULA has 2 antennas). A bad kind or antenna count raises the
+    library's ValueError, for the caller to locate."""
+    wavelength, d_t, d_r = (_length_field(cfg, key, where) for key in ("wavelength", "d_t", "d_r"))
+    tx = make_layout(tx_kind, 2 if tx_kind == "ula" else None, d_t)
+    return LinkSpec(wavelength, tx, make_layout(rx_kind, n_r, d_r, coords_file=coords_file))
 
 
 def _int_field(cfg: dict, key: str, default: int, where: str) -> int:
@@ -225,8 +237,6 @@ def _cmd_simulate(args, out_dir: Path, manifest: Manifest) -> int:
                     _require(dist_cfg, "max", float, "distance"))
     else:
         raise ConfigError(f"distance law must be 'fixed' or 'uniform', got {law!r}")
-    wavelength, d_t, d_r = (_length_field(cfg, key, "simulate config")
-                            for key in ("wavelength", "d_t", "d_r"))
     sims = []
     for i, run in enumerate(runs):
         where = f"runs[{i}]"
@@ -234,12 +244,11 @@ def _cmd_simulate(args, out_dir: Path, manifest: Manifest) -> int:
         try:
             sim = SimConfig(
                 scheme=_require(run, "scheme", str, where),
-                tx_kind=run.get("tx_kind", "ula"),
-                rx_kind=run.get("rx_kind", "ura"),
-                n_r=_int_field(run, "n_r", _int_field(cfg, "n_r", 4, "simulate config"), where),
-                wavelength=wavelength,
-                d_t=d_t,
-                d_r=d_r,
+                link=_link(cfg, "simulate config", run.get("tx_kind", "ula"),
+                           run.get("rx_kind", "ura"),
+                           _int_field(run, "n_r", _int_field(cfg, "n_r", 4, "simulate config"),
+                                      where),
+                           run.get("rx_coords_file")),
                 distance=distance,
                 snr_db=tuple(snr_db),
                 max_trials=_int_field(cfg, "max_trials", 200_000, "simulate config"),
@@ -247,7 +256,6 @@ def _cmd_simulate(args, out_dir: Path, manifest: Manifest) -> int:
                 seed=seed,
                 block_trials=_int_field(cfg, "block_trials", 2_500, "simulate config"),
                 ideal_channel=bool(run.get("ideal_channel", False)),
-                rx_coords_file=run.get("rx_coords_file"),
             )
             build_codebook(sim.scheme)
         except ValueError as exc:
@@ -279,14 +287,10 @@ def _cmd_design(args, out_dir: Path, manifest: Manifest) -> int:
     try:
         spec = DesignSpec(
             mu_max=_require(cfg, "mu_max", float, "design config"),
-            wavelength=_length_field(cfg, "wavelength", "design config"),
-            d_t=_length_field(cfg, "d_t", "design config"),
-            d_r=_length_field(cfg, "d_r", "design config"),
-            tx_kind=_require(cfg, "tx_kind", str, "design config"),
+            link=_link(cfg, "design config", _require(cfg, "tx_kind", str, "design config"),
+                       "tetrahedron", 4),
         )
         curve = compute_mu_star_curve(step=float(cfg.get("eta_step", 0.01)))
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"design config: {exc}") from exc
     result = design_link(spec, curve)
@@ -297,7 +301,7 @@ def _cmd_design(args, out_dir: Path, manifest: Manifest) -> int:
         f.write(f"{result.eta_min:.12g},{result.eta_max:.12g},{result.r_min:.12g},"
                 f"{result.r_max:.12g},{result.beta_max:.12g},{result.mu_max:.12g}\n")
     manifest.add_output(out)
-    print(f"design: {spec.tx_kind} transmit, mu_max = {spec.mu_max:g}")
+    print(f"design: {spec.link.tx.kind} transmit, mu_max = {spec.mu_max:g}")
     print(f"  eta in [{result.eta_min:.4f}, {result.eta_max:.4f}]")
     print(f"  R   in [{result.r_min:.3f}, {result.r_max:.3f}] m "
           f"(beta_max = {result.beta_max:.4f} rad)")
@@ -325,20 +329,16 @@ def _cmd_density(args, out_dir: Path, manifest: Manifest) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     manifest.data["seed"] = seed
-    wavelength, d_t, d_r = (_length_field(cfg, key, "density config")
-                            for key in ("wavelength", "d_t", "d_r"))
     r_link = _require(cfg, "distance", float, "density config")
     bins = _int_field(cfg, "bins", 25, "density config")
     samples = _int_field(cfg, "samples", 1_000_000, "density config")
     n_r = _int_field(cfg, "n_r", 2, "density config")
     try:
-        tx = make_layout("ula", 2, d_t)
-        rx = make_layout(cfg.get("rx_kind", "ula"), n_r, d_r)
-        check_density_inputs(tx, rx, r_link, wavelength, bins, samples)
+        link = _link(cfg, "density config", "ula", cfg.get("rx_kind", "ula"), n_r)
+        check_density_inputs(link, r_link, bins, samples)
     except ValueError as exc:
         raise ConfigError(f"density config: {exc}") from exc
-    grid = joint_density(tx, rx, r_link=r_link, wavelength=wavelength, bins=bins,
-                         samples=samples, seed=seed)
+    grid = joint_density(link, r_link=r_link, bins=bins, samples=samples, seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "density.csv"
     grid.write_csv(out)

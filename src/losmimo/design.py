@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .channel import deviation_factor
-from .geometry import ArrayLayout
+from .geometry import ArrayLayout, LinkSpec
 from .orientation import MuStarCurve
 
 __all__ = [
@@ -129,18 +129,20 @@ def select_tx_pair_for_quality(tx_layout: ArrayLayout, u_tx: NDArray, u: NDArray
 
 @dataclass(frozen=True)
 class DesignSpec:
+    """A quality target ``mu <= mu_max`` for ``link``, whose transmitter is a
+    triangle or a pentagon and whose receiver is the tetrahedron that the mu*
+    curve is computed for. The lengths are checked where the link is built."""
+
     mu_max: float
-    wavelength: float
-    d_t: float
-    d_r: float
-    tx_kind: str  # "triangle" | "pentagon"
+    link: LinkSpec
 
     def __post_init__(self):
         if not 0.0 < self.mu_max < 1.0:
             raise ValueError("mu_max must lie strictly between 0 and 1")
-        if min(self.wavelength, self.d_t, self.d_r) <= 0:
-            raise ValueError("lengths must be positive")
-        beta_cap(self.tx_kind)
+        if self.link.rx.kind != "tetrahedron":
+            raise ValueError("the mu* curve is the tetrahedron's; no design for receive "
+                             f"kind {self.link.rx.kind!r}")
+        beta_cap(self.link.tx.kind)
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def eta_range(spec: DesignSpec, curve: MuStarCurve) -> tuple[float, float]:
     stays at or below ``mu_max``."""
     mask = curve.export_mask()
     etas = curve.etas[mask]
-    curve_at = curve.pent_at if spec.tx_kind == "pentagon" else curve.value_at
+    curve_at = curve.pent_at if spec.link.tx.kind == "pentagon" else curve.value_at
     vals = np.asarray(curve_at(etas))
     feasible = vals <= spec.mu_max
     if not feasible.any():
@@ -201,9 +203,10 @@ def distance_range(eta_min: float, eta_max: float, spec: DesignSpec) -> tuple[fl
     ``R_max = eta_max 2 d_t d_r cos(beta_max) / wavelength``."""
     if not 0 < eta_min < eta_max:
         raise ValueError("need 0 < eta_min < eta_max")
-    base = 2.0 * spec.d_t * spec.d_r / spec.wavelength
+    link = spec.link
+    base = 2.0 * link.tx.spacing * link.rx.spacing / link.wavelength
     r_min = eta_min * base
-    r_max = eta_max * base * np.cos(beta_cap(spec.tx_kind))
+    r_max = eta_max * base * np.cos(beta_cap(link.tx.kind))
     if r_min >= r_max:
         raise InfeasibleDesignError(
             f"empty distance window: R_min = {r_min:.3f} m >= R_max = {r_max:.3f} m")
@@ -215,4 +218,4 @@ def design_link(spec: DesignSpec, curve: MuStarCurve) -> DesignResult:
     eta_min, eta_max = eta_range(spec, curve)
     r_min, r_max = distance_range(eta_min, eta_max, spec)
     return DesignResult(eta_min=eta_min, eta_max=eta_max, r_min=r_min, r_max=r_max,
-                        beta_max=beta_cap(spec.tx_kind), mu_max=spec.mu_max)
+                        beta_max=beta_cap(spec.link.tx.kind), mu_max=spec.mu_max)

@@ -19,6 +19,7 @@ from numpy.typing import NDArray
 
 __all__ = [
     "ArrayLayout",
+    "LinkSpec",
     "LinkScenario",
     "make_layout",
     "uniform_rotation",
@@ -39,6 +40,8 @@ PLACE_COLS = 4096
 BLAS_SERIAL_MADDS = 2 ** 18
 
 LAYOUT_KINDS = ("ula", "ura", "tetrahedron", "triangle", "pentagon", "spherical-code", "custom")
+# transmit arrays: a 2-antenna ULA, or a polygon that select_tx_pair takes a pair from
+TX_KINDS = ("ula", "triangle", "pentagon")
 
 # Vertices of the regular tetrahedron as unit vectors from the centroid.
 TETRAHEDRON_DIRECTIONS = np.array(
@@ -87,6 +90,16 @@ class ArrayLayout:
         centroid = np.linalg.norm((r[:, None] * d).mean(axis=0))
         if centroid > 1e-9 * max(r.max(), 1e-30):
             raise ValueError(f"layout centroid is off-origin by {centroid:g} m")
+
+    def _key(self) -> tuple:
+        return self.kind, self.spacing, self.directions.tobytes(), self.radii.tobytes()
+
+    # by value, so that the configs holding a layout compare and hash by value
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ArrayLayout) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def n(self) -> int:
@@ -165,7 +178,7 @@ def make_layout(kind: str, n: int | None = None, spacing: float | None = None,
         s = spacing if spacing is not None else float(dists[dists > 0].min()) if len(pos) > 1 else 0.0
         return _from_positions(kind, pos, s)
 
-    if spacing is None or spacing <= 0:
+    if spacing is None or not 0.0 < spacing < np.inf:
         raise ValueError("spacing must be positive")
 
     if kind == "ula":
@@ -219,6 +232,29 @@ def make_layout(kind: str, n: int | None = None, spacing: float | None = None,
         dirs = _fibonacci_sphere(n)
     radius = spacing / 2.0
     return _from_positions(kind, radius * dirs, spacing)
+
+
+@dataclass(frozen=True)
+class LinkSpec:
+    """The link that ``simulate``, ``design`` and ``density`` share: the
+    wavelength and the transmit and receive arrays, checked once here.
+
+    ``d_t``, ``d_r``, the array kinds and ``n_r`` are the layouts' ``spacing``,
+    ``kind`` and ``n``. The transmitter is a 2-antenna ULA, or a triangle or
+    pentagon from which ``design.select_tx_pair`` takes one pair per link.
+    """
+
+    wavelength: float
+    tx: ArrayLayout
+    rx: ArrayLayout
+
+    def __post_init__(self):
+        if not 0.0 < self.wavelength < np.inf:
+            raise ValueError("wavelength must be positive")
+        if self.tx.kind not in TX_KINDS:
+            raise ValueError(f"unsupported transmit kind {self.tx.kind!r}")
+        if self.tx.kind == "ula" and self.tx.n != 2:
+            raise ValueError(f"a transmit ULA has 2 antennas, got {self.tx.n}")
 
 
 def uniform_rotation(rng: np.random.Generator, n: int | None = None) -> NDArray:
@@ -288,9 +324,9 @@ class LinkScenario:
     U_rx: NDArray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        if self.R <= 0:
+        if not 0.0 < self.R < np.inf:
             raise ValueError("inter-terminal distance R must be positive")
-        if self.wavelength <= 0:
+        if not 0.0 < self.wavelength < np.inf:
             raise ValueError("wavelength must be positive")
         for u, name in ((self.U_tx, "U_tx"), (self.U_rx, "U_rx")):
             if not is_rotation(u, tol=1e-9):

@@ -9,7 +9,7 @@ the points run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -19,7 +19,7 @@ from . import codes
 from .channel import los_channel
 from .codes import Codebook
 from .design import select_tx_pair
-from .geometry import ArrayLayout, link_distances, make_layout, place_arrays, uniform_rotation
+from .geometry import LinkSpec, link_distances, place_arrays, uniform_rotation
 
 __all__ = [
     "SimConfig",
@@ -54,23 +54,18 @@ def build_codebook(scheme: str) -> Codebook:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One BER campaign: scheme, geometry, SNR grid and stopping rule.
+    """One BER campaign: scheme, link, SNR grid and stopping rule.
 
-    ``distance`` is either a float (fixed range) or a (low, high) pair for a
-    uniformly distributed inter-terminal distance; unless ``ideal_channel`` is
-    set, it must stay beyond the sum of the transmit and receive array radii.
-    ``ideal_channel`` bypasses the geometry and feeds the decoder a perfectly
-    orthogonal channel. ``layouts`` holds the (transmit, receive) arrays built
-    from the config.
+    ``link`` holds the wavelength and both arrays; the receive array is any
+    layout, and ``link.rx.n`` is n_r. ``distance`` is either a float (fixed
+    range) or a (low, high) pair for a uniformly distributed inter-terminal
+    distance; unless ``ideal_channel`` is set, it must stay beyond the sum of
+    the transmit and receive array radii. ``ideal_channel`` bypasses the
+    geometry and feeds the decoder a perfectly orthogonal channel.
     """
 
     scheme: str
-    tx_kind: str              # "ula" | "triangle" | "pentagon"
-    rx_kind: str              # "ula" | "ura" | "tetrahedron" | "spherical-code"
-    n_r: int
-    wavelength: float
-    d_t: float
-    d_r: float
+    link: LinkSpec
     distance: float | tuple[float, float]
     snr_db: tuple[float, ...]
     max_trials: int = 200_000
@@ -78,8 +73,6 @@ class SimConfig:
     seed: int = 0
     block_trials: int = 2_500
     ideal_channel: bool = False
-    rx_coords_file: str | None = None
-    layouts: tuple[ArrayLayout, ArrayLayout] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.max_trials < 1 or self.target_errors < 1 or self.block_trials < 1:
@@ -92,35 +85,14 @@ class SimConfig:
             if not 0 < lo <= hi:
                 raise ValueError("distance range must satisfy 0 < low <= high")
             object.__setattr__(self, "distance", (float(lo), float(hi)))
-        tx, rx = _layouts(self)
-        object.__setattr__(self, "layouts", (tx, rx))
         if not self.ideal_channel:
-            _check_clearance(tx, rx, self.distance[0] if isinstance(self.distance, tuple)
+            _check_clearance(self.link, self.distance[0] if isinstance(self.distance, tuple)
                              else float(self.distance))
 
 
-def _layouts(config: SimConfig) -> tuple[ArrayLayout, ArrayLayout]:
-    if config.tx_kind == "ula":
-        tx = make_layout("ula", 2, config.d_t)
-    elif config.tx_kind in ("triangle", "pentagon"):
-        tx = make_layout(config.tx_kind, spacing=config.d_t)
-    else:
-        raise ValueError(f"unsupported transmit kind {config.tx_kind!r}")
-    if config.rx_kind in ("ula", "ura", "spherical-code"):
-        rx = make_layout(config.rx_kind, config.n_r, config.d_r,
-                         coords_file=config.rx_coords_file)
-    elif config.rx_kind == "tetrahedron":
-        if config.n_r != 4:
-            raise ValueError("tetrahedral receiver has n_r = 4")
-        rx = make_layout("tetrahedron", spacing=config.d_r)
-    else:
-        raise ValueError(f"unsupported receive kind {config.rx_kind!r}")
-    return tx, rx
-
-
-def _check_clearance(tx_layout: ArrayLayout, rx_layout: ArrayLayout, distance: float) -> None:
+def _check_clearance(link: LinkSpec, distance: float) -> None:
     """Reject a link distance at which the two arrays can overlap."""
-    reach = float(tx_layout.radii.max() + rx_layout.radii.max())
+    reach = float(link.tx.radii.max() + link.rx.radii.max())
     if not distance > reach:
         raise ValueError(f"distance {distance:g} m is not beyond the {reach:g} m sum of the "
                          "transmit and receive array radii")
@@ -167,30 +139,29 @@ class _Engine:
     def __init__(self, config: SimConfig):
         self.config = config
         self.codebook = build_codebook(config.scheme)
-        self.tx_layout, self.rx_layout = config.layouts
         self.snr_lin = tuple(10.0 ** (s / 10.0) for s in config.snr_db)
         # (2, T, K): a gather over trials comes out n-last
         self.codewords_nlast = np.ascontiguousarray(self.codebook.codewords.transpose(1, 2, 0))
         if config.ideal_channel:
-            phases = np.exp(2j * np.pi * np.arange(config.n_r) / config.n_r)
-            self.h_ideal = np.column_stack([np.ones(config.n_r, dtype=complex), phases])
+            n_r = config.link.rx.n
+            phases = np.exp(2j * np.pi * np.arange(n_r) / n_r)
+            self.h_ideal = np.column_stack([np.ones(n_r, dtype=complex), phases])
 
     def _channels(self, n: int, rng: np.random.Generator) -> NDArray:
         """Draw n random links and return their n x (n_r x 2) channels, as the
         transposed view of n-last (n_r, 2, n) memory."""
-        cfg = self.config
+        cfg, link = self.config, self.config.link
         if isinstance(cfg.distance, tuple):
             r_link = rng.uniform(cfg.distance[0], cfg.distance[1], n)
         else:
             r_link = np.full(n, float(cfg.distance))
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
-        tx, rx = place_arrays(self.tx_layout, self.rx_layout, u_tx, u_rx, r_link,
-                              LINK_DIRECTION)
-        if self.tx_layout.n > 2:
-            pair = select_tx_pair(self.tx_layout, u_tx, LINK_DIRECTION).pair
+        tx, rx = place_arrays(link.tx, link.rx, u_tx, u_rx, r_link, LINK_DIRECTION)
+        if link.tx.n > 2:
+            pair = select_tx_pair(link.tx, u_tx, LINK_DIRECTION).pair
             tx = tx[:, pair.T, np.arange(n)]
-        return los_channel(link_distances(tx, rx), cfg.wavelength).transpose(2, 0, 1)
+        return los_channel(link_distances(tx, rx), link.wavelength).transpose(2, 0, 1)
 
     def run_block(self, snr_index: int, block_index: int, n_trials: int) -> tuple[int, int]:
         """Simulate one block; returns (trials, bit errors).
@@ -201,16 +172,16 @@ class _Engine:
         cb = self.codebook
         rng = np.random.default_rng([cfg.seed, snr_index, block_index])
         snr = self.snr_lin[snr_index]
-        n = n_trials
+        n, n_r = n_trials, cfg.link.rx.n
         if cfg.ideal_channel:
-            h = np.broadcast_to(self.h_ideal[..., None], (cfg.n_r, 2, n))
+            h = np.broadcast_to(self.h_ideal[..., None], (n_r, 2, n))
         else:
             h = self._channels(n, rng).transpose(1, 2, 0)
         k_true = rng.integers(0, cb.size, n)
         # y = sqrt(snr) h X + noise, noise = sqrt(1/2) (a + i b) drawn n-first
-        y = np.empty((cfg.n_r, cb.slots, n), dtype=complex)
+        y = np.empty((n_r, cb.slots, n), dtype=complex)
         for part in (y.real, y.imag):
-            np.multiply(rng.standard_normal((n, cfg.n_r, cb.slots)), np.sqrt(0.5),
+            np.multiply(rng.standard_normal((n, n_r, cb.slots)), np.sqrt(0.5),
                         out=part.transpose(2, 0, 1))
         x = self.codewords_nlast[:, :, k_true]
         hx = np.multiply(h[:, 0, None], x[0])
@@ -341,29 +312,25 @@ class DensityGrid:
                     f.write(f"{t:.12g},{m:.12g},{dens[i, j]:.12g}\n")
 
 
-def check_density_inputs(tx_layout: ArrayLayout, rx_layout: ArrayLayout, r_link: float,
-                         wavelength: float, bins: int | tuple[int, int],
+def check_density_inputs(link: LinkSpec, r_link: float, bins: int | tuple[int, int],
                          samples: int) -> tuple[int, int]:
     """Reject ``joint_density`` inputs it cannot sample; returns the (theta_mu,
-    mu) bin counts."""
-    if tx_layout.n != 2:
+    mu) bin counts. The wavelength is ``LinkSpec``'s to check."""
+    if link.tx.n != 2:
         raise ValueError("joint density is defined for a 2-antenna transmitter")
     if samples < 1:
         raise ValueError("need at least one sample")
     nt, nm = (bins, bins) if isinstance(bins, int) else bins
     if nt < 5 or nm < 5:
         raise ValueError("use at least a 5 x 5 grid")
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
-    _check_clearance(tx_layout, rx_layout, r_link)
+    _check_clearance(link, r_link)
     return nt, nm
 
 
-def joint_density(tx_layout: ArrayLayout, rx_layout: ArrayLayout, r_link: float,
-                  wavelength: float, bins: int | tuple[int, int], samples: int,
+def joint_density(link: LinkSpec, r_link: float, bins: int | tuple[int, int], samples: int,
                   seed: int = 0) -> DensityGrid:
     """Histogram of (theta_mu, mu) over independent random rotations of both
-    arrays at a fixed link distance.
+    arrays of ``link`` at a fixed link distance.
 
     The transmit array must have two antennas here, and ``r_link`` must lie
     beyond the sum of the array radii (see ``check_density_inputs``). theta_mu
@@ -371,22 +338,22 @@ def joint_density(tx_layout: ArrayLayout, rx_layout: ArrayLayout, r_link: float,
     fixed eta; at finite d_t / wavelength the high-mu rows keep a small theta
     ripple.
     """
-    nt, nm = check_density_inputs(tx_layout, rx_layout, r_link, wavelength, bins, samples)
+    nt, nm = check_density_inputs(link, r_link, bins, samples)
     theta_edges = np.linspace(0.0, 2.0 * np.pi, nt + 1)
     mu_edges = np.linspace(0.0, 1.0, nm + 1)
     counts = np.zeros((nt, nm), dtype=np.int64)
     rng = np.random.default_rng([seed])
-    n_r = rx_layout.n
+    n_r = link.rx.n
     for start in range(0, samples, DENSITY_BLOCK):
         n = min(DENSITY_BLOCK, samples - start)
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
-        dist = link_distances(*place_arrays(tx_layout, rx_layout, u_tx, u_rx,
+        dist = link_distances(*place_arrays(link.tx, link.rx, u_tx, u_rx,
                                             np.full(n, float(r_link)), LINK_DIRECTION))
         # column inner product of the unit-modulus channel, summed over C-ordered
         # (n, n_r) rows: the order of a reduction depends on the layout
         diff = np.ascontiguousarray((dist[:, 1] - dist[:, 0]).T)
-        inner = np.exp(2j * np.pi * diff / wavelength).sum(axis=1)
+        inner = np.exp(2j * np.pi * diff / link.wavelength).sum(axis=1)
         mu = np.abs(inner) / n_r
         theta = np.angle(inner) % (2.0 * np.pi)
         hist, _, _ = np.histogram2d(theta, np.clip(mu, 0.0, 1.0),

@@ -17,6 +17,7 @@ from losmimo.codes import difference_spectrum
 from losmimo.design import DesignSpec, design_link, select_tx_pair
 from losmimo.geometry import (
     LinkScenario,
+    LinkSpec,
     exact_distances,
     make_layout,
     place_antennas,
@@ -32,6 +33,11 @@ R_RANGE = (4.43, 12.7)
 SNR_GRID = (0, 4, 8, 12, 16, 20, 24, 28, 32)
 
 
+def fig5_link(tx_kind, rx_kind):
+    return LinkSpec(WAVELENGTH, make_layout(tx_kind, 2 if tx_kind == "ula" else None, D_T),
+                    make_layout(rx_kind, 4, D_R))
+
+
 def report(num, ok, detail):
     line = f"criterion {num:>2}: {'PASS' if ok else 'FAIL'} — {detail}"
     print(line)
@@ -44,22 +50,21 @@ def ber_curves():
     pool: the curves do not depend on the worker count. The workers are
     spawned, since forking a process that may hold BLAS threads is unsafe."""
     t0 = time.monotonic()
-    base = dict(n_r=4, wavelength=WAVELENGTH, d_t=D_T, d_r=D_R,
-                distance=R_RANGE, snr_db=SNR_GRID, target_errors=200, seed=2024)
+    base = dict(distance=R_RANGE, snr_db=SNR_GRID, target_errors=200, seed=2024)
     pool = multiprocessing.get_context("spawn").Pool(2)
     try:
         curves = {
-            "sm_ula_ura": run_ber(SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura",
+            "sm_ula_ura": run_ber(SimConfig(scheme="sm", link=fig5_link("ula", "ura"),
                                             max_trials=1_000_000, **base), pool),
-            "sm_pent_tetr": run_ber(SimConfig(scheme="sm", tx_kind="pentagon",
-                                              rx_kind="tetrahedron",
+            "sm_pent_tetr": run_ber(SimConfig(scheme="sm",
+                                              link=fig5_link("pentagon", "tetrahedron"),
                                               max_trials=1_000_000, **base), pool),
-            "golden_pent_tetr": run_ber(SimConfig(scheme="golden", tx_kind="pentagon",
-                                                  rx_kind="tetrahedron",
+            "golden_pent_tetr": run_ber(SimConfig(scheme="golden",
+                                                  link=fig5_link("pentagon", "tetrahedron"),
                                                   max_trials=200_000, **base), pool),
-            "simo_ura": run_ber(SimConfig(scheme="simo", tx_kind="ula", rx_kind="ura",
+            "simo_ura": run_ber(SimConfig(scheme="simo", link=fig5_link("ula", "ura"),
                                           max_trials=200_000, **base), pool),
-            "ideal_sm": run_ber(SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura",
+            "ideal_sm": run_ber(SimConfig(scheme="sm", link=fig5_link("ula", "ura"),
                                           max_trials=200_000, ideal_channel=True, **base),
                                 pool),
         }
@@ -122,10 +127,10 @@ def test_criterion_04_unit_eta_worst_case(curve):
 
 
 def test_criterion_05_design_ranges(curve):
-    tri = design_link(DesignSpec(mu_max=2 / 3, wavelength=WAVELENGTH, d_t=D_T,
-                                 d_r=D_R, tx_kind="triangle"), curve)
-    pent = design_link(DesignSpec(mu_max=2 / 3, wavelength=WAVELENGTH, d_t=D_T,
-                                  d_r=D_R, tx_kind="pentagon"), curve)
+    tri = design_link(DesignSpec(mu_max=2 / 3, link=fig5_link("triangle", "tetrahedron")),
+                      curve)
+    pent = design_link(DesignSpec(mu_max=2 / 3, link=fig5_link("pentagon", "tetrahedron")),
+                       curve)
     base = 2 * D_T * D_R / WAVELENGTH
     consistent = (
         tri.r_max == pytest.approx(tri.eta_max * base * np.cos(np.pi / 6), rel=1e-12)
@@ -292,8 +297,8 @@ def _density_grids(scale):
     grids = {}
     for name, build in DENSITY_SETUPS.items():
         tx, rx = build()
-        grids[name] = joint_density(tx, rx, 10.0 * scale, WAVELENGTH / scale, bins=25,
-                                    samples=1_000_000, seed=20)
+        grids[name] = joint_density(LinkSpec(WAVELENGTH / scale, tx, rx), 10.0 * scale,
+                                    bins=25, samples=1_000_000, seed=20)
     return grids
 
 

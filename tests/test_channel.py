@@ -18,11 +18,20 @@ from losmimo.geometry import (
 )
 
 
+# lengths a library call must refuse: NaN and +inf pass a bare "<= 0" test
+BAD_LENGTHS = [float("nan"), float("inf"), -float("inf"), 0.0, -0.1]
+
+
 def random_unit_modulus(rng, n_r):
     return np.exp(2j * np.pi * rng.random((n_r, 2)))
 
 
 class TestLosChannel:
+    @pytest.mark.parametrize("wavelength", BAD_LENGTHS)
+    def test_wavelength_must_be_a_finite_length(self, wavelength):
+        with pytest.raises(ValueError, match="wavelength must be positive"):
+            los_channel(np.full((4, 2), 10.0), wavelength)
+
     def test_full_and_half_wavelength(self):
         lam = 0.0042
         h = los_channel(np.array([[lam, lam / 2]]), lam)
@@ -130,6 +139,15 @@ class TestDeviationFactor:
     def test_grazing_angle_rejected(self):
         with pytest.raises(ValueError):
             deviation_factor(10.0, 0.06, 0.25, np.pi / 2, 0.0042)
+
+    @pytest.mark.parametrize("value", BAD_LENGTHS)
+    @pytest.mark.parametrize("arg", range(4), ids=["R", "d_t", "d_r", "wavelength"])
+    def test_lengths_must_be_finite(self, arg, value):
+        lengths = [10.0, 0.06, 0.25, 0.0042]
+        lengths[arg] = value
+        r_link, d_t, d_r, wavelength = lengths
+        with pytest.raises(ValueError, match="must be positive"):
+            deviation_factor(r_link, d_t, d_r, 0.1, wavelength)
 
 
 class TestMuModel:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 import json
 import os
@@ -43,6 +44,20 @@ BAD_LENGTHS = pytest.mark.parametrize("field,value", [
     ("wavelength", float("inf")), ("d_t", float("nan")), ("d_r", float("nan"))],
     ids=["wavelength-0", "wavelength-neg", "wavelength-nan", "wavelength-inf", "d_t-nan",
          "d_r-nan"])
+
+
+# a transmit kind that is no layout, and one that is a layout but no transmit
+# array, each read the same from every subcommand that takes a transmit kind
+TX_KIND_ERRORS = {"hexagon": "unknown layout kind 'hexagon'",
+                  "tetrahedron": "unsupported transmit kind 'tetrahedron'"}
+BAD_TX_KINDS = pytest.mark.parametrize("kind", list(TX_KIND_ERRORS))
+
+
+def assert_tx_kind_rejected(out, kind, where, csv):
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert manifest["error"].startswith(f"{where}: {TX_KIND_ERRORS[kind]}")
+    assert not (out / csv).exists()
 
 
 def assert_length_rejected(out, field, csv):
@@ -139,6 +154,32 @@ class TestSimulate:
         assert main(["simulate", "--config", write_config(tmp_path, {**MINI_SIM, field: value}),
                      "--out", str(out)]) == EXIT_CONFIG
         assert_length_rejected(out, field, "mini_sm.csv")
+
+    @BAD_TX_KINDS
+    def test_bad_transmit_kind_is_config_error(self, tmp_path, kind):
+        cfg = dict(MINI_SIM, runs=[dict(MINI_SIM["runs"][0], tx_kind=kind)])
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert_tx_kind_rejected(out, kind, "runs[0]", "mini_sm.csv")
+
+    def test_receiver_is_any_layout(self, tmp_path):
+        # the receive array is what make_layout builds from rx_kind and n_r
+        cfg = dict(MINI_SIM, snr_db=[8], max_trials=2500)
+        cfg["runs"] = [{"name": "tri", "scheme": "sm", "rx_kind": "triangle", "n_r": 3},
+                       {"name": "pent", "scheme": "sm", "rx_kind": "pentagon", "n_r": 5}]
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_OK
+        for name in ("tri", "pent"):
+            trials, errors = map(int, (out / f"{name}.csv").read_text().splitlines()[1]
+                                 .split(",")[1:3])
+            assert trials == 2500 and 0 < errors < 2500 * 4 // 2
+        cfg["runs"] = [{"name": "tetr", "scheme": "sm", "rx_kind": "tetrahedron", "n_r": 3}]
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out / "bad")]) == EXIT_CONFIG
+        manifest = json.loads((out / "bad" / "manifest.json").read_text())
+        assert manifest["error"] == "runs[0]: tetrahedron has exactly 4 antennas"
 
     def test_every_run_checked_before_the_first_starts(self, tmp_path):
         # 0.19 m clears ULA x tetrahedron (0.183 m) but not ULA x URA (0.207 m)
@@ -253,6 +294,15 @@ class TestDesign:
         assert main(["design", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == EXIT_CONFIG
         assert_length_rejected(out, field, "design_report.csv")
+
+    @BAD_TX_KINDS
+    def test_bad_transmit_kind_is_config_error(self, tmp_path, kind):
+        cfg = {"mu_max": 0.6667, "wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25,
+               "tx_kind": kind, "eta_step": 0.05}
+        out = tmp_path / "out"
+        assert main(["design", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert_tx_kind_rejected(out, kind, "design config", "design_report.csv")
 
     def test_infeasible_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -438,6 +488,38 @@ class TestBundledDesignRecipe:
         assert abs(r_min - 4.43) <= 0.15
         assert 7.3 <= r_max <= 8.0
         assert beta_max == pytest.approx(3.141592653589793 / 6)
+
+
+class TestPinnedOutputs:
+    """sha256 of CSVs that no other test pins, recorded before the link arrays
+    were gathered into one LinkSpec. A digest that changes is a changed result,
+    to be explained in CHANGES.md, not re-recorded."""
+
+    RUNS = {
+        "design_pentagon": (["design", "--config", "design_pentagon"], "design_report.csv",
+                            "d132fd0a331e1bef4a43ed651b04906a2456f8e7ef138f88f3254e1083d8217f"),
+        "design_triangle": (["design", "--config", "design_triangle"], "design_report.csv",
+                            "ff3b9d5a7d798df15732f6b2121051688b1d1cb5ae0654ae4f6b173172370d54"),
+        "density_2x2": (["density"], "density.csv",
+                        "e8892df45ae6926891d9cbf3a831e4807549e475420155353f825780a9b25395"),
+        "density_2x4": (["density"], "density.csv",
+                        "96e1fa52455492e0a325dfcb4c2536bfbb8830b4078ffe56930dae0f969aea95"),
+        "curves": (["curves"], "mu_star_curve.csv",
+                   "2b85c3c7e95be76cc75bffe17079c6def0c7cc14935f97b39772820cd839827c"),
+        "gain_all": (["gain", "all"], "coding_gain.csv",
+                     "41746f2e16f16560897fa271637c085bbf39a3c2e5fda579b9e494bfbf0fda71"),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_csv_is_unchanged(self, tmp_path, name):
+        argv, csv, digest = self.RUNS[name]
+        if argv == ["density"]:
+            # the bundled recipe at 20,000 samples
+            argv = ["density", "--config", write_config(tmp_path, {**_load_config(name),
+                                                                    "samples": 20_000})]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256((out / csv).read_bytes()).hexdigest() == digest
 
 
 def test_import_leaves_scipy_special_unloaded():

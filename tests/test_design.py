@@ -12,22 +12,23 @@ from losmimo.design import (
     select_tx_pair,
     select_tx_pair_for_quality,
 )
-from losmimo.geometry import make_layout, uniform_rotation
+from losmimo.geometry import LinkSpec, make_layout, uniform_rotation
 from losmimo.orientation import MuStarCurve
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 LINK = np.array([1.0, 0.0, 0.0])
 
 
-def spec_for(kind, mu_max=2 / 3):
-    return DesignSpec(mu_max=mu_max, wavelength=0.0042, d_t=0.06, d_r=0.25, tx_kind=kind)
+def spec_for(kind, mu_max=2 / 3, rx=None):
+    rx = make_layout("tetrahedron", spacing=0.25) if rx is None else rx
+    return DesignSpec(mu_max=mu_max, link=LinkSpec(0.0042, make_layout(kind, spacing=0.06), rx))
 
 
 def eta_range_loop(spec, curve):
     """eta_range with the feasible runs found by a state machine over the mask;
     None where no grid point is feasible."""
     etas = curve.etas[curve.export_mask()]
-    curve_at = curve.pent_at if spec.tx_kind == "pentagon" else curve.value_at
+    curve_at = curve.pent_at if spec.link.tx.kind == "pentagon" else curve.value_at
     feasible = np.asarray(curve_at(etas)) <= spec.mu_max
     runs, start = [], None
     for i, ok in enumerate(feasible):
@@ -130,6 +131,20 @@ class TestSelectTxPair:
             select_tx_pair(make_layout("ula", 2, 0.06), np.eye(3), LINK)
 
 
+class TestDesignSpec:
+    @pytest.mark.parametrize("rx", [("ura", 4), ("pentagon", None), ("spherical-code", 4)],
+                             ids=["ura", "pentagon", "spherical-code"])
+    def test_receiver_must_be_a_tetrahedron(self, rx):
+        # the mu* curve the design reads is the tetrahedron's
+        with pytest.raises(ValueError, match="tetrahedron's; no design for receive kind"):
+            spec_for("triangle", rx=make_layout(rx[0], rx[1], 0.25))
+
+    def test_transmitter_needs_a_selection_guarantee(self):
+        with pytest.raises(ValueError, match="no selection guarantee for transmit kind 'ula'"):
+            DesignSpec(mu_max=2 / 3, link=LinkSpec(0.0042, make_layout("ula", 2, 0.06),
+                                                    make_layout("tetrahedron", spacing=0.25)))
+
+
 class TestEtaRange:
     def test_triangle_crossings(self, curve):
         lo, hi = eta_range(spec_for("triangle"), curve)
@@ -198,23 +213,22 @@ class TestDesignGuarantee:
         # sample the full chain: distance, rotations, selection, model mu
         spec = spec_for("pentagon")
         res = design_link(spec, curve)
-        tx = make_layout("pentagon", spacing=spec.d_t)
-        rx = make_layout("tetrahedron", spacing=spec.d_r)
+        tx, rx = spec.link.tx, spec.link.rx
         rng = np.random.default_rng(3)
         worst = 0.0
         for _ in range(4000):
             r_link = rng.uniform(res.r_min, res.r_max)
             u_tx = uniform_rotation(rng)
             u_rx = uniform_rotation(rng)
-            sel = select_tx_pair_for_quality(tx, u_tx, LINK, r_link, spec.d_r,
-                                             spec.wavelength, spec.mu_max, curve)
+            sel = select_tx_pair_for_quality(tx, u_tx, LINK, r_link, rx.spacing,
+                                             spec.link.wavelength, spec.mu_max, curve)
             pos = tx.positions @ u_tx.T
             t = pos[sel.pair[0]] - pos[sel.pair[1]]
             t /= np.linalg.norm(t)
             # auxiliary z' axis: in-plane transverse component of the baseline
             z_aux = (t - np.sin(sel.beta) * LINK) / np.cos(sel.beta)
             mu = mu_model(rx, u_rx.T @ z_aux, d_t=sel.spacing, R=r_link,
-                          wavelength=spec.wavelength, beta=sel.beta)
+                          wavelength=spec.link.wavelength, beta=sel.beta)
             worst = max(worst, mu)
         assert worst <= spec.mu_max + 0.01
 

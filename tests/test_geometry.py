@@ -6,6 +6,7 @@ from scipy.stats import kstest
 
 from losmimo.geometry import (
     LinkScenario,
+    LinkSpec,
     approx_path_difference,
     transverse_axis,
     exact_distances,
@@ -19,6 +20,9 @@ from losmimo.geometry import (
 from losmimo.montecarlo import LINK_DIRECTION
 
 GOLDEN = (1 + np.sqrt(5)) / 2
+
+# lengths a library call must refuse: NaN and +inf pass a bare "<= 0" test
+BAD_LENGTHS = [float("nan"), float("inf"), -float("inf"), 0.0, -0.1]
 
 
 class TestMakeLayout:
@@ -61,6 +65,13 @@ class TestMakeLayout:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown layout kind"):
             make_layout("hexagon", 6, 0.1)
+
+    @pytest.mark.parametrize("spacing", BAD_LENGTHS)
+    @pytest.mark.parametrize("kind,n", [("ula", 2), ("tetrahedron", None), ("pentagon", None),
+                                        ("spherical-code", 4)])
+    def test_spacing_must_be_a_finite_length(self, kind, n, spacing):
+        with pytest.raises(ValueError, match="spacing must be positive"):
+            make_layout(kind, n, spacing)
 
     def test_centroid_zero_under_rotation(self):
         rng = np.random.default_rng(11)
@@ -225,6 +236,48 @@ class TestPlacement:
     def test_near_field_warning(self):
         with pytest.warns(UserWarning, match="array extent"):
             self._scenario(R=0.5)
+
+    @pytest.mark.parametrize("value", BAD_LENGTHS)
+    @pytest.mark.parametrize("field,message", [("R", "R must be positive"),
+                                               ("wavelength", "wavelength must be positive")])
+    def test_lengths_must_be_finite(self, field, message, value):
+        lengths = {"R": 10.0, "wavelength": 0.0042, field: value}
+        with pytest.raises(ValueError, match=message):
+            LinkScenario(beta=0.0, tx_layout=make_layout("ula", 2, 0.145),
+                         rx_layout=make_layout("tetrahedron", spacing=0.25), **lengths)
+
+
+class TestLinkSpec:
+    RX = make_layout("tetrahedron", spacing=0.25)
+
+    @pytest.mark.parametrize("wavelength", BAD_LENGTHS)
+    def test_wavelength_must_be_a_finite_length(self, wavelength):
+        with pytest.raises(ValueError, match="wavelength must be positive"):
+            LinkSpec(wavelength, make_layout("ula", 2, 0.06), self.RX)
+
+    @pytest.mark.parametrize("kind,n", [("ula", 2), ("triangle", None), ("pentagon", None)])
+    def test_transmit_arrays(self, kind, n):
+        link = LinkSpec(0.0042, make_layout(kind, n, 0.06), self.RX)
+        assert (link.tx.kind, link.tx.spacing, link.rx.n) == (kind, 0.06, 4)
+
+    @pytest.mark.parametrize("kind,n", [("tetrahedron", None), ("ura", 4), ("spherical-code", 2)])
+    def test_other_transmit_kinds_rejected(self, kind, n):
+        with pytest.raises(ValueError, match=f"unsupported transmit kind '{kind}'"):
+            LinkSpec(0.0042, make_layout(kind, n, 0.06), self.RX)
+
+    def test_compares_and_hashes_by_value(self):
+        def link(d_r):
+            return LinkSpec(0.0042, make_layout("pentagon", spacing=0.06),
+                            make_layout("tetrahedron", spacing=d_r))
+
+        assert link(0.25) == link(0.25) and hash(link(0.25)) == hash(link(0.25))
+        assert link(0.25) != link(0.26)
+        assert make_layout("ula", 4, 0.06) != make_layout("ura", 4, 0.06)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_transmit_ula_has_two_antennas(self, n):
+        with pytest.raises(ValueError, match=f"a transmit ULA has 2 antennas, got {n}"):
+            LinkSpec(0.0042, make_layout("ula", n, 0.06), self.RX)
 
 
 class TestDistances:

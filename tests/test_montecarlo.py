@@ -11,6 +11,7 @@ from losmimo.channel import los_channel, reduce_channel
 from losmimo.design import select_tx_pair
 from losmimo.geometry import (
     LinkScenario,
+    LinkSpec,
     exact_distances,
     make_layout,
     place_antennas,
@@ -27,7 +28,13 @@ from losmimo.montecarlo import (
     run_ber,
 )
 
-BASE = dict(n_r=4, wavelength=0.0042, d_t=0.06, d_r=0.25, distance=(4.43, 12.7))
+BASE = dict(distance=(4.43, 12.7))
+
+
+def make_link(tx_kind, rx_kind, n_r=4, wavelength=0.0042, d_t=0.06, d_r=0.25):
+    """The link of the fig5 recipe with the given arrays, as the CLI builds it."""
+    return LinkSpec(wavelength, make_layout(tx_kind, 2 if tx_kind == "ula" else None, d_t),
+                    make_layout(rx_kind, n_r, d_r))
 
 
 def ideal_channel(n_r):
@@ -60,7 +67,7 @@ class TestMlDecode:
 
     def test_batch_matches_per_trial(self):
         # one golden block as run_block builds it: engine channels at 8 dB
-        engine = _Engine(SimConfig(scheme="golden", tx_kind="pentagon", rx_kind="tetrahedron",
+        engine = _Engine(SimConfig(scheme="golden", link=make_link("pentagon", "tetrahedron"),
                                    snr_db=(8.0,), **BASE))
         cb = engine.codebook
         rng = np.random.default_rng(16)
@@ -87,7 +94,7 @@ class TestMlDecode:
         # 2,501 trials: not a multiple of the GEMM's row chunk
         n = 2_501
         tx_kind, rx_kind = ("pentagon", "tetrahedron") if link == "pent_tetr" else ("ula", "ura")
-        engine = _Engine(SimConfig(scheme=scheme, tx_kind=tx_kind, rx_kind=rx_kind,
+        engine = _Engine(SimConfig(scheme=scheme, link=make_link(tx_kind, rx_kind),
                                    snr_db=(snr_db,), ideal_channel=link == "ideal", **BASE))
         cb = engine.codebook
         rng = np.random.default_rng(23)
@@ -120,7 +127,7 @@ class TestMlDecode:
     def test_same_decisions_for_either_memory_layout(self, scheme):
         # run_block passes transposed views of n-last memory; C-contiguous
         # n-first copies of the same blocks decode to the same indices and bits
-        engine = _Engine(SimConfig(scheme=scheme, tx_kind="pentagon", rx_kind="tetrahedron",
+        engine = _Engine(SimConfig(scheme=scheme, link=make_link("pentagon", "tetrahedron"),
                                    snr_db=(8.0,), **BASE))
         cb = engine.codebook
         rng = np.random.default_rng(29)
@@ -197,8 +204,8 @@ class TestRunBer:
                          .joinpath("fig5.json").read_text())
         run = next(r for r in cfg["runs"] if r["name"] == name)
         curve = run_ber(SimConfig(
-            scheme=run["scheme"], tx_kind=run["tx_kind"], rx_kind=run["rx_kind"],
-            n_r=cfg["n_r"], wavelength=cfg["wavelength"], d_t=cfg["d_t"], d_r=cfg["d_r"],
+            scheme=run["scheme"], link=make_link(run["tx_kind"], run["rx_kind"], cfg["n_r"],
+                                                 cfg["wavelength"], cfg["d_t"], cfg["d_r"]),
             distance=(cfg["distance"]["min"], cfg["distance"]["max"]), snr_db=(0, 16, 32),
             max_trials=5_000, target_errors=cfg["target_errors"], seed=1,
             ideal_channel=run.get("ideal_channel", False)))
@@ -206,7 +213,7 @@ class TestRunBer:
             self.FIG5_COUNTS[name]
 
     def test_ideal_mode_matches_analytic(self):
-        cfg = SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura", snr_db=(0, 4, 8),
+        cfg = SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0, 4, 8),
                         max_trials=60_000, target_errors=10**9, seed=11,
                         ideal_channel=True, **BASE)
         curve = run_ber(cfg)
@@ -216,7 +223,7 @@ class TestRunBer:
         assert np.all(np.abs(curve.bit_errors - p * total) <= 3 * sigma)
 
     def test_seed_reproducibility(self):
-        cfg = SimConfig(scheme="sm", tx_kind="pentagon", rx_kind="tetrahedron",
+        cfg = SimConfig(scheme="sm", link=make_link("pentagon", "tetrahedron"),
                         snr_db=(0, 8), max_trials=10_000, target_errors=100,
                         seed=5, **BASE)
         a, b = run_ber(cfg), run_ber(cfg)
@@ -230,9 +237,9 @@ class TestRunBer:
         # blocks per point, early stops at the low SNRs and the full budget at
         # the top one
         setups = [
-            (3, dict(scheme="sm", tx_kind="triangle", rx_kind="tetrahedron",
+            (3, dict(scheme="sm", link=make_link("triangle", "tetrahedron"),
                      snr_db=(0, 8), max_trials=10_000, target_errors=100, seed=6)),
-            (2, dict(scheme="sm", tx_kind="pentagon", rx_kind="tetrahedron",
+            (2, dict(scheme="sm", link=make_link("pentagon", "tetrahedron"),
                      snr_db=(0, 8, 16), max_trials=6_000, target_errors=100,
                      block_trials=500, seed=14)),
         ]
@@ -251,7 +258,7 @@ class TestRunBer:
 
     def test_interval_contains_ber(self):
         # 15,000 trials of 4 bits: the lower end used to round to ~7e-21 at 32 dB
-        cfg = SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura", snr_db=(0, 32),
+        cfg = SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0, 32),
                         max_trials=15_000, target_errors=10**9, seed=15,
                         ideal_channel=True, **BASE)
         curve = run_ber(cfg)
@@ -271,19 +278,19 @@ class TestRunBer:
     def test_distance_law_must_clear_the_arrays(self):
         kw = dict(BASE, distance=(0.0001, 0.2))
         with pytest.raises(ValueError, match="array radii"):
-            SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura", snr_db=(0.0,), **kw)
+            SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,), **kw)
         # 0.03 m (ULA) + 0.25 sqrt(3/8) m (tetrahedron) = 0.183 m
         with pytest.raises(ValueError, match="array radii"):
-            SimConfig(scheme="sm", tx_kind="ula", rx_kind="tetrahedron", snr_db=(0.0,),
+            SimConfig(scheme="sm", link=make_link("ula", "tetrahedron"), snr_db=(0.0,),
                       **dict(BASE, distance=0.18))
-        SimConfig(scheme="sm", tx_kind="ula", rx_kind="tetrahedron", snr_db=(0.0,),
+        SimConfig(scheme="sm", link=make_link("ula", "tetrahedron"), snr_db=(0.0,),
                   **dict(BASE, distance=0.19))
         # an ideal channel has no geometry to overlap
-        SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura", snr_db=(0.0,),
+        SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,),
                   ideal_channel=True, **kw)
 
     def test_error_target_stops_early(self):
-        cfg = SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura", snr_db=(0.0,),
+        cfg = SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,),
                         max_trials=100_000, target_errors=50, block_trials=500,
                         seed=7, **BASE)
         curve = run_ber(cfg)
@@ -291,7 +298,7 @@ class TestRunBer:
         assert curve.trials[0] < 100_000
 
     def test_monotone_in_snr_within_noise(self):
-        cfg = SimConfig(scheme="sm", tx_kind="pentagon", rx_kind="tetrahedron",
+        cfg = SimConfig(scheme="sm", link=make_link("pentagon", "tetrahedron"),
                         snr_db=(0, 4, 8), max_trials=40_000, target_errors=400,
                         seed=8, **BASE)
         curve = run_ber(cfg)
@@ -302,15 +309,14 @@ class TestRunBer:
         assert inversions == 0
 
     def test_simo_independent_of_rx_geometry(self):
-        kw = dict(scheme="simo", tx_kind="ula", snr_db=(8.0,), max_trials=30_000,
+        kw = dict(scheme="simo", snr_db=(8.0,), max_trials=30_000,
                   target_errors=10**9, seed=9)
-        ura = run_ber(SimConfig(rx_kind="ura", **kw, **BASE))
-        tet = run_ber(SimConfig(rx_kind="tetrahedron", **kw, **BASE))
+        ura = run_ber(SimConfig(link=make_link("ula", "ura"), **kw, **BASE))
+        tet = run_ber(SimConfig(link=make_link("ula", "tetrahedron"), **kw, **BASE))
         assert ura.ci_low[0] <= tet.ci_high[0] and tet.ci_low[0] <= ura.ci_high[0]
 
     def test_spherical_code_receiver_fallback_lattice(self):
-        cfg = SimConfig(scheme="sm", tx_kind="triangle", rx_kind="spherical-code",
-                        n_r=4, wavelength=0.0042, d_t=0.06, d_r=0.25,
+        cfg = SimConfig(scheme="sm", link=make_link("triangle", "spherical-code"),
                         distance=(4.43, 12.7), snr_db=(8.0,), max_trials=10_000,
                         target_errors=10**9, seed=12)
         curve = run_ber(cfg)
@@ -318,20 +324,27 @@ class TestRunBer:
 
     def test_sixteen_antenna_spherical_code(self):
         # wider receive arrays flow through the same decode path
-        cfg = SimConfig(scheme="sm", tx_kind="triangle", rx_kind="spherical-code",
-                        n_r=16, wavelength=0.0042, d_t=0.06, d_r=0.25,
+        cfg = SimConfig(scheme="sm", link=make_link("triangle", "spherical-code", 16),
                         distance=7.14, snr_db=(0.0,), max_trials=4_000,
                         target_errors=10**9, seed=13)
         curve = run_ber(cfg)
         assert curve.trials[0] == 4_000
 
+    def test_configs_compare_by_value(self):
+        # as they did when the link was a set of flat fields
+        a, b = (SimConfig(scheme="sm", link=make_link("pentagon", "tetrahedron"),
+                          snr_db=(0.0,), **BASE) for _ in range(2))
+        assert a == b and hash(a) == hash(b)
+        assert a != SimConfig(scheme="sm", link=make_link("pentagon", "tetrahedron", d_r=0.3),
+                              snr_db=(0.0,), **BASE)
+
     def test_unsorted_snr_grid_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura",
+            SimConfig(scheme="sm", link=make_link("ula", "ura"),
                       snr_db=(8, 0), **BASE)
 
     def test_csv_format(self, tmp_path):
-        cfg = SimConfig(scheme="sm", tx_kind="ula", rx_kind="ura", snr_db=(0.0,),
+        cfg = SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,),
                         max_trials=2_000, target_errors=10**9, seed=10, **BASE)
         path = tmp_path / "curve.csv"
         run_ber(cfg).write_csv(path)
@@ -348,9 +361,9 @@ class TestEngineChannels:
     def test_match_scalar_link_pipeline(self, tx_kind, rx_kind):
         # the engine draws distance, then transmit and receive rotations; the
         # scalar path gets the same draws one link at a time
-        cfg = SimConfig(scheme="sm", tx_kind=tx_kind, rx_kind=rx_kind,
+        cfg = SimConfig(scheme="sm", link=make_link(tx_kind, rx_kind),
                         snr_db=(0.0,), **BASE)
-        tx, rx = cfg.layouts
+        tx, rx = cfg.link.tx, cfg.link.rx
         n = 2_000
         h = _Engine(cfg)._channels(n, np.random.default_rng(17))
         rng = np.random.default_rng(17)
@@ -358,12 +371,12 @@ class TestEngineChannels:
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
         for i in range(n):
-            link = LinkScenario(R=r_link[i], beta=0.0, wavelength=cfg.wavelength,
+            link = LinkScenario(R=r_link[i], beta=0.0, wavelength=cfg.link.wavelength,
                                 tx_layout=tx, rx_layout=rx, U_tx=u_tx[i], U_rx=u_rx[i])
             tx_pos, rx_pos = place_antennas(link)
             if tx.n > 2:
                 tx_pos = tx_pos[list(select_tx_pair(tx, u_tx[i], LINK_DIRECTION).pair)]
-            want = los_channel(exact_distances(tx_pos, rx_pos), cfg.wavelength)
+            want = los_channel(exact_distances(tx_pos, rx_pos), cfg.link.wavelength)
             assert np.array_equal(h[i], want)
 
     @pytest.mark.xfail(strict=True, reason=(
@@ -372,42 +385,41 @@ class TestEngineChannels:
     def test_pentagon_links_meet_the_design_target(self):
         # fig5's distance law lies inside the pentagon design window for
         # mu_max = 2/3, so every simulated link must meet the target
-        cfg = SimConfig(scheme="sm", tx_kind="pentagon", rx_kind="tetrahedron",
+        cfg = SimConfig(scheme="sm", link=make_link("pentagon", "tetrahedron"),
                         snr_db=(0.0,), **BASE)
         h = _Engine(cfg)._channels(5_000, np.random.default_rng(123))
-        mu = np.abs(np.einsum("nr,nr->n", np.conj(h[:, :, 0]), h[:, :, 1])) / cfg.n_r
+        mu = np.abs(np.einsum("nr,nr->n", np.conj(h[:, :, 0]), h[:, :, 1])) / cfg.link.rx.n
         assert mu.max() <= 2 / 3 + 0.01
 
 
 class TestJointDensity:
-    def _layouts(self):
-        return make_layout("ula", 2, 0.145), make_layout("ula", 2, 0.145)
+    def _link(self):
+        return LinkSpec(0.0042, make_layout("ula", 2, 0.145), make_layout("ula", 2, 0.145))
 
     def test_counts_sum_to_samples(self):
-        tx, rx = self._layouts()
-        grid = joint_density(tx, rx, 10.0, 0.0042, bins=5, samples=20_000, seed=1)
+        grid = joint_density(self._link(), 10.0, bins=5, samples=20_000, seed=1)
         assert grid.counts.sum() == 20_000
 
     def test_density_integrates_to_one(self):
-        tx, rx = self._layouts()
-        grid = joint_density(tx, rx, 10.0, 0.0042, bins=8, samples=20_000, seed=2)
+        grid = joint_density(self._link(), 10.0, bins=8, samples=20_000, seed=2)
         area = np.outer(np.diff(grid.theta_edges), np.diff(grid.mu_edges))
         assert float((grid.density() * area).sum()) == pytest.approx(1.0)
 
     def test_grid_floor(self):
-        tx, rx = self._layouts()
         with pytest.raises(ValueError, match="5 x 5"):
-            joint_density(tx, rx, 10.0, 0.0042, bins=4, samples=1_000, seed=4)
+            joint_density(self._link(), 10.0, bins=4, samples=1_000, seed=4)
 
     def test_two_antenna_transmitter_required(self):
+        # a 3-antenna ULA is no transmit array; a triangle is one, but not here
         rx = make_layout("ula", 2, 0.145)
+        with pytest.raises(ValueError, match="2 antennas, got 3"):
+            LinkSpec(0.0042, make_layout("ula", 3, 0.1), rx)
         with pytest.raises(ValueError, match="2-antenna"):
-            joint_density(make_layout("ula", 3, 0.1), rx, 10.0, 0.0042,
+            joint_density(LinkSpec(0.0042, make_layout("triangle", spacing=0.1), rx), 10.0,
                           bins=5, samples=100, seed=5)
 
     def test_csv_shape(self, tmp_path):
-        tx, rx = self._layouts()
-        grid = joint_density(tx, rx, 10.0, 0.0042, bins=5, samples=5_000, seed=6)
+        grid = joint_density(self._link(), 10.0, bins=5, samples=5_000, seed=6)
         path = tmp_path / "density.csv"
         grid.write_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -421,7 +433,7 @@ class TestJointDensity:
         tx = make_layout("ula", 2, 0.145)
         rx = make_layout(rx_kind, 2 if rx_kind == "ula" else 4, 0.145)
         seed, n = 8, 20_000
-        grid = joint_density(tx, rx, 10.0, 0.0042, bins=25, samples=n, seed=seed)
+        grid = joint_density(LinkSpec(0.0042, tx, rx), 10.0, bins=25, samples=n, seed=seed)
         rng = np.random.default_rng([seed])
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
