@@ -36,8 +36,14 @@ def los_channel(distances: NDArray, wavelength: float) -> NDArray:
     r = np.asarray(distances, dtype=float)
     if np.any(r <= 0):
         raise ValueError("distances must be positive")
-    h = np.zeros(r.shape, dtype=complex)
-    np.multiply(r, 2.0 * np.pi, out=h.imag)
+    return _phasors(r, wavelength)
+
+
+def _phasors(lengths: NDArray, wavelength: float) -> NDArray:
+    """``exp(i 2 pi x / wavelength)`` of any real lengths or path differences
+    ``x``, built as ``los_channel`` builds its entries."""
+    h = np.zeros(np.shape(lengths), dtype=complex)
+    np.multiply(lengths, 2.0 * np.pi, out=h.imag)
     h.imag *= 1.0 / wavelength
     return np.exp(h, out=h)
 
@@ -114,12 +120,14 @@ def mu_model(layout: ArrayLayout, v: NDArray, *, d_t: float | None = None,
     if eta is not None:
         if d_t is not None or R is not None or wavelength is not None:
             raise ValueError("pass either eta or the physical parameters, not both")
-        if eta <= 0:
+        if not 0.0 < eta < np.inf:
             raise ValueError("eta must be positive")
         c = np.pi * layout.radii / (eta * layout.spacing)
     else:
         if d_t is None or R is None or wavelength is None:
             raise ValueError("need d_t, R and wavelength when eta is not given")
+        if not all(0.0 < x < np.inf for x in (d_t, R, wavelength)):
+            raise ValueError("d_t, R and wavelength must be positive")
         c = 2.0 * np.pi * d_t * layout.radii * np.cos(beta) / (R * wavelength)
     cos_theta = layout.directions @ v
     return float(np.abs(np.exp(1j * c * cos_theta).sum()) / layout.n)
@@ -134,7 +142,7 @@ def closed_form_2x2(d_t: float, d_r: float, R: float, wavelength: float,
     ``2 pi d_t sin(beta) / wavelength`` (plus pi where the cosine is negative),
     reduced mod 2 pi.
     """
-    if min(d_t, d_r, R, wavelength) <= 0:
+    if not all(0.0 < x < np.inf for x in (d_t, d_r, R, wavelength)):
         raise ValueError("lengths must be positive")
     cosine = np.cos(np.pi * d_t * d_r * np.cos(beta) / (R * wavelength))
     theta = 2.0 * np.pi * d_t * np.sin(beta) / wavelength

@@ -22,6 +22,8 @@ __all__ = [
     "LinkSpec",
     "LinkScenario",
     "make_layout",
+    "rotation_normals",
+    "quaternion_rotations",
     "uniform_rotation",
     "place_arrays",
     "place_antennas",
@@ -173,6 +175,8 @@ def make_layout(kind: str, n: int | None = None, spacing: float | None = None,
     if kind == "custom":
         if coords is None:
             raise ValueError("custom layout requires explicit coords")
+        if spacing is not None and not 0.0 < spacing < np.inf:
+            raise ValueError("spacing must be positive")
         pos = np.asarray(coords, dtype=float)
         dists = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
         s = spacing if spacing is not None else float(dists[dists > 0].min()) if len(pos) > 1 else 0.0
@@ -257,18 +261,30 @@ class LinkSpec:
             raise ValueError(f"a transmit ULA has 2 antennas, got {self.tx.n}")
 
 
-def uniform_rotation(rng: np.random.Generator, n: int | None = None) -> NDArray:
-    """Draw Haar-uniform rotation matrices from SO(3).
+def rotation_normals(rng: np.random.Generator, n: int) -> NDArray:
+    """Draw the (n, 4) standard normals behind n uniform rotations, in the
+    order ``uniform_rotation`` consumes the stream."""
+    return rng.standard_normal((n, 4))
+
+
+def quaternion_rotations(q: NDArray) -> NDArray:
+    """The C-contiguous (m, 3, 3) rotations of the quaternions ``q`` (m, 4),
+    which need not be normalised, built in ``PLACE_COLS``-row pieces.
 
     A standard-normal 4-vector normalised to the unit 3-sphere is a uniform
-    quaternion, which maps to a uniform rotation. Returns a single (3, 3)
-    matrix, or a C-contiguous (n, 3, 3) array when ``n`` is given.
-    """
-    m = 1 if n is None else int(n)
-    q = rng.standard_normal((m, 4))
-    u = np.empty((m, 3, 3))
-    for s in range(0, m, PLACE_COLS):
+    quaternion, so the rotations of ``rotation_normals`` are Haar-uniform."""
+    u = np.empty((len(q), 3, 3))
+    for s in range(0, len(q), PLACE_COLS):
         _quaternion_rotations(q[s:s + PLACE_COLS], u[s:s + PLACE_COLS])
+    return u
+
+
+def uniform_rotation(rng: np.random.Generator, n: int | None = None) -> NDArray:
+    """Draw Haar-uniform rotation matrices from SO(3): ``quaternion_rotations``
+    of ``rotation_normals``. Returns a single (3, 3) matrix, or a C-contiguous
+    (n, 3, 3) array when ``n`` is given.
+    """
+    u = quaternion_rotations(rotation_normals(rng, 1 if n is None else int(n)))
     return u[0] if n is None else u
 
 

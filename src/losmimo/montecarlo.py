@@ -9,6 +9,7 @@ the points run.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -16,10 +17,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import codes
-from .channel import los_channel
+from .channel import _phasors, los_channel
 from .codes import Codebook
 from .design import select_tx_pair
-from .geometry import LinkSpec, link_distances, place_arrays, uniform_rotation
+from .geometry import (PLACE_COLS, LinkSpec, link_distances, place_arrays, quaternion_rotations,
+                       rotation_normals, uniform_rotation)
 
 __all__ = [
     "SimConfig",
@@ -36,6 +38,9 @@ __all__ = [
 LINK_DIRECTION = np.array([1.0, 0.0, 0.0])
 # samples per batch of joint_density; it fixes the order of the random stream
 DENSITY_BLOCK = 200_000
+# samples per piece of a joint_density block: a piece's temporaries stay in
+# cache, and its PLACE_COLS sub-pieces fall where the whole block's would
+DENSITY_PIECE = 4 * PLACE_COLS
 # rows per product in ml_decode's stacked GEMM: each (64 x 12) @ (12 x 256)
 # stays below OpenBLAS's threading threshold, so decoding starts no BLAS threads
 ML_ROWS = 64
@@ -318,13 +323,30 @@ def check_density_inputs(link: LinkSpec, r_link: float, bins: int | tuple[int, i
     mu) bin counts. The wavelength is ``LinkSpec``'s to check."""
     if link.tx.n != 2:
         raise ValueError("joint density is defined for a 2-antenna transmitter")
+    if not _is_int(samples):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
-    nt, nm = (bins, bins) if isinstance(bins, int) else bins
+    pair = (bins, bins) if _is_int(bins) else bins
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))):
+        raise ValueError(f"bins must be an integer or a pair of integers, got {bins!r}")
+    nt, nm = pair
     if nt < 5 or nm < 5:
         raise ValueError("use at least a 5 x 5 grid")
     _check_clearance(link, r_link)
     return nt, nm
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _piece_threads() -> int:
+    """Threads that run ``joint_density``'s pieces: one per CPU this process
+    may use (per CPU of the machine where the OS cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def joint_density(link: LinkSpec, r_link: float, bins: int | tuple[int, int], samples: int,
@@ -337,27 +359,61 @@ def joint_density(link: LinkSpec, r_link: float, bins: int | tuple[int, int], sa
     is uniform and independent of mu only as d_t / wavelength -> infinity at
     fixed eta; at finite d_t / wavelength the high-mu rows keep a small theta
     ripple.
+
+    Samples run in ``DENSITY_BLOCK`` blocks. The calling thread draws a block's
+    quaternion normals (all transmit draws, then all receive draws) and
+    histograms the block; everything in between, from rotations to (theta_mu,
+    mu), runs in ``DENSITY_PIECE``-sample pieces on one thread per usable CPU,
+    while the calling thread draws the next block and histograms the previous
+    one. A piece depends only on its own samples and the counts are integers,
+    so they do not depend on the thread count.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     nt, nm = check_density_inputs(link, r_link, bins, samples)
     theta_edges = np.linspace(0.0, 2.0 * np.pi, nt + 1)
     mu_edges = np.linspace(0.0, 1.0, nm + 1)
     counts = np.zeros((nt, nm), dtype=np.int64)
     rng = np.random.default_rng([seed])
-    n_r = link.rx.n
-    for start in range(0, samples, DENSITY_BLOCK):
-        n = min(DENSITY_BLOCK, samples - start)
-        u_tx = uniform_rotation(rng, n)
-        u_rx = uniform_rotation(rng, n)
-        dist = link_distances(*place_arrays(link.tx, link.rx, u_tx, u_rx,
-                                            np.full(n, float(r_link)), LINK_DIRECTION))
-        # column inner product of the unit-modulus channel, summed over C-ordered
-        # (n, n_r) rows: the order of a reduction depends on the layout
-        diff = np.ascontiguousarray((dist[:, 1] - dist[:, 0]).T)
-        inner = np.exp(2j * np.pi * diff / link.wavelength).sum(axis=1)
-        mu = np.abs(inner) / n_r
-        theta = np.angle(inner) % (2.0 * np.pi)
-        hist, _, _ = np.histogram2d(theta, np.clip(mu, 0.0, 1.0),
-                                    bins=[theta_edges, mu_edges])
-        counts += hist.astype(np.int64)
+
+    def binned(pieces, theta, mu):
+        for p in pieces:
+            p.result()      # re-raises the error a piece met
+        return np.histogram2d(theta, mu, bins=[theta_edges, mu_edges])[0].astype(np.int64)
+
+    pool = ThreadPoolExecutor(_piece_threads())
+    try:
+        previous = None
+        for start in range(0, samples, DENSITY_BLOCK):
+            n = min(DENSITY_BLOCK, samples - start)
+            # drawn while the previous block's pieces run
+            q_tx = rotation_normals(rng, n)
+            q_rx = rotation_normals(rng, n)
+            theta, mu = np.empty(n), np.empty(n)
+            piece = partial(_density_piece, link, float(r_link), q_tx, q_rx, theta, mu)
+            current = [pool.submit(piece, s) for s in range(0, n, DENSITY_PIECE)], theta, mu
+            # histogrammed while this block's pieces run
+            if previous is not None:
+                counts += binned(*previous)
+            previous = current
+        counts += binned(*previous)
+    finally:
+        # after an error, drop the pieces not yet started and join the threads
+        pool.shutdown(cancel_futures=True)
     return DensityGrid(theta_edges=theta_edges, mu_edges=mu_edges,
                        counts=counts, samples=samples)
+
+
+def _density_piece(link: LinkSpec, r_link: float, q_tx: NDArray, q_rx: NDArray,
+                   theta: NDArray, mu: NDArray, start: int) -> None:
+    """Write theta_mu and mu, clipped to [0, 1], of the block's samples
+    ``start`` to ``start + DENSITY_PIECE`` into ``theta`` and ``mu``."""
+    s = slice(start, start + DENSITY_PIECE)
+    u_tx, u_rx = quaternion_rotations(q_tx[s]), quaternion_rotations(q_rx[s])
+    dist = link_distances(*place_arrays(link.tx, link.rx, u_tx, u_rx,
+                                        np.full(len(u_tx), r_link), LINK_DIRECTION))
+    # column inner product of the unit-modulus channel, summed over C-ordered
+    # (m, n_r) rows: the order of a reduction depends on the layout
+    inner = _phasors((dist[:, 1] - dist[:, 0]).T, link.wavelength).sum(axis=1)
+    np.clip(np.abs(inner) / link.rx.n, 0.0, 1.0, out=mu[s])
+    np.mod(np.angle(inner), 2.0 * np.pi, out=theta[s])

@@ -187,8 +187,25 @@ class TestMuModel:
         with pytest.raises(ValueError, match="unit vector"):
             mu_model(lay, np.array([0, 0, 2.0]), eta=1.0)
 
+    @pytest.mark.parametrize("value", BAD_LENGTHS)
+    @pytest.mark.parametrize("arg", ["eta", "d_t", "R", "wavelength"])
+    def test_lengths_must_be_finite(self, arg, value):
+        lay = make_layout("tetrahedron", spacing=0.25)
+        kw = {"d_t": 0.06, "R": 7.0, "wavelength": 0.0042}
+        kw = {"eta": value} if arg == "eta" else {**kw, arg: value}
+        with pytest.raises(ValueError, match="must be positive"):
+            mu_model(lay, np.array([0, 0, 1.0]), **kw)
+
 
 class TestClosedForm:
+    @pytest.mark.parametrize("value", BAD_LENGTHS)
+    @pytest.mark.parametrize("arg", range(4), ids=["d_t", "d_r", "R", "wavelength"])
+    def test_lengths_must_be_finite(self, arg, value):
+        lengths = [0.1, 0.1, 10.0, 0.0042]
+        lengths[arg] = value
+        with pytest.raises(ValueError, match="lengths must be positive"):
+            closed_form_2x2(*lengths, 0.0)
+
     def test_design_point(self):
         lam, R = 0.0042, 10.0
         d = np.sqrt(R * lam / 2)

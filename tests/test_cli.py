@@ -413,9 +413,10 @@ class TestDensity:
         ("bins", 3, "5 x 5"), ("bins", "x", "'bins' must be int"),
         ("samples", 0, "at least one sample"), ("wavelength", 0.0, "wavelength"),
         ("distance", 0.1, "array radii"), ("distance", -10.0, "array radii"),
-        ("n_r", 2.7, "'n_r' must be int"), ("n_r", True, "'n_r' must be int")],
+        ("n_r", 2.7, "'n_r' must be int"), ("n_r", True, "'n_r' must be int"),
+        ("bins", 25.5, "'bins' must be int"), ("samples", 1000.5, "'samples' must be int")],
         ids=["bins-3", "bins-x", "samples-0", "wavelength-0", "distance-0.1", "distance-neg",
-             "n_r-2.7", "n_r-true"])
+             "n_r-2.7", "n_r-true", "bins-25.5", "samples-1000.5"])
     def test_bad_config_is_config_error(self, tmp_path, field, value, message):
         cfg = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "n_r": 2,
                "rx_kind": "ula", "distance": 10.0, "bins": 5, "samples": 1_000}
@@ -492,8 +493,10 @@ class TestBundledDesignRecipe:
 
 class TestPinnedOutputs:
     """sha256 of CSVs that no other test pins, recorded before the link arrays
-    were gathered into one LinkSpec. A digest that changes is a changed result,
-    to be explained in CHANGES.md, not re-recorded."""
+    were gathered into one LinkSpec; the density recipes at their full 10^6
+    samples (five blocks), before density blocks ran in threaded pieces. A
+    digest that changes is a changed result, to be explained in CHANGES.md,
+    not re-recorded."""
 
     RUNS = {
         "design_pentagon": (["design", "--config", "design_pentagon"], "design_report.csv",
@@ -504,6 +507,10 @@ class TestPinnedOutputs:
                         "e8892df45ae6926891d9cbf3a831e4807549e475420155353f825780a9b25395"),
         "density_2x4": (["density"], "density.csv",
                         "96e1fa52455492e0a325dfcb4c2536bfbb8830b4078ffe56930dae0f969aea95"),
+        "density_2x2_full": (["density", "--config", "density_2x2"], "density.csv",
+                             "6263d4eca30e859995fdb4e0e3d4a25f07d5744e9c5b21b32a2a9c3e5ce44139"),
+        "density_2x4_full": (["density", "--config", "density_2x4"], "density.csv",
+                             "cba6d80e47c1e3cfeb00080d4422f4074172151421c82cc2b98f6edaa4758e92"),
         "curves": (["curves"], "mu_star_curve.csv",
                    "2b85c3c7e95be76cc75bffe17079c6def0c7cc14935f97b39772820cd839827c"),
         "gain_all": (["gain", "all"], "coding_gain.csv",

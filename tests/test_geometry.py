@@ -73,6 +73,11 @@ class TestMakeLayout:
         with pytest.raises(ValueError, match="spacing must be positive"):
             make_layout(kind, n, spacing)
 
+    @pytest.mark.parametrize("spacing", BAD_LENGTHS)
+    def test_custom_spacing_must_be_a_finite_length(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be positive"):
+            make_layout("custom", spacing=spacing, coords=np.array([[0, 0.1, 0], [0, -0.1, 0]]))
+
     def test_centroid_zero_under_rotation(self):
         rng = np.random.default_rng(11)
         for kind, n in [("tetrahedron", None), ("pentagon", None), ("ura", 4)]:

@@ -1,23 +1,31 @@
+import functools
 import importlib.resources
+import itertools
 import json
 import multiprocessing
+import threading
 import time
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from losmimo import montecarlo
 from losmimo.channel import los_channel, reduce_channel
 from losmimo.design import select_tx_pair
 from losmimo.geometry import (
     LinkScenario,
     LinkSpec,
     exact_distances,
+    link_distances,
     make_layout,
     place_antennas,
+    place_arrays,
     uniform_rotation,
 )
 from losmimo.montecarlo import (
+    DENSITY_BLOCK,
+    DENSITY_PIECE,
     LINK_DIRECTION,
     SimConfig,
     _Engine,
@@ -392,9 +400,72 @@ class TestEngineChannels:
         assert mu.max() <= 2 / 3 + 0.01
 
 
+def density_link(rx_kind):
+    n_r = 2 if rx_kind == "ula" else 4
+    return LinkSpec(0.0042, make_layout("ula", 2, 0.145), make_layout(rx_kind, n_r, 0.145))
+
+
+@functools.cache
+def whole_block_counts(rx_kind, samples, seed, bins=25):
+    """joint_density's counts from its whole-block loop, before blocks ran in
+    threaded pieces: the reference the pieces must match bit for bit."""
+    link = density_link(rx_kind)
+    theta_edges = np.linspace(0.0, 2.0 * np.pi, bins + 1)
+    mu_edges = np.linspace(0.0, 1.0, bins + 1)
+    counts = np.zeros((bins, bins), dtype=np.int64)
+    rng = np.random.default_rng([seed])
+    for start in range(0, samples, DENSITY_BLOCK):
+        n = min(DENSITY_BLOCK, samples - start)
+        u_tx = uniform_rotation(rng, n)
+        u_rx = uniform_rotation(rng, n)
+        dist = link_distances(*place_arrays(link.tx, link.rx, u_tx, u_rx,
+                                            np.full(n, 10.0), LINK_DIRECTION))
+        diff = np.ascontiguousarray((dist[:, 1] - dist[:, 0]).T)
+        inner = np.exp(2j * np.pi * diff / link.wavelength).sum(axis=1)
+        mu = np.abs(inner) / link.rx.n
+        theta = np.angle(inner) % (2.0 * np.pi)
+        hist, _, _ = np.histogram2d(theta, np.clip(mu, 0.0, 1.0), bins=[theta_edges, mu_edges])
+        counts += hist.astype(np.int64)
+    return counts
+
+
 class TestJointDensity:
     def _link(self):
-        return LinkSpec(0.0042, make_layout("ula", 2, 0.145), make_layout("ula", 2, 0.145))
+        return density_link("ula")
+
+    @pytest.mark.parametrize("threads", [None, 1, 3], ids=["per-cpu", "1-thread", "3-threads"])
+    @pytest.mark.parametrize("rx_kind", ["ula", "ura"])
+    def test_counts_do_not_depend_on_threads_or_pieces(self, monkeypatch, rx_kind, threads):
+        # a block boundary, a partial piece at the end of the first block, and
+        # three pieces in the second, the last of one sample
+        samples, seed = DENSITY_BLOCK + 2 * DENSITY_PIECE + 1, 11
+        if threads is not None:
+            monkeypatch.setattr(montecarlo, "_piece_threads", lambda: threads)
+        grid = joint_density(density_link(rx_kind), 10.0, bins=25, samples=samples, seed=seed)
+        assert grid.counts.sum() == samples
+        assert np.array_equal(grid.counts, whole_block_counts(rx_kind, samples, seed))
+
+    def test_piece_error_reaches_the_caller(self, monkeypatch):
+        calls, error = itertools.count(), ValueError("second piece failed")
+
+        def second_call_fails(tx, rx):
+            if next(calls) == 1:
+                raise error
+            return link_distances(tx, rx)
+
+        monkeypatch.setattr(montecarlo, "link_distances", second_call_fails)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError) as info:
+            joint_density(self._link(), 10.0, bins=5, samples=4 * DENSITY_PIECE, seed=3)
+        assert info.value is error
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("bins,samples,field", [
+        (25.5, 1_000, "bins"), ((25, 25.5), 1_000, "bins"), ((25,), 1_000, "bins"),
+        (25, 1_000.5, "samples")], ids=["bins-float", "bins-pair-float", "bins-single", "samples-float"])
+    def test_non_integer_sizes_rejected(self, bins, samples, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            joint_density(self._link(), 10.0, bins, samples)
 
     def test_counts_sum_to_samples(self):
         grid = joint_density(self._link(), 10.0, bins=5, samples=20_000, seed=1)
