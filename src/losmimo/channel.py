@@ -91,15 +91,19 @@ def reduce_channel(h: NDArray) -> ReducedChannel:
     return ReducedChannel(r_matrix=r, mu=min(mu, 1.0), theta_mu=theta, n_r=n_r)
 
 
-def deviation_factor(R: float, d_t: float, d_r: float, beta: float, wavelength: float) -> float:
-    """Deviation factor ``eta = R wavelength / (2 d_t d_r cos(beta))``."""
-    if not all(0.0 < x < np.inf for x in (R, d_t, d_r, wavelength)):
+def deviation_factor(R, d_t, d_r, beta, wavelength) -> float | NDArray:
+    """Deviation factor ``eta = R wavelength / (2 d_t d_r cos(beta))``, elementwise
+    over arguments that broadcast together; a float when all are scalars. Any
+    element out of range is an error."""
+    if not all(np.all((0.0 < np.asarray(x)) & (np.asarray(x) < np.inf))
+               for x in (R, d_t, d_r, wavelength)):
         raise ValueError("R, d_t, d_r and wavelength must be positive")
     c = np.cos(beta)
-    if c <= 1e-12:
+    if np.any(c <= 1e-12):
         raise ValueError("cos(beta) must be positive; at |beta| = pi/2 the "
                          "worst-case correlation is 1 and eta is undefined")
-    return R * wavelength / (2.0 * d_t * d_r * c)
+    eta = R * wavelength / (2.0 * d_t * d_r * c)
+    return float(eta) if np.ndim(eta) == 0 else eta
 
 
 def mu_model(layout: ArrayLayout, v: NDArray, *, d_t: float | None = None,

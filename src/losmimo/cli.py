@@ -257,7 +257,6 @@ def _cmd_simulate(args, out_dir: Path, manifest: Manifest) -> int:
                 block_trials=_int_field(cfg, "block_trials", 2_500, "simulate config"),
                 ideal_channel=bool(run.get("ideal_channel", False)),
             )
-            build_codebook(sim.scheme)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         sims.append((name, sim))

@@ -56,77 +56,6 @@ class PairSelection:
     neighbouring: bool | NDArray | None
 
 
-def select_tx_pair(tx_layout: ArrayLayout, u_tx: NDArray, u: NDArray,
-                   restrict: str | None = None) -> PairSelection:
-    """Pick the two transmit antennas minimising ``|sin(beta)| = |u . t|``.
-
-    ``u`` is the unit link direction and ``t`` the unit baseline of a candidate
-    pair, rotated by ``u_tx``: one (3, 3) rotation, or (n, 3, 3) for a batch.
-    Exact ties go to the smallest index pair, but each pentagon edge is
-    parallel to a diagonal, so their ``|sin(beta)|`` agree up to rounding
-    (4e-16) and rounding picks either, about half the time each. For pentagons,
-    ``restrict`` limits the candidates to "neighbouring" or "non-neighbouring"
-    pairs; either class on its own still caps ``|beta|`` at pi/10.
-    """
-    if tx_layout.n < 3:
-        raise ValueError("pair selection needs at least 3 transmit antennas")
-    u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise ValueError("link direction must be a unit vector")
-    pairs = np.array([(m, n) for m in range(tx_layout.n) for n in range(m + 1, tx_layout.n)])
-    pos = tx_layout.positions
-    baselines = pos[pairs[:, 0]] - pos[pairs[:, 1]]
-    lengths = np.linalg.norm(baselines, axis=1)
-    if restrict is not None:
-        if restrict not in ("neighbouring", "non-neighbouring"):
-            raise ValueError("restrict must be 'neighbouring' or 'non-neighbouring'")
-        keep = np.isclose(lengths, tx_layout.spacing, rtol=1e-9)
-        if restrict == "non-neighbouring":
-            keep = ~keep
-        if not keep.any():
-            raise ValueError(f"layout has no {restrict} pairs")
-        pairs, baselines, lengths = pairs[keep], baselines[keep], lengths[keep]
-    u_tx = np.asarray(u_tx, dtype=float)
-    # u_tx @ baseline for every pair, summed in einsum's order (t0 + t2) + t1:
-    # the pentagon's spacing class hangs on the last bit of sin(beta)
-    cols = u_tx.reshape(-1, 3, 3).transpose(2, 0, 1).copy()   # cols[j] = u_tx[:, :, j]
-    t = [cols[j] * baselines[:, j, None, None] for j in range(3)]   # (pairs, n, 3)
-    rotated = ((t[0] + t[2]) + t[1]).transpose(1, 0, 2)
-    sin_beta = (rotated / lengths[:, None]) @ u
-    best = np.argmin(np.abs(sin_beta), axis=1)
-    beta = np.arcsin(np.clip(sin_beta[np.arange(len(best)), best], -1, 1))
-    spacing = lengths[best]
-    neighbouring = None
-    if tx_layout.kind == "pentagon":
-        neighbouring = np.abs(spacing - tx_layout.spacing) < 1e-9 * tx_layout.spacing
-    if u_tx.ndim == 3:
-        return PairSelection(pair=pairs[best], beta=beta, spacing=spacing,
-                             neighbouring=neighbouring)
-    return PairSelection(pair=tuple(int(i) for i in pairs[best[0]]), beta=float(beta[0]),
-                         spacing=float(spacing[0]),
-                         neighbouring=None if neighbouring is None else bool(neighbouring[0]))
-
-
-def select_tx_pair_for_quality(tx_layout: ArrayLayout, u_tx: NDArray, u: NDArray,
-                               r_link: float, d_r: float, wavelength: float,
-                               mu_max: float, curve: MuStarCurve) -> PairSelection:
-    """Pentagon-aware selection honouring a quality target.
-
-    Takes the minimum-``|beta|`` pair first; if the worst-case curve at that
-    pair's deviation factor exceeds ``mu_max``, switches to the best pair of
-    the other spacing class (whose larger/smaller baseline shifts eta onto the
-    admissible branch). Falls back to the plain selection for triangles.
-    """
-    choice = select_tx_pair(tx_layout, u_tx, u)
-    if tx_layout.kind != "pentagon":
-        return choice
-    eta = deviation_factor(r_link, choice.spacing, d_r, choice.beta, wavelength)
-    if curve.value_at(min(max(eta, curve.etas[0]), curve.etas[-1])) <= mu_max:
-        return choice
-    other = "non-neighbouring" if choice.neighbouring else "neighbouring"
-    return select_tx_pair(tx_layout, u_tx, u, restrict=other)
-
-
 @dataclass(frozen=True)
 class DesignSpec:
     """A quality target ``mu <= mu_max`` for ``link``, whose transmitter is a
@@ -143,6 +72,78 @@ class DesignSpec:
             raise ValueError("the mu* curve is the tetrahedron's; no design for receive "
                              f"kind {self.link.rx.kind!r}")
         beta_cap(self.link.tx.kind)
+
+
+def _sin_beta_table(tx_layout: ArrayLayout, u_tx: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+    """Every index pair of ``tx_layout`` (pairs, 2), its baseline length and the
+    (n, pairs) table of ``sin(beta)``: the x component of the unit baseline
+    rotated by each of the n rotations ``u_tx``, the link running along +x."""
+    if tx_layout.n < 3:
+        raise ValueError("pair selection needs at least 3 transmit antennas")
+    pairs = np.array([(m, n) for m in range(tx_layout.n) for n in range(m + 1, tx_layout.n)])
+    b = tx_layout.positions[pairs[:, 0]] - tx_layout.positions[pairs[:, 1]]
+    lengths = np.linalg.norm(b, axis=1)
+    # the x row of u_tx against every baseline, summed in einsum's order
+    # (x0 b0 + x2 b2) + x1 b1: the pentagon's spacing class hangs on the last bit
+    x = np.asarray(u_tx, dtype=float).reshape(-1, 3, 3)[:, 0, :, None]
+    rotated_x = (x[:, 0] * b[:, 0] + x[:, 2] * b[:, 2]) + x[:, 1] * b[:, 1]
+    return pairs, lengths, rotated_x / lengths
+
+
+def _selection(tx_layout: ArrayLayout, pairs: NDArray, lengths: NDArray, sin_beta: NDArray,
+               best: NDArray, batch: bool) -> PairSelection:
+    """The ``best`` pair of each row of the table; scalars unless ``batch``."""
+    beta = np.arcsin(np.clip(sin_beta[np.arange(len(best)), best], -1, 1))
+    spacing = lengths[best]
+    neighbouring = None
+    if tx_layout.kind == "pentagon":
+        neighbouring = np.abs(spacing - tx_layout.spacing) < 1e-9 * tx_layout.spacing
+    if batch:
+        return PairSelection(pair=pairs[best], beta=beta, spacing=spacing,
+                             neighbouring=neighbouring)
+    return PairSelection(pair=tuple(int(i) for i in pairs[best[0]]), beta=float(beta[0]),
+                         spacing=float(spacing[0]),
+                         neighbouring=None if neighbouring is None else bool(neighbouring[0]))
+
+
+def select_tx_pair(tx_layout: ArrayLayout, u_tx: NDArray) -> PairSelection:
+    """Pick the two transmit antennas minimising ``|sin(beta)|`` for a link
+    along +x (``geometry.LINK_DIRECTION``), the array rotated by ``u_tx``: one
+    (3, 3) rotation, or (n, 3, 3) for a batch.
+
+    Exact ties go to the smallest index pair, but each pentagon edge is
+    parallel to a diagonal, so their ``|sin(beta)|`` agree up to rounding
+    (4e-16) and rounding picks either, about half the time each.
+    """
+    pairs, lengths, sin_beta = _sin_beta_table(tx_layout, u_tx)
+    return _selection(tx_layout, pairs, lengths, sin_beta, np.argmin(np.abs(sin_beta), axis=1),
+                      np.ndim(u_tx) == 3)
+
+
+def select_tx_pair_for_quality(spec: DesignSpec, u_tx: NDArray, r_link: float | NDArray,
+                               curve: MuStarCurve) -> PairSelection:
+    """Pentagon-aware selection honouring ``spec``'s quality target, for one
+    link (``u_tx`` (3, 3), ``r_link`` a float) or a batch ((n, 3, 3) and (n,)).
+
+    Each link takes the minimum-``|beta|`` pair first. Where the worst-case
+    curve at that pair's deviation factor exceeds ``mu_max``, it takes the
+    best pair of the other spacing class instead, whose longer or shorter
+    baseline moves eta onto the admissible branch; either class on its own
+    caps ``|beta|`` at pi/10. Triangles keep the plain selection.
+    """
+    tx = spec.link.tx
+    pairs, lengths, sin_beta = _sin_beta_table(tx, u_tx)
+    size = np.abs(sin_beta)
+    best = np.argmin(size, axis=1)
+    if tx.kind == "pentagon":
+        first = _selection(tx, pairs, lengths, sin_beta, best, batch=True)
+        eta = deviation_factor(r_link, first.spacing, spec.link.rx.spacing, first.beta,
+                               spec.link.wavelength)
+        fails = curve.value_at(np.clip(eta, curve.etas[0], curve.etas[-1])) > spec.mu_max
+        near = np.abs(lengths - tx.spacing) < 1e-9 * tx.spacing   # neighbouring pairs
+        other_class = np.where(near == near[best, None], np.inf, size)
+        best = np.where(fails, np.argmin(other_class, axis=1), best)
+    return _selection(tx, pairs, lengths, sin_beta, best, np.ndim(u_tx) == 3)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ __all__ = [
     "exact_distances",
     "approx_path_difference",
     "is_rotation",
+    "LINK_DIRECTION",
     "link_axis",
     "transverse_axis",
 ]
@@ -42,6 +43,9 @@ PLACE_COLS = 4096
 BLAS_SERIAL_MADDS = 2 ** 18
 
 LAYOUT_KINDS = ("ula", "ura", "tetrahedron", "triangle", "pentagon", "spherical-code", "custom")
+# the simulated links run along +x: the receive centroid sits at R LINK_DIRECTION,
+# and design.select_tx_pair reads sin(beta) off the x row of U_tx
+LINK_DIRECTION = np.array([1.0, 0.0, 0.0])
 # transmit arrays: a 2-antenna ULA, or a polygon that select_tx_pair takes a pair from
 TX_KINDS = ("ula", "triangle", "pentagon")
 

@@ -20,8 +20,8 @@ from . import codes
 from .channel import _phasors, los_channel
 from .codes import Codebook
 from .design import select_tx_pair
-from .geometry import (PLACE_COLS, LinkSpec, link_distances, place_arrays, quaternion_rotations,
-                       rotation_normals, uniform_rotation)
+from .geometry import (LINK_DIRECTION, PLACE_COLS, LinkSpec, link_distances, place_arrays,
+                       quaternion_rotations, rotation_normals, uniform_rotation)
 
 __all__ = [
     "SimConfig",
@@ -35,7 +35,6 @@ __all__ = [
     "joint_density",
 ]
 
-LINK_DIRECTION = np.array([1.0, 0.0, 0.0])
 # samples per batch of joint_density; it fixes the order of the random stream
 DENSITY_BLOCK = 200_000
 # samples per piece of a joint_density block: a piece's temporaries stay in
@@ -80,15 +79,22 @@ class SimConfig:
     ideal_channel: bool = False
 
     def __post_init__(self):
+        build_codebook(self.scheme)
+        for name in ("max_trials", "target_errors", "block_trials"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_trials < 1 or self.target_errors < 1 or self.block_trials < 1:
             raise ValueError("trial budgets must be positive")
-        if list(self.snr_db) != sorted(self.snr_db):
+        snr_db = tuple(self.snr_db)
+        if not snr_db or not all(_is_real(s) and np.isfinite(s) for s in snr_db):
+            raise ValueError(f"SNR grid must be a non-empty list of finite numbers, got {snr_db!r}")
+        if list(snr_db) != sorted(snr_db):
             raise ValueError("SNR grid must be sorted")
-        object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
+        object.__setattr__(self, "snr_db", tuple(float(s) for s in snr_db))
         if not isinstance(self.distance, (int, float)):
             lo, hi = self.distance
-            if not 0 < lo <= hi:
-                raise ValueError("distance range must satisfy 0 < low <= high")
+            if not 0 < lo <= hi < np.inf:
+                raise ValueError("distance range must satisfy 0 < low <= high < inf")
             object.__setattr__(self, "distance", (float(lo), float(hi)))
         if not self.ideal_channel:
             _check_clearance(self.link, self.distance[0] if isinstance(self.distance, tuple)
@@ -97,6 +103,8 @@ class SimConfig:
 
 def _check_clearance(link: LinkSpec, distance: float) -> None:
     """Reject a link distance at which the two arrays can overlap."""
+    if not distance < np.inf:
+        raise ValueError(f"distance must be finite, got {distance!r}")
     reach = float(link.tx.radii.max() + link.rx.radii.max())
     if not distance > reach:
         raise ValueError(f"distance {distance:g} m is not beyond the {reach:g} m sum of the "
@@ -164,7 +172,7 @@ class _Engine:
         u_rx = uniform_rotation(rng, n)
         tx, rx = place_arrays(link.tx, link.rx, u_tx, u_rx, r_link, LINK_DIRECTION)
         if link.tx.n > 2:
-            pair = select_tx_pair(link.tx, u_tx, LINK_DIRECTION).pair
+            pair = select_tx_pair(link.tx, u_tx).pair
             tx = tx[:, pair.T, np.arange(n)]
         return los_channel(link_distances(tx, rx), link.wavelength).transpose(2, 0, 1)
 
@@ -339,6 +347,10 @@ def check_density_inputs(link: LinkSpec, r_link: float, bins: int | tuple[int, i
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
 def _piece_threads() -> int:

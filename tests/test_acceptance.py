@@ -183,7 +183,7 @@ def test_criterion_07_selection_guarantees():
         assert results[kind] <= cap + 1e-9
         # spot-check the vectorised sweep against the selection routine
         for u in uniform_rotation(rng, 200):
-            sel = select_tx_pair(lay, u, np.array([1.0, 0.0, 0.0]))
+            sel = select_tx_pair(lay, u)
             sweep = np.abs(base @ u[0, :]).min()
             assert abs(np.sin(sel.beta)) == pytest.approx(sweep, abs=1e-12)
     report(7, True, f"10^6 rotations: triangle max |beta|={results['triangle']:.4f}"

@@ -150,6 +150,32 @@ class TestDeviationFactor:
             deviation_factor(r_link, d_t, d_r, 0.1, wavelength)
 
 
+    def test_arrays_match_scalar_loop(self):
+        rng = np.random.default_rng(8)
+        r_link = rng.uniform(4.43, 12.7, 1_000)
+        d_t = rng.choice([0.06, 0.06 * (1 + np.sqrt(5)) / 2], 1_000)
+        beta = rng.uniform(-np.pi / 10, np.pi / 10, 1_000)
+        eta = deviation_factor(r_link, d_t, 0.25, beta, 0.0042)
+        loop = [deviation_factor(float(r), float(d), 0.25, float(b), 0.0042)
+                for r, d, b in zip(r_link, d_t, beta)]
+        assert isinstance(loop[0], float)
+        assert eta.tobytes() == np.array(loop).tobytes()
+
+    @pytest.mark.parametrize("value", BAD_LENGTHS)
+    @pytest.mark.parametrize("arg", range(4), ids=["R", "d_t", "d_r", "wavelength"])
+    def test_one_bad_element_rejected(self, arg, value):
+        lengths = [np.full(5, x) for x in (10.0, 0.06, 0.25, 0.0042)]
+        lengths[arg][3] = value
+        r_link, d_t, d_r, wavelength = lengths
+        with pytest.raises(ValueError, match="must be positive"):
+            deviation_factor(r_link, d_t, d_r, np.zeros(5), wavelength)
+
+    def test_one_grazing_element_rejected(self):
+        with pytest.raises(ValueError, match="cos\\(beta\\) must be positive"):
+            deviation_factor(np.full(3, 10.0), 0.06, 0.25, np.array([0.0, np.pi / 2, 0.1]),
+                             0.0042)
+
+
 class TestMuModel:
     def test_large_eta_limit(self):
         lay = make_layout("tetrahedron", spacing=0.25)

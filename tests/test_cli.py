@@ -211,6 +211,30 @@ class TestSimulate:
         assert "'n_r' must be int" in manifest["error"]
         assert not (out / "mini_sm.csv").exists()
 
+    @pytest.mark.parametrize("distance", [{"law": "uniform", "min": 4.43, "max": float("inf")},
+                                          {"law": "fixed", "value": float("inf")}],
+                             ids=["uniform-max-inf", "fixed-inf"])
+    def test_infinite_distance_is_config_error(self, tmp_path, distance):
+        # "max": Infinity used to exit 4 with an OverflowError from the sampler
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(MINI_SIM, distance=distance))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"].startswith("runs[0]: distance")
+        assert not (out / "mini_sm.csv").exists()
+
+    @pytest.mark.parametrize("snr_db", [[float("nan")], [], [True, "x"]],
+                             ids=["nan", "empty", "bool-str"])
+    def test_bad_snr_grid_is_config_error(self, tmp_path, snr_db):
+        # [NaN] used to exit 0 with a CSV row of nan, [] to exit 4 with an
+        # IndexError and [true, "x"] to exit 4 with a TypeError
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(MINI_SIM, snr_db=snr_db))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "SNR grid must be a non-empty list of finite numbers" in manifest["error"]
+        assert not (out / "mini_sm.csv").exists()
+
     @pytest.mark.parametrize("field,value", [
         ("max_trials", 1000.9), ("target_errors", 10.5), ("block_trials", 500.7),
         ("max_trials", True)],
@@ -414,9 +438,10 @@ class TestDensity:
         ("samples", 0, "at least one sample"), ("wavelength", 0.0, "wavelength"),
         ("distance", 0.1, "array radii"), ("distance", -10.0, "array radii"),
         ("n_r", 2.7, "'n_r' must be int"), ("n_r", True, "'n_r' must be int"),
-        ("bins", 25.5, "'bins' must be int"), ("samples", 1000.5, "'samples' must be int")],
+        ("bins", 25.5, "'bins' must be int"), ("samples", 1000.5, "'samples' must be int"),
+        ("distance", float("inf"), "distance must be finite")],
         ids=["bins-3", "bins-x", "samples-0", "wavelength-0", "distance-0.1", "distance-neg",
-             "n_r-2.7", "n_r-true", "bins-25.5", "samples-1000.5"])
+             "n_r-2.7", "n_r-true", "bins-25.5", "samples-1000.5", "distance-inf"])
     def test_bad_config_is_config_error(self, tmp_path, field, value, message):
         cfg = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "n_r": 2,
                "rx_kind": "ula", "distance": 10.0, "bins": 5, "samples": 1_000}

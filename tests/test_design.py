@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from losmimo.channel import mu_model
+from losmimo.channel import deviation_factor, mu_model
 from losmimo.design import (
     DesignSpec,
     InfeasibleDesignError,
+    PairSelection,
     _bisect_crossing,
     design_link,
     distance_range,
@@ -12,11 +13,10 @@ from losmimo.design import (
     select_tx_pair,
     select_tx_pair_for_quality,
 )
-from losmimo.geometry import LinkSpec, make_layout, uniform_rotation
+from losmimo.geometry import LINK_DIRECTION, LinkSpec, make_layout, uniform_rotation
 from losmimo.orientation import MuStarCurve
 
 GOLDEN = (1 + np.sqrt(5)) / 2
-LINK = np.array([1.0, 0.0, 0.0])
 
 
 def spec_for(kind, mu_max=2 / 3, rx=None):
@@ -50,11 +50,56 @@ def eta_range_loop(spec, curve):
     return lo, hi
 
 
+def parent_select_tx_pair(tx_layout, u_tx, u, restrict=None):
+    """select_tx_pair as it was before it lost its link direction ``u`` and its
+    ``restrict`` option: two selection passes over (pairs, n, 3) rotated
+    baselines, the reference the one-table selection must match."""
+    if tx_layout.n < 3:
+        raise ValueError("pair selection needs at least 3 transmit antennas")
+    u = np.asarray(u, dtype=float)
+    pairs = np.array([(m, n) for m in range(tx_layout.n) for n in range(m + 1, tx_layout.n)])
+    pos = tx_layout.positions
+    baselines = pos[pairs[:, 0]] - pos[pairs[:, 1]]
+    lengths = np.linalg.norm(baselines, axis=1)
+    if restrict is not None:
+        keep = np.isclose(lengths, tx_layout.spacing, rtol=1e-9)
+        if restrict == "non-neighbouring":
+            keep = ~keep
+        pairs, baselines, lengths = pairs[keep], baselines[keep], lengths[keep]
+    u_tx = np.asarray(u_tx, dtype=float)
+    cols = u_tx.reshape(-1, 3, 3).transpose(2, 0, 1).copy()
+    t = [cols[j] * baselines[:, j, None, None] for j in range(3)]
+    rotated = ((t[0] + t[2]) + t[1]).transpose(1, 0, 2)
+    sin_beta = (rotated / lengths[:, None]) @ u
+    best = np.argmin(np.abs(sin_beta), axis=1)
+    beta = np.arcsin(np.clip(sin_beta[np.arange(len(best)), best], -1, 1))
+    spacing = lengths[best]
+    neighbouring = None
+    if tx_layout.kind == "pentagon":
+        neighbouring = np.abs(spacing - tx_layout.spacing) < 1e-9 * tx_layout.spacing
+    return PairSelection(pair=tuple(int(i) for i in pairs[best[0]]), beta=float(beta[0]),
+                         spacing=float(spacing[0]),
+                         neighbouring=None if neighbouring is None else bool(neighbouring[0]))
+
+
+def parent_quality_rule(tx_layout, u_tx, u, r_link, d_r, wavelength, mu_max, curve):
+    """The scalar quality rule before it became a batch: the plain selection,
+    then a second, restricted one when the first pair misses the target."""
+    choice = parent_select_tx_pair(tx_layout, u_tx, u)
+    if tx_layout.kind != "pentagon":
+        return choice
+    eta = deviation_factor(r_link, choice.spacing, d_r, choice.beta, wavelength)
+    if curve.value_at(min(max(eta, curve.etas[0]), curve.etas[-1])) <= mu_max:
+        return choice
+    other = "non-neighbouring" if choice.neighbouring else "neighbouring"
+    return parent_select_tx_pair(tx_layout, u_tx, u, restrict=other)
+
+
 class TestSelectTxPair:
     def test_perpendicular_link_breaks_ties_low(self):
         # polygons lie in the y-z plane, so the x axis is normal to them
         lay = make_layout("triangle", spacing=0.06)
-        sel = select_tx_pair(lay, np.eye(3), LINK)
+        sel = select_tx_pair(lay, np.eye(3))
         assert sel.pair == (0, 1)
         assert sel.beta == pytest.approx(0.0, abs=1e-15)
 
@@ -63,7 +108,7 @@ class TestSelectTxPair:
         rng = np.random.default_rng(0)
         cap = np.sin(np.pi / 6)
         for u in uniform_rotation(rng, 20_000):
-            sel = select_tx_pair(lay, u, LINK)
+            sel = select_tx_pair(lay, u)
             assert abs(np.sin(sel.beta)) <= cap + 1e-12
 
     def test_pentagon_cap_and_classes(self):
@@ -72,45 +117,61 @@ class TestSelectTxPair:
         cap = np.sin(np.pi / 10)
         seen = set()
         for u in uniform_rotation(rng, 20_000):
-            sel = select_tx_pair(lay, u, LINK)
+            sel = select_tx_pair(lay, u)
             assert abs(np.sin(sel.beta)) <= cap + 1e-12
             seen.add(sel.neighbouring)
             want = 0.06 if sel.neighbouring else GOLDEN * 0.06
             assert sel.spacing == pytest.approx(want)
         assert seen == {True, False}
 
-    def test_restricted_classes(self):
-        lay = make_layout("pentagon", spacing=0.06)
+    def test_restricted_classes(self, curve):
+        # no pair meets mu_max = 0.01, so every link moves to the best pair of
+        # the other spacing class, which still caps |beta| at pi/10
+        spec = spec_for("pentagon", mu_max=0.01)
         rng = np.random.default_rng(2)
-        cap = np.sin(np.pi / 10)
-        for u in uniform_rotation(rng, 2_000):
-            for cls in ("neighbouring", "non-neighbouring"):
-                sel = select_tx_pair(lay, u, LINK, restrict=cls)
-                assert sel.neighbouring == (cls == "neighbouring")
-                assert abs(np.sin(sel.beta)) <= cap + 1e-12
+        u_tx = uniform_rotation(rng, 2_000)
+        plain = select_tx_pair(spec.link.tx, u_tx)
+        sel = select_tx_pair_for_quality(spec, u_tx, rng.uniform(4.43, 12.7, 2_000), curve)
+        assert np.array_equal(sel.neighbouring, ~plain.neighbouring)
+        assert np.all(np.abs(np.sin(sel.beta)) <= np.sin(np.pi / 10) + 1e-12)
+        want = np.where(sel.neighbouring, 0.06, GOLDEN * 0.06)
+        np.testing.assert_allclose(sel.spacing, want, rtol=1e-12)
 
-    @pytest.mark.parametrize("kind,restrict", [
+    @pytest.mark.parametrize("kind,mu_max", [
         ("triangle", None), ("pentagon", None),
-        ("pentagon", "neighbouring"), ("pentagon", "non-neighbouring")])
-    def test_batch_matches_per_row(self, kind, restrict):
+        pytest.param("triangle", 2 / 3, id="triangle-quality"),
+        pytest.param("pentagon", 2 / 3, id="pentagon-quality")])
+    def test_batch_matches_per_row(self, kind, mu_max, curve):
+        # without mu_max the plain selection; with it the quality rule, whose
+        # scalar call is a batch of one
         lay = make_layout(kind, spacing=0.06)
-        u_tx = uniform_rotation(np.random.default_rng(4), 2_000)
-        batch = select_tx_pair(lay, u_tx, LINK, restrict=restrict)
+        rng = np.random.default_rng(4)
+        u_tx = uniform_rotation(rng, 2_000)
+        r_link = rng.uniform(4.43, 12.7, 2_000)
+        if mu_max is None:
+            batch = select_tx_pair(lay, u_tx)
+            rows = [select_tx_pair(lay, u) for u in u_tx]
+        else:
+            spec = spec_for(kind, mu_max)
+            batch = select_tx_pair_for_quality(spec, u_tx, r_link, curve)
+            rows = [select_tx_pair_for_quality(spec, u, r, curve) for u, r in zip(u_tx, r_link)]
         assert batch.pair.shape == (2_000, 2)
-        for i, u in enumerate(u_tx):
-            one = select_tx_pair(lay, u, LINK, restrict=restrict)
+        for i, one in enumerate(rows):
             assert one.pair == tuple(batch.pair[i])
             assert one.beta == batch.beta[i]
             assert one.spacing == batch.spacing[i]
             assert one.neighbouring == (None if batch.neighbouring is None
                                         else batch.neighbouring[i])
+        if kind == "triangle":
+            plain = select_tx_pair(lay, u_tx)
+            assert np.array_equal(batch.pair, plain.pair)
+            assert np.array_equal(batch.beta, plain.beta)
 
-    @pytest.mark.parametrize("tilted", [False, True])
     @pytest.mark.parametrize("kind", ["triangle", "pentagon", "custom"])
-    def test_bit_identical_to_einsum_reference(self, kind, tilted):
+    def test_bit_identical_to_einsum_reference(self, kind):
         # the pentagon's spacing class hangs on the last bit of sin(beta); a
-        # non-planar custom layout and a tilted link also pin the order of
-        # the three terms of each product
+        # non-planar custom layout also pins the order of the three terms of
+        # each product
         if kind == "custom":
             lay = make_layout("custom", coords=0.05 * np.random.default_rng(3).normal(size=(4, 3)))
         else:
@@ -118,17 +179,38 @@ class TestSelectTxPair:
         u_tx = uniform_rotation(np.random.default_rng(9), 200_000)
         pairs = np.array([(m, n) for m in range(lay.n) for n in range(m + 1, lay.n)])
         baselines = lay.positions[pairs[:, 0]] - lay.positions[pairs[:, 1]]
-        link = np.array([2.0, -1.0, 3.0]) / np.sqrt(14.0) if tilted else LINK
         sin_beta = (np.einsum("nij,pj->npi", u_tx, baselines)
-                    / np.linalg.norm(baselines, axis=1)[:, None]) @ link
+                    / np.linalg.norm(baselines, axis=1)[:, None]) @ LINK_DIRECTION
         best = np.argmin(np.abs(sin_beta), axis=1)
-        sel = select_tx_pair(lay, u_tx, link)
+        sel = select_tx_pair(lay, u_tx)
         assert np.array_equal(sel.pair, pairs[best])
-        assert np.array_equal(sel.beta, np.arcsin(sin_beta[np.arange(len(best)), best]))
+        beta = np.arcsin(sin_beta[np.arange(len(best)), best])
+        # sign bits too: bytes, not values
+        assert sel.beta.tobytes() == beta.tobytes()
 
     def test_too_few_antennas(self):
         with pytest.raises(ValueError, match="at least 3"):
-            select_tx_pair(make_layout("ula", 2, 0.06), np.eye(3), LINK)
+            select_tx_pair(make_layout("ula", 2, 0.06), np.eye(3))
+
+
+class TestQualityRule:
+    def test_batch_matches_parent_scalar_rule(self, curve):
+        # 20,000 pentagon links under fig5's distance law, drawn as the engine
+        # draws them; about 40% of them move to the other spacing class
+        spec = spec_for("pentagon")
+        tx, rx = spec.link.tx, spec.link.rx
+        rng = np.random.default_rng(123)
+        n = 20_000
+        r_link = rng.uniform(4.43, 12.7, n)
+        u_tx = uniform_rotation(rng, n)
+        sel = select_tx_pair_for_quality(spec, u_tx, r_link, curve)
+        want = [parent_quality_rule(tx, u_tx[i], LINK_DIRECTION, r_link[i], rx.spacing,
+                                    spec.link.wavelength, spec.mu_max, curve) for i in range(n)]
+        assert np.array_equal(sel.pair, np.array([w.pair for w in want]))
+        assert sel.beta.tobytes() == np.array([w.beta for w in want]).tobytes()
+        assert np.array_equal(sel.neighbouring, [w.neighbouring for w in want])
+        switched = np.mean(sel.neighbouring != select_tx_pair(tx, u_tx).neighbouring)
+        assert 0.3 < switched < 0.5
 
 
 class TestDesignSpec:
@@ -220,13 +302,12 @@ class TestDesignGuarantee:
             r_link = rng.uniform(res.r_min, res.r_max)
             u_tx = uniform_rotation(rng)
             u_rx = uniform_rotation(rng)
-            sel = select_tx_pair_for_quality(tx, u_tx, LINK, r_link, rx.spacing,
-                                             spec.link.wavelength, spec.mu_max, curve)
+            sel = select_tx_pair_for_quality(spec, u_tx, r_link, curve)
             pos = tx.positions @ u_tx.T
             t = pos[sel.pair[0]] - pos[sel.pair[1]]
             t /= np.linalg.norm(t)
             # auxiliary z' axis: in-plane transverse component of the baseline
-            z_aux = (t - np.sin(sel.beta) * LINK) / np.cos(sel.beta)
+            z_aux = (t - np.sin(sel.beta) * LINK_DIRECTION) / np.cos(sel.beta)
             mu = mu_model(rx, u_rx.T @ z_aux, d_t=sel.spacing, R=r_link,
                           wavelength=spec.link.wavelength, beta=sel.beta)
             worst = max(worst, mu)

@@ -351,6 +351,33 @@ class TestRunBer:
             SimConfig(scheme="sm", link=make_link("ula", "ura"),
                       snr_db=(8, 0), **BASE)
 
+    @pytest.mark.parametrize("snr_db", [(float("nan"),), (), (True, "x"), (0.0, float("inf")),
+                                        ("0",)],
+                             ids=["nan", "empty", "bool-str", "inf", "str"])
+    def test_snr_grid_must_be_finite_numbers(self, snr_db):
+        # NaN used to run to a CSV row of nan, () to an IndexError and
+        # (True, "x") to a TypeError
+        with pytest.raises(ValueError, match="non-empty list of finite numbers"):
+            SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=snr_db, **BASE)
+
+    @pytest.mark.parametrize("field", ["max_trials", "target_errors", "block_trials"])
+    @pytest.mark.parametrize("value", [1000.5, True])
+    def test_non_integer_budget_rejected(self, field, value):
+        # a float used to build and fail later in run_point with a TypeError
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,),
+                      **{field: value}, **BASE)
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheme 'bogus'; expected sm, golden or simo"):
+            SimConfig(scheme="bogus", link=make_link("ula", "ura"), snr_db=(0.0,), **BASE)
+
+    @pytest.mark.parametrize("distance", [float("inf"), (1.0, float("inf"))],
+                             ids=["fixed", "uniform"])
+    def test_distance_must_be_finite(self, distance):
+        with pytest.raises(ValueError, match="finite|< inf"):
+            SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,), distance=distance)
+
     def test_csv_format(self, tmp_path):
         cfg = SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,),
                         max_trials=2_000, target_errors=10**9, seed=10, **BASE)
@@ -383,7 +410,7 @@ class TestEngineChannels:
                                 tx_layout=tx, rx_layout=rx, U_tx=u_tx[i], U_rx=u_rx[i])
             tx_pos, rx_pos = place_antennas(link)
             if tx.n > 2:
-                tx_pos = tx_pos[list(select_tx_pair(tx, u_tx[i], LINK_DIRECTION).pair)]
+                tx_pos = tx_pos[list(select_tx_pair(tx, u_tx[i]).pair)]
             want = los_channel(exact_distances(tx_pos, rx_pos), cfg.link.wavelength)
             assert np.array_equal(h[i], want)
 
@@ -466,6 +493,11 @@ class TestJointDensity:
     def test_non_integer_sizes_rejected(self, bins, samples, field):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             joint_density(self._link(), 10.0, bins, samples)
+
+    def test_infinite_distance_rejected(self):
+        # it used to return counts that sum to 0
+        with pytest.raises(ValueError, match="distance must be finite"):
+            joint_density(self._link(), float("inf"), 5, 100)
 
     def test_counts_sum_to_samples(self):
         grid = joint_density(self._link(), 10.0, bins=5, samples=20_000, seed=1)
