@@ -15,14 +15,15 @@ import argparse
 import importlib.resources
 import json
 import multiprocessing
-import os
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._csv import write_csv
 from .codes import difference_spectrum
 from .design import DesignSpec, InfeasibleDesignError, design_link
 from .geometry import LinkSpec, make_layout
@@ -96,22 +97,14 @@ def _int_field(cfg: dict, key: str, default: int, where: str) -> int:
 
 
 def _resolve_workers(args) -> int:
-    workers, source = args.workers, "--workers"
-    if workers is None:
-        env = os.environ.get("LOSMIMO_WORKERS")
-        if not env:
-            return 1
-        try:
-            workers, source = int(env), "LOSMIMO_WORKERS"
-        except ValueError as exc:
-            raise ConfigError(f"LOSMIMO_WORKERS={env!r} is not an integer") from exc
-    if workers < 1:
-        raise ConfigError(f"{source} must be at least 1, got {workers}")
-    return workers
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    return args.workers
 
 
 class Manifest:
-    """Run record written next to the outputs, even when the run fails."""
+    """Run record written next to the outputs, even when the run fails; every
+    output is written and recorded through ``write``."""
 
     def __init__(self, out_dir: Path, subcommand: str, config: str | None, seed: int | None):
         self.out_dir = out_dir
@@ -126,17 +119,23 @@ class Manifest:
         }
         self._t0 = time.monotonic()
 
-    def add_output(self, path: Path) -> None:
+    def _path(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / name
+
+    def write(self, name: str, writer) -> Path:
+        """Write output ``name`` with ``writer(path)``, record it and return its path."""
+        path = self._path(name)
+        writer(path)
         self.data["outputs"].append(str(path))
+        return path
 
     def finish(self, status: str, error: str | None = None) -> None:
         self.data["status"] = status
         if error:
             self.data["error"] = error
         self.data["wall_clock_s"] = round(time.monotonic() - self._t0, 3)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(self.data, indent=2) + "\n")
+        self._path("manifest.json").write_text(json.dumps(self.data, indent=2) + "\n")
 
 
 PLOT_BER = """\
@@ -219,7 +218,7 @@ print("wrote", Path(__file__).parent / "mu_star.png")
 """
 
 
-def _cmd_simulate(args, out_dir: Path, manifest: Manifest) -> int:
+def _cmd_simulate(args, manifest: Manifest) -> int:
     cfg = _load_config(args.config)
     runs = _require(cfg, "runs", list, "simulate config")
     if not runs:
@@ -264,24 +263,18 @@ def _cmd_simulate(args, out_dir: Path, manifest: Manifest) -> int:
     pool = multiprocessing.Pool(workers) if workers > 1 else None
     try:
         for name, sim in sims:
-            curve = run_ber(sim, pool)
-            out = out_dir / f"{name}.csv"
-            out_dir.mkdir(parents=True, exist_ok=True)
-            curve.write_csv(out)
-            manifest.add_output(out)
+            out = manifest.write(f"{name}.csv", run_ber(sim, pool).write_csv)
             print(f"simulate: wrote {out}")
     finally:
         if pool is not None:
             # close and join: terminating a pool with queued work can deadlock
             pool.close()
             pool.join()
-    script = out_dir / "plot_ber.py"
-    script.write_text(PLOT_BER)
-    manifest.add_output(script)
+    manifest.write("plot_ber.py", lambda path: path.write_text(PLOT_BER))
     return EXIT_OK
 
 
-def _cmd_design(args, out_dir: Path, manifest: Manifest) -> int:
+def _cmd_design(args, manifest: Manifest) -> int:
     cfg = _load_config(args.config)
     try:
         spec = DesignSpec(
@@ -293,13 +286,9 @@ def _cmd_design(args, out_dir: Path, manifest: Manifest) -> int:
     except ValueError as exc:
         raise ConfigError(f"design config: {exc}") from exc
     result = design_link(spec, curve)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "design_report.csv"
-    with open(out, "w", newline="") as f:
-        f.write("eta_min,eta_max,r_min_m,r_max_m,beta_max_rad,mu_max\n")
-        f.write(f"{result.eta_min:.12g},{result.eta_max:.12g},{result.r_min:.12g},"
-                f"{result.r_max:.12g},{result.beta_max:.12g},{result.mu_max:.12g}\n")
-    manifest.add_output(out)
+    out = manifest.write("design_report.csv", lambda path: write_csv(
+        path, ("eta_min", "eta_max", "r_min_m", "r_max_m", "beta_max_rad", "mu_max"),
+        [astuple(result)]))
     print(f"design: {spec.link.tx.kind} transmit, mu_max = {spec.mu_max:g}")
     print(f"  eta in [{result.eta_min:.4f}, {result.eta_max:.4f}]")
     print(f"  R   in [{result.r_min:.3f}, {result.r_max:.3f}] m "
@@ -308,23 +297,18 @@ def _cmd_design(args, out_dir: Path, manifest: Manifest) -> int:
     return EXIT_OK
 
 
-def _cmd_curves(args, out_dir: Path, manifest: Manifest) -> int:
+def _cmd_curves(args, manifest: Manifest) -> int:
     try:
         curve = compute_mu_star_curve(args.eta_start, args.eta_stop, args.eta_step)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "mu_star_curve.csv"
-    curve.write_csv(out)
-    manifest.add_output(out)
-    script = out_dir / "plot_curves.py"
-    script.write_text(PLOT_CURVES)
-    manifest.add_output(script)
+    out = manifest.write("mu_star_curve.csv", curve.write_csv)
+    manifest.write("plot_curves.py", lambda path: path.write_text(PLOT_CURVES))
     print(f"curves: wrote {out}")
     return EXIT_OK
 
 
-def _cmd_density(args, out_dir: Path, manifest: Manifest) -> int:
+def _cmd_density(args, manifest: Manifest) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     manifest.data["seed"] = seed
@@ -334,40 +318,25 @@ def _cmd_density(args, out_dir: Path, manifest: Manifest) -> int:
     n_r = _int_field(cfg, "n_r", 2, "density config")
     try:
         link = _link(cfg, "density config", "ula", cfg.get("rx_kind", "ula"), n_r)
-        check_density_inputs(link, r_link, bins, samples)
+        check_density_inputs(link, r_link, bins, samples, seed)
     except ValueError as exc:
         raise ConfigError(f"density config: {exc}") from exc
     grid = joint_density(link, r_link=r_link, bins=bins, samples=samples, seed=seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "density.csv"
-    grid.write_csv(out)
-    manifest.add_output(out)
-    script = out_dir / "plot_density.py"
-    script.write_text(PLOT_DENSITY)
-    manifest.add_output(script)
+    out = manifest.write("density.csv", grid.write_csv)
+    manifest.write("plot_density.py", lambda path: path.write_text(PLOT_DENSITY))
     print(f"density: {grid.samples} samples over {grid.counts.shape} bins; wrote {out}")
     return EXIT_OK
 
 
-def _cmd_gain(args, out_dir: Path, manifest: Manifest) -> int:
+def _cmd_gain(args, manifest: Manifest) -> int:
     if not args.mu_step > 0:
         raise ConfigError("mu step must be positive")
     schemes = ["sm", "golden", "simo"] if args.scheme == "all" else [args.scheme]
-    spectra = {}
-    for s in schemes:
-        try:
-            spectra[s] = difference_spectrum(build_codebook(s))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     mus = np.arange(0.0, 1.0 + 1e-12, args.mu_step)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "coding_gain.csv"
-    gains = np.column_stack([coding_gain(spectra[s], mus) for s in schemes])
-    with open(out, "w", newline="") as f:
-        f.write("mu," + ",".join(f"gain_{s}" for s in schemes) + "\n")
-        for mu, row in zip(mus, gains):
-            f.write(f"{mu:.12g}," + ",".join(f"{g:.12g}" for g in row) + "\n")
-    manifest.add_output(out)
+    table = np.column_stack(
+        [mus] + [coding_gain(difference_spectrum(build_codebook(s)), mus) for s in schemes])
+    out = manifest.write("coding_gain.csv", lambda path: write_csv(
+        path, ["mu"] + [f"gain_{s}" for s in schemes], table))
     print(f"gain: wrote {out}")
     return EXIT_OK
 
@@ -389,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run BER campaigns")
     common(p_sim)
-    p_sim.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: LOSMIMO_WORKERS or 1)")
+    p_sim.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
     common(sub.add_parser("design", help="compute an [R_min, R_max] design report"))
     p_curves = sub.add_parser("curves", help="export the worst-case correlation curve")
     common(p_curves, config=False)
@@ -416,11 +384,10 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out_dir = Path(args.out)
-    manifest = Manifest(out_dir, args.command, getattr(args, "config", None),
+    manifest = Manifest(Path(args.out), args.command, getattr(args, "config", None),
                         getattr(args, "seed", None))
     try:
-        code = _HANDLERS[args.command](args, out_dir, manifest)
+        code = _HANDLERS[args.command](args, manifest)
     except ConfigError as exc:
         manifest.finish("config-error", str(exc))
         print(f"error: {exc}", file=sys.stderr)

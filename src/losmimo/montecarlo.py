@@ -17,6 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import codes
+from ._csv import write_csv
 from .channel import _phasors, los_channel
 from .codes import Codebook
 from .design import select_tx_pair
@@ -85,6 +86,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_trials < 1 or self.target_errors < 1 or self.block_trials < 1:
             raise ValueError("trial budgets must be positive")
+        _check_seed(self.seed)
         snr_db = tuple(self.snr_db)
         if not snr_db or not all(_is_real(s) and np.isfinite(s) for s in snr_db):
             raise ValueError(f"SNR grid must be a non-empty list of finite numbers, got {snr_db!r}")
@@ -124,12 +126,9 @@ class BerCurve:
     bits_per_trial: int
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("snr_db,trials,bit_errors,ber,ci_low,ci_high\n")
-            for row in zip(self.snr_db, self.trials, self.bit_errors,
-                           self.ber, self.ci_low, self.ci_high):
-                f.write(f"{row[0]:.12g},{int(row[1])},{int(row[2])},"
-                        f"{row[3]:.12g},{row[4]:.12g},{row[5]:.12g}\n")
+        write_csv(path, ("snr_db", "trials", "bit_errors", "ber", "ci_low", "ci_high"),
+                  zip(self.snr_db, self.trials, self.bit_errors, self.ber, self.ci_low,
+                      self.ci_high))
 
 
 def _wilson(errors: int, n: int) -> tuple[float, float]:
@@ -318,15 +317,12 @@ class DensityGrid:
         tc = 0.5 * (self.theta_edges[:-1] + self.theta_edges[1:])
         mc = 0.5 * (self.mu_edges[:-1] + self.mu_edges[1:])
         dens = self.density()
-        with open(path, "w", newline="") as f:
-            f.write("theta_bin_center,mu_bin_center,density\n")
-            for i, t in enumerate(tc):
-                for j, m in enumerate(mc):
-                    f.write(f"{t:.12g},{m:.12g},{dens[i, j]:.12g}\n")
+        write_csv(path, ("theta_bin_center", "mu_bin_center", "density"),
+                  ((t, m, dens[i, j]) for i, t in enumerate(tc) for j, m in enumerate(mc)))
 
 
 def check_density_inputs(link: LinkSpec, r_link: float, bins: int | tuple[int, int],
-                         samples: int) -> tuple[int, int]:
+                         samples: int, seed: int) -> tuple[int, int]:
     """Reject ``joint_density`` inputs it cannot sample; returns the (theta_mu,
     mu) bin counts. The wavelength is ``LinkSpec``'s to check."""
     if link.tx.n != 2:
@@ -341,8 +337,14 @@ def check_density_inputs(link: LinkSpec, r_link: float, bins: int | tuple[int, i
     nt, nm = pair
     if nt < 5 or nm < 5:
         raise ValueError("use at least a 5 x 5 grid")
+    _check_seed(seed)
     _check_clearance(link, r_link)
     return nt, nm
+
+
+def _check_seed(seed) -> None:
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _is_int(x) -> bool:
@@ -382,7 +384,7 @@ def joint_density(link: LinkSpec, r_link: float, bins: int | tuple[int, int], sa
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    nt, nm = check_density_inputs(link, r_link, bins, samples)
+    nt, nm = check_density_inputs(link, r_link, bins, samples, seed)
     theta_edges = np.linspace(0.0, 2.0 * np.pi, nt + 1)
     mu_edges = np.linspace(0.0, 1.0, nm + 1)
     counts = np.zeros((nt, nm), dtype=np.int64)

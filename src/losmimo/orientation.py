@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
+from ._csv import write_csv
 from .channel import reduce_channel
 from .geometry import TETRAHEDRON_DIRECTIONS, _fibonacci_sphere
 
@@ -223,20 +224,17 @@ class MuStarCurve:
     def write_csv(self, path) -> None:
         """Columns: eta, mu_star, mu_star_pent, closed-form bound (blank for eta < 1)."""
         mask = self.export_mask()
-        with open(path, "w", newline="") as f:
-            f.write("eta,mu_star,mu_star_pent,upper_bound\n")
-            for eta, val in zip(self.etas[mask], self.values[mask]):
-                pent = self.pent_at(eta)
-                bound = f"{mu_star_bound(eta):.12g}" if eta >= 1.0 else ""
-                f.write(f"{eta:.12g},{val:.12g},{pent:.12g},{bound}\n")
+        write_csv(path, ("eta", "mu_star", "mu_star_pent", "upper_bound"),
+                  ((eta, val, self.pent_at(eta), mu_star_bound(eta) if eta >= 1.0 else None)
+                   for eta, val in zip(self.etas[mask], self.values[mask])))
 
 
 def compute_mu_star_curve(eta_start: float = 0.3, eta_stop: float = 3.0,
                           step: float = 0.01) -> MuStarCurve:
     """Evaluate ``mu*`` on a regular eta grid (plus the pentagon extension)."""
-    if not 0 < eta_start < eta_stop:
+    if not 0 < eta_start < eta_stop < np.inf:
         raise ValueError("need 0 < eta_start < eta_stop")
-    if step <= 0:
+    if not 0 < step < np.inf:
         raise ValueError("eta step must be positive")
     lo = eta_start * PENTAGON_ETA_SCALE
     n_below = int(np.ceil((eta_start - lo) / step))

@@ -14,9 +14,9 @@ from losmimo.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_RUNTIME,
-    ConfigError,
     _load_config,
     _resolve_workers,
+    build_parser,
     main,
 )
 
@@ -249,20 +249,26 @@ class TestSimulate:
         assert f"'{field}' must be int" in manifest["error"]
         assert not (out / "mini_sm.csv").exists()
 
-    @pytest.mark.parametrize("via", ["flag", "env"])
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_worker_count_below_one_is_config_error(self, tmp_path, monkeypatch, via, workers):
+    @pytest.mark.parametrize("via,seed", [("config", 1.5), ("config", -1), ("config", True),
+                                          ("config", "7"), ("flag", -1)],
+                             ids=["1.5", "neg", "true", "str", "flag-neg"])
+    def test_bad_seed_is_config_error(self, tmp_path, via, seed):
+        # 1.5 and -1 used to fail mid-run (exit 4), true and "7" to run
+        cfg = dict(MINI_SIM, seed=seed) if via == "config" else MINI_SIM
+        argv = ["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--seed", str(seed)] if via == "flag" else [])) == EXIT_CONFIG
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert "seed must be a non-negative integer" in manifest["error"]
+        assert not (tmp_path / "out" / "mini_sm.csv").exists()
+
+    @pytest.mark.parametrize("workers", [0, -1], ids=["0-flag", "-1-flag"])
+    def test_worker_count_below_one_is_config_error(self, tmp_path, monkeypatch, workers):
         def no_pool(*args, **kwargs):
             raise AssertionError("no pool may start")
 
         monkeypatch.setattr(losmimo.cli.multiprocessing, "Pool", no_pool)
         argv = ["simulate", "--config", write_config(tmp_path, MINI_SIM),
-                "--out", str(tmp_path / "out")]
-        if via == "flag":
-            monkeypatch.delenv("LOSMIMO_WORKERS", raising=False)
-            argv += [f"--workers={workers}"]
-        else:
-            monkeypatch.setenv("LOSMIMO_WORKERS", str(workers))
+                "--out", str(tmp_path / "out"), f"--workers={workers}"]
         assert main(argv) == EXIT_CONFIG
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert "must be at least 1" in manifest["error"]
@@ -394,15 +400,22 @@ class TestCurves:
                 assert float(bound) >= float(mu) - 1e-9
         assert (out / "plot_curves.py").exists()
 
-    @pytest.mark.parametrize("step", ["0.3", "0", "-0.1"])
-    def test_bad_eta_step_is_config_error(self, tmp_path, step):
-        # 0.3 extends the pentagon grid below eta_start = 0.3 down to eta = 0
+    @pytest.mark.parametrize("flag,value", [("step", "0.3"), ("step", "0"), ("step", "-0.1"),
+                                            ("step", "nan"), ("step", "inf"), ("stop", "inf")],
+                             ids=["0.3", "0", "-0.1", "nan", "inf", "stop-inf"])
+    def test_bad_eta_step_is_config_error(self, tmp_path, flag, value):
+        # 0.3 extends the pentagon grid below eta_start = 0.3 down to eta = 0;
+        # an infinite step used to write a header alone (design: exit 4)
         out = tmp_path / "curves"
-        assert main(["curves", f"--eta-step={step}", "--out", str(out)]) == EXIT_CONFIG
+        assert main(["curves", f"--eta-{flag}={value}", "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"].startswith("need 0 < eta_start" if flag == "stop" else "eta step")
         assert not (out / "mu_star_curve.csv").exists()
+        if flag == "stop":
+            return      # a design config has no eta_stop
         cfg = write_config(tmp_path, {
             "mu_max": 0.6667, "wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25,
-            "tx_kind": "triangle", "eta_step": float(step)})
+            "tx_kind": "triangle", "eta_step": float(value)})
         out = tmp_path / "design"
         assert main(["design", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert not (out / "design_report.csv").exists()
@@ -439,9 +452,14 @@ class TestDensity:
         ("distance", 0.1, "array radii"), ("distance", -10.0, "array radii"),
         ("n_r", 2.7, "'n_r' must be int"), ("n_r", True, "'n_r' must be int"),
         ("bins", 25.5, "'bins' must be int"), ("samples", 1000.5, "'samples' must be int"),
-        ("distance", float("inf"), "distance must be finite")],
+        ("distance", float("inf"), "distance must be finite"),
+        ("seed", 2.5, "seed must be a non-negative integer"),
+        ("seed", -3, "seed must be a non-negative integer"),
+        ("seed", True, "seed must be a non-negative integer"),
+        ("seed", "7", "seed must be a non-negative integer")],
         ids=["bins-3", "bins-x", "samples-0", "wavelength-0", "distance-0.1", "distance-neg",
-             "n_r-2.7", "n_r-true", "bins-25.5", "samples-1000.5", "distance-inf"])
+             "n_r-2.7", "n_r-true", "bins-25.5", "samples-1000.5", "distance-inf", "seed-2.5",
+             "seed-neg", "seed-true", "seed-str"])
     def test_bad_config_is_config_error(self, tmp_path, field, value, message):
         cfg = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "n_r": 2,
                "rx_kind": "ula", "distance": 10.0, "bins": 5, "samples": 1_000}
@@ -486,21 +504,8 @@ class TestWorkerResolution:
         ns = type("A", (), {"workers": 5})()
         assert _resolve_workers(ns) == 5
 
-    def test_env_fallback(self, monkeypatch):
-        ns = type("A", (), {"workers": None})()
-        monkeypatch.setenv("LOSMIMO_WORKERS", "3")
-        assert _resolve_workers(ns) == 3
-
-    def test_env_invalid(self, monkeypatch):
-        ns = type("A", (), {"workers": None})()
-        monkeypatch.setenv("LOSMIMO_WORKERS", "many")
-        with pytest.raises(ConfigError):
-            _resolve_workers(ns)
-
-    def test_default_single(self, monkeypatch):
-        ns = type("A", (), {"workers": None})()
-        monkeypatch.delenv("LOSMIMO_WORKERS", raising=False)
-        assert _resolve_workers(ns) == 1
+    def test_default_single(self):
+        assert _resolve_workers(build_parser().parse_args(["simulate", "--config", "fig5"])) == 1
 
 
 class TestBundledDesignRecipe:
@@ -516,14 +521,53 @@ class TestBundledDesignRecipe:
         assert beta_max == pytest.approx(3.141592653589793 / 6)
 
 
+class TestManifest:
+    CASES = {
+        "simulate": (["simulate"], dict(MINI_SIM, snr_db=[8], max_trials=2500)),
+        "design": (["design"], {"mu_max": 0.6667, "wavelength": 0.0042, "d_t": 0.06,
+                                "d_r": 0.25, "tx_kind": "triangle", "eta_step": 0.05}),
+        "curves": (["curves", "--eta-start", "0.9", "--eta-stop", "1.5", "--eta-step", "0.1"],
+                   None),
+        "density": (["density"], {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "n_r": 2,
+                                  "rx_kind": "ula", "distance": 10.0, "bins": 5,
+                                  "samples": 1_000}),
+        "gain": (["gain", "sm"], None),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_outputs_are_the_files_written(self, tmp_path, command):
+        argv, cfg = self.CASES[command]
+        if cfg is not None:
+            argv = argv + ["--config", write_config(tmp_path, cfg)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(outputs) == sorted(str(p) for p in out.iterdir()
+                                         if p.name != "manifest.json")
+
+
 class TestPinnedOutputs:
     """sha256 of CSVs that no other test pins, recorded before the link arrays
     were gathered into one LinkSpec; the density recipes at their full 10^6
-    samples (five blocks), before density blocks ran in threaded pieces. A
+    samples (five blocks), before density blocks ran in threaded pieces; the
+    two BER curves of ``SIM`` before every CSV went through one writer. A
     digest that changes is a changed result, to be explained in CHANGES.md,
     not re-recorded."""
 
+    # early stops at 4 dB, 2,500-trial blocks, and a point with no errors
+    SIM = {"wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25, "n_r": 4,
+           "distance": {"law": "uniform", "min": 4.43, "max": 12.7},
+           "snr_db": [4, 12], "max_trials": 5000, "seed": 17,
+           "runs": [{"name": "sm_ula_ura", "scheme": "sm", "tx_kind": "ula", "rx_kind": "ura"},
+                    {"name": "golden_pent_tetr", "scheme": "golden", "tx_kind": "pentagon",
+                     "rx_kind": "tetrahedron"}]}
+
     RUNS = {
+        "simulate_sm_ula_ura": (["simulate"], "sm_ula_ura.csv",
+                                "afada2495952df75eb30c943609bdff40ff8befe280531f81d0f7945d1932dc3"),
+        "simulate_golden_pent_tetr": (
+            ["simulate"], "golden_pent_tetr.csv",
+            "8a5f369914431958a55ab8a89dd001372c627cab9418cd6e8e91e6c49a84f51e"),
         "design_pentagon": (["design", "--config", "design_pentagon"], "design_report.csv",
                             "d132fd0a331e1bef4a43ed651b04906a2456f8e7ef138f88f3254e1083d8217f"),
         "design_triangle": (["design", "--config", "design_triangle"], "design_report.csv",
@@ -549,6 +593,8 @@ class TestPinnedOutputs:
             # the bundled recipe at 20,000 samples
             argv = ["density", "--config", write_config(tmp_path, {**_load_config(name),
                                                                     "samples": 20_000})]
+        elif argv == ["simulate"]:
+            argv = ["simulate", "--config", write_config(tmp_path, self.SIM)]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == EXIT_OK
         assert hashlib.sha256((out / csv).read_bytes()).hexdigest() == digest

@@ -368,6 +368,12 @@ class TestRunBer:
             SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,),
                       **{field: value}, **BASE)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "7"], ids=["float", "negative", "bool", "str"])
+    def test_bad_seed_rejected(self, seed):
+        # 1.5 and -1 used to fail in the first block, True and "7" to run
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,), seed=seed, **BASE)
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown scheme 'bogus'; expected sm, golden or simo"):
             SimConfig(scheme="bogus", link=make_link("ula", "ura"), snr_db=(0.0,), **BASE)
@@ -493,6 +499,12 @@ class TestJointDensity:
     def test_non_integer_sizes_rejected(self, bins, samples, field):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             joint_density(self._link(), 10.0, bins, samples)
+
+    @pytest.mark.parametrize("seed", [2.5, -3, True, "7"], ids=["float", "negative", "bool", "str"])
+    def test_bad_seed_rejected(self, seed):
+        # 2.5 and -3 used to fail in the first block, True and "7" to run
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            joint_density(self._link(), 10.0, 5, 100, seed=seed)
 
     def test_infinite_distance_rejected(self):
         # it used to return counts that sum to 0
