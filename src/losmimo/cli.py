@@ -28,7 +28,8 @@ from .codes import difference_spectrum
 from .design import DesignSpec, InfeasibleDesignError, design_link
 from .geometry import LinkSpec, make_layout
 from .metrics import coding_gain
-from .montecarlo import SimConfig, build_codebook, check_density_inputs, joint_density, run_ber
+from .montecarlo import (SimConfig, build_codebook, channel_groups, check_density_inputs,
+                         check_seed, joint_density, run_ber)
 from .orientation import compute_mu_star_curve
 
 EXIT_OK = 0
@@ -94,6 +95,17 @@ def _int_field(cfg: dict, key: str, default: int, where: str) -> int:
     if not isinstance(val, int) or isinstance(val, bool):
         raise ConfigError(f"{where}: field {key!r} must be int")
     return val
+
+
+def _seed(args, cfg: dict, where: str) -> int:
+    """The run's seed: ``--seed`` if given, else ``where``'s ``seed`` field
+    (default 0). A bad one is a config error located at its source."""
+    seed, source = (args.seed, "--seed") if args.seed is not None else (cfg.get("seed", 0), where)
+    try:
+        check_seed(seed)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+    return seed
 
 
 def _resolve_workers(args) -> int:
@@ -224,8 +236,7 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
     if not runs:
         raise ConfigError("simulate config: 'runs' must not be empty")
     snr_db = _require(cfg, "snr_db", list, "simulate config")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    manifest.data["seed"] = seed
+    seed = manifest.data["seed"] = _seed(args, cfg, "simulate config")
     workers = _resolve_workers(args)
     dist_cfg = _require(cfg, "distance", dict, "simulate config")
     law = _require(dist_cfg, "law", str, "distance")
@@ -236,7 +247,7 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
                     _require(dist_cfg, "max", float, "distance"))
     else:
         raise ConfigError(f"distance law must be 'fixed' or 'uniform', got {law!r}")
-    sims = []
+    names, sims = [], []
     for i, run in enumerate(runs):
         where = f"runs[{i}]"
         name = _require(run, "name", str, where)
@@ -258,18 +269,21 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
             )
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        sims.append((name, sim))
-    # every run is checked before the first one starts; the runs share one pool
+        names.append(name)
+        sims.append(sim)
+    manifest.data["shared_channels"] = [[names[i] for i in g] for g in channel_groups(sims)]
+    # every run is checked before the first one starts; they run in one call,
+    # on one pool
     pool = multiprocessing.Pool(workers) if workers > 1 else None
     try:
-        for name, sim in sims:
-            out = manifest.write(f"{name}.csv", run_ber(sim, pool).write_csv)
-            print(f"simulate: wrote {out}")
+        curves = run_ber(sims, pool)
     finally:
         if pool is not None:
             # close and join: terminating a pool with queued work can deadlock
             pool.close()
             pool.join()
+    for name, curve in zip(names, curves):
+        print(f"simulate: wrote {manifest.write(f'{name}.csv', curve.write_csv)}")
     manifest.write("plot_ber.py", lambda path: path.write_text(PLOT_BER))
     return EXIT_OK
 
@@ -310,8 +324,7 @@ def _cmd_curves(args, manifest: Manifest) -> int:
 
 def _cmd_density(args, manifest: Manifest) -> int:
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    manifest.data["seed"] = seed
+    seed = manifest.data["seed"] = _seed(args, cfg, "density config")
     r_link = _require(cfg, "distance", float, "density config")
     bins = _int_field(cfg, "bins", 25, "density config")
     samples = _int_field(cfg, "samples", 1_000_000, "density config")

@@ -4,14 +4,19 @@ orientations and distances, and the joint (theta_mu, mu) density experiment.
 Trials are partitioned into fixed-size blocks; the random stream of a block
 derives from (master seed, SNR index, block index), so the SNR points of a
 campaign are independent and results do not depend on where or in what order
-the points run.
+the points run. A block's first draws are its channels, so campaigns that
+agree on the link, distance law, seed, block size and channel mode draw the
+same channels in every block; ``run_ber`` runs such a group together and
+synthesises each block's channels once for all of its campaigns.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
+from itertools import starmap
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,8 +35,9 @@ __all__ = [
     "DensityGrid",
     "build_codebook",
     "ml_decode",
-    "run_point",
+    "channel_groups",
     "run_ber",
+    "check_seed",
     "check_density_inputs",
     "joint_density",
 ]
@@ -86,7 +92,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_trials < 1 or self.target_errors < 1 or self.block_trials < 1:
             raise ValueError("trial budgets must be positive")
-        _check_seed(self.seed)
+        check_seed(self.seed)
         snr_db = tuple(self.snr_db)
         if not snr_db or not all(_is_real(s) and np.isfinite(s) for s in snr_db):
             raise ValueError(f"SNR grid must be a non-empty list of finite numbers, got {snr_db!r}")
@@ -175,20 +181,22 @@ class _Engine:
             tx = tx[:, pair.T, np.arange(n)]
         return los_channel(link_distances(tx, rx), link.wavelength).transpose(2, 0, 1)
 
-    def run_block(self, snr_index: int, block_index: int, n_trials: int) -> tuple[int, int]:
-        """Simulate one block; returns (trials, bit errors).
+    def block_channels(self, n: int, rng: np.random.Generator) -> NDArray:
+        """The n-last (n_r, 2, n) channels of a block of n trials: the ideal
+        channel, or n links drawn from ``rng``."""
+        if self.config.ideal_channel:
+            return np.broadcast_to(self.h_ideal[..., None], (self.config.link.rx.n, 2, n))
+        return self._channels(n, rng).transpose(1, 2, 0)
+
+    def block_errors(self, h: NDArray, snr_index: int, rng: np.random.Generator) -> int:
+        """Bit errors of one block over the n-last channels ``h``, with the
+        codewords and the noise drawn from ``rng``.
 
         The block is n-last in memory, so every small complex product runs its
         inner loop over the trials; ``ml_decode`` gets n-first views of it."""
-        cfg = self.config
         cb = self.codebook
-        rng = np.random.default_rng([cfg.seed, snr_index, block_index])
         snr = self.snr_lin[snr_index]
-        n, n_r = n_trials, cfg.link.rx.n
-        if cfg.ideal_channel:
-            h = np.broadcast_to(self.h_ideal[..., None], (n_r, 2, n))
-        else:
-            h = self._channels(n, rng).transpose(1, 2, 0)
+        n_r, n = h.shape[0], h.shape[-1]
         k_true = rng.integers(0, cb.size, n)
         # y = sqrt(snr) h X + noise, noise = sqrt(1/2) (a + i b) drawn n-first
         y = np.empty((n_r, cb.slots, n), dtype=complex)
@@ -201,34 +209,83 @@ class _Engine:
         hx *= np.sqrt(snr)
         y += hx
         _, bits = ml_decode(h.transpose(2, 0, 1), y.transpose(2, 0, 1), snr, cb)
-        return n, int(np.sum(cb.bits[k_true] != bits))
+        return int(np.sum(cb.bits[k_true] != bits))
 
 
-def run_point(config: SimConfig, snr_index: int) -> tuple[int, int]:
-    """(trials, bit errors) of one SNR point: its blocks in index order until
-    the trial budget is used up or the bit-error target is reached."""
-    engine = _Engine(config)
-    trials = errors = 0
-    for b in range(-(-config.max_trials // config.block_trials)):
-        t, e = engine.run_block(snr_index, b,
-                                min(config.block_trials, config.max_trials - trials))
-        trials += t
-        errors += e
-        if errors >= config.target_errors:
-            break
-    return trials, errors
+def channel_groups(configs: Sequence[SimConfig]) -> list[list[int]]:
+    """Indices of ``configs`` grouped by the channels their blocks draw: the
+    link, distance law, seed, block size and channel mode. Groups and their
+    members are in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(configs):
+        key = (c.link, c.distance, c.seed, c.block_trials, c.ideal_channel)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
-def run_ber(config: SimConfig, pool=None) -> BerCurve:
-    """Run the full BER campaign described by ``config``.
+def _run_group_point(configs: tuple[SimConfig, ...], snr_index: int) -> list[tuple[int, int]]:
+    """(trials, bit errors) at one SNR index of campaigns that draw the same
+    channels, each running its blocks in index order until its trial budget is
+    used up or its bit-error target is reached.
 
-    Each SNR point is one ``run_point``, mapped over ``pool`` (a
-    ``multiprocessing.Pool``) when one is given; the points share no random
-    stream, so the output is bit-identical with or without a pool.
+    Block b's stream is ``default_rng([seed, snr_index, b])``. Its channels are
+    drawn once per distinct trial count among the campaigns still running, and
+    each of those campaigns draws its codewords and noise from the state that
+    follows them, so every campaign consumes the stream it would alone."""
+    engines = [_Engine(c) for c in configs]
+    lead = configs[0]
+    trials, errors = [0] * len(configs), [0] * len(configs)
+    live = list(range(len(configs)))
+    b = 0
+    while live:
+        by_count: dict[int, list[int]] = {}
+        for i in live:
+            n = min(lead.block_trials, configs[i].max_trials - trials[i])
+            by_count.setdefault(n, []).append(i)
+        for n, members in by_count.items():
+            rng = np.random.default_rng([lead.seed, snr_index, b])
+            h = engines[members[0]].block_channels(n, rng)
+            drawn = rng.bit_generator.state
+            for i in members:
+                rng.bit_generator.state = drawn
+                trials[i] += n
+                errors[i] += engines[i].block_errors(h, snr_index, rng)
+        live = [i for i in live
+                if errors[i] < configs[i].target_errors and trials[i] < configs[i].max_trials]
+        b += 1
+    return list(zip(trials, errors))
+
+
+def run_ber(config: SimConfig | Sequence[SimConfig], pool=None) -> BerCurve | list[BerCurve]:
+    """Run the BER campaign ``config``, or each campaign of a sequence of them
+    (a list of curves, in order).
+
+    The campaigns are grouped by ``channel_groups``; one task runs one group at
+    one SNR index (``_run_group_point``), and every task goes through one map
+    over ``pool`` (a ``multiprocessing.Pool``) when one is given. Each campaign
+    consumes the random stream it would alone and the points share no stream,
+    so the output is bit-identical with or without a pool or other campaigns.
     """
-    points = (map if pool is None else pool.map)(partial(run_point, config),
-                                                  range(len(config.snr_db)))
-    trials, errors = np.array(list(points), dtype=np.int64).reshape(-1, 2).T
+    configs = [config] if isinstance(config, SimConfig) else list(config)
+    tasks = [([i for i in group if s < len(configs[i].snr_db)], s)
+             for group in channel_groups(configs)
+             for s in range(max(len(configs[i].snr_db) for i in group))]
+    args = [(tuple(configs[i] for i in members), s) for members, s in tasks]
+    # one task per dispatch: a point that stops after one block and one that
+    # runs its whole budget differ in cost by the budget's block count (80 in fig5)
+    results = (starmap(_run_group_point, args) if pool is None
+               else pool.starmap(_run_group_point, args, chunksize=1))
+    points = [[None] * len(c.snr_db) for c in configs]
+    for (members, s), counts in zip(tasks, results):
+        for i, count in zip(members, counts):
+            points[i][s] = count
+    curves = [_curve(c, p) for c, p in zip(configs, points)]
+    return curves[0] if isinstance(config, SimConfig) else curves
+
+
+def _curve(config: SimConfig, points: list[tuple[int, int]]) -> BerCurve:
+    """The curve of ``config`` from its (trials, bit errors) per SNR point."""
+    trials, errors = np.array(points, dtype=np.int64).reshape(-1, 2).T
     n_bits = build_codebook(config.scheme).bits_per_codeword
     bits_total = trials * n_bits
     ber = np.where(bits_total > 0, errors / np.maximum(bits_total, 1), 0.0)
@@ -252,7 +309,7 @@ def ml_decode(h: NDArray, y: NDArray, snr: float,
 
     The blocks are taken as n-last views, so the Gram and Z contractions run
     their inner loops over the batch; inputs that are transposed views of
-    n-last memory, as ``run_block`` passes, cost no copy.
+    n-last memory, as ``_Engine.block_errors`` passes, cost no copy.
     """
     h = np.asarray(h, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -337,12 +394,13 @@ def check_density_inputs(link: LinkSpec, r_link: float, bins: int | tuple[int, i
     nt, nm = pair
     if nt < 5 or nm < 5:
         raise ValueError("use at least a 5 x 5 grid")
-    _check_seed(seed)
+    check_seed(seed)
     _check_clearance(link, r_link)
     return nt, nm
 
 
-def _check_seed(seed) -> None:
+def check_seed(seed) -> None:
+    """Reject a seed that is not a non-negative integer."""
     if not (_is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 

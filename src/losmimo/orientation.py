@@ -232,9 +232,12 @@ class MuStarCurve:
 def compute_mu_star_curve(eta_start: float = 0.3, eta_stop: float = 3.0,
                           step: float = 0.01) -> MuStarCurve:
     """Evaluate ``mu*`` on a regular eta grid (plus the pentagon extension)."""
-    if not 0 < eta_start < eta_stop < np.inf:
+    for name, value in (("eta_start", eta_start), ("eta_stop", eta_stop), ("eta step", step)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not 0 < eta_start < eta_stop:
         raise ValueError("need 0 < eta_start < eta_stop")
-    if not 0 < step < np.inf:
+    if not step > 0:
         raise ValueError("eta step must be positive")
     lo = eta_start * PENTAGON_ETA_SCALE
     n_below = int(np.ceil((eta_start - lo) / step))

@@ -46,28 +46,27 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def ber_curves():
-    """The desk-scale BER campaigns shared by criterion 8, on one 2-process
-    pool: the curves do not depend on the worker count. The workers are
-    spawned, since forking a process that may hold BLAS threads is unsafe."""
+    """The desk-scale BER campaigns shared by criterion 8, in one ``run_ber``
+    call on one 2-process pool: the curves do not depend on the worker count or
+    on the campaigns run with them. The workers are spawned, since forking a
+    process that may hold BLAS threads is unsafe."""
     t0 = time.monotonic()
     base = dict(distance=R_RANGE, snr_db=SNR_GRID, target_errors=200, seed=2024)
+    configs = {
+        "sm_ula_ura": SimConfig(scheme="sm", link=fig5_link("ula", "ura"),
+                                max_trials=1_000_000, **base),
+        "sm_pent_tetr": SimConfig(scheme="sm", link=fig5_link("pentagon", "tetrahedron"),
+                                  max_trials=1_000_000, **base),
+        "golden_pent_tetr": SimConfig(scheme="golden", link=fig5_link("pentagon", "tetrahedron"),
+                                      max_trials=200_000, **base),
+        "simo_ura": SimConfig(scheme="simo", link=fig5_link("ula", "ura"),
+                              max_trials=200_000, **base),
+        "ideal_sm": SimConfig(scheme="sm", link=fig5_link("ula", "ura"),
+                              max_trials=200_000, ideal_channel=True, **base),
+    }
     pool = multiprocessing.get_context("spawn").Pool(2)
     try:
-        curves = {
-            "sm_ula_ura": run_ber(SimConfig(scheme="sm", link=fig5_link("ula", "ura"),
-                                            max_trials=1_000_000, **base), pool),
-            "sm_pent_tetr": run_ber(SimConfig(scheme="sm",
-                                              link=fig5_link("pentagon", "tetrahedron"),
-                                              max_trials=1_000_000, **base), pool),
-            "golden_pent_tetr": run_ber(SimConfig(scheme="golden",
-                                                  link=fig5_link("pentagon", "tetrahedron"),
-                                                  max_trials=200_000, **base), pool),
-            "simo_ura": run_ber(SimConfig(scheme="simo", link=fig5_link("ula", "ura"),
-                                          max_trials=200_000, **base), pool),
-            "ideal_sm": run_ber(SimConfig(scheme="sm", link=fig5_link("ula", "ura"),
-                                          max_trials=200_000, ideal_channel=True, **base),
-                                pool),
-        }
+        curves = dict(zip(configs, run_ber(list(configs.values()), pool)))
     finally:
         # close and join: terminating a pool with queued work can deadlock
         pool.close()

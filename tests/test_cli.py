@@ -78,6 +78,19 @@ class TestSimulate:
         assert manifest["status"] == "ok"
         assert manifest["seed"] == 5
         assert str(out / "mini_sm.csv") in manifest["outputs"]
+        assert manifest["shared_channels"] == [["mini_sm"]]
+
+    def test_manifest_records_shared_channels(self, tmp_path):
+        # the fig5 runs at one point of one block: the runs on each geometry
+        # share their channel draws, and the ideal run draws none
+        cfg = dict(_load_config("fig5"), snr_db=[32], max_trials=500, block_trials=500)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["shared_channels"] == [
+            ["sm_ula_ura", "golden_ula_ura", "simo_ura"], ["sm_pent_tetr", "golden_pent_tetr"],
+            ["ideal_sm"]]
 
     def test_seed_flag_gives_identical_csv(self, tmp_path):
         cfg = write_config(tmp_path, MINI_SIM)
@@ -253,12 +266,14 @@ class TestSimulate:
                                           ("config", "7"), ("flag", -1)],
                              ids=["1.5", "neg", "true", "str", "flag-neg"])
     def test_bad_seed_is_config_error(self, tmp_path, via, seed):
-        # 1.5 and -1 used to fail mid-run (exit 4), true and "7" to run
+        # 1.5 and -1 used to fail mid-run (exit 4), true and "7" to run; the
+        # error names where the seed came from, not runs[0]
         cfg = dict(MINI_SIM, seed=seed) if via == "config" else MINI_SIM
         argv = ["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
         assert main(argv + (["--seed", str(seed)] if via == "flag" else [])) == EXIT_CONFIG
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert "seed must be a non-negative integer" in manifest["error"]
+        source = "simulate config" if via == "config" else "--seed"
+        assert manifest["error"] == f"{source}: seed must be a non-negative integer, got {seed!r}"
         assert not (tmp_path / "out" / "mini_sm.csv").exists()
 
     @pytest.mark.parametrize("workers", [0, -1], ids=["0-flag", "-1-flag"])
@@ -401,18 +416,25 @@ class TestCurves:
         assert (out / "plot_curves.py").exists()
 
     @pytest.mark.parametrize("flag,value", [("step", "0.3"), ("step", "0"), ("step", "-0.1"),
-                                            ("step", "nan"), ("step", "inf"), ("stop", "inf")],
-                             ids=["0.3", "0", "-0.1", "nan", "inf", "stop-inf"])
+                                            ("step", "nan"), ("step", "inf"), ("stop", "inf"),
+                                            ("stop", "nan"), ("start", "inf"), ("start", "nan")],
+                             ids=["0.3", "0", "-0.1", "nan", "inf", "stop-inf", "stop-nan",
+                                  "start-inf", "start-nan"])
     def test_bad_eta_step_is_config_error(self, tmp_path, flag, value):
         # 0.3 extends the pentagon grid below eta_start = 0.3 down to eta = 0;
-        # an infinite step used to write a header alone (design: exit 4)
+        # an infinite step used to write a header alone (design: exit 4), and
+        # the non-finite values used to get the messages of the finite cases
         out = tmp_path / "curves"
         assert main(["curves", f"--eta-{flag}={value}", "--out", str(out)]) == EXIT_CONFIG
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["error"].startswith("need 0 < eta_start" if flag == "stop" else "eta step")
+        if value in ("nan", "inf"):
+            name = "eta step" if flag == "step" else f"eta_{flag}"
+            assert manifest["error"] == f"{name} must be finite, got {float(value)!r}"
+        else:
+            assert manifest["error"].startswith("eta step")
         assert not (out / "mu_star_curve.csv").exists()
-        if flag == "stop":
-            return      # a design config has no eta_stop
+        if flag != "step":
+            return      # a design config has only an eta_step
         cfg = write_config(tmp_path, {
             "mu_max": 0.6667, "wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25,
             "tx_kind": "triangle", "eta_step": float(value)})

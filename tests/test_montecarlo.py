@@ -74,7 +74,7 @@ class TestMlDecode:
             ml_decode(ideal_channel(4), np.zeros((4, 1)), 1.0, cb)
 
     def test_batch_matches_per_trial(self):
-        # one golden block as run_block builds it: engine channels at 8 dB
+        # one golden block as the engine builds it: engine channels at 8 dB
         engine = _Engine(SimConfig(scheme="golden", link=make_link("pentagon", "tetrahedron"),
                                    snr_db=(8.0,), **BASE))
         cb = engine.codebook
@@ -133,7 +133,7 @@ class TestMlDecode:
 
     @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
     def test_same_decisions_for_either_memory_layout(self, scheme):
-        # run_block passes transposed views of n-last memory; C-contiguous
+        # _Engine.block_errors passes transposed views of n-last memory; C-contiguous
         # n-first copies of the same blocks decode to the same indices and bits
         engine = _Engine(SimConfig(scheme=scheme, link=make_link("pentagon", "tetrahedron"),
                                    snr_db=(8.0,), **BASE))
@@ -363,7 +363,7 @@ class TestRunBer:
     @pytest.mark.parametrize("field", ["max_trials", "target_errors", "block_trials"])
     @pytest.mark.parametrize("value", [1000.5, True])
     def test_non_integer_budget_rejected(self, field, value):
-        # a float used to build and fail later in run_point with a TypeError
+        # a float used to build and fail later, mid-run, with a TypeError
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,),
                       **{field: value}, **BASE)
@@ -394,6 +394,86 @@ class TestRunBer:
         fields = lines[1].split(",")
         assert len(fields) == 6
         assert int(fields[1]) == 2_000
+
+
+class TestSharedChannels:
+    """``run_ber`` over a batch draws each block's channels once per group and
+    trial count, and gives every campaign the curve it gives alone."""
+
+    @staticmethod
+    def configs():
+        # one pentagon x tetrahedron group whose campaigns differ in scheme,
+        # error target (so they stop at different blocks), budget (1,700 is
+        # not a multiple of the 500-trial block) and SNR grid; a ULA x URA
+        # campaign and an ideal one make groups of their own
+        pent, ula = make_link("pentagon", "tetrahedron"), make_link("ula", "ura")
+        kw = dict(block_trials=500, seed=3, **BASE)
+        return [
+            SimConfig(scheme="sm", link=pent, snr_db=(0, 8, 16), max_trials=3_000,
+                      target_errors=100, **kw),
+            SimConfig(scheme="golden", link=pent, snr_db=(0, 8, 16), max_trials=1_700,
+                      target_errors=400, **kw),
+            SimConfig(scheme="simo", link=pent, snr_db=(0, 8), max_trials=2_500,
+                      target_errors=30, **kw),
+            SimConfig(scheme="sm", link=ula, snr_db=(0, 8, 16), max_trials=2_000,
+                      target_errors=100, **kw),
+            SimConfig(scheme="sm", link=ula, snr_db=(0, 8, 16), max_trials=2_000,
+                      target_errors=100, ideal_channel=True, **kw),
+        ]
+
+    @staticmethod
+    def assert_same_curves(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert isinstance(a, montecarlo.BerCurve)
+            for field in ("snr_db", "trials", "bit_errors", "ber", "ci_low", "ci_high"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+            assert a.bits_per_trial == b.bits_per_trial
+
+    def test_groups(self):
+        assert montecarlo.channel_groups(self.configs()) == [[0, 1, 2], [3], [4]]
+
+    def test_batch_matches_one_at_a_time(self):
+        configs = self.configs()
+        alone = [run_ber(c) for c in configs]
+        self.assert_same_curves(run_ber(configs), alone)
+        pool = multiprocessing.Pool(2)
+        try:
+            self.assert_same_curves(run_ber(configs, pool), alone)
+        finally:
+            pool.close()
+            pool.join()
+        # the group's campaigns stop at different blocks of the same point
+        assert len({int(c.trials[1]) for c in alone[:3]}) == 3
+
+    def test_one_config_is_a_batch_of_one(self):
+        config = self.configs()[0]
+        curve = run_ber(config)
+        assert isinstance(curve, montecarlo.BerCurve)
+        self.assert_same_curves(run_ber([config]), [curve])
+
+    def test_channels_drawn_once_per_block_and_trial_count(self, monkeypatch):
+        configs = self.configs()
+        calls = []
+        real = _Engine._channels
+
+        def counting(engine, n, rng):
+            calls.append((engine.config.link, n, rng.bit_generator.state["state"]["state"]))
+            return real(engine, n, rng)
+
+        monkeypatch.setattr(_Engine, "_channels", counting)
+        curves = run_ber(configs)
+        # every (group, SNR index, block, trial count) that a campaign ran
+        expected = set()
+        for c, curve in zip(configs, curves):
+            if c.ideal_channel:
+                continue
+            for s, trials in enumerate(curve.trials.tolist()):
+                for b in range(-(-trials // c.block_trials)):
+                    state = np.random.default_rng([c.seed, s, b]).bit_generator.state
+                    expected.add((c.link, min(c.block_trials, c.max_trials - b * c.block_trials),
+                                  state["state"]["state"]))
+        assert sorted(calls, key=repr) == sorted(expected, key=repr)
 
 
 class TestEngineChannels:
