@@ -74,7 +74,6 @@ from .orientation import (
     edge_code,
     edge_code_worst_distortion,
     mu_of_direction,
-    mu_pent_star,
     mu_star,
     mu_star_bound,
 )

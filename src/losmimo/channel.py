@@ -106,35 +106,25 @@ def deviation_factor(R, d_t, d_r, beta, wavelength) -> float | NDArray:
     return float(eta) if np.ndim(eta) == 0 else eta
 
 
-def mu_model(layout: ArrayLayout, v: NDArray, *, d_t: float | None = None,
-             R: float | None = None, wavelength: float | None = None,
-             beta: float = 0.0, eta: float | None = None) -> float:
-    """Model correlation ``mu = |sum_m exp(i c_m r_m . v)| / n_r``.
+def mu_model(layout: ArrayLayout, v, eta) -> float | NDArray:
+    """Model correlation ``mu = |sum_m exp(i (pi/eta) (d_m/spacing) r_m . v)| / n_r``
+    of ``layout``, antenna ``m`` at ``d_m r_m``, for the transverse direction(s)
+    ``v`` seen in the array frame.
 
-    ``v`` is the transverse direction seen in the receive array frame. The
-    per-antenna constants are ``c_m = 2 pi d_t d_m cos(beta) / (R wavelength)``,
-    given either through the physical parameters or through ``eta`` (in which
-    case ``c_m = pi d_m / (eta * layout.spacing)``).
+    ``v`` is (..., 3) unit rows and ``eta`` broadcasts against its leading axes;
+    one direction with one eta gives a float. Physical lengths enter through
+    ``eta = deviation_factor(R, d_t, layout.spacing, beta, wavelength)``.
     """
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError("direction v must be a unit vector")
-    if layout.n == 0:
-        raise ValueError("empty layout")
-    if eta is not None:
-        if d_t is not None or R is not None or wavelength is not None:
-            raise ValueError("pass either eta or the physical parameters, not both")
-        if not 0.0 < eta < np.inf:
-            raise ValueError("eta must be positive")
-        c = np.pi * layout.radii / (eta * layout.spacing)
-    else:
-        if d_t is None or R is None or wavelength is None:
-            raise ValueError("need d_t, R and wavelength when eta is not given")
-        if not all(0.0 < x < np.inf for x in (d_t, R, wavelength)):
-            raise ValueError("d_t, R and wavelength must be positive")
-        c = 2.0 * np.pi * d_t * layout.radii * np.cos(beta) / (R * wavelength)
-    cos_theta = layout.directions @ v
-    return float(np.abs(np.exp(1j * c * cos_theta).sum()) / layout.n)
+    eta = np.asarray(eta, dtype=float)
+    # written so that a NaN norm fails the check
+    if not np.all(np.abs(np.linalg.norm(v, axis=-1) - 1.0) <= 1e-9):
+        raise ValueError("directions must be unit vectors")
+    if not np.all((0.0 < eta) & (eta < np.inf)):
+        raise ValueError("eta must be positive")
+    arg = ((np.pi / eta)[..., None] * (layout.radii / layout.spacing)) * (v @ layout.directions.T)
+    mu = np.hypot(np.cos(arg).sum(axis=-1), np.sin(arg).sum(axis=-1)) / layout.n
+    return float(mu) if mu.ndim == 0 else mu
 
 
 def closed_form_2x2(d_t: float, d_r: float, R: float, wavelength: float,

@@ -59,13 +59,21 @@ def _load_config(spec: str) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _require(cfg: dict, key: str, kind, where: str):
+_REQUIRED = object()
+
+
+def _require(cfg: dict, key: str, kind, where: str, default=_REQUIRED):
+    """Field ``key`` of ``cfg``, of type ``kind``; ``default`` if the field is
+    absent and a default is given. A float may be written as an integer, and a
+    bool is no number."""
     if key not in cfg:
-        raise ConfigError(f"{where}: missing required field {key!r}")
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing required field {key!r}")
+        return default
     val = cfg[key]
-    if kind is float and isinstance(val, int):
+    if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or (kind is not bool and isinstance(val, bool)):
         raise ConfigError(f"{where}: field {key!r} must be {kind.__name__}")
     return val
 
@@ -87,14 +95,6 @@ def _link(cfg: dict, where: str, tx_kind: str, rx_kind: str, n_r: int,
     wavelength, d_t, d_r = (_length_field(cfg, key, where) for key in ("wavelength", "d_t", "d_r"))
     tx = make_layout(tx_kind, 2 if tx_kind == "ula" else None, d_t)
     return LinkSpec(wavelength, tx, make_layout(rx_kind, n_r, d_r, coords_file=coords_file))
-
-
-def _int_field(cfg: dict, key: str, default: int, where: str) -> int:
-    """An optional integer field; a float or bool is rejected, not truncated."""
-    val = cfg.get(key, default)
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ConfigError(f"{where}: field {key!r} must be int")
-    return val
 
 
 def _seed(args, cfg: dict, where: str) -> int:
@@ -250,22 +250,24 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
     names, sims = [], []
     for i, run in enumerate(runs):
         where = f"runs[{i}]"
+        if not isinstance(run, dict):
+            raise ConfigError(f"{where}: must be an object")
         name = _require(run, "name", str, where)
         try:
             sim = SimConfig(
                 scheme=_require(run, "scheme", str, where),
-                link=_link(cfg, "simulate config", run.get("tx_kind", "ula"),
-                           run.get("rx_kind", "ura"),
-                           _int_field(run, "n_r", _int_field(cfg, "n_r", 4, "simulate config"),
-                                      where),
-                           run.get("rx_coords_file")),
+                link=_link(cfg, "simulate config", _require(run, "tx_kind", str, where, "ula"),
+                           _require(run, "rx_kind", str, where, "ura"),
+                           _require(run, "n_r", int, where,
+                                    _require(cfg, "n_r", int, "simulate config", 4)),
+                           _require(run, "rx_coords_file", str, where, None)),
                 distance=distance,
                 snr_db=tuple(snr_db),
-                max_trials=_int_field(cfg, "max_trials", 200_000, "simulate config"),
-                target_errors=_int_field(cfg, "target_errors", 200, "simulate config"),
+                max_trials=_require(cfg, "max_trials", int, "simulate config", 200_000),
+                target_errors=_require(cfg, "target_errors", int, "simulate config", 200),
                 seed=seed,
-                block_trials=_int_field(cfg, "block_trials", 2_500, "simulate config"),
-                ideal_channel=bool(run.get("ideal_channel", False)),
+                block_trials=_require(cfg, "block_trials", int, "simulate config", 2_500),
+                ideal_channel=_require(run, "ideal_channel", bool, where, False),
             )
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
@@ -296,7 +298,8 @@ def _cmd_design(args, manifest: Manifest) -> int:
             link=_link(cfg, "design config", _require(cfg, "tx_kind", str, "design config"),
                        "tetrahedron", 4),
         )
-        curve = compute_mu_star_curve(step=float(cfg.get("eta_step", 0.01)))
+        curve = compute_mu_star_curve(step=_require(cfg, "eta_step", float, "design config",
+                                                    0.01))
     except ValueError as exc:
         raise ConfigError(f"design config: {exc}") from exc
     result = design_link(spec, curve)
@@ -326,11 +329,12 @@ def _cmd_density(args, manifest: Manifest) -> int:
     cfg = _load_config(args.config)
     seed = manifest.data["seed"] = _seed(args, cfg, "density config")
     r_link = _require(cfg, "distance", float, "density config")
-    bins = _int_field(cfg, "bins", 25, "density config")
-    samples = _int_field(cfg, "samples", 1_000_000, "density config")
-    n_r = _int_field(cfg, "n_r", 2, "density config")
+    bins = _require(cfg, "bins", int, "density config", 25)
+    samples = _require(cfg, "samples", int, "density config", 1_000_000)
+    n_r = _require(cfg, "n_r", int, "density config", 2)
     try:
-        link = _link(cfg, "density config", "ula", cfg.get("rx_kind", "ula"), n_r)
+        link = _link(cfg, "density config", "ula",
+                     _require(cfg, "rx_kind", str, "density config", "ula"), n_r)
         check_density_inputs(link, r_link, bins, samples, seed)
     except ValueError as exc:
         raise ConfigError(f"density config: {exc}") from exc
@@ -342,6 +346,8 @@ def _cmd_density(args, manifest: Manifest) -> int:
 
 
 def _cmd_gain(args, manifest: Manifest) -> int:
+    if not np.isfinite(args.mu_step):
+        raise ConfigError(f"mu step must be finite, got {args.mu_step!r}")
     if not args.mu_step > 0:
         raise ConfigError("mu step must be positive")
     schemes = ["sm", "golden", "simo"] if args.scheme == "all" else [args.scheme]

@@ -186,19 +186,36 @@ class TestMuModel:
         lay = make_layout("ula", 2, d_r)
         for beta in (0.0, 0.01, 0.2):
             v = transverse_axis(0.0)  # array frame transverse axis, theta_1 = 0
-            got = mu_model(lay, v, d_t=d_t, R=R, wavelength=lam, beta=beta)
+            got = mu_model(lay, v, eta=deviation_factor(R, d_t, d_r, beta, lam))
             want = abs(np.cos(np.pi * d_t * d_r * np.cos(beta) / (R * lam)))
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_eta_route_matches_physical_route(self):
+        # the phase sum written in the physical lengths, against the eta route
         lay = make_layout("tetrahedron", spacing=0.25)
         d_t, R, lam, beta = 0.06, 7.0, 0.0042, 0.15
-        eta = deviation_factor(R, d_t, 0.25, beta, lam)
         rng = np.random.default_rng(6)
-        v = uniform_rotation(rng) @ np.array([0, 0, 1.0])
-        a = mu_model(lay, v, d_t=d_t, R=R, wavelength=lam, beta=beta)
-        b = mu_model(lay, v, eta=eta)
-        assert a == pytest.approx(b, abs=1e-12)
+        for _ in range(5):
+            v = uniform_rotation(rng) @ np.array([0, 0, 1.0])
+            phase = (2 * np.pi * d_t * lay.radii * np.cos(beta) / (R * lam)
+                     * (lay.directions @ v))
+            want = abs(np.exp(1j * phase).sum()) / lay.n
+            got = mu_model(lay, v, deviation_factor(R, d_t, lay.spacing, beta, lam))
+            assert got == pytest.approx(want, abs=1e-12)
+
+    def test_batched_over_directions_and_eta(self):
+        lay = make_layout("pentagon", spacing=0.1)
+        rng = np.random.default_rng(7)
+        v = np.stack([[uniform_rotation(rng) @ np.array([0, 0, 1.0]) for _ in range(4)]
+                      for _ in range(3)])  # (3, 4, 3)
+        etas = np.array([0.5, 1.0, 2.5])
+        batch = mu_model(lay, v, etas[:, None])
+        assert batch.shape == (3, 4)
+        for i, eta in enumerate(etas):
+            for j in range(4):
+                one = mu_model(lay, v[i, j], eta)
+                assert isinstance(one, float)
+                assert batch[i, j] == pytest.approx(one, abs=1e-15)
 
     def test_brute_force_sum(self):
         lay = make_layout("tetrahedron", spacing=0.25)
@@ -210,17 +227,24 @@ class TestMuModel:
 
     def test_rejects_bad_direction(self):
         lay = make_layout("tetrahedron", spacing=0.25)
-        with pytest.raises(ValueError, match="unit vector"):
-            mu_model(lay, np.array([0, 0, 2.0]), eta=1.0)
+        # a NaN row has no norm to compare, and must not pass for a unit vector
+        for v in ([0, 0, 2.0], [np.nan, 0, 0], [[0, 0, 1.0], [np.nan, 0, 0]]):
+            with pytest.raises(ValueError, match="directions must be unit vectors"):
+                mu_model(lay, np.array(v), eta=1.0)
 
     @pytest.mark.parametrize("value", BAD_LENGTHS)
     @pytest.mark.parametrize("arg", ["eta", "d_t", "R", "wavelength"])
     def test_lengths_must_be_finite(self, arg, value):
+        # physical lengths reach mu_model through deviation_factor
         lay = make_layout("tetrahedron", spacing=0.25)
-        kw = {"d_t": 0.06, "R": 7.0, "wavelength": 0.0042}
-        kw = {"eta": value} if arg == "eta" else {**kw, arg: value}
+        v = np.array([0, 0, 1.0])
+        lengths = {"d_t": 0.06, "R": 7.0, "wavelength": 0.0042, arg: value}
         with pytest.raises(ValueError, match="must be positive"):
-            mu_model(lay, np.array([0, 0, 1.0]), **kw)
+            if arg == "eta":
+                mu_model(lay, v, eta=value)
+            else:
+                mu_model(lay, v, eta=deviation_factor(lengths["R"], lengths["d_t"], lay.spacing,
+                                                      0.0, lengths["wavelength"]))
 
 
 class TestClosedForm:
@@ -277,5 +301,5 @@ def test_model_matches_exact_distances_far_field():
         h = los_channel(exact_distances(*place_antennas(sc)), lam)
         exact_mu = reduce_channel(h).mu
         v = sc.U_rx.T @ transverse_axis(sc.beta)
-        model_mu = mu_model(rx, v, d_t=sc.d_t, R=sc.R, wavelength=lam, beta=sc.beta)
+        model_mu = mu_model(rx, v, eta=deviation_factor(sc.R, sc.d_t, rx.spacing, sc.beta, lam))
         assert abs(exact_mu - model_mu) < 0.01

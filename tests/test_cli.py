@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import importlib.resources
 import json
@@ -371,6 +372,58 @@ class TestDesign:
         assert 0 < vals[2] < vals[3]
 
 
+class TestFieldTypes:
+    # each of these used to run (a bool read as a number, any truthy value as
+    # ideal_channel, a numeric string as eta_step) or to exit 4 mid-run
+    DESIGN = {"mu_max": 0.6667, "wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25,
+              "tx_kind": "triangle", "eta_step": 0.05}
+    DENSITY = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "n_r": 2,
+               "rx_kind": "ula", "distance": 10.0, "bins": 5, "samples": 1_000}
+    CASES = {
+        "wavelength-true": ("simulate", ("wavelength",), True,
+                            "simulate config: field 'wavelength' must be float"),
+        "distance-value-true": ("simulate", ("distance",), {"law": "fixed", "value": True},
+                                "distance: field 'value' must be float"),
+        "ideal_channel-str": ("simulate", ("runs", 0, "ideal_channel"), "false",
+                              "runs[0]: field 'ideal_channel' must be bool"),
+        "ideal_channel-1": ("simulate", ("runs", 0, "ideal_channel"), 1,
+                            "runs[0]: field 'ideal_channel' must be bool"),
+        "run-int": ("simulate", ("runs",), [5], "runs[0]: must be an object"),
+        "tx_kind-int": ("simulate", ("runs", 0, "tx_kind"), 3,
+                        "runs[0]: field 'tx_kind' must be str"),
+        "rx_kind-null": ("simulate", ("runs", 0, "rx_kind"), None,
+                         "runs[0]: field 'rx_kind' must be str"),
+        "rx_coords_file-true": ("simulate", ("runs", 0, "rx_coords_file"), True,
+                                "runs[0]: field 'rx_coords_file' must be str"),
+        "eta_step-null": ("design", ("eta_step",), None,
+                          "design config: field 'eta_step' must be float"),
+        "eta_step-str": ("design", ("eta_step",), "0.02",
+                         "design config: field 'eta_step' must be float"),
+        "mu_max-true": ("design", ("mu_max",), True, "design config: field 'mu_max' must be float"),
+        "density-rx_kind-int": ("density", ("rx_kind",), 2,
+                                "density config: field 'rx_kind' must be str"),
+        "density-distance-true": ("density", ("distance",), True,
+                                  "density config: field 'distance' must be float"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_mistyped_field_is_config_error(self, tmp_path, case):
+        command, path, value, message = self.CASES[case]
+        cfg = copy.deepcopy({"simulate": MINI_SIM, "design": self.DESIGN,
+                             "density": self.DENSITY}[command])
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "config-error"
+        assert manifest["error"] == message
+        assert not list(out.glob("*.csv"))
+
+
 class TestGain:
     def test_sm_gain_column(self, tmp_path):
         out = tmp_path / "out"
@@ -391,13 +444,16 @@ class TestGain:
         with pytest.raises(SystemExit):
             main(["gain", "qpsk", "--out", str(tmp_path / "o")])
 
-    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    @pytest.mark.parametrize("step", ["0", "-0.1", "inf", "nan"])
     def test_bad_mu_step_is_config_error(self, tmp_path, step):
-        # 0 used to divide by zero (exit 4) and -0.1 to write a header alone
+        # 0 used to divide by zero (exit 4), -0.1 to write a header alone and
+        # inf to write the mu = 0 row alone
         out = tmp_path / "out"
         assert main(["gain", "sm", f"--mu-step={step}", "--out", str(out)]) == EXIT_CONFIG
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "config-error"
+        if step in ("inf", "nan"):
+            assert manifest["error"] == f"mu step must be finite, got {float(step)!r}"
         assert not (out / "coding_gain.csv").exists()
 
 

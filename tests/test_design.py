@@ -308,8 +308,9 @@ class TestDesignGuarantee:
             t /= np.linalg.norm(t)
             # auxiliary z' axis: in-plane transverse component of the baseline
             z_aux = (t - np.sin(sel.beta) * LINK_DIRECTION) / np.cos(sel.beta)
-            mu = mu_model(rx, u_rx.T @ z_aux, d_t=sel.spacing, R=r_link,
-                          wavelength=spec.link.wavelength, beta=sel.beta)
+            eta = deviation_factor(r_link, sel.spacing, rx.spacing, sel.beta,
+                                   spec.link.wavelength)
+            mu = mu_model(rx, u_rx.T @ z_aux, eta)
             worst = max(worst, mu)
         assert worst <= spec.mu_max + 0.01
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib.resources
 import itertools
@@ -474,6 +475,35 @@ class TestSharedChannels:
                     expected.add((c.link, min(c.block_trials, c.max_trials - b * c.block_trials),
                                   state["state"]["state"]))
         assert sorted(calls, key=repr) == sorted(expected, key=repr)
+
+
+    def test_synthesis_reads_only_key_fields(self):
+        # a field that channel synthesis reads but channel_groups' key omits
+        # would let campaigns that differ in it share one block's channels
+        base = SimConfig(scheme="sm", link=make_link("pentagon", "tetrahedron"),
+                         snr_db=(0.0,), seed=3, block_trials=500, **BASE)
+        changes = {"scheme": "golden", "link": make_link("ula", "ura"), "distance": (5.0, 12.7),
+                   "snr_db": (0.0, 4.0), "max_trials": 3_000, "target_errors": 7, "seed": 4,
+                   "block_trials": 250, "ideal_channel": True}
+        assert set(changes) == {f.name for f in dataclasses.fields(SimConfig)}
+        key = {name for name, value in changes.items()
+               if len(montecarlo.channel_groups([base, dataclasses.replace(base, **{name: value})]))
+               == 2}
+        assert key < set(changes)
+
+        class Recorder:
+            def __init__(self, config):
+                self.config, self.reads = config, set()
+
+            def __getattr__(self, name):
+                self.reads.add(name)
+                return getattr(self.config, name)
+
+        for config in (base, dataclasses.replace(base, ideal_channel=True)):
+            engine = _Engine(config)
+            engine.config = Recorder(config)
+            engine.block_channels(8, np.random.default_rng(0))
+            assert engine.config.reads and engine.config.reads <= key, engine.config.reads
 
 
 class TestEngineChannels:

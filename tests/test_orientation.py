@@ -17,7 +17,6 @@ from losmimo.orientation import (
     fundamental_domain,
     icosphere_vertices,
     mu_of_direction,
-    mu_pent_star,
     mu_star,
     mu_star_bound,
 )
@@ -132,6 +131,12 @@ class TestMuOfDirection:
             assert mu_of_direction(eta, v) == pytest.approx(
                 mu_model(lay, v, eta=eta), abs=1e-12)
 
+    def test_rejects_nan_direction(self):
+        with pytest.raises(ValueError, match="directions must be unit vectors"):
+            mu_of_direction(1.0, np.array([np.nan, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="directions must be unit vectors"):
+            mu_of_direction(1.0, np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]]))
+
     def test_edge_direction_pair_decorrelates(self):
         # along an edge at eta = 1 the matching submatrix correlation is
         # cos(pi/2) = 0
@@ -234,8 +239,11 @@ class TestMuStar:
             assert mu_of_direction(eta, v) == pytest.approx(val, abs=1e-15)
 
     def test_rejects_nonpositive_eta(self):
-        with pytest.raises(ValueError):
-            mu_star(0.0)
+        # NaN and infinity used to run the ascent on them (divide-by-zero and
+        # invalid-value warnings)
+        for eta in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eta must be positive"):
+                mu_star(eta)
 
 
 class TestMuStarBound:
@@ -262,14 +270,14 @@ class TestMuPentStar:
 
     def test_grows_towards_one(self, curve):
         # both branches increase past the valley, so the min heads to 1
-        assert mu_pent_star(3.0, curve) > mu_pent_star(1.5, curve) > 0.5
-        assert mu_pent_star(3.0, curve) > 0.8
+        assert curve.pent_at(3.0) > curve.pent_at(1.5) > 0.5
+        assert curve.pent_at(3.0) > 0.8
 
     def test_tracks_scaled_branch_when_increasing(self, curve):
         # on the increasing part the smaller-eta branch binds
         eta = 1.5
         scaled = 2 * eta / (1 + np.sqrt(5))
-        assert mu_pent_star(eta, curve) == pytest.approx(curve.value_at(scaled), abs=1e-12)
+        assert curve.pent_at(eta) == pytest.approx(curve.value_at(scaled), abs=1e-12)
 
 
 class TestDistortion:
