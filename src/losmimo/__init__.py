@@ -21,6 +21,8 @@ from .codes import (
     Codebook,
     Constellation,
     DiffSpectrum,
+    SCHEMES,
+    build_codebook,
     difference_spectrum,
     golden_codebook,
     gray_qam,
@@ -61,7 +63,6 @@ from .montecarlo import (
     BerCurve,
     DensityGrid,
     SimConfig,
-    build_codebook,
     joint_density,
     ml_decode,
     run_ber,

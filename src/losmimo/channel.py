@@ -59,7 +59,6 @@ class ReducedChannel:
     r_matrix: NDArray  # (2, 2) complex, upper triangular
     mu: float
     theta_mu: float
-    n_r: int
 
 
 def reduce_channel(h: NDArray) -> ReducedChannel:
@@ -72,8 +71,7 @@ def reduce_channel(h: NDArray) -> ReducedChannel:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[1] != 2:
         raise ValueError("channel must have exactly 2 columns")
-    n_r = h.shape[0]
-    if n_r < 1:
+    if h.shape[0] < 1:
         raise ValueError("channel must have at least one row")
     h1, h2 = h[:, 0], h[:, 1]
     n1 = np.linalg.norm(h1)
@@ -88,7 +86,7 @@ def reduce_channel(h: NDArray) -> ReducedChannel:
     # rounding can push 1 - mu^2 slightly negative at mu = 1
     r22 = np.sqrt(rest) if rest > 1e-15 * n2 * n2 else 0.0
     r = np.array([[n1, r12], [0.0, r22]], dtype=complex)
-    return ReducedChannel(r_matrix=r, mu=min(mu, 1.0), theta_mu=theta, n_r=n_r)
+    return ReducedChannel(r_matrix=r, mu=min(mu, 1.0), theta_mu=theta)
 
 
 def deviation_factor(R, d_t, d_r, beta, wavelength) -> float | NDArray:

@@ -24,12 +24,12 @@ import numpy as np
 
 from . import __version__
 from ._csv import write_csv
-from .codes import difference_spectrum
+from .codes import SCHEMES, build_codebook, difference_spectrum
 from .design import DesignSpec, InfeasibleDesignError, design_link
 from .geometry import LinkSpec, make_layout
 from .metrics import coding_gain
-from .montecarlo import (SimConfig, build_codebook, channel_groups, check_density_inputs,
-                         check_seed, joint_density, run_ber)
+from .montecarlo import (SimConfig, channel_groups, check_density_inputs, check_seed,
+                         joint_density, run_ber)
 from .orientation import compute_mu_star_curve
 
 EXIT_OK = 0
@@ -60,6 +60,19 @@ def _load_config(spec: str) -> dict:
 
 
 _REQUIRED = object()
+# the fields of every config object that ``_link`` reads
+LINK_FIELDS = ("wavelength", "d_t", "d_r")
+
+
+def _known_fields(cfg, known, where: str) -> dict:
+    """``cfg``, checked to be an object all of whose fields are in ``known``:
+    a misspelt field would otherwise be ignored and its default used."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where}: must be an object")
+    for key in cfg:
+        if key not in known:
+            raise ConfigError(f"{where}: unknown field {key!r}")
+    return cfg
 
 
 def _require(cfg: dict, key: str, kind, where: str, default=_REQUIRED):
@@ -92,7 +105,7 @@ def _link(cfg: dict, where: str, tx_kind: str, rx_kind: str, n_r: int,
     as ``where``'s fields, and the arrays ``make_layout`` builds from them (a
     transmit ULA has 2 antennas). A bad kind or antenna count raises the
     library's ValueError, for the caller to locate."""
-    wavelength, d_t, d_r = (_length_field(cfg, key, where) for key in ("wavelength", "d_t", "d_r"))
+    wavelength, d_t, d_r = (_length_field(cfg, key, where) for key in LINK_FIELDS)
     tx = make_layout(tx_kind, 2 if tx_kind == "ula" else None, d_t)
     return LinkSpec(wavelength, tx, make_layout(rx_kind, n_r, d_r, coords_file=coords_file))
 
@@ -231,7 +244,9 @@ print("wrote", Path(__file__).parent / "mu_star.png")
 
 
 def _cmd_simulate(args, manifest: Manifest) -> int:
-    cfg = _load_config(args.config)
+    cfg = _known_fields(_load_config(args.config), LINK_FIELDS + (
+        "runs", "snr_db", "seed", "distance", "n_r", "max_trials", "target_errors",
+        "block_trials"), "simulate config")
     runs = _require(cfg, "runs", list, "simulate config")
     if not runs:
         raise ConfigError("simulate config: 'runs' must not be empty")
@@ -241,8 +256,10 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
     dist_cfg = _require(cfg, "distance", dict, "simulate config")
     law = _require(dist_cfg, "law", str, "distance")
     if law == "fixed":
+        _known_fields(dist_cfg, ("law", "value"), "distance")
         distance = _require(dist_cfg, "value", float, "distance")
     elif law == "uniform":
+        _known_fields(dist_cfg, ("law", "min", "max"), "distance")
         distance = (_require(dist_cfg, "min", float, "distance"),
                     _require(dist_cfg, "max", float, "distance"))
     else:
@@ -250,8 +267,8 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
     names, sims = [], []
     for i, run in enumerate(runs):
         where = f"runs[{i}]"
-        if not isinstance(run, dict):
-            raise ConfigError(f"{where}: must be an object")
+        _known_fields(run, ("name", "scheme", "tx_kind", "rx_kind", "n_r", "rx_coords_file",
+                            "ideal_channel"), where)
         name = _require(run, "name", str, where)
         try:
             sim = SimConfig(
@@ -291,7 +308,8 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
 
 
 def _cmd_design(args, manifest: Manifest) -> int:
-    cfg = _load_config(args.config)
+    cfg = _known_fields(_load_config(args.config),
+                        LINK_FIELDS + ("mu_max", "tx_kind", "eta_step"), "design config")
     try:
         spec = DesignSpec(
             mu_max=_require(cfg, "mu_max", float, "design config"),
@@ -326,7 +344,8 @@ def _cmd_curves(args, manifest: Manifest) -> int:
 
 
 def _cmd_density(args, manifest: Manifest) -> int:
-    cfg = _load_config(args.config)
+    cfg = _known_fields(_load_config(args.config), LINK_FIELDS + (
+        "seed", "distance", "bins", "samples", "n_r", "rx_kind"), "density config")
     seed = manifest.data["seed"] = _seed(args, cfg, "density config")
     r_link = _require(cfg, "distance", float, "density config")
     bins = _require(cfg, "bins", int, "density config", 25)
@@ -350,7 +369,7 @@ def _cmd_gain(args, manifest: Manifest) -> int:
         raise ConfigError(f"mu step must be finite, got {args.mu_step!r}")
     if not args.mu_step > 0:
         raise ConfigError("mu step must be positive")
-    schemes = ["sm", "golden", "simo"] if args.scheme == "all" else [args.scheme]
+    schemes = list(SCHEMES) if args.scheme == "all" else [args.scheme]
     mus = np.arange(0.0, 1.0 + 1e-12, args.mu_step)
     table = np.column_stack(
         [mus] + [coding_gain(difference_spectrum(build_codebook(s)), mus) for s in schemes])
@@ -368,15 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"losmimo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def common(p, config=True, seed=False):
         if config:
             p.add_argument("--config", required=True,
                            help="JSON config path or bundled recipe name")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory (created if missing)")
 
     p_sim = sub.add_parser("simulate", help="run BER campaigns")
-    common(p_sim)
+    common(p_sim, seed=True)
     p_sim.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
     common(sub.add_parser("design", help="compute an [R_min, R_max] design report"))
     p_curves = sub.add_parser("curves", help="export the worst-case correlation curve")
@@ -384,9 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--eta-start", type=float, default=0.3)
     p_curves.add_argument("--eta-stop", type=float, default=3.0)
     p_curves.add_argument("--eta-step", type=float, default=0.01)
-    common(sub.add_parser("density", help="joint (theta_mu, mu) histogram"))
+    common(sub.add_parser("density", help="joint (theta_mu, mu) histogram"), seed=True)
     p_gain = sub.add_parser("gain", help="coding gain versus correlation")
-    p_gain.add_argument("scheme", choices=["sm", "golden", "simo", "all"])
+    p_gain.add_argument("scheme", choices=[*SCHEMES, "all"])
     p_gain.add_argument("--mu-step", type=float, default=0.01)
     common(p_gain, config=False)
     return parser

@@ -21,6 +21,8 @@ __all__ = [
     "sm_codebook",
     "golden_codebook",
     "simo_codebook",
+    "SCHEMES",
+    "build_codebook",
     "difference_spectrum",
 ]
 
@@ -37,7 +39,6 @@ class Constellation:
 
     points: NDArray          # (M,) complex
     bits_per_symbol: int
-    avg_energy: float
 
     @property
     def size(self) -> int:
@@ -74,7 +75,7 @@ def gray_qam(m: int, avg_energy: float) -> Constellation:
         gi = b >> bits_axis
         gq = b & (side - 1)
         points[b] = scale * (levels[_gray_to_index(gi)] + 1j * levels[_gray_to_index(gq)])
-    return Constellation(points=points, bits_per_symbol=2 * bits_axis, avg_energy=avg_energy)
+    return Constellation(points=points, bits_per_symbol=2 * bits_axis)
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,6 @@ class Codebook:
     MSB-first, so information bits map to codeword indices by base-2 weighting.
     """
 
-    scheme: str
     codewords: NDArray   # (K, 2, T) complex
     bits: NDArray        # (K, 4*T) uint8
     slots: int
@@ -113,23 +113,23 @@ def _label_bits(n_codewords: int, n_bits: int) -> NDArray:
     return ((k[:, None] >> np.arange(n_bits - 1, -1, -1)) & 1).astype(np.uint8)
 
 
-def sm_codebook(constellation: Constellation) -> Codebook:
-    """Spatial multiplexing: one independent symbol per antenna, T = 1."""
-    if abs(constellation.avg_energy - 0.5) > 1e-12:
-        raise ValueError("SM needs per-symbol energy 1/2 so that E||x||^2 = 1")
+def sm_codebook() -> Codebook:
+    """Spatial multiplexing: one Gray 4-QAM symbol of energy 1/2 per antenna,
+    so that E||x||^2 = 1, T = 1."""
+    constellation = gray_qam(4, 0.5)
     m = constellation.size
     bps = constellation.bits_per_symbol
     k = np.arange(m * m)
     s1 = constellation.points[k >> bps]
     s2 = constellation.points[k & (m - 1)]
     cw = np.stack([s1, s2], axis=1)[:, :, None]
-    return Codebook(scheme="sm", codewords=cw, bits=_label_bits(m * m, 2 * bps), slots=1)
+    return Codebook(codewords=cw, bits=_label_bits(m * m, 2 * bps), slots=1)
 
 
-def golden_codebook(constellation: Constellation) -> Codebook:
+def golden_codebook() -> Codebook:
     """Full-rate full-diversity 2 x 2 code built on the golden ratio, T = 2.
 
-    Symbols s1..s4 enter as
+    Gray 4-QAM symbols s1..s4 enter as
 
         [ a (s1 + tau s3)        a (s2 + tau s4)   ]
         [ i ab (s2 + taub s4)    ab (s1 + taub s3) ]
@@ -143,6 +143,7 @@ def golden_codebook(constellation: Constellation) -> Codebook:
     taub = 1.0 - tau
     a = 1.0 + 1j * taub
     ab = 1.0 + 1j * tau
+    constellation = gray_qam(4, 0.5)
     m = constellation.size
     bps = constellation.bits_per_symbol
     kk = np.arange(m**4)
@@ -154,18 +155,27 @@ def golden_codebook(constellation: Constellation) -> Codebook:
     cw[:, 1, 0] = 1j * ab * (s2 + taub * s4)
     cw[:, 1, 1] = ab * (s1 + taub * s3)
     cw *= np.sqrt(cw.shape[0] * 2 / np.sum(np.abs(cw) ** 2))
-    return Codebook(scheme="golden", codewords=cw, bits=_label_bits(m**4, 4 * bps), slots=2)
+    return Codebook(codewords=cw, bits=_label_bits(m**4, 4 * bps), slots=2)
 
 
-def simo_codebook(constellation: Constellation) -> Codebook:
-    """Uncoded transmission from the first antenna only, T = 1."""
-    if abs(constellation.avg_energy - 1.0) > 1e-12:
-        raise ValueError("SIMO needs unit symbol energy to satisfy E||x||^2 = 1")
+def simo_codebook() -> Codebook:
+    """Uncoded Gray 16-QAM of unit energy from the first antenna only, T = 1."""
+    constellation = gray_qam(16, 1.0)
     m = constellation.size
     cw = np.zeros((m, 2, 1), dtype=complex)
     cw[:, 0, 0] = constellation.points
-    return Codebook(scheme="simo", codewords=cw,
-                    bits=_label_bits(m, constellation.bits_per_symbol), slots=1)
+    return Codebook(codewords=cw, bits=_label_bits(m, constellation.bits_per_symbol), slots=1)
+
+
+# the reference schemes, all at 4 bits per channel use
+SCHEMES = {"sm": sm_codebook, "golden": golden_codebook, "simo": simo_codebook}
+
+
+def build_codebook(scheme: str) -> Codebook:
+    """The codebook of the scheme named ``scheme``, one of ``SCHEMES``."""
+    if not (isinstance(scheme, str) and scheme in SCHEMES):
+        raise ValueError(f"unknown scheme {scheme!r}; expected sm, golden or simo")
+    return SCHEMES[scheme]()
 
 
 @dataclass(frozen=True)

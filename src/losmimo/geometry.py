@@ -1,11 +1,15 @@
 """Antenna array geometry: layouts, random 3-D rotations, antenna placement
 and transmit-receive distances.
 
-Global frame convention: the two transmit antennas lie on the z-axis at
-``(0, 0, +/- d_t/2)`` when the transmit rotation is the identity, and the
-receive array centroid lies in the x-z plane at ``[R cos(beta), 0, R sin(beta)]``.
-Every other orientation is expressed through the rotations ``U_tx`` / ``U_rx``
-applied about the respective array centroids.
+Global frame conventions. For one ``LinkScenario`` (``place_antennas``), the
+two transmit antennas lie on the z-axis at ``(0, 0, +/- d_t/2)`` when the
+transmit rotation is the identity, and the receive array centroid lies in the
+x-z plane at ``[R cos(beta), 0, R sin(beta)]``. The links of the Monte-Carlo
+engine and of ``joint_density`` run along +x instead: the receive centroid
+sits at ``R LINK_DIRECTION``, and the transmit elevation beta is carried by the
+random ``U_tx`` (``design.select_tx_pair`` reads sin(beta) off it). Every other
+orientation is expressed through the rotations ``U_tx`` / ``U_rx`` applied
+about the respective array centroids.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ PLACE_COLS = 4096
 # OpenBLAS runs a GEMM of at most this many multiply-adds on the calling thread
 BLAS_SERIAL_MADDS = 2 ** 18
 
-LAYOUT_KINDS = ("ula", "ura", "tetrahedron", "triangle", "pentagon", "spherical-code", "custom")
+LAYOUT_KINDS = ("ula", "ura", "tetrahedron", "triangle", "pentagon", "spherical-code")
 # the simulated links run along +x: the receive centroid sits at R LINK_DIRECTION,
 # and design.select_tx_pair reads sin(beta) off the x row of U_tx
 LINK_DIRECTION = np.array([1.0, 0.0, 0.0])
@@ -159,7 +163,7 @@ def _read_unit_vectors(path) -> NDArray:
 
 
 def make_layout(kind: str, n: int | None = None, spacing: float | None = None,
-                coords_file=None, coords: NDArray | None = None) -> ArrayLayout:
+                coords_file=None) -> ArrayLayout:
     """Construct a named antenna layout centred on its centroid.
 
     kind:
@@ -172,20 +176,9 @@ def make_layout(kind: str, n: int | None = None, spacing: float | None = None,
         "spherical-code" n antennas on a sphere of diameter `spacing`; unit
                          directions from `coords_file` (CSV, 3 columns) or a
                          built-in spiral lattice fallback
-        "custom"         explicit `coords` (n, 3) positions in metres
     """
     if kind not in LAYOUT_KINDS:
         raise ValueError(f"unknown layout kind {kind!r}; expected one of {LAYOUT_KINDS}")
-    if kind == "custom":
-        if coords is None:
-            raise ValueError("custom layout requires explicit coords")
-        if spacing is not None and not 0.0 < spacing < np.inf:
-            raise ValueError("spacing must be positive")
-        pos = np.asarray(coords, dtype=float)
-        dists = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
-        s = spacing if spacing is not None else float(dists[dists > 0].min()) if len(pos) > 1 else 0.0
-        return _from_positions(kind, pos, s)
-
     if spacing is None or not 0.0 < spacing < np.inf:
         raise ValueError("spacing must be positive")
 
@@ -332,12 +325,11 @@ def transverse_axis(beta: float) -> NDArray:
 
 @dataclass
 class LinkScenario:
-    """Full link geometry: terminal distance, transmit elevation, wavelength
-    and the two (possibly rotated) arrays."""
+    """Link geometry: terminal distance, transmit elevation and the two
+    (possibly rotated) arrays."""
 
     R: float
     beta: float
-    wavelength: float
     tx_layout: ArrayLayout
     rx_layout: ArrayLayout
     U_tx: NDArray = field(default_factory=lambda: np.eye(3))
@@ -346,8 +338,6 @@ class LinkScenario:
     def __post_init__(self):
         if not 0.0 < self.R < np.inf:
             raise ValueError("inter-terminal distance R must be positive")
-        if not 0.0 < self.wavelength < np.inf:
-            raise ValueError("wavelength must be positive")
         for u, name in ((self.U_tx, "U_tx"), (self.U_rx, "U_rx")):
             if not is_rotation(u, tol=1e-9):
                 raise ValueError(f"{name} is not a rotation matrix")
@@ -357,10 +347,6 @@ class LinkScenario:
             warnings.warn(
                 f"R = {self.R:g} m is within 10x the array extent {extent:g} m; "
                 "far-field approximations degrade", stacklevel=2)
-
-    @property
-    def d_t(self) -> float:
-        return self.tx_layout.spacing
 
 
 def place_arrays(tx_layout: ArrayLayout, rx_layout: ArrayLayout, u_tx: NDArray,
@@ -447,5 +433,5 @@ def approx_path_difference(scenario: LinkScenario, m: int) -> float:
     if not 0 <= m < lay.n:
         raise IndexError(f"receive antenna index {m} out of range")
     cos_theta = float((scenario.U_rx @ lay.directions[m]) @ transverse_axis(scenario.beta))
-    d_t = scenario.d_t
+    d_t = scenario.tx_layout.spacing
     return d_t * np.sin(scenario.beta) + d_t * lay.radii[m] * np.cos(scenario.beta) * cos_theta / scenario.R

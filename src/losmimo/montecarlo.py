@@ -21,10 +21,9 @@ from itertools import starmap
 import numpy as np
 from numpy.typing import NDArray
 
-from . import codes
 from ._csv import write_csv
 from .channel import _phasors, los_channel
-from .codes import Codebook
+from .codes import Codebook, build_codebook
 from .design import select_tx_pair
 from .geometry import (LINK_DIRECTION, PLACE_COLS, LinkSpec, link_distances, place_arrays,
                        quaternion_rotations, rotation_normals, uniform_rotation)
@@ -33,7 +32,6 @@ __all__ = [
     "SimConfig",
     "BerCurve",
     "DensityGrid",
-    "build_codebook",
     "ml_decode",
     "channel_groups",
     "run_ber",
@@ -50,17 +48,6 @@ DENSITY_PIECE = 4 * PLACE_COLS
 # rows per product in ml_decode's stacked GEMM: each (64 x 12) @ (12 x 256)
 # stays below OpenBLAS's threading threshold, so decoding starts no BLAS threads
 ML_ROWS = 64
-
-
-def build_codebook(scheme: str) -> Codebook:
-    """The three reference schemes, all at 4 bits per channel use."""
-    if scheme == "sm":
-        return codes.sm_codebook(codes.gray_qam(4, 0.5))
-    if scheme == "golden":
-        return codes.golden_codebook(codes.gray_qam(4, 0.5))
-    if scheme == "simo":
-        return codes.simo_codebook(codes.gray_qam(16, 1.0))
-    raise ValueError(f"unknown scheme {scheme!r}; expected sm, golden or simo")
 
 
 @dataclass(frozen=True)
@@ -165,10 +152,12 @@ class _Engine:
             phases = np.exp(2j * np.pi * np.arange(n_r) / n_r)
             self.h_ideal = np.column_stack([np.ones(n_r, dtype=complex), phases])
 
-    def _channels(self, n: int, rng: np.random.Generator) -> NDArray:
-        """Draw n random links and return their n x (n_r x 2) channels, as the
-        transposed view of n-last (n_r, 2, n) memory."""
+    def block_channels(self, n: int, rng: np.random.Generator) -> NDArray:
+        """The n-last (n_r, 2, n) channels of a block of n trials: the ideal
+        channel, or n random links drawn from ``rng``."""
         cfg, link = self.config, self.config.link
+        if cfg.ideal_channel:
+            return np.broadcast_to(self.h_ideal[..., None], (link.rx.n, 2, n))
         if isinstance(cfg.distance, tuple):
             r_link = rng.uniform(cfg.distance[0], cfg.distance[1], n)
         else:
@@ -179,14 +168,7 @@ class _Engine:
         if link.tx.n > 2:
             pair = select_tx_pair(link.tx, u_tx).pair
             tx = tx[:, pair.T, np.arange(n)]
-        return los_channel(link_distances(tx, rx), link.wavelength).transpose(2, 0, 1)
-
-    def block_channels(self, n: int, rng: np.random.Generator) -> NDArray:
-        """The n-last (n_r, 2, n) channels of a block of n trials: the ideal
-        channel, or n links drawn from ``rng``."""
-        if self.config.ideal_channel:
-            return np.broadcast_to(self.h_ideal[..., None], (self.config.link.rx.n, 2, n))
-        return self._channels(n, rng).transpose(1, 2, 0)
+        return los_channel(link_distances(tx, rx), link.wavelength)
 
     def block_errors(self, h: NDArray, snr_index: int, rng: np.random.Generator) -> int:
         """Bit errors of one block over the n-last channels ``h``, with the
@@ -378,25 +360,22 @@ class DensityGrid:
                   ((t, m, dens[i, j]) for i, t in enumerate(tc) for j, m in enumerate(mc)))
 
 
-def check_density_inputs(link: LinkSpec, r_link: float, bins: int | tuple[int, int],
-                         samples: int, seed: int) -> tuple[int, int]:
-    """Reject ``joint_density`` inputs it cannot sample; returns the (theta_mu,
-    mu) bin counts. The wavelength is ``LinkSpec``'s to check."""
+def check_density_inputs(link: LinkSpec, r_link: float, bins: int, samples: int,
+                         seed: int) -> None:
+    """Reject ``joint_density`` inputs it cannot sample. The wavelength is
+    ``LinkSpec``'s to check."""
     if link.tx.n != 2:
         raise ValueError("joint density is defined for a 2-antenna transmitter")
     if not _is_int(samples):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
-    pair = (bins, bins) if _is_int(bins) else bins
-    if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))):
-        raise ValueError(f"bins must be an integer or a pair of integers, got {bins!r}")
-    nt, nm = pair
-    if nt < 5 or nm < 5:
+    if not _is_int(bins):
+        raise ValueError(f"bins must be an integer, got {bins!r}")
+    if bins < 5:
         raise ValueError("use at least a 5 x 5 grid")
     check_seed(seed)
     _check_clearance(link, r_link)
-    return nt, nm
 
 
 def check_seed(seed) -> None:
@@ -421,10 +400,11 @@ def _piece_threads() -> int:
     return os.cpu_count() or 1
 
 
-def joint_density(link: LinkSpec, r_link: float, bins: int | tuple[int, int], samples: int,
+def joint_density(link: LinkSpec, r_link: float, bins: int, samples: int,
                   seed: int = 0) -> DensityGrid:
-    """Histogram of (theta_mu, mu) over independent random rotations of both
-    arrays of ``link`` at a fixed link distance.
+    """Histogram of (theta_mu, mu), on a ``bins`` x ``bins`` grid, over
+    independent random rotations of both arrays of ``link`` at a fixed link
+    distance.
 
     The transmit array must have two antennas here, and ``r_link`` must lie
     beyond the sum of the array radii (see ``check_density_inputs``). theta_mu
@@ -442,10 +422,10 @@ def joint_density(link: LinkSpec, r_link: float, bins: int | tuple[int, int], sa
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    nt, nm = check_density_inputs(link, r_link, bins, samples, seed)
-    theta_edges = np.linspace(0.0, 2.0 * np.pi, nt + 1)
-    mu_edges = np.linspace(0.0, 1.0, nm + 1)
-    counts = np.zeros((nt, nm), dtype=np.int64)
+    check_density_inputs(link, r_link, bins, samples, seed)
+    theta_edges = np.linspace(0.0, 2.0 * np.pi, bins + 1)
+    mu_edges = np.linspace(0.0, 1.0, bins + 1)
+    counts = np.zeros((bins, bins), dtype=np.int64)
     rng = np.random.default_rng([seed])
 
     def binned(pieces, theta, mu):

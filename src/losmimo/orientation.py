@@ -181,7 +181,8 @@ def mu_star(eta: float) -> tuple[float, NDArray]:
 def mu_star_bound(eta: float) -> float:
     """Closed-form upper bound ``(1 + cos(pi / (2 sqrt(2) eta))) / 2`` on
     ``mu*(eta)``, established for ``eta >= 1`` only."""
-    if eta < 1.0:
+    # written so that a NaN eta fails the check
+    if not eta >= 1.0:
         raise ValueError("the closed-form bound holds for eta >= 1 only")
     return 0.5 * (1.0 + np.cos(np.pi / (2.0 * np.sqrt(2.0) * eta)))
 
@@ -203,7 +204,8 @@ class MuStarCurve:
 
     def value_at(self, eta) -> NDArray | float:
         eta = np.asarray(eta, dtype=float)
-        if np.any(eta < self.etas[0] - 1e-12) or np.any(eta > self.etas[-1] + 1e-12):
+        # written so that a NaN eta fails the check
+        if not np.all((eta >= self.etas[0] - 1e-12) & (eta <= self.etas[-1] + 1e-12)):
             raise ValueError(f"eta outside cached grid [{self.etas[0]:g}, {self.etas[-1]:g}]")
         out = np.interp(eta, self.etas, self.values)
         return float(out) if out.ndim == 0 else out

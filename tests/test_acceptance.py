@@ -13,7 +13,7 @@ from scipy.stats import chi2, norm
 
 from losmimo.channel import closed_form_2x2, los_channel, reduce_channel
 from losmimo.cli import main as cli_main
-from losmimo.codes import difference_spectrum
+from losmimo.codes import build_codebook, difference_spectrum
 from losmimo.design import DesignSpec, design_link, select_tx_pair
 from losmimo.geometry import (
     LinkScenario,
@@ -24,7 +24,7 @@ from losmimo.geometry import (
     uniform_rotation,
 )
 from losmimo.metrics import coding_gain
-from losmimo.montecarlo import SimConfig, build_codebook, joint_density, run_ber
+from losmimo.montecarlo import SimConfig, joint_density, run_ber
 from losmimo.orientation import edge_code_worst_distortion, mu_star_bound
 
 WAVELENGTH = 0.0042
@@ -81,7 +81,7 @@ def test_criterion_01_example_one_reproduction():
     mu0, _ = closed_form_2x2(d, d, r_link, lam, 0.0)
     tx = make_layout("ula", 2, d)
     rx = make_layout("ula", 2, d)
-    sc = LinkScenario(R=r_link, beta=0.0, wavelength=lam, tx_layout=tx, rx_layout=rx)
+    sc = LinkScenario(R=r_link, beta=0.0, tx_layout=tx, rx_layout=rx)
     h = los_channel(exact_distances(*place_antennas(sc)), lam)
     mu_exact = reduce_channel(h).mu
     betas = np.linspace(0.0, 0.029, 500)

@@ -279,7 +279,7 @@ class TestClosedForm:
         tx = make_layout("ula", 2, d)
         rx = make_layout("ula", 2, d)
         for beta in (0.0, 0.013, 0.029):
-            sc = LinkScenario(R=R, beta=beta, wavelength=lam, tx_layout=tx, rx_layout=rx)
+            sc = LinkScenario(R=R, beta=beta, tx_layout=tx, rx_layout=rx)
             h = los_channel(exact_distances(*place_antennas(sc)), lam)
             red = reduce_channel(h)
             mu, theta = closed_form_2x2(d, d, R, lam, beta)
@@ -296,10 +296,10 @@ def test_model_matches_exact_distances_far_field():
     lam = 0.0042
     for _ in range(25):
         sc = LinkScenario(R=rng.uniform(16.0, 40.0), beta=rng.uniform(-0.6, 0.6),
-                          wavelength=lam, tx_layout=tx, rx_layout=rx,
+                          tx_layout=tx, rx_layout=rx,
                           U_rx=uniform_rotation(rng))
         h = los_channel(exact_distances(*place_antennas(sc)), lam)
         exact_mu = reduce_channel(h).mu
         v = sc.U_rx.T @ transverse_axis(sc.beta)
-        model_mu = mu_model(rx, v, eta=deviation_factor(sc.R, sc.d_t, rx.spacing, sc.beta, lam))
+        model_mu = mu_model(rx, v, eta=deviation_factor(sc.R, sc.tx_layout.spacing, rx.spacing, sc.beta, lam))
         assert abs(exact_mu - model_mu) < 0.01

@@ -406,9 +406,20 @@ class TestFieldTypes:
                                   "density config: field 'distance' must be float"),
     }
 
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_mistyped_field_is_config_error(self, tmp_path, case):
-        command, path, value, message = self.CASES[case]
+    # a misspelt or unread field in each object the CLI reads, which would
+    # otherwise run on the field's default
+    UNKNOWN = {
+        "simulate": ("simulate", ("max_trial",), "simulate config"),
+        "run": ("simulate", ("runs", 0, "tx_knd"), "runs[0]"),
+        "distance": ("simulate", ("distance", "mn"), "distance"),
+        "distance-value-of-uniform": ("simulate", ("distance", "value"), "distance"),
+        "design": ("design", ("eta_stepp",), "design config"),
+        "density": ("density", ("sample",), "density config"),
+    }
+
+    def assert_rejected(self, tmp_path, command, path, value, message):
+        """Run ``command`` on its base config with the field at ``path`` set to
+        ``value``, and check that it is a config error with ``message``."""
         cfg = copy.deepcopy({"simulate": MINI_SIM, "design": self.DESIGN,
                              "density": self.DENSITY}[command])
         parent = cfg
@@ -422,6 +433,16 @@ class TestFieldTypes:
         assert manifest["status"] == "config-error"
         assert manifest["error"] == message
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_mistyped_field_is_config_error(self, tmp_path, case):
+        self.assert_rejected(tmp_path, *self.CASES[case])
+
+    @pytest.mark.parametrize("case", list(UNKNOWN))
+    def test_unknown_field_is_config_error(self, tmp_path, case):
+        command, path, where = self.UNKNOWN[case]
+        self.assert_rejected(tmp_path, command, path, 5.0,
+                             f"{where}: unknown field {path[-1]!r}")
 
 
 class TestGain:
@@ -567,15 +588,20 @@ class TestDensity:
 
 
 class TestWorkerResolution:
-    @pytest.mark.parametrize("argv", [["design", "--config", "design_triangle"], ["curves"],
-                                      ["density", "--config", "density_2x2"], ["gain", "sm"]],
-                             ids=["design", "curves", "density", "gain"])
-    def test_workers_flag_belongs_to_simulate_alone(self, tmp_path, capsys, argv):
+    DESIGN = ["design", "--config", "design_triangle"]
+
+    @pytest.mark.parametrize("argv,flag", [
+        (DESIGN, "--workers"), (["curves"], "--workers"),
+        (["density", "--config", "density_2x2"], "--workers"), (["gain", "sm"], "--workers"),
+        (DESIGN, "--seed"), (["curves"], "--seed"), (["gain", "sm"], "--seed")],
+        ids=["design", "curves", "density", "gain", "design-seed", "curves-seed", "gain-seed"])
+    def test_workers_flag_belongs_to_simulate_alone(self, tmp_path, capsys, argv, flag):
+        # and --seed to simulate and density, the subcommands that draw random numbers
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--workers", "2", "--out", str(out)])
+            main(argv + [flag, "2", "--out", str(out)])
         assert exc.value.code == EXIT_CONFIG
-        assert "--workers" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     def test_flag_wins(self):

@@ -16,18 +16,18 @@ def qam4():
 
 
 @pytest.fixture(scope="module")
-def sm(qam4):
-    return sm_codebook(qam4)
+def sm():
+    return sm_codebook()
 
 
 @pytest.fixture(scope="module")
-def golden(qam4):
-    return golden_codebook(qam4)
+def golden():
+    return golden_codebook()
 
 
 @pytest.fixture(scope="module")
 def simo():
-    return simo_codebook(gray_qam(16, 1.0))
+    return simo_codebook()
 
 
 class TestGrayQam:
@@ -71,10 +71,6 @@ class TestSmCodebook:
     def test_power_equality(self, sm):
         assert np.sum(np.abs(sm.codewords) ** 2) == pytest.approx(16.0, abs=1e-9)
 
-    def test_requires_half_energy(self):
-        with pytest.raises(ValueError, match="energy 1/2"):
-            sm_codebook(gray_qam(4, 1.0))
-
 
 class TestGoldenCodebook:
     def test_size_and_rate(self, golden):
@@ -103,10 +99,6 @@ class TestSimoCodebook:
         assert simo.slots == 1
         assert np.all(simo.codewords[:, 1, :] == 0)
         assert np.sum(np.abs(simo.codewords) ** 2) == pytest.approx(16.0)
-
-    def test_energy_guard(self):
-        with pytest.raises(ValueError, match="unit symbol energy"):
-            simo_codebook(gray_qam(16, 0.5))
 
     def test_min_d_constant_in_mu(self, simo):
         spec = difference_spectrum(simo)

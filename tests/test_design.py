@@ -167,15 +167,14 @@ class TestSelectTxPair:
             assert np.array_equal(batch.pair, plain.pair)
             assert np.array_equal(batch.beta, plain.beta)
 
-    @pytest.mark.parametrize("kind", ["triangle", "pentagon", "custom"])
-    def test_bit_identical_to_einsum_reference(self, kind):
+    @pytest.mark.parametrize("kind,n", [("triangle", None), ("pentagon", None),
+                                        ("spherical-code", 4)],
+                             ids=["triangle", "pentagon", "spherical-code"])
+    def test_bit_identical_to_einsum_reference(self, kind, n):
         # the pentagon's spacing class hangs on the last bit of sin(beta); a
-        # non-planar custom layout also pins the order of the three terms of
+        # non-planar spherical code also pins the order of the three terms of
         # each product
-        if kind == "custom":
-            lay = make_layout("custom", coords=0.05 * np.random.default_rng(3).normal(size=(4, 3)))
-        else:
-            lay = make_layout(kind, spacing=0.06)
+        lay = make_layout(kind, n, 0.06)
         u_tx = uniform_rotation(np.random.default_rng(9), 200_000)
         pairs = np.array([(m, n) for m in range(lay.n) for n in range(m + 1, lay.n)])
         baselines = lay.positions[pairs[:, 0]] - lay.positions[pairs[:, 1]]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from losmimo.channel import los_channel
 from losmimo.geometry import (
     LinkScenario,
     LinkSpec,
@@ -72,11 +73,6 @@ class TestMakeLayout:
     def test_spacing_must_be_a_finite_length(self, kind, n, spacing):
         with pytest.raises(ValueError, match="spacing must be positive"):
             make_layout(kind, n, spacing)
-
-    @pytest.mark.parametrize("spacing", BAD_LENGTHS)
-    def test_custom_spacing_must_be_a_finite_length(self, spacing):
-        with pytest.raises(ValueError, match="spacing must be positive"):
-            make_layout("custom", spacing=spacing, coords=np.array([[0, 0.1, 0], [0, -0.1, 0]]))
 
     def test_centroid_zero_under_rotation(self):
         rng = np.random.default_rng(11)
@@ -163,7 +159,7 @@ class TestPlacement:
         tx = make_layout("ula", 2, 0.145)
         rx = make_layout(rx_kind, spacing=0.25) if rx_kind == "tetrahedron" \
             else make_layout(rx_kind, 4, 0.25)
-        return LinkScenario(R=R, beta=beta, wavelength=0.0042,
+        return LinkScenario(R=R, beta=beta,
                             tx_layout=tx, rx_layout=rx, **kw)
 
     def test_centroid_at_beta_zero(self):
@@ -246,10 +242,13 @@ class TestPlacement:
     @pytest.mark.parametrize("field,message", [("R", "R must be positive"),
                                                ("wavelength", "wavelength must be positive")])
     def test_lengths_must_be_finite(self, field, message, value):
+        # one link's lengths: R is the scenario's to check, and the wavelength
+        # enters its channel through los_channel
         lengths = {"R": 10.0, "wavelength": 0.0042, field: value}
         with pytest.raises(ValueError, match=message):
-            LinkScenario(beta=0.0, tx_layout=make_layout("ula", 2, 0.145),
-                         rx_layout=make_layout("tetrahedron", spacing=0.25), **lengths)
+            sc = LinkScenario(R=lengths["R"], beta=0.0, tx_layout=make_layout("ula", 2, 0.145),
+                              rx_layout=make_layout("tetrahedron", spacing=0.25))
+            los_channel(exact_distances(*place_antennas(sc)), lengths["wavelength"])
 
 
 class TestLinkSpec:
@@ -308,15 +307,17 @@ class TestApproxPathDifference:
         tx = make_layout("ula", 2, 0.145)
         rx = make_layout("ura", 4, 0.145) if rx_kind == "ura" \
             else make_layout("tetrahedron", spacing=0.25)
-        return LinkScenario(R=R, beta=rng.uniform(-0.5, 0.5), wavelength=0.0042,
+        return LinkScenario(R=R, beta=rng.uniform(-0.5, 0.5),
                             tx_layout=tx, rx_layout=rx,
                             U_tx=np.eye(3), U_rx=uniform_rotation(rng))
 
     def test_orthogonal_antenna_term_vanishes(self):
         tx = make_layout("ula", 2, 0.145)
-        # receive antenna in the plane orthogonal to the transverse axis: theta = pi/2
-        rx = make_layout("custom", coords=np.array([[0, 0.1, 0], [0, -0.1, 0]]))
-        sc = LinkScenario(R=10.0, beta=0.3, wavelength=0.0042, tx_layout=tx, rx_layout=rx)
+        # a receive ULA rotated from the z onto the y axis lies in the plane
+        # orthogonal to the transverse axis: theta = pi/2
+        rx = make_layout("ula", 2, 0.2)
+        onto_y = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+        sc = LinkScenario(R=10.0, beta=0.3, tx_layout=tx, rx_layout=rx, U_rx=onto_y)
         assert approx_path_difference(sc, 0) == pytest.approx(0.145 * np.sin(0.3), abs=1e-15)
 
     def test_aligned_two_antenna_case(self):
@@ -324,7 +325,7 @@ class TestApproxPathDifference:
         d_t, d_r, R = 0.145, 0.145, 10.0
         tx = make_layout("ula", 2, d_t)
         rx = make_layout("ula", 2, d_r)
-        sc = LinkScenario(R=R, beta=0.0, wavelength=0.0042, tx_layout=tx, rx_layout=rx)
+        sc = LinkScenario(R=R, beta=0.0, tx_layout=tx, rx_layout=rx)
         assert approx_path_difference(sc, 0) == pytest.approx(d_t * d_r / (2 * R), rel=1e-12)
 
     def test_matches_exact_distances(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from losmimo.codes import DiffSpectrum, difference_spectrum, gray_qam, sm_codebook, simo_codebook
+from losmimo.codes import DiffSpectrum, difference_spectrum, sm_codebook, simo_codebook
 from losmimo.metrics import (
     coding_gain,
     d_metric,
@@ -87,14 +87,14 @@ class TestDMetric:
 
     def test_rank_one_floor(self):
         # d(1, dX) >= (||dx1|| - ||dx2||)^2 over whole spectra
-        for cb in (sm_codebook(gray_qam(4, 0.5)), simo_codebook(gray_qam(16, 1.0))):
+        for cb in (sm_codebook(), simo_codebook()):
             for a, b, c in difference_spectrum(cb).triples:
                 assert d_metric(1.0, (a, b, c)) >= (np.sqrt(a) - np.sqrt(b)) ** 2 - 1e-12
 
 
 @pytest.fixture(scope="module")
 def sm_spec():
-    return difference_spectrum(sm_codebook(gray_qam(4, 0.5)))
+    return difference_spectrum(sm_codebook())
 
 
 class TestCodingGain:
@@ -106,7 +106,7 @@ class TestCodingGain:
         assert coding_gain(sm_spec, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_simo_constant(self):
-        spec = difference_spectrum(simo_codebook(gray_qam(16, 1.0)))
+        spec = difference_spectrum(simo_codebook())
         for mu in np.linspace(0, 1, 6):
             assert coding_gain(spec, float(mu)) == pytest.approx(0.4)
 
@@ -257,7 +257,7 @@ class TestPlanarLowerBound:
 
 
 def test_union_bound_value():
-    spec = difference_spectrum(sm_codebook(gray_qam(4, 0.5)))
+    spec = difference_spectrum(sm_codebook())
     got = union_bound(16, spec, 0.5, 2.0, 4)
     assert got == pytest.approx(8.0 * np.exp(-0.25 * 4 * 2.0 * 1.0))
 
@@ -272,7 +272,7 @@ GRID_SNRS = np.array([0.3, 2.0, 40.0])
 GRID_N_RS = np.array([1, 4])
 GRID_DX = _rng.normal(size=(5, 2, 2)) + 1j * _rng.normal(size=(5, 2, 2))
 GRID_R = np.array([[r_matrix(m, 0.7, n) for n in GRID_N_RS] for m in GRID_MUS])
-GRID_SPEC = difference_spectrum(sm_codebook(gray_qam(4, 0.5)))
+GRID_SPEC = difference_spectrum(sm_codebook())
 
 BATCH_CASES = {
     "d_metric": lambda t, mu, snr, n_r, r, dx: d_metric(mu, t),

@@ -13,6 +13,7 @@ from scipy.stats import norm
 
 from losmimo import montecarlo
 from losmimo.channel import los_channel, reduce_channel
+from losmimo.codes import build_codebook
 from losmimo.design import select_tx_pair
 from losmimo.geometry import (
     LinkScenario,
@@ -31,7 +32,6 @@ from losmimo.montecarlo import (
     SimConfig,
     _Engine,
     _wilson,
-    build_codebook,
     joint_density,
     ml_decode,
     run_ber,
@@ -81,7 +81,7 @@ class TestMlDecode:
         cb = engine.codebook
         rng = np.random.default_rng(16)
         n, snr = 2_500, 10 ** 0.8
-        h = engine._channels(n, rng)
+        h = engine.block_channels(n, rng).transpose(2, 0, 1)
         k_true = rng.integers(0, cb.size, n)
         noise = np.sqrt(0.5) * (rng.standard_normal((n, 4, 2))
                                 + 1j * rng.standard_normal((n, 4, 2)))
@@ -108,7 +108,7 @@ class TestMlDecode:
         cb = engine.codebook
         rng = np.random.default_rng(23)
         h = (np.broadcast_to(engine.h_ideal, (n, 4, 2)) if link == "ideal"
-             else engine._channels(n, rng))
+             else engine.block_channels(n, rng).transpose(2, 0, 1))
         snr = 10 ** (snr_db / 10)
         k_true = rng.integers(0, cb.size, n)
         noise = np.sqrt(0.5) * (rng.standard_normal((n, 4, cb.slots))
@@ -141,7 +141,7 @@ class TestMlDecode:
         cb = engine.codebook
         rng = np.random.default_rng(29)
         n, snr = 2_501, 10 ** 0.8
-        h_last = engine._channels(n, rng)
+        h_last = engine.block_channels(n, rng).transpose(2, 0, 1)
         assert h_last.transpose(1, 2, 0).flags.c_contiguous
         k_true = rng.integers(0, cb.size, n)
         noise = rng.standard_normal((n, 4, cb.slots)) + 1j * rng.standard_normal((n, 4, cb.slots))
@@ -456,23 +456,23 @@ class TestSharedChannels:
     def test_channels_drawn_once_per_block_and_trial_count(self, monkeypatch):
         configs = self.configs()
         calls = []
-        real = _Engine._channels
+        real = _Engine.block_channels
 
         def counting(engine, n, rng):
-            calls.append((engine.config.link, n, rng.bit_generator.state["state"]["state"]))
+            calls.append((engine.config.link, engine.config.ideal_channel, n,
+                          rng.bit_generator.state["state"]["state"]))
             return real(engine, n, rng)
 
-        monkeypatch.setattr(_Engine, "_channels", counting)
+        monkeypatch.setattr(_Engine, "block_channels", counting)
         curves = run_ber(configs)
         # every (group, SNR index, block, trial count) that a campaign ran
         expected = set()
         for c, curve in zip(configs, curves):
-            if c.ideal_channel:
-                continue
             for s, trials in enumerate(curve.trials.tolist()):
                 for b in range(-(-trials // c.block_trials)):
                     state = np.random.default_rng([c.seed, s, b]).bit_generator.state
-                    expected.add((c.link, min(c.block_trials, c.max_trials - b * c.block_trials),
+                    expected.add((c.link, c.ideal_channel,
+                                  min(c.block_trials, c.max_trials - b * c.block_trials),
                                   state["state"]["state"]))
         assert sorted(calls, key=repr) == sorted(expected, key=repr)
 
@@ -516,13 +516,13 @@ class TestEngineChannels:
                         snr_db=(0.0,), **BASE)
         tx, rx = cfg.link.tx, cfg.link.rx
         n = 2_000
-        h = _Engine(cfg)._channels(n, np.random.default_rng(17))
+        h = _Engine(cfg).block_channels(n, np.random.default_rng(17)).transpose(2, 0, 1)
         rng = np.random.default_rng(17)
         r_link = rng.uniform(*cfg.distance, n)
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
         for i in range(n):
-            link = LinkScenario(R=r_link[i], beta=0.0, wavelength=cfg.link.wavelength,
+            link = LinkScenario(R=r_link[i], beta=0.0,
                                 tx_layout=tx, rx_layout=rx, U_tx=u_tx[i], U_rx=u_rx[i])
             tx_pos, rx_pos = place_antennas(link)
             if tx.n > 2:
@@ -531,14 +531,14 @@ class TestEngineChannels:
             assert np.array_equal(h[i], want)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "FOUND in CHANGES.md: _Engine._channels picks the pentagon pair by the "
+        "FOUND in CHANGES.md: _Engine.block_channels picks the pentagon pair by the "
         "smallest |sin beta| alone and ignores select_tx_pair_for_quality"))
     def test_pentagon_links_meet_the_design_target(self):
         # fig5's distance law lies inside the pentagon design window for
         # mu_max = 2/3, so every simulated link must meet the target
         cfg = SimConfig(scheme="sm", link=make_link("pentagon", "tetrahedron"),
                         snr_db=(0.0,), **BASE)
-        h = _Engine(cfg)._channels(5_000, np.random.default_rng(123))
+        h = _Engine(cfg).block_channels(5_000, np.random.default_rng(123)).transpose(2, 0, 1)
         mu = np.abs(np.einsum("nr,nr->n", np.conj(h[:, :, 0]), h[:, :, 1])) / cfg.link.rx.n
         assert mu.max() <= 2 / 3 + 0.01
 
@@ -664,7 +664,7 @@ class TestJointDensity:
         u_rx = uniform_rotation(rng, n)
         theta, mu = np.empty(n), np.empty(n)
         for i in range(n):
-            link = LinkScenario(R=10.0, beta=0.0, wavelength=0.0042, tx_layout=tx,
+            link = LinkScenario(R=10.0, beta=0.0, tx_layout=tx,
                                 rx_layout=rx, U_tx=u_tx[i], U_rx=u_rx[i])
             red = reduce_channel(los_channel(exact_distances(*place_antennas(link)),
                                              0.0042))

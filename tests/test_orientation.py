@@ -259,8 +259,9 @@ class TestMuStarBound:
         assert np.all(np.diff(vals) > 0)
 
     def test_rejects_below_one(self):
-        with pytest.raises(ValueError):
-            mu_star_bound(0.99)
+        for eta in (0.99, float("nan")):
+            with pytest.raises(ValueError, match="eta >= 1 only"):
+                mu_star_bound(eta)
 
 
 class TestMuPentStar:
@@ -272,6 +273,13 @@ class TestMuPentStar:
         # both branches increase past the valley, so the min heads to 1
         assert curve.pent_at(3.0) > curve.pent_at(1.5) > 0.5
         assert curve.pent_at(3.0) > 0.8
+
+    @pytest.mark.parametrize("eta", [0.1, 3.5, float("nan"), [1.0, float("nan")]],
+                             ids=["below", "above", "nan", "nan-in-batch"])
+    def test_rejects_eta_off_grid(self, curve, eta):
+        for at in (curve.value_at, curve.pent_at):
+            with pytest.raises(ValueError, match="eta outside cached grid"):
+                at(eta)
 
     def test_tracks_scaled_branch_when_increasing(self, curve):
         # on the increasing part the smaller-eta branch binds
