@@ -97,7 +97,8 @@ def deviation_factor(R, d_t, d_r, beta, wavelength) -> float | NDArray:
                for x in (R, d_t, d_r, wavelength)):
         raise ValueError("R, d_t, d_r and wavelength must be positive")
     c = np.cos(beta)
-    if np.any(c <= 1e-12):
+    # written so that a NaN beta fails the check
+    if not np.all(c > 1e-12):
         raise ValueError("cos(beta) must be positive; at |beta| = pi/2 the "
                          "worst-case correlation is 1 and eta is undefined")
     eta = R * wavelength / (2.0 * d_t * d_r * c)
@@ -136,6 +137,8 @@ def closed_form_2x2(d_t: float, d_r: float, R: float, wavelength: float,
     """
     if not all(0.0 < x < np.inf for x in (d_t, d_r, R, wavelength)):
         raise ValueError("lengths must be positive")
+    if not np.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
     cosine = np.cos(np.pi * d_t * d_r * np.cos(beta) / (R * wavelength))
     theta = 2.0 * np.pi * d_t * np.sin(beta) / wavelength
     if cosine < 0:

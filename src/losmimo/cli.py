@@ -3,7 +3,8 @@
 Subcommands mirror the experiments: ``simulate`` (BER campaigns), ``design``
 (distance-range reports), ``curves`` (worst-case correlation vs eta),
 ``density`` (joint (theta_mu, mu) histograms) and ``gain`` (coding gain vs mu).
-Every run leaves a JSON manifest next to its outputs, including on failure.
+Every run leaves a JSON manifest next to its outputs, including on failure,
+unless ``--out`` cannot be made a directory.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible design,
 4 runtime failure.
@@ -17,6 +18,7 @@ import json
 import multiprocessing
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import astuple
 from pathlib import Path
 
@@ -28,9 +30,9 @@ from .codes import SCHEMES, build_codebook, difference_spectrum
 from .design import DesignSpec, InfeasibleDesignError, design_link
 from .geometry import LinkSpec, make_layout
 from .metrics import coding_gain
-from .montecarlo import (SimConfig, channel_groups, check_density_inputs, check_seed,
-                         joint_density, run_ber)
-from .orientation import compute_mu_star_curve
+from .montecarlo import (SimConfig, channel_groups, check_campaign, check_density_inputs,
+                         check_seed, joint_density, run_ber)
+from .orientation import ETA_START, ETA_STEP, ETA_STOP, compute_mu_star_curve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,8 +41,17 @@ EXIT_RUNTIME = 4
 
 
 class ConfigError(Exception):
-    """A config the run cannot use; not a ValueError, so the handlers' wrapping
-    of library ValueErrors passes it through with its own location."""
+    """A config the run cannot use; not a ValueError, so ``_located`` passes
+    it through with its own location."""
+
+
+@contextmanager
+def _located(where: str):
+    """Raise a library ValueError from the block as a config error at ``where``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _load_config(spec: str) -> dict:
@@ -59,65 +70,71 @@ def _load_config(spec: str) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-_REQUIRED = object()
-# the fields of every config object that ``_link`` reads
-LINK_FIELDS = ("wavelength", "d_t", "d_r")
+# Each config object's fields, name -> (JSON type, default); a field whose
+# default is ``...`` is required. The link fields are lengths in metres, a seed
+# of any type is ``check_seed``'s to judge, and a run's n_r of None is the top
+# level's.
+_LINK_FIELDS = {"wavelength": (float, ...), "d_t": (float, ...), "d_r": (float, ...)}
+SIMULATE_FIELDS = {**_LINK_FIELDS, "runs": (list, ...), "snr_db": (list, ...),
+                   "distance": (dict, ...), "seed": (object, SimConfig.seed), "n_r": (int, 4),
+                   "max_trials": (int, SimConfig.max_trials),
+                   "target_errors": (int, SimConfig.target_errors),
+                   "block_trials": (int, SimConfig.block_trials)}
+RUN_FIELDS = {"name": (str, ...), "scheme": (str, ...), "tx_kind": (str, "ula"),
+              "rx_kind": (str, "ura"), "n_r": (int, None), "rx_coords_file": (str, None),
+              "ideal_channel": (bool, SimConfig.ideal_channel)}
+DISTANCE_FIELDS = {"fixed": {"law": (str, ...), "value": (float, ...)},  # by law
+                   "uniform": {"law": (str, ...), "min": (float, ...), "max": (float, ...)}}
+DESIGN_FIELDS = {**_LINK_FIELDS, "mu_max": (float, ...), "tx_kind": (str, ...),
+                 "eta_step": (float, ETA_STEP)}
+DENSITY_FIELDS = {**_LINK_FIELDS, "distance": (float, ...), "seed": (object, SimConfig.seed),
+                  "bins": (int, 25), "samples": (int, 1_000_000), "n_r": (int, 2),
+                  "rx_kind": (str, "ula")}
 
 
-def _known_fields(cfg, known, where: str) -> dict:
-    """``cfg``, checked to be an object all of whose fields are in ``known``:
-    a misspelt field would otherwise be ignored and its default used."""
+def _read(cfg, table: dict, where: str) -> dict:
+    """The fields of config object ``cfg`` as ``table`` declares them, with the
+    defaults filled in. A float may be written as an integer, a bool is no
+    number, a link length must be finite and above 0, and an unknown field is
+    an error: it would otherwise be ignored and its default used."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: must be an object")
+    fields = {}
+    for key, (kind, default) in table.items():
+        if key not in cfg:
+            if default is ...:
+                raise ConfigError(f"{where}: missing required field {key!r}")
+            fields[key] = default
+            continue
+        val = cfg[key]
+        if kind is float and isinstance(val, int) and not isinstance(val, bool):
+            val = float(val)
+        if not isinstance(val, kind) or (kind in (int, float) and isinstance(val, bool)):
+            raise ConfigError(f"{where}: field {key!r} must be {kind.__name__}")
+        if key in _LINK_FIELDS and not 0.0 < val < np.inf:
+            raise ConfigError(f"{where}: field {key!r} must be a finite length above 0, "
+                              f"got {val!r}")
+        fields[key] = val
     for key in cfg:
-        if key not in known:
+        if key not in table:
             raise ConfigError(f"{where}: unknown field {key!r}")
-    return cfg
+    return fields
 
 
-def _require(cfg: dict, key: str, kind, where: str, default=_REQUIRED):
-    """Field ``key`` of ``cfg``, of type ``kind``; ``default`` if the field is
-    absent and a default is given. A float may be written as an integer, and a
-    bool is no number."""
-    if key not in cfg:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}: missing required field {key!r}")
-        return default
-    val = cfg[key]
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if not isinstance(val, kind) or (kind is not bool and isinstance(val, bool)):
-        raise ConfigError(f"{where}: field {key!r} must be {kind.__name__}")
-    return val
+def _link(fields: dict, tx_kind: str, rx_kind: str, n_r: int, coords_file=None) -> LinkSpec:
+    """The link of a config object's ``_LINK_FIELDS`` and the given arrays (a
+    transmit ULA has 2 antennas); a bad kind or antenna count is a ValueError."""
+    tx = make_layout(tx_kind, 2 if tx_kind == "ula" else None, fields["d_t"])
+    return LinkSpec(fields["wavelength"], tx,
+                    make_layout(rx_kind, n_r, fields["d_r"], coords_file=coords_file))
 
 
-def _length_field(cfg: dict, key: str, where: str) -> float:
-    """A required length in metres; NaN, infinity, zero and negatives are rejected."""
-    val = _require(cfg, key, float, where)
-    if not 0.0 < val < np.inf:
-        raise ConfigError(f"{where}: field {key!r} must be a finite length above 0, got {val!r}")
-    return val
-
-
-def _link(cfg: dict, where: str, tx_kind: str, rx_kind: str, n_r: int,
-          coords_file=None) -> LinkSpec:
-    """The link of a config: ``wavelength``, ``d_t`` and ``d_r`` read from ``cfg``
-    as ``where``'s fields, and the arrays ``make_layout`` builds from them (a
-    transmit ULA has 2 antennas). A bad kind or antenna count raises the
-    library's ValueError, for the caller to locate."""
-    wavelength, d_t, d_r = (_length_field(cfg, key, where) for key in LINK_FIELDS)
-    tx = make_layout(tx_kind, 2 if tx_kind == "ula" else None, d_t)
-    return LinkSpec(wavelength, tx, make_layout(rx_kind, n_r, d_r, coords_file=coords_file))
-
-
-def _seed(args, cfg: dict, where: str) -> int:
-    """The run's seed: ``--seed`` if given, else ``where``'s ``seed`` field
-    (default 0). A bad one is a config error located at its source."""
-    seed, source = (args.seed, "--seed") if args.seed is not None else (cfg.get("seed", 0), where)
-    try:
+def _seed(args, fields: dict, where: str) -> int:
+    """``--seed`` if given, else ``where``'s ``seed`` field; a bad one is a
+    config error located at its source."""
+    seed, source = (args.seed, "--seed") if args.seed is not None else (fields["seed"], where)
+    with _located(source):
         check_seed(seed)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
     return seed
 
 
@@ -128,8 +145,8 @@ def _resolve_workers(args) -> int:
 
 
 class Manifest:
-    """Run record written next to the outputs, even when the run fails; every
-    output is written and recorded through ``write``."""
+    """Run record written next to the outputs in the existing ``out_dir``, even
+    when the run fails; every output is written and recorded through ``write``."""
 
     def __init__(self, out_dir: Path, subcommand: str, config: str | None, seed: int | None):
         self.out_dir = out_dir
@@ -144,13 +161,9 @@ class Manifest:
         }
         self._t0 = time.monotonic()
 
-    def _path(self, name: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        return self.out_dir / name
-
     def write(self, name: str, writer) -> Path:
         """Write output ``name`` with ``writer(path)``, record it and return its path."""
-        path = self._path(name)
+        path = self.out_dir / name
         writer(path)
         self.data["outputs"].append(str(path))
         return path
@@ -160,7 +173,7 @@ class Manifest:
         if error:
             self.data["error"] = error
         self.data["wall_clock_s"] = round(time.monotonic() - self._t0, 3)
-        self._path("manifest.json").write_text(json.dumps(self.data, indent=2) + "\n")
+        (self.out_dir / "manifest.json").write_text(json.dumps(self.data, indent=2) + "\n")
 
 
 PLOT_BER = """\
@@ -244,52 +257,39 @@ print("wrote", Path(__file__).parent / "mu_star.png")
 
 
 def _cmd_simulate(args, manifest: Manifest) -> int:
-    cfg = _known_fields(_load_config(args.config), LINK_FIELDS + (
-        "runs", "snr_db", "seed", "distance", "n_r", "max_trials", "target_errors",
-        "block_trials"), "simulate config")
-    runs = _require(cfg, "runs", list, "simulate config")
-    if not runs:
+    top = _read(_load_config(args.config), SIMULATE_FIELDS, "simulate config")
+    if not top["runs"]:
         raise ConfigError("simulate config: 'runs' must not be empty")
-    snr_db = _require(cfg, "snr_db", list, "simulate config")
-    seed = manifest.data["seed"] = _seed(args, cfg, "simulate config")
+    seed = manifest.data["seed"] = _seed(args, top, "simulate config")
     workers = _resolve_workers(args)
-    dist_cfg = _require(cfg, "distance", dict, "simulate config")
-    law = _require(dist_cfg, "law", str, "distance")
-    if law == "fixed":
-        _known_fields(dist_cfg, ("law", "value"), "distance")
-        distance = _require(dist_cfg, "value", float, "distance")
-    elif law == "uniform":
-        _known_fields(dist_cfg, ("law", "min", "max"), "distance")
-        distance = (_require(dist_cfg, "min", float, "distance"),
-                    _require(dist_cfg, "max", float, "distance"))
-    else:
+    law = top["distance"].get("law")
+    if isinstance(law, str) and law not in DISTANCE_FIELDS:
         raise ConfigError(f"distance law must be 'fixed' or 'uniform', got {law!r}")
+    # a missing or mistyped law is the reader's to report
+    dist = _read(top["distance"], DISTANCE_FIELDS[law] if isinstance(law, str)
+                 else {"law": (str, ...)}, "distance")
+    # the fields every run shares, checked once
+    shared = dict(distance=dist["value"] if law == "fixed" else (dist["min"], dist["max"]),
+                  snr_db=top["snr_db"], max_trials=top["max_trials"],
+                  target_errors=top["target_errors"], seed=seed,
+                  block_trials=top["block_trials"])
+    with _located("simulate config"):
+        check_campaign(**shared)
     names, sims = [], []
-    for i, run in enumerate(runs):
+    for i, raw in enumerate(top["runs"]):
         where = f"runs[{i}]"
-        _known_fields(run, ("name", "scheme", "tx_kind", "rx_kind", "n_r", "rx_coords_file",
-                            "ideal_channel"), where)
-        name = _require(run, "name", str, where)
-        try:
-            sim = SimConfig(
-                scheme=_require(run, "scheme", str, where),
-                link=_link(cfg, "simulate config", _require(run, "tx_kind", str, where, "ula"),
-                           _require(run, "rx_kind", str, where, "ura"),
-                           _require(run, "n_r", int, where,
-                                    _require(cfg, "n_r", int, "simulate config", 4)),
-                           _require(run, "rx_coords_file", str, where, None)),
-                distance=distance,
-                snr_db=tuple(snr_db),
-                max_trials=_require(cfg, "max_trials", int, "simulate config", 200_000),
-                target_errors=_require(cfg, "target_errors", int, "simulate config", 200),
-                seed=seed,
-                block_trials=_require(cfg, "block_trials", int, "simulate config", 2_500),
-                ideal_channel=_require(run, "ideal_channel", bool, where, False),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-        names.append(name)
-        sims.append(sim)
+        run = _read(raw, RUN_FIELDS, where)
+        # the run's CSV is <name>.csv in --out
+        if not run["name"] or Path(run["name"]).name != run["name"] or run["name"] in names:
+            raise ConfigError(f"{where}: name must be a plain file name that no earlier run "
+                              f"has, got {run['name']!r}")
+        names.append(run["name"])
+        n_r = top["n_r"] if run["n_r"] is None else run["n_r"]
+        with _located(where):
+            sims.append(SimConfig(
+                scheme=run["scheme"],
+                link=_link(top, run["tx_kind"], run["rx_kind"], n_r, run["rx_coords_file"]),
+                ideal_channel=run["ideal_channel"], **shared))
     manifest.data["shared_channels"] = [[names[i] for i in g] for g in channel_groups(sims)]
     # every run is checked before the first one starts; they run in one call,
     # on one pool
@@ -308,18 +308,11 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
 
 
 def _cmd_design(args, manifest: Manifest) -> int:
-    cfg = _known_fields(_load_config(args.config),
-                        LINK_FIELDS + ("mu_max", "tx_kind", "eta_step"), "design config")
-    try:
-        spec = DesignSpec(
-            mu_max=_require(cfg, "mu_max", float, "design config"),
-            link=_link(cfg, "design config", _require(cfg, "tx_kind", str, "design config"),
-                       "tetrahedron", 4),
-        )
-        curve = compute_mu_star_curve(step=_require(cfg, "eta_step", float, "design config",
-                                                    0.01))
-    except ValueError as exc:
-        raise ConfigError(f"design config: {exc}") from exc
+    cfg = _read(_load_config(args.config), DESIGN_FIELDS, "design config")
+    with _located("design config"):
+        spec = DesignSpec(mu_max=cfg["mu_max"],
+                          link=_link(cfg, cfg["tx_kind"], "tetrahedron", 4))
+        curve = compute_mu_star_curve(step=cfg["eta_step"])
     result = design_link(spec, curve)
     out = manifest.write("design_report.csv", lambda path: write_csv(
         path, ("eta_min", "eta_max", "r_min_m", "r_max_m", "beta_max_rad", "mu_max"),
@@ -344,20 +337,13 @@ def _cmd_curves(args, manifest: Manifest) -> int:
 
 
 def _cmd_density(args, manifest: Manifest) -> int:
-    cfg = _known_fields(_load_config(args.config), LINK_FIELDS + (
-        "seed", "distance", "bins", "samples", "n_r", "rx_kind"), "density config")
+    cfg = _read(_load_config(args.config), DENSITY_FIELDS, "density config")
     seed = manifest.data["seed"] = _seed(args, cfg, "density config")
-    r_link = _require(cfg, "distance", float, "density config")
-    bins = _require(cfg, "bins", int, "density config", 25)
-    samples = _require(cfg, "samples", int, "density config", 1_000_000)
-    n_r = _require(cfg, "n_r", int, "density config", 2)
-    try:
-        link = _link(cfg, "density config", "ula",
-                     _require(cfg, "rx_kind", str, "density config", "ula"), n_r)
-        check_density_inputs(link, r_link, bins, samples, seed)
-    except ValueError as exc:
-        raise ConfigError(f"density config: {exc}") from exc
-    grid = joint_density(link, r_link=r_link, bins=bins, samples=samples, seed=seed)
+    with _located("density config"):
+        link = _link(cfg, "ula", cfg["rx_kind"], cfg["n_r"])
+        check_density_inputs(link, cfg["distance"], cfg["bins"], cfg["samples"], seed)
+    grid = joint_density(link, r_link=cfg["distance"], bins=cfg["bins"],
+                         samples=cfg["samples"], seed=seed)
     out = manifest.write("density.csv", grid.write_csv)
     manifest.write("plot_density.py", lambda path: path.write_text(PLOT_DENSITY))
     print(f"density: {grid.samples} samples over {grid.counts.shape} bins; wrote {out}")
@@ -387,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"losmimo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, seed=False):
+    def common(p, handler, config=True, seed=False):
+        p.set_defaults(handler=handler)
         if config:
             p.add_argument("--config", required=True,
                            help="JSON config path or bundled recipe name")
@@ -396,37 +383,37 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory (created if missing)")
 
     p_sim = sub.add_parser("simulate", help="run BER campaigns")
-    common(p_sim, seed=True)
+    common(p_sim, _cmd_simulate, seed=True)
     p_sim.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
-    common(sub.add_parser("design", help="compute an [R_min, R_max] design report"))
+    common(sub.add_parser("design", help="compute an [R_min, R_max] design report"),
+           _cmd_design)
     p_curves = sub.add_parser("curves", help="export the worst-case correlation curve")
-    common(p_curves, config=False)
-    p_curves.add_argument("--eta-start", type=float, default=0.3)
-    p_curves.add_argument("--eta-stop", type=float, default=3.0)
-    p_curves.add_argument("--eta-step", type=float, default=0.01)
-    common(sub.add_parser("density", help="joint (theta_mu, mu) histogram"), seed=True)
+    common(p_curves, _cmd_curves, config=False)
+    p_curves.add_argument("--eta-start", type=float, default=ETA_START)
+    p_curves.add_argument("--eta-stop", type=float, default=ETA_STOP)
+    p_curves.add_argument("--eta-step", type=float, default=ETA_STEP)
+    common(sub.add_parser("density", help="joint (theta_mu, mu) histogram"), _cmd_density,
+           seed=True)
     p_gain = sub.add_parser("gain", help="coding gain versus correlation")
     p_gain.add_argument("scheme", choices=[*SCHEMES, "all"])
     p_gain.add_argument("--mu-step", type=float, default=0.01)
-    common(p_gain, config=False)
+    common(p_gain, _cmd_gain, config=False)
     return parser
-
-
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "design": _cmd_design,
-    "curves": _cmd_curves,
-    "density": _cmd_density,
-    "gain": _cmd_gain,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # no manifest can be written there
+        print(f"error: --out {args.out!r} cannot be made a directory: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     manifest = Manifest(Path(args.out), args.command, getattr(args, "config", None),
                         getattr(args, "seed", None))
     try:
-        code = _HANDLERS[args.command](args, manifest)
+        code = args.handler(args, manifest)
     except ConfigError as exc:
         manifest.finish("config-error", str(exc))
         print(f"error: {exc}", file=sys.stderr)

@@ -64,7 +64,7 @@ def gray_qam(m: int, avg_energy: float) -> Constellation:
     """
     if m not in (4, 16):
         raise ValueError(f"unsupported QAM order {m}; expected 4 or 16")
-    if avg_energy <= 0:
+    if not avg_energy > 0:
         raise ValueError("avg_energy must be positive")
     side = int(np.sqrt(m))
     bits_axis = side.bit_length() - 1

@@ -36,9 +36,10 @@ def _out(lp, log: bool = True) -> NDArray | float:
 
 def _params(mu: ArrayLike = 0.0, snr: ArrayLike = 1.0, n_r: ArrayLike = 1):
     mu, snr, n_r = (np.asarray(v, dtype=float) for v in (mu, snr, n_r))
+    # written so that a NaN fails each check
     if not np.all((0.0 <= mu) & (mu <= 1.0)):
         raise ValueError("mu must lie in [0, 1]")
-    if np.any(snr <= 0) or np.any(n_r < 1):
+    if not (np.all(snr > 0) and np.all(n_r >= 1)):
         raise ValueError("need snr > 0 and n_r >= 1")
     return mu, snr, n_r
 
@@ -146,7 +147,7 @@ def planar_lower_bound(diff: ArrayLike, snr: ArrayLike, n_r: ArrayLike, c: Array
     """
     _, snr, n_r = _params(snr=snr, n_r=n_r)
     c = np.asarray(c, dtype=float)
-    if np.any(c <= 0):
+    if not np.all(c > 0):
         raise ValueError("geometry constant c must be positive")
     a, b, cross = _triples(diff)
     if np.any(cross <= 0):

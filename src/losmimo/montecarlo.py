@@ -35,6 +35,7 @@ __all__ = [
     "ml_decode",
     "channel_groups",
     "run_ber",
+    "check_campaign",
     "check_seed",
     "check_density_inputs",
     "joint_density",
@@ -74,26 +75,39 @@ class SimConfig:
 
     def __post_init__(self):
         build_codebook(self.scheme)
-        for name in ("max_trials", "target_errors", "block_trials"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.max_trials < 1 or self.target_errors < 1 or self.block_trials < 1:
-            raise ValueError("trial budgets must be positive")
-        check_seed(self.seed)
-        snr_db = tuple(self.snr_db)
-        if not snr_db or not all(_is_real(s) and np.isfinite(s) for s in snr_db):
-            raise ValueError(f"SNR grid must be a non-empty list of finite numbers, got {snr_db!r}")
-        if list(snr_db) != sorted(snr_db):
-            raise ValueError("SNR grid must be sorted")
-        object.__setattr__(self, "snr_db", tuple(float(s) for s in snr_db))
-        if not isinstance(self.distance, (int, float)):
-            lo, hi = self.distance
-            if not 0 < lo <= hi < np.inf:
-                raise ValueError("distance range must satisfy 0 < low <= high < inf")
-            object.__setattr__(self, "distance", (float(lo), float(hi)))
+        distance, snr_db = check_campaign(self.distance, self.snr_db, self.max_trials,
+                                          self.target_errors, self.seed, self.block_trials)
+        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "snr_db", snr_db)
         if not self.ideal_channel:
-            _check_clearance(self.link, self.distance[0] if isinstance(self.distance, tuple)
-                             else float(self.distance))
+            _check_clearance(self.link, distance[0] if isinstance(distance, tuple)
+                             else float(distance))
+
+
+def check_campaign(distance, snr_db, max_trials, target_errors, seed, block_trials):
+    """Check the ``SimConfig`` fields that campaigns on different links can
+    share; return the distance law and the SNR grid as floats."""
+    for name, value in (("max_trials", max_trials), ("target_errors", target_errors),
+                        ("block_trials", block_trials)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if max_trials < 1 or target_errors < 1 or block_trials < 1:
+        raise ValueError("trial budgets must be positive")
+    check_seed(seed)
+    snr_db = tuple(snr_db)
+    if not snr_db or not all(_is_real(s) and np.isfinite(s) for s in snr_db):
+        raise ValueError(f"SNR grid must be a non-empty list of finite numbers, got {snr_db!r}")
+    if list(snr_db) != sorted(snr_db):
+        raise ValueError("SNR grid must be sorted")
+    if isinstance(distance, (int, float)):
+        if not distance < np.inf:
+            raise ValueError(f"distance must be finite, got {distance!r}")
+    else:
+        lo, hi = distance
+        if not 0 < lo <= hi < np.inf:
+            raise ValueError("distance range must satisfy 0 < low <= high < inf")
+        distance = (float(lo), float(hi))
+    return distance, tuple(float(s) for s in snr_db)
 
 
 def _check_clearance(link: LinkSpec, distance: float) -> None:
@@ -299,8 +313,9 @@ def ml_decode(h: NDArray, y: NDArray, snr: float,
         raise ValueError("channel must be n_r x 2")
     if y.shape != h.shape[:-1] + (codebook.slots,):
         raise ValueError(f"received block must be {h.shape[-2]} x {codebook.slots}")
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    # written so that a NaN snr fails the check
+    if not 0 < snr < np.inf:
+        raise ValueError(f"snr must be positive and finite, got {snr!r}")
     batch = h.shape[:-2]
     h = np.moveaxis(h.reshape(-1, h.shape[-2], 2), 0, -1)
     y = np.moveaxis(y.reshape(-1, *y.shape[-2:]), 0, -1)

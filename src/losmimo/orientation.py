@@ -41,6 +41,9 @@ __all__ = [
 # eta of a non-neighbouring pentagon pair relative to a neighbouring one
 PENTAGON_ETA_SCALE = 2.0 / (1.0 + np.sqrt(5.0))
 
+# the standard mu* grid: first and last eta and step
+ETA_START, ETA_STOP, ETA_STEP = 0.3, 3.0, 0.01
+
 # unit edge, so that d_m / spacing is sqrt(3/8) to the last bit
 _TETRAHEDRON = make_layout("tetrahedron", spacing=1.0)
 
@@ -225,8 +228,8 @@ class MuStarCurve:
                    for eta, val in zip(self.etas[mask], self.values[mask])))
 
 
-def compute_mu_star_curve(eta_start: float = 0.3, eta_stop: float = 3.0,
-                          step: float = 0.01) -> MuStarCurve:
+def compute_mu_star_curve(eta_start: float = ETA_START, eta_stop: float = ETA_STOP,
+                          step: float = ETA_STEP) -> MuStarCurve:
     """Evaluate ``mu*`` on a regular eta grid (plus the pentagon extension)."""
     for name, value in (("eta_start", eta_start), ("eta_stop", eta_stop), ("eta step", step)):
         if not np.isfinite(value):
@@ -246,7 +249,7 @@ def compute_mu_star_curve(eta_start: float = 0.3, eta_stop: float = 3.0,
 
 @lru_cache(maxsize=1)
 def default_curve() -> MuStarCurve:
-    """The standard cached curve on eta in [0.3, 3] with step 0.01."""
+    """The standard cached curve on ``ETA_START`` .. ``ETA_STOP`` in ``ETA_STEP`` steps."""
     return compute_mu_star_curve()
 
 

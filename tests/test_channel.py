@@ -175,6 +175,13 @@ class TestDeviationFactor:
             deviation_factor(np.full(3, 10.0), 0.06, 0.25, np.array([0.0, np.pi / 2, 0.1]),
                              0.0042)
 
+    @pytest.mark.parametrize("beta", [float("nan"), np.array([0.0, float("nan"), 0.1])],
+                             ids=["scalar", "element"])
+    def test_nan_angle_rejected(self, beta):
+        # a NaN beta used to give a NaN eta
+        with pytest.raises(ValueError, match="cos\\(beta\\) must be positive"):
+            deviation_factor(10.0, 0.06, 0.25, beta, 0.0042)
+
 
 class TestMuModel:
     def test_large_eta_limit(self):
@@ -255,6 +262,12 @@ class TestClosedForm:
         lengths[arg] = value
         with pytest.raises(ValueError, match="lengths must be positive"):
             closed_form_2x2(*lengths, 0.0)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_angle_must_be_finite(self, beta):
+        # a NaN beta used to give (nan, nan)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            closed_form_2x2(0.1, 0.1, 10.0, 0.0042, beta)
 
     def test_design_point(self):
         lam, R = 0.0042, 10.0

@@ -234,8 +234,38 @@ class TestSimulate:
         cfg = write_config(tmp_path, dict(MINI_SIM, distance=distance))
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["error"].startswith("runs[0]: distance")
+        assert manifest["error"].startswith("simulate config: distance")
         assert not (out / "mini_sm.csv").exists()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("max_trials", 0, "trial budgets must be positive"),
+        ("snr_db", [8, 0], "SNR grid must be sorted"),
+        ("distance", {"law": "uniform", "min": 12.7, "max": 4.43},
+         "distance range must satisfy 0 < low <= high < inf")],
+        ids=["max_trials-0", "snr_db-unsorted", "distance-min-above-max"])
+    def test_shared_field_error_is_located_at_the_top_level(self, tmp_path, field, value,
+                                                            message):
+        # the fields every run shares used to be reported as runs[0]'s
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {**MINI_SIM, field: value})
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == f"simulate config: {message}"
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("names,bad", [(["a", "a"], 1), (["a", "../escaped"], 1),
+                                           ([""], 0)],
+                             ids=["duplicate", "path", "empty"])
+    def test_run_names_are_unique_plain_file_names(self, tmp_path, names, bad):
+        # each used to exit 0: the second "a" overwrote the first CSV, the
+        # path wrote escaped.csv beside --out and the empty name wrote .csv
+        cfg = dict(MINI_SIM, runs=[dict(MINI_SIM["runs"][0], name=n) for n in names])
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"].startswith(f"runs[{bad}]: name")
+        assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.parametrize("snr_db", [[float("nan")], [], [True, "x"]],
                              ids=["nan", "empty", "bool-str"])
@@ -585,6 +615,16 @@ class TestDensity:
         assert cfg["n_r"] == 2
         assert importlib.resources.files("losmimo.recipes").joinpath(
             "density_2x4.json").is_file()
+
+
+class TestOutDirectory:
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        # used to exit 1 with a FileExistsError traceback
+        out = tmp_path / "out"
+        out.write_text("keep\n")
+        assert main(["gain", "sm", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: --out {str(out)!r}")
+        assert out.read_text() == "keep\n"
 
 
 class TestWorkerResolution:

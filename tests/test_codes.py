@@ -57,6 +57,12 @@ class TestGrayQam:
         with pytest.raises(ValueError, match="unsupported QAM order"):
             gray_qam(8, 1.0)
 
+    @pytest.mark.parametrize("energy", [0.0, -1.0, float("nan")])
+    def test_energy_must_be_positive(self, energy):
+        # a NaN energy used to build NaN points
+        with pytest.raises(ValueError, match="avg_energy must be positive"):
+            gray_qam(4, energy)
+
 
 class TestSmCodebook:
     def test_size_and_rate(self, sm):

@@ -331,3 +331,25 @@ def test_one_bad_triple_in_a_batch_raises(bad, match):
     for call in calls:
         with pytest.raises(ValueError, match=match):
             call()
+
+
+@pytest.mark.parametrize("snr,n_r", [(0.0, 4), (math.nan, 4), (1.0, 0), (1.0, math.nan)],
+                         ids=["snr-0", "snr-nan", "n_r-0", "n_r-nan"])
+def test_bad_snr_or_n_r_raises(snr, n_r):
+    # a NaN used to give a nan PEP or bound
+    trip = (1.0, 1.0, 0.4)
+    calls = [
+        lambda: pep_worst(0.5, trip, snr, n_r),
+        lambda: pep_avg_theta(0.5, trip, snr, n_r),
+        lambda: planar_lower_bound(trip, snr, n_r, 2.0),
+        lambda: union_bound(16, GRID_SPEC, 0.5, snr, n_r),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="need snr > 0 and n_r >= 1"):
+            call()
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+def test_bad_geometry_constant_raises(c):
+    with pytest.raises(ValueError, match="geometry constant c must be positive"):
+        planar_lower_bound((1.0, 1.0, 0.4), 100.0, 4, c)

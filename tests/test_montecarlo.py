@@ -74,6 +74,13 @@ class TestMlDecode:
         with pytest.raises(ValueError, match="received block"):
             ml_decode(ideal_channel(4), np.zeros((4, 1)), 1.0, cb)
 
+    @pytest.mark.parametrize("snr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_snr_must_be_positive_and_finite(self, snr):
+        # a NaN snr used to decode every block as codeword 0, and an infinite
+        # one to give NaN metrics
+        with pytest.raises(ValueError, match="snr must be positive"):
+            ml_decode(ideal_channel(4), np.zeros((4, 1)), snr, build_codebook("sm"))
+
     def test_batch_matches_per_trial(self):
         # one golden block as the engine builds it: engine channels at 8 dB
         engine = _Engine(SimConfig(scheme="golden", link=make_link("pentagon", "tetrahedron"),
@@ -384,6 +391,13 @@ class TestRunBer:
     def test_distance_must_be_finite(self, distance):
         with pytest.raises(ValueError, match="finite|< inf"):
             SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,), distance=distance)
+
+    def test_ideal_channel_distance_must_be_finite(self):
+        # the ideal channel skips the clearance check, which used to hold the
+        # finiteness check of a fixed distance
+        with pytest.raises(ValueError, match="distance must be finite"):
+            SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,),
+                      distance=float("inf"), ideal_channel=True)
 
     def test_csv_format(self, tmp_path):
         cfg = SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,),
