@@ -66,6 +66,9 @@ def _load_config(spec: str) -> dict:
         return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # an integer literal beyond Python's digit limit for int conversion
+        raise ConfigError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -108,7 +111,11 @@ def _read(cfg, table: dict, where: str) -> dict:
             continue
         val = cfg[key]
         if kind is float and isinstance(val, int) and not isinstance(val, bool):
-            val = float(val)
+            try:
+                val = float(val)
+            except OverflowError:
+                raise ConfigError(f"{where}: field {key!r} must be a finite number, got an "
+                                  "integer too large for a float") from None
         if not isinstance(val, kind) or (kind in (int, float) and isinstance(val, bool)):
             raise ConfigError(f"{where}: field {key!r} must be {kind.__name__}")
         if key in _LINK_FIELDS and not 0.0 < val < np.inf:

@@ -9,6 +9,7 @@ Gray-derived bit labels, and satisfy the average power constraint
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,6 +28,8 @@ __all__ = [
 ]
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
+# codewords per chunk of Codebook.min_sq_distance's difference table
+DISTANCE_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,20 @@ class Codebook:
     @property
     def bits_per_codeword(self) -> int:
         return self.bits.shape[1]
+
+    @cached_property
+    def min_sq_distance(self) -> float:
+        """``min_{j != k} ||X_j - X_k||_F^2``, taken in ``DISTANCE_ROWS``-row
+        chunks of the difference table."""
+        cw = self.codewords
+        best = np.inf
+        for s in range(0, self.size, DISTANCE_ROWS):
+            d = cw[s:s + DISTANCE_ROWS, None] - cw[None]
+            d2 = (d.real ** 2 + d.imag ** 2).sum(axis=(2, 3))
+            rows = np.arange(len(d2))
+            d2[rows, s + rows] = np.inf
+            best = min(best, float(d2.min()))
+        return best
 
     def index_of(self, bits) -> int:
         b = np.asarray(bits, dtype=np.uint8)
@@ -172,10 +189,19 @@ SCHEMES = {"sm": sm_codebook, "golden": golden_codebook, "simo": simo_codebook}
 
 
 def build_codebook(scheme: str) -> Codebook:
-    """The codebook of the scheme named ``scheme``, one of ``SCHEMES``."""
+    """The codebook of the scheme named ``scheme``, one of ``SCHEMES``: built
+    once per process, with read-only arrays, and shared by every caller."""
     if not (isinstance(scheme, str) and scheme in SCHEMES):
         raise ValueError(f"unknown scheme {scheme!r}; expected sm, golden or simo")
-    return SCHEMES[scheme]()
+    return _shared_codebook(scheme)
+
+
+@cache
+def _shared_codebook(scheme: str) -> Codebook:
+    codebook = SCHEMES[scheme]()
+    codebook.codewords.flags.writeable = False
+    codebook.bits.flags.writeable = False
+    return codebook
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,9 @@ def make_layout(kind: str, n: int | None = None, spacing: float | None = None,
         raise ValueError(f"unknown layout kind {kind!r}; expected one of {LAYOUT_KINDS}")
     if spacing is None or not 0.0 < spacing < np.inf:
         raise ValueError("spacing must be positive")
+    if coords_file is not None and kind != "spherical-code":
+        raise ValueError(f"a coordinates file is read only for a spherical-code layout, "
+                         f"not for kind {kind!r}")
 
     if kind == "ula":
         if n is None or n < 1:

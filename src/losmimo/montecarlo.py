@@ -46,6 +46,10 @@ DENSITY_BLOCK = 200_000
 # samples per piece of a joint_density block: a piece's temporaries stay in
 # cache, and its PLACE_COLS sub-pieces fall where the whole block's would
 DENSITY_PIECE = 4 * PLACE_COLS
+# the distance bound of _Engine.block_errors: its relative margin, and the
+# smallest lambda_min / tr G at which it settles a trial
+SETTLE_MARGIN = 1e-3
+SETTLE_FLOOR = 1e-6
 # rows per product in ml_decode's stacked GEMM: each (64 x 12) @ (12 x 256)
 # stays below OpenBLAS's threading threshold, so decoding starts no BLAS threads
 ML_ROWS = 64
@@ -95,16 +99,16 @@ def check_campaign(distance, snr_db, max_trials, target_errors, seed, block_tria
         raise ValueError("trial budgets must be positive")
     check_seed(seed)
     snr_db = tuple(snr_db)
-    if not snr_db or not all(_is_real(s) and np.isfinite(s) for s in snr_db):
+    if not snr_db or not all(_is_real(s) and _is_finite(s) for s in snr_db):
         raise ValueError(f"SNR grid must be a non-empty list of finite numbers, got {snr_db!r}")
     if list(snr_db) != sorted(snr_db):
         raise ValueError("SNR grid must be sorted")
     if isinstance(distance, (int, float)):
-        if not distance < np.inf:
+        if not _is_finite(distance):
             raise ValueError(f"distance must be finite, got {distance!r}")
     else:
         lo, hi = distance
-        if not 0 < lo <= hi < np.inf:
+        if not (0 < lo <= hi and _is_finite(hi)):
             raise ValueError("distance range must satisfy 0 < low <= high < inf")
         distance = (float(lo), float(hi))
     return distance, tuple(float(s) for s in snr_db)
@@ -153,14 +157,18 @@ def _wilson(errors: int, n: int) -> tuple[float, float]:
 
 
 class _Engine:
-    """Per-campaign state shared by all trial blocks."""
+    """Per-campaign state shared by the trial blocks of the SNR point
+    ``snr_index`` (the first by default)."""
 
-    def __init__(self, config: SimConfig):
+    def __init__(self, config: SimConfig, snr_index: int = 0):
         self.config = config
-        self.codebook = build_codebook(config.scheme)
-        self.snr_lin = tuple(10.0 ** (s / 10.0) for s in config.snr_db)
+        self.codebook = cb = build_codebook(config.scheme)
+        self.snr = 10.0 ** (config.snr_db[snr_index] / 10.0)
+        self.weights = _ml_weights(cb, self.snr)
+        # a trial is settled when settle_scale * lambda_min > ||N||^2
+        self.settle_scale = self.snr * cb.min_sq_distance / (4.0 * (1.0 + SETTLE_MARGIN) ** 2)
         # (2, T, K): a gather over trials comes out n-last
-        self.codewords_nlast = np.ascontiguousarray(self.codebook.codewords.transpose(1, 2, 0))
+        self.codewords_nlast = np.ascontiguousarray(cb.codewords.transpose(1, 2, 0))
         if config.ideal_channel:
             n_r = config.link.rx.n
             phases = np.exp(2j * np.pi * np.arange(n_r) / n_r)
@@ -184,28 +192,64 @@ class _Engine:
             tx = tx[:, pair.T, np.arange(n)]
         return los_channel(link_distances(tx, rx), link.wavelength)
 
-    def block_errors(self, h: NDArray, snr_index: int, rng: np.random.Generator) -> int:
+    def block_errors(self, h: NDArray, lam: NDArray, rng: np.random.Generator) -> int:
         """Bit errors of one block over the n-last channels ``h``, with the
-        codewords and the noise drawn from ``rng``.
+        codewords and the noise N drawn from ``rng``; ``lam`` is
+        ``_lambda_min(h)``.
+
+        Only the trials whose decision is in doubt are decoded. With G = h^H h
+        and d2 = ``codebook.min_sq_distance``, every other codeword lies at
+        ||N - sqrt(snr) h D|| >= sqrt(snr lambda_min(G) d2) - ||N|| from y,
+        since ||h D||^2 >= lambda_min(G) ||D||^2 for every difference D. So
+        when snr lambda_min d2 > 4 (1 + delta)^2 ||N||^2, delta =
+        ``SETTLE_MARGIN``, the sent codeword is the unique ML decision: the
+        trial is settled with 0 bit errors. Its metric gap is then at least
+        snr lambda_min d2 delta / (1 + delta), and with lambda_min above
+        ``SETTLE_FLOOR`` tr G that is more than 1e-10 of the metric's scale,
+        snr tr G max ||X_k||^2, for every scheme (d2 / max ||X_k||^2 >= 0.2);
+        the rounding of the metric, of y and of lambda_min (whose relative
+        error is below 1e-9 above the floor) is below 1e-12 of that scale.
 
         The block is n-last in memory, so every small complex product runs its
-        inner loop over the trials; ``ml_decode`` gets n-first views of it."""
+        inner loop over the trials; the decoder gets n-first views of it. A
+        trial's decision does not depend on the others in its batch, so the
+        count is the one a decoding of every trial gives."""
         cb = self.codebook
-        snr = self.snr_lin[snr_index]
         n_r, n = h.shape[0], h.shape[-1]
         k_true = rng.integers(0, cb.size, n)
-        # y = sqrt(snr) h X + noise, noise = sqrt(1/2) (a + i b) drawn n-first
-        y = np.empty((n_r, cb.slots, n), dtype=complex)
-        for part in (y.real, y.imag):
-            np.multiply(rng.standard_normal((n, n_r, cb.slots)), np.sqrt(0.5),
-                        out=part.transpose(2, 0, 1))
+        # N = sqrt(1/2) (a + i b), drawn n-first
+        noise = np.empty((n_r, cb.slots, n), dtype=complex)
+        np.multiply(rng.standard_normal((n, n_r, cb.slots)), np.sqrt(0.5),
+                    out=noise.real.transpose(2, 0, 1))
+        np.multiply(rng.standard_normal((n, n_r, cb.slots)), np.sqrt(0.5),
+                    out=noise.imag.transpose(2, 0, 1))
+        energy = (noise.real ** 2 + noise.imag ** 2).reshape(-1, n).sum(axis=0)
+        doubt = np.flatnonzero(self.settle_scale * lam <= energy)
+        if not len(doubt):
+            return 0
+        # y = sqrt(snr) h X + N on the trials in doubt; take keeps them n-last,
+        # where a fancy index would lay its result out n-first
+        k_true, h = k_true[doubt], np.take(h, doubt, axis=2)
         x = self.codewords_nlast[:, :, k_true]
-        hx = np.multiply(h[:, 0, None], x[0])
-        hx += np.multiply(h[:, 1, None], x[1])
-        hx *= np.sqrt(snr)
-        y += hx
-        _, bits = ml_decode(h.transpose(2, 0, 1), y.transpose(2, 0, 1), snr, cb)
-        return int(np.sum(cb.bits[k_true] != bits))
+        y = np.multiply(h[:, 0, None], x[0])
+        y += np.multiply(h[:, 1, None], x[1])
+        y *= np.sqrt(self.snr)
+        y += np.take(noise, doubt, axis=2)
+        del noise, x    # freed before the decoder's (n, K) metric
+        k = _ml_argmin(h.transpose(2, 0, 1), y.transpose(2, 0, 1), self.weights)
+        return int(np.sum(cb.bits[k_true] != cb.bits[k]))
+
+
+def _lambda_min(h: NDArray) -> NDArray:
+    """The smaller eigenvalue of G = h^H h for each of the n-last (n_r, 2, n)
+    channels ``h``, or 0 where it is not above ``SETTLE_FLOOR`` tr G."""
+    power = h.real ** 2
+    power += h.imag ** 2
+    g00, g11 = power.sum(axis=0)
+    g01 = (np.conj(h[:, 0]) * h[:, 1]).sum(axis=0)
+    half_trace, half_gap = 0.5 * (g00 + g11), 0.5 * (g00 - g11)
+    lam = half_trace - np.sqrt(half_gap ** 2 + g01.real ** 2 + g01.imag ** 2)
+    return np.where(lam > 2.0 * SETTLE_FLOOR * half_trace, lam, 0.0)
 
 
 def channel_groups(configs: Sequence[SimConfig]) -> list[list[int]]:
@@ -228,7 +272,7 @@ def _run_group_point(configs: tuple[SimConfig, ...], snr_index: int) -> list[tup
     drawn once per distinct trial count among the campaigns still running, and
     each of those campaigns draws its codewords and noise from the state that
     follows them, so every campaign consumes the stream it would alone."""
-    engines = [_Engine(c) for c in configs]
+    engines = [_Engine(c, snr_index) for c in configs]
     lead = configs[0]
     trials, errors = [0] * len(configs), [0] * len(configs)
     live = list(range(len(configs)))
@@ -241,11 +285,12 @@ def _run_group_point(configs: tuple[SimConfig, ...], snr_index: int) -> list[tup
         for n, members in by_count.items():
             rng = np.random.default_rng([lead.seed, snr_index, b])
             h = engines[members[0]].block_channels(n, rng)
+            lam = _lambda_min(h)
             drawn = rng.bit_generator.state
             for i in members:
                 rng.bit_generator.state = drawn
                 trials[i] += n
-                errors[i] += engines[i].block_errors(h, snr_index, rng)
+                errors[i] += engines[i].block_errors(h, lam, rng)
         live = [i for i in live
                 if errors[i] < configs[i].target_errors and trials[i] < configs[i].max_trials]
         b += 1
@@ -305,7 +350,7 @@ def ml_decode(h: NDArray, y: NDArray, snr: float,
 
     The blocks are taken as n-last views, so the Gram and Z contractions run
     their inner loops over the batch; inputs that are transposed views of
-    n-last memory, as ``_Engine.block_errors`` passes, cost no copy.
+    n-last memory, as ``_Engine.block_errors`` builds them, cost no copy.
     """
     h = np.asarray(h, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -317,8 +362,18 @@ def ml_decode(h: NDArray, y: NDArray, snr: float,
     if not 0 < snr < np.inf:
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
     batch = h.shape[:-2]
-    h = np.moveaxis(h.reshape(-1, h.shape[-2], 2), 0, -1)
-    y = np.moveaxis(y.reshape(-1, *y.shape[-2:]), 0, -1)
+    k = _ml_argmin(h.reshape(-1, *h.shape[-2:]), y.reshape(-1, *y.shape[-2:]),
+                   _ml_weights(codebook, snr)).reshape(batch)
+    if not batch:
+        return int(k), codebook.bits[k].copy()
+    return k, codebook.bits[k]
+
+
+def _ml_argmin(h: NDArray, y: NDArray, weights: NDArray) -> NDArray:
+    """``ml_decode``'s decisions for the (n, n_r, 2) channels ``h`` and (n,
+    n_r, slots) blocks ``y`` under the weights ``_ml_weights`` built."""
+    h = np.moveaxis(h, 0, -1)
+    y = np.moveaxis(y, 0, -1)
     n = h.shape[-1]
     hc = np.conj(h)
     gram = np.einsum("rin,rjn->ijn", hc, h)
@@ -333,11 +388,8 @@ def ml_decode(h: NDArray, y: NDArray, snr: float,
     feats[4:4 + len(z), :n] = z.real
     feats[4 + len(z):, :n] = z.imag
     rows = np.ascontiguousarray(feats.T).reshape(-1, ML_ROWS, len(feats))
-    metric = np.matmul(rows, _ml_weights(codebook, snr))
-    k = np.argmin(metric.reshape(-1, codebook.size)[:n], axis=-1).reshape(batch)
-    if not batch:
-        return int(k), codebook.bits[k].copy()
-    return k, codebook.bits[k]
+    metric = np.matmul(rows, weights)
+    return np.argmin(metric.reshape(-1, weights.shape[1])[:n], axis=-1)
 
 
 def _ml_weights(codebook: Codebook, snr: float) -> NDArray:
@@ -405,6 +457,15 @@ def _is_int(x) -> bool:
 
 def _is_real(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    """Whether the real number ``x`` is finite as a float: an integer too large
+    for a float is not, where ``np.isfinite`` would raise a TypeError."""
+    try:
+        return bool(np.isfinite(float(x)))
+    except OverflowError:
+        return False
 
 
 def _piece_threads() -> int:

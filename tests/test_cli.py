@@ -147,6 +147,30 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
 
+    def test_coords_file_with_another_rx_kind_is_config_error(self, tmp_path):
+        # used to run on the built-in URA and ignore the file
+        coords = tmp_path / "coords.csv"
+        coords.write_text("1,0,0\n0,1,0\n0,0,1\n-1,0,0\n")
+        cfg = dict(MINI_SIM, runs=[{"name": "ura", "scheme": "sm", "rx_kind": "ura",
+                                    "rx_coords_file": str(coords)}])
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == ("runs[0]: a coordinates file is read only for a "
+                                     "spherical-code layout, not for kind 'ura'")
+        assert not list(out.glob("*.csv"))
+
+    def test_snr_beyond_float_range_is_config_error(self, tmp_path):
+        # used to exit 4 with a TypeError from np.isfinite
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(MINI_SIM, snr_db=[0, 10 ** 400]))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"].startswith(
+            "simulate config: SNR grid must be a non-empty list of finite numbers")
+        assert not list(out.glob("*.csv"))
+
     def test_overlapping_distance_law_is_config_error(self, tmp_path):
         # arrays of radii 0.03 m (ULA, d_t 0.06) and 0.177 m (URA, d_r 0.25)
         # can overlap anywhere below 0.207 m
@@ -379,6 +403,24 @@ class TestDesign:
         assert main(["design", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == EXIT_CONFIG
         assert_tx_kind_rejected(out, kind, "design config", "design_report.csv")
+
+    @pytest.mark.parametrize("digits", [400, 5_000])
+    def test_length_beyond_float_range_is_config_error(self, tmp_path, digits):
+        # a 401-digit wavelength used to exit 4 with an OverflowError; one of
+        # more digits than Python converts to an int fails in the JSON parser
+        path = tmp_path / "config.json"
+        path.write_text('{"mu_max": 0.6667, "wavelength": 1' + "0" * digits
+                        + ', "d_t": 0.06, "d_r": 0.25, "tx_kind": "triangle"}')
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "config-error"
+        if digits == 400:
+            assert manifest["error"] == ("design config: field 'wavelength' must be a finite "
+                                         "number, got an integer too large for a float")
+        else:
+            assert manifest["error"].startswith(f"{path}: Exceeds the limit")
+        assert not (out / "design_report.csv").exists()
 
     def test_infeasible_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {

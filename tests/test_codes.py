@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from losmimo.codes import (
+    SCHEMES,
+    build_codebook,
     difference_spectrum,
     golden_codebook,
     gray_qam,
@@ -153,3 +155,22 @@ def test_bit_label_bijection(sm, golden, simo):
     for cb in (sm, golden, simo):
         for k in range(cb.size):
             assert cb.index_of(cb.bits[k]) == k
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_min_sq_distance_matches_full_difference_table(scheme):
+    cb = build_codebook(scheme)
+    cw = cb.codewords
+    d2 = (np.abs(cw[:, None] - cw[None]) ** 2).sum(axis=(2, 3))
+    np.fill_diagonal(d2, np.inf)
+    assert cb.min_sq_distance == pytest.approx(d2.min(), rel=1e-12)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_built_once_and_read_only(scheme):
+    # every campaign, engine and curve shares one codebook per scheme
+    cb = build_codebook(scheme)
+    assert build_codebook(scheme) is cb
+    for array in (cb.codewords, cb.bits):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0

@@ -106,6 +106,15 @@ class TestMakeLayout:
         with pytest.raises(ValueError, match="unit vectors"):
             make_layout("spherical-code", 2, 0.5, coords_file=bad_norm)
 
+    @pytest.mark.parametrize("kind", ["ula", "ura", "tetrahedron", "triangle", "pentagon"])
+    def test_coords_file_only_for_spherical_code(self, tmp_path, kind):
+        # every other kind used to ignore the file and build its own layout
+        path = tmp_path / "coords.csv"
+        path.write_text("1,0,0\n0,1,0\n0,0,1\n-1,0,0\n")
+        with pytest.raises(ValueError, match=f"spherical-code layout, not for kind '{kind}'"):
+            make_layout(kind, None if kind in ("triangle", "pentagon") else 4, 0.5,
+                        coords_file=path)
+
 
 class TestUniformRotation:
     def test_orthogonality_and_determinant(self):

@@ -202,6 +202,143 @@ class TestMlDecode:
         assert abs(errs - p * total) <= 3 * np.sqrt(total * p * (1 - p))
 
 
+def decode_every_trial(engine, h, rng):
+    """The sent and the decoded codeword of each trial of one block, drawn as
+    ``_Engine.block_errors`` draws it, with every trial decoded: the
+    reference for the distance bound."""
+    cb = engine.codebook
+    n_r, n = h.shape[0], h.shape[-1]
+    k_true = rng.integers(0, cb.size, n)
+    y = np.empty((n_r, cb.slots, n), dtype=complex)
+    for part in (y.real, y.imag):
+        np.multiply(rng.standard_normal((n, n_r, cb.slots)), np.sqrt(0.5),
+                    out=part.transpose(2, 0, 1))
+    x = engine.codewords_nlast[:, :, k_true]
+    hx = np.multiply(h[:, 0, None], x[0])
+    hx += np.multiply(h[:, 1, None], x[1])
+    hx *= np.sqrt(engine.snr)
+    y += hx
+    k, _ = ml_decode(h.transpose(2, 0, 1), y.transpose(2, 0, 1), engine.snr, cb)
+    return k_true, k
+
+
+def bit_errors(cb, sent, decoded):
+    return int(np.sum(cb.bits[sent] != cb.bits[decoded]))
+
+
+class Replay:
+    """Stands in for a block's generator: hands ``block_errors`` the given
+    codewords and then the given real and imaginary noise normals."""
+
+    def __init__(self, sent, normals):
+        self.sent, self.normals = sent, list(normals)
+
+    def integers(self, low, high, size):
+        assert (low, size) == (0, len(self.sent)) and self.sent.max() < high
+        return self.sent
+
+    def standard_normal(self, shape):
+        return self.normals.pop(0)
+
+
+class TestDistanceBound:
+    """``_Engine.block_errors`` decodes only the trials whose decision the
+    distance bound leaves in doubt, and counts the errors a full decode counts."""
+
+    @staticmethod
+    def count_decoded(monkeypatch):
+        decoded = []
+        real = montecarlo._ml_argmin
+
+        def counting(h, y, weights):
+            decoded.append(len(h))
+            return real(h, y, weights)
+
+        monkeypatch.setattr(montecarlo, "_ml_argmin", counting)
+        return decoded
+
+    @pytest.mark.parametrize("snr_db", [0.0, 16.0, 32.0])
+    @pytest.mark.parametrize("link", ["ideal", "ula_ura", "pent_tetr"])
+    @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
+    def test_matches_decoding_every_trial(self, scheme, link, snr_db):
+        tx_kind, rx_kind = ("pentagon", "tetrahedron") if link == "pent_tetr" else ("ula", "ura")
+        engine = _Engine(SimConfig(scheme=scheme, link=make_link(tx_kind, rx_kind),
+                                   snr_db=(snr_db,), ideal_channel=link == "ideal", **BASE))
+        total = 0
+        for b in range(3):
+            rng = np.random.default_rng([31, b])
+            h = engine.block_channels(2_501, rng)
+            drawn = rng.bit_generator.state
+            want = bit_errors(engine.codebook, *decode_every_trial(engine, h, rng))
+            rng.bit_generator.state = drawn
+            assert engine.block_errors(h, montecarlo._lambda_min(h), rng) == want
+            total += want
+        if snr_db == 0.0:
+            assert total > 0
+
+    @pytest.mark.parametrize("channels", ["near-parallel", "weak-column"])
+    @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
+    def test_settled_trials_are_ml_decisions(self, monkeypatch, scheme, channels):
+        # at 60 dB, on channels whose lambda_min / tr G runs from about 1e-8 to
+        # 1e-2 (across SETTLE_FLOOR), the noise of each trial points at its
+        # nearest competitor: in the first half it is just inside the bound,
+        # in the second half just past the midpoint to that competitor
+        engine = _Engine(SimConfig(scheme=scheme, link=make_link("ula", "ura"),
+                                   snr_db=(60.0,), **BASE))
+        cb, snr = engine.codebook, engine.snr
+        rng = np.random.default_rng(41)
+        n, n_r = 1_200, 4
+        h = np.exp(2j * np.pi * rng.random((n_r, 2, n)))
+        if channels == "near-parallel":
+            wobble = rng.standard_normal((n_r, n)) + 1j * rng.standard_normal((n_r, n))
+            h[:, 1] = (h[:, 0] * np.exp(2j * np.pi * rng.random(n))
+                       + 10.0 ** rng.uniform(-3.5, -1.0, n) * wobble)
+        else:
+            h[:, 0] *= 10.0 ** rng.uniform(-4.0, -0.5, n)
+        lam = montecarlo._lambda_min(h)
+        g = np.einsum("rin,rjn->nij", np.conj(h), h)
+        exact = np.linalg.eigvalsh(g)[:, 0]
+        floor = montecarlo.SETTLE_FLOOR * np.trace(g, axis1=1, axis2=2).real
+        assert np.count_nonzero(exact < floor) > n // 20
+        assert np.count_nonzero(exact > floor) > n // 2
+        assert np.allclose(lam[lam > 0], exact[lam > 0], rtol=1e-6)
+        assert np.all(lam[exact < 0.9 * floor] == 0)
+        sent = rng.integers(0, cb.size, n)
+        # sqrt(snr) h (X_k - X_sent) for every k, n-first
+        toward = np.sqrt(snr) * np.einsum("rin,nkit->nkrt", h,
+                                          cb.codewords[None] - cb.codewords[sent][:, None])
+        gap = (np.abs(toward) ** 2).sum(axis=(2, 3))
+        gap[np.arange(n), sent] = np.inf
+        nearest = toward[np.arange(n), np.argmin(gap, axis=1)]
+        length = np.sqrt(gap.min(axis=1))
+        inside = np.sqrt(engine.settle_scale * np.maximum(lam, exact) * (1 - 1e-9))
+        scale = np.where(np.arange(n) < n // 2, inside, (0.5 + 1e-6) * length)
+        noise = nearest * (scale / length)[:, None, None]
+        normals = [noise.real / np.sqrt(0.5), noise.imag / np.sqrt(0.5)]
+        _, k = decode_every_trial(engine, h, Replay(sent, normals))
+        decoded = self.count_decoded(monkeypatch)
+        errors = engine.block_errors(h, lam, Replay(sent, normals))
+        # the first half are the trials above the floor that the bound settles
+        settled = (np.arange(n) < n // 2) & (lam > 0)
+        assert sum(decoded) == n - np.count_nonzero(settled)
+        assert np.array_equal(k[settled], sent[settled])
+        # past the midpoint the full decode errs, and so does block_errors
+        assert np.count_nonzero(k != sent) > n // 4
+        assert errors == bit_errors(cb, sent, k)
+
+    @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
+    def test_settles_nearly_every_trial_at_high_snr(self, monkeypatch, scheme):
+        # the bound is on: at 32 dB on ULA x URA at most 10% of trials are decoded
+        engine = _Engine(SimConfig(scheme=scheme, link=make_link("ula", "ura"),
+                                   snr_db=(32.0,), **BASE))
+        decoded = self.count_decoded(monkeypatch)
+        for b in range(4):
+            rng = np.random.default_rng([37, b])
+            h = engine.block_channels(2_500, rng)
+            assert engine.block_errors(h, montecarlo._lambda_min(h), rng) == 0
+        assert sum(decoded) <= 0.1 * 4 * 2_500
+
+
 class TestRunBer:
     # (trials, bit errors) at 0, 16 and 32 dB with 5,000 trials per point and
     # seed 1, as the engine gave them with n-first blocks in memory
