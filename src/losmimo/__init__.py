@@ -61,6 +61,7 @@ from .metrics import (
 )
 from .montecarlo import (
     BerCurve,
+    ChannelLaw,
     DensityGrid,
     SimConfig,
     joint_density,

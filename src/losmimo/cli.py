@@ -30,8 +30,9 @@ from .codes import SCHEMES, build_codebook, difference_spectrum
 from .design import DesignSpec, InfeasibleDesignError, design_link
 from .geometry import LinkSpec, make_layout
 from .metrics import coding_gain
-from .montecarlo import (SimConfig, channel_groups, check_campaign, check_density_inputs,
-                         check_seed, joint_density, run_ber)
+from .montecarlo import (ChannelLaw, SimConfig, channel_groups, check_campaign,
+                         check_density_inputs, check_distance, check_seed, joint_density,
+                         run_ber)
 from .orientation import ETA_START, ETA_STEP, ETA_STOP, compute_mu_star_curve
 
 EXIT_OK = 0
@@ -85,7 +86,7 @@ SIMULATE_FIELDS = {**_LINK_FIELDS, "runs": (list, ...), "snr_db": (list, ...),
                    "block_trials": (int, SimConfig.block_trials)}
 RUN_FIELDS = {"name": (str, ...), "scheme": (str, ...), "tx_kind": (str, "ula"),
               "rx_kind": (str, "ura"), "n_r": (int, None), "rx_coords_file": (str, None),
-              "ideal_channel": (bool, SimConfig.ideal_channel)}
+              "ideal_channel": (bool, ChannelLaw.ideal)}
 DISTANCE_FIELDS = {"fixed": {"law": (str, ...), "value": (float, ...)},  # by law
                    "uniform": {"law": (str, ...), "min": (float, ...), "max": (float, ...)}}
 DESIGN_FIELDS = {**_LINK_FIELDS, "mu_max": (float, ...), "tx_kind": (str, ...),
@@ -269,19 +270,20 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
         raise ConfigError("simulate config: 'runs' must not be empty")
     seed = manifest.data["seed"] = _seed(args, top, "simulate config")
     workers = _resolve_workers(args)
-    law = top["distance"].get("law")
-    if isinstance(law, str) and law not in DISTANCE_FIELDS:
-        raise ConfigError(f"distance law must be 'fixed' or 'uniform', got {law!r}")
+    kind = top["distance"].get("law")
+    if isinstance(kind, str) and kind not in DISTANCE_FIELDS:
+        raise ConfigError(f"distance law must be 'fixed' or 'uniform', got {kind!r}")
     # a missing or mistyped law is the reader's to report
-    dist = _read(top["distance"], DISTANCE_FIELDS[law] if isinstance(law, str)
+    dist = _read(top["distance"], DISTANCE_FIELDS[kind] if isinstance(kind, str)
                  else {"law": (str, ...)}, "distance")
+    distance = dist["value"] if kind == "fixed" else (dist["min"], dist["max"])
     # the fields every run shares, checked once
-    shared = dict(distance=dist["value"] if law == "fixed" else (dist["min"], dist["max"]),
-                  snr_db=top["snr_db"], max_trials=top["max_trials"],
+    shared = dict(snr_db=top["snr_db"], max_trials=top["max_trials"],
                   target_errors=top["target_errors"], seed=seed,
                   block_trials=top["block_trials"])
     with _located("simulate config"):
         check_campaign(**shared)
+        check_distance(distance)
     names, sims = [], []
     for i, raw in enumerate(top["runs"]):
         where = f"runs[{i}]"
@@ -293,10 +295,9 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
         names.append(run["name"])
         n_r = top["n_r"] if run["n_r"] is None else run["n_r"]
         with _located(where):
-            sims.append(SimConfig(
-                scheme=run["scheme"],
-                link=_link(top, run["tx_kind"], run["rx_kind"], n_r, run["rx_coords_file"]),
-                ideal_channel=run["ideal_channel"], **shared))
+            link = _link(top, run["tx_kind"], run["rx_kind"], n_r, run["rx_coords_file"])
+            sims.append(SimConfig(scheme=run["scheme"],
+                                  law=ChannelLaw(link, distance, run["ideal_channel"]), **shared))
     manifest.data["shared_channels"] = [[names[i] for i in g] for g in channel_groups(sims)]
     # every run is checked before the first one starts; they run in one call,
     # on one pool
@@ -347,10 +348,9 @@ def _cmd_density(args, manifest: Manifest) -> int:
     cfg = _read(_load_config(args.config), DENSITY_FIELDS, "density config")
     seed = manifest.data["seed"] = _seed(args, cfg, "density config")
     with _located("density config"):
-        link = _link(cfg, "ula", cfg["rx_kind"], cfg["n_r"])
-        check_density_inputs(link, cfg["distance"], cfg["bins"], cfg["samples"], seed)
-    grid = joint_density(link, r_link=cfg["distance"], bins=cfg["bins"],
-                         samples=cfg["samples"], seed=seed)
+        law = ChannelLaw(_link(cfg, "ula", cfg["rx_kind"], cfg["n_r"]), cfg["distance"])
+        check_density_inputs(law, cfg["bins"], cfg["samples"], seed)
+    grid = joint_density(law, bins=cfg["bins"], samples=cfg["samples"], seed=seed)
     out = manifest.write("density.csv", grid.write_csv)
     manifest.write("plot_density.py", lambda path: path.write_text(PLOT_DENSITY))
     print(f"density: {grid.samples} samples over {grid.counts.shape} bins; wrote {out}")

@@ -115,15 +115,6 @@ class Codebook:
             best = min(best, float(d2.min()))
         return best
 
-    def index_of(self, bits) -> int:
-        b = np.asarray(bits, dtype=np.uint8)
-        if b.shape != (self.bits_per_codeword,):
-            raise ValueError(f"expected {self.bits_per_codeword} bits")
-        return int(b @ (1 << np.arange(self.bits_per_codeword - 1, -1, -1)))
-
-    def encode(self, bits) -> NDArray:
-        return self.codewords[self.index_of(bits)]
-
 
 def _label_bits(n_codewords: int, n_bits: int) -> NDArray:
     k = np.arange(n_codewords, dtype=np.uint32)

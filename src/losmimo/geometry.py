@@ -184,6 +184,10 @@ def make_layout(kind: str, n: int | None = None, spacing: float | None = None,
     if coords_file is not None and kind != "spherical-code":
         raise ValueError(f"a coordinates file is read only for a spherical-code layout, "
                          f"not for kind {kind!r}")
+    # NumPy can neither size nor index an array beyond intp, and its ufuncs
+    # take no larger int
+    if n is not None and n > np.iinfo(np.intp).max:
+        raise ValueError(f"n must be at most {np.iinfo(np.intp).max}, got {n}")
 
     if kind == "ula":
         if n is None or n < 1:

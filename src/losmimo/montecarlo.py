@@ -4,10 +4,10 @@ orientations and distances, and the joint (theta_mu, mu) density experiment.
 Trials are partitioned into fixed-size blocks; the random stream of a block
 derives from (master seed, SNR index, block index), so the SNR points of a
 campaign are independent and results do not depend on where or in what order
-the points run. A block's first draws are its channels, so campaigns that
-agree on the link, distance law, seed, block size and channel mode draw the
-same channels in every block; ``run_ber`` runs such a group together and
-synthesises each block's channels once for all of its campaigns.
+the points run. A block's first draws are its channels, drawn by the
+campaign's ``ChannelLaw``, so campaigns that agree on the law, seed and block
+size draw the same channels in every block; ``run_ber`` runs such a group
+together and synthesises each block's channels once for all of its campaigns.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .geometry import (LINK_DIRECTION, PLACE_COLS, LinkSpec, link_distances, pla
                        quaternion_rotations, rotation_normals, uniform_rotation)
 
 __all__ = [
+    "ChannelLaw",
     "SimConfig",
     "BerCurve",
     "DensityGrid",
@@ -36,6 +37,7 @@ __all__ = [
     "channel_groups",
     "run_ber",
     "check_campaign",
+    "check_distance",
     "check_seed",
     "check_density_inputs",
     "joint_density",
@@ -56,41 +58,89 @@ ML_ROWS = 64
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """One BER campaign: scheme, link, SNR grid and stopping rule.
+class ChannelLaw:
+    """The law of a campaign's channels, and the key by which campaigns share
+    them: laws that compare equal draw the same channels from the same stream.
 
     ``link`` holds the wavelength and both arrays; the receive array is any
     layout, and ``link.rx.n`` is n_r. ``distance`` is either a float (fixed
     range) or a (low, high) pair for a uniformly distributed inter-terminal
-    distance; unless ``ideal_channel`` is set, it must stay beyond the sum of
-    the transmit and receive array radii. ``ideal_channel`` bypasses the
-    geometry and feeds the decoder a perfectly orthogonal channel.
+    distance; unless ``ideal`` is set, it must stay beyond the sum of the
+    transmit and receive array radii. ``ideal`` bypasses the geometry and
+    feeds the decoder a perfectly orthogonal channel.
     """
 
-    scheme: str
     link: LinkSpec
     distance: float | tuple[float, float]
+    ideal: bool = False
+
+    def __post_init__(self):
+        distance = check_distance(self.distance)
+        object.__setattr__(self, "distance", distance)
+        if not self.ideal:
+            low = distance[0] if isinstance(distance, tuple) else distance
+            reach = float(self.link.tx.radii.max() + self.link.rx.radii.max())
+            if not low > reach:
+                raise ValueError(f"distance {low:g} m is not beyond the {reach:g} m sum of "
+                                 "the transmit and receive array radii")
+
+    def draw(self, n: int, rng: np.random.Generator) -> NDArray:
+        """The n-last (n_r, 2, n) channels of a block of n trials: the ideal
+        channel, or n random links drawn from ``rng`` (distances, then
+        transmit rotations, then receive rotations)."""
+        link = self.link
+        if self.ideal:
+            n_r = link.rx.n
+            phases = np.exp(2j * np.pi * np.arange(n_r) / n_r)
+            h = np.column_stack([np.ones(n_r, dtype=complex), phases])
+            return np.broadcast_to(h[..., None], (n_r, 2, n))
+        if isinstance(self.distance, tuple):
+            r_link = rng.uniform(self.distance[0], self.distance[1], n)
+        else:
+            r_link = np.full(n, self.distance)
+        u_tx = uniform_rotation(rng, n)
+        u_rx = uniform_rotation(rng, n)
+        tx, rx = place_arrays(link.tx, link.rx, u_tx, u_rx, r_link, LINK_DIRECTION)
+        if link.tx.n > 2:
+            pair = select_tx_pair(link.tx, u_tx).pair
+            tx = tx[:, pair.T, np.arange(n)]
+        return los_channel(link_distances(tx, rx), link.wavelength)
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """One BER campaign: scheme, channel law, SNR grid and stopping rule."""
+
+    scheme: str
+    law: ChannelLaw
     snr_db: tuple[float, ...]
     max_trials: int = 200_000
     target_errors: int = 200
     seed: int = 0
     block_trials: int = 2_500
-    ideal_channel: bool = False
 
     def __post_init__(self):
         build_codebook(self.scheme)
-        distance, snr_db = check_campaign(self.distance, self.snr_db, self.max_trials,
-                                          self.target_errors, self.seed, self.block_trials)
-        object.__setattr__(self, "distance", distance)
-        object.__setattr__(self, "snr_db", snr_db)
-        if not self.ideal_channel:
-            _check_clearance(self.link, distance[0] if isinstance(distance, tuple)
-                             else float(distance))
+        object.__setattr__(self, "snr_db", check_campaign(
+            self.snr_db, self.max_trials, self.target_errors, self.seed, self.block_trials))
 
 
-def check_campaign(distance, snr_db, max_trials, target_errors, seed, block_trials):
-    """Check the ``SimConfig`` fields that campaigns on different links can
-    share; return the distance law and the SNR grid as floats."""
+def check_distance(distance) -> float | tuple[float, float]:
+    """Check a distance law, a fixed distance or a (low, high) range; return
+    it as floats. Clearance of the arrays is ``ChannelLaw``'s to check."""
+    if isinstance(distance, (int, float)):
+        if not _is_finite(distance):
+            raise ValueError(f"distance must be finite, got {distance!r}")
+        return float(distance)
+    lo, hi = distance
+    if not (0 < lo <= hi and _is_finite(hi)):
+        raise ValueError("distance range must satisfy 0 < low <= high < inf")
+    return float(lo), float(hi)
+
+
+def check_campaign(snr_db, max_trials, target_errors, seed, block_trials) -> tuple[float, ...]:
+    """Check the ``SimConfig`` fields that campaigns on different channel laws
+    can share; return the SNR grid as floats."""
     for name, value in (("max_trials", max_trials), ("target_errors", target_errors),
                         ("block_trials", block_trials)):
         if not _is_int(value):
@@ -103,25 +153,7 @@ def check_campaign(distance, snr_db, max_trials, target_errors, seed, block_tria
         raise ValueError(f"SNR grid must be a non-empty list of finite numbers, got {snr_db!r}")
     if list(snr_db) != sorted(snr_db):
         raise ValueError("SNR grid must be sorted")
-    if isinstance(distance, (int, float)):
-        if not _is_finite(distance):
-            raise ValueError(f"distance must be finite, got {distance!r}")
-    else:
-        lo, hi = distance
-        if not (0 < lo <= hi and _is_finite(hi)):
-            raise ValueError("distance range must satisfy 0 < low <= high < inf")
-        distance = (float(lo), float(hi))
-    return distance, tuple(float(s) for s in snr_db)
-
-
-def _check_clearance(link: LinkSpec, distance: float) -> None:
-    """Reject a link distance at which the two arrays can overlap."""
-    if not distance < np.inf:
-        raise ValueError(f"distance must be finite, got {distance!r}")
-    reach = float(link.tx.radii.max() + link.rx.radii.max())
-    if not distance > reach:
-        raise ValueError(f"distance {distance:g} m is not beyond the {reach:g} m sum of the "
-                         "transmit and receive array radii")
+    return tuple(float(s) for s in snr_db)
 
 
 @dataclass(frozen=True)
@@ -161,7 +193,6 @@ class _Engine:
     ``snr_index`` (the first by default)."""
 
     def __init__(self, config: SimConfig, snr_index: int = 0):
-        self.config = config
         self.codebook = cb = build_codebook(config.scheme)
         self.snr = 10.0 ** (config.snr_db[snr_index] / 10.0)
         self.weights = _ml_weights(cb, self.snr)
@@ -169,28 +200,6 @@ class _Engine:
         self.settle_scale = self.snr * cb.min_sq_distance / (4.0 * (1.0 + SETTLE_MARGIN) ** 2)
         # (2, T, K): a gather over trials comes out n-last
         self.codewords_nlast = np.ascontiguousarray(cb.codewords.transpose(1, 2, 0))
-        if config.ideal_channel:
-            n_r = config.link.rx.n
-            phases = np.exp(2j * np.pi * np.arange(n_r) / n_r)
-            self.h_ideal = np.column_stack([np.ones(n_r, dtype=complex), phases])
-
-    def block_channels(self, n: int, rng: np.random.Generator) -> NDArray:
-        """The n-last (n_r, 2, n) channels of a block of n trials: the ideal
-        channel, or n random links drawn from ``rng``."""
-        cfg, link = self.config, self.config.link
-        if cfg.ideal_channel:
-            return np.broadcast_to(self.h_ideal[..., None], (link.rx.n, 2, n))
-        if isinstance(cfg.distance, tuple):
-            r_link = rng.uniform(cfg.distance[0], cfg.distance[1], n)
-        else:
-            r_link = np.full(n, float(cfg.distance))
-        u_tx = uniform_rotation(rng, n)
-        u_rx = uniform_rotation(rng, n)
-        tx, rx = place_arrays(link.tx, link.rx, u_tx, u_rx, r_link, LINK_DIRECTION)
-        if link.tx.n > 2:
-            pair = select_tx_pair(link.tx, u_tx).pair
-            tx = tx[:, pair.T, np.arange(n)]
-        return los_channel(link_distances(tx, rx), link.wavelength)
 
     def block_errors(self, h: NDArray, lam: NDArray, rng: np.random.Generator) -> int:
         """Bit errors of one block over the n-last channels ``h``, with the
@@ -254,11 +263,11 @@ def _lambda_min(h: NDArray) -> NDArray:
 
 def channel_groups(configs: Sequence[SimConfig]) -> list[list[int]]:
     """Indices of ``configs`` grouped by the channels their blocks draw: the
-    link, distance law, seed, block size and channel mode. Groups and their
-    members are in order of first appearance."""
+    channel law, seed and block size. Groups and their members are in order of
+    first appearance."""
     groups: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
-        key = (c.link, c.distance, c.seed, c.block_trials, c.ideal_channel)
+        key = (c.law, c.seed, c.block_trials)
         groups.setdefault(key, []).append(i)
     return list(groups.values())
 
@@ -284,7 +293,7 @@ def _run_group_point(configs: tuple[SimConfig, ...], snr_index: int) -> list[tup
             by_count.setdefault(n, []).append(i)
         for n, members in by_count.items():
             rng = np.random.default_rng([lead.seed, snr_index, b])
-            h = engines[members[0]].block_channels(n, rng)
+            h = lead.law.draw(n, rng)
             lam = _lambda_min(h)
             drawn = rng.bit_generator.state
             for i in members:
@@ -427,12 +436,12 @@ class DensityGrid:
                   ((t, m, dens[i, j]) for i, t in enumerate(tc) for j, m in enumerate(mc)))
 
 
-def check_density_inputs(link: LinkSpec, r_link: float, bins: int, samples: int,
-                         seed: int) -> None:
-    """Reject ``joint_density`` inputs it cannot sample. The wavelength is
-    ``LinkSpec``'s to check."""
-    if link.tx.n != 2:
-        raise ValueError("joint density is defined for a 2-antenna transmitter")
+def check_density_inputs(law: ChannelLaw, bins: int, samples: int, seed: int) -> None:
+    """Reject ``joint_density`` inputs it cannot sample. The link and the
+    distance are ``ChannelLaw``'s to check."""
+    if law.ideal or isinstance(law.distance, tuple) or law.link.tx.n != 2:
+        raise ValueError("joint density is defined for a 2-antenna transmitter at a fixed "
+                         "distance, over geometric channels")
     if not _is_int(samples):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
@@ -442,7 +451,6 @@ def check_density_inputs(link: LinkSpec, r_link: float, bins: int, samples: int,
     if bins < 5:
         raise ValueError("use at least a 5 x 5 grid")
     check_seed(seed)
-    _check_clearance(link, r_link)
 
 
 def check_seed(seed) -> None:
@@ -476,17 +484,15 @@ def _piece_threads() -> int:
     return os.cpu_count() or 1
 
 
-def joint_density(link: LinkSpec, r_link: float, bins: int, samples: int,
-                  seed: int = 0) -> DensityGrid:
+def joint_density(law: ChannelLaw, bins: int, samples: int, seed: int = 0) -> DensityGrid:
     """Histogram of (theta_mu, mu), on a ``bins`` x ``bins`` grid, over
-    independent random rotations of both arrays of ``link`` at a fixed link
-    distance.
+    independent random rotations of both arrays of ``law.link`` at the law's
+    fixed distance.
 
-    The transmit array must have two antennas here, and ``r_link`` must lie
-    beyond the sum of the array radii (see ``check_density_inputs``). theta_mu
-    is uniform and independent of mu only as d_t / wavelength -> infinity at
-    fixed eta; at finite d_t / wavelength the high-mu rows keep a small theta
-    ripple.
+    The law must be geometric, at a fixed distance, with a 2-antenna transmit
+    array (see ``check_density_inputs``). theta_mu is uniform and independent
+    of mu only as d_t / wavelength -> infinity at fixed eta; at finite d_t /
+    wavelength the high-mu rows keep a small theta ripple.
 
     Samples run in ``DENSITY_BLOCK`` blocks. The calling thread draws a block's
     quaternion normals (all transmit draws, then all receive draws) and
@@ -498,7 +504,7 @@ def joint_density(link: LinkSpec, r_link: float, bins: int, samples: int,
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    check_density_inputs(link, r_link, bins, samples, seed)
+    check_density_inputs(law, bins, samples, seed)
     theta_edges = np.linspace(0.0, 2.0 * np.pi, bins + 1)
     mu_edges = np.linspace(0.0, 1.0, bins + 1)
     counts = np.zeros((bins, bins), dtype=np.int64)
@@ -518,7 +524,7 @@ def joint_density(link: LinkSpec, r_link: float, bins: int, samples: int,
             q_tx = rotation_normals(rng, n)
             q_rx = rotation_normals(rng, n)
             theta, mu = np.empty(n), np.empty(n)
-            piece = partial(_density_piece, link, float(r_link), q_tx, q_rx, theta, mu)
+            piece = partial(_density_piece, law.link, law.distance, q_tx, q_rx, theta, mu)
             current = [pool.submit(piece, s) for s in range(0, n, DENSITY_PIECE)], theta, mu
             # histogrammed while this block's pieces run
             if previous is not None:

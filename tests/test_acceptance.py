@@ -24,7 +24,7 @@ from losmimo.geometry import (
     uniform_rotation,
 )
 from losmimo.metrics import coding_gain
-from losmimo.montecarlo import SimConfig, joint_density, run_ber
+from losmimo.montecarlo import ChannelLaw, SimConfig, joint_density, run_ber
 from losmimo.orientation import edge_code_worst_distortion, mu_star_bound
 
 WAVELENGTH = 0.0042
@@ -51,18 +51,16 @@ def ber_curves():
     on the campaigns run with them. The workers are spawned, since forking a
     process that may hold BLAS threads is unsafe."""
     t0 = time.monotonic()
-    base = dict(distance=R_RANGE, snr_db=SNR_GRID, target_errors=200, seed=2024)
+    base = dict(snr_db=SNR_GRID, target_errors=200, seed=2024)
+    ula, pent = (ChannelLaw(fig5_link(tx, rx), R_RANGE)
+                 for tx, rx in (("ula", "ura"), ("pentagon", "tetrahedron")))
     configs = {
-        "sm_ula_ura": SimConfig(scheme="sm", link=fig5_link("ula", "ura"),
-                                max_trials=1_000_000, **base),
-        "sm_pent_tetr": SimConfig(scheme="sm", link=fig5_link("pentagon", "tetrahedron"),
-                                  max_trials=1_000_000, **base),
-        "golden_pent_tetr": SimConfig(scheme="golden", link=fig5_link("pentagon", "tetrahedron"),
-                                      max_trials=200_000, **base),
-        "simo_ura": SimConfig(scheme="simo", link=fig5_link("ula", "ura"),
+        "sm_ula_ura": SimConfig(scheme="sm", law=ula, max_trials=1_000_000, **base),
+        "sm_pent_tetr": SimConfig(scheme="sm", law=pent, max_trials=1_000_000, **base),
+        "golden_pent_tetr": SimConfig(scheme="golden", law=pent, max_trials=200_000, **base),
+        "simo_ura": SimConfig(scheme="simo", law=ula, max_trials=200_000, **base),
+        "ideal_sm": SimConfig(scheme="sm", law=ChannelLaw(fig5_link("ula", "ura"), R_RANGE, True),
                               max_trials=200_000, **base),
-        "ideal_sm": SimConfig(scheme="sm", link=fig5_link("ula", "ura"),
-                              max_trials=200_000, ideal_channel=True, **base),
     }
     pool = multiprocessing.get_context("spawn").Pool(2)
     try:
@@ -296,7 +294,7 @@ def _density_grids(scale):
     grids = {}
     for name, build in DENSITY_SETUPS.items():
         tx, rx = build()
-        grids[name] = joint_density(LinkSpec(WAVELENGTH / scale, tx, rx), 10.0 * scale,
+        grids[name] = joint_density(ChannelLaw(LinkSpec(WAVELENGTH / scale, tx, rx), 10.0 * scale),
                                     bins=25, samples=1_000_000, seed=20)
     return grids
 

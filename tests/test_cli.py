@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import losmimo
@@ -159,6 +160,18 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == ("runs[0]: a coordinates file is read only for a "
                                      "spherical-code layout, not for kind 'ura'")
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("n_r", [10**30, 2**64], ids=["1e30", "2^64"])
+    def test_n_r_beyond_intp_is_config_error(self, tmp_path, n_r):
+        # a URA of 10**30 antennas used to exit 4 with a TypeError from np.sqrt
+        cfg = dict(MINI_SIM, runs=[dict(MINI_SIM["runs"][0], rx_kind="ura", n_r=n_r)])
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == (f"runs[0]: n must be at most {np.iinfo(np.intp).max}, "
+                                     f"got {n_r}")
         assert not list(out.glob("*.csv"))
 
     def test_snr_beyond_float_range_is_config_error(self, tmp_path):
@@ -651,6 +664,19 @@ class TestDensity:
         assert main(["density", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == EXIT_CONFIG
         assert_length_rejected(out, field, "density.csv")
+
+    @pytest.mark.parametrize("rx_kind", ["ula", "ura"])
+    @pytest.mark.parametrize("n_r", [10**30, 2**64], ids=["1e30", "2^64"])
+    def test_n_r_beyond_intp_is_config_error(self, tmp_path, n_r, rx_kind):
+        cfg = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "n_r": n_r,
+               "rx_kind": rx_kind, "distance": 10.0, "bins": 5, "samples": 1_000}
+        out = tmp_path / "out"
+        assert main(["density", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == ("density config: n must be at most "
+                                     f"{np.iinfo(np.intp).max}, got {n_r}")
+        assert not (out / "density.csv").exists()
 
     def test_bundled_recipe_resolves(self):
         cfg = _load_config("density_2x2")

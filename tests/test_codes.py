@@ -73,8 +73,9 @@ class TestSmCodebook:
         assert sm.bits_per_codeword == 4
 
     def test_all_zero_bits(self, sm, qam4):
-        x = sm.encode([0, 0, 0, 0])
-        np.testing.assert_allclose(x[:, 0], [qam4.points[0], qam4.points[0]])
+        # the all-zero label is codeword 0: 4-QAM point 0 on both antennas
+        assert not sm.bits[0].any()
+        np.testing.assert_allclose(sm.codewords[0][:, 0], [qam4.points[0], qam4.points[0]])
 
     def test_power_equality(self, sm):
         assert np.sum(np.abs(sm.codewords) ** 2) == pytest.approx(16.0, abs=1e-9)
@@ -152,9 +153,13 @@ class TestDifferenceSpectrum:
 
 
 def test_bit_label_bijection(sm, golden, simo):
+    # codeword k carries k's binary expansion, MSB first: the labels that
+    # block_errors counts bit errors with
     for cb in (sm, golden, simo):
+        n_bits = cb.bits_per_codeword
+        assert cb.size == 2 ** n_bits
         for k in range(cb.size):
-            assert cb.index_of(cb.bits[k]) == k
+            assert cb.bits[k].tolist() == [int(b) for b in format(k, f"0{n_bits}b")]
 
 
 @pytest.mark.parametrize("scheme", list(SCHEMES))

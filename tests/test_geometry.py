@@ -115,6 +115,15 @@ class TestMakeLayout:
             make_layout(kind, None if kind in ("triangle", "pentagon") else 4, 0.5,
                         coords_file=path)
 
+    @pytest.mark.parametrize("n", [10**30, 2**64], ids=["1e30", "2^64"])
+    @pytest.mark.parametrize("kind", ["ula", "ura", "spherical-code"])
+    def test_size_beyond_intp_rejected(self, kind, n):
+        # the URA used to raise a TypeError from np.sqrt, the others NumPy's
+        # own size error
+        with pytest.raises(ValueError, match=f"n must be at most {np.iinfo(np.intp).max}, "
+                                             f"got {n}"):
+            make_layout(kind, n, 0.25)
+
 
 class TestUniformRotation:
     def test_orthogonality_and_determinant(self):

@@ -29,6 +29,7 @@ from losmimo.montecarlo import (
     DENSITY_BLOCK,
     DENSITY_PIECE,
     LINK_DIRECTION,
+    ChannelLaw,
     SimConfig,
     _Engine,
     _wilson,
@@ -37,18 +38,13 @@ from losmimo.montecarlo import (
     run_ber,
 )
 
-BASE = dict(distance=(4.43, 12.7))
-
-
-def make_link(tx_kind, rx_kind, n_r=4, wavelength=0.0042, d_t=0.06, d_r=0.25):
-    """The link of the fig5 recipe with the given arrays, as the CLI builds it."""
-    return LinkSpec(wavelength, make_layout(tx_kind, 2 if tx_kind == "ula" else None, d_t),
+def law(tx_kind="ula", rx_kind="ura", n_r=4, distance=(4.43, 12.7), ideal=False,
+        wavelength=0.0042, d_t=0.06, d_r=0.25):
+    """The channel law of the fig5 recipe with the given arrays, distance law
+    and channel mode, as the CLI builds it."""
+    link = LinkSpec(wavelength, make_layout(tx_kind, 2 if tx_kind == "ula" else None, d_t),
                     make_layout(rx_kind, n_r, d_r))
-
-
-def ideal_channel(n_r):
-    phases = np.exp(2j * np.pi * np.arange(n_r) / n_r)
-    return np.column_stack([np.ones(n_r, dtype=complex), phases])
+    return ChannelLaw(link, distance, ideal)
 
 
 class TestMlDecode:
@@ -72,23 +68,22 @@ class TestMlDecode:
     def test_dimension_mismatch(self):
         cb = build_codebook("golden")
         with pytest.raises(ValueError, match="received block"):
-            ml_decode(ideal_channel(4), np.zeros((4, 1)), 1.0, cb)
+            ml_decode(law(ideal=True).draw(1, None)[..., 0], np.zeros((4, 1)), 1.0, cb)
 
     @pytest.mark.parametrize("snr", [0.0, -1.0, float("nan"), float("inf")])
     def test_snr_must_be_positive_and_finite(self, snr):
         # a NaN snr used to decode every block as codeword 0, and an infinite
         # one to give NaN metrics
         with pytest.raises(ValueError, match="snr must be positive"):
-            ml_decode(ideal_channel(4), np.zeros((4, 1)), snr, build_codebook("sm"))
+            ml_decode(law(ideal=True).draw(1, None)[..., 0], np.zeros((4, 1)), snr,
+                      build_codebook("sm"))
 
     def test_batch_matches_per_trial(self):
         # one golden block as the engine builds it: engine channels at 8 dB
-        engine = _Engine(SimConfig(scheme="golden", link=make_link("pentagon", "tetrahedron"),
-                                   snr_db=(8.0,), **BASE))
-        cb = engine.codebook
+        cb = build_codebook("golden")
         rng = np.random.default_rng(16)
         n, snr = 2_500, 10 ** 0.8
-        h = engine.block_channels(n, rng).transpose(2, 0, 1)
+        h = law("pentagon", "tetrahedron").draw(n, rng).transpose(2, 0, 1)
         k_true = rng.integers(0, cb.size, n)
         noise = np.sqrt(0.5) * (rng.standard_normal((n, 4, 2))
                                 + 1j * rng.standard_normal((n, 4, 2)))
@@ -110,12 +105,9 @@ class TestMlDecode:
         # 2,501 trials: not a multiple of the GEMM's row chunk
         n = 2_501
         tx_kind, rx_kind = ("pentagon", "tetrahedron") if link == "pent_tetr" else ("ula", "ura")
-        engine = _Engine(SimConfig(scheme=scheme, link=make_link(tx_kind, rx_kind),
-                                   snr_db=(snr_db,), ideal_channel=link == "ideal", **BASE))
-        cb = engine.codebook
+        cb = build_codebook(scheme)
         rng = np.random.default_rng(23)
-        h = (np.broadcast_to(engine.h_ideal, (n, 4, 2)) if link == "ideal"
-             else engine.block_channels(n, rng).transpose(2, 0, 1))
+        h = law(tx_kind, rx_kind, ideal=link == "ideal").draw(n, rng).transpose(2, 0, 1)
         snr = 10 ** (snr_db / 10)
         k_true = rng.integers(0, cb.size, n)
         noise = np.sqrt(0.5) * (rng.standard_normal((n, 4, cb.slots))
@@ -143,12 +135,10 @@ class TestMlDecode:
     def test_same_decisions_for_either_memory_layout(self, scheme):
         # _Engine.block_errors passes transposed views of n-last memory; C-contiguous
         # n-first copies of the same blocks decode to the same indices and bits
-        engine = _Engine(SimConfig(scheme=scheme, link=make_link("pentagon", "tetrahedron"),
-                                   snr_db=(8.0,), **BASE))
-        cb = engine.codebook
+        cb = build_codebook(scheme)
         rng = np.random.default_rng(29)
         n, snr = 2_501, 10 ** 0.8
-        h_last = engine.block_channels(n, rng).transpose(2, 0, 1)
+        h_last = law("pentagon", "tetrahedron").draw(n, rng).transpose(2, 0, 1)
         assert h_last.transpose(1, 2, 0).flags.c_contiguous
         k_true = rng.integers(0, cb.size, n)
         noise = rng.standard_normal((n, 4, cb.slots)) + 1j * rng.standard_normal((n, 4, cb.slots))
@@ -183,7 +173,7 @@ class TestMlDecode:
         # orthogonal 2x2 channel: two parallel AWGN 4-QAM streams
         rng = np.random.default_rng(1)
         cb = build_codebook("sm")
-        h = ideal_channel(2)
+        h = law("ula", "ula", n_r=2, ideal=True).draw(1, None)[..., 0]
         snr = 10 ** (6.0 / 10.0)
         n = 100_000
         k_true = rng.integers(0, cb.size, n)
@@ -262,12 +252,13 @@ class TestDistanceBound:
     @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
     def test_matches_decoding_every_trial(self, scheme, link, snr_db):
         tx_kind, rx_kind = ("pentagon", "tetrahedron") if link == "pent_tetr" else ("ula", "ura")
-        engine = _Engine(SimConfig(scheme=scheme, link=make_link(tx_kind, rx_kind),
-                                   snr_db=(snr_db,), ideal_channel=link == "ideal", **BASE))
+        cfg = SimConfig(scheme=scheme, law=law(tx_kind, rx_kind, ideal=link == "ideal"),
+                        snr_db=(snr_db,))
+        engine = _Engine(cfg)
         total = 0
         for b in range(3):
             rng = np.random.default_rng([31, b])
-            h = engine.block_channels(2_501, rng)
+            h = cfg.law.draw(2_501, rng)
             drawn = rng.bit_generator.state
             want = bit_errors(engine.codebook, *decode_every_trial(engine, h, rng))
             rng.bit_generator.state = drawn
@@ -283,8 +274,7 @@ class TestDistanceBound:
         # 1e-2 (across SETTLE_FLOOR), the noise of each trial points at its
         # nearest competitor: in the first half it is just inside the bound,
         # in the second half just past the midpoint to that competitor
-        engine = _Engine(SimConfig(scheme=scheme, link=make_link("ula", "ura"),
-                                   snr_db=(60.0,), **BASE))
+        engine = _Engine(SimConfig(scheme=scheme, law=law(), snr_db=(60.0,)))
         cb, snr = engine.codebook, engine.snr
         rng = np.random.default_rng(41)
         n, n_r = 1_200, 4
@@ -329,12 +319,12 @@ class TestDistanceBound:
     @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
     def test_settles_nearly_every_trial_at_high_snr(self, monkeypatch, scheme):
         # the bound is on: at 32 dB on ULA x URA at most 10% of trials are decoded
-        engine = _Engine(SimConfig(scheme=scheme, link=make_link("ula", "ura"),
-                                   snr_db=(32.0,), **BASE))
+        cfg = SimConfig(scheme=scheme, law=law(), snr_db=(32.0,))
+        engine = _Engine(cfg)
         decoded = self.count_decoded(monkeypatch)
         for b in range(4):
             rng = np.random.default_rng([37, b])
-            h = engine.block_channels(2_500, rng)
+            h = cfg.law.draw(2_500, rng)
             assert engine.block_errors(h, montecarlo._lambda_min(h), rng) == 0
         assert sum(decoded) <= 0.1 * 4 * 2_500
 
@@ -357,18 +347,17 @@ class TestRunBer:
                          .joinpath("fig5.json").read_text())
         run = next(r for r in cfg["runs"] if r["name"] == name)
         curve = run_ber(SimConfig(
-            scheme=run["scheme"], link=make_link(run["tx_kind"], run["rx_kind"], cfg["n_r"],
-                                                 cfg["wavelength"], cfg["d_t"], cfg["d_r"]),
-            distance=(cfg["distance"]["min"], cfg["distance"]["max"]), snr_db=(0, 16, 32),
-            max_trials=5_000, target_errors=cfg["target_errors"], seed=1,
-            ideal_channel=run.get("ideal_channel", False)))
+            scheme=run["scheme"],
+            law=law(run["tx_kind"], run["rx_kind"], cfg["n_r"],
+                    (cfg["distance"]["min"], cfg["distance"]["max"]),
+                    run.get("ideal_channel", False), cfg["wavelength"], cfg["d_t"], cfg["d_r"]),
+            snr_db=(0, 16, 32), max_trials=5_000, target_errors=cfg["target_errors"], seed=1))
         assert list(zip(curve.trials.tolist(), curve.bit_errors.tolist())) == \
             self.FIG5_COUNTS[name]
 
     def test_ideal_mode_matches_analytic(self):
-        cfg = SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0, 4, 8),
-                        max_trials=60_000, target_errors=10**9, seed=11,
-                        ideal_channel=True, **BASE)
+        cfg = SimConfig(scheme="sm", law=law(ideal=True), snr_db=(0, 4, 8),
+                        max_trials=60_000, target_errors=10**9, seed=11)
         curve = run_ber(cfg)
         p = norm.sf(np.sqrt(2 * 10 ** (np.array(cfg.snr_db) / 10)))
         total = curve.trials * curve.bits_per_trial
@@ -376,9 +365,8 @@ class TestRunBer:
         assert np.all(np.abs(curve.bit_errors - p * total) <= 3 * sigma)
 
     def test_seed_reproducibility(self):
-        cfg = SimConfig(scheme="sm", link=make_link("pentagon", "tetrahedron"),
-                        snr_db=(0, 8), max_trials=10_000, target_errors=100,
-                        seed=5, **BASE)
+        cfg = SimConfig(scheme="sm", law=law("pentagon", "tetrahedron"),
+                        snr_db=(0, 8), max_trials=10_000, target_errors=100, seed=5)
         a, b = run_ber(cfg), run_ber(cfg)
         assert np.array_equal(a.bit_errors, b.bit_errors)
         assert np.array_equal(a.trials, b.trials)
@@ -390,18 +378,18 @@ class TestRunBer:
         # blocks per point, early stops at the low SNRs and the full budget at
         # the top one
         setups = [
-            (3, dict(scheme="sm", link=make_link("triangle", "tetrahedron"),
+            (3, dict(scheme="sm", law=law("triangle", "tetrahedron"),
                      snr_db=(0, 8), max_trials=10_000, target_errors=100, seed=6)),
-            (2, dict(scheme="sm", link=make_link("pentagon", "tetrahedron"),
+            (2, dict(scheme="sm", law=law("pentagon", "tetrahedron"),
                      snr_db=(0, 8, 16), max_trials=6_000, target_errors=100,
                      block_trials=500, seed=14)),
         ]
         for workers, kw in setups:
             serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-            run_ber(SimConfig(**kw, **BASE)).write_csv(serial)
+            run_ber(SimConfig(**kw)).write_csv(serial)
             pool = multiprocessing.Pool(workers)
             try:
-                run_ber(SimConfig(**kw, **BASE), pool).write_csv(parallel)
+                run_ber(SimConfig(**kw), pool).write_csv(parallel)
             finally:
                 pool.close()
                 pool.join()
@@ -411,9 +399,8 @@ class TestRunBer:
 
     def test_interval_contains_ber(self):
         # 15,000 trials of 4 bits: the lower end used to round to ~7e-21 at 32 dB
-        cfg = SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0, 32),
-                        max_trials=15_000, target_errors=10**9, seed=15,
-                        ideal_channel=True, **BASE)
+        cfg = SimConfig(scheme="sm", law=law(ideal=True), snr_db=(0, 32),
+                        max_trials=15_000, target_errors=10**9, seed=15)
         curve = run_ber(cfg)
         assert curve.bit_errors[0] > 0 and curve.bit_errors[-1] == 0
         assert curve.ci_low[-1] == 0.0
@@ -429,31 +416,25 @@ class TestRunBer:
             assert 0.0 < lo < 1.0 / n < hi < 1.0
 
     def test_distance_law_must_clear_the_arrays(self):
-        kw = dict(BASE, distance=(0.0001, 0.2))
         with pytest.raises(ValueError, match="array radii"):
-            SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,), **kw)
+            law(distance=(0.0001, 0.2))
         # 0.03 m (ULA) + 0.25 sqrt(3/8) m (tetrahedron) = 0.183 m
         with pytest.raises(ValueError, match="array radii"):
-            SimConfig(scheme="sm", link=make_link("ula", "tetrahedron"), snr_db=(0.0,),
-                      **dict(BASE, distance=0.18))
-        SimConfig(scheme="sm", link=make_link("ula", "tetrahedron"), snr_db=(0.0,),
-                  **dict(BASE, distance=0.19))
+            law("ula", "tetrahedron", distance=0.18)
+        law("ula", "tetrahedron", distance=0.19)
         # an ideal channel has no geometry to overlap
-        SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,),
-                  ideal_channel=True, **kw)
+        law(distance=(0.0001, 0.2), ideal=True)
 
     def test_error_target_stops_early(self):
-        cfg = SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,),
-                        max_trials=100_000, target_errors=50, block_trials=500,
-                        seed=7, **BASE)
+        cfg = SimConfig(scheme="sm", law=law(), snr_db=(0.0,), max_trials=100_000,
+                        target_errors=50, block_trials=500, seed=7)
         curve = run_ber(cfg)
         assert curve.bit_errors[0] >= 50
         assert curve.trials[0] < 100_000
 
     def test_monotone_in_snr_within_noise(self):
-        cfg = SimConfig(scheme="sm", link=make_link("pentagon", "tetrahedron"),
-                        snr_db=(0, 4, 8), max_trials=40_000, target_errors=400,
-                        seed=8, **BASE)
+        cfg = SimConfig(scheme="sm", law=law("pentagon", "tetrahedron"),
+                        snr_db=(0, 4, 8), max_trials=40_000, target_errors=400, seed=8)
         curve = run_ber(cfg)
         inversions = sum(
             1 for i in range(len(curve.ber) - 1)
@@ -464,37 +445,34 @@ class TestRunBer:
     def test_simo_independent_of_rx_geometry(self):
         kw = dict(scheme="simo", snr_db=(8.0,), max_trials=30_000,
                   target_errors=10**9, seed=9)
-        ura = run_ber(SimConfig(link=make_link("ula", "ura"), **kw, **BASE))
-        tet = run_ber(SimConfig(link=make_link("ula", "tetrahedron"), **kw, **BASE))
+        ura = run_ber(SimConfig(law=law("ula", "ura"), **kw))
+        tet = run_ber(SimConfig(law=law("ula", "tetrahedron"), **kw))
         assert ura.ci_low[0] <= tet.ci_high[0] and tet.ci_low[0] <= ura.ci_high[0]
 
     def test_spherical_code_receiver_fallback_lattice(self):
-        cfg = SimConfig(scheme="sm", link=make_link("triangle", "spherical-code"),
-                        distance=(4.43, 12.7), snr_db=(8.0,), max_trials=10_000,
-                        target_errors=10**9, seed=12)
+        cfg = SimConfig(scheme="sm", law=law("triangle", "spherical-code"),
+                        snr_db=(8.0,), max_trials=10_000, target_errors=10**9, seed=12)
         curve = run_ber(cfg)
         assert 0.0 < curve.ber[0] < 0.1
 
     def test_sixteen_antenna_spherical_code(self):
         # wider receive arrays flow through the same decode path
-        cfg = SimConfig(scheme="sm", link=make_link("triangle", "spherical-code", 16),
-                        distance=7.14, snr_db=(0.0,), max_trials=4_000,
-                        target_errors=10**9, seed=13)
+        cfg = SimConfig(scheme="sm", law=law("triangle", "spherical-code", 16, distance=7.14),
+                        snr_db=(0.0,), max_trials=4_000, target_errors=10**9, seed=13)
         curve = run_ber(cfg)
         assert curve.trials[0] == 4_000
 
     def test_configs_compare_by_value(self):
         # as they did when the link was a set of flat fields
-        a, b = (SimConfig(scheme="sm", link=make_link("pentagon", "tetrahedron"),
-                          snr_db=(0.0,), **BASE) for _ in range(2))
+        a, b = (SimConfig(scheme="sm", law=law("pentagon", "tetrahedron"), snr_db=(0.0,))
+                for _ in range(2))
         assert a == b and hash(a) == hash(b)
-        assert a != SimConfig(scheme="sm", link=make_link("pentagon", "tetrahedron", d_r=0.3),
-                              snr_db=(0.0,), **BASE)
+        assert a != SimConfig(scheme="sm", law=law("pentagon", "tetrahedron", d_r=0.3),
+                              snr_db=(0.0,))
 
     def test_unsorted_snr_grid_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            SimConfig(scheme="sm", link=make_link("ula", "ura"),
-                      snr_db=(8, 0), **BASE)
+            SimConfig(scheme="sm", law=law(), snr_db=(8, 0))
 
     @pytest.mark.parametrize("snr_db", [(float("nan"),), (), (True, "x"), (0.0, float("inf")),
                                         ("0",)],
@@ -503,42 +481,40 @@ class TestRunBer:
         # NaN used to run to a CSV row of nan, () to an IndexError and
         # (True, "x") to a TypeError
         with pytest.raises(ValueError, match="non-empty list of finite numbers"):
-            SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=snr_db, **BASE)
+            SimConfig(scheme="sm", law=law(), snr_db=snr_db)
 
     @pytest.mark.parametrize("field", ["max_trials", "target_errors", "block_trials"])
     @pytest.mark.parametrize("value", [1000.5, True])
     def test_non_integer_budget_rejected(self, field, value):
         # a float used to build and fail later, mid-run, with a TypeError
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,),
-                      **{field: value}, **BASE)
+            SimConfig(scheme="sm", law=law(), snr_db=(0.0,), **{field: value})
 
     @pytest.mark.parametrize("seed", [1.5, -1, True, "7"], ids=["float", "negative", "bool", "str"])
     def test_bad_seed_rejected(self, seed):
         # 1.5 and -1 used to fail in the first block, True and "7" to run
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,), seed=seed, **BASE)
+            SimConfig(scheme="sm", law=law(), snr_db=(0.0,), seed=seed)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown scheme 'bogus'; expected sm, golden or simo"):
-            SimConfig(scheme="bogus", link=make_link("ula", "ura"), snr_db=(0.0,), **BASE)
+            SimConfig(scheme="bogus", law=law(), snr_db=(0.0,))
 
     @pytest.mark.parametrize("distance", [float("inf"), (1.0, float("inf"))],
                              ids=["fixed", "uniform"])
     def test_distance_must_be_finite(self, distance):
         with pytest.raises(ValueError, match="finite|< inf"):
-            SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,), distance=distance)
+            law(distance=distance)
 
     def test_ideal_channel_distance_must_be_finite(self):
         # the ideal channel skips the clearance check, which used to hold the
         # finiteness check of a fixed distance
         with pytest.raises(ValueError, match="distance must be finite"):
-            SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,),
-                      distance=float("inf"), ideal_channel=True)
+            law(distance=float("inf"), ideal=True)
 
     def test_csv_format(self, tmp_path):
-        cfg = SimConfig(scheme="sm", link=make_link("ula", "ura"), snr_db=(0.0,),
-                        max_trials=2_000, target_errors=10**9, seed=10, **BASE)
+        cfg = SimConfig(scheme="sm", law=law(), snr_db=(0.0,), max_trials=2_000,
+                        target_errors=10**9, seed=10)
         path = tmp_path / "curve.csv"
         run_ber(cfg).write_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -558,19 +534,19 @@ class TestSharedChannels:
         # error target (so they stop at different blocks), budget (1,700 is
         # not a multiple of the 500-trial block) and SNR grid; a ULA x URA
         # campaign and an ideal one make groups of their own
-        pent, ula = make_link("pentagon", "tetrahedron"), make_link("ula", "ura")
-        kw = dict(block_trials=500, seed=3, **BASE)
+        pent, ula = law("pentagon", "tetrahedron"), law()
+        kw = dict(block_trials=500, seed=3)
         return [
-            SimConfig(scheme="sm", link=pent, snr_db=(0, 8, 16), max_trials=3_000,
+            SimConfig(scheme="sm", law=pent, snr_db=(0, 8, 16), max_trials=3_000,
                       target_errors=100, **kw),
-            SimConfig(scheme="golden", link=pent, snr_db=(0, 8, 16), max_trials=1_700,
+            SimConfig(scheme="golden", law=pent, snr_db=(0, 8, 16), max_trials=1_700,
                       target_errors=400, **kw),
-            SimConfig(scheme="simo", link=pent, snr_db=(0, 8), max_trials=2_500,
+            SimConfig(scheme="simo", law=pent, snr_db=(0, 8), max_trials=2_500,
                       target_errors=30, **kw),
-            SimConfig(scheme="sm", link=ula, snr_db=(0, 8, 16), max_trials=2_000,
+            SimConfig(scheme="sm", law=ula, snr_db=(0, 8, 16), max_trials=2_000,
                       target_errors=100, **kw),
-            SimConfig(scheme="sm", link=ula, snr_db=(0, 8, 16), max_trials=2_000,
-                      target_errors=100, ideal_channel=True, **kw),
+            SimConfig(scheme="sm", law=law(ideal=True), snr_db=(0, 8, 16), max_trials=2_000,
+                      target_errors=100, **kw),
         ]
 
     @staticmethod
@@ -607,14 +583,13 @@ class TestSharedChannels:
     def test_channels_drawn_once_per_block_and_trial_count(self, monkeypatch):
         configs = self.configs()
         calls = []
-        real = _Engine.block_channels
+        real = ChannelLaw.draw
 
-        def counting(engine, n, rng):
-            calls.append((engine.config.link, engine.config.ideal_channel, n,
-                          rng.bit_generator.state["state"]["state"]))
-            return real(engine, n, rng)
+        def counting(channel_law, n, rng):
+            calls.append((channel_law, n, rng.bit_generator.state["state"]["state"]))
+            return real(channel_law, n, rng)
 
-        monkeypatch.setattr(_Engine, "block_channels", counting)
+        monkeypatch.setattr(ChannelLaw, "draw", counting)
         curves = run_ber(configs)
         # every (group, SNR index, block, trial count) that a campaign ran
         expected = set()
@@ -622,54 +597,58 @@ class TestSharedChannels:
             for s, trials in enumerate(curve.trials.tolist()):
                 for b in range(-(-trials // c.block_trials)):
                     state = np.random.default_rng([c.seed, s, b]).bit_generator.state
-                    expected.add((c.link, c.ideal_channel,
-                                  min(c.block_trials, c.max_trials - b * c.block_trials),
+                    expected.add((c.law, min(c.block_trials, c.max_trials - b * c.block_trials),
                                   state["state"]["state"]))
         assert sorted(calls, key=repr) == sorted(expected, key=repr)
-
 
     def test_synthesis_reads_only_key_fields(self):
         # a field that channel synthesis reads but channel_groups' key omits
         # would let campaigns that differ in it share one block's channels
-        base = SimConfig(scheme="sm", link=make_link("pentagon", "tetrahedron"),
-                         snr_db=(0.0,), seed=3, block_trials=500, **BASE)
-        changes = {"scheme": "golden", "link": make_link("ula", "ura"), "distance": (5.0, 12.7),
-                   "snr_db": (0.0, 4.0), "max_trials": 3_000, "target_errors": 7, "seed": 4,
-                   "block_trials": 250, "ideal_channel": True}
-        assert set(changes) == {f.name for f in dataclasses.fields(SimConfig)}
-        key = {name for name, value in changes.items()
-               if len(montecarlo.channel_groups([base, dataclasses.replace(base, **{name: value})]))
-               == 2}
-        assert key < set(changes)
+        base = SimConfig(scheme="sm", law=law("pentagon", "tetrahedron"), snr_db=(0.0,),
+                         seed=3, block_trials=500)
 
+        def splits(**change):
+            return len(montecarlo.channel_groups([base, dataclasses.replace(base, **change)])) == 2
+
+        law_changes = {"link": law().link, "distance": (5.0, 12.7), "ideal": True}
+        law_fields = {f.name for f in dataclasses.fields(ChannelLaw)}
+        assert set(law_changes) == law_fields
+        for name, value in law_changes.items():
+            assert splits(law=dataclasses.replace(base.law, **{name: value})), name
+        changes = {"scheme": "golden", "snr_db": (0.0, 4.0), "max_trials": 3_000,
+                   "target_errors": 7, "seed": 4, "block_trials": 250}
+        assert set(changes) | {"law"} == {f.name for f in dataclasses.fields(SimConfig)}
+        assert {name for name, value in changes.items() if splits(**{name: value})} == \
+            {"seed", "block_trials"}
+
+        # synthesis is the law's draw, and it reads nothing but the law's fields
         class Recorder:
-            def __init__(self, config):
-                self.config, self.reads = config, set()
+            def __init__(self, channel_law):
+                self.law, self.reads = channel_law, set()
 
             def __getattr__(self, name):
                 self.reads.add(name)
-                return getattr(self.config, name)
+                return getattr(self.law, name)
 
-        for config in (base, dataclasses.replace(base, ideal_channel=True)):
-            engine = _Engine(config)
-            engine.config = Recorder(config)
-            engine.block_channels(8, np.random.default_rng(0))
-            assert engine.config.reads and engine.config.reads <= key, engine.config.reads
+        for channel_law in (base.law, dataclasses.replace(base.law, ideal=True)):
+            recorder = Recorder(channel_law)
+            h = ChannelLaw.draw(recorder, 8, np.random.default_rng(0))
+            assert np.array_equal(h, channel_law.draw(8, np.random.default_rng(0)))
+            assert recorder.reads and recorder.reads <= law_fields, recorder.reads
 
 
 class TestEngineChannels:
     @pytest.mark.parametrize("rx_kind", ["ula", "ura", "tetrahedron"])
     @pytest.mark.parametrize("tx_kind", ["ula", "triangle", "pentagon"])
     def test_match_scalar_link_pipeline(self, tx_kind, rx_kind):
-        # the engine draws distance, then transmit and receive rotations; the
+        # the law draws distance, then transmit and receive rotations; the
         # scalar path gets the same draws one link at a time
-        cfg = SimConfig(scheme="sm", link=make_link(tx_kind, rx_kind),
-                        snr_db=(0.0,), **BASE)
-        tx, rx = cfg.link.tx, cfg.link.rx
+        channel_law = law(tx_kind, rx_kind)
+        tx, rx = channel_law.link.tx, channel_law.link.rx
         n = 2_000
-        h = _Engine(cfg).block_channels(n, np.random.default_rng(17)).transpose(2, 0, 1)
+        h = channel_law.draw(n, np.random.default_rng(17)).transpose(2, 0, 1)
         rng = np.random.default_rng(17)
-        r_link = rng.uniform(*cfg.distance, n)
+        r_link = rng.uniform(*channel_law.distance, n)
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
         for i in range(n):
@@ -678,32 +657,30 @@ class TestEngineChannels:
             tx_pos, rx_pos = place_antennas(link)
             if tx.n > 2:
                 tx_pos = tx_pos[list(select_tx_pair(tx, u_tx[i]).pair)]
-            want = los_channel(exact_distances(tx_pos, rx_pos), cfg.link.wavelength)
+            want = los_channel(exact_distances(tx_pos, rx_pos), channel_law.link.wavelength)
             assert np.array_equal(h[i], want)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "FOUND in CHANGES.md: _Engine.block_channels picks the pentagon pair by the "
+        "FOUND in CHANGES.md: ChannelLaw.draw picks the pentagon pair by the "
         "smallest |sin beta| alone and ignores select_tx_pair_for_quality"))
     def test_pentagon_links_meet_the_design_target(self):
         # fig5's distance law lies inside the pentagon design window for
         # mu_max = 2/3, so every simulated link must meet the target
-        cfg = SimConfig(scheme="sm", link=make_link("pentagon", "tetrahedron"),
-                        snr_db=(0.0,), **BASE)
-        h = _Engine(cfg).block_channels(5_000, np.random.default_rng(123)).transpose(2, 0, 1)
-        mu = np.abs(np.einsum("nr,nr->n", np.conj(h[:, :, 0]), h[:, :, 1])) / cfg.link.rx.n
+        channel_law = law("pentagon", "tetrahedron")
+        h = channel_law.draw(5_000, np.random.default_rng(123)).transpose(2, 0, 1)
+        mu = np.abs(np.einsum("nr,nr->n", np.conj(h[:, :, 0]), h[:, :, 1])) / channel_law.link.rx.n
         assert mu.max() <= 2 / 3 + 0.01
 
 
-def density_link(rx_kind):
-    n_r = 2 if rx_kind == "ula" else 4
-    return LinkSpec(0.0042, make_layout("ula", 2, 0.145), make_layout(rx_kind, n_r, 0.145))
+def density_law(rx_kind):
+    return law("ula", rx_kind, 2 if rx_kind == "ula" else 4, 10.0, d_t=0.145, d_r=0.145)
 
 
 @functools.cache
 def whole_block_counts(rx_kind, samples, seed, bins=25):
     """joint_density's counts from its whole-block loop, before blocks ran in
     threaded pieces: the reference the pieces must match bit for bit."""
-    link = density_link(rx_kind)
+    link = density_law(rx_kind).link
     theta_edges = np.linspace(0.0, 2.0 * np.pi, bins + 1)
     mu_edges = np.linspace(0.0, 1.0, bins + 1)
     counts = np.zeros((bins, bins), dtype=np.int64)
@@ -724,8 +701,8 @@ def whole_block_counts(rx_kind, samples, seed, bins=25):
 
 
 class TestJointDensity:
-    def _link(self):
-        return density_link("ula")
+    def _law(self):
+        return density_law("ula")
 
     @pytest.mark.parametrize("threads", [None, 1, 3], ids=["per-cpu", "1-thread", "3-threads"])
     @pytest.mark.parametrize("rx_kind", ["ula", "ura"])
@@ -735,7 +712,7 @@ class TestJointDensity:
         samples, seed = DENSITY_BLOCK + 2 * DENSITY_PIECE + 1, 11
         if threads is not None:
             monkeypatch.setattr(montecarlo, "_piece_threads", lambda: threads)
-        grid = joint_density(density_link(rx_kind), 10.0, bins=25, samples=samples, seed=seed)
+        grid = joint_density(density_law(rx_kind), bins=25, samples=samples, seed=seed)
         assert grid.counts.sum() == samples
         assert np.array_equal(grid.counts, whole_block_counts(rx_kind, samples, seed))
 
@@ -750,7 +727,7 @@ class TestJointDensity:
         monkeypatch.setattr(montecarlo, "link_distances", second_call_fails)
         before = set(threading.enumerate())
         with pytest.raises(ValueError) as info:
-            joint_density(self._link(), 10.0, bins=5, samples=4 * DENSITY_PIECE, seed=3)
+            joint_density(self._law(), bins=5, samples=4 * DENSITY_PIECE, seed=3)
         assert info.value is error
         assert set(threading.enumerate()) == before
 
@@ -759,31 +736,31 @@ class TestJointDensity:
         (25, 1_000.5, "samples")], ids=["bins-float", "bins-pair-float", "bins-single", "samples-float"])
     def test_non_integer_sizes_rejected(self, bins, samples, field):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            joint_density(self._link(), 10.0, bins, samples)
+            joint_density(self._law(), bins, samples)
 
     @pytest.mark.parametrize("seed", [2.5, -3, True, "7"], ids=["float", "negative", "bool", "str"])
     def test_bad_seed_rejected(self, seed):
         # 2.5 and -3 used to fail in the first block, True and "7" to run
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            joint_density(self._link(), 10.0, 5, 100, seed=seed)
+            joint_density(self._law(), 5, 100, seed=seed)
 
     def test_infinite_distance_rejected(self):
         # it used to return counts that sum to 0
         with pytest.raises(ValueError, match="distance must be finite"):
-            joint_density(self._link(), float("inf"), 5, 100)
+            joint_density(ChannelLaw(self._law().link, float("inf")), 5, 100)
 
     def test_counts_sum_to_samples(self):
-        grid = joint_density(self._link(), 10.0, bins=5, samples=20_000, seed=1)
+        grid = joint_density(self._law(), bins=5, samples=20_000, seed=1)
         assert grid.counts.sum() == 20_000
 
     def test_density_integrates_to_one(self):
-        grid = joint_density(self._link(), 10.0, bins=8, samples=20_000, seed=2)
+        grid = joint_density(self._law(), bins=8, samples=20_000, seed=2)
         area = np.outer(np.diff(grid.theta_edges), np.diff(grid.mu_edges))
         assert float((grid.density() * area).sum()) == pytest.approx(1.0)
 
     def test_grid_floor(self):
         with pytest.raises(ValueError, match="5 x 5"):
-            joint_density(self._link(), 10.0, bins=4, samples=1_000, seed=4)
+            joint_density(self._law(), bins=4, samples=1_000, seed=4)
 
     def test_two_antenna_transmitter_required(self):
         # a 3-antenna ULA is no transmit array; a triangle is one, but not here
@@ -791,11 +768,25 @@ class TestJointDensity:
         with pytest.raises(ValueError, match="2 antennas, got 3"):
             LinkSpec(0.0042, make_layout("ula", 3, 0.1), rx)
         with pytest.raises(ValueError, match="2-antenna"):
-            joint_density(LinkSpec(0.0042, make_layout("triangle", spacing=0.1), rx), 10.0,
-                          bins=5, samples=100, seed=5)
+            joint_density(ChannelLaw(LinkSpec(0.0042, make_layout("triangle", spacing=0.1), rx),
+                                     10.0), bins=5, samples=100, seed=5)
+
+    @pytest.mark.parametrize("change", [dict(tx_kind="triangle"), dict(distance=(10.0, 12.0)),
+                                        dict(ideal=True)], ids=["triangle", "range", "ideal"])
+    def test_law_must_be_geometric_at_a_fixed_distance(self, change):
+        # a law that run_ber draws but that the density pieces do not read
+        kw = dict(tx_kind="ula", rx_kind="ula", n_r=2, distance=10.0, d_t=0.145, d_r=0.145)
+        bad = law(**{**kw, **change})
+        message = ("joint density is defined for a 2-antenna transmitter at a fixed "
+                   "distance, over geometric channels")
+        for call in (lambda: montecarlo.check_density_inputs(bad, 5, 100, 0),
+                     lambda: joint_density(bad, 5, 100)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
     def test_csv_shape(self, tmp_path):
-        grid = joint_density(self._link(), 10.0, bins=5, samples=5_000, seed=6)
+        grid = joint_density(self._law(), bins=5, samples=5_000, seed=6)
         path = tmp_path / "density.csv"
         grid.write_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -809,7 +800,8 @@ class TestJointDensity:
         tx = make_layout("ula", 2, 0.145)
         rx = make_layout(rx_kind, 2 if rx_kind == "ula" else 4, 0.145)
         seed, n = 8, 20_000
-        grid = joint_density(LinkSpec(0.0042, tx, rx), 10.0, bins=25, samples=n, seed=seed)
+        grid = joint_density(ChannelLaw(LinkSpec(0.0042, tx, rx), 10.0), bins=25, samples=n,
+                             seed=seed)
         rng = np.random.default_rng([seed])
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
