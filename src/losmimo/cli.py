@@ -32,7 +32,7 @@ from .geometry import LinkSpec, make_layout
 from .metrics import coding_gain
 from .montecarlo import (ChannelLaw, SimConfig, channel_groups, check_campaign,
                          check_density_inputs, check_distance, check_seed, joint_density,
-                         run_ber)
+                         run_ber, task_threads)
 from .orientation import ETA_START, ETA_STEP, ETA_STOP, compute_mu_star_curve
 
 EXIT_OK = 0
@@ -300,8 +300,10 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
                                   law=ChannelLaw(link, distance, run["ideal_channel"]), **shared))
     manifest.data["shared_channels"] = [[names[i] for i in g] for g in channel_groups(sims)]
     # every run is checked before the first one starts; they run in one call,
-    # on one pool
+    # on one pool or on this process's threads
     pool = multiprocessing.Pool(workers) if workers > 1 else None
+    manifest.data["processes"] = workers
+    manifest.data["threads_per_process"] = task_threads(sims, pool)
     try:
         curves = run_ber(sims, pool)
     finally:
@@ -391,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run BER campaigns")
     common(p_sim, _cmd_simulate, seed=True)
-    p_sim.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="worker processes, each running one task at a time (default: 1, "
+                            "which runs the tasks on one thread per usable CPU)")
     common(sub.add_parser("design", help="compute an [R_min, R_max] design report"),
            _cmd_design)
     p_curves = sub.add_parser("curves", help="export the worst-case correlation curve")

@@ -8,15 +8,18 @@ the points run. A block's first draws are its channels, drawn by the
 campaign's ``ChannelLaw``, so campaigns that agree on the law, seed and block
 size draw the same channels in every block; ``run_ber`` runs such a group
 together and synthesises each block's channels once for all of its campaigns.
+Its (group, SNR point) tasks run on one thread per usable CPU of the calling
+process, or on a process pool when one is given; either way each task runs
+alone and the results do not depend on where it ran.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import starmap
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,6 +39,7 @@ __all__ = [
     "ml_decode",
     "channel_groups",
     "run_ber",
+    "task_threads",
     "check_campaign",
     "check_distance",
     "check_seed",
@@ -55,6 +59,17 @@ SETTLE_FLOOR = 1e-6
 # rows per product in ml_decode's stacked GEMM: each (64 x 12) @ (12 x 256)
 # stays below OpenBLAS's threading threshold, so decoding starts no BLAS threads
 ML_ROWS = 64
+# products per chunk of that GEMM: one chunk's metric is held at a time, 512
+# KiB for Golden's 256 codewords
+ML_CHUNK = 4
+# glibc gives the free top of the heap back to the OS once it exceeds twice
+# the largest block that malloc served by mmap and then freed. With the
+# decoder's largest array one 512 KiB chunk, that would give back and fault in
+# again a Golden block's 2.3 MiB of temporaries at nearly every block (12,000
+# minor faults in a benchmark fig5 round). Each task frees one untouched
+# HEAP_KEEP-byte array, which raises that limit to twice HEAP_KEEP and
+# occupies no resident memory.
+HEAP_KEEP = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -126,12 +141,17 @@ class SimConfig:
 
 
 def check_distance(distance) -> float | tuple[float, float]:
-    """Check a distance law, a fixed distance or a (low, high) range; return
-    it as floats. Clearance of the arrays is ``ChannelLaw``'s to check."""
-    if isinstance(distance, (int, float)):
+    """Check a distance law, a fixed distance (a real number, NumPy's too) or a
+    (low, high) range given as a tuple or list of two; return it as floats.
+    Clearance of the arrays is ``ChannelLaw``'s to check."""
+    if _is_real(distance):
         if not _is_finite(distance):
             raise ValueError(f"distance must be finite, got {distance!r}")
         return float(distance)
+    if not (isinstance(distance, (tuple, list)) and len(distance) == 2
+            and all(_is_real(d) for d in distance)):
+        raise ValueError(f"distance must be a number or a (low, high) pair of numbers, "
+                         f"got {distance!r}")
     lo, hi = distance
     if not (0 < lo <= hi and _is_finite(hi)):
         raise ValueError("distance range must satisfy 0 < low <= high < inf")
@@ -244,7 +264,7 @@ class _Engine:
         y += np.multiply(h[:, 1, None], x[1])
         y *= np.sqrt(self.snr)
         y += np.take(noise, doubt, axis=2)
-        del noise, x    # freed before the decoder's (n, K) metric
+        del noise, x    # freed before the decoder's features
         k = _ml_argmin(h.transpose(2, 0, 1), y.transpose(2, 0, 1), self.weights)
         return int(np.sum(cb.bits[k_true] != cb.bits[k]))
 
@@ -281,6 +301,7 @@ def _run_group_point(configs: tuple[SimConfig, ...], snr_index: int) -> list[tup
     drawn once per distinct trial count among the campaigns still running, and
     each of those campaigns draws its codewords and noise from the state that
     follows them, so every campaign consumes the stream it would alone."""
+    np.empty(HEAP_KEEP, dtype=np.uint8)    # see HEAP_KEEP
     engines = [_Engine(c, snr_index) for c in configs]
     lead = configs[0]
     trials, errors = [0] * len(configs), [0] * len(configs)
@@ -306,24 +327,40 @@ def _run_group_point(configs: tuple[SimConfig, ...], snr_index: int) -> list[tup
     return list(zip(trials, errors))
 
 
+def _tasks(configs: list[SimConfig]) -> list[tuple[list[int], int]]:
+    """``run_ber``'s tasks: the members of a channel group that have an SNR
+    index s, and s, for every group and index."""
+    return [([i for i in group if s < len(configs[i].snr_db)], s)
+            for group in channel_groups(configs)
+            for s in range(max(len(configs[i].snr_db) for i in group))]
+
+
+def task_threads(configs: Sequence[SimConfig], pool=None) -> int:
+    """The threads per process on which ``run_ber(configs, pool)`` runs its
+    tasks: one per usable CPU, but no more than there are tasks, without a
+    pool; one in each of the pool's processes with one."""
+    return 1 if pool is not None else min(_usable_cpus(), len(_tasks(list(configs))))
+
+
 def run_ber(config: SimConfig | Sequence[SimConfig], pool=None) -> BerCurve | list[BerCurve]:
     """Run the BER campaign ``config``, or each campaign of a sequence of them
     (a list of curves, in order).
 
     The campaigns are grouped by ``channel_groups``; one task runs one group at
-    one SNR index (``_run_group_point``), and every task goes through one map
-    over ``pool`` (a ``multiprocessing.Pool``) when one is given. Each campaign
-    consumes the random stream it would alone and the points share no stream,
-    so the output is bit-identical with or without a pool or other campaigns.
+    one SNR index (``_run_group_point``). Every task goes through one map over
+    ``pool`` (a ``multiprocessing.Pool``) when one is given, and otherwise over
+    ``task_threads`` threads of this process, the calling thread among them.
+    Each campaign consumes the random stream it would alone, the points share
+    no stream, and every codebook is built by ``SimConfig`` before a task
+    starts, so the output is bit-identical for any thread count, with or
+    without a pool or other campaigns.
     """
     configs = [config] if isinstance(config, SimConfig) else list(config)
-    tasks = [([i for i in group if s < len(configs[i].snr_db)], s)
-             for group in channel_groups(configs)
-             for s in range(max(len(configs[i].snr_db) for i in group))]
+    tasks = _tasks(configs)
     args = [(tuple(configs[i] for i in members), s) for members, s in tasks]
     # one task per dispatch: a point that stops after one block and one that
     # runs its whole budget differ in cost by the budget's block count (80 in fig5)
-    results = (starmap(_run_group_point, args) if pool is None
+    results = (_thread_map(_run_group_point, args, task_threads(configs)) if pool is None
                else pool.starmap(_run_group_point, args, chunksize=1))
     points = [[None] * len(c.snr_db) for c in configs]
     for (members, s), counts in zip(tasks, results):
@@ -331,6 +368,40 @@ def run_ber(config: SimConfig | Sequence[SimConfig], pool=None) -> BerCurve | li
             points[i][s] = count
     curves = [_curve(c, p) for c, p in zip(configs, points)]
     return curves[0] if isinstance(config, SimConfig) else curves
+
+
+def _thread_map(fn, args: list[tuple], threads: int) -> list:
+    """``[fn(*a) for a in args]`` on ``threads`` threads, the calling thread one
+    of them. A thread takes the next task when it has finished one; once a task
+    raises, no thread takes another, and the error is raised here after every
+    thread has stopped."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    results = [None] * len(args)
+    todo = deque(range(len(args)))  # popleft and clear are atomic
+
+    def work():
+        while True:
+            try:
+                i = todo.popleft()
+            except IndexError:
+                return
+            try:
+                results[i] = fn(*args[i])
+            except BaseException:
+                todo.clear()
+                raise
+
+    if threads < 2:
+        work()
+        return results
+    # leaving the with block joins the helpers, also when work() raises
+    with ThreadPoolExecutor(threads - 1) as helpers:
+        futures = [helpers.submit(work) for _ in range(threads - 1)]
+        work()
+        for f in futures:
+            f.result()      # re-raises the error a helper met
+    return results
 
 
 def _curve(config: SimConfig, points: list[tuple[int, int]]) -> BerCurve:
@@ -397,8 +468,14 @@ def _ml_argmin(h: NDArray, y: NDArray, weights: NDArray) -> NDArray:
     feats[4:4 + len(z), :n] = z.real
     feats[4 + len(z):, :n] = z.imag
     rows = np.ascontiguousarray(feats.T).reshape(-1, ML_ROWS, len(feats))
-    metric = np.matmul(rows, weights)
-    return np.argmin(metric.reshape(-1, weights.shape[1])[:n], axis=-1)
+    # each chunk's metric goes to its argmin at once, through one buffer
+    metric = np.empty((min(ML_CHUNK, len(rows)), ML_ROWS, weights.shape[1]))
+    k = np.empty((len(rows), ML_ROWS), dtype=np.intp)
+    for c in range(0, len(rows), ML_CHUNK):
+        chunk = rows[c:c + ML_CHUNK]
+        np.matmul(chunk, weights, out=metric[:len(chunk)])
+        np.argmin(metric[:len(chunk)], axis=-1, out=k[c:c + len(chunk)])
+    return k.reshape(-1)[:n]
 
 
 def _ml_weights(codebook: Codebook, snr: float) -> NDArray:
@@ -476,9 +553,10 @@ def _is_finite(x) -> bool:
         return False
 
 
-def _piece_threads() -> int:
-    """Threads that run ``joint_density``'s pieces: one per CPU this process
-    may use (per CPU of the machine where the OS cannot say)."""
+def _usable_cpus() -> int:
+    """The CPUs this process may use (those of the machine where the OS cannot
+    say): ``joint_density`` runs its pieces, and ``run_ber`` without a pool its
+    tasks, on one thread per CPU."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -515,7 +593,7 @@ def joint_density(law: ChannelLaw, bins: int, samples: int, seed: int = 0) -> De
             p.result()      # re-raises the error a piece met
         return np.histogram2d(theta, mu, bins=[theta_edges, mu_edges])[0].astype(np.int64)
 
-    pool = ThreadPoolExecutor(_piece_threads())
+    pool = ThreadPoolExecutor(_usable_cpus())
     try:
         previous = None
         for start in range(0, samples, DENSITY_BLOCK):

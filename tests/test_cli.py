@@ -372,10 +372,15 @@ class TestSimulate:
             return real_pool(*args, **kwargs)
 
         monkeypatch.setattr(losmimo.cli.multiprocessing, "Pool", counting_pool)
+        # more CPUs than the six tasks: one process runs one thread per task
+        monkeypatch.setattr(losmimo.montecarlo, "_usable_cpus", lambda: 8)
         for workers in (1, 2):
             assert main(["simulate", "--config", path, "--workers", str(workers),
                          "--out", str(tmp_path / f"w{workers}")]) == EXIT_OK
             assert len(made) == workers - 1
+            manifest = json.loads((tmp_path / f"w{workers}" / "manifest.json").read_text())
+            assert (manifest["processes"], manifest["threads_per_process"]) == \
+                ((1, 6) if workers == 1 else (2, 1))
         for name in ("mini_sm", "mini_ula"):
             serial = (tmp_path / "w1" / f"{name}.csv").read_bytes()
             assert serial == (tmp_path / "w2" / f"{name}.csv").read_bytes()

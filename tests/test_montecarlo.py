@@ -4,8 +4,14 @@ import importlib.resources
 import itertools
 import json
 import multiprocessing
+import os
+import platform
+import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +70,25 @@ class TestMlDecode:
         cb = build_codebook("sm")
         got, _ = ml_decode(np.zeros((4, 2)), np.zeros((4, 1)), 1.0, cb)
         assert got == 0
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 2_500])
+    def test_chunked_argmin_matches_whole_metric(self, monkeypatch, n):
+        # every decision is an exact tie: the second half of the weights
+        # repeats the first, so each lowest-index minimum lies in the first
+        # half, and a zero channel every seventh trial ties all K codewords
+        cb = build_codebook("golden")
+        rng = np.random.default_rng(n)
+        h = rng.standard_normal((n, 4, 2)) + 1j * rng.standard_normal((n, 4, 2))
+        h[::7] = 0
+        y = rng.standard_normal((n, 4, cb.slots)) + 1j * rng.standard_normal((n, 4, cb.slots))
+        weights = montecarlo._ml_weights(cb, 10.0)
+        half = cb.size // 2
+        weights[:, half:] = weights[:, :half]
+        k = montecarlo._ml_argmin(h, y, weights)
+        # one chunk that holds every product: the whole (n, K) metric at once
+        monkeypatch.setattr(montecarlo, "ML_CHUNK", n)
+        assert np.array_equal(k, montecarlo._ml_argmin(h, y, weights))
+        assert k.shape == (n,) and np.all(k < half) and np.all(k[::7] == 0)
 
     def test_dimension_mismatch(self):
         cb = build_codebook("golden")
@@ -397,6 +422,30 @@ class TestRunBer:
         rows = [r.split(",") for r in serial.read_text().splitlines()[1:]]
         assert int(rows[0][1]) < 6_000 and int(rows[-1][1]) == 6_000
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
+    def test_blocks_reuse_their_heap_pages(self):
+        # in a fresh process, where no earlier test's arrays have raised
+        # glibc's trim threshold: a second four-block Golden task faults in
+        # about 1,400 pages when every block gives its temporaries back
+        code = """if True:
+            import resource
+            from losmimo.geometry import LinkSpec, make_layout
+            from losmimo.montecarlo import ChannelLaw, SimConfig, _run_group_point
+            link = LinkSpec(0.0042, make_layout("ula", 2, 0.06), make_layout("ura", 4, 0.25))
+            cfg = SimConfig(scheme="golden", law=ChannelLaw(link, (4.43, 12.7)), snr_db=(0.0,),
+                            max_trials=10_000, target_errors=10**9, seed=1)
+            _run_group_point((cfg,), 0)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            _run_group_point((cfg,), 0)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert int(out.stdout) < 100
+
     def test_interval_contains_ber(self):
         # 15,000 trials of 4 bits: the lower end used to round to ~7e-21 at 32 dB
         cfg = SimConfig(scheme="sm", law=law(ideal=True), snr_db=(0, 32),
@@ -506,6 +555,24 @@ class TestRunBer:
         with pytest.raises(ValueError, match="finite|< inf"):
             law(distance=distance)
 
+    @pytest.mark.parametrize("distance,want", [
+        (np.int64(5), 5.0), (np.float32(5.5), 5.5),
+        ((np.float32(4.5), np.int64(12)), (4.5, 12.0)), ([5, 12.7], (5.0, 12.7)),
+    ], ids=["int64", "float32", "numpy-pair", "list-pair"])
+    def test_distance_takes_numpy_reals(self, distance, want):
+        got = law(distance=distance).distance
+        assert got == want
+        assert all(type(d) is float for d in (got if isinstance(got, tuple) else (got,)))
+
+    @pytest.mark.parametrize("distance", [
+        True, np.True_, "5", None, (1.0,), (4.5, 5.0, 6.0), ("4.5", "12"), (True, 12.0),
+        (4.5, None), {"min": 4.5, "max": 12.0},
+    ])
+    def test_distance_must_be_a_number_or_a_pair(self, distance):
+        with pytest.raises(ValueError, match=re.escape(
+                f"distance must be a number or a (low, high) pair of numbers, got {distance!r}")):
+            law(distance=distance)
+
     def test_ideal_channel_distance_must_be_finite(self):
         # the ideal channel skips the clearance check, which used to hold the
         # finiteness check of a fixed distance
@@ -573,6 +640,58 @@ class TestSharedChannels:
             pool.join()
         # the group's campaigns stop at different blocks of the same point
         assert len({int(c.trials[1]) for c in alone[:3]}) == 3
+
+    def test_curves_do_not_depend_on_threads_or_processes(self, monkeypatch):
+        # the batch has a shared channel group, a partial final block and an
+        # ideal run; three threads are more than the CPUs of a small machine,
+        # and a short switch interval makes them trade the interpreter often
+        configs = self.configs()
+        pool = multiprocessing.Pool(2)
+        try:
+            runs = [run_ber(configs, pool)]
+        finally:
+            pool.close()
+            pool.join()
+        real, ran = montecarlo._run_group_point, set()
+
+        def recording(*args):
+            ran.add(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo, "_run_group_point", recording)
+        before, interval = set(threading.enumerate()), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(montecarlo, "_usable_cpus", lambda t=threads: t)
+                ran.clear()
+                runs.append(run_ber(configs))
+                assert 1 <= len(ran) <= threads
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(threading.enumerate()) == before
+        for curves in runs[1:]:
+            self.assert_same_curves(curves, runs[0])
+
+    def test_task_error_reaches_the_caller(self, monkeypatch):
+        calls, error = itertools.count(), ValueError("second task failed")
+        real = montecarlo._run_group_point
+
+        def second_call_fails(*args):
+            if next(calls) == 1:
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo, "_run_group_point", second_call_fails)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        configs = self.configs()
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError) as info:
+            run_ber(configs)
+        assert info.value is error
+        assert set(threading.enumerate()) == before
+        # no thread takes a task after the error
+        assert next(calls) < len(montecarlo._tasks(configs))
 
     def test_one_config_is_a_batch_of_one(self):
         config = self.configs()[0]
@@ -711,7 +830,7 @@ class TestJointDensity:
         # three pieces in the second, the last of one sample
         samples, seed = DENSITY_BLOCK + 2 * DENSITY_PIECE + 1, 11
         if threads is not None:
-            monkeypatch.setattr(montecarlo, "_piece_threads", lambda: threads)
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: threads)
         grid = joint_density(density_law(rx_kind), bins=25, samples=samples, seed=seed)
         assert grid.counts.sum() == samples
         assert np.array_equal(grid.counts, whole_block_counts(rx_kind, samples, seed))
