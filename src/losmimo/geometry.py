@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "make_layout",
     "rotation_normals",
     "quaternion_rotations",
+    "rotation_columns",
     "uniform_rotation",
     "place_arrays",
     "place_antennas",
@@ -273,14 +275,25 @@ def rotation_normals(rng: np.random.Generator, n: int) -> NDArray:
 
 def quaternion_rotations(q: NDArray) -> NDArray:
     """The C-contiguous (m, 3, 3) rotations of the quaternions ``q`` (m, 4),
-    which need not be normalised, built in ``PLACE_COLS``-row pieces.
+    which need not be normalised: all three columns of ``rotation_columns``,
+    written in place.
 
     A standard-normal 4-vector normalised to the unit 3-sphere is a uniform
     quaternion, so the rotations of ``rotation_normals`` are Haar-uniform."""
     u = np.empty((len(q), 3, 3))
-    for s in range(0, len(q), PLACE_COLS):
-        _quaternion_rotations(q[s:s + PLACE_COLS], u[s:s + PLACE_COLS])
+    _rotation_columns(q, (0, 1, 2), u.transpose(2, 1, 0))
     return u
+
+
+def rotation_columns(q: NDArray, axes: Sequence[int]) -> NDArray:
+    """Columns ``axes`` of the rotations of the quaternions ``q`` (m, 4), as a
+    C-contiguous (len(axes), 3, m) array: ``out[k, i, l]`` is entry
+    ``(i, axes[k])`` of rotation l, with the bits ``quaternion_rotations``
+    gives it. A layout whose antennas occupy only the coordinate axes
+    ``axes`` is placed by these columns alone."""
+    out = np.empty((len(axes), 3, len(q)))
+    _rotation_columns(q, axes, out)
+    return out
 
 
 def uniform_rotation(rng: np.random.Generator, n: int | None = None) -> NDArray:
@@ -292,32 +305,32 @@ def uniform_rotation(rng: np.random.Generator, n: int | None = None) -> NDArray:
     return u[0] if n is None else u
 
 
-def _quaternion_rotations(q: NDArray, out: NDArray) -> None:
-    """Write the rotations of the quaternions ``q`` (m, 4), normalised here,
-    into the C-contiguous ``out`` (m, 3, 3)."""
-    q = q.T.copy()                     # rows w, x, y, z
-    norm = q[0] * q[0]
-    for c in q[1:]:
-        norm += c * c                  # np.linalg.norm's order: ((w^2 + x^2) + y^2) + z^2
-    q /= np.sqrt(norm)
-    w, z = q[0], q[3]
-    # each product once, doubled: 2 (a b) = (2 a) b exactly
-    two = 2.0 * q[1:]                  # 2x, 2y, 2z
-    xx, yy, zz = two * q[1:]
-    xy, xz = two[0] * q[2:]
-    yz = two[1] * z
-    xw, yw, zw = two * w
-    u = out.reshape(-1, 9).T
-    np.add(yy, zz, out=u[0])
-    np.subtract(xy, zw, out=u[1])
-    np.add(xz, yw, out=u[2])
-    np.add(xy, zw, out=u[3])
-    np.add(xx, zz, out=u[4])
-    np.subtract(yz, xw, out=u[5])
-    np.subtract(xz, yw, out=u[6])
-    np.add(yz, xw, out=u[7])
-    np.add(xx, yy, out=u[8])
-    np.subtract(1.0, u[0::4], out=u[0::4])
+def _rotation_columns(q: NDArray, axes: Sequence[int], out: NDArray) -> None:
+    """Write columns ``axes`` of the rotations of the quaternions ``q`` (m, 4),
+    normalised here, into ``out`` (len(axes), 3, m), in ``PLACE_COLS``-row
+    pieces; the map of every column, and of every rotation, is this one."""
+    for s in range(0, len(q), PLACE_COLS):
+        v = q[s:s + PLACE_COLS].T.copy()   # rows w, x, y, z
+        norm = v[0] * v[0]
+        for c in v[1:]:
+            norm += c * c                  # np.linalg.norm's order: ((w^2 + x^2) + y^2) + z^2
+        v /= np.sqrt(norm)
+        w, z = v[0], v[3]
+        # each product once, doubled: 2 (a b) = (2 a) b exactly
+        two = 2.0 * v[1:]                  # 2x, 2y, 2z
+        xx, yy, zz = two * v[1:]
+        xy, xz = two[0] * v[2:]
+        yz = two[1] * z
+        xw, yw, zw = two * w
+        # U row by row; a diagonal entry is 1 minus its sum
+        u = ((np.add, yy, zz), (np.subtract, xy, zw), (np.add, xz, yw),
+             (np.add, xy, zw), (np.add, xx, zz), (np.subtract, yz, xw),
+             (np.subtract, xz, yw), (np.add, yz, xw), (np.add, xx, yy))
+        for j, column in zip(axes, out[..., s:s + PLACE_COLS]):
+            for i, entry in enumerate(column):
+                op, a, b = u[3 * i + j]
+                op(a, b, out=entry)
+            np.subtract(1.0, column[j], out=column[j])
 
 
 def link_axis(beta: float) -> NDArray:

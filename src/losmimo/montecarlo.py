@@ -15,6 +15,7 @@ alone and the results do not depend on where it ran.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from collections.abc import Sequence
@@ -28,8 +29,8 @@ from ._csv import write_csv
 from .channel import _phasors, los_channel
 from .codes import Codebook, build_codebook
 from .design import select_tx_pair
-from .geometry import (LINK_DIRECTION, PLACE_COLS, LinkSpec, link_distances, place_arrays,
-                       quaternion_rotations, rotation_normals, uniform_rotation)
+from .geometry import (LINK_DIRECTION, PLACE_COLS, ArrayLayout, LinkSpec, link_distances,
+                       place_arrays, rotation_columns, rotation_normals, uniform_rotation)
 
 __all__ = [
     "ChannelLaw",
@@ -527,6 +528,10 @@ def check_density_inputs(law: ChannelLaw, bins: int, samples: int, seed: int) ->
         raise ValueError(f"bins must be an integer, got {bins!r}")
     if bins < 5:
         raise ValueError("use at least a 5 x 5 grid")
+    # NumPy sizes the (bins, bins) int64 counts, and indexes them flat, in intp
+    most = math.isqrt(np.iinfo(np.intp).max // 8)
+    if bins > most:
+        raise ValueError(f"bins must be at most {most}, got {bins}")
     check_seed(seed)
 
 
@@ -577,8 +582,12 @@ def joint_density(law: ChannelLaw, bins: int, samples: int, seed: int = 0) -> De
     histograms the block; everything in between, from rotations to (theta_mu,
     mu), runs in ``DENSITY_PIECE``-sample pieces on one thread per usable CPU,
     while the calling thread draws the next block and histograms the previous
-    one. A piece depends only on its own samples and the counts are integers,
-    so they do not depend on the thread count.
+    one. A piece builds only the rotation columns of the axes its arrays
+    occupy (``_density_piece``); the histogram finds each sample's bin by
+    index arithmetic under NumPy's histogram rules and counts the bins with
+    one ``np.bincount`` (``_bin_counts``). A piece depends only on its
+    own samples and the counts are integers, so they do not depend on the
+    thread count.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -591,7 +600,7 @@ def joint_density(law: ChannelLaw, bins: int, samples: int, seed: int = 0) -> De
     def binned(pieces, theta, mu):
         for p in pieces:
             p.result()      # re-raises the error a piece met
-        return np.histogram2d(theta, mu, bins=[theta_edges, mu_edges])[0].astype(np.int64)
+        return _bin_counts(theta, mu, theta_edges, mu_edges)
 
     pool = ThreadPoolExecutor(_usable_cpus())
     try:
@@ -616,16 +625,71 @@ def joint_density(law: ChannelLaw, bins: int, samples: int, seed: int = 0) -> De
                        counts=counts, samples=samples)
 
 
+def _bin_counts(theta: NDArray, mu: NDArray, theta_edges: NDArray,
+                mu_edges: NDArray) -> NDArray:
+    """The int64 counts of the samples (theta, mu) on the grid of ``theta_edges``
+    x ``mu_edges``, each edge array a ``np.linspace`` from 0, by NumPy's
+    histogram rules: x is in bin i when ``edges[i] <= x < edges[i + 1]``, and
+    the last bin is closed. Every sample must lie on the grid, as the density
+    pieces' clipped mu and theta_mu mod 2 pi do."""
+    n_mu = len(mu_edges) - 1
+    flat = _bin_index(theta, theta_edges) * n_mu
+    flat += _bin_index(mu, mu_edges)
+    return np.bincount(flat, minlength=(len(theta_edges) - 1) * n_mu).reshape(-1, n_mu)
+
+
+def _bin_index(x: NDArray, edges: NDArray) -> NDArray:
+    """The bin of each x in [0, edges[-1]] among the linspace ``edges`` from 0.
+
+    x times bins / edges[-1] is within 1e-6 of x's place on the grid for any
+    bins that ``check_density_inputs`` admits, so its floor is the bin or a
+    neighbour; one comparison with each bounding edge settles which. The last
+    bin's upper edge counts as infinite, which closes that bin."""
+    last = len(edges) - 2
+    i = (x * ((last + 1) / edges[-1])).astype(np.intp)
+    np.minimum(i, last, out=i)
+    i -= x < edges[i]
+    i += x >= np.append(edges[1:-1], np.inf)[i]
+    return i
+
+
 def _density_piece(link: LinkSpec, r_link: float, q_tx: NDArray, q_rx: NDArray,
                    theta: NDArray, mu: NDArray, start: int) -> None:
     """Write theta_mu and mu, clipped to [0, 1], of the block's samples
-    ``start`` to ``start + DENSITY_PIECE`` into ``theta`` and ``mu``."""
+    ``start`` to ``start + DENSITY_PIECE`` into ``theta`` and ``mu``.
+
+    No (3, 3) rotation is built and no GEMM runs: ``_placed`` places each
+    array from the rotation columns of the axes its antennas occupy (z for a
+    ULA, y and z for a URA), and the receive centroid lies ``r_link`` along
+    ``LINK_DIRECTION``, as in ``place_arrays``."""
     s = slice(start, start + DENSITY_PIECE)
-    u_tx, u_rx = quaternion_rotations(q_tx[s]), quaternion_rotations(q_rx[s])
-    dist = link_distances(*place_arrays(link.tx, link.rx, u_tx, u_rx,
-                                        np.full(len(u_tx), r_link), LINK_DIRECTION))
+    rx = _placed(link.rx, q_rx[s])
+    rx += (r_link * LINK_DIRECTION)[:, None, None]
+    dist = link_distances(_placed(link.tx, q_tx[s]), rx)
     # column inner product of the unit-modulus channel, summed over C-ordered
     # (m, n_r) rows: the order of a reduction depends on the layout
     inner = _phasors((dist[:, 1] - dist[:, 0]).T, link.wavelength).sum(axis=1)
     np.clip(np.abs(inner) / link.rx.n, 0.0, 1.0, out=mu[s])
     np.mod(np.angle(inner), 2.0 * np.pi, out=theta[s])
+
+
+def _placed(layout: ArrayLayout, q: NDArray) -> NDArray:
+    """Coordinate-major (3, n_ant, m) positions of ``layout`` under the
+    rotations of the quaternions ``q`` (m, 4): each antenna's coordinates along
+    the axes its layout occupies times the rotation columns of those axes,
+    summed in axis order.
+
+    On a single axis (a ULA) each position is one exact product, the bits
+    ``place_arrays`` gives; a URA's two-term sum can differ from that GEMM's
+    rounding in a position's last ulp."""
+    pos = layout.positions
+    axes = np.flatnonzero(pos.any(axis=0))
+    if not len(axes):
+        return np.zeros((3, layout.n, len(q)))     # one antenna, at the centroid
+    first, *rest = rotation_columns(q, axes)
+    out = np.empty((3, layout.n, len(q)))
+    for m, (p, *ps) in enumerate(pos[:, axes]):
+        np.multiply(first, p, out=out[:, m])
+        for column, pj in zip(rest, ps):
+            out[:, m] += column * pj
+    return out

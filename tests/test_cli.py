@@ -2,6 +2,7 @@ import copy
 import hashlib
 import importlib.resources
 import json
+import math
 import os
 import subprocess
 import sys
@@ -681,6 +682,18 @@ class TestDensity:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == ("density config: n must be at most "
                                      f"{np.iinfo(np.intp).max}, got {n_r}")
+        assert not (out / "density.csv").exists()
+
+    @pytest.mark.parametrize("bins", [2**31, 10**30], ids=["2^31", "1e30"])
+    def test_bins_beyond_intp_is_config_error(self, tmp_path, bins):
+        cfg = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "distance": 10.0,
+               "bins": bins, "samples": 1_000}
+        out = tmp_path / "out"
+        assert main(["density", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == ("density config: bins must be at most "
+                                     f"{math.isqrt(np.iinfo(np.intp).max // 8)}, got {bins}")
         assert not (out / "density.csv").exists()
 
     def test_bundled_recipe_resolves(self):

@@ -15,7 +15,10 @@ from losmimo.geometry import (
     link_distances,
     make_layout,
     place_antennas,
+    PLACE_COLS,
     place_arrays,
+    quaternion_rotations,
+    rotation_columns,
     uniform_rotation,
 )
 from losmimo.montecarlo import LINK_DIRECTION
@@ -153,6 +156,17 @@ class TestUniformRotation:
         assert u.flags.c_contiguous
         assert np.array_equal(u, ref)
         assert np.array_equal(uniform_rotation(np.random.default_rng(8)), ref[0])
+
+    @pytest.mark.parametrize("axes", [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
+    def test_columns_bit_identical_to_rotations(self, axes):
+        # the density pieces place their arrays from these columns alone;
+        # two pieces and a final partial one, from unnormalised quaternions
+        q = np.random.default_rng(9).standard_normal((2 * PLACE_COLS + 17, 4))
+        cols = rotation_columns(q, axes)
+        assert cols.shape == (len(axes), 3, len(q)) and cols.flags.c_contiguous
+        u = quaternion_rotations(q)
+        for j, col in zip(axes, cols):
+            assert np.array_equal(col, u[:, :, j].T)
 
     def test_mean_axis_image_is_zero(self):
         rng = np.random.default_rng(7)

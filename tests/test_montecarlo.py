@@ -3,6 +3,7 @@ import functools
 import importlib.resources
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import platform
@@ -18,7 +19,7 @@ import pytest
 from scipy.stats import norm
 
 from losmimo import montecarlo
-from losmimo.channel import los_channel, reduce_channel
+from losmimo.channel import _phasors, los_channel, reduce_channel
 from losmimo.codes import build_codebook
 from losmimo.design import select_tx_pair
 from losmimo.geometry import (
@@ -29,6 +30,8 @@ from losmimo.geometry import (
     make_layout,
     place_antennas,
     place_arrays,
+    quaternion_rotations,
+    rotation_normals,
     uniform_rotation,
 )
 from losmimo.montecarlo import (
@@ -819,6 +822,43 @@ def whole_block_counts(rx_kind, samples, seed, bins=25):
     return counts
 
 
+def full_matrix_piece(link, r_link, q_tx, q_rx):
+    """(theta_mu, mu) of a density piece from whole rotation matrices placed by
+    ``place_arrays``' GEMM: the reference for the pieces, which place each
+    array from the rotation columns of its axes alone."""
+    u_tx, u_rx = quaternion_rotations(q_tx), quaternion_rotations(q_rx)
+    dist = link_distances(*place_arrays(link.tx, link.rx, u_tx, u_rx,
+                                        np.full(len(u_tx), r_link), LINK_DIRECTION))
+    inner = _phasors((dist[:, 1] - dist[:, 0]).T, link.wavelength).sum(axis=1)
+    return np.mod(np.angle(inner), 2.0 * np.pi), np.clip(np.abs(inner) / link.rx.n, 0.0, 1.0)
+
+
+def near_edges(edges):
+    """Every edge and the floats one ulp to either side that stay on the grid."""
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    return near[(near >= edges[0]) & (near <= edges[-1])]
+
+
+class TestBinCounts:
+    @pytest.mark.parametrize("bins", [5, 7, 25, 100])
+    def test_matches_histogram2d(self, bins):
+        # the index binning against NumPy's own: each near-edge theta paired
+        # with each near-edge mu, so 0, 2 pi and 1 meet, then a uniform bulk
+        theta_edges = np.linspace(0.0, 2.0 * np.pi, bins + 1)
+        mu_edges = np.linspace(0.0, 1.0, bins + 1)
+        theta, mu = (a.ravel() for a in np.meshgrid(near_edges(theta_edges),
+                                                      near_edges(mu_edges), indexing="ij"))
+        bulk = np.random.default_rng(bins).uniform(size=(2, 20_000))
+        theta = np.concatenate([theta, 2.0 * np.pi * bulk[0]])
+        mu = np.concatenate([mu, bulk[1]])
+        assert {0.0, 2.0 * np.pi} <= set(theta) and {0.0, 1.0} <= set(mu)
+        counts = montecarlo._bin_counts(theta, mu, theta_edges, mu_edges)
+        ref, _, _ = np.histogram2d(theta, mu, bins=[theta_edges, mu_edges])
+        assert counts.dtype == np.int64 and counts.shape == (bins, bins)
+        assert np.array_equal(counts, ref.astype(np.int64))
+        assert counts.sum() == len(theta)
+
+
 class TestJointDensity:
     def _law(self):
         return density_law("ula")
@@ -849,6 +889,49 @@ class TestJointDensity:
             joint_density(self._law(), bins=5, samples=4 * DENSITY_PIECE, seed=3)
         assert info.value is error
         assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("rx_kind", ["ula", "ura"])
+    def test_piece_matches_full_matrix_placement(self, rx_kind):
+        # a ULA's positions are exact products either way; a URA's two-term
+        # sum may round its last ulp differently from the GEMM's
+        link = density_law(rx_kind).link
+        rng = np.random.default_rng([12])
+        n = 2 * DENSITY_PIECE + 5
+        q_tx, q_rx = rotation_normals(rng, n), rotation_normals(rng, n)
+        theta, mu = np.empty(n), np.empty(n)
+        for start in range(0, n, DENSITY_PIECE):
+            montecarlo._density_piece(link, 10.0, q_tx, q_rx, theta, mu, start)
+        ref_theta, ref_mu = full_matrix_piece(link, 10.0, q_tx, q_rx)
+        if rx_kind == "ula":
+            assert np.array_equal(theta, ref_theta) and np.array_equal(mu, ref_mu)
+        else:
+            # that ulp can move a distance near 10 m by one of its own ulps, and
+            # a path difference by two: each phasor turns by at most tol rad
+            tol = 2.0 * 2.0 * np.pi * np.spacing(10.5) / link.wavelength
+            assert np.abs(mu * np.exp(1j * theta) - ref_mu * np.exp(1j * ref_theta)).max() <= tol
+            assert np.abs(mu - ref_mu).max() <= tol
+            assert np.mean((theta == ref_theta) & (mu == ref_mu)) > 0.99
+
+    def test_one_antenna_receiver(self):
+        # its antenna sits at the centroid and occupies no axis: mu is 1
+        link = LinkSpec(0.0042, make_layout("ula", 2, 0.145), make_layout("ula", 1, 0.145))
+        grid = joint_density(ChannelLaw(link, 10.0), bins=5, samples=1_000, seed=1)
+        rng = np.random.default_rng([1])
+        theta, mu = full_matrix_piece(link, 10.0, rotation_normals(rng, 1_000),
+                                      rotation_normals(rng, 1_000))
+        counts, _, _ = np.histogram2d(theta, mu, bins=[grid.theta_edges, grid.mu_edges])
+        assert np.array_equal(grid.counts, counts.astype(np.int64))
+        assert grid.counts[:, -1].sum() == 1_000
+
+    @pytest.mark.parametrize("bins", [2**31, 10**30], ids=["2^31", "1e30"])
+    def test_bins_beyond_intp_rejected(self, bins):
+        # bins^2 int64 counts are more bytes than intp holds; the check comes
+        # before the edges are built, which would ask for bins + 1 floats
+        message = f"bins must be at most {math.isqrt(np.iinfo(np.intp).max // 8)}, got {bins}"
+        for call in (lambda: montecarlo.check_density_inputs(self._law(), bins, 100, 0),
+                     lambda: joint_density(self._law(), bins, 100)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     @pytest.mark.parametrize("bins,samples,field", [
         (25.5, 1_000, "bins"), ((25, 25.5), 1_000, "bins"), ((25,), 1_000, "bins"),
