@@ -33,7 +33,8 @@ from .metrics import coding_gain
 from .montecarlo import (ChannelLaw, SimConfig, channel_groups, check_campaign,
                          check_density_inputs, check_distance, check_seed, joint_density,
                          run_ber, task_threads)
-from .orientation import ETA_START, ETA_STEP, ETA_STOP, compute_mu_star_curve
+from .orientation import (ETA_START, ETA_STEP, ETA_STOP, _cell_grid, check_eta_grid,
+                          compute_mu_star_curve)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -317,13 +318,24 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
     return EXIT_OK
 
 
+def _mu_star_curve(manifest: Manifest, eta_start: float, eta_stop: float, step: float):
+    """``compute_mu_star_curve`` on a checked grid, recorded in the manifest:
+    its etas, the grid points each eta scans and the build time."""
+    t0 = time.perf_counter()
+    curve = compute_mu_star_curve(eta_start, eta_stop, step)
+    manifest.data["mu_star_curve"] = {"etas": len(curve.etas), "grid_points": len(_cell_grid()),
+                                      "build_s": round(time.perf_counter() - t0, 3)}
+    return curve
+
+
 def _cmd_design(args, manifest: Manifest) -> int:
     cfg = _read(_load_config(args.config), DESIGN_FIELDS, "design config")
     with _located("design config"):
         spec = DesignSpec(mu_max=cfg["mu_max"],
                           link=_link(cfg, cfg["tx_kind"], "tetrahedron", 4))
-        curve = compute_mu_star_curve(step=cfg["eta_step"])
-    result = design_link(spec, curve)
+        check_eta_grid(ETA_START, ETA_STOP, cfg["eta_step"])
+    # a solver failure past the checks is a runtime failure, not a config error
+    result = design_link(spec, _mu_star_curve(manifest, ETA_START, ETA_STOP, cfg["eta_step"]))
     out = manifest.write("design_report.csv", lambda path: write_csv(
         path, ("eta_min", "eta_max", "r_min_m", "r_max_m", "beta_max_rad", "mu_max"),
         [astuple(result)]))
@@ -337,9 +349,10 @@ def _cmd_design(args, manifest: Manifest) -> int:
 
 def _cmd_curves(args, manifest: Manifest) -> int:
     try:
-        curve = compute_mu_star_curve(args.eta_start, args.eta_stop, args.eta_step)
+        check_eta_grid(args.eta_start, args.eta_stop, args.eta_step)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    curve = _mu_star_curve(manifest, args.eta_start, args.eta_stop, args.eta_step)
     out = manifest.write("mu_star_curve.csv", curve.write_csv)
     manifest.write("plot_curves.py", lambda path: path.write_text(PLOT_CURVES))
     print(f"curves: wrote {out}")

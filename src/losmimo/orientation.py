@@ -8,7 +8,10 @@ T_h (the 24 cyclic coordinate permutations with any signs), and so is a dense
 deterministic icosphere grid. The global maximum ``mu*(eta)`` is therefore
 located on the grid points of one T_h cell (1/24 of the sphere) and polished
 by Newton ascent on the sphere, batched over every eta of a curve; the
-resulting curve drives the distance-range design.
+resulting curve drives the distance-range design. Only the icosahedron faces
+that reach the cell are subdivided, so the solver builds the cell's points
+alone, with the bits and row order of the whole sphere's, and each 2 x 2
+Newton step is taken in closed form.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "mu_star",
     "mu_star_bound",
     "MuStarCurve",
+    "check_eta_grid",
     "compute_mu_star_curve",
     "default_curve",
     "edge_code_worst_distortion",
@@ -75,6 +79,47 @@ def icosphere_vertices(subdivisions: int = 6) -> NDArray:
     order. Midpoints are normalised by ``sqrt`` of a (1 x 3) @ (3 x 1) product,
     which rounds as ``np.linalg.norm`` does on one 3-vector.
     """
+    return _subdivide(subdivisions)
+
+
+@lru_cache(maxsize=4)
+def _cell_grid(subdivisions: int = 6) -> NDArray:
+    """``fundamental_domain(icosphere_vertices(subdivisions))``, bit for bit and
+    row for row, built from the faces that reach the T_h cell alone."""
+    pts = fundamental_domain(_subdivide(subdivisions, _reaches_cell))
+    pts.setflags(write=False)
+    return pts
+
+
+# how far below 0 a vertex's x, y, z - x or z - y must be to fail that
+# half-space: midpoints of failing vertices then fail it through rounding too
+_CELL_MARGIN = 1e-12
+
+
+def _reaches_cell(verts: NDArray, faces: NDArray) -> NDArray:
+    """Mask of the faces that may hold points of the T_h cell.
+
+    A face whose three vertices all fail one of the cell's half-spaces
+    (x >= 0, y >= 0, z >= x, z >= y) holds none, nor does any of its
+    descendants: their vertices lie in the cone of its own. So an edge whose
+    midpoint can be a cell point has both of its faces kept, and it is first
+    used where the whole sphere first uses it."""
+    x, y, z = verts.T
+    outside = np.stack([x, y, z - x, z - y], axis=1) < -_CELL_MARGIN
+    return ~outside[faces].all(axis=1).any(axis=1)
+
+
+def _subdivide(subdivisions: int, keep=None) -> NDArray:
+    """The vertices of the icosahedron subdivided ``subdivisions`` times,
+    splitting at each level only the faces that ``keep(verts, faces)`` (a
+    face mask) passes, or every face if ``keep`` is None.
+
+    Kept faces stay in the whole sphere's order (face f's children are
+    4f .. 4f + 3), and a new vertex is numbered on its edge's first use in
+    that order. A midpoint depends on its two endpoints alone, so every
+    vertex has the whole sphere's bits, and the vertices whose edges keep
+    both faces come in the whole sphere's row order.
+    """
     t = (1.0 + np.sqrt(5.0)) / 2.0
     verts = [
         [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
@@ -89,18 +134,21 @@ def icosphere_vertices(subdivisions: int = 6) -> NDArray:
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
     ], dtype=np.int64)
     for _ in range(subdivisions):
+        if keep is not None:
+            faces = faces[keep(verts, faces)]
         n = len(verts)
-        edges = np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1).reshape(-1, 2)
-        keys = edges.min(axis=1) * n + edges.max(axis=1)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # unique edges in order of first encounter
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        i, j = edges[first[order]].T
-        m = verts[i] + verts[j]
+        i, j = faces.ravel(), np.roll(faces, -1, axis=1).ravel()  # edges ab, bc, ca
+        keys = np.minimum(i, j) * n + np.maximum(i, j)
+        # a stable sort keeps each edge's uses in face order, its first use first
+        order = np.argsort(keys, kind="stable")
+        new = np.diff(keys[order], prepend=-1) != 0  # keys are >= 0
+        first = np.empty_like(order)  # where each edge is first used
+        first[order] = order[new][np.cumsum(new) - 1]
+        used = first == np.arange(first.size)  # new vertices, in order of first use
+        m = verts[i[used]] + verts[j[used]]
         norms = np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
         verts = np.concatenate([verts, m / norms])
-        ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+        ab, bc, ca = (n - 1 + np.cumsum(used)[first]).reshape(-1, 3).T
         a, b, c = faces.T
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
     verts.setflags(write=False)
@@ -124,7 +172,7 @@ def _solve(etas: NDArray) -> tuple[NDArray, NDArray]:
     if not np.all((0.0 < etas) & (etas < np.inf)):
         raise ValueError("eta must be positive")
     a = (np.pi / etas) * np.sqrt(3.0 / 8.0)
-    pts = fundamental_domain(icosphere_vertices())
+    pts = _cell_grid()
     dots = TETRAHEDRON_DIRECTIONS @ pts.T
     start = np.empty((len(etas), candidates), dtype=np.intp)
     # ranked by |S|^2 = (4 mu)^2 on dot products shared by every eta: through
@@ -149,10 +197,9 @@ def _solve(etas: NDArray) -> tuple[NDArray, NDArray]:
         # the chart's Euclidean Hessian minus (v . Euclidean gradient)
         hess = (-np.einsum("kip,kjp,kp->kij", proj, proj, b ** 2 * cos)
                 + (sin * phase).sum(axis=1)[:, None, None] * np.eye(2))
-        concave = ((hess[:, 0, 0] < 0) & (np.linalg.det(hess) > 0))[:, None]
-        newton = -np.linalg.solve(np.where(concave[..., None], hess, -np.eye(2)),
-                                  grad[..., None])[..., 0]
-        step = np.where(concave, newton, grad * gradient_rate)
+        step = grad * gradient_rate
+        concave, newton = _newton_step(hess, grad)
+        step[concave] = newton
         w = v + np.einsum("ki,kij->kj", step, chart)
         v = w / np.linalg.norm(w, axis=1, keepdims=True)
         if np.abs(step).max() < 1e-13:
@@ -163,15 +210,27 @@ def _solve(etas: NDArray) -> tuple[NDArray, NDArray]:
     return mu[rows, best], cand[rows, best]
 
 
+def _newton_step(hess: NDArray, grad: NDArray) -> tuple[NDArray, NDArray]:
+    """The rows whose 2 x 2 ``hess`` is negative definite (h00 < 0, det > 0),
+    and on those rows the Newton step ``-hess^-1 grad``, in closed form."""
+    det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
+    concave = (hess[:, 0, 0] < 0) & (det > 0)
+    (h00, h01), (h10, h11) = hess[concave].transpose(1, 2, 0)
+    g0, g1 = grad[concave].T
+    newton = -np.stack([h11 * g0 - h01 * g1, h00 * g1 - h10 * g0], axis=1) / det[concave, None]
+    return concave, newton
+
+
 def mu_star(eta: float) -> tuple[float, NDArray]:
     """Global maximum of the tetrahedral correlation over all orientations,
     and a maximising transverse direction.
 
-    The 40,962-point icosphere grid is scanned on its 1,739 points in the
-    T_h cell ``0 <= x <= z, 0 <= y <= z`` (see ``fundamental_domain``); every
-    other grid point is a symmetric copy of one of them, with the same value.
-    The best cell points, so no two symmetric copies of one basin, start a
-    Riemannian Newton ascent on the unit sphere (gradient steps where the
+    The grid is the 1,739 points of the 40,962-point icosphere in the T_h
+    cell ``0 <= x <= z, 0 <= y <= z`` (see ``fundamental_domain``), built
+    without the rest of the sphere: every other icosphere point is a
+    symmetric copy of one of them, with the same value. The best cell points,
+    so no two symmetric copies of one basin, start a Riemannian Newton ascent
+    on the unit sphere (closed-form 2 x 2 steps; gradient steps where the
     tangent Hessian is not negative definite). No value falls below the grid
     maximum, and as the grid pitch is far below the objective's angular scale
     (~eta / 2 rad), the best cells bracket the global basin.
@@ -228,9 +287,9 @@ class MuStarCurve:
                    for eta, val in zip(self.etas[mask], self.values[mask])))
 
 
-def compute_mu_star_curve(eta_start: float = ETA_START, eta_stop: float = ETA_STOP,
-                          step: float = ETA_STEP) -> MuStarCurve:
-    """Evaluate ``mu*`` on a regular eta grid (plus the pentagon extension)."""
+def check_eta_grid(eta_start: float, eta_stop: float, step: float) -> NDArray:
+    """Check a ``compute_mu_star_curve`` grid; return its etas, the pentagon
+    extension below ``eta_start`` included."""
     for name, value in (("eta_start", eta_start), ("eta_stop", eta_stop), ("eta step", step)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -243,6 +302,13 @@ def compute_mu_star_curve(eta_start: float = ETA_START, eta_stop: float = ETA_ST
     etas = eta_start + step * np.arange(-n_below, np.floor((eta_stop - eta_start) / step) + 1)
     if etas[0] <= 0:
         raise ValueError(f"eta step {step:g} extends the grid to eta = {etas[0]:g} <= 0")
+    return etas
+
+
+def compute_mu_star_curve(eta_start: float = ETA_START, eta_stop: float = ETA_STOP,
+                          step: float = ETA_STEP) -> MuStarCurve:
+    """Evaluate ``mu*`` on a regular eta grid (plus the pentagon extension)."""
+    etas = check_eta_grid(eta_start, eta_stop, step)
     values, dirs = _solve(etas)
     return MuStarCurve(etas=etas, values=values, directions=dirs, export_from=eta_start)
 

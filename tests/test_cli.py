@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import losmimo
+from losmimo import orientation
 from losmimo.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -584,10 +585,11 @@ class TestCurves:
         assert (out / "plot_curves.py").exists()
 
     @pytest.mark.parametrize("flag,value", [("step", "0.3"), ("step", "0"), ("step", "-0.1"),
-                                            ("step", "nan"), ("step", "inf"), ("stop", "inf"),
-                                            ("stop", "nan"), ("start", "inf"), ("start", "nan")],
-                             ids=["0.3", "0", "-0.1", "nan", "inf", "stop-inf", "stop-nan",
-                                  "start-inf", "start-nan"])
+                                            ("step", "-0.01"), ("step", "nan"), ("step", "inf"),
+                                            ("stop", "inf"), ("stop", "nan"), ("start", "inf"),
+                                            ("start", "nan")],
+                             ids=["0.3", "0", "-0.1", "-0.01", "nan", "inf", "stop-inf",
+                                  "stop-nan", "start-inf", "start-nan"])
     def test_bad_eta_step_is_config_error(self, tmp_path, flag, value):
         # 0.3 extends the pentagon grid below eta_start = 0.3 down to eta = 0;
         # an infinite step used to write a header alone (design: exit 4), and
@@ -601,6 +603,7 @@ class TestCurves:
         else:
             assert manifest["error"].startswith("eta step")
         assert not (out / "mu_star_curve.csv").exists()
+        assert "mu_star_curve" not in manifest  # checked before the build
         if flag != "step":
             return      # a design config has only an eta_step
         cfg = write_config(tmp_path, {
@@ -609,6 +612,51 @@ class TestCurves:
         out = tmp_path / "design"
         assert main(["design", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert not (out / "design_report.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "config-error" and "mu_star_curve" not in manifest
+
+
+class TestMuStarBuild:
+    """``design`` and ``curves`` build the mu* curve outside the config-error
+    handlers (their eta grids are checked in ``TestCurves``) and record the
+    build in the manifest."""
+
+    DESIGN = {"mu_max": 0.6667, "wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25,
+              "tx_kind": "triangle", "eta_step": 0.05}
+
+    def run(self, tmp_path, command):
+        out = tmp_path / command
+        argv = (["design", "--config", write_config(tmp_path, self.DESIGN)] if command == "design"
+                else ["curves", "--eta-start", "0.9", "--eta-stop", "1.5", "--eta-step", "0.1"])
+        code = main(argv + ["--out", str(out)])
+        return code, json.loads((out / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("command", ["design", "curves"])
+    def test_solver_failure_is_runtime_failure(self, tmp_path, monkeypatch, command):
+        def fail(etas):
+            raise ValueError("solver failed")
+
+        monkeypatch.setattr(orientation, "_solve", fail)
+        code, manifest = self.run(tmp_path, command)
+        assert code == EXIT_RUNTIME
+        assert manifest["status"] == "error"
+        assert manifest["error"] == "ValueError: solver failed"
+
+    def test_curves_manifest_records_the_build(self, tmp_path):
+        code, manifest = self.run(tmp_path, "curves")
+        assert code == EXIT_OK
+        record = manifest["mu_star_curve"]
+        # 0.9 .. 1.5 in 0.1 steps, and 0.6, 0.7, 0.8 for the pentagon branch
+        assert (record["etas"], record["grid_points"]) == (10, 1739)
+        assert record["build_s"] >= 0.0
+
+    def test_bundled_pentagon_recipe_records_the_build(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["design", "--config", "design_pentagon", "--out", str(out)]) == EXIT_OK
+        record = json.loads((out / "manifest.json").read_text())["mu_star_curve"]
+        assert set(record) == {"etas", "grid_points", "build_s"}
+        assert (record["etas"], record["grid_points"]) == (283, 1739)
+        assert isinstance(record["build_s"], float) and record["build_s"] >= 0.0
 
 
 class TestDensity:

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
+from losmimo import orientation
 from losmimo.channel import mu_model, reduce_channel
 from losmimo.geometry import TETRAHEDRON_DIRECTIONS, _fibonacci_sphere, make_layout, uniform_rotation
 from losmimo.orientation import (
@@ -176,6 +177,78 @@ class TestIcosphere:
         mu = mu_of_direction(eta, pts)
         for g in T_H:
             np.testing.assert_allclose(mu_of_direction(eta, pts @ g.T), mu, rtol=0, atol=atol)
+
+
+class TestCellGrid:
+    """The solver's grid is built from the faces that reach the T_h cell alone,
+    but must be the full sphere's cell points, bit for bit and row for row."""
+
+    @pytest.mark.parametrize("subdivisions", range(7))
+    def test_is_the_full_spheres_cell(self, subdivisions):
+        cell = orientation._cell_grid(subdivisions)
+        full = fundamental_domain(icosphere_vertices(subdivisions))
+        assert np.array_equal(cell, full)
+        assert not cell.flags.writeable
+
+    def test_default_is_six_subdivisions(self):
+        assert np.array_equal(orientation._cell_grid(), orientation._cell_grid(6))
+        assert len(orientation._cell_grid()) == 1739
+
+    def test_solver_builds_no_full_sphere(self, monkeypatch):
+        def full_sphere(*args, **kwargs):
+            raise AssertionError("the solver built the full icosphere")
+
+        expected = compute_mu_star_curve(step=0.05).values, mu_star(1.0)[0]
+        monkeypatch.setattr(orientation, "icosphere_vertices", full_sphere)
+        orientation._cell_grid.cache_clear()
+        curve = compute_mu_star_curve(step=0.05)
+        assert np.array_equal(curve.values, expected[0])
+        assert mu_star(1.0)[0] == expected[1]
+
+
+class TestNewtonStep:
+    """The closed-form 2 x 2 Newton step against LAPACK's det and solve."""
+
+    @staticmethod
+    def hessians(rng, n, kind):
+        # symmetric, with eigenvalues set by kind, in a random rotation
+        scale = rng.uniform(0.1, 1e3, n)
+        low = -scale * rng.uniform(0.1, 1.0, n)
+        high = {"concave": -scale * rng.uniform(0.1, 1.0, n),
+                "indefinite": scale * rng.uniform(0.1, 1.0, n),
+                # det within about 1e-16 .. 1e-8 of the scale squared, either sign
+                "singular": scale * rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-16, -8, n)
+                }[kind]
+        angle = rng.uniform(0.0, 2.0 * np.pi, n)
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+        hess = np.einsum("kij,kj,klj->kil", rot, np.stack([low, high], axis=1), rot)
+        return 0.5 * (hess + hess.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("kind", ["concave", "indefinite", "singular"])
+    def test_matches_lapack(self, kind):
+        rng = np.random.default_rng(["concave", "indefinite", "singular"].index(kind))
+        hess = self.hessians(rng, 2_000, kind)
+        grad = rng.standard_normal((2_000, 2))
+        concave, newton = orientation._newton_step(hess, grad)
+        det = np.linalg.det(hess)
+        lapack = (hess[:, 0, 0] < 0) & (det > 0)
+        # the decisions agree wherever det is clear of rounding
+        clear = np.abs(det) > 1e-12 * np.abs(hess).max(axis=(1, 2)) ** 2
+        assert clear.any()
+        assert np.array_equal(concave[clear], lapack[clear])
+        assert {"concave": concave.all(), "indefinite": not concave.any(),
+                "singular": (~clear).any() and concave[clear].any()}[kind]
+        # the steps agree wherever the Hessian is well conditioned
+        both = concave & lapack & (np.abs(det) > 1e-2 * np.abs(hess).max(axis=(1, 2)) ** 2)
+        if kind == "concave":
+            assert both.all()
+        reference = -np.linalg.solve(hess[both], grad[both][..., None])[..., 0]
+        np.testing.assert_allclose(newton[both[concave]], reference, rtol=1e-12, atol=0)
+
+    def test_empty_when_no_row_is_concave(self):
+        concave, newton = orientation._newton_step(np.eye(2)[None].repeat(3, 0), np.ones((3, 2)))
+        assert not concave.any() and newton.shape == (0, 2)
 
 
 class TestMuStar:
