@@ -218,5 +218,10 @@ def difference_spectrum(codebook: Codebook) -> DiffSpectrum:
     a = np.sum(np.abs(d[:, 0, :]) ** 2, axis=1)
     b = np.sum(np.abs(d[:, 1, :]) ** 2, axis=1)
     c = np.abs(np.sum(np.conj(d[:, 0, :]) * d[:, 1, :], axis=1))
-    triples = np.unique(np.round(np.column_stack([a, b, c]), 9), axis=0)
-    return DiffSpectrum(triples=triples)
+    t = np.round(np.column_stack([a, b, c]), 9)
+    # the sorted distinct rows of np.unique(t, axis=0), without the numpy.ma
+    # import that its first call in a process costs
+    t = t[np.lexsort(t.T[::-1])]
+    distinct = np.ones(len(t), dtype=bool)
+    distinct[1:] = np.any(t[1:] != t[:-1], axis=1)
+    return DiffSpectrum(triples=t[distinct])

@@ -1,6 +1,13 @@
 """Antenna array geometry: layouts, random 3-D rotations, antenna placement
 and transmit-receive distances.
 
+One routine places every array: ``place`` sums each antenna's coordinates on
+the axes its layout occupies (``ArrayLayout.axes``) times the rotation columns
+of those axes. The Monte-Carlo engine hands it columns of whole rotation
+matrices, ``joint_density`` only the columns it builds (``rotation_columns``),
+and ``place_antennas`` the columns of its one matrix pair, so all three give
+the same positions bit for bit.
+
 Global frame conventions. For one ``LinkScenario`` (``place_antennas``), the
 two transmit antennas lie on the z-axis at ``(0, 0, +/- d_t/2)`` when the
 transmit rotation is the identity, and the receive array centroid lies in the
@@ -31,7 +38,7 @@ __all__ = [
     "quaternion_rotations",
     "rotation_columns",
     "uniform_rotation",
-    "place_arrays",
+    "place",
     "place_antennas",
     "link_distances",
     "exact_distances",
@@ -45,8 +52,6 @@ __all__ = [
 # links per piece of rotation sampling, placement and distances: a piece's
 # temporaries stay in cache
 PLACE_COLS = 4096
-# OpenBLAS runs a GEMM of at most this many multiply-adds on the calling thread
-BLAS_SERIAL_MADDS = 2 ** 18
 
 LAYOUT_KINDS = ("ula", "ura", "tetrahedron", "triangle", "pentagon", "spherical-code")
 # the simulated links run along +x: the receive centroid sits at R LINK_DIRECTION,
@@ -121,6 +126,13 @@ class ArrayLayout:
     def positions(self) -> NDArray:
         """Antenna positions (n, 3) in the layout's own frame."""
         return self.radii[:, None] * self.directions
+
+    @property
+    def axes(self) -> NDArray:
+        """The coordinate axes, in order, on which some antenna lies off the
+        centroid (z for a ULA, y and z for a URA, none for one antenna): the
+        rotation columns that ``place`` reads."""
+        return np.flatnonzero(self.positions.any(axis=0))
 
 
 def _from_positions(kind: str, pos: NDArray, spacing: float) -> ArrayLayout:
@@ -289,8 +301,8 @@ def rotation_columns(q: NDArray, axes: Sequence[int]) -> NDArray:
     """Columns ``axes`` of the rotations of the quaternions ``q`` (m, 4), as a
     C-contiguous (len(axes), 3, m) array: ``out[k, i, l]`` is entry
     ``(i, axes[k])`` of rotation l, with the bits ``quaternion_rotations``
-    gives it. A layout whose antennas occupy only the coordinate axes
-    ``axes`` is placed by these columns alone."""
+    gives it: ``place`` places a layout from its columns on ``layout.axes``
+    alone."""
     out = np.empty((len(axes), 3, len(q)))
     _rotation_columns(q, axes, out)
     return out
@@ -369,42 +381,32 @@ class LinkScenario:
                 "far-field approximations degrade", stacklevel=2)
 
 
-def place_arrays(tx_layout: ArrayLayout, rx_layout: ArrayLayout, u_tx: NDArray,
-                 u_rx: NDArray, r_link: NDArray, axis: NDArray) -> tuple[NDArray, NDArray]:
-    """Global-frame positions of n links, coordinate-major: tx (3, n_t, n) and
-    rx (3, n_r, n).
+def place(layout: ArrayLayout, columns: NDArray) -> NDArray:
+    """Coordinate-major (3, n_ant, m) positions of ``layout`` under m rotations
+    about its centroid, given by their columns on ``layout.axes``:
+    ``columns[k, i, l]`` is entry ``(i, layout.axes[k])`` of rotation l, as
+    ``rotation_columns(q, layout.axes)`` and ``u.T[layout.axes]`` of (m, 3, 3)
+    rotations ``u`` give it.
 
-    ``u_tx`` and ``u_rx`` (n, 3, 3) rotate the arrays about their centroids;
-    the receive centroid lies ``r_link`` (n,) along the unit vector ``axis``."""
-    rx = _rotate(rx_layout.positions, u_rx)
-    rx += np.multiply.outer(axis, r_link)[:, None]
-    return _rotate(tx_layout.positions, u_tx), rx
-
-
-def _rotate(positions: NDArray, u: NDArray) -> NDArray:
-    """``out[i, m, l] = sum_j u[l, i, j] positions[m, j]``, coordinate-major.
-
-    One real GEMM per piece of links, (n_ant x 3) @ (3 x 3 links), whose right
-    factor is a view of ``u``. Each sum runs over j in order, as the
-    per-link product did. With 3 columns per link no product has a single
-    column, which NumPy would hand to a matrix-vector routine that rounds
-    differently, so one link gets the bits it gets in a batch."""
-    n_ant, n = len(positions), len(u)
-    out = np.empty((3, n_ant, n))
-    # a piece takes 9 n_ant multiply-adds per link and starts no BLAS threads
-    step = min(PLACE_COLS, BLAS_SERIAL_MADDS // (9 * n_ant))
-    for s in range(0, n, step):
-        prod = np.matmul(positions, u[s:s + step].transpose(2, 0, 1).reshape(3, -1))
-        out[:, :, s:s + step] = prod.reshape(n_ant, -1, 3).transpose(2, 0, 1)
+    Each position is the antenna's coordinates on those axes times their
+    columns, summed in axis order; on one axis (a ULA) it is one exact product.
+    Each axis adds its term to all antennas of a ``PLACE_COLS``-link piece at
+    once."""
+    out = np.zeros((3, layout.n, columns.shape[-1]))
+    coords = layout.positions[:, layout.axes, None].swapaxes(0, 1)   # (axes, n_ant, 1)
+    for s in range(0, out.shape[-1], PLACE_COLS):
+        piece = out[..., s:s + PLACE_COLS]
+        for column, c in zip(columns[:, :, None, s:s + PLACE_COLS], coords):
+            piece += column * c
     return out
 
 
 def place_antennas(scenario: LinkScenario) -> tuple[NDArray, NDArray]:
-    """Global-frame antenna positions (tx (n_t, 3), rx (n_r, 3)) of one link."""
-    tx, rx = place_arrays(scenario.tx_layout, scenario.rx_layout, scenario.U_tx[None],
-                          scenario.U_rx[None], np.array([scenario.R], dtype=float),
-                          link_axis(scenario.beta))
-    return tx[:, :, 0].T, rx[:, :, 0].T
+    """Global-frame antenna positions (tx (n_t, 3), rx (n_r, 3)) of one link:
+    ``place`` of a batch of one."""
+    tx, rx = (place(layout, u.T[layout.axes, :, None])[:, :, 0].T for layout, u in
+              ((scenario.tx_layout, scenario.U_tx), (scenario.rx_layout, scenario.U_rx)))
+    return tx, rx + scenario.R * link_axis(scenario.beta)
 
 
 def link_distances(tx: NDArray, rx: NDArray) -> NDArray:

@@ -29,8 +29,8 @@ from ._csv import write_csv
 from .channel import _phasors, los_channel
 from .codes import Codebook, build_codebook
 from .design import select_tx_pair
-from .geometry import (LINK_DIRECTION, PLACE_COLS, ArrayLayout, LinkSpec, link_distances,
-                       place_arrays, rotation_columns, rotation_normals, uniform_rotation)
+from .geometry import (LINK_DIRECTION, PLACE_COLS, LinkSpec, link_distances, place,
+                       rotation_columns, rotation_normals, uniform_rotation)
 
 __all__ = [
     "ChannelLaw",
@@ -116,7 +116,9 @@ class ChannelLaw:
             r_link = np.full(n, self.distance)
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
-        tx, rx = place_arrays(link.tx, link.rx, u_tx, u_rx, r_link, LINK_DIRECTION)
+        tx = place(link.tx, u_tx.T[link.tx.axes])
+        rx = place(link.rx, u_rx.T[link.rx.axes])
+        rx += np.multiply.outer(LINK_DIRECTION, r_link)[:, None]
         if link.tx.n > 2:
             pair = select_tx_pair(link.tx, u_tx).pair
             tx = tx[:, pair.T, np.arange(n)]
@@ -658,38 +660,15 @@ def _density_piece(link: LinkSpec, r_link: float, q_tx: NDArray, q_rx: NDArray,
     """Write theta_mu and mu, clipped to [0, 1], of the block's samples
     ``start`` to ``start + DENSITY_PIECE`` into ``theta`` and ``mu``.
 
-    No (3, 3) rotation is built and no GEMM runs: ``_placed`` places each
-    array from the rotation columns of the axes its antennas occupy (z for a
-    ULA, y and z for a URA), and the receive centroid lies ``r_link`` along
-    ``LINK_DIRECTION``, as in ``place_arrays``."""
+    No (3, 3) rotation is built: each array is placed from the rotation
+    columns of the axes its antennas occupy (z for a ULA, y and z for a URA),
+    and the receive centroid lies ``r_link`` along ``LINK_DIRECTION``."""
     s = slice(start, start + DENSITY_PIECE)
-    rx = _placed(link.rx, q_rx[s])
+    rx = place(link.rx, rotation_columns(q_rx[s], link.rx.axes))
     rx += (r_link * LINK_DIRECTION)[:, None, None]
-    dist = link_distances(_placed(link.tx, q_tx[s]), rx)
+    dist = link_distances(place(link.tx, rotation_columns(q_tx[s], link.tx.axes)), rx)
     # column inner product of the unit-modulus channel, summed over C-ordered
     # (m, n_r) rows: the order of a reduction depends on the layout
     inner = _phasors((dist[:, 1] - dist[:, 0]).T, link.wavelength).sum(axis=1)
     np.clip(np.abs(inner) / link.rx.n, 0.0, 1.0, out=mu[s])
     np.mod(np.angle(inner), 2.0 * np.pi, out=theta[s])
-
-
-def _placed(layout: ArrayLayout, q: NDArray) -> NDArray:
-    """Coordinate-major (3, n_ant, m) positions of ``layout`` under the
-    rotations of the quaternions ``q`` (m, 4): each antenna's coordinates along
-    the axes its layout occupies times the rotation columns of those axes,
-    summed in axis order.
-
-    On a single axis (a ULA) each position is one exact product, the bits
-    ``place_arrays`` gives; a URA's two-term sum can differ from that GEMM's
-    rounding in a position's last ulp."""
-    pos = layout.positions
-    axes = np.flatnonzero(pos.any(axis=0))
-    if not len(axes):
-        return np.zeros((3, layout.n, len(q)))     # one antenna, at the centroid
-    first, *rest = rotation_columns(q, axes)
-    out = np.empty((3, layout.n, len(q)))
-    for m, (p, *ps) in enumerate(pos[:, axes]):
-        np.multiply(first, p, out=out[:, m])
-        for column, pj in zip(rest, ps):
-            out[:, m] += column * pj
-    return out

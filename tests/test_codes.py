@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import losmimo
 
 from losmimo.codes import (
     SCHEMES,
@@ -126,6 +133,33 @@ class TestDifferenceSpectrum:
         spec = difference_spectrum(sm)
         d1 = spec.triples[:, 0] + spec.triples[:, 1] - 2 * spec.triples[:, 2]
         assert d1.min() == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
+    def test_rows_and_order_of_np_unique(self, scheme):
+        cw = build_codebook(scheme).codewords
+        d = (cw[:, None] - cw[None, :]).reshape(-1, 2, cw.shape[2])
+        d = d[np.abs(d).sum(axis=(1, 2)) > 1e-12]
+        a, b = (np.sum(np.abs(d[:, k]) ** 2, axis=1) for k in (0, 1))
+        c = np.abs(np.sum(np.conj(d[:, 0]) * d[:, 1], axis=1))
+        ref = np.unique(np.round(np.column_stack([a, b, c]), 9), axis=0)
+        assert np.array_equal(difference_spectrum(build_codebook(scheme)).triples, ref)
+
+    def test_gain_imports_no_numpy_ma(self, tmp_path):
+        # np.unique(axis=0) imports numpy.ma, about 15 ms, on its first call
+        # in a process; the gain subcommand needs no masked array
+        code = f"""if True:
+            import sys
+            from losmimo.cli import main
+            assert "numpy.ma" not in sys.modules
+            assert main(["gain", "all", "--mu-step", "0.25", "--out", {str(tmp_path)!r}]) == 0
+            print("numpy.ma" in sys.modules)
+        """
+        src = str(Path(losmimo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.split()[-1] == "False"
 
     def test_cauchy_schwarz(self, sm, golden, simo):
         for cb in (sm, golden, simo):

@@ -9,6 +9,7 @@ from losmimo.geometry import (
     LinkScenario,
     LinkSpec,
     approx_path_difference,
+    link_axis,
     transverse_axis,
     exact_distances,
     is_rotation,
@@ -16,7 +17,7 @@ from losmimo.geometry import (
     make_layout,
     place_antennas,
     PLACE_COLS,
-    place_arrays,
+    place,
     quaternion_rotations,
     rotation_columns,
     uniform_rotation,
@@ -186,6 +187,24 @@ class TestUniformRotation:
         assert stat.pvalue > 0.01
 
 
+PLACEMENT_LAYOUTS = {
+    "ula": make_layout("ula", 2, 0.145), "ula-1": make_layout("ula", 1, 0.145),
+    "ura": make_layout("ura", 4, 0.145), "triangle": make_layout("triangle", spacing=0.06),
+    "pentagon": make_layout("pentagon", spacing=0.06),
+    "tetrahedron": make_layout("tetrahedron", spacing=0.25),
+    "spherical-code": make_layout("spherical-code", 6, 0.145),
+}
+
+
+def per_axis_positions(layout, u):
+    """(n, n_ant, 3) positions of ``layout`` under the rotations ``u`` (n, 3, 3):
+    each antenna's coordinate on axis j times column j of its link's rotation,
+    summed over j in order. A coordinate of 0 adds an exact 0, so this is the
+    sum over the axes the layout occupies."""
+    pos = layout.positions
+    return sum(pos[None, :, j, None] * u[:, None, :, j] for j in range(3))
+
+
 class TestPlacement:
     def _scenario(self, beta=0.0, R=10.0, rx_kind="tetrahedron", **kw):
         tx = make_layout("ula", 2, 0.145)
@@ -209,61 +228,77 @@ class TestPlacement:
         _, rx = place_antennas(self._scenario(beta=np.pi / 2))
         np.testing.assert_allclose(rx.mean(axis=0), [0, 0, 10], atol=1e-9)
 
-    def test_place_arrays_matches_einsum_reference(self):
-        # a matrix product, not einsum: equal up to rounding, not bit for bit
-        tx_lay = make_layout("pentagon", spacing=0.06)
-        rx_lay = make_layout("tetrahedron", spacing=0.25)
+    def test_place_matches_einsum_reference(self):
+        # einsum sums each coordinate in its own order: equal up to rounding,
+        # not bit for bit
         rng = np.random.default_rng(12)
-        u_tx, u_rx = uniform_rotation(rng, 20_000), uniform_rotation(rng, 20_000)
-        r_link = rng.uniform(4.43, 12.7, 20_000)
-        axis = np.array([np.cos(0.3), 0.0, np.sin(0.3)])
-        tx, rx = place_arrays(tx_lay, rx_lay, u_tx, u_rx, r_link, axis)
-        ref_tx = np.einsum("nij,mj->imn", u_tx, tx_lay.positions)
-        ref_rx = axis[:, None, None] * r_link + np.einsum("nij,mj->imn", u_rx, rx_lay.positions)
-        for got, ref in ((tx, ref_tx), (rx, ref_rx)):
+        for lay in (make_layout("pentagon", spacing=0.06), make_layout("tetrahedron", spacing=0.25)):
+            u = uniform_rotation(rng, 20_000)
+            got = place(lay, u.T[lay.axes])
+            ref = np.einsum("nij,mj->imn", u, lay.positions)
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
     @pytest.mark.parametrize("tilted", [False, True])
     @pytest.mark.parametrize("kinds", [("ula", "ula"), ("ula", "ura"),
-                                       ("pentagon", "tetrahedron"), ("triangle", "ura")])
+                                       ("pentagon", "tetrahedron"), ("triangle", "ura"),
+                                       ("ula", "ula-1"), ("triangle", "spherical-code")])
     def test_bit_identical_to_per_link_reference(self, kinds, tilted):
-        # the per-link product and norm that placement and distances replace;
-        # every BER and density CSV hangs on these bits. 10,000 links span
-        # three GEMM pieces, the last one partial
-        layouts = {"ula": make_layout("ula", 2, 0.145), "ura": make_layout("ura", 4, 0.145),
-                   "triangle": make_layout("triangle", spacing=0.06),
-                   "pentagon": make_layout("pentagon", spacing=0.06),
-                   "tetrahedron": make_layout("tetrahedron", spacing=0.25)}
-        tx_lay, rx_lay = (layouts[k] for k in kinds)
+        # each antenna's coordinate on each axis times that column of its
+        # link's rotation, summed in axis order, then the per-link norm; every
+        # BER and density CSV hangs on these bits. 10,000 links span three
+        # pieces of rotations and distances, the last one partial
+        tx_lay, rx_lay = (PLACEMENT_LAYOUTS[k] for k in kinds)
         rng = np.random.default_rng(31)
         n = 10_000
         u_tx, u_rx = uniform_rotation(rng, n), uniform_rotation(rng, n)
         r_link = rng.uniform(4.43, 12.7, n)
         axis = np.array([2.0, -1.0, 3.0]) / np.sqrt(14.0) if tilted else LINK_DIRECTION
-        ref_tx = np.matmul(u_tx, tx_lay.positions.T).swapaxes(-1, -2)
-        ref_rx = (r_link[:, None, None] * axis
-                  + np.matmul(u_rx, rx_lay.positions.T).swapaxes(-1, -2))
+        ref_tx, ref_rot = per_axis_positions(tx_lay, u_tx), per_axis_positions(rx_lay, u_rx)
+        ref_rx = r_link[:, None, None] * axis + ref_rot
         ref = np.linalg.norm(ref_rx[:, :, None, :] - ref_tx[:, None, :, :], axis=-1)
-        tx, rx = place_arrays(tx_lay, rx_lay, u_tx, u_rx, r_link, axis)
+        tx = place(tx_lay, u_tx.T[tx_lay.axes])
+        rx = place(rx_lay, u_rx.T[rx_lay.axes])
+        rx += np.multiply.outer(axis, r_link)[:, None]
         assert np.array_equal(tx, ref_tx.transpose(2, 1, 0))
         assert np.array_equal(rx, ref_rx.transpose(2, 1, 0))
         assert np.array_equal(link_distances(tx, rx), ref.transpose(1, 2, 0))
         assert np.array_equal(exact_distances(ref_tx, ref_rx), ref)
+        # the scalar API is a batch of one; its receive centroid lies in the x-z plane
+        beta = 0.3 if tilted else 0.0
+        for i in range(0, n, 97):
+            sc = LinkScenario(R=r_link[i], beta=beta, tx_layout=tx_lay, rx_layout=rx_lay,
+                              U_tx=u_tx[i], U_rx=u_rx[i])
+            tx_pos, rx_pos = place_antennas(sc)
+            assert np.array_equal(tx_pos, ref_tx[i])
+            assert np.array_equal(rx_pos, ref_rot[i] + r_link[i] * link_axis(beta))
+
+    @pytest.mark.parametrize("kind", sorted(PLACEMENT_LAYOUTS))
+    def test_columns_place_as_whole_rotations(self, kind):
+        # the density pieces build only the columns, the BER engine whole
+        # matrices: both place an array with the same bits
+        lay = PLACEMENT_LAYOUTS[kind]
+        q = np.random.default_rng(5).standard_normal((2 * PLACE_COLS + 17, 4))
+        assert np.array_equal(place(lay, quaternion_rotations(q).T[lay.axes]),
+                              place(lay, rotation_columns(q, lay.axes)))
 
     @pytest.mark.parametrize("n_rx", [4, 16])
     def test_starts_no_blas_threads(self, n_rx):
-        # one product over all links would make OpenBLAS run extra threads,
-        # which spin after each call; the pieces, smaller for 16 antennas, do not
+        # placement runs on the calling thread alone: a BLAS call over all
+        # links would start threads, which spin after each call
         tx_lay, rx_lay = make_layout("ula", 2, 0.06), make_layout("ura", n_rx, 0.05)
         rng = np.random.default_rng(2)
         u_tx, u_rx = uniform_rotation(rng, 100_000), uniform_rotation(rng, 100_000)
-        r_link = np.full(100_000, 10.0)
-        place_arrays(tx_lay, rx_lay, u_tx, u_rx, r_link, LINK_DIRECTION)
+
+        def place_both():
+            place(tx_lay, u_tx.T[tx_lay.axes])
+            place(rx_lay, u_rx.T[rx_lay.axes])
+
+        place_both()
         time.sleep(0.5)   # BLAS threads an earlier test left spinning go idle
         cpu, wall = time.process_time(), time.perf_counter()
         for _ in range(10):
-            place_arrays(tx_lay, rx_lay, u_tx, u_rx, r_link, LINK_DIRECTION)
+            place_both()
         assert time.process_time() - cpu < 1.3 * (time.perf_counter() - wall)
 
     def test_near_field_warning(self):

@@ -29,7 +29,6 @@ from losmimo.geometry import (
     link_distances,
     make_layout,
     place_antennas,
-    place_arrays,
     quaternion_rotations,
     rotation_normals,
     uniform_rotation,
@@ -798,6 +797,15 @@ def density_law(rx_kind):
     return law("ula", rx_kind, 2 if rx_kind == "ula" else 4, 10.0, d_t=0.145, d_r=0.145)
 
 
+def whole_matrix_positions(link, u_tx, u_rx, r_link):
+    """Coordinate-major tx (3, n_t, n) and rx (3, n_r, n) positions of links
+    along ``LINK_DIRECTION`` from whole rotation matrices (n, 3, 3), each
+    rotated by ``np.matmul``."""
+    tx, rx = (np.matmul(u, layout.positions.T).transpose(1, 2, 0)
+              for layout, u in ((link.tx, u_tx), (link.rx, u_rx)))
+    return tx, rx + (r_link * LINK_DIRECTION)[:, None, None]
+
+
 @functools.cache
 def whole_block_counts(rx_kind, samples, seed, bins=25):
     """joint_density's counts from its whole-block loop, before blocks ran in
@@ -811,8 +819,7 @@ def whole_block_counts(rx_kind, samples, seed, bins=25):
         n = min(DENSITY_BLOCK, samples - start)
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
-        dist = link_distances(*place_arrays(link.tx, link.rx, u_tx, u_rx,
-                                            np.full(n, 10.0), LINK_DIRECTION))
+        dist = link_distances(*whole_matrix_positions(link, u_tx, u_rx, 10.0))
         diff = np.ascontiguousarray((dist[:, 1] - dist[:, 0]).T)
         inner = np.exp(2j * np.pi * diff / link.wavelength).sum(axis=1)
         mu = np.abs(inner) / link.rx.n
@@ -824,11 +831,10 @@ def whole_block_counts(rx_kind, samples, seed, bins=25):
 
 def full_matrix_piece(link, r_link, q_tx, q_rx):
     """(theta_mu, mu) of a density piece from whole rotation matrices placed by
-    ``place_arrays``' GEMM: the reference for the pieces, which place each
-    array from the rotation columns of its axes alone."""
+    ``np.matmul``: the reference for the pieces, which place each array from
+    the rotation columns of its axes alone."""
     u_tx, u_rx = quaternion_rotations(q_tx), quaternion_rotations(q_rx)
-    dist = link_distances(*place_arrays(link.tx, link.rx, u_tx, u_rx,
-                                        np.full(len(u_tx), r_link), LINK_DIRECTION))
+    dist = link_distances(*whole_matrix_positions(link, u_tx, u_rx, r_link))
     inner = _phasors((dist[:, 1] - dist[:, 0]).T, link.wavelength).sum(axis=1)
     return np.mod(np.angle(inner), 2.0 * np.pi), np.clip(np.abs(inner) / link.rx.n, 0.0, 1.0)
 
@@ -893,7 +899,7 @@ class TestJointDensity:
     @pytest.mark.parametrize("rx_kind", ["ula", "ura"])
     def test_piece_matches_full_matrix_placement(self, rx_kind):
         # a ULA's positions are exact products either way; a URA's two-term
-        # sum may round its last ulp differently from the GEMM's
+        # sum may round its last ulp differently from np.matmul's
         link = density_law(rx_kind).link
         rng = np.random.default_rng([12])
         n = 2 * DENSITY_PIECE + 5
