@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
-import multiprocessing
 import sys
 import time
 from contextlib import contextmanager
@@ -32,7 +31,7 @@ from .geometry import LinkSpec, make_layout
 from .metrics import coding_gain
 from .montecarlo import (ChannelLaw, SimConfig, channel_groups, check_campaign,
                          check_density_inputs, check_distance, check_seed, joint_density,
-                         run_ber, task_threads)
+                         run_ber, task_processes, task_threads)
 from .orientation import (ETA_START, ETA_STEP, ETA_STOP, _cell_grid, check_eta_grid,
                           compute_mu_star_curve)
 
@@ -300,18 +299,10 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
             sims.append(SimConfig(scheme=run["scheme"],
                                   law=ChannelLaw(link, distance, run["ideal_channel"]), **shared))
     manifest.data["shared_channels"] = [[names[i] for i in g] for g in channel_groups(sims)]
-    # every run is checked before the first one starts; they run in one call,
-    # on one pool or on this process's threads
-    pool = multiprocessing.Pool(workers) if workers > 1 else None
-    manifest.data["processes"] = workers
-    manifest.data["threads_per_process"] = task_threads(sims, pool)
-    try:
-        curves = run_ber(sims, pool)
-    finally:
-        if pool is not None:
-            # close and join: terminating a pool with queued work can deadlock
-            pool.close()
-            pool.join()
+    # every run is checked before the first one starts; they run in one call
+    manifest.data["processes"] = task_processes(sims, workers)
+    manifest.data["threads_per_process"] = task_threads(sims, workers)
+    curves = run_ber(sims, workers)
     for name, curve in zip(names, curves):
         print(f"simulate: wrote {manifest.write(f'{name}.csv', curve.write_csv)}")
     manifest.write("plot_ber.py", lambda path: path.write_text(PLOT_BER))
@@ -407,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run BER campaigns")
     common(p_sim, _cmd_simulate, seed=True)
     p_sim.add_argument("--workers", type=int, default=1,
-                       help="worker processes, each running one task at a time (default: 1, "
-                            "which runs the tasks on one thread per usable CPU)")
+                       help="worker processes, each running one task at a time, capped at "
+                            "the task count (default: 1, which runs the tasks on one thread "
+                            "per usable CPU)")
     common(sub.add_parser("design", help="compute an [R_min, R_max] design report"),
            _cmd_design)
     p_curves = sub.add_parser("curves", help="export the worst-case correlation curve")

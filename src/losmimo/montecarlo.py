@@ -8,16 +8,16 @@ the points run. A block's first draws are its channels, drawn by the
 campaign's ``ChannelLaw``, so campaigns that agree on the law, seed and block
 size draw the same channels in every block; ``run_ber`` runs such a group
 together and synthesises each block's channels once for all of its campaigns.
-Its (group, SNR point) tasks run on one thread per usable CPU of the calling
-process, or on a process pool when one is given; either way each task runs
-alone and the results do not depend on where it ran.
+Its (group, SNR point) tasks run on one executor per call: on worker processes
+when the call asks for more than one, and otherwise on one thread per usable
+CPU of the calling process; either way each task runs alone and the results do
+not depend on where it ran.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -40,6 +40,7 @@ __all__ = [
     "ml_decode",
     "channel_groups",
     "run_ber",
+    "task_processes",
     "task_threads",
     "check_campaign",
     "check_distance",
@@ -338,73 +339,67 @@ def _tasks(configs: list[SimConfig]) -> list[tuple[list[int], int]]:
             for s in range(max(len(configs[i].snr_db) for i in group))]
 
 
-def task_threads(configs: Sequence[SimConfig], pool=None) -> int:
-    """The threads per process on which ``run_ber(configs, pool)`` runs its
-    tasks: one per usable CPU, but no more than there are tasks, without a
-    pool; one in each of the pool's processes with one."""
-    return 1 if pool is not None else min(_usable_cpus(), len(_tasks(list(configs))))
+def task_processes(configs: Sequence[SimConfig], workers: int = 1) -> int:
+    """The processes in which ``run_ber(configs, workers)`` runs its tasks:
+    ``workers``, but no more than there are tasks; at one, the calling process
+    runs them."""
+    return max(1, min(workers, len(_tasks(list(configs)))))
 
 
-def run_ber(config: SimConfig | Sequence[SimConfig], pool=None) -> BerCurve | list[BerCurve]:
+def task_threads(configs: Sequence[SimConfig], workers: int = 1) -> int:
+    """The threads per process on which ``run_ber(configs, workers)`` runs its
+    tasks: one in each of several worker processes, and in the calling process
+    one per usable CPU, but no more than there are tasks."""
+    if task_processes(configs, workers) > 1:
+        return 1
+    return max(1, min(_usable_cpus(), len(_tasks(list(configs)))))
+
+
+def run_ber(config: SimConfig | Sequence[SimConfig], workers: int = 1) -> BerCurve | list[BerCurve]:
     """Run the BER campaign ``config``, or each campaign of a sequence of them
     (a list of curves, in order).
 
     The campaigns are grouped by ``channel_groups``; one task runs one group at
-    one SNR index (``_run_group_point``). Every task goes through one map over
-    ``pool`` (a ``multiprocessing.Pool``) when one is given, and otherwise over
-    ``task_threads`` threads of this process, the calling thread among them.
-    Each campaign consumes the random stream it would alone, the points share
-    no stream, and every codebook is built by ``SimConfig`` before a task
-    starts, so the output is bit-identical for any thread count, with or
-    without a pool or other campaigns.
+    one SNR index (``_run_group_point``). Every task is submitted to one
+    executor that lives for this call: ``task_processes(configs, workers)``
+    worker processes, each running one task at a time, when that is more than
+    one, and otherwise ``task_threads(configs, workers)`` threads of this
+    process. Once a task raises, the tasks not yet started are dropped, and the
+    error is raised here after every worker has stopped. Each campaign consumes
+    the random stream it would alone, the points share no stream, and every
+    codebook is built by ``SimConfig`` before a task starts, so the output is
+    bit-identical for any thread or process count, and with or without other
+    campaigns.
     """
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
     configs = [config] if isinstance(config, SimConfig) else list(config)
     tasks = _tasks(configs)
-    args = [(tuple(configs[i] for i in members), s) for members, s in tasks]
-    # one task per dispatch: a point that stops after one block and one that
-    # runs its whole budget differ in cost by the budget's block count (80 in fig5)
-    results = (_thread_map(_run_group_point, args, task_threads(configs)) if pool is None
-               else pool.starmap(_run_group_point, args, chunksize=1))
+    processes = task_processes(configs, workers)
+    if processes > 1:
+        # imported only when used: loading it raises a threaded run's peak RSS
+        from concurrent.futures import ProcessPoolExecutor
+        executor = ProcessPoolExecutor(processes)
+    else:
+        executor = ThreadPoolExecutor(task_threads(configs, workers))
+    try:
+        # a worker takes the next task when it is free: a point that stops after
+        # one block and one that runs its whole budget differ in cost by the
+        # budget's block count (80 in fig5)
+        futures = [executor.submit(_run_group_point, tuple(configs[i] for i in members), s)
+                   for members, s in tasks]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        # after an error, drop the tasks not yet started and join the workers
+        executor.shutdown(cancel_futures=True)
     points = [[None] * len(c.snr_db) for c in configs]
-    for (members, s), counts in zip(tasks, results):
-        for i, count in zip(members, counts):
+    # workers take tasks in submission order, so a failed task comes before
+    # any dropped one, and its error is raised here
+    for (members, s), future in zip(tasks, futures):
+        for i, count in zip(members, future.result()):
             points[i][s] = count
     curves = [_curve(c, p) for c, p in zip(configs, points)]
     return curves[0] if isinstance(config, SimConfig) else curves
-
-
-def _thread_map(fn, args: list[tuple], threads: int) -> list:
-    """``[fn(*a) for a in args]`` on ``threads`` threads, the calling thread one
-    of them. A thread takes the next task when it has finished one; once a task
-    raises, no thread takes another, and the error is raised here after every
-    thread has stopped."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    results = [None] * len(args)
-    todo = deque(range(len(args)))  # popleft and clear are atomic
-
-    def work():
-        while True:
-            try:
-                i = todo.popleft()
-            except IndexError:
-                return
-            try:
-                results[i] = fn(*args[i])
-            except BaseException:
-                todo.clear()
-                raise
-
-    if threads < 2:
-        work()
-        return results
-    # leaving the with block joins the helpers, also when work() raises
-    with ThreadPoolExecutor(threads - 1) as helpers:
-        futures = [helpers.submit(work) for _ in range(threads - 1)]
-        work()
-        for f in futures:
-            f.result()      # re-raises the error a helper met
-    return results
 
 
 def _curve(config: SimConfig, points: list[tuple[int, int]]) -> BerCurve:
@@ -562,8 +557,8 @@ def _is_finite(x) -> bool:
 
 def _usable_cpus() -> int:
     """The CPUs this process may use (those of the machine where the OS cannot
-    say): ``joint_density`` runs its pieces, and ``run_ber`` without a pool its
-    tasks, on one thread per CPU."""
+    say): ``joint_density`` runs its pieces, and ``run_ber`` in the calling
+    process its tasks, on one thread per CPU."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -1,3 +1,4 @@
+import multiprocessing
 import threading
 import time
 from types import SimpleNamespace
@@ -22,8 +23,12 @@ def curve(curve_info):
 
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
-    """Fail a test that leaves a thread running that was not running before it."""
+    """Fail a test that leaves a thread or a child process running that was not
+    running before it."""
     before = set(threading.enumerate())
+    children = set(multiprocessing.active_children())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]
     assert not left, f"threads left running: {left}"
+    left = [p.name for p in multiprocessing.active_children() if p not in children]
+    assert not left, f"child processes left running: {left}"

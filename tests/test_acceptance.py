@@ -3,7 +3,6 @@ PASS/FAIL line. Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import json
-import multiprocessing
 import time
 from types import SimpleNamespace
 
@@ -47,9 +46,9 @@ def report(num, ok, detail):
 @pytest.fixture(scope="module")
 def ber_curves():
     """The desk-scale BER campaigns shared by criterion 8, in one ``run_ber``
-    call on one 2-process pool: the curves do not depend on the worker count or
-    on the campaigns run with them. The workers are spawned, since forking a
-    process that may hold BLAS threads is unsafe."""
+    call on two worker processes, the path ``simulate --workers 2`` runs: the
+    curves do not depend on the worker count or on the campaigns run with
+    them."""
     t0 = time.monotonic()
     base = dict(snr_db=SNR_GRID, target_errors=200, seed=2024)
     ula, pent = (ChannelLaw(fig5_link(tx, rx), R_RANGE)
@@ -62,13 +61,7 @@ def ber_curves():
         "ideal_sm": SimConfig(scheme="sm", law=ChannelLaw(fig5_link("ula", "ura"), R_RANGE, True),
                               max_trials=200_000, **base),
     }
-    pool = multiprocessing.get_context("spawn").Pool(2)
-    try:
-        curves = dict(zip(configs, run_ber(list(configs.values()), pool)))
-    finally:
-        # close and join: terminating a pool with queued work can deadlock
-        pool.close()
-        pool.join()
+    curves = dict(zip(configs, run_ber(list(configs.values()), 2)))
     return SimpleNamespace(curves=curves, seconds=time.monotonic() - t0)
 
 

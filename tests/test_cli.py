@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import hashlib
 import importlib.resources
@@ -348,10 +349,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("workers", [0, -1], ids=["0-flag", "-1-flag"])
     def test_worker_count_below_one_is_config_error(self, tmp_path, monkeypatch, workers):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("no pool may start")
+        def no_run(*args, **kwargs):
+            raise AssertionError("no run may start")
 
-        monkeypatch.setattr(losmimo.cli.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(losmimo.cli, "run_ber", no_run)
         argv = ["simulate", "--config", write_config(tmp_path, MINI_SIM),
                 "--out", str(tmp_path / "out"), f"--workers={workers}"]
         assert main(argv) == EXIT_CONFIG
@@ -359,21 +360,23 @@ class TestSimulate:
         assert "must be at least 1" in manifest["error"]
         assert not (tmp_path / "out" / "mini_sm.csv").exists()
 
+    # two runs of three points each, with early stops at the low SNRs and
+    # several blocks per point: six tasks
+    SIX_TASKS = dict(MINI_SIM, snr_db=[0, 8, 16], max_trials=3000, block_trials=500, runs=[
+        dict(MINI_SIM["runs"][0]),
+        {"name": "mini_ula", "scheme": "sm", "tx_kind": "ula", "rx_kind": "ura"}])
+
     def test_one_pool_per_invocation(self, tmp_path, monkeypatch):
-        # two runs of three points each, with early stops at the low SNRs and
-        # several blocks per point, share one pool at --workers 2 and none at 1
-        cfg = dict(MINI_SIM, snr_db=[0, 8, 16], max_trials=3000, block_trials=500)
-        cfg["runs"] = [dict(MINI_SIM["runs"][0]),
-                       {"name": "mini_ula", "scheme": "sm", "tx_kind": "ula", "rx_kind": "ura"}]
-        path = write_config(tmp_path, cfg)
-        real_pool = losmimo.cli.multiprocessing.Pool
+        # the runs share one process pool at --workers 2 and none at 1
+        path = write_config(tmp_path, self.SIX_TASKS)
+        real_pool = concurrent.futures.ProcessPoolExecutor
         made = []
 
         def counting_pool(*args, **kwargs):
             made.append(args)
             return real_pool(*args, **kwargs)
 
-        monkeypatch.setattr(losmimo.cli.multiprocessing, "Pool", counting_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
         # more CPUs than the six tasks: one process runs one thread per task
         monkeypatch.setattr(losmimo.montecarlo, "_usable_cpus", lambda: 8)
         for workers in (1, 2):
@@ -388,6 +391,29 @@ class TestSimulate:
             assert serial == (tmp_path / "w2" / f"{name}.csv").read_bytes()
             trials = [int(r.split(",")[1]) for r in serial.decode().splitlines()[1:]]
             assert trials[0] < 3000 and trials[-1] == 3000
+
+    def test_process_count_is_capped_at_the_task_count(self, tmp_path, monkeypatch):
+        # --workers 8 makes one pool of six workers for six tasks and none for
+        # two runs' shared single task; the stub pool runs its workers on
+        # threads, so no process starts
+        made = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        one_task = dict(MINI_SIM, snr_db=[8], runs=[
+            dict(MINI_SIM["runs"][0]), dict(MINI_SIM["runs"][0], name="mini_golden",
+                                           scheme="golden")])
+        for cfg, split in ((self.SIX_TASKS, (6, 1)), (one_task, (1, 1))):
+            out = tmp_path / f"{split[0]}"
+            assert main(["simulate", "--config", write_config(tmp_path, cfg), "--workers", "8",
+                         "--out", str(out)]) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert (manifest["processes"], manifest["threads_per_process"]) == split
+        assert made == [6]
 
     def test_fig5_recipe_covers_three_schemes(self):
         cfg = _load_config("fig5")

@@ -400,10 +400,9 @@ class TestRunBer:
 
     def test_worker_count_invariance(self, tmp_path):
         # the CSV (trials, errors and the intervals that follow from them) is
-        # byte-identical with a pool of 3 or 2 processes and without one; the
-        # second set-up has several
-        # blocks per point, early stops at the low SNRs and the full budget at
-        # the top one
+        # byte-identical at 3 or 2 workers (processes, 3 capped at the 2 tasks)
+        # and at 1 (threads); the second set-up has several blocks per point,
+        # early stops at the low SNRs and the full budget at the top one
         setups = [
             (3, dict(scheme="sm", law=law("triangle", "tetrahedron"),
                      snr_db=(0, 8), max_trials=10_000, target_errors=100, seed=6)),
@@ -414,12 +413,7 @@ class TestRunBer:
         for workers, kw in setups:
             serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
             run_ber(SimConfig(**kw)).write_csv(serial)
-            pool = multiprocessing.Pool(workers)
-            try:
-                run_ber(SimConfig(**kw), pool).write_csv(parallel)
-            finally:
-                pool.close()
-                pool.join()
+            run_ber(SimConfig(**kw), workers).write_csv(parallel)
             assert serial.read_bytes() == parallel.read_bytes()
         rows = [r.split(",") for r in serial.read_text().splitlines()[1:]]
         assert int(rows[0][1]) < 6_000 and int(rows[-1][1]) == 6_000
@@ -634,12 +628,7 @@ class TestSharedChannels:
         configs = self.configs()
         alone = [run_ber(c) for c in configs]
         self.assert_same_curves(run_ber(configs), alone)
-        pool = multiprocessing.Pool(2)
-        try:
-            self.assert_same_curves(run_ber(configs, pool), alone)
-        finally:
-            pool.close()
-            pool.join()
+        self.assert_same_curves(run_ber(configs, 2), alone)
         # the group's campaigns stop at different blocks of the same point
         assert len({int(c.trials[1]) for c in alone[:3]}) == 3
 
@@ -648,12 +637,7 @@ class TestSharedChannels:
         # ideal run; three threads are more than the CPUs of a small machine,
         # and a short switch interval makes them trade the interpreter often
         configs = self.configs()
-        pool = multiprocessing.Pool(2)
-        try:
-            runs = [run_ber(configs, pool)]
-        finally:
-            pool.close()
-            pool.join()
+        runs = [run_ber(configs, 2)]
         real, ran = montecarlo._run_group_point, set()
 
         def recording(*args):
@@ -692,8 +676,19 @@ class TestSharedChannels:
             run_ber(configs)
         assert info.value is error
         assert set(threading.enumerate()) == before
-        # no thread takes a task after the error
+        # the tasks not yet started when the error comes back are dropped
         assert next(calls) < len(montecarlo._tasks(configs))
+
+    def test_task_error_in_a_worker_process_reaches_the_caller(self, monkeypatch):
+        # the workers, forked (the default start method on Linux), inherit the
+        # patch and send the error back
+        def fails(self, h, lam, rng):
+            raise ValueError("block failed")
+
+        monkeypatch.setattr(montecarlo._Engine, "block_errors", fails)
+        with pytest.raises(ValueError, match="block failed"):
+            run_ber(self.configs(), 2)
+        assert multiprocessing.active_children() == []
 
     def test_one_config_is_a_batch_of_one(self):
         config = self.configs()[0]
