@@ -311,7 +311,7 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
 
 def _mu_star_curve(manifest: Manifest, eta_start: float, eta_stop: float, step: float):
     """``compute_mu_star_curve`` on a checked grid, recorded in the manifest:
-    its etas, the grid points each eta scans and the build time."""
+    its etas, the grid points each eta screens and the build time."""
     t0 = time.perf_counter()
     curve = compute_mu_star_curve(eta_start, eta_stop, step)
     manifest.data["mu_star_curve"] = {"etas": len(curve.etas), "grid_points": len(_cell_grid()),

@@ -369,10 +369,12 @@ def run_ber(config: SimConfig | Sequence[SimConfig], workers: int = 1) -> BerCur
     the random stream it would alone, the points share no stream, and every
     codebook is built by ``SimConfig`` before a task starts, so the output is
     bit-identical for any thread or process count, and with or without other
-    campaigns.
+    campaigns. ``workers`` must be an integer of at least 1.
     """
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
+    if not (_is_int(workers) and workers >= 1):
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     configs = [config] if isinstance(config, SimConfig) else list(config)
     tasks = _tasks(configs)
     processes = task_processes(configs, workers)

@@ -10,8 +10,10 @@ located on the grid points of one T_h cell (1/24 of the sphere) and polished
 by Newton ascent on the sphere, batched over every eta of a curve; the
 resulting curve drives the distance-range design. Only the icosahedron faces
 that reach the cell are subdivided, so the solver builds the cell's points
-alone, with the bits and row order of the whole sphere's, and each 2 x 2
-Newton step is taken in closed form.
+alone, with the bits and row order of the whole sphere's; the grid is
+screened in float32 and ranked in float64 only where the screen's error
+bound leaves a point a chance of the top; and each 2 x 2 Newton step is
+taken in closed form.
 """
 
 from __future__ import annotations
@@ -171,16 +173,10 @@ def _solve(etas: NDArray) -> tuple[NDArray, NDArray]:
     candidates = 10  # grid points ascended per eta
     if not np.all((0.0 < etas) & (etas < np.inf)):
         raise ValueError("eta must be positive")
-    a = (np.pi / etas) * np.sqrt(3.0 / 8.0)
     pts = _cell_grid()
-    dots = TETRAHEDRON_DIRECTIONS @ pts.T
-    start = np.empty((len(etas), candidates), dtype=np.intp)
-    # ranked by |S|^2 = (4 mu)^2 on dot products shared by every eta: through
-    # mu_model, one eta at a time, this scan takes over twice as long
-    for i, scale in enumerate(a):
-        arg = scale * dots
-        s2 = np.cos(arg).sum(axis=0) ** 2 + np.sin(arg).sum(axis=0) ** 2
-        start[i] = np.argpartition(s2, -candidates)[-candidates:]
+    # ranked by |S|^2 = (4 mu)^2 on dot products shared by every eta
+    start = _screen((np.pi / etas) * np.sqrt(3.0 / 8.0), TETRAHEDRON_DIRECTIONS @ pts.T,
+                    candidates)
     # ascend F(v) = 16 mu^2 - 4 = sum_i cos(b g_i . v) over the edge code g_i
     g = edge_code()
     b = np.repeat(np.pi / etas, candidates)[:, None]
@@ -210,6 +206,63 @@ def _solve(etas: NDArray) -> tuple[NDArray, NDArray]:
     return mu[rows, best], cand[rows, best]
 
 
+# etas per piece of the float32 screen: a few, so that its arrays stay small
+_SCREEN_ETAS = 8
+
+# float32 unit roundoff
+_U32 = 2.0 ** -24
+
+
+def _screen(scales: NDArray, dots: NDArray, count: int) -> NDArray:
+    """For each of ``scales``, the ``count`` columns of ``dots`` (4 x n) with
+    the largest ``|S|^2 = (sum_m cos x_m)^2 + (sum_m sin x_m)^2``, where
+    ``x = scale * dots``, in ascending order of ``|S|^2`` (ties in column
+    order): the solver keeps the first of equal maxima, so this order decides
+    the direction it reports.
+
+    ``|S|^2`` is screened in float32, ``_SCREEN_ETAS`` scales at a time. Its
+    error is at most ``eps = _screen_error(scale, dots)``, so the exact top
+    ``count`` lie within ``2 eps`` of the ``count``-th largest screen value;
+    only the points in that window are ranked, by the float64 expression, and
+    the result is that of a float64 scan of every point.
+    """
+    dots32 = dots.astype(np.float32)
+    start = np.empty((len(scales), count), dtype=np.intp)
+    for lo in range(0, len(scales), _SCREEN_ETAS):
+        scale = scales[lo:lo + _SCREEN_ETAS]
+        # an eta so small that the screen or its bound overflows keeps every
+        # point: no value falls below a NaN or infinite window
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = scale.astype(np.float32)[:, None, None] * dots32
+            s2 = np.cos(x).sum(axis=1) ** 2 + np.sin(x).sum(axis=1) ** 2
+            floor = np.partition(s2, -count, axis=1)[:, -count] - 2.0 * _screen_error(scale, dots)
+            rows, cols = np.nonzero(~(s2 < floor[:, None]))
+        x = scale[rows] * dots[:, cols]
+        s2 = np.cos(x).sum(axis=0) ** 2 + np.sin(x).sum(axis=0) ** 2
+        # each scale's window in ascending |S|^2; its last ``count`` are its top
+        ends = np.cumsum(np.bincount(rows, minlength=len(scale)))
+        start[lo:lo + len(scale)] = cols[np.lexsort((s2, rows))][ends[:, None] - count
+                                                                 + np.arange(count)]
+    return start
+
+
+def _screen_error(scales: NDArray, dots: NDArray) -> NDArray:
+    """A bound on |float32 - float64| of ``_screen``'s ``|S|^2``, per scale.
+
+    With u the float32 unit roundoff and A the scale's largest |argument|,
+    to first order in u each argument is off by at most 3uA (the scale, the
+    dot product and their product are each rounded), each cos or sin by 2u
+    more (NumPy's float32 sin and cos are within 1.5 ulp), and each 4-term
+    sum by 12u more: e = 4(3A + 2)u + 12u bounds the error of C = sum cos and
+    of S = sum sin. Since |C| + |S| <= 4 sqrt 2, C^2 + S^2 is off by at most
+    2e(4 sqrt 2 + e), plus 48u for rounding the squares and their sum
+    (|S|^2 <= 16). The bound grows with 1/eta through A, and is returned
+    times a safety factor of 4, which also covers the float64 side's error.
+    """
+    e = (4.0 * (3.0 * scales * np.abs(dots).max() + 2.0) + 12.0) * _U32
+    return 4.0 * (2.0 * e * (4.0 * np.sqrt(2.0) + e) + 48.0 * _U32)
+
+
 def _newton_step(hess: NDArray, grad: NDArray) -> tuple[NDArray, NDArray]:
     """The rows whose 2 x 2 ``hess`` is negative definite (h00 < 0, det > 0),
     and on those rows the Newton step ``-hess^-1 grad``, in closed form."""
@@ -228,9 +281,12 @@ def mu_star(eta: float) -> tuple[float, NDArray]:
     The grid is the 1,739 points of the 40,962-point icosphere in the T_h
     cell ``0 <= x <= z, 0 <= y <= z`` (see ``fundamental_domain``), built
     without the rest of the sphere: every other icosphere point is a
-    symmetric copy of one of them, with the same value. The best cell points,
-    so no two symmetric copies of one basin, start a Riemannian Newton ascent
-    on the unit sphere (closed-form 2 x 2 steps; gradient steps where the
+    symmetric copy of one of them, with the same value. The 10 best cell
+    points (so no two symmetric copies of one basin) are those of a float64
+    scan, found by a float32 screen that ranks in float64 only the points
+    within twice its error bound of its 10th best (``_screen``; the bound
+    grows with 1/eta). They start a Riemannian Newton ascent on the unit
+    sphere (closed-form 2 x 2 steps; gradient steps where the
     tangent Hessian is not negative definite). No value falls below the grid
     maximum, and as the grid pitch is far below the objective's angular scale
     (~eta / 2 rad), the best cells bracket the global basin.

@@ -347,7 +347,7 @@ class TestSimulate:
         assert manifest["error"] == f"{source}: seed must be a non-negative integer, got {seed!r}"
         assert not (tmp_path / "out" / "mini_sm.csv").exists()
 
-    @pytest.mark.parametrize("workers", [0, -1], ids=["0-flag", "-1-flag"])
+    @pytest.mark.parametrize("workers", [0, -1, -3], ids=["0-flag", "-1-flag", "-3-flag"])
     def test_worker_count_below_one_is_config_error(self, tmp_path, monkeypatch, workers):
         def no_run(*args, **kwargs):
             raise AssertionError("no run may start")
@@ -359,6 +359,16 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert "must be at least 1" in manifest["error"]
         assert not (tmp_path / "out" / "mini_sm.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["1.5", "true"])
+    def test_worker_count_must_be_an_integer(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", write_config(tmp_path, MINI_SIM), "--out", str(out),
+                  f"--workers={workers}"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
     # two runs of three points each, with early stops at the low SNRs and
     # several blocks per point: six tasks

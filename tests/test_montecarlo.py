@@ -418,6 +418,18 @@ class TestRunBer:
         rows = [r.split(",") for r in serial.read_text().splitlines()[1:]]
         assert int(rows[0][1]) < 6_000 and int(rows[-1][1]) == 6_000
 
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, 2.0, True, "2"],
+                             ids=["zero", "negative", "float", "integral-float", "bool", "str"])
+    def test_bad_worker_count_rejected(self, monkeypatch, workers):
+        # 0 and -3 used to run on threads as 1 worker
+        def no_task(*args):
+            raise AssertionError("no task may start")
+
+        monkeypatch.setattr(montecarlo, "_run_group_point", no_task)
+        cfg = SimConfig(scheme="sm", law=law(), snr_db=(0.0,), max_trials=2500)
+        with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
+            run_ber(cfg, workers)
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
     def test_blocks_reuse_their_heap_pages(self):
         # in a fresh process, where no earlier test's arrays have raised

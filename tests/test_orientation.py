@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -204,6 +205,82 @@ class TestCellGrid:
         curve = compute_mu_star_curve(step=0.05)
         assert np.array_equal(curve.values, expected[0])
         assert mu_star(1.0)[0] == expected[1]
+
+
+def scan_float64(scales, dots, count=10):
+    """The mu* scan before its float32 screen: every point ranked in float64,
+    one eta at a time, and its |S|^2."""
+    top, s2 = [], []
+    for scale in scales:
+        arg = scale * dots
+        s2.append(np.cos(arg).sum(axis=0) ** 2 + np.sin(arg).sum(axis=0) ** 2)
+        top.append(np.argpartition(s2[-1], -count)[-count:])
+    return np.array(top), np.array(s2)
+
+
+def screen_float32(scales, dots):
+    """The screen's float32 |S|^2, written out."""
+    arg = scales.astype(np.float32)[:, None, None] * dots.astype(np.float32)
+    return np.cos(arg).sum(axis=1) ** 2 + np.sin(arg).sum(axis=1) ** 2
+
+
+class TestScreen:
+    """The float32 screen of the mu* scan keeps the float64 scan's candidates."""
+
+    GRIDS = {
+        "default": orientation.check_eta_grid(orientation.ETA_START, orientation.ETA_STOP,
+                                              orientation.ETA_STEP),
+        # the screen's error grows with 1 / eta: down to eta = 0.00494
+        "small-eta": orientation.check_eta_grid(0.008, 0.05, 0.001),
+        "random": np.random.default_rng(28).uniform(0.005, 4.0, 100),
+    }
+
+    @staticmethod
+    def scales(etas):
+        return (np.pi / etas) * np.sqrt(3.0 / 8.0)
+
+    @pytest.fixture(scope="class")
+    def dots(self):
+        return TETRAHEDRON_DIRECTIONS @ orientation._cell_grid().T
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_candidates_match_float64_scan(self, dots, grid):
+        scales = self.scales(self.GRIDS[grid])
+        start = orientation._screen(scales, dots, 10)
+        top, s2 = scan_float64(scales, dots)
+        for i in range(len(scales)):
+            assert set(start[i]) == set(top[i])
+        # in ascending order of the float64 |S|^2
+        assert np.all(np.diff(np.take_along_axis(s2, start, axis=1), axis=1) >= 0)
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_error_bound_has_a_margin_of_four(self, dots, grid):
+        scales = self.scales(self.GRIDS[grid])
+        err = np.abs(screen_float32(scales, dots) - scan_float64(scales, dots)[1]).max(axis=1)
+        assert np.all(orientation._screen_error(scales, dots) >= 4.0 * err)
+
+    @pytest.mark.parametrize("eta", [1e-6, 1e-40], ids=["window-holds-all", "screen-overflows"])
+    def test_tiny_eta_ranks_every_point(self, dots, eta):
+        # 2 eps exceeds the range of |S|^2, or the float32 scale overflows
+        # (no warning): every point is ranked in float64
+        scales = self.scales(np.array([eta]))
+        top, _ = scan_float64(scales, dots)
+        assert set(orientation._screen(scales, dots, 10)[0]) == set(top[0])
+
+
+class TestPinnedCurve:
+    """sha256 of the default curve's values and directions, recorded before
+    the mu* scan screened in float32. The CSVs hold no directions and print
+    the values to 12 digits; the direction kept among equal maxima depends on
+    the order of the candidates. A digest that changes is a changed result, to
+    be explained in CHANGES.md, not re-recorded."""
+
+    VALUES = "462007cab9593b5274b6f7da19e24aa60e59a05465520ec0a0ed4d58527640a7"
+    DIRECTIONS = "fa80617ccd590bb77f1616eb7b1d999b927e774ff91134272292268d19f708f1"
+
+    def test_values_and_directions_are_unchanged(self, curve):
+        assert hashlib.sha256(curve.values.tobytes()).hexdigest() == self.VALUES
+        assert hashlib.sha256(curve.directions.tobytes()).hexdigest() == self.DIRECTIONS
 
 
 class TestNewtonStep:
