@@ -146,12 +146,6 @@ def _seed(args, fields: dict, where: str) -> int:
     return seed
 
 
-def _resolve_workers(args) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    return args.workers
-
-
 class Manifest:
     """Run record written next to the outputs in the existing ``out_dir``, even
     when the run fails; every output is written and recorded through ``write``."""
@@ -269,7 +263,6 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
     if not top["runs"]:
         raise ConfigError("simulate config: 'runs' must not be empty")
     seed = manifest.data["seed"] = _seed(args, top, "simulate config")
-    workers = _resolve_workers(args)
     kind = top["distance"].get("law")
     if isinstance(kind, str) and kind not in DISTANCE_FIELDS:
         raise ConfigError(f"distance law must be 'fixed' or 'uniform', got {kind!r}")
@@ -300,9 +293,10 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
                                   law=ChannelLaw(link, distance, run["ideal_channel"]), **shared))
     manifest.data["shared_channels"] = [[names[i] for i in g] for g in channel_groups(sims)]
     # every run is checked before the first one starts; they run in one call
-    manifest.data["processes"] = task_processes(sims, workers)
-    manifest.data["threads_per_process"] = task_threads(sims, workers)
-    curves = run_ber(sims, workers)
+    with _located("--workers"):
+        manifest.data["processes"] = task_processes(sims, args.workers)
+    manifest.data["threads_per_process"] = task_threads(sims, args.workers)
+    curves = run_ber(sims, args.workers)
     for name, curve in zip(names, curves):
         print(f"simulate: wrote {manifest.write(f'{name}.csv', curve.write_csv)}")
     manifest.write("plot_ber.py", lambda path: path.write_text(PLOT_BER))
@@ -366,10 +360,13 @@ def _cmd_density(args, manifest: Manifest) -> int:
 def _cmd_gain(args, manifest: Manifest) -> int:
     if not np.isfinite(args.mu_step):
         raise ConfigError(f"mu step must be finite, got {args.mu_step!r}")
-    if not args.mu_step > 0:
-        raise ConfigError("mu step must be positive")
+    # above 0, and large enough that NumPy can size the bytes of the float64 mu
+    # grid, 0 to 1 inclusive, in intp
+    stop, most = 1.0 + 1e-12, np.iinfo(np.intp).max // 8
+    if not args.mu_step * most > stop:
+        raise ConfigError(f"mu step must be above {stop / most:g}, got {args.mu_step!r}")
     schemes = list(SCHEMES) if args.scheme == "all" else [args.scheme]
-    mus = np.arange(0.0, 1.0 + 1e-12, args.mu_step)
+    mus = np.arange(0.0, stop, args.mu_step)
     table = np.column_stack(
         [mus] + [coding_gain(difference_spectrum(build_codebook(s)), mus) for s in schemes])
     out = manifest.write("coding_gain.csv", lambda path: write_csv(

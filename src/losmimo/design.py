@@ -74,20 +74,28 @@ class DesignSpec:
         beta_cap(self.link.tx.kind)
 
 
-def _sin_beta_table(tx_layout: ArrayLayout, u_tx: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+def _sin_beta_table(tx_layout: ArrayLayout, columns: NDArray) -> tuple[NDArray, NDArray, NDArray]:
     """Every index pair of ``tx_layout`` (pairs, 2), its baseline length and the
     (n, pairs) table of ``sin(beta)``: the x component of the unit baseline
-    rotated by each of the n rotations ``u_tx``, the link running along +x."""
+    rotated by each of n rotations, the link running along +x. The rotations
+    are their (len(axes), 3, n) columns on ``tx_layout.axes``, as
+    ``geometry.rotation_columns`` builds them."""
     if tx_layout.n < 3:
         raise ValueError("pair selection needs at least 3 transmit antennas")
     pairs = np.array([(m, n) for m in range(tx_layout.n) for n in range(m + 1, tx_layout.n)])
     b = tx_layout.positions[pairs[:, 0]] - tx_layout.positions[pairs[:, 1]]
     lengths = np.linalg.norm(b, axis=1)
-    # the x row of u_tx against every baseline, summed in einsum's order
-    # (x0 b0 + x2 b2) + x1 b1: the pentagon's spacing class hangs on the last bit
-    x = np.asarray(u_tx, dtype=float).reshape(-1, 3, 3)[:, 0, :, None]
-    rotated_x = (x[:, 0] * b[:, 0] + x[:, 2] * b[:, 2]) + x[:, 1] * b[:, 1]
-    return pairs, lengths, rotated_x / lengths
+    # the x row of the rotations against every baseline, summed over the axes
+    # present in einsum's order (x0 b0 + x2 b2) + x1 b1: the pentagon's
+    # spacing class hangs on the last bit
+    axes = list(tx_layout.axes)
+    terms = [columns[axes.index(a), 0, :, None] * b[:, a] for a in (0, 2, 1) if a in axes]
+    return pairs, lengths, sum(terms[1:], terms[0]) / lengths
+
+
+def _axis_columns(tx_layout: ArrayLayout, u_tx: NDArray) -> NDArray:
+    """The columns on ``tx_layout.axes`` of one (3, 3) rotation or of (n, 3, 3)."""
+    return np.asarray(u_tx, dtype=float).reshape(-1, 3, 3).T[tx_layout.axes]
 
 
 def _selection(tx_layout: ArrayLayout, pairs: NDArray, lengths: NDArray, sin_beta: NDArray,
@@ -115,9 +123,15 @@ def select_tx_pair(tx_layout: ArrayLayout, u_tx: NDArray) -> PairSelection:
     parallel to a diagonal, so their ``|sin(beta)|`` agree up to rounding
     (4e-16) and rounding picks either, about half the time each.
     """
-    pairs, lengths, sin_beta = _sin_beta_table(tx_layout, u_tx)
+    return _closest_pairs(tx_layout, _axis_columns(tx_layout, u_tx), np.ndim(u_tx) == 3)
+
+
+def _closest_pairs(tx_layout: ArrayLayout, columns: NDArray, batch: bool = True) -> PairSelection:
+    """``select_tx_pair`` of the rotations given by their columns on
+    ``tx_layout.axes``, as the Monte-Carlo engine builds them."""
+    pairs, lengths, sin_beta = _sin_beta_table(tx_layout, columns)
     return _selection(tx_layout, pairs, lengths, sin_beta, np.argmin(np.abs(sin_beta), axis=1),
-                      np.ndim(u_tx) == 3)
+                      batch)
 
 
 def select_tx_pair_for_quality(spec: DesignSpec, u_tx: NDArray, r_link: float | NDArray,
@@ -132,7 +146,7 @@ def select_tx_pair_for_quality(spec: DesignSpec, u_tx: NDArray, r_link: float | 
     caps ``|beta|`` at pi/10. Triangles keep the plain selection.
     """
     tx = spec.link.tx
-    pairs, lengths, sin_beta = _sin_beta_table(tx, u_tx)
+    pairs, lengths, sin_beta = _sin_beta_table(tx, _axis_columns(tx, u_tx))
     size = np.abs(sin_beta)
     best = np.argmin(size, axis=1)
     if tx.kind == "pentagon":

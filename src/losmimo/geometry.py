@@ -3,10 +3,10 @@ and transmit-receive distances.
 
 One routine places every array: ``place`` sums each antenna's coordinates on
 the axes its layout occupies (``ArrayLayout.axes``) times the rotation columns
-of those axes. The Monte-Carlo engine hands it columns of whole rotation
-matrices, ``joint_density`` only the columns it builds (``rotation_columns``),
-and ``place_antennas`` the columns of its one matrix pair, so all three give
-the same positions bit for bit.
+of those axes. The Monte-Carlo engine and ``joint_density`` hand it only the
+columns they build from quaternions (``rotation_columns``), and
+``place_antennas`` the columns of its one matrix pair, so all three give the
+same positions bit for bit.
 
 Global frame conventions. For one ``LinkScenario`` (``place_antennas``), the
 two transmit antennas lie on the z-axis at ``(0, 0, +/- d_t/2)`` when the
@@ -35,7 +35,6 @@ __all__ = [
     "LinkScenario",
     "make_layout",
     "rotation_normals",
-    "quaternion_rotations",
     "rotation_columns",
     "uniform_rotation",
     "place",
@@ -285,42 +284,17 @@ def rotation_normals(rng: np.random.Generator, n: int) -> NDArray:
     return rng.standard_normal((n, 4))
 
 
-def quaternion_rotations(q: NDArray) -> NDArray:
-    """The C-contiguous (m, 3, 3) rotations of the quaternions ``q`` (m, 4),
-    which need not be normalised: all three columns of ``rotation_columns``,
-    written in place.
+def rotation_columns(q: NDArray, axes: Sequence[int]) -> NDArray:
+    """Columns ``axes`` of the rotations of the quaternions ``q`` (m, 4), which
+    need not be normalised, as a C-contiguous (len(axes), 3, m) array:
+    ``out[k, i, l]`` is entry ``(i, axes[k])`` of rotation l, so ``place``
+    places a layout from its columns on ``layout.axes`` alone. A column's bits
+    do not depend on which other columns are built.
 
     A standard-normal 4-vector normalised to the unit 3-sphere is a uniform
-    quaternion, so the rotations of ``rotation_normals`` are Haar-uniform."""
-    u = np.empty((len(q), 3, 3))
-    _rotation_columns(q, (0, 1, 2), u.transpose(2, 1, 0))
-    return u
-
-
-def rotation_columns(q: NDArray, axes: Sequence[int]) -> NDArray:
-    """Columns ``axes`` of the rotations of the quaternions ``q`` (m, 4), as a
-    C-contiguous (len(axes), 3, m) array: ``out[k, i, l]`` is entry
-    ``(i, axes[k])`` of rotation l, with the bits ``quaternion_rotations``
-    gives it: ``place`` places a layout from its columns on ``layout.axes``
-    alone."""
+    quaternion, so the rotations of ``rotation_normals`` are Haar-uniform.
+    The quaternions are normalised and mapped in ``PLACE_COLS``-row pieces."""
     out = np.empty((len(axes), 3, len(q)))
-    _rotation_columns(q, axes, out)
-    return out
-
-
-def uniform_rotation(rng: np.random.Generator, n: int | None = None) -> NDArray:
-    """Draw Haar-uniform rotation matrices from SO(3): ``quaternion_rotations``
-    of ``rotation_normals``. Returns a single (3, 3) matrix, or a C-contiguous
-    (n, 3, 3) array when ``n`` is given.
-    """
-    u = quaternion_rotations(rotation_normals(rng, 1 if n is None else int(n)))
-    return u[0] if n is None else u
-
-
-def _rotation_columns(q: NDArray, axes: Sequence[int], out: NDArray) -> None:
-    """Write columns ``axes`` of the rotations of the quaternions ``q`` (m, 4),
-    normalised here, into ``out`` (len(axes), 3, m), in ``PLACE_COLS``-row
-    pieces; the map of every column, and of every rotation, is this one."""
     for s in range(0, len(q), PLACE_COLS):
         v = q[s:s + PLACE_COLS].T.copy()   # rows w, x, y, z
         norm = v[0] * v[0]
@@ -343,6 +317,17 @@ def _rotation_columns(q: NDArray, axes: Sequence[int], out: NDArray) -> None:
                 op, a, b = u[3 * i + j]
                 op(a, b, out=entry)
             np.subtract(1.0, column[j], out=column[j])
+    return out
+
+
+def uniform_rotation(rng: np.random.Generator, n: int | None = None) -> NDArray:
+    """Draw Haar-uniform rotation matrices from SO(3): all three
+    ``rotation_columns`` of ``rotation_normals``. Returns a single (3, 3)
+    matrix, or a C-contiguous (n, 3, 3) array when ``n`` is given.
+    """
+    q = rotation_normals(rng, 1 if n is None else int(n))
+    u = np.ascontiguousarray(rotation_columns(q, (0, 1, 2)).transpose(2, 1, 0))
+    return u[0] if n is None else u
 
 
 def link_axis(beta: float) -> NDArray:

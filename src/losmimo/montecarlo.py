@@ -28,7 +28,9 @@ from numpy.typing import NDArray
 from ._csv import write_csv
 from .channel import _phasors, los_channel
 from .codes import Codebook, build_codebook
-from .design import select_tx_pair
+from .design import _closest_pairs
+# nothing here draws whole rotation matrices, but the benchmark's tracer
+# patches uniform_rotation in this module, so it stays imported
 from .geometry import (LINK_DIRECTION, PLACE_COLS, LinkSpec, link_distances, place,
                        rotation_columns, rotation_normals, uniform_rotation)
 
@@ -103,27 +105,37 @@ class ChannelLaw:
 
     def draw(self, n: int, rng: np.random.Generator) -> NDArray:
         """The n-last (n_r, 2, n) channels of a block of n trials: the ideal
-        channel, or n random links drawn from ``rng`` (distances, then
-        transmit rotations, then receive rotations)."""
+        channel, or n random links drawn from ``rng`` (distances, then the
+        quaternion normals of the transmit rotations, then of the receive
+        rotations) through ``_link_distances``."""
         link = self.link
         if self.ideal:
             n_r = link.rx.n
             phases = np.exp(2j * np.pi * np.arange(n_r) / n_r)
             h = np.column_stack([np.ones(n_r, dtype=complex), phases])
             return np.broadcast_to(h[..., None], (n_r, 2, n))
-        if isinstance(self.distance, tuple):
-            r_link = rng.uniform(self.distance[0], self.distance[1], n)
-        else:
-            r_link = np.full(n, self.distance)
-        u_tx = uniform_rotation(rng, n)
-        u_rx = uniform_rotation(rng, n)
-        tx = place(link.tx, u_tx.T[link.tx.axes])
-        rx = place(link.rx, u_rx.T[link.rx.axes])
-        rx += np.multiply.outer(LINK_DIRECTION, r_link)[:, None]
-        if link.tx.n > 2:
-            pair = select_tx_pair(link.tx, u_tx).pair
-            tx = tx[:, pair.T, np.arange(n)]
-        return los_channel(link_distances(tx, rx), link.wavelength)
+        distance = self.distance
+        r_link = rng.uniform(*distance, n) if isinstance(distance, tuple) else distance
+        # arguments are evaluated in order: transmit normals, then receive ones
+        dist = _link_distances(link, rotation_normals(rng, n), rotation_normals(rng, n), r_link)
+        return los_channel(dist, link.wavelength)
+
+
+def _link_distances(link: LinkSpec, q_tx: NDArray, q_rx: NDArray,
+                    r_link: float | NDArray) -> NDArray:
+    """The (n_r, 2, n) distances of n links with their receive centroids
+    ``r_link`` (a float, or (n,)) along ``LINK_DIRECTION``, the arrays rotated
+    by the quaternions ``q_tx`` and ``q_rx`` (n, 4). Each array is placed from
+    the rotation columns of its axes alone, and a polygon's transmit pair is
+    read off the same transmit columns (``design.select_tx_pair``'s rule)."""
+    tx_columns = rotation_columns(q_tx, link.tx.axes)
+    tx = place(link.tx, tx_columns)
+    rx = place(link.rx, rotation_columns(q_rx, link.rx.axes))
+    rx += LINK_DIRECTION[:, None, None] * r_link
+    if link.tx.n > 2:
+        pair = _closest_pairs(link.tx, tx_columns).pair
+        tx = tx[:, pair.T, np.arange(len(q_tx))]
+    return link_distances(tx, rx)
 
 
 @dataclass(frozen=True)
@@ -342,7 +354,9 @@ def _tasks(configs: list[SimConfig]) -> list[tuple[list[int], int]]:
 def task_processes(configs: Sequence[SimConfig], workers: int = 1) -> int:
     """The processes in which ``run_ber(configs, workers)`` runs its tasks:
     ``workers``, but no more than there are tasks; at one, the calling process
-    runs them."""
+    runs them. ``workers`` must be an integer of at least 1."""
+    if not (_is_int(workers) and workers >= 1):
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     return max(1, min(workers, len(_tasks(list(configs)))))
 
 
@@ -373,8 +387,6 @@ def run_ber(config: SimConfig | Sequence[SimConfig], workers: int = 1) -> BerCur
     """
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
-    if not (_is_int(workers) and workers >= 1):
-        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     configs = [config] if isinstance(config, SimConfig) else list(config)
     tasks = _tasks(configs)
     processes = task_processes(configs, workers)
@@ -655,15 +667,11 @@ def _bin_index(x: NDArray, edges: NDArray) -> NDArray:
 def _density_piece(link: LinkSpec, r_link: float, q_tx: NDArray, q_rx: NDArray,
                    theta: NDArray, mu: NDArray, start: int) -> None:
     """Write theta_mu and mu, clipped to [0, 1], of the block's samples
-    ``start`` to ``start + DENSITY_PIECE`` into ``theta`` and ``mu``.
-
-    No (3, 3) rotation is built: each array is placed from the rotation
-    columns of the axes its antennas occupy (z for a ULA, y and z for a URA),
-    and the receive centroid lies ``r_link`` along ``LINK_DIRECTION``."""
+    ``start`` to ``start + DENSITY_PIECE`` into ``theta`` and ``mu``: the
+    phasor of each path difference of the BER engine's links
+    (``_link_distances``)."""
     s = slice(start, start + DENSITY_PIECE)
-    rx = place(link.rx, rotation_columns(q_rx[s], link.rx.axes))
-    rx += (r_link * LINK_DIRECTION)[:, None, None]
-    dist = link_distances(place(link.tx, rotation_columns(q_tx[s], link.tx.axes)), rx)
+    dist = _link_distances(link, q_tx[s], q_rx[s], r_link)
     # column inner product of the unit-modulus channel, summed over C-ordered
     # (m, n_r) rows: the order of a reduction depends on the layout
     inner = _phasors((dist[:, 1] - dist[:, 0]).T, link.wavelength).sum(axis=1)

@@ -20,7 +20,6 @@ from losmimo.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     _load_config,
-    _resolve_workers,
     build_parser,
     main,
 )
@@ -357,7 +356,8 @@ class TestSimulate:
                 "--out", str(tmp_path / "out"), f"--workers={workers}"]
         assert main(argv) == EXIT_CONFIG
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert "must be at least 1" in manifest["error"]
+        assert manifest["error"] == \
+            f"--workers: workers must be an integer of at least 1, got {workers}"
         assert not (tmp_path / "out" / "mini_sm.csv").exists()
 
     @pytest.mark.parametrize("workers", ["1.5", "true"])
@@ -605,6 +605,16 @@ class TestGain:
             assert manifest["error"] == f"mu step must be finite, got {float(step)!r}"
         assert not (out / "coding_gain.csv").exists()
 
+    def test_mu_step_beyond_numpy_sizes_is_config_error(self, tmp_path):
+        # its 1e300-point grid used to raise NumPy's "Maximum allowed size
+        # exceeded" (exit 4); only a step that allocates nothing is tried here
+        out = tmp_path / "out"
+        assert main(["gain", "sm", "--mu-step=1e-300", "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        step = (1.0 + 1e-12) / (np.iinfo(np.intp).max // 8)
+        assert manifest["error"] == f"mu step must be above {step:g}, got 1e-300"
+        assert not (out / "coding_gain.csv").exists()
+
 
 class TestCurves:
     def test_coarse_curve_export(self, tmp_path):
@@ -814,12 +824,21 @@ class TestWorkerResolution:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
-    def test_flag_wins(self):
-        ns = type("A", (), {"workers": 5})()
-        assert _resolve_workers(ns) == 5
+    def test_flag_wins(self, tmp_path, monkeypatch):
+        # the flag, not the default, reaches run_ber
+        calls = []
+
+        def record(sims, workers):
+            calls.append(workers)
+            return []
+
+        monkeypatch.setattr(losmimo.cli, "run_ber", record)
+        assert main(["simulate", "--config", write_config(tmp_path, MINI_SIM), "--workers", "5",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert calls == [5]
 
     def test_default_single(self):
-        assert _resolve_workers(build_parser().parse_args(["simulate", "--config", "fig5"])) == 1
+        assert build_parser().parse_args(["simulate", "--config", "fig5"]).workers == 1
 
 
 class TestBundledDesignRecipe:

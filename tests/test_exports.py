@@ -1,10 +1,17 @@
 """Each library module's ``__all__`` names exactly the public functions and
 classes that the module defines, and every name in it resolves: a deleted
-function cannot linger in an export list, nor a new one go unexported."""
+function cannot linger in an export list, nor a new one go unexported. And
+every name a module imports is used there: a stale import cannot linger
+after the code that used it goes."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+from test_tracing import PATCHED
+
+import losmimo
 
 MODULES = ["channel", "codes", "design", "geometry", "metrics", "montecarlo", "orientation"]
 
@@ -19,3 +26,23 @@ def test_all_names_the_public_definitions(name):
     defined = {n for n, v in vars(module).items() if not n.startswith("_") and callable(v)
                and getattr(v, "__module__", None) == module.__name__}
     assert {n for n in exported if callable(getattr(module, n))} == defined
+
+
+SOURCES = sorted(Path(losmimo.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = importlib.import_module(f"losmimo.{path.stem}" if path.stem != "__init__"
+                                     else "losmimo")
+    # the package re-exports, and the benchmark's tracer patches, what it imports
+    kept = set(getattr(module, "__all__", ())) if path.stem == "__init__" else set()
+    kept |= set(PATCHED.get(module, ()))
+    assert imported - used - kept == set()

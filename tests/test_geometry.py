@@ -18,7 +18,6 @@ from losmimo.geometry import (
     place_antennas,
     PLACE_COLS,
     place,
-    quaternion_rotations,
     rotation_columns,
     uniform_rotation,
 )
@@ -153,19 +152,20 @@ class TestUniformRotation:
             2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
             axis=1).reshape(-1, 3, 3)
         u = uniform_rotation(np.random.default_rng(8), 10_000)
-        # einsum's summation order, used by pair selection, depends on strides
+        # the layout uniform_rotation promises
         assert u.flags.c_contiguous
         assert np.array_equal(u, ref)
         assert np.array_equal(uniform_rotation(np.random.default_rng(8)), ref[0])
 
     @pytest.mark.parametrize("axes", [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
     def test_columns_bit_identical_to_rotations(self, axes):
-        # the density pieces place their arrays from these columns alone;
+        # the BER engine and the density pieces place their arrays from these
+        # columns alone, and uniform_rotation is all three of them;
         # two pieces and a final partial one, from unnormalised quaternions
         q = np.random.default_rng(9).standard_normal((2 * PLACE_COLS + 17, 4))
         cols = rotation_columns(q, axes)
         assert cols.shape == (len(axes), 3, len(q)) and cols.flags.c_contiguous
-        u = quaternion_rotations(q)
+        u = uniform_rotation(np.random.default_rng(9), len(q))
         for j, col in zip(axes, cols):
             assert np.array_equal(col, u[:, :, j].T)
 
@@ -275,11 +275,12 @@ class TestPlacement:
 
     @pytest.mark.parametrize("kind", sorted(PLACEMENT_LAYOUTS))
     def test_columns_place_as_whole_rotations(self, kind):
-        # the density pieces build only the columns, the BER engine whole
-        # matrices: both place an array with the same bits
+        # the engine builds only the columns, the scalar API whole matrices:
+        # both place an array with the same bits
         lay = PLACEMENT_LAYOUTS[kind]
         q = np.random.default_rng(5).standard_normal((2 * PLACE_COLS + 17, 4))
-        assert np.array_equal(place(lay, quaternion_rotations(q).T[lay.axes]),
+        u = uniform_rotation(np.random.default_rng(5), len(q))
+        assert np.array_equal(place(lay, u.T[lay.axes]),
                               place(lay, rotation_columns(q, lay.axes)))
 
     @pytest.mark.parametrize("n_rx", [4, 16])

@@ -28,8 +28,9 @@ from losmimo.geometry import (
     exact_distances,
     link_distances,
     make_layout,
+    PLACE_COLS,
+    place,
     place_antennas,
-    quaternion_rotations,
     rotation_normals,
     uniform_rotation,
 )
@@ -788,6 +789,29 @@ class TestEngineChannels:
             want = los_channel(exact_distances(tx_pos, rx_pos), channel_law.link.wavelength)
             assert np.array_equal(h[i], want)
 
+    @pytest.mark.parametrize("tx_kind", ["triangle", "pentagon"])
+    def test_match_whole_matrix_pipeline_across_pieces(self, tx_kind):
+        # 10,000 links span three PLACE_COLS pieces, the last one partial. The
+        # law builds only the rotation columns it places and reads the
+        # transmit pair off them; the reference draws whole matrices from the
+        # same stream and selects the pair on them
+        channel_law = law(tx_kind, "tetrahedron")
+        tx, rx = channel_law.link.tx, channel_law.link.rx
+        n = 10_000
+        assert 2 * PLACE_COLS < n < 3 * PLACE_COLS
+        h = channel_law.draw(n, np.random.default_rng(23))
+        rng = np.random.default_rng(23)
+        r_link = rng.uniform(*channel_law.distance, n)
+        u_tx, u_rx = uniform_rotation(rng, n), uniform_rotation(rng, n)
+        selection = select_tx_pair(tx, u_tx)
+        tx_pos = place(tx, u_tx.T[tx.axes])[:, selection.pair.T, np.arange(n)]
+        rx_pos = place(rx, u_rx.T[rx.axes]) + np.multiply.outer(LINK_DIRECTION, r_link)[:, None]
+        want = los_channel(link_distances(tx_pos, rx_pos), channel_law.link.wavelength)
+        assert np.array_equal(h, want)
+        if tx_kind == "pentagon":
+            # both spacing classes, whose choice hangs on the last bit of sin(beta)
+            assert set(selection.neighbouring) == {True, False}
+
     @pytest.mark.xfail(strict=True, reason=(
         "FOUND in CHANGES.md: ChannelLaw.draw picks the pentagon pair by the "
         "smallest |sin beta| alone and ignores select_tx_pair_for_quality"))
@@ -836,11 +860,10 @@ def whole_block_counts(rx_kind, samples, seed, bins=25):
     return counts
 
 
-def full_matrix_piece(link, r_link, q_tx, q_rx):
-    """(theta_mu, mu) of a density piece from whole rotation matrices placed by
-    ``np.matmul``: the reference for the pieces, which place each array from
-    the rotation columns of its axes alone."""
-    u_tx, u_rx = quaternion_rotations(q_tx), quaternion_rotations(q_rx)
+def full_matrix_piece(link, r_link, u_tx, u_rx):
+    """(theta_mu, mu) of a density piece from whole rotation matrices (n, 3, 3)
+    placed by ``np.matmul``: the reference for the pieces, which place each
+    array from the rotation columns of its axes alone."""
     dist = link_distances(*whole_matrix_positions(link, u_tx, u_rx, r_link))
     inner = _phasors((dist[:, 1] - dist[:, 0]).T, link.wavelength).sum(axis=1)
     return np.mod(np.angle(inner), 2.0 * np.pi), np.clip(np.abs(inner) / link.rx.n, 0.0, 1.0)
@@ -914,7 +937,10 @@ class TestJointDensity:
         theta, mu = np.empty(n), np.empty(n)
         for start in range(0, n, DENSITY_PIECE):
             montecarlo._density_piece(link, 10.0, q_tx, q_rx, theta, mu, start)
-        ref_theta, ref_mu = full_matrix_piece(link, 10.0, q_tx, q_rx)
+        # the same rotations, drawn whole from the same stream
+        rng = np.random.default_rng([12])
+        ref_theta, ref_mu = full_matrix_piece(link, 10.0, uniform_rotation(rng, n),
+                                              uniform_rotation(rng, n))
         if rx_kind == "ula":
             assert np.array_equal(theta, ref_theta) and np.array_equal(mu, ref_mu)
         else:
@@ -930,8 +956,8 @@ class TestJointDensity:
         link = LinkSpec(0.0042, make_layout("ula", 2, 0.145), make_layout("ula", 1, 0.145))
         grid = joint_density(ChannelLaw(link, 10.0), bins=5, samples=1_000, seed=1)
         rng = np.random.default_rng([1])
-        theta, mu = full_matrix_piece(link, 10.0, rotation_normals(rng, 1_000),
-                                      rotation_normals(rng, 1_000))
+        theta, mu = full_matrix_piece(link, 10.0, uniform_rotation(rng, 1_000),
+                                      uniform_rotation(rng, 1_000))
         counts, _, _ = np.histogram2d(theta, mu, bins=[grid.theta_edges, grid.mu_edges])
         assert np.array_equal(grid.counts, counts.astype(np.int64))
         assert grid.counts[:, -1].sum() == 1_000
