@@ -31,7 +31,7 @@ from .geometry import LinkSpec, make_layout
 from .metrics import coding_gain
 from .montecarlo import (ChannelLaw, SimConfig, channel_groups, check_campaign,
                          check_density_inputs, check_distance, check_seed, joint_density,
-                         run_ber, task_processes, task_threads)
+                         run_ber, task_workers)
 from .orientation import (ETA_START, ETA_STEP, ETA_STOP, _cell_grid, check_eta_grid,
                           compute_mu_star_curve)
 
@@ -39,6 +39,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_RUNTIME = 4
+
+# the most values of a gain grid: every mu step down to 1e-6
+MU_POINTS = 1_000_001
 
 
 class ConfigError(Exception):
@@ -294,8 +297,8 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
     manifest.data["shared_channels"] = [[names[i] for i in g] for g in channel_groups(sims)]
     # every run is checked before the first one starts; they run in one call
     with _located("--workers"):
-        manifest.data["processes"] = task_processes(sims, args.workers)
-    manifest.data["threads_per_process"] = task_threads(sims, args.workers)
+        manifest.data["processes"], manifest.data["threads_per_process"] = \
+            task_workers(sims, args.workers)
     curves = run_ber(sims, args.workers)
     for name, curve in zip(names, curves):
         print(f"simulate: wrote {manifest.write(f'{name}.csv', curve.write_csv)}")
@@ -360,11 +363,13 @@ def _cmd_density(args, manifest: Manifest) -> int:
 def _cmd_gain(args, manifest: Manifest) -> int:
     if not np.isfinite(args.mu_step):
         raise ConfigError(f"mu step must be finite, got {args.mu_step!r}")
-    # above 0, and large enough that NumPy can size the bytes of the float64 mu
-    # grid, 0 to 1 inclusive, in intp
-    stop, most = 1.0 + 1e-12, np.iinfo(np.intp).max // 8
-    if not args.mu_step * most > stop:
-        raise ConfigError(f"mu step must be above {stop / most:g}, got {args.mu_step!r}")
+    # the mu grid, 0 to 1 inclusive, has ceil(stop / step) values, at most
+    # MU_POINTS where stop / step is; that quotient is taken only for a step
+    # that keeps it near MU_POINTS, as it would overflow for a small enough one
+    stop = 1.0 + 1e-12
+    if not (args.mu_step >= stop / MU_POINTS and stop / args.mu_step <= MU_POINTS):
+        raise ConfigError(f"mu step must be at least {stop / MU_POINTS:g}, which leaves at "
+                          f"most {MU_POINTS} mu values, got {args.mu_step!r}")
     schemes = list(SCHEMES) if args.scheme == "all" else [args.scheme]
     mus = np.arange(0.0, stop, args.mu_step)
     table = np.column_stack(

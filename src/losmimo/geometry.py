@@ -6,7 +6,9 @@ the axes its layout occupies (``ArrayLayout.axes``) times the rotation columns
 of those axes. The Monte-Carlo engine and ``joint_density`` hand it only the
 columns they build from quaternions (``rotation_columns``), and
 ``place_antennas`` the columns of its one matrix pair, so all three give the
-same positions bit for bit.
+same positions bit for bit. ``rotation_columns``, ``place`` and
+``link_distances`` take whatever batch they are handed whole: every step is
+per link, so no link's bits depend on the batch it comes in.
 
 Global frame conventions. For one ``LinkScenario`` (``place_antennas``), the
 two transmit antennas lie on the z-axis at ``(0, 0, +/- d_t/2)`` when the
@@ -47,10 +49,6 @@ __all__ = [
     "link_axis",
     "transverse_axis",
 ]
-
-# links per piece of rotation sampling, placement and distances: a piece's
-# temporaries stay in cache
-PLACE_COLS = 4096
 
 LAYOUT_KINDS = ("ula", "ura", "tetrahedron", "triangle", "pentagon", "spherical-code")
 # the simulated links run along +x: the receive centroid sits at R LINK_DIRECTION,
@@ -293,30 +291,30 @@ def rotation_columns(q: NDArray, axes: Sequence[int]) -> NDArray:
 
     A standard-normal 4-vector normalised to the unit 3-sphere is a uniform
     quaternion, so the rotations of ``rotation_normals`` are Haar-uniform.
-    The quaternions are normalised and mapped in ``PLACE_COLS``-row pieces."""
+    Every step is per rotation, so a rotation's bits do not depend on the batch
+    it comes in."""
     out = np.empty((len(axes), 3, len(q)))
-    for s in range(0, len(q), PLACE_COLS):
-        v = q[s:s + PLACE_COLS].T.copy()   # rows w, x, y, z
-        norm = v[0] * v[0]
-        for c in v[1:]:
-            norm += c * c                  # np.linalg.norm's order: ((w^2 + x^2) + y^2) + z^2
-        v /= np.sqrt(norm)
-        w, z = v[0], v[3]
-        # each product once, doubled: 2 (a b) = (2 a) b exactly
-        two = 2.0 * v[1:]                  # 2x, 2y, 2z
-        xx, yy, zz = two * v[1:]
-        xy, xz = two[0] * v[2:]
-        yz = two[1] * z
-        xw, yw, zw = two * w
-        # U row by row; a diagonal entry is 1 minus its sum
-        u = ((np.add, yy, zz), (np.subtract, xy, zw), (np.add, xz, yw),
-             (np.add, xy, zw), (np.add, xx, zz), (np.subtract, yz, xw),
-             (np.subtract, xz, yw), (np.add, yz, xw), (np.add, xx, yy))
-        for j, column in zip(axes, out[..., s:s + PLACE_COLS]):
-            for i, entry in enumerate(column):
-                op, a, b = u[3 * i + j]
-                op(a, b, out=entry)
-            np.subtract(1.0, column[j], out=column[j])
+    v = q.T.copy()                     # rows w, x, y, z
+    norm = v[0] * v[0]
+    for c in v[1:]:
+        norm += c * c                  # np.linalg.norm's order: ((w^2 + x^2) + y^2) + z^2
+    v /= np.sqrt(norm)
+    w, z = v[0], v[3]
+    # each product once, doubled: 2 (a b) = (2 a) b exactly
+    two = 2.0 * v[1:]                  # 2x, 2y, 2z
+    xx, yy, zz = two * v[1:]
+    xy, xz = two[0] * v[2:]
+    yz = two[1] * z
+    xw, yw, zw = two * w
+    # U row by row; a diagonal entry is 1 minus its sum
+    u = ((np.add, yy, zz), (np.subtract, xy, zw), (np.add, xz, yw),
+         (np.add, xy, zw), (np.add, xx, zz), (np.subtract, yz, xw),
+         (np.subtract, xz, yw), (np.add, yz, xw), (np.add, xx, yy))
+    for j, column in zip(axes, out):
+        for i, entry in enumerate(column):
+            op, a, b = u[3 * i + j]
+            op(a, b, out=entry)
+        np.subtract(1.0, column[j], out=column[j])
     return out
 
 
@@ -375,14 +373,11 @@ def place(layout: ArrayLayout, columns: NDArray) -> NDArray:
 
     Each position is the antenna's coordinates on those axes times their
     columns, summed in axis order; on one axis (a ULA) it is one exact product.
-    Each axis adds its term to all antennas of a ``PLACE_COLS``-link piece at
-    once."""
+    Each axis adds its term to all antennas and links at once."""
     out = np.zeros((3, layout.n, columns.shape[-1]))
     coords = layout.positions[:, layout.axes, None].swapaxes(0, 1)   # (axes, n_ant, 1)
-    for s in range(0, out.shape[-1], PLACE_COLS):
-        piece = out[..., s:s + PLACE_COLS]
-        for column, c in zip(columns[:, :, None, s:s + PLACE_COLS], coords):
-            piece += column * c
+    for column, c in zip(columns[:, :, None], coords):
+        out += column * c
     return out
 
 
@@ -399,17 +394,12 @@ def link_distances(tx: NDArray, rx: NDArray) -> NDArray:
     link l from coordinate-major positions tx (3, n_t, n) and rx (3, n_r, n).
 
     Each is ``sqrt((dx dx + dy dy) + dz dz)``, ``np.linalg.norm``'s summation
-    order, taken over ``PLACE_COLS``-link pieces so that the temporaries stay
-    in cache."""
-    n = tx.shape[-1]
-    r = np.empty((rx.shape[1], tx.shape[1], n))
-    for s in range(0, n, PLACE_COLS):
-        t, q, out = tx[..., s:s + PLACE_COLS], rx[..., s:s + PLACE_COLS], r[..., s:s + PLACE_COLS]
-        np.square(q[0][:, None] - t[0], out=out)
-        for c in (1, 2):
-            d = q[c][:, None] - t[c]
-            out += np.multiply(d, d, out=d)
-        np.sqrt(out, out=out)
+    order."""
+    r = np.square(rx[0][:, None] - tx[0])
+    for c in (1, 2):
+        d = rx[c][:, None] - tx[c]
+        r += np.multiply(d, d, out=d)
+    np.sqrt(r, out=r)
     if np.any(r <= 0):
         raise ValueError("coincident transmit and receive antennas")
     return r

@@ -6,8 +6,9 @@ derives from (master seed, SNR index, block index), so the SNR points of a
 campaign are independent and results do not depend on where or in what order
 the points run. A block's first draws are its channels, drawn by the
 campaign's ``ChannelLaw``, so campaigns that agree on the law, seed and block
-size draw the same channels in every block; ``run_ber`` runs such a group
-together and synthesises each block's channels once for all of its campaigns.
+size draw the same channels in every block; ``run_ber`` runs those that also
+share the SNR grid and the trial budget together, on one block schedule, and
+synthesises each block's channels once for all of them.
 Its (group, SNR point) tasks run on one executor per call: on worker processes
 when the call asks for more than one, and otherwise on one thread per usable
 CPU of the calling process; either way each task runs alone and the results do
@@ -31,8 +32,8 @@ from .codes import Codebook, build_codebook
 from .design import _closest_pairs
 # nothing here draws whole rotation matrices, but the benchmark's tracer
 # patches uniform_rotation in this module, so it stays imported
-from .geometry import (LINK_DIRECTION, PLACE_COLS, LinkSpec, link_distances, place,
-                       rotation_columns, rotation_normals, uniform_rotation)
+from .geometry import (LINK_DIRECTION, LinkSpec, link_distances, place, rotation_columns,
+                       rotation_normals, uniform_rotation)
 
 __all__ = [
     "ChannelLaw",
@@ -42,8 +43,7 @@ __all__ = [
     "ml_decode",
     "channel_groups",
     "run_ber",
-    "task_processes",
-    "task_threads",
+    "task_workers",
     "check_campaign",
     "check_distance",
     "check_seed",
@@ -53,9 +53,8 @@ __all__ = [
 
 # samples per batch of joint_density; it fixes the order of the random stream
 DENSITY_BLOCK = 200_000
-# samples per piece of a joint_density block: a piece's temporaries stay in
-# cache, and its PLACE_COLS sub-pieces fall where the whole block's would
-DENSITY_PIECE = 4 * PLACE_COLS
+# samples per piece of a joint_density block: a piece's temporaries stay small
+DENSITY_PIECE = 8_192
 # the distance bound of _Engine.block_errors: its relative margin, and the
 # smallest lambda_min / tr G at which it settles a trial
 SETTLE_MARGIN = 1e-3
@@ -298,75 +297,63 @@ def _lambda_min(h: NDArray) -> NDArray:
 
 
 def channel_groups(configs: Sequence[SimConfig]) -> list[list[int]]:
-    """Indices of ``configs`` grouped by the channels their blocks draw: the
-    channel law, seed and block size. Groups and their members are in order of
-    first appearance."""
+    """Indices of ``configs`` grouped by the blocks they run: the channel law,
+    seed and block size fix every block's channels, and the SNR grid and the
+    trial budget the blocks of each SNR point. Groups and their members are in
+    order of first appearance."""
     groups: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
-        key = (c.law, c.seed, c.block_trials)
+        key = (c.law, c.seed, c.block_trials, c.snr_db, c.max_trials)
         groups.setdefault(key, []).append(i)
     return list(groups.values())
 
 
 def _run_group_point(configs: tuple[SimConfig, ...], snr_index: int) -> list[tuple[int, int]]:
-    """(trials, bit errors) at one SNR index of campaigns that draw the same
-    channels, each running its blocks in index order until its trial budget is
-    used up or its bit-error target is reached.
+    """(trials, bit errors) at one SNR index of the campaigns of one channel
+    group, each running the group's blocks in index order until the trial
+    budget is used up or its bit-error target is reached.
 
     Block b's stream is ``default_rng([seed, snr_index, b])``. Its channels are
-    drawn once per distinct trial count among the campaigns still running, and
-    each of those campaigns draws its codewords and noise from the state that
-    follows them, so every campaign consumes the stream it would alone."""
+    drawn once, and each campaign still running draws its codewords and noise
+    from the state that follows them, so every campaign consumes the stream it
+    would alone."""
     np.empty(HEAP_KEEP, dtype=np.uint8)    # see HEAP_KEEP
     engines = [_Engine(c, snr_index) for c in configs]
     lead = configs[0]
     trials, errors = [0] * len(configs), [0] * len(configs)
-    live = list(range(len(configs)))
-    b = 0
-    while live:
-        by_count: dict[int, list[int]] = {}
+    for start in range(0, lead.max_trials, lead.block_trials):
+        if not (live := [i for i, c in enumerate(configs) if errors[i] < c.target_errors]):
+            break
+        n = min(lead.block_trials, lead.max_trials - start)
+        rng = np.random.default_rng([lead.seed, snr_index, start // lead.block_trials])
+        h = lead.law.draw(n, rng)
+        lam = _lambda_min(h)
+        drawn = rng.bit_generator.state
         for i in live:
-            n = min(lead.block_trials, configs[i].max_trials - trials[i])
-            by_count.setdefault(n, []).append(i)
-        for n, members in by_count.items():
-            rng = np.random.default_rng([lead.seed, snr_index, b])
-            h = lead.law.draw(n, rng)
-            lam = _lambda_min(h)
-            drawn = rng.bit_generator.state
-            for i in members:
-                rng.bit_generator.state = drawn
-                trials[i] += n
-                errors[i] += engines[i].block_errors(h, lam, rng)
-        live = [i for i in live
-                if errors[i] < configs[i].target_errors and trials[i] < configs[i].max_trials]
-        b += 1
+            rng.bit_generator.state = drawn
+            trials[i] += n
+            errors[i] += engines[i].block_errors(h, lam, rng)
     return list(zip(trials, errors))
 
 
 def _tasks(configs: list[SimConfig]) -> list[tuple[list[int], int]]:
-    """``run_ber``'s tasks: the members of a channel group that have an SNR
-    index s, and s, for every group and index."""
-    return [([i for i in group if s < len(configs[i].snr_db)], s)
-            for group in channel_groups(configs)
-            for s in range(max(len(configs[i].snr_db) for i in group))]
+    """``run_ber``'s tasks: a channel group and an SNR index, for every group
+    and index."""
+    return [(group, s) for group in channel_groups(configs)
+            for s in range(len(configs[group[0]].snr_db))]
 
 
-def task_processes(configs: Sequence[SimConfig], workers: int = 1) -> int:
-    """The processes in which ``run_ber(configs, workers)`` runs its tasks:
-    ``workers``, but no more than there are tasks; at one, the calling process
-    runs them. ``workers`` must be an integer of at least 1."""
+def task_workers(configs: Sequence[SimConfig], workers: int = 1) -> tuple[int, int]:
+    """The processes in which ``run_ber(configs, workers)`` runs its tasks,
+    and the threads of each: ``workers`` processes of one thread, but no more
+    than there are tasks; at one, the calling process, on one thread per
+    usable CPU but again no more than there are tasks. ``workers`` must be an
+    integer of at least 1."""
     if not (_is_int(workers) and workers >= 1):
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
-    return max(1, min(workers, len(_tasks(list(configs)))))
-
-
-def task_threads(configs: Sequence[SimConfig], workers: int = 1) -> int:
-    """The threads per process on which ``run_ber(configs, workers)`` runs its
-    tasks: one in each of several worker processes, and in the calling process
-    one per usable CPU, but no more than there are tasks."""
-    if task_processes(configs, workers) > 1:
-        return 1
-    return max(1, min(_usable_cpus(), len(_tasks(list(configs)))))
+    tasks = len(_tasks(list(configs)))
+    processes = max(1, min(workers, tasks))
+    return processes, 1 if processes > 1 else max(1, min(_usable_cpus(), tasks))
 
 
 def run_ber(config: SimConfig | Sequence[SimConfig], workers: int = 1) -> BerCurve | list[BerCurve]:
@@ -374,28 +361,30 @@ def run_ber(config: SimConfig | Sequence[SimConfig], workers: int = 1) -> BerCur
     (a list of curves, in order).
 
     The campaigns are grouped by ``channel_groups``; one task runs one group at
-    one SNR index (``_run_group_point``). Every task is submitted to one
-    executor that lives for this call: ``task_processes(configs, workers)``
-    worker processes, each running one task at a time, when that is more than
-    one, and otherwise ``task_threads(configs, workers)`` threads of this
-    process. Once a task raises, the tasks not yet started are dropped, and the
-    error is raised here after every worker has stopped. Each campaign consumes
-    the random stream it would alone, the points share no stream, and every
-    codebook is built by ``SimConfig`` before a task starts, so the output is
-    bit-identical for any thread or process count, and with or without other
-    campaigns. ``workers`` must be an integer of at least 1.
+    one SNR index (``_run_group_point``). Campaigns that differ in SNR grid or
+    budget run in groups of their own, so they share fewer channels but get the
+    same curves. Every task is submitted to one executor that lives for this
+    call, of the processes and threads that ``task_workers(configs, workers)``
+    gives: worker processes, each running one task at a time, when there are
+    more than one, and otherwise threads of this process. Once a task raises,
+    the tasks not yet started are dropped, and the error is raised here after
+    every worker has stopped. Each campaign consumes the random stream it would
+    alone, the points share no stream, and every codebook is built by
+    ``SimConfig`` before a task starts, so the output is bit-identical for any
+    thread or process count, and with or without other campaigns. ``workers``
+    must be an integer of at least 1.
     """
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
     configs = [config] if isinstance(config, SimConfig) else list(config)
+    processes, threads = task_workers(configs, workers)
     tasks = _tasks(configs)
-    processes = task_processes(configs, workers)
     if processes > 1:
         # imported only when used: loading it raises a threaded run's peak RSS
         from concurrent.futures import ProcessPoolExecutor
         executor = ProcessPoolExecutor(processes)
     else:
-        executor = ThreadPoolExecutor(task_threads(configs, workers))
+        executor = ThreadPoolExecutor(threads)
     try:
         # a worker takes the next task when it is free: a point that stops after
         # one block and one that runs its whole budget differ in cost by the
@@ -596,9 +585,9 @@ def joint_density(law: ChannelLaw, bins: int, samples: int, seed: int = 0) -> De
     one. A piece builds only the rotation columns of the axes its arrays
     occupy (``_density_piece``); the histogram finds each sample's bin by
     index arithmetic under NumPy's histogram rules and counts the bins with
-    one ``np.bincount`` (``_bin_counts``). A piece depends only on its
-    own samples and the counts are integers, so they do not depend on the
-    thread count.
+    one ``np.bincount`` (``_bin_counts``). Every step from rotations to
+    (theta_mu, mu) is per sample and the counts are integers, so they depend
+    on neither the piece size nor the thread count.
     """
     from concurrent.futures import ThreadPoolExecutor
 

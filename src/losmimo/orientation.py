@@ -49,6 +49,8 @@ PENTAGON_ETA_SCALE = 2.0 / (1.0 + np.sqrt(5.0))
 
 # the standard mu* grid: first and last eta and step
 ETA_START, ETA_STOP, ETA_STEP = 0.3, 3.0, 0.01
+# the most etas of a grid, the pentagon extension included
+ETA_POINTS = 100_000
 
 # unit edge, so that d_m / spacing is sqrt(3/8) to the last bit
 _TETRAHEDRON = make_layout("tetrahedron", spacing=1.0)
@@ -345,7 +347,7 @@ class MuStarCurve:
 
 def check_eta_grid(eta_start: float, eta_stop: float, step: float) -> NDArray:
     """Check a ``compute_mu_star_curve`` grid; return its etas, the pentagon
-    extension below ``eta_start`` included."""
+    extension below ``eta_start`` included: at most ``ETA_POINTS`` of them."""
     for name, value in (("eta_start", eta_start), ("eta_stop", eta_stop), ("eta step", step)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -354,8 +356,15 @@ def check_eta_grid(eta_start: float, eta_stop: float, step: float) -> NDArray:
     if not step > 0:
         raise ValueError("eta step must be positive")
     lo = eta_start * PENTAGON_ETA_SCALE
-    n_below = int(np.ceil((eta_start - lo) / step))
-    etas = eta_start + step * np.arange(-n_below, np.floor((eta_stop - eta_start) / step) + 1)
+    # the etas are counted before any is built; the spans are divided by the
+    # step only when it keeps the quotients near ETA_POINTS, as they would
+    # overflow for a small enough one
+    below = above = np.inf
+    if step >= (eta_stop - lo) / ETA_POINTS:
+        below, above = np.ceil((eta_start - lo) / step), np.floor((eta_stop - eta_start) / step)
+    if below + above + 1 > ETA_POINTS:
+        raise ValueError(f"eta step {step:g} gives more than {ETA_POINTS} etas")
+    etas = eta_start + step * np.arange(-int(below), above + 1)
     if etas[0] <= 0:
         raise ValueError(f"eta step {step:g} extends the grid to eta = {etas[0]:g} <= 0")
     return etas

@@ -606,14 +606,17 @@ class TestGain:
         assert not (out / "coding_gain.csv").exists()
 
     def test_mu_step_beyond_numpy_sizes_is_config_error(self, tmp_path):
-        # its 1e300-point grid used to raise NumPy's "Maximum allowed size
-        # exceeded" (exit 4); only a step that allocates nothing is tried here
-        out = tmp_path / "out"
-        assert main(["gain", "sm", "--mu-step=1e-300", "--out", str(out)]) == EXIT_CONFIG
-        manifest = json.loads((out / "manifest.json").read_text())
-        step = (1.0 + 1e-12) / (np.iinfo(np.intp).max // 8)
-        assert manifest["error"] == f"mu step must be above {step:g}, got 1e-300"
-        assert not (out / "coding_gain.csv").exists()
+        # a 1e300-point grid used to raise NumPy's "Maximum allowed size
+        # exceeded" (exit 4), and a 1e18-point one a MemoryError (exit 4); the
+        # grid is bounded before any array is built, so none is allocated here
+        least = (1.0 + 1e-12) / losmimo.cli.MU_POINTS
+        for step in ("1e-300", "1e-18", "5e-324"):
+            out = tmp_path / step
+            assert main(["gain", "sm", f"--mu-step={step}", "--out", str(out)]) == EXIT_CONFIG
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["error"] == (f"mu step must be at least {least:g}, which leaves "
+                                         f"at most 1000001 mu values, got {float(step)!r}")
+            assert not (out / "coding_gain.csv").exists()
 
 
 class TestCurves:
@@ -632,20 +635,25 @@ class TestCurves:
 
     @pytest.mark.parametrize("flag,value", [("step", "0.3"), ("step", "0"), ("step", "-0.1"),
                                             ("step", "-0.01"), ("step", "nan"), ("step", "inf"),
+                                            ("step", "5e-324"), ("step", "1e-300"),
                                             ("stop", "inf"), ("stop", "nan"), ("start", "inf"),
                                             ("start", "nan")],
-                             ids=["0.3", "0", "-0.1", "-0.01", "nan", "inf", "stop-inf",
-                                  "stop-nan", "start-inf", "start-nan"])
+                             ids=["0.3", "0", "-0.1", "-0.01", "nan", "inf", "5e-324", "1e-300",
+                                  "stop-inf", "stop-nan", "start-inf", "start-nan"])
     def test_bad_eta_step_is_config_error(self, tmp_path, flag, value):
         # 0.3 extends the pentagon grid below eta_start = 0.3 down to eta = 0;
         # an infinite step used to write a header alone (design: exit 4), and
-        # the non-finite values used to get the messages of the finite cases
+        # the non-finite values used to get the messages of the finite cases;
+        # 5e-324 used to overflow counting its etas (exit 4) and 1e-300 to get
+        # NumPy's bare "Maximum allowed size exceeded"
         out = tmp_path / "curves"
         assert main(["curves", f"--eta-{flag}={value}", "--out", str(out)]) == EXIT_CONFIG
         manifest = json.loads((out / "manifest.json").read_text())
         if value in ("nan", "inf"):
             name = "eta step" if flag == "step" else f"eta_{flag}"
             assert manifest["error"] == f"{name} must be finite, got {float(value)!r}"
+        elif 0 < float(value) < 1e-6:
+            assert manifest["error"] == f"eta step {float(value):g} gives more than 100000 etas"
         else:
             assert manifest["error"].startswith("eta step")
         assert not (out / "mu_star_curve.csv").exists()

@@ -1,7 +1,8 @@
 """Each library module's ``__all__`` names exactly the public functions and
 classes that the module defines, and every name in it resolves: a deleted
 function cannot linger in an export list, nor a new one go unexported. And
-every name a module imports is used there: a stale import cannot linger
+every name a module imports is used there, and every name it defines but does
+not export is read by some module: a stale import or constant cannot linger
 after the code that used it goes."""
 
 import ast
@@ -46,3 +47,33 @@ def test_every_import_is_used(path):
     kept = set(getattr(module, "__all__", ())) if path.stem == "__init__" else set()
     kept |= set(PATCHED.get(module, ()))
     assert imported - used - kept == set()
+
+
+def defined_names(tree):
+    """The names that a module's top-level statements define or assign."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_every_module_name_is_read(path):
+    # read in the module's own code, or imported by name from it by another;
+    # the names in __all__ are the library's, and dunders Python's
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for other in SOURCES:
+        read |= {alias.name for node in ast.walk(ast.parse(other.read_text()))
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 and (node.module or "__init__") == path.stem for alias in node.names}
+    module = importlib.import_module(f"losmimo.{path.stem}" if path.stem != "__init__"
+                                     else "losmimo")
+    unread = {n for n in defined_names(tree) - read - set(getattr(module, "__all__", ()))
+              if not (n.startswith("__") and n.endswith("__"))}
+    assert unread == set()

@@ -16,7 +16,6 @@ from losmimo.geometry import (
     link_distances,
     make_layout,
     place_antennas,
-    PLACE_COLS,
     place,
     rotation_columns,
     uniform_rotation,
@@ -160,9 +159,9 @@ class TestUniformRotation:
     @pytest.mark.parametrize("axes", [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
     def test_columns_bit_identical_to_rotations(self, axes):
         # the BER engine and the density pieces place their arrays from these
-        # columns alone, and uniform_rotation is all three of them;
-        # two pieces and a final partial one, from unnormalised quaternions
-        q = np.random.default_rng(9).standard_normal((2 * PLACE_COLS + 17, 4))
+        # columns alone, and uniform_rotation is all three of them; from
+        # unnormalised quaternions
+        q = np.random.default_rng(9).standard_normal((8_209, 4))
         cols = rotation_columns(q, axes)
         assert cols.shape == (len(axes), 3, len(q)) and cols.flags.c_contiguous
         u = uniform_rotation(np.random.default_rng(9), len(q))
@@ -278,10 +277,23 @@ class TestPlacement:
         # the engine builds only the columns, the scalar API whole matrices:
         # both place an array with the same bits
         lay = PLACEMENT_LAYOUTS[kind]
-        q = np.random.default_rng(5).standard_normal((2 * PLACE_COLS + 17, 4))
+        q = np.random.default_rng(5).standard_normal((8_209, 4))
         u = uniform_rotation(np.random.default_rng(5), len(q))
         assert np.array_equal(place(lay, u.T[lay.axes]),
                               place(lay, rotation_columns(q, lay.axes)))
+
+    @pytest.mark.parametrize("kind", sorted(PLACEMENT_LAYOUTS))
+    def test_bits_do_not_depend_on_the_batch(self, kind):
+        # every step is per link, so a batch cut anywhere gives the bits of
+        # the whole: uneven slices, one of a single link
+        lay = PLACEMENT_LAYOUTS[kind]
+        q = np.random.default_rng(6).standard_normal((10_000, 4))
+        cuts = np.split(np.arange(len(q)), [1, 4_096, 8_193])
+        cols = rotation_columns(q, lay.axes)
+        assert np.array_equal(cols, np.concatenate(
+            [rotation_columns(q[i], lay.axes) for i in cuts], axis=-1))
+        assert np.array_equal(place(lay, cols), np.concatenate(
+            [place(lay, cols[..., i]) for i in cuts], axis=-1))
 
     @pytest.mark.parametrize("n_rx", [4, 16])
     def test_starts_no_blas_threads(self, n_rx):

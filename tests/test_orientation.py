@@ -283,6 +283,31 @@ class TestPinnedCurve:
         assert hashlib.sha256(curve.directions.tobytes()).hexdigest() == self.DIRECTIONS
 
 
+class TestEtaGrid:
+    def test_holds_at_most_eta_points(self):
+        # steps about the bound on the default range: the count the check
+        # makes before building the grid is the length of the grid it builds
+        start, stop = orientation.ETA_START, orientation.ETA_STOP
+        lo = start * PENTAGON_ETA_SCALE
+        kept = 0
+        for step in (stop - lo) / np.linspace(99_997, 100_003, 13):
+            n = int(np.ceil((start - lo) / step)) + int(np.floor((stop - start) / step)) + 1
+            if n <= orientation.ETA_POINTS:
+                assert len(orientation.check_eta_grid(start, stop, step)) == n
+                kept += 1
+            else:
+                with pytest.raises(ValueError, match="more than 100000 etas"):
+                    orientation.check_eta_grid(start, stop, step)
+        assert 0 < kept < 13
+
+    @pytest.mark.parametrize("step", [5e-324, 1e-300, 1e-12])
+    def test_fine_step_rejected_before_any_array(self, step):
+        # 5e-324 used to overflow counting its etas; the others need far more
+        # memory than a grid of ETA_POINTS
+        with pytest.raises(ValueError, match="more than 100000 etas"):
+            compute_mu_star_curve(0.3, 3.0, step)
+
+
 class TestNewtonStep:
     """The closed-form 2 x 2 Newton step against LAPACK's det and solve."""
 
