@@ -29,9 +29,9 @@ from .codes import SCHEMES, build_codebook, difference_spectrum
 from .design import DesignSpec, InfeasibleDesignError, design_link
 from .geometry import LinkSpec, make_layout
 from .metrics import coding_gain
-from .montecarlo import (ChannelLaw, SimConfig, channel_groups, check_campaign,
+from .montecarlo import (ChannelLaw, SimConfig, _usable_cpus, channel_groups, check_campaign,
                          check_density_inputs, check_distance, check_seed, joint_density,
-                         run_ber, task_workers)
+                         run_ber, task_processes)
 from .orientation import (ETA_START, ETA_STEP, ETA_STOP, _cell_grid, check_eta_grid,
                           compute_mu_star_curve)
 
@@ -297,8 +297,7 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
     manifest.data["shared_channels"] = [[names[i] for i in g] for g in channel_groups(sims)]
     # every run is checked before the first one starts; they run in one call
     with _located("--workers"):
-        manifest.data["processes"], manifest.data["threads_per_process"] = \
-            task_workers(sims, args.workers)
+        manifest.data["processes"] = task_processes(sims, args.workers)
     curves = run_ber(sims, args.workers)
     for name, curve in zip(names, curves):
         print(f"simulate: wrote {manifest.write(f'{name}.csv', curve.write_csv)}")
@@ -399,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run BER campaigns")
     common(p_sim, _cmd_simulate, seed=True)
-    p_sim.add_argument("--workers", type=int, default=1,
-                       help="worker processes, each running one task at a time, capped at "
-                            "the task count (default: 1, which runs the tasks on one thread "
-                            "per usable CPU)")
+    p_sim.add_argument("--workers", type=int, default=_usable_cpus(),
+                       help="worker processes, each running one channel group at a time, "
+                            "capped at the group count; 1 runs the groups in this process "
+                            "(default: the usable CPU count)")
     common(sub.add_parser("design", help="compute an [R_min, R_max] design report"),
            _cmd_design)
     p_curves = sub.add_parser("curves", help="export the worst-case correlation curve")

@@ -56,6 +56,10 @@ LAYOUT_KINDS = ("ula", "ura", "tetrahedron", "triangle", "pentagon", "spherical-
 LINK_DIRECTION = np.array([1.0, 0.0, 0.0])
 # transmit arrays: a 2-antenna ULA, or a polygon that select_tx_pair takes a pair from
 TX_KINDS = ("ula", "triangle", "pentagon")
+# the smallest layout spacing: above it the squared antenna offsets, whose sums
+# give the radii, stay normal floats; below it they underflow, and a layout's
+# antennas collapse onto its centroid
+SPACING_MIN = float(np.sqrt(np.finfo(float).tiny))
 
 # Vertices of the regular tetrahedron as unit vectors from the centroid.
 TETRAHEDRON_DIRECTIONS = np.array(
@@ -192,6 +196,9 @@ def make_layout(kind: str, n: int | None = None, spacing: float | None = None,
         raise ValueError(f"unknown layout kind {kind!r}; expected one of {LAYOUT_KINDS}")
     if spacing is None or not 0.0 < spacing < np.inf:
         raise ValueError("spacing must be positive")
+    if spacing < SPACING_MIN:
+        raise ValueError(f"spacing must be at least {SPACING_MIN:.4g} m, or the antennas "
+                         f"collapse onto the centroid, got {spacing!r}")
     if coords_file is not None and kind != "spherical-code":
         raise ValueError(f"a coordinates file is read only for a spherical-code layout, "
                          f"not for kind {kind!r}")

@@ -1,18 +1,14 @@
 """Seed-reproducible Monte-Carlo engine: ML-decoded BER campaigns over random
 orientations and distances, and the joint (theta_mu, mu) density experiment.
 
-Trials are partitioned into fixed-size blocks; the random stream of a block
-derives from (master seed, SNR index, block index), so the SNR points of a
-campaign are independent and results do not depend on where or in what order
-the points run. A block's first draws are its channels, drawn by the
+Trials are partitioned into fixed-size blocks whose random stream derives
+from (master seed, block index) alone, and every SNR point of a campaign
+scores the same blocks (common random numbers: each block is drawn once for
+the whole grid). A block's first draws are its channels, drawn by the
 campaign's ``ChannelLaw``, so campaigns that agree on the law, seed and block
-size draw the same channels in every block; ``run_ber`` runs those that also
-share the SNR grid and the trial budget together, on one block schedule, and
-synthesises each block's channels once for all of them.
-Its (group, SNR point) tasks run on one executor per call: on worker processes
-when the call asks for more than one, and otherwise on one thread per usable
-CPU of the calling process; either way each task runs alone and the results do
-not depend on where it ran.
+size draw the same channels; ``run_ber`` runs those that also share the SNR
+grid and the trial budget as one task on one block schedule, in the calling
+process or on worker processes, and the results do not depend on where.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ __all__ = [
     "ml_decode",
     "channel_groups",
     "run_ber",
-    "task_workers",
+    "task_processes",
     "check_campaign",
     "check_distance",
     "check_seed",
@@ -188,7 +184,14 @@ def check_campaign(snr_db, max_trials, target_errors, seed, block_trials) -> tup
         raise ValueError(f"SNR grid must be a non-empty list of finite numbers, got {snr_db!r}")
     if list(snr_db) != sorted(snr_db):
         raise ValueError("SNR grid must be sorted")
-    return tuple(float(s) for s in snr_db)
+    snr_db = tuple(float(s) for s in snr_db)
+    for s in snr_db:
+        # the engine's linear SNR: Python's float power raises where it overflows
+        try:
+            10.0 ** (s / 10.0)
+        except OverflowError:
+            raise ValueError(f"snr_db {s!r} gives a linear SNR beyond a float") from None
+    return snr_db
 
 
 @dataclass(frozen=True)
@@ -224,22 +227,25 @@ def _wilson(errors: int, n: int) -> tuple[float, float]:
 
 
 class _Engine:
-    """Per-campaign state shared by the trial blocks of the SNR point
-    ``snr_index`` (the first by default)."""
+    """Per-campaign state shared by its trial blocks: the codebook and, per SNR
+    point, the linear SNR, the decoder's weights and the distance bound's scale."""
 
-    def __init__(self, config: SimConfig, snr_index: int = 0):
+    def __init__(self, config: SimConfig):
         self.codebook = cb = build_codebook(config.scheme)
-        self.snr = 10.0 ** (config.snr_db[snr_index] / 10.0)
-        self.weights = _ml_weights(cb, self.snr)
+        self.snr = [10.0 ** (s / 10.0) for s in config.snr_db]
+        self.weights = [_ml_weights(cb, snr) for snr in self.snr]
         # a trial is settled when settle_scale * lambda_min > ||N||^2
-        self.settle_scale = self.snr * cb.min_sq_distance / (4.0 * (1.0 + SETTLE_MARGIN) ** 2)
+        self.settle_scale = [snr * cb.min_sq_distance / (4.0 * (1.0 + SETTLE_MARGIN) ** 2)
+                             for snr in self.snr]
         # (2, T, K): a gather over trials comes out n-last
         self.codewords_nlast = np.ascontiguousarray(cb.codewords.transpose(1, 2, 0))
 
-    def block_errors(self, h: NDArray, lam: NDArray, rng: np.random.Generator) -> int:
-        """Bit errors of one block over the n-last channels ``h``, with the
-        codewords and the noise N drawn from ``rng``; ``lam`` is
-        ``_lambda_min(h)``.
+    def block_errors(self, h: NDArray, lam: NDArray, rng: np.random.Generator,
+                     points: Sequence[int]) -> list[int]:
+        """Bit errors of one block over the n-last channels ``h`` at each of
+        the SNR points ``points``, in increasing order; ``lam`` is
+        ``_lambda_min(h)``. The codewords and the noise N are drawn from
+        ``rng`` once, and ``point_errors`` scores them at every point.
 
         Only the trials whose decision is in doubt are decoded. With G = h^H h
         and d2 = ``codebook.min_sq_distance``, every other codeword lies at
@@ -254,10 +260,9 @@ class _Engine:
         the rounding of the metric, of y and of lambda_min (whose relative
         error is below 1e-9 above the floor) is below 1e-12 of that scale.
 
-        The block is n-last in memory, so every small complex product runs its
-        inner loop over the trials; the decoder gets n-first views of it. A
-        trial's decision does not depend on the others in its batch, so the
-        count is the one a decoding of every trial gives."""
+        The threshold grows with snr, so each point selects its doubt set from
+        the previous point's. A trial's decision does not depend on its batch,
+        so each count is the one decoding every trial at that point gives."""
         cb = self.codebook
         n_r, n = h.shape[0], h.shape[-1]
         k_true = rng.integers(0, cb.size, n)
@@ -268,7 +273,16 @@ class _Engine:
         np.multiply(rng.standard_normal((n, n_r, cb.slots)), np.sqrt(0.5),
                     out=noise.imag.transpose(2, 0, 1))
         energy = (noise.real ** 2 + noise.imag ** 2).reshape(-1, n).sum(axis=0)
-        doubt = np.flatnonzero(self.settle_scale * lam <= energy)
+        doubt, counts = np.arange(n), []
+        for s in points:
+            doubt = doubt[self.settle_scale[s] * lam[doubt] <= energy[doubt]]
+            counts.append(self.point_errors(s, h, k_true, noise, doubt))
+        return counts
+
+    def point_errors(self, s: int, h: NDArray, k_true: NDArray, noise: NDArray,
+                     doubt: NDArray) -> int:
+        """Bit errors at SNR point ``s`` of a block drawn by ``block_errors``,
+        decoding the trials ``doubt``; the block stays n-last, so products loop over them."""
         if not len(doubt):
             return 0
         # y = sqrt(snr) h X + N on the trials in doubt; take keeps them n-last,
@@ -277,11 +291,11 @@ class _Engine:
         x = self.codewords_nlast[:, :, k_true]
         y = np.multiply(h[:, 0, None], x[0])
         y += np.multiply(h[:, 1, None], x[1])
-        y *= np.sqrt(self.snr)
+        y *= np.sqrt(self.snr[s])
         y += np.take(noise, doubt, axis=2)
-        del noise, x    # freed before the decoder's features
-        k = _ml_argmin(h.transpose(2, 0, 1), y.transpose(2, 0, 1), self.weights)
-        return int(np.sum(cb.bits[k_true] != cb.bits[k]))
+        del x    # freed before the decoder's features
+        k = _ml_argmin(h.transpose(2, 0, 1), y.transpose(2, 0, 1), self.weights[s])
+        return int(np.sum(self.codebook.bits[k_true] != self.codebook.bits[k]))
 
 
 def _lambda_min(h: NDArray) -> NDArray:
@@ -308,100 +322,75 @@ def channel_groups(configs: Sequence[SimConfig]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _run_group_point(configs: tuple[SimConfig, ...], snr_index: int) -> list[tuple[int, int]]:
-    """(trials, bit errors) at one SNR index of the campaigns of one channel
-    group, each running the group's blocks in index order until the trial
-    budget is used up or its bit-error target is reached.
-
-    Block b's stream is ``default_rng([seed, snr_index, b])``. Its channels are
-    drawn once, and each campaign still running draws its codewords and noise
-    from the state that follows them, so every campaign consumes the stream it
-    would alone."""
+def _run_group(configs: tuple[SimConfig, ...]) -> list[list[tuple[int, int]]]:
+    """(trials, bit errors) at every SNR point of each campaign of one channel
+    group, each point running the group's blocks in order until the budget is
+    used up or its bit-error target is reached. Block b's stream is
+    ``default_rng([seed, 0, b])`` (block b's at the first point when each point
+    drew its own); its channels are drawn once, and each campaign with a point
+    still running draws its codewords and noise from the state that follows."""
     np.empty(HEAP_KEEP, dtype=np.uint8)    # see HEAP_KEEP
-    engines = [_Engine(c, snr_index) for c in configs]
+    engines = [_Engine(c) for c in configs]
     lead = configs[0]
-    trials, errors = [0] * len(configs), [0] * len(configs)
+    trials = np.zeros((len(configs), len(lead.snr_db)), dtype=np.int64)
+    errors = np.zeros_like(trials)
     for start in range(0, lead.max_trials, lead.block_trials):
-        if not (live := [i for i, c in enumerate(configs) if errors[i] < c.target_errors]):
+        live = [(i, points) for i, c in enumerate(configs)
+                if len(points := np.flatnonzero(errors[i] < c.target_errors))]
+        if not live:
             break
         n = min(lead.block_trials, lead.max_trials - start)
-        rng = np.random.default_rng([lead.seed, snr_index, start // lead.block_trials])
+        rng = np.random.default_rng([lead.seed, 0, start // lead.block_trials])
         h = lead.law.draw(n, rng)
         lam = _lambda_min(h)
         drawn = rng.bit_generator.state
-        for i in live:
+        for i, points in live:
             rng.bit_generator.state = drawn
-            trials[i] += n
-            errors[i] += engines[i].block_errors(h, lam, rng)
-    return list(zip(trials, errors))
+            trials[i, points] += n
+            errors[i, points] += engines[i].block_errors(h, lam, rng, points)
+    return [list(zip(t.tolist(), e.tolist())) for t, e in zip(trials, errors)]
 
 
-def _tasks(configs: list[SimConfig]) -> list[tuple[list[int], int]]:
-    """``run_ber``'s tasks: a channel group and an SNR index, for every group
-    and index."""
-    return [(group, s) for group in channel_groups(configs)
-            for s in range(len(configs[group[0]].snr_db))]
-
-
-def task_workers(configs: Sequence[SimConfig], workers: int = 1) -> tuple[int, int]:
-    """The processes in which ``run_ber(configs, workers)`` runs its tasks,
-    and the threads of each: ``workers`` processes of one thread, but no more
-    than there are tasks; at one, the calling process, on one thread per
-    usable CPU but again no more than there are tasks. ``workers`` must be an
-    integer of at least 1."""
+def task_processes(configs: Sequence[SimConfig], workers: int = 1) -> int:
+    """The processes in which ``run_ber(configs, workers)`` runs its channel
+    groups: ``workers``, but no more than there are groups; at one, the
+    calling process alone. ``workers`` must be an integer of at least 1."""
     if not (_is_int(workers) and workers >= 1):
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
-    tasks = len(_tasks(list(configs)))
-    processes = max(1, min(workers, tasks))
-    return processes, 1 if processes > 1 else max(1, min(_usable_cpus(), tasks))
+    return max(1, min(workers, len(channel_groups(configs))))
 
 
 def run_ber(config: SimConfig | Sequence[SimConfig], workers: int = 1) -> BerCurve | list[BerCurve]:
     """Run the BER campaign ``config``, or each campaign of a sequence of them
     (a list of curves, in order).
 
-    The campaigns are grouped by ``channel_groups``; one task runs one group at
-    one SNR index (``_run_group_point``). Campaigns that differ in SNR grid or
-    budget run in groups of their own, so they share fewer channels but get the
-    same curves. Every task is submitted to one executor that lives for this
-    call, of the processes and threads that ``task_workers(configs, workers)``
-    gives: worker processes, each running one task at a time, when there are
-    more than one, and otherwise threads of this process. Once a task raises,
-    the tasks not yet started are dropped, and the error is raised here after
-    every worker has stopped. Each campaign consumes the random stream it would
-    alone, the points share no stream, and every codebook is built by
-    ``SimConfig`` before a task starts, so the output is bit-identical for any
-    thread or process count, and with or without other campaigns. ``workers``
-    must be an integer of at least 1.
+    One task runs one group of ``channel_groups`` over its SNR grid
+    (``_run_group``), in this process when ``task_processes(configs, workers)``
+    is one, else on a pool of that many processes. After an error the tasks
+    not yet started are dropped, and the first error in task order is raised
+    once every worker has stopped. Each campaign consumes the random stream it
+    would alone, so the output is bit-identical for any process count and with
+    or without other campaigns. ``workers`` must be an integer of at least 1.
     """
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-
     configs = [config] if isinstance(config, SimConfig) else list(config)
-    processes, threads = task_workers(configs, workers)
-    tasks = _tasks(configs)
-    if processes > 1:
-        # imported only when used: loading it raises a threaded run's peak RSS
+    groups = channel_groups(configs)
+    tasks = [tuple(configs[i] for i in members) for members in groups]
+    processes = task_processes(configs, workers)
+    if processes == 1:
+        results = list(map(_run_group, tasks))
+    else:
+        # imported only when used: loading it raises a serial run's peak RSS
         from concurrent.futures import ProcessPoolExecutor
         executor = ProcessPoolExecutor(processes)
-    else:
-        executor = ThreadPoolExecutor(threads)
-    try:
-        # a worker takes the next task when it is free: a point that stops after
-        # one block and one that runs its whole budget differ in cost by the
-        # budget's block count (80 in fig5)
-        futures = [executor.submit(_run_group_point, tuple(configs[i] for i in members), s)
-                   for members, s in tasks]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        # after an error, drop the tasks not yet started and join the workers
-        executor.shutdown(cancel_futures=True)
-    points = [[None] * len(c.snr_db) for c in configs]
-    # workers take tasks in submission order, so a failed task comes before
-    # any dropped one, and its error is raised here
-    for (members, s), future in zip(tasks, futures):
-        for i, count in zip(members, future.result()):
-            points[i][s] = count
-    curves = [_curve(c, p) for c, p in zip(configs, points)]
+        try:
+            # a worker takes the next group when it is free; results come back
+            # in task order
+            results = list(executor.map(_run_group, tasks))
+        finally:
+            # after an error, drop the tasks not yet started and join the workers
+            executor.shutdown(cancel_futures=True)
+    points = {i: p for members, counts in zip(groups, results) for i, p in zip(members, counts)}
+    curves = [_curve(c, points[i]) for i, c in enumerate(configs)]
     return curves[0] if isinstance(config, SimConfig) else curves
 
 
@@ -524,6 +513,9 @@ def check_density_inputs(law: ChannelLaw, bins: int, samples: int, seed: int) ->
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
+    # NumPy sizes and indexes arrays in intp
+    if samples > np.iinfo(np.intp).max:
+        raise ValueError(f"samples must be at most {np.iinfo(np.intp).max}, got {samples}")
     if not _is_int(bins):
         raise ValueError(f"bins must be an integer, got {bins!r}")
     if bins < 5:
@@ -560,8 +552,8 @@ def _is_finite(x) -> bool:
 
 def _usable_cpus() -> int:
     """The CPUs this process may use (those of the machine where the OS cannot
-    say): ``joint_density`` runs its pieces, and ``run_ber`` in the calling
-    process its tasks, on one thread per CPU."""
+    say): ``joint_density`` runs its pieces on one thread per CPU, and
+    ``simulate`` its channel groups on one process per CPU by default."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

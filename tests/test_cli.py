@@ -186,6 +186,30 @@ class TestSimulate:
             "simulate config: SNR grid must be a non-empty list of finite numbers")
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("snr_db", [[1e300], [0, 1.7e308]], ids=["1e300", "0-1.7e308"])
+    def test_snr_beyond_float_range_as_linear_is_config_error(self, tmp_path, snr_db):
+        # a finite dB value whose linear SNR overflows used to exit 4 with an
+        # OverflowError in the engine
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(MINI_SIM, snr_db=snr_db))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == (f"simulate config: snr_db {snr_db[-1]!r} gives a linear "
+                                     "SNR beyond a float")
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("d_t", [1e-300, 5e-324])
+    def test_collapsing_array_is_config_error(self, tmp_path, d_t):
+        # a pentagon whose antennas underflow onto its centroid used to exit 4
+        # with an IndexError in the pair selection
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(MINI_SIM, d_t=d_t))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == (f"runs[0]: spacing must be at least 1.492e-154 m, or the "
+                                     f"antennas collapse onto the centroid, got {d_t!r}")
+        assert not list(out.glob("*.csv"))
+
     def test_overlapping_distance_law_is_config_error(self, tmp_path):
         # arrays of radii 0.03 m (ULA, d_t 0.06) and 0.177 m (URA, d_r 0.25)
         # can overlap anywhere below 0.207 m
@@ -370,15 +394,18 @@ class TestSimulate:
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
-    # two runs of three points each, with early stops at the low SNRs and
-    # several blocks per point: six tasks
-    SIX_TASKS = dict(MINI_SIM, snr_db=[0, 8, 16], max_trials=3000, block_trials=500, runs=[
+    # two runs of three points each, on channel groups of their own, with
+    # early stops at the low SNRs and several blocks per point
+    TWO_GROUPS = dict(MINI_SIM, snr_db=[0, 8, 16], max_trials=3000, block_trials=500, runs=[
         dict(MINI_SIM["runs"][0]),
         {"name": "mini_ula", "scheme": "sm", "tx_kind": "ula", "rx_kind": "ura"}])
+    # two runs that share their one channel group
+    ONE_GROUP = dict(MINI_SIM, snr_db=[8], runs=[
+        dict(MINI_SIM["runs"][0]), dict(MINI_SIM["runs"][0], name="mini_golden", scheme="golden")])
 
     def test_one_pool_per_invocation(self, tmp_path, monkeypatch):
         # the runs share one process pool at --workers 2 and none at 1
-        path = write_config(tmp_path, self.SIX_TASKS)
+        path = write_config(tmp_path, self.TWO_GROUPS)
         real_pool = concurrent.futures.ProcessPoolExecutor
         made = []
 
@@ -387,25 +414,23 @@ class TestSimulate:
             return real_pool(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
-        # more CPUs than the six tasks: one process runs one thread per task
-        monkeypatch.setattr(losmimo.montecarlo, "_usable_cpus", lambda: 8)
         for workers in (1, 2):
             assert main(["simulate", "--config", path, "--workers", str(workers),
                          "--out", str(tmp_path / f"w{workers}")]) == EXIT_OK
             assert len(made) == workers - 1
             manifest = json.loads((tmp_path / f"w{workers}" / "manifest.json").read_text())
-            assert (manifest["processes"], manifest["threads_per_process"]) == \
-                ((1, 6) if workers == 1 else (2, 1))
+            assert manifest["processes"] == workers
+            assert "threads_per_process" not in manifest
         for name in ("mini_sm", "mini_ula"):
             serial = (tmp_path / "w1" / f"{name}.csv").read_bytes()
             assert serial == (tmp_path / "w2" / f"{name}.csv").read_bytes()
             trials = [int(r.split(",")[1]) for r in serial.decode().splitlines()[1:]]
             assert trials[0] < 3000 and trials[-1] == 3000
 
-    def test_process_count_is_capped_at_the_task_count(self, tmp_path, monkeypatch):
-        # --workers 8 makes one pool of six workers for six tasks and none for
-        # two runs' shared single task; the stub pool runs its workers on
-        # threads, so no process starts
+    @staticmethod
+    def recording_pool(monkeypatch):
+        """Record the size of every process pool made; the stub pool runs its
+        workers on threads, so no process starts."""
         made = []
 
         class RecordingPool(concurrent.futures.ThreadPoolExecutor):
@@ -414,16 +439,32 @@ class TestSimulate:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        one_task = dict(MINI_SIM, snr_db=[8], runs=[
-            dict(MINI_SIM["runs"][0]), dict(MINI_SIM["runs"][0], name="mini_golden",
-                                           scheme="golden")])
-        for cfg, split in ((self.SIX_TASKS, (6, 1)), (one_task, (1, 1))):
-            out = tmp_path / f"{split[0]}"
+        return made
+
+    def test_process_count_is_capped_at_the_task_count(self, tmp_path, monkeypatch):
+        # --workers 8 makes one pool of two workers for two channel groups and
+        # none for two runs' shared group
+        made = self.recording_pool(monkeypatch)
+        for cfg, processes in ((self.TWO_GROUPS, 2), (self.ONE_GROUP, 1)):
+            out = tmp_path / f"{processes}"
             assert main(["simulate", "--config", write_config(tmp_path, cfg), "--workers", "8",
                          "--out", str(out)]) == EXIT_OK
             manifest = json.loads((out / "manifest.json").read_text())
-            assert (manifest["processes"], manifest["threads_per_process"]) == split
-        assert made == [6]
+            assert manifest["processes"] == processes
+        assert made == [2]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_default_workers_are_the_usable_cpus(self, tmp_path, monkeypatch, cpus):
+        # capped at the group count: a one-group run starts no process
+        made = self.recording_pool(monkeypatch)
+        monkeypatch.setattr(losmimo.cli, "_usable_cpus", lambda: cpus)
+        for cfg, groups in ((self.TWO_GROUPS, 2), (self.ONE_GROUP, 1)):
+            out = tmp_path / f"{groups}"
+            assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["processes"] == min(cpus, groups)
+        assert made == ([] if cpus == 1 else [2])
 
     def test_fig5_recipe_covers_three_schemes(self):
         cfg = _load_config("fig5")
@@ -798,6 +839,22 @@ class TestDensity:
                                      f"{math.isqrt(np.iinfo(np.intp).max // 8)}, got {bins}")
         assert not (out / "density.csv").exists()
 
+    @pytest.mark.parametrize("samples", [2**63, 10**30], ids=["2^63", "1e30"])
+    def test_samples_beyond_intp_is_config_error(self, tmp_path, monkeypatch, samples):
+        # such a count used to pass every check and run until it was killed
+        def no_run(*args, **kwargs):
+            raise AssertionError("no run may start")
+
+        monkeypatch.setattr(losmimo.cli, "joint_density", no_run)
+        cfg = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "distance": 10.0,
+               "samples": samples}
+        out = tmp_path / "out"
+        assert main(["density", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == ("density config: samples must be at most "
+                                     f"{np.iinfo(np.intp).max}, got {samples}")
+
     def test_bundled_recipe_resolves(self):
         cfg = _load_config("density_2x2")
         assert cfg["n_r"] == 2
@@ -845,8 +902,10 @@ class TestWorkerResolution:
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert calls == [5]
 
-    def test_default_single(self):
-        assert build_parser().parse_args(["simulate", "--config", "fig5"]).workers == 1
+    def test_default_is_the_usable_cpu_count(self):
+        # run_ber caps it at the channel groups
+        assert build_parser().parse_args(["simulate", "--config", "fig5"]).workers == \
+            losmimo.montecarlo._usable_cpus()
 
 
 class TestBundledDesignRecipe:
@@ -891,9 +950,11 @@ class TestPinnedOutputs:
     """sha256 of CSVs that no other test pins, recorded before the link arrays
     were gathered into one LinkSpec; the density recipes at their full 10^6
     samples (five blocks), before density blocks ran in threaded pieces; the
-    two BER curves of ``SIM`` before every CSV went through one writer. A
-    digest that changes is a changed result, to be explained in CHANGES.md,
-    not re-recorded."""
+    two BER curves of ``SIM`` before every CSV went through one writer, except
+    that ``sm_ula_ura``'s was re-recorded when the SNR points came to share
+    their blocks, which moved its 12 dB row from 50 to 40 bit errors. A digest
+    that changes is a changed result, to be explained in CHANGES.md, not
+    re-recorded."""
 
     # early stops at 4 dB, 2,500-trial blocks, and a point with no errors
     SIM = {"wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25, "n_r": 4,
@@ -905,7 +966,7 @@ class TestPinnedOutputs:
 
     RUNS = {
         "simulate_sm_ula_ura": (["simulate"], "sm_ula_ura.csv",
-                                "afada2495952df75eb30c943609bdff40ff8befe280531f81d0f7945d1932dc3"),
+                                "b5eba94c7bc8884ce773a12af5266d23df1ad686693ce65657cc514d44ec5107"),
         "simulate_golden_pent_tetr": (
             ["simulate"], "golden_pent_tetr.csv",
             "8a5f369914431958a55ab8a89dd001372c627cab9418cd6e8e91e6c49a84f51e"),

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.stats import kstest
 
 from losmimo.channel import los_channel
 from losmimo.geometry import (
+    SPACING_MIN,
     LinkScenario,
     LinkSpec,
     approx_path_difference,
@@ -75,6 +77,21 @@ class TestMakeLayout:
     def test_spacing_must_be_a_finite_length(self, kind, n, spacing):
         with pytest.raises(ValueError, match="spacing must be positive"):
             make_layout(kind, n, spacing)
+
+    @pytest.mark.parametrize("kind,n", [("ula", 2), ("ula", 3), ("ura", 4), ("tetrahedron", None),
+                                        ("triangle", None), ("pentagon", None),
+                                        ("spherical-code", 8)])
+    def test_spacing_floor(self, kind, n):
+        # at the floor every antenna keeps its place on the layout's axes; below
+        # it a pentagon's underflowed to the centroid and left it no axes
+        lay = make_layout(kind, n, SPACING_MIN)
+        assert len(np.unique(lay.positions, axis=0)) == lay.n
+        assert np.array_equal(lay.axes, make_layout(kind, n, 1.0).axes)
+        for spacing in (np.nextafter(SPACING_MIN, 0), 1e-300, 5e-324):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"spacing must be at least {SPACING_MIN:.4g} m, or the antennas collapse "
+                    f"onto the centroid, got {spacing!r}")):
+                make_layout(kind, n, spacing)
 
     def test_centroid_zero_under_rotation(self):
         rng = np.random.default_rng(11)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 import importlib.resources
@@ -219,10 +220,10 @@ class TestMlDecode:
         assert abs(errs - p * total) <= 3 * np.sqrt(total * p * (1 - p))
 
 
-def decode_every_trial(engine, h, rng):
-    """The sent and the decoded codeword of each trial of one block, drawn as
-    ``_Engine.block_errors`` draws it, with every trial decoded: the
-    reference for the distance bound."""
+def decode_every_trial(engine, h, rng, s=0):
+    """The sent and the decoded codeword of each trial of one block at SNR
+    point ``s``, drawn as ``_Engine.block_errors`` draws it, with every trial
+    decoded: the reference for the distance bound."""
     cb = engine.codebook
     n_r, n = h.shape[0], h.shape[-1]
     k_true = rng.integers(0, cb.size, n)
@@ -233,9 +234,9 @@ def decode_every_trial(engine, h, rng):
     x = engine.codewords_nlast[:, :, k_true]
     hx = np.multiply(h[:, 0, None], x[0])
     hx += np.multiply(h[:, 1, None], x[1])
-    hx *= np.sqrt(engine.snr)
+    hx *= np.sqrt(engine.snr[s])
     y += hx
-    k, _ = ml_decode(h.transpose(2, 0, 1), y.transpose(2, 0, 1), engine.snr, cb)
+    k, _ = ml_decode(h.transpose(2, 0, 1), y.transpose(2, 0, 1), engine.snr[s], cb)
     return k_true, k
 
 
@@ -289,7 +290,7 @@ class TestDistanceBound:
             drawn = rng.bit_generator.state
             want = bit_errors(engine.codebook, *decode_every_trial(engine, h, rng))
             rng.bit_generator.state = drawn
-            assert engine.block_errors(h, montecarlo._lambda_min(h), rng) == want
+            assert engine.block_errors(h, montecarlo._lambda_min(h), rng, [0]) == [want]
             total += want
         if snr_db == 0.0:
             assert total > 0
@@ -302,7 +303,7 @@ class TestDistanceBound:
         # nearest competitor: in the first half it is just inside the bound,
         # in the second half just past the midpoint to that competitor
         engine = _Engine(SimConfig(scheme=scheme, law=law(), snr_db=(60.0,)))
-        cb, snr = engine.codebook, engine.snr
+        cb, snr = engine.codebook, engine.snr[0]
         rng = np.random.default_rng(41)
         n, n_r = 1_200, 4
         h = np.exp(2j * np.pi * rng.random((n_r, 2, n)))
@@ -328,13 +329,13 @@ class TestDistanceBound:
         gap[np.arange(n), sent] = np.inf
         nearest = toward[np.arange(n), np.argmin(gap, axis=1)]
         length = np.sqrt(gap.min(axis=1))
-        inside = np.sqrt(engine.settle_scale * np.maximum(lam, exact) * (1 - 1e-9))
+        inside = np.sqrt(engine.settle_scale[0] * np.maximum(lam, exact) * (1 - 1e-9))
         scale = np.where(np.arange(n) < n // 2, inside, (0.5 + 1e-6) * length)
         noise = nearest * (scale / length)[:, None, None]
         normals = [noise.real / np.sqrt(0.5), noise.imag / np.sqrt(0.5)]
         _, k = decode_every_trial(engine, h, Replay(sent, normals))
         decoded = self.count_decoded(monkeypatch)
-        errors = engine.block_errors(h, lam, Replay(sent, normals))
+        [errors] = engine.block_errors(h, lam, Replay(sent, normals), [0])
         # the first half are the trials above the floor that the bound settles
         settled = (np.arange(n) < n // 2) & (lam > 0)
         assert sum(decoded) == n - np.count_nonzero(settled)
@@ -352,15 +353,17 @@ class TestDistanceBound:
         for b in range(4):
             rng = np.random.default_rng([37, b])
             h = cfg.law.draw(2_500, rng)
-            assert engine.block_errors(h, montecarlo._lambda_min(h), rng) == 0
+            assert engine.block_errors(h, montecarlo._lambda_min(h), rng, [0]) == [0]
         assert sum(decoded) <= 0.1 * 4 * 2_500
 
 
 class TestRunBer:
     # (trials, bit errors) at 0, 16 and 32 dB with 5,000 trials per point and
-    # seed 1, as the engine gave them with n-first blocks in memory
+    # seed 1. The 0 dB counts are those the engine gave with n-first blocks in
+    # memory; the points have shared their blocks since, which moved
+    # sm_ula_ura's 16 dB count from 12 to 8
     FIG5_COUNTS = {
-        "sm_ula_ura": [(2500, 1316), (5000, 12), (5000, 0)],
+        "sm_ula_ura": [(2500, 1316), (5000, 8), (5000, 0)],
         "golden_ula_ura": [(2500, 2412), (5000, 0), (5000, 0)],
         "sm_pent_tetr": [(2500, 1017), (5000, 0), (5000, 0)],
         "golden_pent_tetr": [(2500, 2038), (5000, 0), (5000, 0)],
@@ -400,9 +403,9 @@ class TestRunBer:
 
     def test_worker_count_invariance(self, tmp_path):
         # the CSV (trials, errors and the intervals that follow from them) is
-        # byte-identical at 3 or 2 workers (processes, 3 capped at the 2 tasks)
-        # and at 1 (threads); the second set-up has several blocks per point,
-        # early stops at the low SNRs and the full budget at the top one
+        # byte-identical in 3 or 2 worker processes and in this process alone;
+        # the second set-up has several blocks per point, early stops at the
+        # low SNRs and the full budget at the top one
         setups = [
             (3, dict(scheme="sm", law=law("triangle", "tetrahedron"),
                      snr_db=(0, 8), max_trials=10_000, target_errors=100, seed=6)),
@@ -425,7 +428,7 @@ class TestRunBer:
         def no_task(*args):
             raise AssertionError("no task may start")
 
-        monkeypatch.setattr(montecarlo, "_run_group_point", no_task)
+        monkeypatch.setattr(montecarlo, "_run_group", no_task)
         cfg = SimConfig(scheme="sm", law=law(), snr_db=(0.0,), max_trials=2500)
         with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
             run_ber(cfg, workers)
@@ -438,13 +441,13 @@ class TestRunBer:
         code = """if True:
             import resource
             from losmimo.geometry import LinkSpec, make_layout
-            from losmimo.montecarlo import ChannelLaw, SimConfig, _run_group_point
+            from losmimo.montecarlo import ChannelLaw, SimConfig, _run_group
             link = LinkSpec(0.0042, make_layout("ula", 2, 0.06), make_layout("ura", 4, 0.25))
             cfg = SimConfig(scheme="golden", law=ChannelLaw(link, (4.43, 12.7)), snr_db=(0.0,),
                             max_trials=10_000, target_errors=10**9, seed=1)
-            _run_group_point((cfg,), 0)
+            _run_group((cfg,))
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            _run_group_point((cfg,), 0)
+            _run_group((cfg,))
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """
         src = str(Path(montecarlo.__file__).resolve().parents[1])
@@ -643,59 +646,47 @@ class TestSharedChannels:
         self.assert_same_curves(run_ber(configs, 2), alone)
         # the group's campaigns stop at different blocks of the same point,
         # one of them after the final partial block
-        assert sorted(int(c.trials[1]) for c in alone[:3]) == [500, 1_500, 1_700]
+        assert sorted(int(c.trials[1]) for c in alone[:3]) == [1_000, 1_000, 1_700]
 
-    def test_curves_do_not_depend_on_threads_or_processes(self, monkeypatch):
-        # the batch has a shared channel group, a partial final block and an
-        # ideal run; three threads are more than the CPUs of a small machine,
-        # and a short switch interval makes them trade the interpreter often
+    def test_curves_do_not_depend_on_the_process_count(self, monkeypatch):
+        # the batch has three groups, one of them shared, a partial final block
+        # and an ideal run; one worker runs the groups in this process, two and
+        # three run them on pools of that many processes
         configs = self.configs()
-        runs = [run_ber(configs, 2)]
-        real, ran = montecarlo._run_group_point, set()
+        real, made = concurrent.futures.ProcessPoolExecutor, []
 
-        def recording(*args):
-            ran.add(threading.get_ident())
-            return real(*args)
+        def counting(processes):
+            made.append(processes)
+            return real(processes)
 
-        monkeypatch.setattr(montecarlo, "_run_group_point", recording)
-        before, interval = set(threading.enumerate()), sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for threads in (1, 2, 3):
-                monkeypatch.setattr(montecarlo, "_usable_cpus", lambda t=threads: t)
-                ran.clear()
-                runs.append(run_ber(configs))
-                assert 1 <= len(ran) <= threads
-        finally:
-            sys.setswitchinterval(interval)
-        assert set(threading.enumerate()) == before
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+        runs = [run_ber(configs, workers) for workers in (1, 2, 3)]
+        assert made == [2, 3]
         for curves in runs[1:]:
             self.assert_same_curves(curves, runs[0])
 
     def test_task_error_reaches_the_caller(self, monkeypatch):
+        # in this process the groups run one after another, so the second
+        # group's error ends the call before the third group starts
         calls, error = itertools.count(), ValueError("second task failed")
-        real = montecarlo._run_group_point
+        real = montecarlo._run_group
 
         def second_call_fails(*args):
             if next(calls) == 1:
                 raise error
             return real(*args)
 
-        monkeypatch.setattr(montecarlo, "_run_group_point", second_call_fails)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_run_group", second_call_fails)
         configs = self.configs()
-        before = set(threading.enumerate())
         with pytest.raises(ValueError) as info:
             run_ber(configs)
         assert info.value is error
-        assert set(threading.enumerate()) == before
-        # the tasks not yet started when the error comes back are dropped
-        assert next(calls) < len(montecarlo._tasks(configs))
+        assert len(montecarlo.channel_groups(configs)) == 3 and next(calls) == 2
 
     def test_task_error_in_a_worker_process_reaches_the_caller(self, monkeypatch):
         # the workers, forked (the default start method on Linux), inherit the
         # patch and send the error back
-        def fails(self, h, lam, rng):
+        def fails(self, *args):
             raise ValueError("block failed")
 
         monkeypatch.setattr(montecarlo._Engine, "block_errors", fails)
@@ -730,15 +721,47 @@ class TestSharedChannels:
 
         monkeypatch.setattr(ChannelLaw, "draw", counting)
         curves = run_ber(configs)
-        # every (group, SNR index, block) that a campaign ran, drawn once
-        expected = set()
-        for c, curve in zip(configs, curves):
-            for s, trials in enumerate(curve.trials.tolist()):
-                for b in range(-(-trials // c.block_trials)):
-                    state = np.random.default_rng([c.seed, s, b]).bit_generator.state
-                    expected.add((c.law, min(c.block_trials, c.max_trials - b * c.block_trials),
-                                  state["state"]["state"]))
+        # each group draws block b from [seed, 0, b] once, for every SNR point
+        # of every member, up to the last block that any of them ran
+        expected = []
+        for members in montecarlo.channel_groups(configs):
+            c = configs[members[0]]
+            blocks = max(-(-t // c.block_trials) for i in members for t in curves[i].trials)
+            for b in range(blocks):
+                state = np.random.default_rng([c.seed, 0, b]).bit_generator.state
+                expected.append((c.law, min(c.block_trials, c.max_trials - b * c.block_trials),
+                                 state["state"]["state"]))
         assert sorted(calls, key=repr) == sorted(expected, key=repr)
+
+    def test_points_match_decoding_each_point_alone(self):
+        # every point of every campaign, counted by a loop that redraws block
+        # [seed, 0, b] and decodes each of its trials at that point alone, with
+        # no distance bound and no doubt set carried over from another point
+        configs = self.configs()
+        for c, curve in zip(configs, run_ber(configs)):
+            cb = build_codebook(c.scheme)
+            want = []
+            for snr_db in c.snr_db:
+                snr = 10.0 ** (snr_db / 10.0)
+                trials = errors = 0
+                for b, start in enumerate(range(0, c.max_trials, c.block_trials)):
+                    if errors >= c.target_errors:
+                        break
+                    n = min(c.block_trials, c.max_trials - start)
+                    rng = np.random.default_rng([c.seed, 0, b])
+                    h = c.law.draw(n, rng).transpose(2, 0, 1)
+                    sent = rng.integers(0, cb.size, n)
+                    shape = (n, len(h[0]), cb.slots)
+                    noise = np.sqrt(0.5) * rng.standard_normal(shape)
+                    noise = noise + 1j * np.sqrt(0.5) * rng.standard_normal(shape)
+                    y = np.sqrt(snr) * np.einsum("nri,nit->nrt", h, cb.codewords[sent]) + noise
+                    k, _ = ml_decode(h, y, snr, cb)
+                    trials += n
+                    errors += bit_errors(cb, sent, k)
+                want.append((trials, errors))
+            assert list(zip(curve.trials.tolist(), curve.bit_errors.tolist())) == want
+        # the budget of 1,700 trials ends in a partial block of 200
+        assert configs[0].max_trials % configs[0].block_trials == 200
 
     def test_synthesis_reads_only_key_fields(self):
         # a field that channel synthesis reads but channel_groups' key omits
