@@ -4,11 +4,16 @@ orientations and distances, and the joint (theta_mu, mu) density experiment.
 Trials are partitioned into fixed-size blocks whose random stream derives
 from (master seed, block index) alone, and every SNR point of a campaign
 scores the same blocks (common random numbers: each block is drawn once for
-the whole grid). A block's first draws are its channels, drawn by the
+the whole grid). A block's first draws are its links, drawn by the
 campaign's ``ChannelLaw``, so campaigns that agree on the law, seed and block
-size draw the same channels; ``run_ber`` runs those that also share the SNR
+size draw the same links; ``run_ber`` runs those that also share the SNR
 grid and the trial budget as one task on one block schedule, in the calling
 process or on worker processes, and the results do not depend on where.
+
+A 2-column unit-modulus channel H reaches the ML decoder only through the
+correlation rho of its columns, G = H^H H = n_r [[1, rho], [rho*, 1]]. So the
+engine draws each link's rho (``ChannelLaw.rho``) and decodes on the 2 x 2
+factor R of G and 2 x T noise, not on H and n_r x T noise.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ __all__ = [
 DENSITY_BLOCK = 200_000
 # samples per piece of a joint_density block: a piece's temporaries stay small
 DENSITY_PIECE = 8_192
+# the most theta_mu (and mu) bins of joint_density: the (bins, bins) int64
+# counts, and each block's np.bincount of as many, stay at 8 MB, and the CSV
+# at 10^6 rows
+DENSITY_BINS = 1_000
 # the distance bound of _Engine.block_errors: its relative margin, and the
 # smallest lambda_min / tr G at which it settles a trial
 SETTLE_MARGIN = 1e-3
@@ -64,10 +73,10 @@ ML_CHUNK = 4
 # glibc gives the free top of the heap back to the OS once it exceeds twice
 # the largest block that malloc served by mmap and then freed. With the
 # decoder's largest array one 512 KiB chunk, that would give back and fault in
-# again a Golden block's 2.3 MiB of temporaries at nearly every block (12,000
-# minor faults in a benchmark fig5 round). Each task frees one untouched
-# HEAP_KEEP-byte array, which raises that limit to twice HEAP_KEEP and
-# occupies no resident memory.
+# again a Golden block's 2.1 MiB of temporaries at nearly every block (10,000
+# minor faults in a benchmark fig5 round, 900 with it). Each task frees one
+# untouched HEAP_KEEP-byte array, which raises that limit to twice HEAP_KEEP
+# and occupies no resident memory.
 HEAP_KEEP = 4 << 20
 
 
@@ -80,8 +89,14 @@ class ChannelLaw:
     layout, and ``link.rx.n`` is n_r. ``distance`` is either a float (fixed
     range) or a (low, high) pair for a uniformly distributed inter-terminal
     distance; unless ``ideal`` is set, it must stay beyond the sum of the
-    transmit and receive array radii. ``ideal`` bypasses the geometry and
-    feeds the decoder a perfectly orthogonal channel.
+    transmit and receive array radii, and the largest antenna distance it
+    allows, squared, and its phase 2 pi r / wavelength must be floats.
+    ``ideal`` bypasses the geometry and feeds the decoder a perfectly
+    orthogonal channel.
+
+    ``draw`` and ``rho`` are two views of the same links: the (n_r, 2, n)
+    channels H, and the correlation rho = h_0^H h_1 / n_r of their columns,
+    through which alone H reaches the ML decoder. Both consume ``rng`` alike.
     """
 
     link: LinkSpec
@@ -92,28 +107,66 @@ class ChannelLaw:
         distance = check_distance(self.distance)
         object.__setattr__(self, "distance", distance)
         if not self.ideal:
-            low = distance[0] if isinstance(distance, tuple) else distance
+            low, high = distance if isinstance(distance, tuple) else (distance, distance)
+            wavelength = self.link.wavelength
             reach = float(self.link.tx.radii.max() + self.link.rx.radii.max())
             if not low > reach:
                 raise ValueError(f"distance {low:g} m is not beyond the {reach:g} m sum of "
                                  "the transmit and receive array radii")
+            # link_distances sums three squared coordinate differences, each
+            # at most far^2; _phasors takes (r 2 pi) (1 / wavelength)
+            far = high + reach
+            if not math.isfinite(3.0 * far * far):
+                raise ValueError(f"distance {high!r} m puts antennas up to {far:g} m apart, "
+                                 "whose squared distance is beyond a float")
+            if not math.isfinite(far * 2.0 * math.pi * (1.0 / wavelength)):
+                raise ValueError(f"wavelength {wavelength!r} m gives a phase 2 pi r / wavelength "
+                                 f"beyond a float at the largest antenna distance, {far:g} m")
 
     def draw(self, n: int, rng: np.random.Generator) -> NDArray:
         """The n-last (n_r, 2, n) channels of a block of n trials: the ideal
         channel, or n random links drawn from ``rng`` (distances, then the
         quaternion normals of the transmit rotations, then of the receive
         rotations) through ``_link_distances``."""
-        link = self.link
         if self.ideal:
-            n_r = link.rx.n
-            phases = np.exp(2j * np.pi * np.arange(n_r) / n_r)
-            h = np.column_stack([np.ones(n_r, dtype=complex), phases])
-            return np.broadcast_to(h[..., None], (n_r, 2, n))
-        distance = self.distance
-        r_link = rng.uniform(*distance, n) if isinstance(distance, tuple) else distance
-        # arguments are evaluated in order: transmit normals, then receive ones
-        dist = _link_distances(link, rotation_normals(rng, n), rotation_normals(rng, n), r_link)
-        return los_channel(dist, link.wavelength)
+            h = _ideal_channel(self.link.rx.n)
+            return np.broadcast_to(h[..., None], h.shape + (n,))
+        return los_channel(_law_distances(self, n, rng), self.link.wavelength)
+
+    def rho(self, n: int, rng: np.random.Generator) -> NDArray:
+        """The correlation rho = h_0^H h_1 / n_r of the columns of each of the
+        n channels that ``draw(n, rng)`` gives, drawn as ``draw`` draws them:
+        the sum of the n_r phasors of each link's path differences
+        (``_column_inner``), so one exponential per receive antenna."""
+        n_r = self.link.rx.n
+        if self.ideal:
+            h = _ideal_channel(n_r)
+            return np.full(n, np.vdot(h[:, 0], h[:, 1]) / n_r)
+        return _column_inner(_law_distances(self, n, rng), self.link.wavelength) / n_r
+
+
+def _ideal_channel(n_r: int) -> NDArray:
+    """The (n_r, 2) ideal channel: orthogonal columns of unit-modulus entries."""
+    phases = np.exp(2j * np.pi * np.arange(n_r) / n_r)
+    return np.column_stack([np.ones(n_r, dtype=complex), phases])
+
+
+def _law_distances(law: ChannelLaw, n: int, rng: np.random.Generator) -> NDArray:
+    """The (n_r, 2, n) distances of n links of the geometric ``law``, drawn
+    from ``rng``: the distances, then the quaternion normals of the transmit
+    rotations, then of the receive rotations."""
+    distance = law.distance
+    r_link = rng.uniform(*distance, n) if isinstance(distance, tuple) else distance
+    # arguments are evaluated in order: transmit normals, then receive ones
+    return _link_distances(law.link, rotation_normals(rng, n), rotation_normals(rng, n), r_link)
+
+
+def _column_inner(dist: NDArray, wavelength: float) -> NDArray:
+    """h_0^H h_1 of each unit-modulus channel from its (n_r, 2, n) distances:
+    the phasors of its n_r path differences, each built as ``los_channel``
+    builds an entry, summed over the C-ordered (n, n_r) rows (the order of a
+    reduction depends on the layout)."""
+    return _phasors((dist[:, 1] - dist[:, 0]).T, wavelength).sum(axis=1)
 
 
 def _link_distances(link: LinkSpec, q_tx: NDArray, q_rx: NDArray,
@@ -186,11 +239,14 @@ def check_campaign(snr_db, max_trials, target_errors, seed, block_trials) -> tup
         raise ValueError("SNR grid must be sorted")
     snr_db = tuple(float(s) for s in snr_db)
     for s in snr_db:
-        # the engine's linear SNR: Python's float power raises where it overflows
+        # the engine's linear SNR: Python's float power raises where it
+        # overflows, and gives 0 where it underflows
         try:
-            10.0 ** (s / 10.0)
+            linear = 10.0 ** (s / 10.0)
         except OverflowError:
             raise ValueError(f"snr_db {s!r} gives a linear SNR beyond a float") from None
+        if linear == 0.0:
+            raise ValueError(f"snr_db {s!r} gives a linear SNR that underflows to 0")
     return snr_db
 
 
@@ -228,86 +284,117 @@ def _wilson(errors: int, n: int) -> tuple[float, float]:
 
 class _Engine:
     """Per-campaign state shared by its trial blocks: the codebook and, per SNR
-    point, the linear SNR, the decoder's weights and the distance bound's scale."""
+    point, the linear SNR, the decoder's weights and the distance bound's scale.
+
+    The engine decodes on the 2 x 2 sufficient statistic. A link's n_r x 2
+    unit-modulus channel factors as H = Q R, with orthonormal columns in Q and
+    R = sqrt(n_r) [[1, rho], [0, sqrt(1 - |rho|^2)]] (``_factor``). For y =
+    sqrt(snr) H X + N, Q^H y = sqrt(snr) R X + Q^H N, where Q^H N is i.i.d.
+    CN(0, 1) of size 2 x T, and the part of N orthogonal to Q's columns adds
+    the same amount to every codeword's metric. So a trial draws W, 2 x T, and
+    is decided on r = sqrt(snr) R X + W: the ML decision on (H, y), at a cost
+    that does not grow with n_r."""
 
     def __init__(self, config: SimConfig):
         self.codebook = cb = build_codebook(config.scheme)
         self.snr = [10.0 ** (s / 10.0) for s in config.snr_db]
         self.weights = [_ml_weights(cb, snr) for snr in self.snr]
-        # a trial is settled when settle_scale * lambda_min > ||N||^2
+        # a trial is settled when settle_scale * lambda_min > ||W||^2
         self.settle_scale = [snr * cb.min_sq_distance / (4.0 * (1.0 + SETTLE_MARGIN) ** 2)
                              for snr in self.snr]
         # (2, T, K): a gather over trials comes out n-last
         self.codewords_nlast = np.ascontiguousarray(cb.codewords.transpose(1, 2, 0))
 
-    def block_errors(self, h: NDArray, lam: NDArray, rng: np.random.Generator,
+    def block_errors(self, f: NDArray, lam: NDArray, rng: np.random.Generator,
                      points: Sequence[int]) -> list[int]:
-        """Bit errors of one block over the n-last channels ``h`` at each of
-        the SNR points ``points``, in increasing order; ``lam`` is
-        ``_lambda_min(h)``. The codewords and the noise N are drawn from
-        ``rng`` once, and ``point_errors`` scores them at every point.
+        """Bit errors of one block over the n-last (2, 2, n) factors ``f``
+        (``_factor``) at each of the SNR points ``points``, in increasing
+        order; ``lam`` is ``_lambda_min`` of the block's rho. The codewords
+        and the noise W are drawn from ``rng`` once, and ``point_errors``
+        scores them at every point.
 
-        Only the trials whose decision is in doubt are decoded. With G = h^H h
+        Only the trials whose decision is in doubt are decoded. With G = R^H R
         and d2 = ``codebook.min_sq_distance``, every other codeword lies at
-        ||N - sqrt(snr) h D|| >= sqrt(snr lambda_min(G) d2) - ||N|| from y,
-        since ||h D||^2 >= lambda_min(G) ||D||^2 for every difference D. So
-        when snr lambda_min d2 > 4 (1 + delta)^2 ||N||^2, delta =
+        ||W - sqrt(snr) R D|| >= sqrt(snr lambda_min(G) d2) - ||W|| from r,
+        since ||R D||^2 >= lambda_min(G) ||D||^2 for every difference D. So
+        when snr lambda_min d2 > 4 (1 + delta)^2 ||W||^2, delta =
         ``SETTLE_MARGIN``, the sent codeword is the unique ML decision: the
-        trial is settled with 0 bit errors. Its metric gap is then at least
-        snr lambda_min d2 delta / (1 + delta), and with lambda_min above
-        ``SETTLE_FLOOR`` tr G that is more than 1e-10 of the metric's scale,
-        snr tr G max ||X_k||^2, for every scheme (d2 / max ||X_k||^2 >= 0.2);
-        the rounding of the metric, of y and of lambda_min (whose relative
-        error is below 1e-9 above the floor) is below 1e-12 of that scale.
+        trial is settled with 0 bit errors. ||W||^2 sums 2T squared moduli,
+        not the n_r T of N, so it settles more trials than a bound on (H, y)
+        would. A settled trial's metric gap is at least snr lambda_min d2
+        delta / (1 + delta), and with lambda_min above ``SETTLE_FLOOR`` tr G
+        that is more than 1e-10 of the metric's scale, snr tr G max ||X_k||^2,
+        for every scheme (d2 / max ||X_k||^2 >= 0.2). The rounding of the
+        metric and of r is below 1e-12 of that scale, and lambda_min = n_r (1 -
+        |rho|) is within a relative 1e-9 of the smaller eigenvalue of the
+        rounded R's R^H R above the floor, since each entry of R is within a
+        few ulps of its exact value.
 
         The threshold grows with snr, so each point selects its doubt set from
         the previous point's. A trial's decision does not depend on its batch,
         so each count is the one decoding every trial at that point gives."""
         cb = self.codebook
-        n_r, n = h.shape[0], h.shape[-1]
+        n = f.shape[-1]
         k_true = rng.integers(0, cb.size, n)
-        # N = sqrt(1/2) (a + i b), drawn n-first
-        noise = np.empty((n_r, cb.slots, n), dtype=complex)
-        np.multiply(rng.standard_normal((n, n_r, cb.slots)), np.sqrt(0.5),
+        # W = sqrt(1/2) (a + i b), drawn n-first
+        noise = np.empty((2, cb.slots, n), dtype=complex)
+        np.multiply(rng.standard_normal((n, 2, cb.slots)), np.sqrt(0.5),
                     out=noise.real.transpose(2, 0, 1))
-        np.multiply(rng.standard_normal((n, n_r, cb.slots)), np.sqrt(0.5),
+        np.multiply(rng.standard_normal((n, 2, cb.slots)), np.sqrt(0.5),
                     out=noise.imag.transpose(2, 0, 1))
         energy = (noise.real ** 2 + noise.imag ** 2).reshape(-1, n).sum(axis=0)
         doubt, counts = np.arange(n), []
         for s in points:
             doubt = doubt[self.settle_scale[s] * lam[doubt] <= energy[doubt]]
-            counts.append(self.point_errors(s, h, k_true, noise, doubt))
+            counts.append(self.point_errors(s, f, k_true, noise, doubt))
         return counts
 
-    def point_errors(self, s: int, h: NDArray, k_true: NDArray, noise: NDArray,
+    def point_errors(self, s: int, f: NDArray, k_true: NDArray, noise: NDArray,
                      doubt: NDArray) -> int:
         """Bit errors at SNR point ``s`` of a block drawn by ``block_errors``,
-        decoding the trials ``doubt``; the block stays n-last, so products loop over them."""
+        decoding the trials ``doubt``."""
         if not len(doubt):
             return 0
-        # y = sqrt(snr) h X + N on the trials in doubt; take keeps them n-last,
-        # where a fancy index would lay its result out n-first
-        k_true, h = k_true[doubt], np.take(h, doubt, axis=2)
-        x = self.codewords_nlast[:, :, k_true]
-        y = np.multiply(h[:, 0, None], x[0])
-        y += np.multiply(h[:, 1, None], x[1])
-        y *= np.sqrt(self.snr[s])
-        y += np.take(noise, doubt, axis=2)
-        del x    # freed before the decoder's features
-        k = _ml_argmin(h.transpose(2, 0, 1), y.transpose(2, 0, 1), self.weights[s])
+        # take keeps the trials n-last, where a fancy index would lay them out n-first
+        k_true = k_true[doubt]
+        k = self.decide(s, np.take(f, doubt, axis=2), k_true, np.take(noise, doubt, axis=2))
         return int(np.sum(self.codebook.bits[k_true] != self.codebook.bits[k]))
 
+    def decide(self, s: int, f: NDArray, k_true: NDArray, noise: NDArray) -> NDArray:
+        """The ML decisions at SNR point ``s`` on r = sqrt(snr) R X + W for the
+        n-last factors ``f`` (2, 2, n), sent codewords ``k_true`` and noise W
+        ``noise`` (2, T, n); the block stays n-last, so products loop over
+        trials."""
+        x = self.codewords_nlast[:, :, k_true]
+        r = np.multiply(f[:, 0, None], x[0])
+        r += np.multiply(f[:, 1, None], x[1])
+        r *= np.sqrt(self.snr[s])
+        r += noise
+        del x    # freed before the decoder's features
+        return _ml_argmin(f.transpose(2, 0, 1), r.transpose(2, 0, 1), self.weights[s])
 
-def _lambda_min(h: NDArray) -> NDArray:
-    """The smaller eigenvalue of G = h^H h for each of the n-last (n_r, 2, n)
-    channels ``h``, or 0 where it is not above ``SETTLE_FLOOR`` tr G."""
-    power = h.real ** 2
-    power += h.imag ** 2
-    g00, g11 = power.sum(axis=0)
-    g01 = (np.conj(h[:, 0]) * h[:, 1]).sum(axis=0)
-    half_trace, half_gap = 0.5 * (g00 + g11), 0.5 * (g00 - g11)
-    lam = half_trace - np.sqrt(half_gap ** 2 + g01.real ** 2 + g01.imag ** 2)
-    return np.where(lam > 2.0 * SETTLE_FLOOR * half_trace, lam, 0.0)
+
+def _factor(rho: NDArray, n_r: int) -> NDArray:
+    """The n-last (2, 2, n) upper-triangular factors R = sqrt(n_r) [[1, rho],
+    [0, sqrt(1 - |rho|^2)]] of G = R^H R = n_r [[1, rho], [rho*, 1]], one per
+    correlation ``rho``: ``channel.reduce_channel``'s factor of a unit-modulus
+    channel."""
+    scale = math.sqrt(n_r)
+    f = np.zeros((2, 2, len(rho)), dtype=complex)
+    f[0, 0] = scale
+    np.multiply(rho, scale, out=f[0, 1])
+    # rounding can take |rho| past 1
+    mu = np.minimum(np.abs(rho), 1.0)
+    f[1, 1].real = scale * np.sqrt((1.0 - mu) * (1.0 + mu))
+    return f
+
+
+def _lambda_min(rho: NDArray, n_r: int) -> NDArray:
+    """The smaller eigenvalue n_r (1 - |rho|) of G = n_r [[1, rho], [rho*, 1]]
+    for each correlation ``rho``, or 0 where it is not above ``SETTLE_FLOOR``
+    tr G = 2 n_r ``SETTLE_FLOOR``."""
+    gap = 1.0 - np.abs(rho)
+    return np.where(gap > 2.0 * SETTLE_FLOOR, n_r * gap, 0.0)
 
 
 def channel_groups(configs: Sequence[SimConfig]) -> list[list[int]]:
@@ -326,12 +413,15 @@ def _run_group(configs: tuple[SimConfig, ...]) -> list[list[tuple[int, int]]]:
     """(trials, bit errors) at every SNR point of each campaign of one channel
     group, each point running the group's blocks in order until the budget is
     used up or its bit-error target is reached. Block b's stream is
-    ``default_rng([seed, 0, b])`` (block b's at the first point when each point
-    drew its own); its channels are drawn once, and each campaign with a point
-    still running draws its codewords and noise from the state that follows."""
+    ``default_rng([seed, 1, b])``: SeedSequence drops trailing zero words, so
+    the nonzero middle word keeps it apart from ``joint_density``'s
+    ``default_rng([seed])``. Its links' rho are drawn once, and each campaign
+    with a point still running draws its codewords and noise from the state
+    that follows."""
     np.empty(HEAP_KEEP, dtype=np.uint8)    # see HEAP_KEEP
     engines = [_Engine(c) for c in configs]
     lead = configs[0]
+    n_r = lead.law.link.rx.n
     trials = np.zeros((len(configs), len(lead.snr_db)), dtype=np.int64)
     errors = np.zeros_like(trials)
     for start in range(0, lead.max_trials, lead.block_trials):
@@ -340,14 +430,14 @@ def _run_group(configs: tuple[SimConfig, ...]) -> list[list[tuple[int, int]]]:
         if not live:
             break
         n = min(lead.block_trials, lead.max_trials - start)
-        rng = np.random.default_rng([lead.seed, 0, start // lead.block_trials])
-        h = lead.law.draw(n, rng)
-        lam = _lambda_min(h)
+        rng = np.random.default_rng([lead.seed, 1, start // lead.block_trials])
+        rho = lead.law.rho(n, rng)
+        f, lam = _factor(rho, n_r), _lambda_min(rho, n_r)
         drawn = rng.bit_generator.state
         for i, points in live:
             rng.bit_generator.state = drawn
             trials[i, points] += n
-            errors[i, points] += engines[i].block_errors(h, lam, rng, points)
+            errors[i, points] += engines[i].block_errors(f, lam, rng, points)
     return [list(zip(t.tolist(), e.tolist())) for t, e in zip(trials, errors)]
 
 
@@ -420,7 +510,7 @@ def ml_decode(h: NDArray, y: NDArray, snr: float,
 
     The blocks are taken as n-last views, so the Gram and Z contractions run
     their inner loops over the batch; inputs that are transposed views of
-    n-last memory, as ``_Engine.block_errors`` builds them, cost no copy.
+    n-last memory, as ``_Engine.decide`` builds them, cost no copy.
     """
     h = np.asarray(h, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -520,10 +610,8 @@ def check_density_inputs(law: ChannelLaw, bins: int, samples: int, seed: int) ->
         raise ValueError(f"bins must be an integer, got {bins!r}")
     if bins < 5:
         raise ValueError("use at least a 5 x 5 grid")
-    # NumPy sizes the (bins, bins) int64 counts, and indexes them flat, in intp
-    most = math.isqrt(np.iinfo(np.intp).max // 8)
-    if bins > most:
-        raise ValueError(f"bins must be at most {most}, got {bins}")
+    if bins > DENSITY_BINS:
+        raise ValueError(f"bins must be at most {DENSITY_BINS}, got {bins}")
     check_seed(seed)
 
 
@@ -649,12 +737,12 @@ def _density_piece(link: LinkSpec, r_link: float, q_tx: NDArray, q_rx: NDArray,
                    theta: NDArray, mu: NDArray, start: int) -> None:
     """Write theta_mu and mu, clipped to [0, 1], of the block's samples
     ``start`` to ``start + DENSITY_PIECE`` into ``theta`` and ``mu``: the
-    phasor of each path difference of the BER engine's links
-    (``_link_distances``)."""
+    column inner product of the BER engine's links (``_link_distances``),
+    which ``ChannelLaw.rho`` takes too (``_column_inner``)."""
     s = slice(start, start + DENSITY_PIECE)
-    dist = _link_distances(link, q_tx[s], q_rx[s], r_link)
-    # column inner product of the unit-modulus channel, summed over C-ordered
-    # (m, n_r) rows: the order of a reduction depends on the layout
-    inner = _phasors((dist[:, 1] - dist[:, 0]).T, link.wavelength).sum(axis=1)
+    inner = _column_inner(_link_distances(link, q_tx[s], q_rx[s], r_link), link.wavelength)
     np.clip(np.abs(inner) / link.rx.n, 0.0, 1.0, out=mu[s])
-    np.mod(np.angle(inner), 2.0 * np.pi, out=theta[s])
+    # np.angle, taken mod 2 pi: for an angle in [-pi, pi] that is adding 2 pi
+    # below 0, which gives np.mod's bits, but for -0.0, which stays in bin 0
+    angle = np.arctan2(inner.imag, inner.real, out=theta[s])
+    np.add(angle, 2.0 * np.pi, out=angle, where=angle < 0.0)

@@ -3,7 +3,6 @@ import copy
 import hashlib
 import importlib.resources
 import json
-import math
 import os
 import subprocess
 import sys
@@ -196,6 +195,33 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == (f"simulate config: snr_db {snr_db[-1]!r} gives a linear "
                                      "SNR beyond a float")
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("snr_db", [[-4000], [-4000, 0]], ids=["-4000", "-4000-0"])
+    def test_snr_underflowing_as_linear_is_config_error(self, tmp_path, snr_db):
+        # a dB value whose linear SNR underflows to 0 used to run, decoding
+        # every trial as codeword 0 (BER 0.502), though ml_decode rejects snr 0
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(MINI_SIM, snr_db=snr_db))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == ("simulate config: snr_db -4000.0 gives a linear SNR that "
+                                     "underflows to 0")
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("distance", [{"law": "fixed", "value": 1e300},
+                                          {"law": "uniform", "min": 5.0, "max": 1.7e308}],
+                             ids=["fixed-1e300", "uniform-1.7e308"])
+    def test_distance_beyond_float_geometry_is_config_error(self, tmp_path, distance):
+        # a fixed 1e300 m used to exit 0 with BER 0.4967 at every point, from
+        # NaN channels: the squared antenna distances overflowed
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(MINI_SIM, distance=distance))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        high = distance.get("value", distance.get("max"))
+        assert manifest["error"].startswith(f"runs[0]: distance {high:g} m puts antennas up to ")
+        assert manifest["error"].endswith("whose squared distance is beyond a float")
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("d_t", [1e-300, 5e-324])
@@ -829,14 +855,51 @@ class TestDensity:
 
     @pytest.mark.parametrize("bins", [2**31, 10**30], ids=["2^31", "1e30"])
     def test_bins_beyond_intp_is_config_error(self, tmp_path, bins):
+        # the grid bound, well below what intp can index, rejects these too
         cfg = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "distance": 10.0,
                "bins": bins, "samples": 1_000}
         out = tmp_path / "out"
         assert main(["density", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == EXIT_CONFIG
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["error"] == ("density config: bins must be at most "
-                                     f"{math.isqrt(np.iinfo(np.intp).max // 8)}, got {bins}")
+        assert manifest["error"] == f"density config: bins must be at most 1000, got {bins}"
+        assert not (out / "density.csv").exists()
+
+    @pytest.mark.parametrize("bins", [1_001, 10**6], ids=["1001", "1e6"])
+    def test_bins_beyond_the_grid_bound_is_config_error(self, tmp_path, monkeypatch, bins):
+        # 10^6 bins used to pass and then exit 4 with a MemoryError for a
+        # 7.28 TiB array; the count is checked before any array is built
+        def no_run(*args, **kwargs):
+            raise AssertionError("no run may start")
+
+        monkeypatch.setattr(losmimo.cli, "joint_density", no_run)
+        cfg = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "distance": 10.0,
+               "bins": bins, "samples": 1_000}
+        out = tmp_path / "out"
+        assert main(["density", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == f"density config: bins must be at most 1000, got {bins}"
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("wavelength", 5e-324, "density config: wavelength 5e-324 m gives a phase 2 pi r / "
+                               "wavelength beyond a float at the largest antenna distance, "
+                               "10.145 m"),
+        ("distance", 1e300, "density config: distance 1e+300 m puts antennas up to 1e+300 m "
+                            "apart, whose squared distance is beyond a float"),
+        ("distance", 1.7e308, "density config: distance 1.7e+308 m puts antennas up to "
+                              "1.7e+308 m apart, whose squared distance is beyond a float")],
+        ids=["wavelength-5e-324", "distance-1e300", "distance-1.7e308"])
+    def test_geometry_beyond_a_float_is_config_error(self, tmp_path, field, value, message):
+        # these used to exit 4 with an IndexError in the binning, after NaN
+        # phases from an overflowed square or an infinite 1 / wavelength
+        cfg = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "distance": 10.0,
+               "bins": 5, "samples": 1_000, field: value}
+        out = tmp_path / "out"
+        assert main(["density", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == message
         assert not (out / "density.csv").exists()
 
     @pytest.mark.parametrize("samples", [2**63, 10**30], ids=["2^63", "1e30"])
@@ -950,11 +1013,11 @@ class TestPinnedOutputs:
     """sha256 of CSVs that no other test pins, recorded before the link arrays
     were gathered into one LinkSpec; the density recipes at their full 10^6
     samples (five blocks), before density blocks ran in threaded pieces; the
-    two BER curves of ``SIM`` before every CSV went through one writer, except
-    that ``sm_ula_ura``'s was re-recorded when the SNR points came to share
-    their blocks, which moved its 12 dB row from 50 to 40 bit errors. A digest
-    that changes is a changed result, to be explained in CHANGES.md, not
-    re-recorded."""
+    two BER curves of ``SIM`` when the engine came to decode on the 2 x 2
+    factor of each channel, with block keys [seed, 1, b]: a new random stream,
+    which moved sm_ula_ura from 426 and 40 to 408 and 50 bit errors and
+    golden_pent_tetr's 4 dB row from 385 to 350. A digest that changes is a
+    changed result, to be explained in CHANGES.md, not re-recorded."""
 
     # early stops at 4 dB, 2,500-trial blocks, and a point with no errors
     SIM = {"wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25, "n_r": 4,
@@ -966,10 +1029,10 @@ class TestPinnedOutputs:
 
     RUNS = {
         "simulate_sm_ula_ura": (["simulate"], "sm_ula_ura.csv",
-                                "b5eba94c7bc8884ce773a12af5266d23df1ad686693ce65657cc514d44ec5107"),
+                                "c3ef8f70fbcf939dc2408ac5ae798977be80a8ec97d57da6c89fb6537eeffebb"),
         "simulate_golden_pent_tetr": (
             ["simulate"], "golden_pent_tetr.csv",
-            "8a5f369914431958a55ab8a89dd001372c627cab9418cd6e8e91e6c49a84f51e"),
+            "196ba7508ac84a5c7b675fea69a264c0aaf268f2f6221c6d7be82b3a8712fc6c"),
         "design_pentagon": (["design", "--config", "design_pentagon"], "design_report.csv",
                             "d132fd0a331e1bef4a43ed651b04906a2456f8e7ef138f88f3254e1083d8217f"),
         "design_triangle": (["design", "--config", "design_triangle"], "design_report.csv",

@@ -220,23 +220,31 @@ class TestMlDecode:
         assert abs(errs - p * total) <= 3 * np.sqrt(total * p * (1 - p))
 
 
-def decode_every_trial(engine, h, rng, s=0):
+def block(law, n, rng):
+    """The n-last (2, 2, n) factors and the lambda_min of a block of ``n``
+    links of ``law`` drawn from ``rng``, as ``_run_group`` draws them."""
+    rho, n_r = law.rho(n, rng), law.link.rx.n
+    return montecarlo._factor(rho, n_r), montecarlo._lambda_min(rho, n_r)
+
+
+def decode_every_trial(engine, f, rng, s=0):
     """The sent and the decoded codeword of each trial of one block at SNR
-    point ``s``, drawn as ``_Engine.block_errors`` draws it, with every trial
-    decoded: the reference for the distance bound."""
+    point ``s`` over the n-last factors ``f``, drawn as
+    ``_Engine.block_errors`` draws it, with every trial decoded by
+    ``ml_decode``: the reference for the distance bound."""
     cb = engine.codebook
-    n_r, n = h.shape[0], h.shape[-1]
+    n = f.shape[-1]
     k_true = rng.integers(0, cb.size, n)
-    y = np.empty((n_r, cb.slots, n), dtype=complex)
-    for part in (y.real, y.imag):
-        np.multiply(rng.standard_normal((n, n_r, cb.slots)), np.sqrt(0.5),
+    r = np.empty((2, cb.slots, n), dtype=complex)
+    for part in (r.real, r.imag):
+        np.multiply(rng.standard_normal((n, 2, cb.slots)), np.sqrt(0.5),
                     out=part.transpose(2, 0, 1))
     x = engine.codewords_nlast[:, :, k_true]
-    hx = np.multiply(h[:, 0, None], x[0])
-    hx += np.multiply(h[:, 1, None], x[1])
-    hx *= np.sqrt(engine.snr[s])
-    y += hx
-    k, _ = ml_decode(h.transpose(2, 0, 1), y.transpose(2, 0, 1), engine.snr[s], cb)
+    rx = np.multiply(f[:, 0, None], x[0])
+    rx += np.multiply(f[:, 1, None], x[1])
+    rx *= np.sqrt(engine.snr[s])
+    r += rx
+    k, _ = ml_decode(f.transpose(2, 0, 1), r.transpose(2, 0, 1), engine.snr[s], cb)
     return k_true, k
 
 
@@ -286,44 +294,48 @@ class TestDistanceBound:
         total = 0
         for b in range(3):
             rng = np.random.default_rng([31, b])
-            h = cfg.law.draw(2_501, rng)
+            f, lam = block(cfg.law, 2_501, rng)
             drawn = rng.bit_generator.state
-            want = bit_errors(engine.codebook, *decode_every_trial(engine, h, rng))
+            want = bit_errors(engine.codebook, *decode_every_trial(engine, f, rng))
             rng.bit_generator.state = drawn
-            assert engine.block_errors(h, montecarlo._lambda_min(h), rng, [0]) == [want]
+            assert engine.block_errors(f, lam, rng, [0]) == [want]
             total += want
         if snr_db == 0.0:
             assert total > 0
 
-    @pytest.mark.parametrize("channels", ["near-parallel", "weak-column"])
+    @pytest.mark.parametrize("channels", ["near-parallel", "aligned-phase"])
     @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
     def test_settled_trials_are_ml_decisions(self, monkeypatch, scheme, channels):
-        # at 60 dB, on channels whose lambda_min / tr G runs from about 1e-8 to
-        # 1e-2 (across SETTLE_FLOOR), the noise of each trial points at its
-        # nearest competitor: in the first half it is just inside the bound,
-        # in the second half just past the midpoint to that competitor
+        # at 60 dB, on links whose lambda_min / tr G = (1 - |rho|) / 2 runs
+        # from about 1e-8 to 1e-2 (across SETTLE_FLOOR), the noise of each
+        # trial points at its nearest competitor: in the first half it is just
+        # inside the bound, in the second half just past the midpoint to that
+        # competitor. The phase of rho is uniform, or a multiple of pi/2, where
+        # an SM difference can lie along the weak eigenvector of G, so that the
+        # bound is tight
         engine = _Engine(SimConfig(scheme=scheme, law=law(), snr_db=(60.0,)))
         cb, snr = engine.codebook, engine.snr[0]
         rng = np.random.default_rng(41)
         n, n_r = 1_200, 4
-        h = np.exp(2j * np.pi * rng.random((n_r, 2, n)))
+        mu = 1.0 - 2.0 * 10.0 ** rng.uniform(-8.0, -2.0, n)
         if channels == "near-parallel":
-            wobble = rng.standard_normal((n_r, n)) + 1j * rng.standard_normal((n_r, n))
-            h[:, 1] = (h[:, 0] * np.exp(2j * np.pi * rng.random(n))
-                       + 10.0 ** rng.uniform(-3.5, -1.0, n) * wobble)
+            rho = mu * np.exp(2j * np.pi * rng.random(n))
         else:
-            h[:, 0] *= 10.0 ** rng.uniform(-4.0, -0.5, n)
-        lam = montecarlo._lambda_min(h)
-        g = np.einsum("rin,rjn->nij", np.conj(h), h)
+            rho = mu * 1j ** rng.integers(0, 4, n)
+        f = montecarlo._factor(rho, n_r)
+        lam = montecarlo._lambda_min(rho, n_r)
+        g = np.einsum("rin,rjn->nij", np.conj(f), f)
+        assert np.allclose(g, n_r * np.stack([[np.ones(n), rho], [np.conj(rho), np.ones(n)]])
+                           .transpose(2, 0, 1), rtol=0, atol=1e-14)
         exact = np.linalg.eigvalsh(g)[:, 0]
         floor = montecarlo.SETTLE_FLOOR * np.trace(g, axis1=1, axis2=2).real
         assert np.count_nonzero(exact < floor) > n // 20
         assert np.count_nonzero(exact > floor) > n // 2
-        assert np.allclose(lam[lam > 0], exact[lam > 0], rtol=1e-6)
+        assert np.allclose(lam[lam > 0], exact[lam > 0], rtol=1e-9)
         assert np.all(lam[exact < 0.9 * floor] == 0)
         sent = rng.integers(0, cb.size, n)
-        # sqrt(snr) h (X_k - X_sent) for every k, n-first
-        toward = np.sqrt(snr) * np.einsum("rin,nkit->nkrt", h,
+        # sqrt(snr) R (X_k - X_sent) for every k, n-first
+        toward = np.sqrt(snr) * np.einsum("rin,nkit->nkrt", f,
                                           cb.codewords[None] - cb.codewords[sent][:, None])
         gap = (np.abs(toward) ** 2).sum(axis=(2, 3))
         gap[np.arange(n), sent] = np.inf
@@ -333,9 +345,9 @@ class TestDistanceBound:
         scale = np.where(np.arange(n) < n // 2, inside, (0.5 + 1e-6) * length)
         noise = nearest * (scale / length)[:, None, None]
         normals = [noise.real / np.sqrt(0.5), noise.imag / np.sqrt(0.5)]
-        _, k = decode_every_trial(engine, h, Replay(sent, normals))
+        _, k = decode_every_trial(engine, f, Replay(sent, normals))
         decoded = self.count_decoded(monkeypatch)
-        [errors] = engine.block_errors(h, lam, Replay(sent, normals), [0])
+        [errors] = engine.block_errors(f, lam, Replay(sent, normals), [0])
         # the first half are the trials above the floor that the bound settles
         settled = (np.arange(n) < n // 2) & (lam > 0)
         assert sum(decoded) == n - np.count_nonzero(settled)
@@ -352,23 +364,109 @@ class TestDistanceBound:
         decoded = self.count_decoded(monkeypatch)
         for b in range(4):
             rng = np.random.default_rng([37, b])
-            h = cfg.law.draw(2_500, rng)
-            assert engine.block_errors(h, montecarlo._lambda_min(h), rng, [0]) == [0]
+            f, lam = block(cfg.law, 2_500, rng)
+            assert engine.block_errors(f, lam, rng, [0]) == [0]
         assert sum(decoded) <= 0.1 * 4 * 2_500
+
+
+class TestSufficientStatistic:
+    """The engine decides on the 2 x 2 factor R of each link's channel H and
+    2 x T noise; a full decode on H decides the same."""
+
+    @pytest.mark.parametrize("link", [
+        dict(), dict(tx_kind="pentagon", rx_kind="tetrahedron"), dict(ideal=True),
+        dict(tx_kind="triangle", rx_kind="spherical-code", n_r=6, distance=7.0),
+        dict(tx_kind="pentagon", rx_kind="ula", n_r=1, distance=7.0),
+        dict(rx_kind="ula", n_r=1, ideal=True)],
+        ids=["ula-ura", "pent-tetr", "ideal", "spherical-fixed", "one-antenna", "ideal-one"])
+    def test_rho_is_the_column_correlation_of_draw(self, link):
+        # the same links, drawn from the same stream, which each leaves in the
+        # same state
+        channel_law = law(**link)
+        n = 3_001
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        rho = channel_law.rho(n, a)
+        h = channel_law.draw(n, b)
+        assert rho.shape == (n,) and rho.dtype == complex
+        want = np.einsum("rn,rn->n", np.conj(h[:, 0]), h[:, 1]) / channel_law.link.rx.n
+        # the phases of path differences against those of whole distances of
+        # about 13 m: each may differ by a few 1e-12 rad
+        assert np.abs(rho - want).max() <= 1e-10
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("snr_db", [0.0, 16.0, 32.0])
+    @pytest.mark.parametrize("link", ["ula_ura", "pent_tetr"])
+    @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
+    def test_engine_decisions_match_a_full_channel_decode(self, scheme, link, snr_db):
+        # with H = Q R (Q = H R^-1) and y = Q r + N_perp, N_perp orthogonal to
+        # Q's columns, ||y - sqrt(snr) H X_k||^2 = ||r - sqrt(snr) R X_k||^2 +
+        # ||N_perp||^2, so the Frobenius argmin over all K codewords on (H, y)
+        # is the engine's decision on (R, r) for every trial
+        tx_kind, rx_kind = ("pentagon", "tetrahedron") if link == "pent_tetr" else ("ula", "ura")
+        channel_law = law(tx_kind, rx_kind)
+        engine = _Engine(SimConfig(scheme=scheme, law=channel_law, snr_db=(snr_db,)))
+        cb, snr, n = engine.codebook, engine.snr[0], 2_501
+        f, _ = block(channel_law, n, np.random.default_rng(43))
+        h = channel_law.draw(n, np.random.default_rng(43)).transpose(2, 0, 1)
+        rng = np.random.default_rng(47)
+        sent = rng.integers(0, cb.size, n)
+        w = np.sqrt(0.5) * (rng.standard_normal((n, 2, cb.slots))
+                            + 1j * rng.standard_normal((n, 2, cb.slots)))
+        decided = engine.decide(0, f, sent, np.ascontiguousarray(w.transpose(1, 2, 0)))
+        big_r = f.transpose(2, 0, 1)
+        r = np.sqrt(snr) * big_r @ cb.codewords[sent] + w
+        q = h @ np.linalg.inv(big_r)
+        # the last n_r - 2 columns of a complete QR of H span the complement
+        # of its columns
+        complement = np.linalg.qr(h, mode="complete")[0][:, :, 2:]
+        shape = (n, complement.shape[-1], cb.slots)
+        n_perp = complement @ (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        y = q @ r + n_perp
+        best = np.full(n, np.inf)
+        want = np.zeros(n, dtype=int)
+        for k, x in enumerate(cb.codewords):
+            d = (np.abs(y - np.sqrt(snr) * h @ x) ** 2).sum(axis=(1, 2))
+            want[d < best] = k
+            best = np.minimum(best, d)
+        assert np.array_equal(decided, want)
+        if snr_db == 0.0:
+            assert np.count_nonzero(want != sent) > n // 20
+
+    def test_engine_block_stream_is_not_the_density_stream(self, monkeypatch):
+        # SeedSequence drops trailing zero words, so a block key [seed, 0, 0]
+        # would be joint_density's [seed]; block 0 of a fixed-distance law and
+        # joint_density with the same seed must draw different rotations
+        drawn = []
+        real = montecarlo.rotation_normals
+
+        def recording(rng, n):
+            drawn.append(real(rng, n))
+            return drawn[-1]
+
+        monkeypatch.setattr(montecarlo, "rotation_normals", recording)
+        channel_law = density_law("ula")
+        for seed in (0, 7):
+            drawn.clear()
+            montecarlo._run_group((SimConfig(scheme="sm", law=channel_law, snr_db=(0.0,),
+                                             max_trials=16, block_trials=16, seed=seed),))
+            joint_density(channel_law, bins=5, samples=16, seed=seed)
+            engine_tx, _, density_tx, _ = drawn
+            assert not np.array_equal(engine_tx, density_tx)
+            # the key without its nonzero word collides
+            assert np.array_equal(real(np.random.default_rng([seed, 0, 0]), 16), density_tx)
 
 
 class TestRunBer:
     # (trials, bit errors) at 0, 16 and 32 dB with 5,000 trials per point and
-    # seed 1. The 0 dB counts are those the engine gave with n-first blocks in
-    # memory; the points have shared their blocks since, which moved
-    # sm_ula_ura's 16 dB count from 12 to 8
+    # seed 1, recorded when the engine came to decode on the 2 x 2 factor of
+    # each channel, with block keys [seed, 1, b]
     FIG5_COUNTS = {
-        "sm_ula_ura": [(2500, 1316), (5000, 8), (5000, 0)],
-        "golden_ula_ura": [(2500, 2412), (5000, 0), (5000, 0)],
-        "sm_pent_tetr": [(2500, 1017), (5000, 0), (5000, 0)],
-        "golden_pent_tetr": [(2500, 2038), (5000, 0), (5000, 0)],
-        "simo_ura": [(2500, 1426), (5000, 0), (5000, 0)],
-        "ideal_sm": [(2500, 793), (5000, 0), (5000, 0)],
+        "sm_ula_ura": [(2500, 1247), (5000, 18), (5000, 0)],
+        "golden_ula_ura": [(2500, 2576), (5000, 0), (5000, 0)],
+        "sm_pent_tetr": [(2500, 1032), (5000, 0), (5000, 0)],
+        "golden_pent_tetr": [(2500, 1956), (5000, 0), (5000, 0)],
+        "simo_ura": [(2500, 1395), (5000, 0), (5000, 0)],
+        "ideal_sm": [(2500, 811), (5000, 0), (5000, 0)],
     }
 
     @pytest.mark.parametrize("name", list(FIG5_COUNTS))
@@ -485,6 +583,37 @@ class TestRunBer:
         # an ideal channel has no geometry to overlap
         law(distance=(0.0001, 0.2), ideal=True)
 
+    @pytest.mark.parametrize("distance", [1e300, (4.43, 1e300), 1.7e308],
+                             ids=["fixed", "uniform", "largest"])
+    def test_antenna_distances_must_square_as_floats(self, distance):
+        # link_distances' squares used to overflow, and the channels came out NaN
+        with pytest.raises(ValueError, match="whose squared distance is beyond a float"):
+            law(distance=distance)
+        # an ideal channel has no geometry
+        law(distance=distance, ideal=True)
+
+    def test_phases_must_stay_floats(self):
+        # 1 / 5e-324 is infinite, so every phase 2 pi r / wavelength was
+        with pytest.raises(ValueError, match=re.escape(
+                "wavelength 5e-324 m gives a phase 2 pi r / wavelength beyond a float at the "
+                "largest antenna distance, ")):
+            law(distance=10.0, wavelength=5e-324)
+        law(distance=10.0, wavelength=5e-324, ideal=True)
+
+    @pytest.mark.parametrize("side", [0.999, 1.001])
+    def test_geometry_bound_is_where_the_links_overflow(self, side):
+        # just inside the bound every channel and every rho is finite, with
+        # no RuntimeWarning (an error in these tests); just past it the law
+        # is rejected
+        high = side * math.sqrt(np.finfo(float).max / 3.0)
+        if side > 1:
+            with pytest.raises(ValueError, match="squared distance"):
+                law(distance=high)
+            return
+        channel_law = law("pentagon", "tetrahedron", distance=high)
+        assert np.all(np.isfinite(channel_law.draw(100, np.random.default_rng(3))))
+        assert np.all(np.isfinite(channel_law.rho(100, np.random.default_rng(3))))
+
     def test_error_target_stops_early(self):
         cfg = SimConfig(scheme="sm", law=law(), snr_db=(0.0,), max_trials=100_000,
                         target_errors=50, block_trials=500, seed=7)
@@ -542,6 +671,15 @@ class TestRunBer:
         # (True, "x") to a TypeError
         with pytest.raises(ValueError, match="non-empty list of finite numbers"):
             SimConfig(scheme="sm", law=law(), snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", [(-4000.0,), (-4000.0, 0.0), (-3300.0,)])
+    def test_snr_whose_linear_value_underflows_rejected(self, snr_db):
+        # the engine used to decode with zero weights, every trial as codeword 0
+        with pytest.raises(ValueError, match=re.escape(
+                f"snr_db {snr_db[0]!r} gives a linear SNR that underflows to 0")):
+            SimConfig(scheme="sm", law=law(), snr_db=snr_db)
+        # the smallest linear SNR above 0 is a subnormal float
+        assert SimConfig(scheme="sm", law=law(), snr_db=(-3230.0,)).snr_db == (-3230.0,)
 
     @pytest.mark.parametrize("field", ["max_trials", "target_errors", "block_trials"])
     @pytest.mark.parametrize("value", [1000.5, True])
@@ -646,7 +784,7 @@ class TestSharedChannels:
         self.assert_same_curves(run_ber(configs, 2), alone)
         # the group's campaigns stop at different blocks of the same point,
         # one of them after the final partial block
-        assert sorted(int(c.trials[1]) for c in alone[:3]) == [1_000, 1_000, 1_700]
+        assert sorted(int(c.trials[1]) for c in alone[:3]) == [500, 1_000, 1_700]
 
     def test_curves_do_not_depend_on_the_process_count(self, monkeypatch):
         # the batch has three groups, one of them shared, a partial final block
@@ -713,33 +851,36 @@ class TestSharedChannels:
     def test_channels_drawn_once_per_block(self, monkeypatch):
         configs = self.configs()
         calls = []
-        real = ChannelLaw.draw
+        real = ChannelLaw.rho
 
         def counting(channel_law, n, rng):
             calls.append((channel_law, n, rng.bit_generator.state["state"]["state"]))
             return real(channel_law, n, rng)
 
-        monkeypatch.setattr(ChannelLaw, "draw", counting)
+        monkeypatch.setattr(ChannelLaw, "rho", counting)
         curves = run_ber(configs)
-        # each group draws block b from [seed, 0, b] once, for every SNR point
-        # of every member, up to the last block that any of them ran
+        # each group draws block b's rho from [seed, 1, b] once, for every SNR
+        # point of every member, up to the last block that any of them ran
         expected = []
         for members in montecarlo.channel_groups(configs):
             c = configs[members[0]]
             blocks = max(-(-t // c.block_trials) for i in members for t in curves[i].trials)
             for b in range(blocks):
-                state = np.random.default_rng([c.seed, 0, b]).bit_generator.state
+                state = np.random.default_rng([c.seed, 1, b]).bit_generator.state
                 expected.append((c.law, min(c.block_trials, c.max_trials - b * c.block_trials),
                                  state["state"]["state"]))
         assert sorted(calls, key=repr) == sorted(expected, key=repr)
 
     def test_points_match_decoding_each_point_alone(self):
         # every point of every campaign, counted by a loop that redraws block
-        # [seed, 0, b] and decodes each of its trials at that point alone, with
-        # no distance bound and no doubt set carried over from another point
+        # [seed, 1, b] and decodes each of its trials at that point alone on
+        # R = sqrt(n_r) [[1, rho], [0, sqrt(1 - |rho|^2)]] and r = sqrt(snr) R X
+        # + W, with no distance bound and no doubt set carried over from
+        # another point
         configs = self.configs()
         for c, curve in zip(configs, run_ber(configs)):
             cb = build_codebook(c.scheme)
+            n_r = c.law.link.rx.n
             want = []
             for snr_db in c.snr_db:
                 snr = 10.0 ** (snr_db / 10.0)
@@ -748,10 +889,14 @@ class TestSharedChannels:
                     if errors >= c.target_errors:
                         break
                     n = min(c.block_trials, c.max_trials - start)
-                    rng = np.random.default_rng([c.seed, 0, b])
-                    h = c.law.draw(n, rng).transpose(2, 0, 1)
+                    rng = np.random.default_rng([c.seed, 1, b])
+                    rho = c.law.rho(n, rng)
+                    h = np.zeros((n, 2, 2), dtype=complex)
+                    h[:, 0, 0] = np.sqrt(n_r)
+                    h[:, 0, 1] = np.sqrt(n_r) * rho
+                    h[:, 1, 1] = np.sqrt(n_r) * np.sqrt(np.maximum(1.0 - np.abs(rho) ** 2, 0.0))
                     sent = rng.integers(0, cb.size, n)
-                    shape = (n, len(h[0]), cb.slots)
+                    shape = (n, 2, cb.slots)
                     noise = np.sqrt(0.5) * rng.standard_normal(shape)
                     noise = noise + 1j * np.sqrt(0.5) * rng.standard_normal(shape)
                     y = np.sqrt(snr) * np.einsum("nri,nit->nrt", h, cb.codewords[sent]) + noise
@@ -783,7 +928,8 @@ class TestSharedChannels:
         assert {name for name, value in changes.items() if splits(**{name: value})} == \
             {"seed", "block_trials", "snr_db", "max_trials"}
 
-        # synthesis is the law's draw, and it reads nothing but the law's fields
+        # synthesis is the law's draw of channels or of rho, and each reads
+        # nothing but the law's fields
         class Recorder:
             def __init__(self, channel_law):
                 self.law, self.reads = channel_law, set()
@@ -793,10 +939,11 @@ class TestSharedChannels:
                 return getattr(self.law, name)
 
         for channel_law in (base.law, dataclasses.replace(base.law, ideal=True)):
-            recorder = Recorder(channel_law)
-            h = ChannelLaw.draw(recorder, 8, np.random.default_rng(0))
-            assert np.array_equal(h, channel_law.draw(8, np.random.default_rng(0)))
-            assert recorder.reads and recorder.reads <= law_fields, recorder.reads
+            for synthesis in (ChannelLaw.draw, ChannelLaw.rho):
+                recorder = Recorder(channel_law)
+                got = synthesis(recorder, 8, np.random.default_rng(0))
+                assert np.array_equal(got, synthesis(channel_law, 8, np.random.default_rng(0)))
+                assert recorder.reads and recorder.reads <= law_fields, recorder.reads
 
 
 class TestEngineChannels:
@@ -1011,13 +1158,29 @@ class TestJointDensity:
 
     @pytest.mark.parametrize("bins", [2**31, 10**30], ids=["2^31", "1e30"])
     def test_bins_beyond_intp_rejected(self, bins):
-        # bins^2 int64 counts are more bytes than intp holds; the check comes
-        # before the edges are built, which would ask for bins + 1 floats
-        message = f"bins must be at most {math.isqrt(np.iinfo(np.intp).max // 8)}, got {bins}"
+        # bins^2 int64 counts are more bytes than intp holds; the grid bound
+        # rejects them before the edges are built, which would ask for bins + 1
+        # floats
+        message = f"bins must be at most {montecarlo.DENSITY_BINS}, got {bins}"
         for call in (lambda: montecarlo.check_density_inputs(self._law(), bins, 100, 0),
                      lambda: joint_density(self._law(), bins, 100)):
             with pytest.raises(ValueError, match=message):
                 call()
+
+    def test_bins_beyond_the_grid_bound_rejected(self, monkeypatch):
+        # 10^6 bins passed the intp bound and then asked for a 7.28 TiB array;
+        # no array is built before the check
+        def no_array(*args, **kwargs):
+            raise AssertionError("no array may be built")
+
+        channel_law = self._law()
+        assert montecarlo.DENSITY_BINS == 1_000
+        montecarlo.check_density_inputs(channel_law, 1_000, 100, 0)
+        monkeypatch.setattr(montecarlo.np, "linspace", no_array)
+        monkeypatch.setattr(montecarlo.np, "zeros", no_array)
+        for bins in (1_001, 10**6):
+            with pytest.raises(ValueError, match=f"bins must be at most 1000, got {bins}"):
+                joint_density(channel_law, bins, 100)
 
     @pytest.mark.parametrize("bins,samples,field", [
         (25.5, 1_000, "bins"), ((25, 25.5), 1_000, "bins"), ((25,), 1_000, "bins"),
