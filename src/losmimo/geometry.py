@@ -206,6 +206,12 @@ def make_layout(kind: str, n: int | None = None, spacing: float | None = None,
     # take no larger int
     if n is not None and n > np.iinfo(np.intp).max:
         raise ValueError(f"n must be at most {np.iinfo(np.intp).max}, got {n}")
+    # no coordinate lies more than max(n, 5) spacings off the centroid, and
+    # the radii sum three squared coordinates
+    reach = max(n or 0, 5) * spacing
+    if not 3.0 * reach * reach < np.inf:
+        raise ValueError(f"spacing {spacing!r} m puts antennas so far apart that their squared "
+                         "distances are beyond a float")
 
     if kind == "ula":
         if n is None or n < 1:

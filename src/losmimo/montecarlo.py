@@ -22,7 +22,6 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -60,6 +59,10 @@ DENSITY_PIECE = 8_192
 # counts, and each block's np.bincount of as many, stay at 8 MB, and the CSV
 # at 10^6 rows
 DENSITY_BINS = 1_000
+# the most samples of joint_density: about an hour on 2 cores for a 2 x 2 link
+# at a fixed distance, at 0.35 us per sample (0.55 us for pentagon x
+# tetrahedron over a distance range); counted before any array is built
+DENSITY_SAMPLES = 10**10
 # the distance bound of _Engine.block_errors: its relative margin, and the
 # smallest lambda_min / tr G at which it settles a trial
 SETTLE_MARGIN = 1e-3
@@ -125,24 +128,23 @@ class ChannelLaw:
 
     def draw(self, n: int, rng: np.random.Generator) -> NDArray:
         """The n-last (n_r, 2, n) channels of a block of n trials: the ideal
-        channel, or n random links drawn from ``rng`` (distances, then the
-        quaternion normals of the transmit rotations, then of the receive
-        rotations) through ``_link_distances``."""
+        channel, or n random links drawn from ``rng`` by ``_law_draws`` and
+        placed by ``_link_distances``."""
         if self.ideal:
             h = _ideal_channel(self.link.rx.n)
             return np.broadcast_to(h[..., None], h.shape + (n,))
-        return los_channel(_law_distances(self, n, rng), self.link.wavelength)
+        return los_channel(_link_distances(self.link, *_law_draws(self, n, rng)),
+                           self.link.wavelength)
 
     def rho(self, n: int, rng: np.random.Generator) -> NDArray:
         """The correlation rho = h_0^H h_1 / n_r of the columns of each of the
-        n channels that ``draw(n, rng)`` gives, drawn as ``draw`` draws them:
-        the sum of the n_r phasors of each link's path differences
-        (``_column_inner``), so one exponential per receive antenna."""
+        n channels that ``draw(n, rng)`` gives, drawn as ``draw`` draws them
+        (``_law_draws``) and mapped by ``_links_rho``."""
         n_r = self.link.rx.n
         if self.ideal:
             h = _ideal_channel(n_r)
             return np.full(n, np.vdot(h[:, 0], h[:, 1]) / n_r)
-        return _column_inner(_law_distances(self, n, rng), self.link.wavelength) / n_r
+        return _links_rho(self.link, *_law_draws(self, n, rng))
 
 
 def _ideal_channel(n_r: int) -> NDArray:
@@ -151,22 +153,16 @@ def _ideal_channel(n_r: int) -> NDArray:
     return np.column_stack([np.ones(n_r, dtype=complex), phases])
 
 
-def _law_distances(law: ChannelLaw, n: int, rng: np.random.Generator) -> NDArray:
-    """The (n_r, 2, n) distances of n links of the geometric ``law``, drawn
-    from ``rng``: the distances, then the quaternion normals of the transmit
-    rotations, then of the receive rotations."""
+def _law_draws(law: ChannelLaw, n: int, rng: np.random.Generator) -> tuple:
+    """The draws of n links of the geometric ``law`` from ``rng``, in the
+    order every consumer of the law shares: the distances (none at a fixed
+    distance), then the quaternion normals of the transmit rotations, then of
+    the receive rotations. Returned as ``_link_distances``' (q_tx, q_rx,
+    r_link), r_link the law's float at a fixed distance."""
     distance = law.distance
     r_link = rng.uniform(*distance, n) if isinstance(distance, tuple) else distance
-    # arguments are evaluated in order: transmit normals, then receive ones
-    return _link_distances(law.link, rotation_normals(rng, n), rotation_normals(rng, n), r_link)
-
-
-def _column_inner(dist: NDArray, wavelength: float) -> NDArray:
-    """h_0^H h_1 of each unit-modulus channel from its (n_r, 2, n) distances:
-    the phasors of its n_r path differences, each built as ``los_channel``
-    builds an entry, summed over the C-ordered (n, n_r) rows (the order of a
-    reduction depends on the layout)."""
-    return _phasors((dist[:, 1] - dist[:, 0]).T, wavelength).sum(axis=1)
+    q_tx = rotation_normals(rng, n)
+    return q_tx, rotation_normals(rng, n), r_link
 
 
 def _link_distances(link: LinkSpec, q_tx: NDArray, q_rx: NDArray,
@@ -184,6 +180,15 @@ def _link_distances(link: LinkSpec, q_tx: NDArray, q_rx: NDArray,
         pair = _closest_pairs(link.tx, tx_columns).pair
         tx = tx[:, pair.T, np.arange(len(q_tx))]
     return link_distances(tx, rx)
+
+
+def _links_rho(link: LinkSpec, q_tx: NDArray, q_rx: NDArray, r_link: float | NDArray) -> NDArray:
+    """rho = h_0^H h_1 / n_r of the links ``_link_distances`` places: the
+    phasors of each link's n_r path differences, each built as ``los_channel``
+    builds an entry (one exponential per receive antenna), summed over the
+    C-ordered (n, n_r) rows (the order of a reduction depends on the layout)."""
+    dist = _link_distances(link, q_tx, q_rx, r_link)
+    return _phasors((dist[:, 1] - dist[:, 0]).T, link.wavelength).sum(axis=1) / link.rx.n
 
 
 @dataclass(frozen=True)
@@ -596,16 +601,14 @@ class DensityGrid:
 def check_density_inputs(law: ChannelLaw, bins: int, samples: int, seed: int) -> None:
     """Reject ``joint_density`` inputs it cannot sample. The link and the
     distance are ``ChannelLaw``'s to check."""
-    if law.ideal or isinstance(law.distance, tuple) or law.link.tx.n != 2:
-        raise ValueError("joint density is defined for a 2-antenna transmitter at a fixed "
-                         "distance, over geometric channels")
+    if law.ideal:
+        raise ValueError("joint density is defined over geometric channels")
     if not _is_int(samples):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
-    # NumPy sizes and indexes arrays in intp
-    if samples > np.iinfo(np.intp).max:
-        raise ValueError(f"samples must be at most {np.iinfo(np.intp).max}, got {samples}")
+    if samples > DENSITY_SAMPLES:
+        raise ValueError(f"samples must be at most {DENSITY_SAMPLES}, got {samples}")
     if not _is_int(bins):
         raise ValueError(f"bins must be an integer, got {bins!r}")
     if bins < 5:
@@ -648,26 +651,16 @@ def _usable_cpus() -> int:
 
 
 def joint_density(law: ChannelLaw, bins: int, samples: int, seed: int = 0) -> DensityGrid:
-    """Histogram of (theta_mu, mu), on a ``bins`` x ``bins`` grid, over
-    independent random rotations of both arrays of ``law.link`` at the law's
-    fixed distance.
+    """Histogram of (theta_mu, mu) of the geometric ``law``'s links on a ``bins``
+    x ``bins`` grid: the counts ``np.histogram2d`` gives of (angle(rho) mod 2 pi,
+    |rho| clipped to [0, 1]) over the successive blocks ``law.rho(n, rng)``, n =
+    ``DENSITY_BLOCK`` but for a shorter last block, rng = ``default_rng([seed])``.
 
-    The law must be geometric, at a fixed distance, with a 2-antenna transmit
-    array (see ``check_density_inputs``). theta_mu is uniform and independent
-    of mu only as d_t / wavelength -> infinity at fixed eta; at finite d_t /
-    wavelength the high-mu rows keep a small theta ripple.
-
-    Samples run in ``DENSITY_BLOCK`` blocks. The calling thread draws a block's
-    quaternion normals (all transmit draws, then all receive draws) and
-    histograms the block; everything in between, from rotations to (theta_mu,
-    mu), runs in ``DENSITY_PIECE``-sample pieces on one thread per usable CPU,
-    while the calling thread draws the next block and histograms the previous
-    one. A piece builds only the rotation columns of the axes its arrays
-    occupy (``_density_piece``); the histogram finds each sample's bin by
-    index arithmetic under NumPy's histogram rules and counts the bins with
-    one ``np.bincount`` (``_bin_counts``). Every step from rotations to
-    (theta_mu, mu) is per sample and the counts are integers, so they depend
-    on neither the piece size nor the thread count.
+    The calling thread draws each block (``_law_draws``) and sums the integer
+    counts of its ``DENSITY_PIECE``-sample pieces, which take and bin their
+    rho (``_density_piece``) on one thread per usable CPU while it draws the
+    next block. Every step is per sample, so the counts depend on neither the
+    piece size nor the thread count.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -676,28 +669,21 @@ def joint_density(law: ChannelLaw, bins: int, samples: int, seed: int = 0) -> De
     mu_edges = np.linspace(0.0, 1.0, bins + 1)
     counts = np.zeros((bins, bins), dtype=np.int64)
     rng = np.random.default_rng([seed])
-
-    def binned(pieces, theta, mu):
-        for p in pieces:
-            p.result()      # re-raises the error a piece met
-        return _bin_counts(theta, mu, theta_edges, mu_edges)
-
     pool = ThreadPoolExecutor(_usable_cpus())
     try:
-        previous = None
+        running = []
         for start in range(0, samples, DENSITY_BLOCK):
             n = min(DENSITY_BLOCK, samples - start)
             # drawn while the previous block's pieces run
-            q_tx = rotation_normals(rng, n)
-            q_rx = rotation_normals(rng, n)
-            theta, mu = np.empty(n), np.empty(n)
-            piece = partial(_density_piece, law.link, law.distance, q_tx, q_rx, theta, mu)
-            current = [pool.submit(piece, s) for s in range(0, n, DENSITY_PIECE)], theta, mu
-            # histogrammed while this block's pieces run
-            if previous is not None:
-                counts += binned(*previous)
-            previous = current
-        counts += binned(*previous)
+            draws = _law_draws(law, n, rng)
+            previous, running = running, [
+                pool.submit(_density_piece, law.link, draws, theta_edges, mu_edges, s)
+                for s in range(0, n, DENSITY_PIECE)]
+            # result() re-raises the error a piece met
+            for piece in previous:
+                counts += piece.result()
+        for piece in running:
+            counts += piece.result()
     finally:
         # after an error, drop the pieces not yet started and join the threads
         pool.shutdown(cancel_futures=True)
@@ -733,16 +719,17 @@ def _bin_index(x: NDArray, edges: NDArray) -> NDArray:
     return i
 
 
-def _density_piece(link: LinkSpec, r_link: float, q_tx: NDArray, q_rx: NDArray,
-                   theta: NDArray, mu: NDArray, start: int) -> None:
-    """Write theta_mu and mu, clipped to [0, 1], of the block's samples
-    ``start`` to ``start + DENSITY_PIECE`` into ``theta`` and ``mu``: the
-    column inner product of the BER engine's links (``_link_distances``),
-    which ``ChannelLaw.rho`` takes too (``_column_inner``)."""
+def _density_piece(link: LinkSpec, draws: tuple, theta_edges: NDArray, mu_edges: NDArray,
+                   start: int) -> NDArray:
+    """The ``_bin_counts`` of the links ``start`` to ``start + DENSITY_PIECE``
+    of a block's ``_law_draws`` ``draws``: their rho (``_links_rho``), as
+    theta_mu = angle(rho) mod 2 pi and mu = |rho| clipped to [0, 1]."""
     s = slice(start, start + DENSITY_PIECE)
-    inner = _column_inner(_link_distances(link, q_tx[s], q_rx[s], r_link), link.wavelength)
-    np.clip(np.abs(inner) / link.rx.n, 0.0, 1.0, out=mu[s])
+    q_tx, q_rx, r_link = draws
+    rho = _links_rho(link, q_tx[s], q_rx[s], r_link[s] if np.ndim(r_link) else r_link)
+    mu = np.clip(np.abs(rho), 0.0, 1.0)
     # np.angle, taken mod 2 pi: for an angle in [-pi, pi] that is adding 2 pi
     # below 0, which gives np.mod's bits, but for -0.0, which stays in bin 0
-    angle = np.arctan2(inner.imag, inner.real, out=theta[s])
-    np.add(angle, 2.0 * np.pi, out=angle, where=angle < 0.0)
+    theta = np.arctan2(rho.imag, rho.real)
+    np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0.0)
+    return _bin_counts(theta, mu, theta_edges, mu_edges)

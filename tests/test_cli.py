@@ -916,13 +916,64 @@ class TestDensity:
                      "--out", str(out)]) == EXIT_CONFIG
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == ("density config: samples must be at most "
-                                     f"{np.iinfo(np.intp).max}, got {samples}")
+                                     f"{losmimo.montecarlo.DENSITY_SAMPLES}, got {samples}")
+
+    @pytest.mark.parametrize("samples", [10**10 + 1, 2**62], ids=["1e10+1", "2^62"])
+    def test_samples_beyond_the_run_bound_is_config_error(self, tmp_path, monkeypatch,
+                                                          samples):
+        # 2^62 samples used to pass every check and run until it was killed;
+        # the count is checked before any array is built
+        def no_run(*args, **kwargs):
+            raise AssertionError("no run may start")
+
+        monkeypatch.setattr(losmimo.cli, "joint_density", no_run)
+        cfg = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "distance": 10.0,
+               "samples": samples}
+        out = tmp_path / "out"
+        assert main(["density", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == ("density config: samples must be at most "
+                                     f"10000000000, got {samples}")
 
     def test_bundled_recipe_resolves(self):
         cfg = _load_config("density_2x2")
         assert cfg["n_r"] == 2
         assert importlib.resources.files("losmimo.recipes").joinpath(
             "density_2x4.json").is_file()
+
+
+# boundary values each field of a config table is swept through, one at a
+# time: zeros and signs, float extremes, huge integers and wrong JSON types
+SWEEP_VALUES = [0, -1, 1e-300, 5e-324, 1e300, 1.7e308, float("nan"), float("inf"),
+                float("-inf"), 10**400, 2**62, 2**63, "7", True, None, [1], {}]
+SWEEP_IDS = ["0", "-1", "1e-300", "5e-324", "1e300", "1.7e308", "nan", "inf", "-inf",
+             "1e400", "2^62", "2^63", "str", "bool", "null", "list", "object"]
+
+
+class TestDensitySweep:
+    BASE = {"wavelength": 0.0042, "d_t": 0.145, "d_r": 0.145, "n_r": 2, "rx_kind": "ula",
+            "distance": 10.0, "bins": 5, "samples": 200, "seed": 3}
+
+    @pytest.mark.parametrize("value", SWEEP_VALUES, ids=SWEEP_IDS)
+    @pytest.mark.parametrize("field", list(losmimo.cli.DENSITY_FIELDS))
+    def test_field_boundary_exits_0_or_2(self, tmp_path, monkeypatch, field, value):
+        # a bad value is a config error, never a failure mid-run; a run that
+        # the checks let through on more than 10^7 samples fails instead of
+        # running for hours
+        real = losmimo.cli.joint_density
+
+        def guarded(law, bins, samples, seed):
+            assert samples <= 10**7, f"a run of {samples} samples started"
+            return real(law, bins, samples, seed)
+
+        monkeypatch.setattr(losmimo.cli, "joint_density", guarded)
+        out = tmp_path / "out"
+        code = main(["density", "--config", write_config(tmp_path, {**self.BASE, field: value}),
+                     "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert code in (EXIT_OK, EXIT_CONFIG), manifest.get("error")
+        assert manifest["status"] == ("ok" if code == EXIT_OK else "config-error")
 
 
 class TestOutDirectory:

@@ -93,6 +93,18 @@ class TestMakeLayout:
                     f"onto the centroid, got {spacing!r}")):
                 make_layout(kind, n, spacing)
 
+    @pytest.mark.parametrize("kind,n", [("ula", 2), ("ula", 1_000), ("ura", 4),
+                                        ("tetrahedron", None), ("pentagon", None),
+                                        ("spherical-code", 8)])
+    @pytest.mark.parametrize("spacing", [1e300, 1.7e308])
+    def test_spacing_whose_squares_overflow_rejected(self, kind, n, spacing):
+        # the radii used to overflow in np.linalg.norm's squares, a
+        # RuntimeWarning and an infinite radius
+        with pytest.raises(ValueError, match=re.escape(
+                f"spacing {spacing!r} m puts antennas so far apart that their squared "
+                "distances are beyond a float")):
+            make_layout(kind, n, spacing)
+
     def test_centroid_zero_under_rotation(self):
         rng = np.random.default_rng(11)
         for kind, n in [("tetrahedron", None), ("pentagon", None), ("ura", 4)]:

@@ -1022,29 +1022,43 @@ def density_law(rx_kind):
     return law("ula", rx_kind, 2 if rx_kind == "ula" else 4, 10.0, d_t=0.145, d_r=0.145)
 
 
+# the laws joint_density is checked on: the density recipes' 2 x 2 and 2 x 4
+# links at a fixed 10 m, a 6-antenna URA (n_r not a power of two) and fig5's
+# pentagon x tetrahedron over a distance range
+DENSITY_LAWS = {"ula": density_law("ula"), "ura": density_law("ura"),
+                "ura6": law("ula", "ura", 6, 10.0, d_t=0.145, d_r=0.145),
+                "pentagon": law("pentagon", "tetrahedron")}
+
+
 def whole_matrix_positions(link, u_tx, u_rx, r_link):
     """Coordinate-major tx (3, n_t, n) and rx (3, n_r, n) positions of links
     along ``LINK_DIRECTION`` from whole rotation matrices (n, 3, 3), each
-    rotated by ``np.matmul``."""
+    rotated by ``np.matmul``; ``r_link`` is a float or (n,)."""
     tx, rx = (np.matmul(u, layout.positions.T).transpose(1, 2, 0)
               for layout, u in ((link.tx, u_tx), (link.rx, u_rx)))
-    return tx, rx + (r_link * LINK_DIRECTION)[:, None, None]
+    return tx, rx + (LINK_DIRECTION[:, None] * r_link)[:, None]
 
 
 @functools.cache
-def whole_block_counts(rx_kind, samples, seed, bins=25):
+def whole_block_counts(channel_law, samples, seed, bins=25):
     """joint_density's counts from its whole-block loop, before blocks ran in
-    threaded pieces: the reference the pieces must match bit for bit."""
-    link = density_law(rx_kind).link
+    threaded pieces: the reference the pieces must match bit for bit. A
+    polygon's transmit pair is ``select_tx_pair``'s."""
+    link = channel_law.link
     theta_edges = np.linspace(0.0, 2.0 * np.pi, bins + 1)
     mu_edges = np.linspace(0.0, 1.0, bins + 1)
     counts = np.zeros((bins, bins), dtype=np.int64)
     rng = np.random.default_rng([seed])
     for start in range(0, samples, DENSITY_BLOCK):
         n = min(DENSITY_BLOCK, samples - start)
+        distance = channel_law.distance
+        r_link = rng.uniform(*distance, n) if isinstance(distance, tuple) else distance
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
-        dist = link_distances(*whole_matrix_positions(link, u_tx, u_rx, 10.0))
+        tx, rx = whole_matrix_positions(link, u_tx, u_rx, r_link)
+        if link.tx.n > 2:
+            tx = tx[:, select_tx_pair(link.tx, u_tx).pair.T, np.arange(n)]
+        dist = link_distances(tx, rx)
         diff = np.ascontiguousarray((dist[:, 1] - dist[:, 0]).T)
         inner = np.exp(2j * np.pi * diff / link.wavelength).sum(axis=1)
         mu = np.abs(inner) / link.rx.n
@@ -1094,16 +1108,34 @@ class TestJointDensity:
         return density_law("ula")
 
     @pytest.mark.parametrize("threads", [None, 1, 3], ids=["per-cpu", "1-thread", "3-threads"])
-    @pytest.mark.parametrize("rx_kind", ["ula", "ura"])
-    def test_counts_do_not_depend_on_threads_or_pieces(self, monkeypatch, rx_kind, threads):
+    @pytest.mark.parametrize("kind", ["ula", "ura", "pentagon"])
+    def test_counts_do_not_depend_on_threads_or_pieces(self, monkeypatch, kind, threads):
         # a block boundary, a partial piece at the end of the first block, and
         # three pieces in the second, the last of one sample
         samples, seed = DENSITY_BLOCK + 2 * DENSITY_PIECE + 1, 11
         if threads is not None:
             monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: threads)
-        grid = joint_density(density_law(rx_kind), bins=25, samples=samples, seed=seed)
+        grid = joint_density(DENSITY_LAWS[kind], bins=25, samples=samples, seed=seed)
         assert grid.counts.sum() == samples
-        assert np.array_equal(grid.counts, whole_block_counts(rx_kind, samples, seed))
+        assert np.array_equal(grid.counts, whole_block_counts(DENSITY_LAWS[kind], samples, seed))
+
+    @pytest.mark.parametrize("kind", list(DENSITY_LAWS))
+    def test_counts_are_the_histogram_of_rho(self, kind):
+        # the spec: np.histogram2d of (angle mod 2 pi, clipped |rho|) over
+        # successive law.rho blocks of one default_rng([seed]), here a whole
+        # block and a last one of two pieces and one sample
+        channel_law = DENSITY_LAWS[kind]
+        samples, seed, bins = DENSITY_BLOCK + 2 * DENSITY_PIECE + 1, 13, 25
+        grid = joint_density(channel_law, bins=bins, samples=samples, seed=seed)
+        rng = np.random.default_rng([seed])
+        want = np.zeros((bins, bins), dtype=np.int64)
+        for n in (DENSITY_BLOCK, samples - DENSITY_BLOCK):
+            rho = channel_law.rho(n, rng)
+            hist, _, _ = np.histogram2d(np.mod(np.angle(rho), 2.0 * np.pi),
+                                        np.clip(np.abs(rho), 0.0, 1.0),
+                                        bins=[grid.theta_edges, grid.mu_edges])
+            want += hist.astype(np.int64)
+        assert np.array_equal(grid.counts, want)
 
     def test_piece_error_reaches_the_caller(self, monkeypatch):
         calls, error = itertools.count(), ValueError("second piece failed")
@@ -1121,16 +1153,14 @@ class TestJointDensity:
         assert set(threading.enumerate()) == before
 
     @pytest.mark.parametrize("rx_kind", ["ula", "ura"])
-    def test_piece_matches_full_matrix_placement(self, rx_kind):
+    def test_rho_matches_full_matrix_placement(self, rx_kind):
         # a ULA's positions are exact products either way; a URA's two-term
         # sum may round its last ulp differently from np.matmul's
         link = density_law(rx_kind).link
         rng = np.random.default_rng([12])
         n = 2 * DENSITY_PIECE + 5
-        q_tx, q_rx = rotation_normals(rng, n), rotation_normals(rng, n)
-        theta, mu = np.empty(n), np.empty(n)
-        for start in range(0, n, DENSITY_PIECE):
-            montecarlo._density_piece(link, 10.0, q_tx, q_rx, theta, mu, start)
+        rho = montecarlo._links_rho(link, rotation_normals(rng, n), rotation_normals(rng, n), 10.0)
+        theta, mu = np.mod(np.angle(rho), 2.0 * np.pi), np.clip(np.abs(rho), 0.0, 1.0)
         # the same rotations, drawn whole from the same stream
         rng = np.random.default_rng([12])
         ref_theta, ref_mu = full_matrix_piece(link, 10.0, uniform_rotation(rng, n),
@@ -1182,6 +1212,22 @@ class TestJointDensity:
             with pytest.raises(ValueError, match=f"bins must be at most 1000, got {bins}"):
                 joint_density(channel_law, bins, 100)
 
+    def test_samples_beyond_the_run_bound_rejected(self, monkeypatch):
+        # 2^62 samples passed the intp bound and would run until killed; no
+        # array is built before the check
+        def no_array(*args, **kwargs):
+            raise AssertionError("no array may be built")
+
+        channel_law = self._law()
+        bound = montecarlo.DENSITY_SAMPLES
+        assert bound == 10**10
+        montecarlo.check_density_inputs(channel_law, 5, bound, 0)
+        monkeypatch.setattr(montecarlo.np, "linspace", no_array)
+        monkeypatch.setattr(montecarlo.np, "zeros", no_array)
+        for samples in (bound + 1, 2**62, 2**63, 10**30):
+            with pytest.raises(ValueError, match=f"samples must be at most {bound}, got {samples}"):
+                joint_density(channel_law, 5, samples)
+
     @pytest.mark.parametrize("bins,samples,field", [
         (25.5, 1_000, "bins"), ((25, 25.5), 1_000, "bins"), ((25,), 1_000, "bins"),
         (25, 1_000.5, "samples")], ids=["bins-float", "bins-pair-float", "bins-single", "samples-float"])
@@ -1214,27 +1260,19 @@ class TestJointDensity:
             joint_density(self._law(), bins=4, samples=1_000, seed=4)
 
     def test_two_antenna_transmitter_required(self):
-        # a 3-antenna ULA is no transmit array; a triangle is one, but not here
+        # a 3-antenna ULA is no transmit array
         rx = make_layout("ula", 2, 0.145)
         with pytest.raises(ValueError, match="2 antennas, got 3"):
             LinkSpec(0.0042, make_layout("ula", 3, 0.1), rx)
-        with pytest.raises(ValueError, match="2-antenna"):
-            joint_density(ChannelLaw(LinkSpec(0.0042, make_layout("triangle", spacing=0.1), rx),
-                                     10.0), bins=5, samples=100, seed=5)
 
-    @pytest.mark.parametrize("change", [dict(tx_kind="triangle"), dict(distance=(10.0, 12.0)),
-                                        dict(ideal=True)], ids=["triangle", "range", "ideal"])
-    def test_law_must_be_geometric_at_a_fixed_distance(self, change):
-        # a law that run_ber draws but that the density pieces do not read
-        kw = dict(tx_kind="ula", rx_kind="ula", n_r=2, distance=10.0, d_t=0.145, d_r=0.145)
-        bad = law(**{**kw, **change})
-        message = ("joint density is defined for a 2-antenna transmitter at a fixed "
-                   "distance, over geometric channels")
+    def test_law_must_be_geometric(self):
+        # an ideal law has no links to histogram
+        bad = law("ula", "ula", 2, 10.0, ideal=True, d_t=0.145, d_r=0.145)
         for call in (lambda: montecarlo.check_density_inputs(bad, 5, 100, 0),
                      lambda: joint_density(bad, 5, 100)):
             with pytest.raises(ValueError) as info:
                 call()
-            assert str(info.value) == message
+            assert str(info.value) == "joint density is defined over geometric channels"
 
     def test_csv_shape(self, tmp_path):
         grid = joint_density(self._law(), bins=5, samples=5_000, seed=6)
