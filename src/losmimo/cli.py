@@ -299,6 +299,8 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
     with _located("--workers"):
         manifest.data["processes"] = task_processes(sims, args.workers)
     curves = run_ber(sims, args.workers)
+    # the trials decoded per run and SNR point: those the distance bound left in doubt
+    manifest.data["decoded"] = {name: curve.decoded.tolist() for name, curve in zip(names, curves)}
     for name, curve in zip(names, curves):
         print(f"simulate: wrote {manifest.write(f'{name}.csv', curve.write_csv)}")
     manifest.write("plot_ber.py", lambda path: path.write_text(PLOT_BER))

@@ -28,8 +28,10 @@ __all__ = [
 ]
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
-# codewords per chunk of Codebook.min_sq_distance's difference table
+# codewords per chunk of Codebook.difference_terms' difference table
 DISTANCE_ROWS = 16
+# decimals to which Codebook.difference_terms groups the inner products c
+TERM_DECIMALS = 9
 
 
 @dataclass(frozen=True)
@@ -102,18 +104,51 @@ class Codebook:
         return self.bits.shape[1]
 
     @cached_property
-    def min_sq_distance(self) -> float:
-        """``min_{j != k} ||X_j - X_k||_F^2``, taken in ``DISTANCE_ROWS``-row
-        chunks of the difference table."""
+    def difference_terms(self) -> tuple[NDArray, NDArray]:
+        """The terms (a, c) of the received distance of the nonzero
+        differences dX = X_j - X_k: on G = n_r [[1, rho], [rho*, 1]],
+        ``||R dX||_F^2 / n_r = a + 2 Re(rho c)`` with a = ||dX||_F^2 and c =
+        dx_0^H dx_1, the inner product of dX's two rows. For each distinct c,
+        rounded to ``TERM_DECIMALS`` decimals in its real and imaginary parts
+        (and kept rounded), the least a of the differences whose c rounds to
+        it; sorted by c. -dX has dX's a and c to the bit, so the pairs j < k
+        are taken alone, in ``DISTANCE_ROWS``-row chunks of the difference
+        table, each reduced as it is built."""
         cw = self.codewords
-        best = np.inf
+        a_parts, c_parts = [], []
         for s in range(0, self.size, DISTANCE_ROWS):
-            d = cw[s:s + DISTANCE_ROWS, None] - cw[None]
-            d2 = (d.real ** 2 + d.imag ** 2).sum(axis=(2, 3))
-            rows = np.arange(len(d2))
-            d2[rows, s + rows] = np.inf
-            best = min(best, float(d2.min()))
-        return best
+            d = cw[s:s + DISTANCE_ROWS, None] - cw[None, s:]
+            # a sums the squared moduli of dX's entries in C order, as a
+            # reduction over dX's axes would
+            a = np.zeros(d.shape[:2])
+            for x in d.reshape(*d.shape[:2], -1).transpose(2, 0, 1):
+                a += x.real ** 2 + x.imag ** 2
+            c = sum(np.conj(d[:, :, 0, t]) * d[:, :, 1, t] for t in range(self.slots))
+            upper = np.arange(a.shape[1]) > np.arange(len(a))[:, None]
+            a, c = _least_per_term(a[upper], c[upper])
+            a_parts.append(a)
+            c_parts.append(c)
+        a, c = _least_per_term(np.concatenate(a_parts), np.concatenate(c_parts))
+        a.flags.writeable = c.flags.writeable = False
+        return a, c
+
+    @cached_property
+    def min_sq_distance(self) -> float:
+        """``min_{j != k} ||X_j - X_k||_F^2``: the least a of
+        ``difference_terms``."""
+        return float(self.difference_terms[0].min())
+
+
+def _least_per_term(a: NDArray, c: NDArray) -> tuple[NDArray, NDArray]:
+    """For each distinct c rounded to ``TERM_DECIMALS`` decimals, that c and
+    the least a among the entries whose c rounds to it, sorted by c."""
+    c = np.round(c, TERM_DECIMALS)
+    order = np.lexsort((c.imag, c.real))
+    c = c[order]
+    first = np.ones(len(c), dtype=bool)
+    first[1:] = c[1:] != c[:-1]
+    first = np.flatnonzero(first)
+    return np.minimum.reduceat(a[order], first), c[first]
 
 
 def _label_bits(n_codewords: int, n_bits: int) -> NDArray:

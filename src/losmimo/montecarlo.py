@@ -63,10 +63,15 @@ DENSITY_BINS = 1_000
 # at a fixed distance, at 0.35 us per sample (0.55 us for pentagon x
 # tetrahedron over a distance range); counted before any array is built
 DENSITY_SAMPLES = 10**10
-# the distance bound of _Engine.block_errors: its relative margin, and the
-# smallest lambda_min / tr G at which it settles a trial
+# the distance bound of _Engine.block_errors: its relative margin, the
+# smallest D / (2 d2_min) at which it settles a trial, and what it takes off
+# each term of Codebook.difference_terms for their grouping
 SETTLE_MARGIN = 1e-3
 SETTLE_FLOOR = 1e-6
+SETTLE_ALLOWANCE = 1e-8
+# trials per product of _Engine.distance: a (terms x 3) @ (3 x 1,024) product
+# stays below OpenBLAS's threading threshold for up to 85 terms (Golden has 81)
+DISTANCE_TRIALS = 1_024
 # rows per product in ml_decode's stacked GEMM: each (64 x 12) @ (12 x 256)
 # stays below OpenBLAS's threading threshold, so decoding starts no BLAS threads
 ML_ROWS = 64
@@ -257,7 +262,8 @@ def check_campaign(snr_db, max_trials, target_errors, seed, block_trials) -> tup
 
 @dataclass(frozen=True)
 class BerCurve:
-    """Per-SNR trial counts, bit errors and 95% Wilson intervals."""
+    """Per-SNR trial counts, bit errors and 95% Wilson intervals, and the
+    trials decoded: those the distance bound left in doubt (not in the CSV)."""
 
     snr_db: NDArray
     trials: NDArray
@@ -266,6 +272,7 @@ class BerCurve:
     ci_low: NDArray
     ci_high: NDArray
     bits_per_trial: int
+    decoded: NDArray
 
     def write_csv(self, path) -> None:
         write_csv(path, ("snr_db", "trials", "bit_errors", "ber", "ci_low", "ci_high"),
@@ -298,59 +305,79 @@ class _Engine:
     CN(0, 1) of size 2 x T, and the part of N orthogonal to Q's columns adds
     the same amount to every codeword's metric. So a trial draws W, 2 x T, and
     is decided on r = sqrt(snr) R X + W: the ML decision on (H, y), at a cost
-    that does not grow with n_r."""
+    that does not grow with n_r. ``decoded`` counts the trials decoded at each
+    point."""
 
     def __init__(self, config: SimConfig):
         self.codebook = cb = build_codebook(config.scheme)
         self.snr = [10.0 ** (s / 10.0) for s in config.snr_db]
         self.weights = [_ml_weights(cb, snr) for snr in self.snr]
-        # a trial is settled when settle_scale * lambda_min > ||W||^2
-        self.settle_scale = [snr * cb.min_sq_distance / (4.0 * (1.0 + SETTLE_MARGIN) ** 2)
-                             for snr in self.snr]
+        # a trial is settled when settle_scale * D > ||W||^2
+        n_r = config.law.link.rx.n
+        self.settle_scale = [snr * n_r / (4.0 * (1.0 + SETTLE_MARGIN) ** 2) for snr in self.snr]
+        self.settle_floor = 2.0 * SETTLE_FLOOR * cb.min_sq_distance
+        # (terms, 3): D = min over the rows of (a - allowance, 2 Re c, -2 Im c) .
+        # (1, Re rho, Im rho)
+        a, c = cb.difference_terms
+        self.terms = np.column_stack([a - SETTLE_ALLOWANCE, 2.0 * c.real, -2.0 * c.imag])
         # (2, T, K): a gather over trials comes out n-last
         self.codewords_nlast = np.ascontiguousarray(cb.codewords.transpose(1, 2, 0))
+        self.decoded = [0] * len(self.snr)
 
-    def block_errors(self, f: NDArray, lam: NDArray, rng: np.random.Generator,
+    def distance(self, rho: NDArray) -> NDArray:
+        """The bound D of ``block_errors`` for each correlation ``rho``: the
+        least ``a - SETTLE_ALLOWANCE + 2 Re(rho c)`` over the codebook's
+        ``difference_terms``, or 0 where that is not above ``settle_floor``."""
+        feats = np.stack([np.ones(len(rho)), rho.real, rho.imag])
+        d = np.empty(len(rho))
+        for s in range(0, len(rho), DISTANCE_TRIALS):
+            np.min(self.terms @ feats[:, s:s + DISTANCE_TRIALS], axis=0,
+                   out=d[s:s + DISTANCE_TRIALS])
+        d[d <= self.settle_floor] = 0.0
+        return d
+
+    def block_errors(self, f: NDArray, rho: NDArray, rng: np.random.Generator,
                      points: Sequence[int]) -> list[int]:
         """Bit errors of one block over the n-last (2, 2, n) factors ``f``
-        (``_factor``) at each of the SNR points ``points``, in increasing
-        order; ``lam`` is ``_lambda_min`` of the block's rho. The codewords
-        and the noise W are drawn from ``rng`` once, and ``point_errors``
+        (``_factor``) of the correlations ``rho`` at each of the SNR points
+        ``points``, in increasing order. The codewords and the noise W are
+        drawn from ``rng`` once (``_draw_trials``), and ``point_errors``
         scores them at every point.
 
-        Only the trials whose decision is in doubt are decoded. With G = R^H R
-        and d2 = ``codebook.min_sq_distance``, every other codeword lies at
-        ||W - sqrt(snr) R D|| >= sqrt(snr lambda_min(G) d2) - ||W|| from r,
-        since ||R D||^2 >= lambda_min(G) ||D||^2 for every difference D. So
-        when snr lambda_min d2 > 4 (1 + delta)^2 ||W||^2, delta =
-        ``SETTLE_MARGIN``, the sent codeword is the unique ML decision: the
-        trial is settled with 0 bit errors. ||W||^2 sums 2T squared moduli,
-        not the n_r T of N, so it settles more trials than a bound on (H, y)
-        would. A settled trial's metric gap is at least snr lambda_min d2
-        delta / (1 + delta), and with lambda_min above ``SETTLE_FLOOR`` tr G
-        that is more than 1e-10 of the metric's scale, snr tr G max ||X_k||^2,
-        for every scheme (d2 / max ||X_k||^2 >= 0.2). The rounding of the
-        metric and of r is below 1e-12 of that scale, and lambda_min = n_r (1 -
-        |rho|) is within a relative 1e-9 of the smaller eigenvalue of the
-        rounded R's R^H R above the floor, since each entry of R is within a
-        few ulps of its exact value.
+        Only the trials whose decision is in doubt are decoded. On G = R^H R =
+        n_r [[1, rho], [rho*, 1]], a difference dX of two codewords moves the
+        received point by ||sqrt(snr) R dX||^2 = snr n_r (a + 2 Re(rho c))
+        (``Codebook.difference_terms``), at least snr n_r D(rho), D the least
+        of these over the nonzero differences. Every other codeword lies at
+        ||W - sqrt(snr) R dX|| >= sqrt(snr n_r D) - ||W|| from r. So when snr
+        n_r D > 4 (1 + delta)^2 ||W||^2, delta = ``SETTLE_MARGIN``, the sent
+        codeword is the unique ML decision: the trial is settled with 0 bit
+        errors. The bound takes D from ``distance``: each term stands for the
+        differences whose c rounds to its c, at their least a, and the
+        rounding moves 2 Re(rho c) by at most 2 |rho| |dc| <= 1.5e-9 (|dc| <=
+        sqrt(2) 0.5e-9), which ``SETTLE_ALLOWANCE`` = 1e-8 covers. D >= (1 -
+        |rho|) a >= (1 - |rho|) d2, d2 = ``codebook.min_sq_distance``, since 2
+        |c| <= a, so the bound settles every trial that the eigenvalue bound
+        snr lambda_min d2 of G would, but for those within the allowance of
+        it. ||W||^2 sums 2T squared moduli, not the n_r T of N, so it settles
+        more trials than a bound on (H, y) would. A settled trial's metric gap
+        is at least snr n_r D delta / (1 + delta), and with D above
+        ``settle_floor`` = 2 ``SETTLE_FLOOR`` d2 that is more than 1e-10 of
+        the metric's scale, snr tr G max ||X_k||^2, for every scheme (d2 /
+        max ||X_k||^2 >= 0.2). The rounding of the metric and of r is below
+        1e-12 of that scale, and each entry of the rounded R's R^H R is within
+        1e-14 n_r of G's, which moves ||R dX||^2 / n_r by at most 2e-14 a <=
+        2e-13 (a <= 8 for every scheme), well inside what the allowance leaves.
 
         The threshold grows with snr, so each point selects its doubt set from
         the previous point's. A trial's decision does not depend on its batch,
         so each count is the one decoding every trial at that point gives."""
         cb = self.codebook
-        n = f.shape[-1]
-        k_true = rng.integers(0, cb.size, n)
-        # W = sqrt(1/2) (a + i b), drawn n-first
-        noise = np.empty((2, cb.slots, n), dtype=complex)
-        np.multiply(rng.standard_normal((n, 2, cb.slots)), np.sqrt(0.5),
-                    out=noise.real.transpose(2, 0, 1))
-        np.multiply(rng.standard_normal((n, 2, cb.slots)), np.sqrt(0.5),
-                    out=noise.imag.transpose(2, 0, 1))
-        energy = (noise.real ** 2 + noise.imag ** 2).reshape(-1, n).sum(axis=0)
-        doubt, counts = np.arange(n), []
+        k_true, noise, energy = _draw_trials(rng, f.shape[-1], cb.size, cb.slots)
+        dist = self.distance(rho)
+        doubt, counts = np.arange(f.shape[-1]), []
         for s in points:
-            doubt = doubt[self.settle_scale[s] * lam[doubt] <= energy[doubt]]
+            doubt = doubt[self.settle_scale[s] * dist[doubt] <= energy[doubt]]
             counts.append(self.point_errors(s, f, k_true, noise, doubt))
         return counts
 
@@ -358,6 +385,7 @@ class _Engine:
                      doubt: NDArray) -> int:
         """Bit errors at SNR point ``s`` of a block drawn by ``block_errors``,
         decoding the trials ``doubt``."""
+        self.decoded[s] += len(doubt)
         if not len(doubt):
             return 0
         # take keeps the trials n-last, where a fancy index would lay them out n-first
@@ -379,6 +407,21 @@ class _Engine:
         return _ml_argmin(f.transpose(2, 0, 1), r.transpose(2, 0, 1), self.weights[s])
 
 
+def _draw_trials(rng: np.random.Generator, n: int, size: int,
+                 slots: int) -> tuple[NDArray, NDArray, NDArray]:
+    """The sent codewords (n,) of a codebook of ``size`` codewords, the noise
+    W = sqrt(1/2) (a + i b), (2, ``slots``, n), and ||W||^2 (n,) of n trials,
+    drawn from ``rng``: the codewords, then a and b, each n-first."""
+    k_true = rng.integers(0, size, n)
+    noise = np.empty((2, slots, n), dtype=complex)
+    np.multiply(rng.standard_normal((n, 2, slots)), np.sqrt(0.5),
+                out=noise.real.transpose(2, 0, 1))
+    np.multiply(rng.standard_normal((n, 2, slots)), np.sqrt(0.5),
+                out=noise.imag.transpose(2, 0, 1))
+    energy = (noise.real ** 2 + noise.imag ** 2).reshape(-1, n).sum(axis=0)
+    return k_true, noise, energy
+
+
 def _factor(rho: NDArray, n_r: int) -> NDArray:
     """The n-last (2, 2, n) upper-triangular factors R = sqrt(n_r) [[1, rho],
     [0, sqrt(1 - |rho|^2)]] of G = R^H R = n_r [[1, rho], [rho*, 1]], one per
@@ -394,14 +437,6 @@ def _factor(rho: NDArray, n_r: int) -> NDArray:
     return f
 
 
-def _lambda_min(rho: NDArray, n_r: int) -> NDArray:
-    """The smaller eigenvalue n_r (1 - |rho|) of G = n_r [[1, rho], [rho*, 1]]
-    for each correlation ``rho``, or 0 where it is not above ``SETTLE_FLOOR``
-    tr G = 2 n_r ``SETTLE_FLOOR``."""
-    gap = 1.0 - np.abs(rho)
-    return np.where(gap > 2.0 * SETTLE_FLOOR, n_r * gap, 0.0)
-
-
 def channel_groups(configs: Sequence[SimConfig]) -> list[list[int]]:
     """Indices of ``configs`` grouped by the blocks they run: the channel law,
     seed and block size fix every block's channels, and the SNR grid and the
@@ -414,19 +449,18 @@ def channel_groups(configs: Sequence[SimConfig]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _run_group(configs: tuple[SimConfig, ...]) -> list[list[tuple[int, int]]]:
-    """(trials, bit errors) at every SNR point of each campaign of one channel
-    group, each point running the group's blocks in order until the budget is
-    used up or its bit-error target is reached. Block b's stream is
-    ``default_rng([seed, 1, b])``: SeedSequence drops trailing zero words, so
-    the nonzero middle word keeps it apart from ``joint_density``'s
-    ``default_rng([seed])``. Its links' rho are drawn once, and each campaign
-    with a point still running draws its codewords and noise from the state
-    that follows."""
+def _run_group(configs: tuple[SimConfig, ...]) -> list[list[tuple[int, int, int]]]:
+    """(trials, bit errors, trials decoded) at every SNR point of each
+    campaign of one channel group, each point running the group's blocks in
+    order until the budget is used up or its bit-error target is reached.
+    Block b's stream is ``default_rng([seed, 1, b])``: SeedSequence drops
+    trailing zero words, so the nonzero middle word keeps it apart from
+    ``joint_density``'s ``default_rng([seed])``. Its links' rho are drawn
+    once, and each campaign with a point still running draws its codewords
+    and noise from the state that follows."""
     np.empty(HEAP_KEEP, dtype=np.uint8)    # see HEAP_KEEP
     engines = [_Engine(c) for c in configs]
     lead = configs[0]
-    n_r = lead.law.link.rx.n
     trials = np.zeros((len(configs), len(lead.snr_db)), dtype=np.int64)
     errors = np.zeros_like(trials)
     for start in range(0, lead.max_trials, lead.block_trials):
@@ -437,13 +471,14 @@ def _run_group(configs: tuple[SimConfig, ...]) -> list[list[tuple[int, int]]]:
         n = min(lead.block_trials, lead.max_trials - start)
         rng = np.random.default_rng([lead.seed, 1, start // lead.block_trials])
         rho = lead.law.rho(n, rng)
-        f, lam = _factor(rho, n_r), _lambda_min(rho, n_r)
+        f = _factor(rho, lead.law.link.rx.n)
         drawn = rng.bit_generator.state
         for i, points in live:
             rng.bit_generator.state = drawn
             trials[i, points] += n
-            errors[i, points] += engines[i].block_errors(f, lam, rng, points)
-    return [list(zip(t.tolist(), e.tolist())) for t, e in zip(trials, errors)]
+            errors[i, points] += engines[i].block_errors(f, rho, rng, points)
+    return [list(zip(t.tolist(), e.tolist(), engine.decoded))
+            for t, e, engine in zip(trials, errors, engines)]
 
 
 def task_processes(configs: Sequence[SimConfig], workers: int = 1) -> int:
@@ -489,15 +524,17 @@ def run_ber(config: SimConfig | Sequence[SimConfig], workers: int = 1) -> BerCur
     return curves[0] if isinstance(config, SimConfig) else curves
 
 
-def _curve(config: SimConfig, points: list[tuple[int, int]]) -> BerCurve:
-    """The curve of ``config`` from its (trials, bit errors) per SNR point."""
-    trials, errors = np.array(points, dtype=np.int64).reshape(-1, 2).T
+def _curve(config: SimConfig, points: list[tuple[int, int, int]]) -> BerCurve:
+    """The curve of ``config`` from its (trials, bit errors, trials decoded)
+    per SNR point."""
+    trials, errors, decoded = np.array(points, dtype=np.int64).reshape(-1, 3).T
     n_bits = build_codebook(config.scheme).bits_per_codeword
     bits_total = trials * n_bits
     ber = np.where(bits_total > 0, errors / np.maximum(bits_total, 1), 0.0)
     ci = np.array([_wilson(int(e), int(nb)) for e, nb in zip(errors, bits_total)])
     return BerCurve(snr_db=np.array(config.snr_db), trials=trials, bit_errors=errors,
-                    ber=ber, ci_low=ci[:, 0], ci_high=ci[:, 1], bits_per_trial=n_bits)
+                    ber=ber, ci_low=ci[:, 0], ci_high=ci[:, 1], bits_per_trial=n_bits,
+                    decoded=decoded)
 
 
 def ml_decode(h: NDArray, y: NDArray, snr: float,

@@ -95,6 +95,25 @@ class TestSimulate:
             ["sm_ula_ura", "golden_ula_ura", "simo_ura"], ["sm_pent_tetr", "golden_pent_tetr"],
             ["ideal_sm"]]
 
+    def test_manifest_records_the_trials_decoded(self, tmp_path):
+        # the benchmark's fig5 round (15,000 trials per point, seed 1): the
+        # trials the distance bound left in doubt, per run and SNR point, in
+        # one process and on two
+        cfg = dict(_load_config("fig5"), max_trials=15_000, seed=1)
+        path = write_config(tmp_path, cfg)
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main(["simulate", "--config", path, "--out", str(out),
+                         "--workers", workers]) == EXIT_OK
+            decoded = json.loads((out / "manifest.json").read_text())["decoded"]
+            assert list(decoded) == [run["name"] for run in cfg["runs"]]
+            for name, counts in decoded.items():
+                rows = (out / f"{name}.csv").read_text().splitlines()[1:]
+                trials = [int(row.split(",")[1]) for row in rows]
+                assert len(counts) == len(trials)
+                assert all(0 <= d <= t for d, t in zip(counts, trials))
+            assert sum(map(sum, decoded.values())) == 32_104
+
     def test_seed_flag_gives_identical_csv(self, tmp_path):
         cfg = write_config(tmp_path, MINI_SIM)
         a, b = tmp_path / "a", tmp_path / "b"

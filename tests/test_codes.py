@@ -213,3 +213,49 @@ def test_built_once_and_read_only(scheme):
     for array in (cb.codewords, cb.bits):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def test_min_sq_distance_bits_pinned():
+    # the least a of the difference terms: the bits of the chunked minimum
+    # over the difference table that the terms replaced
+    assert {s: build_codebook(s).min_sq_distance.hex() for s in SCHEMES} == {
+        "sm": "0x1.0000000000000p+0", "golden": "0x1.ffffffffffffep-1",
+        "simo": "0x1.9999999999997p-2"}
+
+
+@pytest.mark.parametrize("scheme, terms", [("sm", 13), ("golden", 81), ("simo", 1)])
+def test_difference_terms_cover_every_difference(scheme, terms):
+    # every nonzero difference of the full K^2 table has its c within
+    # sqrt(2) 0.5e-9 of one term's c, and each term's a is the least a of the
+    # differences that round to it
+    cb = build_codebook(scheme)
+    a, c = cb.difference_terms
+    assert len(a) == len(c) == terms
+    assert not a.flags.writeable and not c.flags.writeable
+    j, k = np.nonzero(~np.eye(cb.size, dtype=bool))
+    d = cb.codewords[j] - cb.codewords[k]
+    da = (d.real ** 2 + d.imag ** 2).sum(axis=(1, 2))
+    dc = (np.conj(d[:, 0]) * d[:, 1]).sum(axis=-1)
+    index = {complex(x): i for i, x in enumerate(c)}
+    which = np.array([index[complex(x)] for x in np.round(dc, 9)])
+    assert np.abs(dc - c[which]).max() <= np.sqrt(2.0) * 0.5e-9
+    least = np.full(terms, np.inf)
+    np.minimum.at(least, which, da)
+    np.testing.assert_allclose(a, least, rtol=1e-14, atol=0)
+    assert cb.min_sq_distance == a.min()
+
+
+def test_difference_terms_are_built_on_first_use():
+    # importing the CLI and building a codebook reduce no difference table
+    code = """if True:
+        import losmimo.cli
+        from losmimo.codes import build_codebook
+        cb = build_codebook("golden")
+        print("difference_terms" in vars(cb), "min_sq_distance" in vars(cb))
+    """
+    src = str(Path(losmimo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["False", "False"]

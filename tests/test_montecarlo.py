@@ -21,7 +21,7 @@ from scipy.stats import norm
 
 from losmimo import montecarlo
 from losmimo.channel import _phasors, los_channel, reduce_channel
-from losmimo.codes import build_codebook
+from losmimo.codes import build_codebook, difference_spectrum
 from losmimo.design import select_tx_pair
 from losmimo.geometry import (
     LinkScenario,
@@ -34,6 +34,7 @@ from losmimo.geometry import (
     rotation_normals,
     uniform_rotation,
 )
+from losmimo.metrics import coding_gain
 from losmimo.montecarlo import (
     DENSITY_BLOCK,
     DENSITY_PIECE,
@@ -221,10 +222,10 @@ class TestMlDecode:
 
 
 def block(law, n, rng):
-    """The n-last (2, 2, n) factors and the lambda_min of a block of ``n``
-    links of ``law`` drawn from ``rng``, as ``_run_group`` draws them."""
-    rho, n_r = law.rho(n, rng), law.link.rx.n
-    return montecarlo._factor(rho, n_r), montecarlo._lambda_min(rho, n_r)
+    """The n-last (2, 2, n) factors and the correlations rho of a block of
+    ``n`` links of ``law`` drawn from ``rng``, as ``_run_group`` draws them."""
+    rho = law.rho(n, rng)
+    return montecarlo._factor(rho, law.link.rx.n), rho
 
 
 def decode_every_trial(engine, f, rng, s=0):
@@ -246,6 +247,24 @@ def decode_every_trial(engine, f, rng, s=0):
     r += rx
     k, _ = ml_decode(f.transpose(2, 0, 1), r.transpose(2, 0, 1), engine.snr[s], cb)
     return k_true, k
+
+
+def least_received_distance(cb, f, n_r, pairs=1_024):
+    """min over all ordered pairs of distinct codewords of ||R (X_j - X_k)||_F^2
+    / n_r for each of the n-last factors ``f``: tr(dX^H G dX) with G = R^H R,
+    taken ``pairs`` pairs at a time."""
+    g = np.einsum("rin,rjn->nij", np.conj(f), f)
+    links = np.column_stack([g[:, 0, 0].real, g[:, 1, 1].real, g[:, 0, 1].real,
+                             g[:, 0, 1].imag]) / n_r
+    j, k = np.nonzero(~np.eye(cb.size, dtype=bool))
+    d = cb.codewords[j] - cb.codewords[k]
+    c = (np.conj(d[:, 0]) * d[:, 1]).sum(axis=-1)
+    terms = np.stack([(np.abs(d[:, 0]) ** 2).sum(axis=-1), (np.abs(d[:, 1]) ** 2).sum(axis=-1),
+                      2 * c.real, -2 * c.imag])
+    best = np.full(f.shape[-1], np.inf)
+    for s in range(0, terms.shape[1], pairs):
+        np.minimum(best, (links @ terms[:, s:s + pairs]).min(axis=1), out=best)
+    return best
 
 
 def bit_errors(cb, sent, decoded):
@@ -294,25 +313,31 @@ class TestDistanceBound:
         total = 0
         for b in range(3):
             rng = np.random.default_rng([31, b])
-            f, lam = block(cfg.law, 2_501, rng)
+            f, rho = block(cfg.law, 2_501, rng)
             drawn = rng.bit_generator.state
             want = bit_errors(engine.codebook, *decode_every_trial(engine, f, rng))
             rng.bit_generator.state = drawn
-            assert engine.block_errors(f, lam, rng, [0]) == [want]
+            assert engine.block_errors(f, rho, rng, [0]) == [want]
             total += want
         if snr_db == 0.0:
             assert total > 0
 
+    # the trials each case of test_settled_trials_are_ml_decisions decodes: the
+    # 600 past the midpoint and those of the first half at or below the floor
+    DECODED = {("sm", "near-parallel"): 601, ("sm", "aligned-phase"): 773,
+               ("golden", "near-parallel"): 600, ("golden", "aligned-phase"): 600,
+               ("simo", "near-parallel"): 600, ("simo", "aligned-phase"): 600}
+
     @pytest.mark.parametrize("channels", ["near-parallel", "aligned-phase"])
     @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
     def test_settled_trials_are_ml_decisions(self, monkeypatch, scheme, channels):
-        # at 60 dB, on links whose lambda_min / tr G = (1 - |rho|) / 2 runs
-        # from about 1e-8 to 1e-2 (across SETTLE_FLOOR), the noise of each
-        # trial points at its nearest competitor: in the first half it is just
-        # inside the bound, in the second half just past the midpoint to that
-        # competitor. The phase of rho is uniform, or a multiple of pi/2, where
-        # an SM difference can lie along the weak eigenvector of G, so that the
-        # bound is tight
+        # at 60 dB, on links whose 1 - |rho| runs from about 2e-8 to 2e-2, the
+        # noise of each trial points at its nearest competitor: in the first
+        # half its energy is just inside the bound, settle_scale times the
+        # link's brute-force D less twice SETTLE_ALLOWANCE, and in the second
+        # half it is just past the midpoint to that competitor. The phase of
+        # rho is uniform, or a multiple of pi/2, where an SM difference can lie
+        # along the weak eigenvector of G, so that D falls below the floor
         engine = _Engine(SimConfig(scheme=scheme, law=law(), snr_db=(60.0,)))
         cb, snr = engine.codebook, engine.snr[0]
         rng = np.random.default_rng(41)
@@ -323,16 +348,16 @@ class TestDistanceBound:
         else:
             rho = mu * 1j ** rng.integers(0, 4, n)
         f = montecarlo._factor(rho, n_r)
-        lam = montecarlo._lambda_min(rho, n_r)
         g = np.einsum("rin,rjn->nij", np.conj(f), f)
         assert np.allclose(g, n_r * np.stack([[np.ones(n), rho], [np.conj(rho), np.ones(n)]])
                            .transpose(2, 0, 1), rtol=0, atol=1e-14)
-        exact = np.linalg.eigvalsh(g)[:, 0]
-        floor = montecarlo.SETTLE_FLOOR * np.trace(g, axis1=1, axis2=2).real
-        assert np.count_nonzero(exact < floor) > n // 20
-        assert np.count_nonzero(exact > floor) > n // 2
-        assert np.allclose(lam[lam > 0], exact[lam > 0], rtol=1e-9)
-        assert np.all(lam[exact < 0.9 * floor] == 0)
+        brute = least_received_distance(cb, f, n_r)
+        dist = engine.distance(rho)
+        above = dist > 0
+        assert np.all(dist <= brute) and np.all(brute[above] - dist[above] <= 1e-7)
+        assert np.all(brute[~above] <= engine.settle_floor + 1e-7)
+        if (scheme, channels) == ("sm", "aligned-phase"):
+            assert np.count_nonzero(~above) > n // 20
         sent = rng.integers(0, cb.size, n)
         # sqrt(snr) R (X_k - X_sent) for every k, n-first
         toward = np.sqrt(snr) * np.einsum("rin,nkit->nkrt", f,
@@ -341,16 +366,18 @@ class TestDistanceBound:
         gap[np.arange(n), sent] = np.inf
         nearest = toward[np.arange(n), np.argmin(gap, axis=1)]
         length = np.sqrt(gap.min(axis=1))
-        inside = np.sqrt(engine.settle_scale[0] * np.maximum(lam, exact) * (1 - 1e-9))
+        inside = np.sqrt(engine.settle_scale[0] * (1 - 1e-9)
+                         * np.maximum(brute - 2 * montecarlo.SETTLE_ALLOWANCE, 0.0))
         scale = np.where(np.arange(n) < n // 2, inside, (0.5 + 1e-6) * length)
         noise = nearest * (scale / length)[:, None, None]
         normals = [noise.real / np.sqrt(0.5), noise.imag / np.sqrt(0.5)]
         _, k = decode_every_trial(engine, f, Replay(sent, normals))
         decoded = self.count_decoded(monkeypatch)
-        [errors] = engine.block_errors(f, lam, Replay(sent, normals), [0])
+        [errors] = engine.block_errors(f, rho, Replay(sent, normals), [0])
         # the first half are the trials above the floor that the bound settles
-        settled = (np.arange(n) < n // 2) & (lam > 0)
-        assert sum(decoded) == n - np.count_nonzero(settled)
+        settled = (np.arange(n) < n // 2) & above
+        assert sum(decoded) == n - np.count_nonzero(settled) == self.DECODED[scheme, channels]
+        assert engine.decoded == [sum(decoded)]
         assert np.array_equal(k[settled], sent[settled])
         # past the midpoint the full decode errs, and so does block_errors
         assert np.count_nonzero(k != sent) > n // 4
@@ -358,15 +385,68 @@ class TestDistanceBound:
 
     @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
     def test_settles_nearly_every_trial_at_high_snr(self, monkeypatch, scheme):
-        # the bound is on: at 32 dB on ULA x URA at most 10% of trials are decoded
+        # the bound is on: at 32 dB on ULA x URA at most 10% of trials are
+        # decoded, and no Golden trial, whose D stays above 0.1348
         cfg = SimConfig(scheme=scheme, law=law(), snr_db=(32.0,))
         engine = _Engine(cfg)
         decoded = self.count_decoded(monkeypatch)
         for b in range(4):
             rng = np.random.default_rng([37, b])
-            f, lam = block(cfg.law, 2_500, rng)
-            assert engine.block_errors(f, lam, rng, [0]) == [0]
+            f, rho = block(cfg.law, 2_500, rng)
+            assert engine.block_errors(f, rho, rng, [0]) == [0]
         assert sum(decoded) <= 0.1 * 4 * 2_500
+        if scheme == "golden":
+            assert sum(decoded) == 0
+
+    @pytest.mark.parametrize("link", ["ideal", "ula_ura", "pent_tetr"])
+    @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
+    def test_distance_is_the_least_received_distance(self, scheme, link):
+        # on 2,000 links, D is within 1e-7 below the least ||R dX||_F^2 / n_r
+        # over all K^2 codeword pairs, and above the worst-phase coding gain
+        # at |rho|; it is 0 only at the floor
+        tx_kind, rx_kind = ("pentagon", "tetrahedron") if link == "pent_tetr" else ("ula", "ura")
+        cfg = SimConfig(scheme=scheme, law=law(tx_kind, rx_kind, ideal=link == "ideal"),
+                        snr_db=(0.0,))
+        engine = _Engine(cfg)
+        f, rho = block(cfg.law, 2_000, np.random.default_rng(53))
+        brute = least_received_distance(engine.codebook, f, cfg.law.link.rx.n)
+        dist = engine.distance(rho)
+        above = dist > 0
+        assert np.all(dist <= brute) and np.all(brute[above] - dist[above] <= 1e-7)
+        assert np.all(brute[~above] <= engine.settle_floor + 1e-7)
+        gain = coding_gain(difference_spectrum(engine.codebook), np.abs(rho))
+        assert np.all(dist[above] >= gain[above] - 1e-7)
+        assert np.all(gain[~above] <= engine.settle_floor + 1e-7)
+        if scheme == "simo":
+            # every difference of SIMO lies on the first antenna
+            assert np.allclose(dist, 0.4, rtol=0, atol=2e-8)
+
+    @pytest.mark.parametrize("link", ["ula_ura", "pent_tetr"])
+    @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
+    def test_settles_every_trial_the_eigenvalue_bound_settles(self, scheme, link):
+        # the eigenvalue bound of G settles a trial when snr lambda_min d2 > 4
+        # (1 + delta)^2 ||W||^2, lambda_min = n_r (1 - |rho|) where 1 - |rho| >
+        # 2 SETTLE_FLOOR (else 0)
+        tx_kind, rx_kind = ("pentagon", "tetrahedron") if link == "pent_tetr" else ("ula", "ura")
+        cfg = SimConfig(scheme=scheme, law=law(tx_kind, rx_kind), snr_db=(0.0, 8.0, 16.0, 24.0))
+        engine = _Engine(cfg)
+        cb, n_r = engine.codebook, cfg.law.link.rx.n
+        margin = 4.0 * (1.0 + montecarlo.SETTLE_MARGIN) ** 2
+        gained = 0
+        for b in range(2):
+            rng = np.random.default_rng([59, b])
+            f, rho = block(cfg.law, 2_500, rng)
+            _, _, energy = montecarlo._draw_trials(rng, 2_500, cb.size, cb.slots)
+            gap = 1.0 - np.abs(rho)
+            lam = np.where(gap > 2.0 * montecarlo.SETTLE_FLOOR, n_r * gap, 0.0)
+            dist = engine.distance(rho)
+            for snr, scale in zip(engine.snr, engine.settle_scale):
+                by_eigenvalue = snr * lam * cb.min_sq_distance / margin > energy
+                by_distance = scale * dist > energy
+                assert np.all(by_distance[by_eigenvalue])
+                gained += np.count_nonzero(by_distance & ~by_eigenvalue)
+        # and more than 1,500 of the 20,000 trials besides
+        assert gained > 1_500
 
 
 class TestSufficientStatistic:
@@ -770,7 +850,8 @@ class TestSharedChannels:
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert isinstance(a, montecarlo.BerCurve)
-            for field in ("snr_db", "trials", "bit_errors", "ber", "ci_low", "ci_high"):
+            for field in ("snr_db", "trials", "bit_errors", "ber", "ci_low", "ci_high",
+                          "decoded"):
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
             assert a.bits_per_trial == b.bits_per_trial
 
