@@ -20,7 +20,6 @@ from .channel import (
 from .codes import (
     Codebook,
     Constellation,
-    DiffSpectrum,
     SCHEMES,
     build_codebook,
     difference_spectrum,

@@ -1,5 +1,6 @@
 """Transmission schemes at 4 bits per channel use: spatial multiplexing,
-the Golden code and single-antenna 16-QAM, plus their difference spectra.
+the Golden code and single-antenna 16-QAM, and the two reductions of their
+codeword differences, ``Codebook.difference_terms`` and ``difference_spectrum``.
 
 All codebooks are materialised exhaustively (at most 256 codewords), carry
 Gray-derived bit labels, and satisfy the average power constraint
@@ -17,7 +18,6 @@ from numpy.typing import NDArray
 __all__ = [
     "Constellation",
     "Codebook",
-    "DiffSpectrum",
     "gray_qam",
     "sm_codebook",
     "golden_codebook",
@@ -28,9 +28,10 @@ __all__ = [
 ]
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
-# codewords per chunk of Codebook.difference_terms' difference table
+# codewords X_j per chunk of _differences
 DISTANCE_ROWS = 16
-# decimals to which Codebook.difference_terms groups the inner products c
+# decimals to which Codebook.difference_terms rounds the inner products c and
+# difference_spectrum its triples before grouping them
 TERM_DECIMALS = 9
 
 
@@ -111,24 +112,17 @@ class Codebook:
         dx_0^H dx_1, the inner product of dX's two rows. For each distinct c,
         rounded to ``TERM_DECIMALS`` decimals in its real and imaginary parts
         (and kept rounded), the least a of the differences whose c rounds to
-        it; sorted by c. -dX has dX's a and c to the bit, so the pairs j < k
-        are taken alone, in ``DISTANCE_ROWS``-row chunks of the difference
-        table, each reduced as it is built."""
-        cw = self.codewords
-        a_parts, c_parts = [], []
-        for s in range(0, self.size, DISTANCE_ROWS):
-            d = cw[s:s + DISTANCE_ROWS, None] - cw[None, s:]
+        it; sorted by c. Each chunk of ``_differences`` is reduced as it comes."""
+        parts = []
+        for d in _differences(self):
             # a sums the squared moduli of dX's entries in C order, as a
             # reduction over dX's axes would
-            a = np.zeros(d.shape[:2])
-            for x in d.reshape(*d.shape[:2], -1).transpose(2, 0, 1):
+            a = np.zeros(len(d))
+            for x in d.reshape(len(d), -1).T:
                 a += x.real ** 2 + x.imag ** 2
-            c = sum(np.conj(d[:, :, 0, t]) * d[:, :, 1, t] for t in range(self.slots))
-            upper = np.arange(a.shape[1]) > np.arange(len(a))[:, None]
-            a, c = _least_per_term(a[upper], c[upper])
-            a_parts.append(a)
-            c_parts.append(c)
-        a, c = _least_per_term(np.concatenate(a_parts), np.concatenate(c_parts))
+            c = sum(np.conj(d[:, 0, t]) * d[:, 1, t] for t in range(self.slots))
+            parts.append(_least_per_term(a, np.round(c, TERM_DECIMALS)))
+        a, c = _least_per_term(*map(np.concatenate, zip(*parts)))
         a.flags.writeable = c.flags.writeable = False
         return a, c
 
@@ -139,16 +133,30 @@ class Codebook:
         return float(self.difference_terms[0].min())
 
 
+def _differences(codebook: Codebook):
+    """X_j - X_k for j < k, in that order, as (n, 2, T) arrays over
+    ``DISTANCE_ROWS`` values of j at a time; -dX would add nothing, as it has
+    dX's a, c and triple to the bit."""
+    cw = codebook.codewords
+    for s in range(0, len(cw), DISTANCE_ROWS):
+        yield np.concatenate([cw[j] - cw[j + 1:] for j in range(s, len(cw))[:DISTANCE_ROWS]])
+
+
+def _runs(*keys: NDArray) -> tuple[NDArray, NDArray]:
+    """The order that sorts by the 1-D ``keys``, the first primary, and the
+    positions in that order where each run of equal keys starts."""
+    order = np.lexsort(keys[::-1])
+    start = np.arange(len(order)) == 0
+    for k in keys:
+        k = k[order]
+        start[1:] |= k[1:] != k[:-1]
+    return order, np.flatnonzero(start)
+
+
 def _least_per_term(a: NDArray, c: NDArray) -> tuple[NDArray, NDArray]:
-    """For each distinct c rounded to ``TERM_DECIMALS`` decimals, that c and
-    the least a among the entries whose c rounds to it, sorted by c."""
-    c = np.round(c, TERM_DECIMALS)
-    order = np.lexsort((c.imag, c.real))
-    c = c[order]
-    first = np.ones(len(c), dtype=bool)
-    first[1:] = c[1:] != c[:-1]
-    first = np.flatnonzero(first)
-    return np.minimum.reduceat(a[order], first), c[first]
+    """Each distinct c, sorted, and the least a of the entries with it."""
+    order, first = _runs(c.real, c.imag)
+    return np.minimum.reduceat(a[order], first), c[order[first]]
 
 
 def _label_bits(n_codewords: int, n_bits: int) -> NDArray:
@@ -230,33 +238,22 @@ def _shared_codebook(scheme: str) -> Codebook:
     return codebook
 
 
-@dataclass(frozen=True)
-class DiffSpectrum:
-    """Deduplicated (||dx1||^2, ||dx2||^2, |dx1^H dx2|) triples over all
-    nonzero codeword differences."""
-
-    triples: NDArray  # (n, 3) float, columns as documented
-
-    @property
-    def size(self) -> int:
-        return len(self.triples)
-
-
-def difference_spectrum(codebook: Codebook) -> DiffSpectrum:
-    """Enumerate all ordered codeword pairs and reduce their differences."""
-    cw = codebook.codewords
-    if len(cw) < 2:
+def difference_spectrum(codebook: Codebook) -> NDArray:
+    """The distinct (||dx1||^2, ||dx2||^2, |dx1^H dx2|) triples of the nonzero
+    codeword differences, rounded to ``TERM_DECIMALS`` decimals: the sorted
+    rows of ``np.unique(triples, axis=0)``, an (n, 3) array, without the
+    numpy.ma import that its first call in a process costs."""
+    if codebook.size < 2:
         raise ValueError("need at least 2 codewords")
-    d = (cw[:, None] - cw[None, :]).reshape(-1, 2, cw.shape[2])
-    nz = np.abs(d).sum(axis=(1, 2)) > 1e-12
-    d = d[nz]
-    a = np.sum(np.abs(d[:, 0, :]) ** 2, axis=1)
-    b = np.sum(np.abs(d[:, 1, :]) ** 2, axis=1)
-    c = np.abs(np.sum(np.conj(d[:, 0, :]) * d[:, 1, :], axis=1))
-    t = np.round(np.column_stack([a, b, c]), 9)
-    # the sorted distinct rows of np.unique(t, axis=0), without the numpy.ma
-    # import that its first call in a process costs
-    t = t[np.lexsort(t.T[::-1])]
-    distinct = np.ones(len(t), dtype=bool)
-    distinct[1:] = np.any(t[1:] != t[:-1], axis=1)
-    return DiffSpectrum(triples=t[distinct])
+    parts = []
+    for d in _differences(codebook):
+        a = np.sum(np.abs(d[:, 0, :]) ** 2, axis=1)
+        b = np.sum(np.abs(d[:, 1, :]) ** 2, axis=1)
+        c = np.abs(np.sum(np.conj(d[:, 0, :]) * d[:, 1, :], axis=1))
+        parts.append(_distinct(np.round(np.column_stack([a, b, c]), TERM_DECIMALS)))
+    return _distinct(np.concatenate(parts))
+
+
+def _distinct(t: NDArray) -> NDArray:
+    order, first = _runs(*t.T)
+    return t[order[first]]

@@ -60,6 +60,9 @@ TX_KINDS = ("ula", "triangle", "pentagon")
 # give the radii, stay normal floats; below it they underflow, and a layout's
 # antennas collapse onto its centroid
 SPACING_MIN = float(np.sqrt(np.finfo(float).tiny))
+# the most antennas of a layout: at this many receive antennas a 2,500-link BER
+# block peaks near 81 MiB, and each 8,192-link density piece takes about 155 MiB
+ANTENNAS_MAX = 256
 
 # Vertices of the regular tetrahedron as unit vectors from the centroid.
 TETRAHEDRON_DIRECTIONS = np.array(
@@ -202,16 +205,17 @@ def make_layout(kind: str, n: int | None = None, spacing: float | None = None,
     if coords_file is not None and kind != "spherical-code":
         raise ValueError(f"a coordinates file is read only for a spherical-code layout, "
                          f"not for kind {kind!r}")
-    # NumPy can neither size nor index an array beyond intp, and its ufuncs
-    # take no larger int
-    if n is not None and n > np.iinfo(np.intp).max:
-        raise ValueError(f"n must be at most {np.iinfo(np.intp).max}, got {n}")
-    # no coordinate lies more than max(n, 5) spacings off the centroid, and
-    # the radii sum three squared coordinates
-    reach = max(n or 0, 5) * spacing
+    # no coordinate of a layout that can be built lies more than
+    # max(n, 5) <= max(ANTENNAS_MAX, 5) spacings off the centroid, and the
+    # radii sum three squared coordinates
+    reach = max(min(n or 0, ANTENNAS_MAX), 5) * spacing
     if not 3.0 * reach * reach < np.inf:
         raise ValueError(f"spacing {spacing!r} m puts antennas so far apart that their squared "
                          "distances are beyond a float")
+    # checked before any array is built: the layout, and every link's
+    # distances and phasors, grow with n
+    if n is not None and n > ANTENNAS_MAX:
+        raise ValueError(f"n must be at most {ANTENNAS_MAX} antennas, got {n}")
 
     if kind == "ula":
         if n is None or n < 1:

@@ -1,19 +1,20 @@
 """Pairwise-error-probability metrics and bounds.
 
-Everything here is a pure function of codeword-difference triples
+Everything here is a pure function of plain codeword-difference triples
 ``(||dx1||^2, ||dx2||^2, |dx1^H dx2|)`` of shape ``(..., 3)``, the channel
-correlation ``mu``, the SNR and ``n_r``, and broadcasts over all of them; a
-call with one of each is a batch of one and returns a float. Bounds are
-evaluated in the log domain so they remain meaningful far past the point where
-``exp(-SNR d / 4)`` underflows.
+correlation ``mu``, the SNR and ``n_r``, and broadcasts over all of them
+(``coding_gain`` and ``union_bound`` take the least d-metric over their
+triples); a call with one of each is a batch of one and returns a float.
+Bounds are evaluated in the log domain so they remain meaningful far past the
+point where ``exp(-SNR d / 4)`` underflows.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-
-from .codes import DiffSpectrum
 
 __all__ = [
     "d_metric",
@@ -72,12 +73,14 @@ def d_metric(mu: ArrayLike, diff: ArrayLike) -> NDArray | float:
     return _out(a + b - 2.0 * mu * c)
 
 
-def coding_gain(spectrum: DiffSpectrum, mu: ArrayLike) -> NDArray | float:
-    """Minimum of the d-metric over the whole difference spectrum, per ``mu``."""
-    if spectrum.size == 0:
+def coding_gain(triples: ArrayLike, mu: ArrayLike) -> NDArray | float:
+    """Least ``d_metric`` over the difference triples (..., 3) per ``mu``, one
+    triple at a time, so that memory grows with ``mu`` alone."""
+    mu = _params(mu=mu)[0]
+    a, b, c = (x.ravel() for x in _triples(triples))
+    if a.size == 0:
         raise ValueError("empty difference spectrum")
-    mu = np.asarray(mu, dtype=float)
-    return _out(np.min(d_metric(mu[..., None], spectrum.triples), axis=-1))
+    return _out(reduce(np.minimum, (x + y - 2.0 * mu * z for x, y, z in zip(a, b, c))))
 
 
 def _received_sq_distance(r_matrix: ArrayLike, delta_x: ArrayLike) -> NDArray:
@@ -160,12 +163,12 @@ def planar_lower_bound(diff: ArrayLike, snr: ArrayLike, n_r: ArrayLike, c: Array
     return _out(lp, log)
 
 
-def union_bound(n_codewords: int, spectrum: DiffSpectrum, mu_max: ArrayLike,
+def union_bound(n_codewords: int, triples: ArrayLike, mu_max: ArrayLike,
                 snr: ArrayLike, n_r: ArrayLike, log: bool = False):
-    """Union bound ``|C|/2 exp(-n_r SNR min_d / 4)`` on the error rate under
-    the worst admissible correlation ``mu_max``."""
+    """Union bound ``|C|/2 exp(-n_r SNR min_d / 4)`` on the error rate, ``min_d``
+    the ``coding_gain`` of ``triples`` at the worst admissible ``mu_max``."""
     if n_codewords < 2:
         raise ValueError("need at least 2 codewords")
     _, snr, n_r = _params(snr=snr, n_r=n_r)
-    lp = np.log(n_codewords / 2.0) - 0.25 * n_r * snr * coding_gain(spectrum, mu_max)
+    lp = np.log(n_codewords / 2.0) - 0.25 * n_r * snr * coding_gain(triples, mu_max)
     return _out(lp, log)

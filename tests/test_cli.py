@@ -22,6 +22,7 @@ from losmimo.cli import (
     build_parser,
     main,
 )
+from losmimo.geometry import ANTENNAS_MAX
 
 MINI_SIM = {
     "wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25, "n_r": 4,
@@ -190,7 +191,7 @@ class TestSimulate:
         assert main(["simulate", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == EXIT_CONFIG
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["error"] == (f"runs[0]: n must be at most {np.iinfo(np.intp).max}, "
+        assert manifest["error"] == (f"runs[0]: n must be at most {ANTENNAS_MAX} antennas, "
                                      f"got {n_r}")
         assert not list(out.glob("*.csv"))
 
@@ -869,7 +870,7 @@ class TestDensity:
                      "--out", str(out)]) == EXIT_CONFIG
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == ("density config: n must be at most "
-                                     f"{np.iinfo(np.intp).max}, got {n_r}")
+                                     f"{ANTENNAS_MAX} antennas, got {n_r}")
         assert not (out / "density.csv").exists()
 
     @pytest.mark.parametrize("bins", [2**31, 10**30], ids=["2^31", "1e30"])
@@ -993,6 +994,75 @@ class TestDensitySweep:
         manifest = json.loads((out / "manifest.json").read_text())
         assert code in (EXIT_OK, EXIT_CONFIG), manifest.get("error")
         assert manifest["status"] == ("ok" if code == EXIT_OK else "config-error")
+
+
+class TestDensitySweepUra(TestDensitySweep):
+    # a receive URA of 2^62 antennas used to exit 4 with a MemoryError for
+    # 16 GiB; a ULA exited 2 only through NumPy's own size error
+    BASE = {**TestDensitySweep.BASE, "rx_kind": "ura", "n_r": 4}
+
+
+STATUS = {EXIT_OK: "ok", EXIT_CONFIG: "config-error", EXIT_INFEASIBLE: "infeasible"}
+
+
+def scalar_fields(table):
+    return [key for key, (kind, _) in table.items() if kind not in (list, dict)]
+
+
+def assert_exit_0_2_or_3(code, out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert code in STATUS, manifest.get("error")
+    assert manifest["status"] == STATUS[code]
+
+
+class TestSimulateSweep:
+    # the run keeps its default arrays, a ULA transmitter and a URA receiver
+    BASE = {"wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25, "seed": 5,
+            "distance": {"law": "uniform", "min": 4.43, "max": 12.7},
+            "snr_db": [0], "max_trials": 100, "target_errors": 20,
+            "runs": [{"name": "r", "scheme": "sm"}]}
+    FIELDS = ([("top", key) for key in scalar_fields(losmimo.cli.SIMULATE_FIELDS)]
+              + [("run", key) for key in scalar_fields(losmimo.cli.RUN_FIELDS)]
+              + [("distance", key) for key in losmimo.cli.DISTANCE_FIELDS["uniform"]])
+
+    def config(self, where, field, value):
+        cfg = copy.deepcopy(self.BASE)
+        {"top": cfg, "run": cfg["runs"][0], "distance": cfg["distance"]}[where][field] = value
+        return cfg
+
+    @pytest.mark.parametrize("value", SWEEP_VALUES, ids=SWEEP_IDS)
+    @pytest.mark.parametrize("where,field", FIELDS, ids=[f"{w}-{f}" for w, f in FIELDS])
+    def test_field_boundary_exits_0_2_or_3(self, tmp_path, monkeypatch, where, field, value):
+        # a run stops at its trial budget or once every point has its target
+        # of bit errors, which 0 dB gives within the first block; a run whose
+        # budget and target are both above the base's could run for hours
+        real = losmimo.cli.run_ber
+
+        def guarded(sims, workers):
+            for sim in sims:
+                assert (sim.max_trials <= self.BASE["max_trials"]
+                        or sim.target_errors <= self.BASE["target_errors"]), \
+                    f"a run of {sim.max_trials} trials to {sim.target_errors} errors started"
+            return real(sims, workers)
+
+        monkeypatch.setattr(losmimo.cli, "run_ber", guarded)
+        out = tmp_path / "out"
+        code = main(["simulate", "--config",
+                     write_config(tmp_path, self.config(where, field, value)),
+                     "--workers", "1", "--out", str(out)])
+        assert_exit_0_2_or_3(code, out)
+
+
+class TestDesignSweep:
+    BASE = _load_config("design_triangle")
+
+    @pytest.mark.parametrize("value", SWEEP_VALUES, ids=SWEEP_IDS)
+    @pytest.mark.parametrize("field", scalar_fields(losmimo.cli.DESIGN_FIELDS))
+    def test_field_boundary_exits_0_2_or_3(self, tmp_path, field, value):
+        out = tmp_path / "out"
+        code = main(["design", "--config", write_config(tmp_path, {**self.BASE, field: value}),
+                     "--out", str(out)])
+        assert_exit_0_2_or_3(code, out)
 
 
 class TestOutDirectory:

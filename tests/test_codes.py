@@ -118,20 +118,20 @@ class TestSimoCodebook:
 
     def test_min_d_constant_in_mu(self, simo):
         spec = difference_spectrum(simo)
-        assert np.all(spec.triples[:, 1] == 0)
+        assert np.all(spec[:, 1] == 0)
         for mu in (0.0, 0.3, 1.0):
-            d = spec.triples[:, 0] + spec.triples[:, 1] - 2 * mu * spec.triples[:, 2]
+            d = spec[:, 0] + spec[:, 1] - 2 * mu * spec[:, 2]
             assert d.min() == pytest.approx(0.4)
 
 
 class TestDifferenceSpectrum:
     def test_sm_contains_equal_row_triple(self, sm):
         spec = difference_spectrum(sm)
-        assert any(np.allclose(t, [1.0, 1.0, 1.0]) for t in spec.triples)
+        assert any(np.allclose(t, [1.0, 1.0, 1.0]) for t in spec)
 
     def test_sm_rank_deficient_at_mu_one(self, sm):
         spec = difference_spectrum(sm)
-        d1 = spec.triples[:, 0] + spec.triples[:, 1] - 2 * spec.triples[:, 2]
+        d1 = spec[:, 0] + spec[:, 1] - 2 * spec[:, 2]
         assert d1.min() == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
@@ -142,7 +142,7 @@ class TestDifferenceSpectrum:
         a, b = (np.sum(np.abs(d[:, k]) ** 2, axis=1) for k in (0, 1))
         c = np.abs(np.sum(np.conj(d[:, 0]) * d[:, 1], axis=1))
         ref = np.unique(np.round(np.column_stack([a, b, c]), 9), axis=0)
-        assert np.array_equal(difference_spectrum(build_codebook(scheme)).triples, ref)
+        assert np.array_equal(difference_spectrum(build_codebook(scheme)), ref)
 
     def test_gain_imports_no_numpy_ma(self, tmp_path):
         # np.unique(axis=0) imports numpy.ma, about 15 ms, on its first call
@@ -163,7 +163,7 @@ class TestDifferenceSpectrum:
 
     def test_cauchy_schwarz(self, sm, golden, simo):
         for cb in (sm, golden, simo):
-            t = difference_spectrum(cb).triples
+            t = difference_spectrum(cb)
             assert np.all(t[:, 2] <= np.sqrt(t[:, 0] * t[:, 1]) + 1e-9)
 
     def test_golden_matches_pairwise_brute_force(self, golden):
@@ -180,10 +180,9 @@ class TestDifferenceSpectrum:
                 seen.add((round(na, 9), round(nb, 9), round(cr, 9)))
                 min_d0 = min(min_d0, na + nb)
                 min_d1 = min(min_d1, na + nb - 2 * cr)
-        assert len(seen) == spec.size
-        t = spec.triples
-        assert (t[:, 0] + t[:, 1]).min() == pytest.approx(min_d0)
-        assert (t[:, 0] + t[:, 1] - 2 * t[:, 2]).min() == pytest.approx(min_d1)
+        assert len(seen) == len(spec)
+        assert (spec[:, 0] + spec[:, 1]).min() == pytest.approx(min_d0)
+        assert (spec[:, 0] + spec[:, 1] - 2 * spec[:, 2]).min() == pytest.approx(min_d1)
 
 
 def test_bit_label_bijection(sm, golden, simo):

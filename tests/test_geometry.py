@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.stats import kstest
 
 from losmimo.channel import los_channel
 from losmimo.geometry import (
+    ANTENNAS_MAX,
     SPACING_MIN,
     LinkScenario,
     LinkSpec,
@@ -151,9 +153,24 @@ class TestMakeLayout:
     def test_size_beyond_intp_rejected(self, kind, n):
         # the URA used to raise a TypeError from np.sqrt, the others NumPy's
         # own size error
-        with pytest.raises(ValueError, match=f"n must be at most {np.iinfo(np.intp).max}, "
+        with pytest.raises(ValueError, match=f"n must be at most {ANTENNAS_MAX} antennas, "
                                              f"got {n}"):
             make_layout(kind, n, 0.25)
+
+    @pytest.mark.parametrize("kind", ["ula", "ura"])
+    def test_antenna_count_bounded_before_any_array(self, kind):
+        # a URA of 2^62 antennas used to raise a MemoryError for 16 GiB, and
+        # a ULA NumPy's ValueError from np.zeros
+        assert make_layout(kind, ANTENNAS_MAX, 0.25).n == ANTENNAS_MAX
+        for n in (ANTENNAS_MAX + 1, 2**62):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"n must be at most {ANTENNAS_MAX} "
+                                                     f"antennas, got {n}$"):
+                    make_layout(kind, n, 0.25)
+                assert tracemalloc.get_traced_memory()[1] < 2**16
+            finally:
+                tracemalloc.stop()
 
 
 class TestUniformRotation:
