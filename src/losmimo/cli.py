@@ -15,11 +15,22 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import os
+import platform
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import astuple
 from pathlib import Path
+
+# As NumPy loads, OpenBLAS starts a thread pool whose threads spin for about
+# 0.1 s of CPU, and no product here is large enough to use them (see
+# montecarlo.ML_ROWS and DISTANCE_TRIALS). Where this module loads NumPy, it
+# loads with one thread unless the user set OPENBLAS_NUM_THREADS, and the
+# --workers processes inherit the setting; a process that loaded NumPy first
+# keeps its pool. The value NumPy loaded with, None for OpenBLAS's default:
+BLAS_THREADS = (os.environ.get("OPENBLAS_NUM_THREADS") if "numpy" in sys.modules
+                else os.environ.setdefault("OPENBLAS_NUM_THREADS", "1"))
 
 import numpy as np
 
@@ -161,6 +172,9 @@ class Manifest:
             "seed": seed,
             "outputs": [],
             "version": __version__,
+            "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                            "usable_cpus": _usable_cpus(),
+                            "OPENBLAS_NUM_THREADS": BLAS_THREADS},
             "wall_clock_s": None,
             "status": "running",
         }

@@ -247,6 +247,10 @@ def check_campaign(snr_db, max_trials, target_errors, seed, block_trials) -> tup
         raise ValueError(f"SNR grid must be a non-empty list of finite numbers, got {snr_db!r}")
     if list(snr_db) != sorted(snr_db):
         raise ValueError("SNR grid must be sorted")
+    # every point scores the same blocks, so a repeated point repeats its row
+    repeated = [a for a, b in zip(snr_db, snr_db[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"SNR grid must not repeat a point, got {repeated[0]!r} more than once")
     snr_db = tuple(float(s) for s in snr_db)
     for s in snr_db:
         # the engine's linear SNR: Python's float power raises where it
@@ -630,9 +634,9 @@ class DensityGrid:
     def write_csv(self, path) -> None:
         tc = 0.5 * (self.theta_edges[:-1] + self.theta_edges[1:])
         mc = 0.5 * (self.mu_edges[:-1] + self.mu_edges[1:])
-        dens = self.density()
         write_csv(path, ("theta_bin_center", "mu_bin_center", "density"),
-                  ((t, m, dens[i, j]) for i, t in enumerate(tc) for j, m in enumerate(mc)))
+                  np.column_stack((np.repeat(tc, mc.size), np.tile(mc, tc.size),
+                                   self.density().ravel())))
 
 
 def check_density_inputs(law: ChannelLaw, bins: int, samples: int, seed: int) -> None:

@@ -4,6 +4,7 @@ import hashlib
 import importlib.resources
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 import losmimo
 from losmimo import orientation
+from losmimo._csv import write_csv
 from losmimo.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -386,6 +388,17 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         manifest = json.loads((out / "manifest.json").read_text())
         assert "SNR grid must be a non-empty list of finite numbers" in manifest["error"]
+        assert not (out / "mini_sm.csv").exists()
+
+    def test_repeated_snr_point_is_config_error(self, tmp_path):
+        # [8, 8] used to exit 0 with two identical rows: every point scores
+        # the same blocks
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(MINI_SIM, snr_db=[0, 8, 8]))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == ("simulate config: SNR grid must not repeat a point, "
+                                     "got 8 more than once")
         assert not (out / "mini_sm.csv").exists()
 
     @pytest.mark.parametrize("field,value", [
@@ -1023,12 +1036,28 @@ class TestSimulateSweep:
             "runs": [{"name": "r", "scheme": "sm"}]}
     FIELDS = ([("top", key) for key in scalar_fields(losmimo.cli.SIMULATE_FIELDS)]
               + [("run", key) for key in scalar_fields(losmimo.cli.RUN_FIELDS)]
-              + [("distance", key) for key in losmimo.cli.DISTANCE_FIELDS["uniform"]])
+              + [("distance", key) for key in losmimo.cli.DISTANCE_FIELDS["uniform"]]
+              + [("fixed", "value")])
+    # a list field's entries: none, its base's first twice, one of each JSON type
+    LIST_FIELDS = [key for key, (kind, _) in losmimo.cli.SIMULATE_FIELDS.items() if kind is list]
+    ENTRIES = {"empty": lambda first: [], "repeated": lambda first: [first, first],
+               "number": lambda first: [0], "str": lambda first: ["7"],
+               "bool": lambda first: [True], "null": lambda first: [None],
+               "list": lambda first: [[first]], "object": lambda first: [{}]}
 
     def config(self, where, field, value):
         cfg = copy.deepcopy(self.BASE)
-        {"top": cfg, "run": cfg["runs"][0], "distance": cfg["distance"]}[where][field] = value
+        if where == "fixed":
+            cfg["distance"] = {"law": "fixed", "value": 8.0}
+        {"top": cfg, "run": cfg["runs"][0], "distance": cfg["distance"],
+         "fixed": cfg["distance"]}[where][field] = value
         return cfg
+
+    def run(self, tmp_path, cfg):
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", write_config(tmp_path, cfg), "--workers", "1",
+                     "--out", str(out)])
+        assert_exit_0_2_or_3(code, out)
 
     @pytest.mark.parametrize("value", SWEEP_VALUES, ids=SWEEP_IDS)
     @pytest.mark.parametrize("where,field", FIELDS, ids=[f"{w}-{f}" for w, f in FIELDS])
@@ -1046,11 +1075,13 @@ class TestSimulateSweep:
             return real(sims, workers)
 
         monkeypatch.setattr(losmimo.cli, "run_ber", guarded)
-        out = tmp_path / "out"
-        code = main(["simulate", "--config",
-                     write_config(tmp_path, self.config(where, field, value)),
-                     "--workers", "1", "--out", str(out)])
-        assert_exit_0_2_or_3(code, out)
+        self.run(tmp_path, self.config(where, field, value))
+
+    @pytest.mark.parametrize("entries", list(ENTRIES))
+    @pytest.mark.parametrize("field", LIST_FIELDS)
+    def test_list_field_boundary_exits_0_2_or_3(self, tmp_path, field, entries):
+        # no entry raises the base's trial budget, so no run can go long
+        self.run(tmp_path, {**self.BASE, field: self.ENTRIES[entries](self.BASE[field][0])})
 
 
 class TestDesignSweep:
@@ -1148,6 +1179,17 @@ class TestManifest:
         assert sorted(outputs) == sorted(str(p) for p in out.iterdir()
                                          if p.name != "manifest.json")
 
+    def test_environment_is_recorded(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, self.CASES["simulate"][1])
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        # this process loaded NumPy before losmimo.cli, with the variable as it is
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "usable_cpus": losmimo.montecarlo._usable_cpus(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+
 
 class TestPinnedOutputs:
     """sha256 of CSVs that no other test pins, recorded before the link arrays
@@ -1205,13 +1247,61 @@ class TestPinnedOutputs:
         assert hashlib.sha256((out / csv).read_bytes()).hexdigest() == digest
 
 
+def run_fresh(code: str, **environ) -> str:
+    """The output of ``code`` in a fresh interpreter that imports this losmimo,
+    with OPENBLAS_NUM_THREADS unset unless ``environ`` sets it."""
+    src = str(Path(losmimo.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout.strip()
+
+
 def test_import_leaves_scipy_special_unloaded():
     # scipy.special is most of the package's import time and only
     # metrics.log_i0 and metrics.pep_exact need it
-    src = str(Path(losmimo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, losmimo.cli; print('scipy.special' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert run_fresh("import sys, losmimo.cli; print('scipy.special' in sys.modules)") == "False"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads counted in /proc")
+def test_cli_import_starts_no_blas_threads():
+    # NumPy's OpenBLAS used to start a thread per further CPU as it loaded,
+    # which spun for about 0.1 s of CPU
+    code = ("import os, losmimo.cli; "
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    assert run_fresh(code) == "1 1"
+
+
+@pytest.mark.parametrize("code,environ,expected", [
+    ("import os, losmimo.cli", {"OPENBLAS_NUM_THREADS": "2"}, "2 2"),
+    ("import os, numpy, losmimo.cli", {}, "None None")],
+    ids=["user-set", "numpy-loaded-first"])
+def test_blas_setting_left_alone(code, environ, expected):
+    # a value the user set wins, and a process that loaded NumPy first keeps
+    # its pool, the manifest recording the value NumPy loaded with
+    assert run_fresh(f"{code}; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+                     "losmimo.cli.BLAS_THREADS)", **environ) == expected
+
+
+class TestCsvFormat:
+    @staticmethod
+    def reference(header, rows) -> str:
+        """The table as a cell at a time formats it."""
+        def cell(x) -> str:
+            if x is None:
+                return ""
+            return str(int(x)) if isinstance(x, (int, np.integer)) else f"{x:.12g}"
+        return "".join(",".join(row) + "\n" for row in [header, *([*map(cell, r)] for r in rows)])
+
+    def test_mixed_rows_match_the_cell_format(self, tmp_path):
+        rows = [(1, 2.5, None), (np.int64(-3), np.float64(1 / 3), 7), (None, None, None),
+                (True, float("inf"), -0.0), (10**20, 1e-300, np.float64("nan")), ()]
+        write_csv(tmp_path / "t.csv", ("a", "b", "c"), rows)
+        assert (tmp_path / "t.csv").read_text() == self.reference(("a", "b", "c"), rows)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_array_matches_the_cell_format(self, tmp_path, dtype):
+        table = (np.random.default_rng(3).standard_normal((50, 3)) * 1e4).astype(dtype)
+        write_csv(tmp_path / "t.csv", ("a", "b", "c"), table)
+        assert (tmp_path / "t.csv").read_text() == self.reference(("a", "b", "c"), table)

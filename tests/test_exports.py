@@ -10,6 +10,7 @@ import importlib
 from pathlib import Path
 
 import pytest
+from test_cli import run_fresh
 from test_tracing import PATCHED
 
 import losmimo
@@ -77,3 +78,28 @@ def test_every_module_name_is_read(path):
     unread = {n for n in defined_names(tree) - read - set(getattr(module, "__all__", ()))
               if not (n.startswith("__") and n.endswith("__"))}
     assert unread == set()
+
+
+def test_package_import_loads_no_numpy():
+    # the package resolves its names lazily, so losmimo.cli is the first
+    # losmimo code to load NumPy and sets nothing up before it
+    code = ("import os, sys, losmimo; "
+            "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)")
+    assert run_fresh(code) == "False False"
+
+
+def test_star_import_resolves_every_exported_name():
+    code = ("from losmimo import *; import losmimo; "
+            "print([n for n in losmimo.__all__ if n not in globals()])")
+    assert run_fresh(code) == "[]"
+
+
+def test_exported_names_are_their_modules_objects():
+    # each name is a module, or the object of that name in the module whose
+    # __all__ has it
+    owner = {n: m for m in MODULES for n in importlib.import_module(f"losmimo.{m}").__all__}
+    for name in losmimo.__all__:
+        module = importlib.import_module(f"losmimo.{name if name in MODULES else owner[name]}")
+        assert getattr(losmimo, name) is (module if name in MODULES else getattr(module, name))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        losmimo.no_such_name
