@@ -1,4 +1,6 @@
-"""LoS channel synthesis and its 2x2 upper-triangular reduction.
+"""LoS channel synthesis, the deviation factor and the correlation of a
+channel's columns: its first-order model, and its closed form for the aligned
+2x2 link.
 
 The channel entries are pure phases determined by the transmit-receive
 distances; the two-column channel is summarised by the correlation ``mu``
@@ -7,17 +9,13 @@ between its columns and the phase ``theta_mu`` of their inner product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
 from .geometry import ArrayLayout
 
 __all__ = [
-    "ReducedChannel",
     "los_channel",
-    "reduce_channel",
     "deviation_factor",
     "mu_model",
     "closed_form_2x2",
@@ -46,47 +44,6 @@ def _phasors(lengths: NDArray, wavelength: float) -> NDArray:
     np.multiply(lengths, 2.0 * np.pi, out=h.imag)
     h.imag *= 1.0 / wavelength
     return np.exp(h, out=h)
-
-
-@dataclass(frozen=True)
-class ReducedChannel:
-    """Upper-triangular factor of a two-column channel.
-
-    ``r_matrix`` has a real non-negative diagonal; for unit-modulus channels it
-    equals ``sqrt(n_r) [[1, mu e^{i theta_mu}], [0, sqrt(1 - mu^2)]]``.
-    """
-
-    r_matrix: NDArray  # (2, 2) complex, upper triangular
-    mu: float
-    theta_mu: float
-
-
-def reduce_channel(h: NDArray) -> ReducedChannel:
-    """Closed-form Gram-Schmidt reduction of a two-column channel matrix.
-
-    The phase convention keeps the diagonal real and non-negative, so the
-    result is the unique QR factor with that property. The off-diagonal term
-    carries ``mu`` and ``theta_mu``.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[1] != 2:
-        raise ValueError("channel must have exactly 2 columns")
-    if h.shape[0] < 1:
-        raise ValueError("channel must have at least one row")
-    h1, h2 = h[:, 0], h[:, 1]
-    n1 = np.linalg.norm(h1)
-    n2 = np.linalg.norm(h2)
-    if n1 <= 0 or n2 <= 0:
-        raise ValueError("zero channel column")
-    inner = np.vdot(h1, h2)
-    mu = float(np.abs(inner) / (n1 * n2))
-    theta = float(np.angle(inner) % (2.0 * np.pi))
-    r12 = inner / n1
-    rest = n2 * n2 - np.abs(r12) ** 2
-    # rounding can push 1 - mu^2 slightly negative at mu = 1
-    r22 = np.sqrt(rest) if rest > 1e-15 * n2 * n2 else 0.0
-    r = np.array([[n1, r12], [0.0, r22]], dtype=complex)
-    return ReducedChannel(r_matrix=r, mu=min(mu, 1.0), theta_mu=theta)
 
 
 def deviation_factor(R, d_t, d_r, beta, wavelength) -> float | NDArray:

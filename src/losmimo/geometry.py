@@ -4,29 +4,22 @@ and transmit-receive distances.
 One routine places every array: ``place`` sums each antenna's coordinates on
 the axes its layout occupies (``ArrayLayout.axes``) times the rotation columns
 of those axes. The Monte-Carlo engine and ``joint_density`` hand it only the
-columns they build from quaternions (``rotation_columns``), and
-``place_antennas`` the columns of its one matrix pair, so all three give the
-same positions bit for bit. ``rotation_columns``, ``place`` and
-``link_distances`` take whatever batch they are handed whole: every step is
-per link, so no link's bits depend on the batch it comes in.
+columns they build from quaternions (``rotation_columns``).
+``rotation_columns``, ``place`` and ``link_distances`` take whatever batch
+they are handed whole: every step is per link, so no link's bits depend on
+the batch it comes in.
 
-Global frame conventions. For one ``LinkScenario`` (``place_antennas``), the
-two transmit antennas lie on the z-axis at ``(0, 0, +/- d_t/2)`` when the
-transmit rotation is the identity, and the receive array centroid lies in the
-x-z plane at ``[R cos(beta), 0, R sin(beta)]``. The links of the Monte-Carlo
-engine and of ``joint_density`` run along +x instead: the receive centroid
-sits at ``R LINK_DIRECTION``, and the transmit elevation beta is carried by the
-random ``U_tx`` (``design.select_tx_pair`` reads sin(beta) off it). Every other
-orientation is expressed through the rotations ``U_tx`` / ``U_rx`` applied
-about the respective array centroids.
+Every link runs along +x: the receive centroid sits at ``R LINK_DIRECTION``,
+and each array is rotated about its own centroid by its rotation ``U_tx`` /
+``U_rx``. The transmit elevation beta is carried by ``U_tx``
+(``design.select_tx_pair`` reads sin(beta) off it).
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,20 +27,13 @@ from numpy.typing import NDArray
 __all__ = [
     "ArrayLayout",
     "LinkSpec",
-    "LinkScenario",
     "make_layout",
     "rotation_normals",
     "rotation_columns",
     "uniform_rotation",
     "place",
-    "place_antennas",
     "link_distances",
-    "exact_distances",
-    "approx_path_difference",
-    "is_rotation",
     "LINK_DIRECTION",
-    "link_axis",
-    "transverse_axis",
 ]
 
 LAYOUT_KINDS = ("ula", "ura", "tetrahedron", "triangle", "pentagon", "spherical-code")
@@ -68,17 +54,6 @@ ANTENNAS_MAX = 256
 TETRAHEDRON_DIRECTIONS = np.array(
     [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
 ) / np.sqrt(3.0)
-
-
-def is_rotation(u: NDArray, tol: float = 1e-12) -> bool:
-    """True if ``u`` is a proper rotation: orthogonal with determinant +1."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (3, 3):
-        return False
-    return (
-        np.abs(u @ u.T - np.eye(3)).max() <= tol
-        and abs(np.linalg.det(u) - 1.0) <= tol
-    )
 
 
 @dataclass(frozen=True)
@@ -345,42 +320,6 @@ def uniform_rotation(rng: np.random.Generator, n: int | None = None) -> NDArray:
     return u[0] if n is None else u
 
 
-def link_axis(beta: float) -> NDArray:
-    """Unit vector from the transmit centroid towards the receive centroid."""
-    return np.array([np.cos(beta), 0.0, np.sin(beta)])
-
-
-def transverse_axis(beta: float) -> NDArray:
-    """Unit vector along the z' axis of the auxiliary receive frame."""
-    return np.array([-np.sin(beta), 0.0, np.cos(beta)])
-
-
-@dataclass
-class LinkScenario:
-    """Link geometry: terminal distance, transmit elevation and the two
-    (possibly rotated) arrays."""
-
-    R: float
-    beta: float
-    tx_layout: ArrayLayout
-    rx_layout: ArrayLayout
-    U_tx: NDArray = field(default_factory=lambda: np.eye(3))
-    U_rx: NDArray = field(default_factory=lambda: np.eye(3))
-
-    def __post_init__(self):
-        if not 0.0 < self.R < np.inf:
-            raise ValueError("inter-terminal distance R must be positive")
-        for u, name in ((self.U_tx, "U_tx"), (self.U_rx, "U_rx")):
-            if not is_rotation(u, tol=1e-9):
-                raise ValueError(f"{name} is not a rotation matrix")
-        extent = max(self.tx_layout.radii.max(initial=0.0),
-                     self.rx_layout.radii.max(initial=0.0))
-        if self.R < 10.0 * extent:
-            warnings.warn(
-                f"R = {self.R:g} m is within 10x the array extent {extent:g} m; "
-                "far-field approximations degrade", stacklevel=2)
-
-
 def place(layout: ArrayLayout, columns: NDArray) -> NDArray:
     """Coordinate-major (3, n_ant, m) positions of ``layout`` under m rotations
     about its centroid, given by their columns on ``layout.axes``:
@@ -398,14 +337,6 @@ def place(layout: ArrayLayout, columns: NDArray) -> NDArray:
     return out
 
 
-def place_antennas(scenario: LinkScenario) -> tuple[NDArray, NDArray]:
-    """Global-frame antenna positions (tx (n_t, 3), rx (n_r, 3)) of one link:
-    ``place`` of a batch of one."""
-    tx, rx = (place(layout, u.T[layout.axes, :, None])[:, :, 0].T for layout, u in
-              ((scenario.tx_layout, scenario.U_tx), (scenario.rx_layout, scenario.U_rx)))
-    return tx, rx + scenario.R * link_axis(scenario.beta)
-
-
 def link_distances(tx: NDArray, rx: NDArray) -> NDArray:
     """Distances r[m, j, l] between receive antenna m and transmit antenna j of
     link l from coordinate-major positions tx (3, n_t, n) and rx (3, n_r, n).
@@ -420,32 +351,3 @@ def link_distances(tx: NDArray, rx: NDArray) -> NDArray:
     if np.any(r <= 0):
         raise ValueError("coincident transmit and receive antennas")
     return r
-
-
-def exact_distances(tx_positions: NDArray, rx_positions: NDArray) -> NDArray:
-    """Euclidean distances r[..., m, n] between receive antenna m and transmit
-    antenna n from (..., n_t, 3) and (..., n_r, 3) positions; leading axes are
-    batch axes."""
-    tx = np.atleast_2d(np.asarray(tx_positions, dtype=float))
-    rx = np.atleast_2d(np.asarray(rx_positions, dtype=float))
-    if tx.size == 0 or rx.size == 0:
-        raise ValueError("empty position list")
-    batch = np.broadcast_shapes(tx.shape[:-2], rx.shape[:-2])
-    tx, rx = (np.broadcast_to(a, batch + a.shape[-2:]).reshape(-1, *a.shape[-2:]).T
-              for a in (tx, rx))
-    return link_distances(tx, rx).transpose(2, 0, 1).reshape(batch + (rx.shape[1], tx.shape[1]))
-
-
-def approx_path_difference(scenario: LinkScenario, m: int) -> float:
-    """First-order path difference r[m, 2] - r[m, 1] for receive antenna m.
-
-    Equals ``d_t sin(beta) + d_t d_m cos(beta) cos(theta_m) / R`` where
-    ``theta_m`` is the angle between the rotated antenna direction and the
-    transverse axis.
-    """
-    lay = scenario.rx_layout
-    if not 0 <= m < lay.n:
-        raise IndexError(f"receive antenna index {m} out of range")
-    cos_theta = float((scenario.U_rx @ lay.directions[m]) @ transverse_axis(scenario.beta))
-    d_t = scenario.tx_layout.spacing
-    return d_t * np.sin(scenario.beta) + d_t * lay.radii[m] * np.cos(scenario.beta) * cos_theta / scenario.R

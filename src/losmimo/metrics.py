@@ -1,10 +1,13 @@
 """Pairwise-error-probability metrics and bounds.
 
-Everything here is a pure function of plain codeword-difference triples
-``(||dx1||^2, ||dx2||^2, |dx1^H dx2|)`` of shape ``(..., 3)``, the channel
-correlation ``mu``, the SNR and ``n_r``, and broadcasts over all of them
-(``coding_gain`` and ``union_bound`` take the least d-metric over their
-triples); a call with one of each is a batch of one and returns a float.
+Every function but ``pep_exact`` and ``pep_chernoff`` is a pure function of
+plain codeword-difference triples ``(||dx1||^2, ||dx2||^2, |dx1^H dx2|)`` of
+shape ``(..., 3)``, the channel correlation ``mu``, the SNR and ``n_r``, and
+broadcasts over all of them (``coding_gain`` and ``union_bound`` take the
+least d-metric over their triples); ``pep_exact`` and ``pep_chernoff`` take
+the channel factor R and a codeword difference dX, which broadcast as the
+operands of ``@``, and the SNR. A call with one of each is a batch of one and
+returns a float.
 Bounds are evaluated in the log domain so they remain meaningful far past the
 point where ``exp(-SNR d / 4)`` underflows.
 """

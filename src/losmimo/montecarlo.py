@@ -86,6 +86,9 @@ ML_CHUNK = 4
 # untouched HEAP_KEEP-byte array, which raises that limit to twice HEAP_KEEP
 # and occupies no resident memory.
 HEAP_KEEP = 4 << 20
+# the most that rounding one antenna distance to a float may move its phase
+# 2 pi r / wavelength, in rad: beyond it the correlations lose their phase
+PHASE_RESOLUTION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,9 @@ class ChannelLaw:
     layout, and ``link.rx.n`` is n_r. ``distance`` is either a float (fixed
     range) or a (low, high) pair for a uniformly distributed inter-terminal
     distance; unless ``ideal`` is set, it must stay beyond the sum of the
-    transmit and receive array radii, and the largest antenna distance it
-    allows, squared, and its phase 2 pi r / wavelength must be floats.
+    transmit and receive array radii, the largest antenna distance it allows,
+    squared, must be a float, and the rounding of that distance may move its
+    phase 2 pi r / wavelength by at most ``PHASE_RESOLUTION``.
     ``ideal`` bypasses the geometry and feeds the decoder a perfectly
     orthogonal channel.
 
@@ -127,9 +131,14 @@ class ChannelLaw:
             if not math.isfinite(3.0 * far * far):
                 raise ValueError(f"distance {high!r} m puts antennas up to {far:g} m apart, "
                                  "whose squared distance is beyond a float")
-            if not math.isfinite(far * 2.0 * math.pi * (1.0 / wavelength)):
-                raise ValueError(f"wavelength {wavelength!r} m gives a phase 2 pi r / wavelength "
-                                 f"beyond a float at the largest antenna distance, {far:g} m")
+            # a float rounds a distance near far by up to ulp(far) / 2, which
+            # moves its phase 2 pi r / wavelength by up to pi ulp(far) / wavelength
+            phase_error = math.pi * math.ulp(far) / wavelength
+            if phase_error > PHASE_RESOLUTION:
+                raise ValueError(f"wavelength {wavelength!r} m and distance {high!r} m: the "
+                                 f"rounding of an antenna distance near {far:g} m moves its "
+                                 f"phase by up to {phase_error:.3g} rad, more than "
+                                 f"{PHASE_RESOLUTION:g} rad")
 
     def draw(self, n: int, rng: np.random.Generator) -> NDArray:
         """The n-last (n_r, 2, n) channels of a block of n trials: the ideal
@@ -429,8 +438,8 @@ def _draw_trials(rng: np.random.Generator, n: int, size: int,
 def _factor(rho: NDArray, n_r: int) -> NDArray:
     """The n-last (2, 2, n) upper-triangular factors R = sqrt(n_r) [[1, rho],
     [0, sqrt(1 - |rho|^2)]] of G = R^H R = n_r [[1, rho], [rho*, 1]], one per
-    correlation ``rho``: ``channel.reduce_channel``'s factor of a unit-modulus
-    channel."""
+    correlation ``rho``: the QR factor, with a real non-negative diagonal, of a
+    unit-modulus n_r x 2 channel whose columns correlate as ``rho``."""
     scale = math.sqrt(n_r)
     f = np.zeros((2, 2, len(rho)), dtype=complex)
     f[0, 0] = scale

@@ -25,8 +25,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._csv import write_csv
-from .channel import mu_model, reduce_channel
-from .geometry import TETRAHEDRON_DIRECTIONS, _fibonacci_sphere, make_layout
+from .channel import mu_model
+from .geometry import TETRAHEDRON_DIRECTIONS, make_layout
 
 __all__ = [
     "edge_code",
@@ -37,9 +37,6 @@ __all__ = [
     "check_eta_grid",
     "compute_mu_star_curve",
     "default_curve",
-    "edge_code_worst_distortion",
-    "edge_code_region_minima",
-    "best_submatrix",
     "icosphere_vertices",
     "fundamental_domain",
 ]
@@ -54,11 +51,6 @@ ETA_POINTS = 100_000
 
 # unit edge, so that d_m / spacing is sqrt(3/8) to the last bit
 _TETRAHEDRON = make_layout("tetrahedron", spacing=1.0)
-
-_ROW_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-# sphere samples per piece of the edge-code distortion scan (48 MB of dot products)
-_EDGE_CHUNK = 500_000
 
 
 def edge_code() -> NDArray:
@@ -382,43 +374,6 @@ def compute_mu_star_curve(eta_start: float = ETA_START, eta_stop: float = ETA_ST
 def default_curve() -> MuStarCurve:
     """The standard cached curve on ``ETA_START`` .. ``ETA_STOP`` in ``ETA_STEP`` steps."""
     return compute_mu_star_curve()
-
-
-def edge_code_worst_distortion(samples: int = 2_000_000) -> float:
-    """Worst-case inner product when quantising the sphere with the 12 edge
-    directions: ``min_v max_i g_i . v`` over a dense deterministic sample.
-    Converges to sqrt(1/2) from above as the sample refines."""
-    if samples < 12:
-        raise ValueError("need a meaningful sample size")
-    return float(edge_code_region_minima(samples).min())
-
-
-def edge_code_region_minima(samples: int = 2_000_000) -> NDArray:
-    """Per-Voronoi-region minima of ``g_i . v``; the 12 regions are congruent
-    so the entries agree up to sampling error."""
-    g = edge_code()
-    minima = np.full(12, np.inf)
-    for s in range(0, samples, _EDGE_CHUNK):
-        v = _fibonacci_sphere(samples, s, min(s + _EDGE_CHUNK, samples))
-        dots = v @ g.T
-        region = np.argmax(dots, axis=1)
-        np.minimum.at(minima, region, dots[np.arange(len(v)), region])
-    return minima
-
-
-def best_submatrix(h: NDArray) -> tuple[tuple[int, int], float]:
-    """Row pair of a 4 x 2 channel whose 2 x 2 submatrix has the least column
-    correlation; for a tetrahedral channel with eta >= 1 the returned value is
-    at most ``cos(pi / (2 sqrt(2) eta))``."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (4, 2):
-        raise ValueError("expected a 4 x 2 channel matrix")
-    best_pair, best_mu = _ROW_PAIRS[0], np.inf
-    for m, l in _ROW_PAIRS:
-        mu = reduce_channel(h[[m, l], :]).mu
-        if mu < best_mu:
-            best_pair, best_mu = (m, l), mu
-    return best_pair, float(best_mu)
 
 
 def __getattr__(name: str):

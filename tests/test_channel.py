@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
+from reference import correlation, distances, elevation, link_positions, qr_factor
 
 from losmimo.channel import (
     closed_form_2x2,
     deviation_factor,
     los_channel,
     mu_model,
-    reduce_channel,
 )
-from losmimo.geometry import (
-    LinkScenario,
-    transverse_axis,
-    exact_distances,
-    make_layout,
-    place_antennas,
-    uniform_rotation,
-)
+from losmimo.geometry import LinkSpec, make_layout, uniform_rotation
+from losmimo.montecarlo import ChannelLaw, _factor
 
 
 # lengths a library call must refuse: NaN and +inf pass a bare "<= 0" test
@@ -60,7 +54,7 @@ class TestLosChannel:
         d = np.sqrt(R * lam / 2)
         diffs = np.array([d * d / (2 * R), -d * d / (2 * R)])
         h = np.column_stack([np.ones(2), np.exp(2j * np.pi * diffs / lam)])
-        assert reduce_channel(h).mu < 1e-10
+        assert correlation(h)[0] < 1e-10
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -69,61 +63,92 @@ class TestLosChannel:
             los_channel(np.array([[1.0]]), 0.0)
 
 
+def factor(h):
+    """``montecarlo._factor`` of one unit-modulus channel h (n_r, 2): R from the
+    correlation rho = h_0^H h_1 / n_r of its columns."""
+    n_r = len(h)
+    return _factor(np.array([np.vdot(h[:, 0], h[:, 1]) / n_r]), n_r)[:, :, 0]
+
+
 class TestReduce:
+    """The 2 x 2 factor R of a unit-modulus channel H = QR that the BER engine
+    decodes on (``montecarlo._factor``), against the channel itself and
+    against ``np.linalg.qr`` (``reference.qr_factor``)."""
+
     def test_orthogonal_columns(self):
         h = np.array([[1, 1], [1j, -1j], [-1, 1], [-1j, -1j]], dtype=complex)
-        red = reduce_channel(h)
-        assert red.mu == pytest.approx(0.0, abs=1e-15)
-        assert red.r_matrix[0, 1] == 0
+        assert correlation(h)[0] == pytest.approx(0.0, abs=1e-15)
+        assert factor(h)[0, 1] == 0
 
     def test_rank_one(self):
         rng = np.random.default_rng(1)
         h1 = np.exp(2j * np.pi * rng.random(4))
         phi = 1.234
         h = np.column_stack([h1, np.exp(1j * phi) * h1])
-        red = reduce_channel(h)
-        assert red.mu == pytest.approx(1.0)
-        assert red.theta_mu == pytest.approx(phi)
-        assert red.r_matrix[1, 1] == 0
+        mu, theta = correlation(h)
+        assert mu == pytest.approx(1.0)
+        assert theta == pytest.approx(phi)
+        r = factor(h)
+        assert np.angle(r[0, 1]) == pytest.approx(phi)
+        # sqrt(1 - |rho|^2) turns |rho|'s last-bit rounding below 1 into 3e-8
+        assert r[1, 1] == pytest.approx(0.0, abs=1e-7)
 
     def test_gram_matrix_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             h = random_unit_modulus(rng, 4)
-            r = reduce_channel(h).r_matrix
+            r = factor(h)
             np.testing.assert_allclose(r.conj().T @ r, h.conj().T @ h, atol=1e-9)
 
     def test_q_factor_semi_unitary(self):
         rng = np.random.default_rng(3)
         h = random_unit_modulus(rng, 5)
-        r = reduce_channel(h).r_matrix
+        r = factor(h)
         q = h @ np.linalg.inv(r)
         np.testing.assert_allclose(q.conj().T @ q, np.eye(2), atol=1e-9)
 
     def test_structure_for_unit_modulus(self):
         rng = np.random.default_rng(4)
         h = random_unit_modulus(rng, 4)
-        red = reduce_channel(h)
+        r = factor(h)
+        mu, _ = correlation(h)
         s = np.sqrt(4)
-        assert red.r_matrix[0, 0] == pytest.approx(s)
-        assert abs(red.r_matrix[0, 1]) == pytest.approx(s * red.mu)
-        assert red.r_matrix[1, 1] == pytest.approx(s * np.sqrt(1 - red.mu**2), abs=1e-12)
-        assert red.r_matrix[1, 0] == 0
+        assert r[0, 0] == pytest.approx(s)
+        assert abs(r[0, 1]) == pytest.approx(s * mu)
+        assert r[1, 1] == pytest.approx(s * np.sqrt(1 - mu**2), abs=1e-12)
+        assert r[1, 0] == 0
 
     def test_phase_shift_covariance(self):
         rng = np.random.default_rng(5)
         h = random_unit_modulus(rng, 4)
-        base = reduce_channel(h)
+        base = factor(h)
         phi = 0.77
         shifted = h.copy()
         shifted[:, 1] *= np.exp(1j * phi)
-        red = reduce_channel(shifted)
-        assert red.mu == pytest.approx(base.mu, abs=1e-12)
-        assert red.theta_mu == pytest.approx((base.theta_mu + phi) % (2 * np.pi), abs=1e-12)
+        r = factor(shifted)
+        assert abs(r[0, 1]) == pytest.approx(abs(base[0, 1]), abs=1e-12)
+        assert np.angle(r[0, 1] / base[0, 1]) == pytest.approx(phi, abs=1e-12)
 
-    def test_zero_column_rejected(self):
-        with pytest.raises(ValueError, match="zero channel column"):
-            reduce_channel(np.array([[0.0, 1.0], [0.0, 1.0]]))
+    @pytest.mark.parametrize("tx_kind,rx_kind", [("ula", "ura"), ("pentagon", "tetrahedron")])
+    def test_factor_of_drawn_channels_is_their_qr_factor(self, tx_kind, rx_kind):
+        # the fig5 laws; rho and H are two views of the same links
+        link = LinkSpec(0.0042, make_layout(tx_kind, 2 if tx_kind == "ula" else None, 0.06),
+                        make_layout(rx_kind, 4, 0.25))
+        law = ChannelLaw(link, (4.43, 12.7))
+        n, n_r, s = 2_000, link.rx.n, np.sqrt(link.rx.n)
+        rho = law.rho(n, np.random.default_rng(41))
+        h = law.draw(n, np.random.default_rng(41)).transpose(2, 0, 1)
+        r = _factor(rho, n_r).transpose(2, 0, 1)
+        gram = n_r * np.stack([np.ones(n), rho, rho.conj(), np.ones(n)], axis=1).reshape(n, 2, 2)
+        np.testing.assert_allclose(r.conj().transpose(0, 2, 1) @ r, gram, atol=1e-9)
+        # upper-triangular, with a real non-negative diagonal
+        assert np.all(r[:, 1, 0] == 0)
+        diagonal = np.diagonal(r, axis1=1, axis2=2)
+        assert np.all(diagonal.imag == 0) and np.all(diagonal.real >= 0)
+        mu = np.abs(rho)
+        np.testing.assert_allclose(np.abs(r[:, 0, 1]), s * mu, rtol=1e-6)
+        np.testing.assert_allclose(r[:, 1, 1].real, s * np.sqrt(1 - mu**2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(r, qr_factor(h), atol=1e-9)
 
 
 class TestDeviationFactor:
@@ -192,7 +217,7 @@ class TestMuModel:
         d_t, d_r, R, lam = 0.145, 0.145, 10.0, 0.0042
         lay = make_layout("ula", 2, d_r)
         for beta in (0.0, 0.01, 0.2):
-            v = transverse_axis(0.0)  # array frame transverse axis, theta_1 = 0
+            v = np.array([0.0, 0.0, 1.0])  # array frame transverse axis, theta_1 = 0
             got = mu_model(lay, v, eta=deviation_factor(R, d_t, d_r, beta, lam))
             want = abs(np.cos(np.pi * d_t * d_r * np.cos(beta) / (R * lam)))
             assert got == pytest.approx(want, abs=1e-12)
@@ -292,27 +317,30 @@ class TestClosedForm:
         tx = make_layout("ula", 2, d)
         rx = make_layout("ula", 2, d)
         for beta in (0.0, 0.013, 0.029):
-            sc = LinkScenario(R=R, beta=beta, tx_layout=tx, rx_layout=rx)
-            h = los_channel(exact_distances(*place_antennas(sc)), lam)
-            red = reduce_channel(h)
+            # the transmit ULA at elevation beta, the receive ULA on the
+            # transverse axis z
+            tx_pos, rx_pos = link_positions(tx, rx, elevation(beta)[None], np.eye(3)[None],
+                                            np.array([R]))
+            mu_exact, theta_exact = correlation(los_channel(distances(tx_pos, rx_pos)[0], lam))
             mu, theta = closed_form_2x2(d, d, R, lam, beta)
-            assert red.mu == pytest.approx(mu, abs=5e-3)
+            assert mu_exact == pytest.approx(mu, abs=5e-3)
             # phases compared on the circle
-            assert abs(np.angle(np.exp(1j * (red.theta_mu - theta)))) < 0.01
+            assert abs(np.angle(np.exp(1j * (theta_exact - theta)))) < 0.01
 
 
 def test_model_matches_exact_distances_far_field():
-    # mu from exact distances vs the first-order model, R >= 100 x array radius
+    # mu from exact distances vs the first-order model, R >= 100 x array radius;
+    # the transmit ULA at elevation beta makes z the transverse axis
     rng = np.random.default_rng(8)
     tx = make_layout("ula", 2, 0.06)
     rx = make_layout("tetrahedron", spacing=0.25)
     lam = 0.0042
     for _ in range(25):
-        sc = LinkScenario(R=rng.uniform(16.0, 40.0), beta=rng.uniform(-0.6, 0.6),
-                          tx_layout=tx, rx_layout=rx,
-                          U_rx=uniform_rotation(rng))
-        h = los_channel(exact_distances(*place_antennas(sc)), lam)
-        exact_mu = reduce_channel(h).mu
-        v = sc.U_rx.T @ transverse_axis(sc.beta)
-        model_mu = mu_model(rx, v, eta=deviation_factor(sc.R, sc.tx_layout.spacing, rx.spacing, sc.beta, lam))
+        r_link, beta = rng.uniform(16.0, 40.0), rng.uniform(-0.6, 0.6)
+        u_rx = uniform_rotation(rng)
+        tx_pos, rx_pos = link_positions(tx, rx, elevation(beta)[None], u_rx[None],
+                                        np.array([r_link]))
+        exact_mu, _ = correlation(los_channel(distances(tx_pos, rx_pos)[0], lam))
+        v = u_rx.T @ np.array([0.0, 0.0, 1.0])
+        model_mu = mu_model(rx, v, eta=deviation_factor(r_link, tx.spacing, rx.spacing, beta, lam))
         assert abs(exact_mu - model_mu) < 0.01

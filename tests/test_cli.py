@@ -246,6 +246,19 @@ class TestSimulate:
         assert manifest["error"].endswith("whose squared distance is beyond a float")
         assert not list(out.glob("*.csv"))
 
+    def test_distance_beyond_phase_resolution_is_config_error(self, tmp_path):
+        # a fixed 2^62 m used to exit 0 with every rho real (theta_mu spread
+        # 0): rounding a distance moved its phase by up to 7.7e5 rad
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(MINI_SIM, distance={"law": "fixed", "value": 2**62}))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == (
+            "runs[0]: wavelength 0.0042 m and distance 4.611686018427388e+18 m: the rounding of "
+            "an antenna distance near 4.61169e+18 m moves its phase by up to 7.66e+05 rad, more "
+            "than 1e-06 rad")
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.parametrize("d_t", [1e-300, 5e-324])
     def test_collapsing_array_is_config_error(self, tmp_path, d_t):
         # a pentagon whose antennas underflow onto its centroid used to exit 4
@@ -915,9 +928,9 @@ class TestDensity:
         assert manifest["error"] == f"density config: bins must be at most 1000, got {bins}"
 
     @pytest.mark.parametrize("field,value,message", [
-        ("wavelength", 5e-324, "density config: wavelength 5e-324 m gives a phase 2 pi r / "
-                               "wavelength beyond a float at the largest antenna distance, "
-                               "10.145 m"),
+        ("wavelength", 5e-324, "density config: wavelength 5e-324 m and distance 10.0 m: the "
+                               "rounding of an antenna distance near 10.145 m moves its phase "
+                               "by up to inf rad, more than 1e-06 rad"),
         ("distance", 1e300, "density config: distance 1e+300 m puts antennas up to 1e+300 m "
                             "apart, whose squared distance is beyond a float"),
         ("distance", 1.7e308, "density config: distance 1.7e+308 m puts antennas up to "

@@ -4,22 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference import distances, elevation, link_positions, path_difference
 from scipy.stats import kstest
 
 from losmimo.channel import los_channel
 from losmimo.geometry import (
     ANTENNAS_MAX,
     SPACING_MIN,
-    LinkScenario,
     LinkSpec,
-    approx_path_difference,
-    link_axis,
-    transverse_axis,
-    exact_distances,
-    is_rotation,
     link_distances,
     make_layout,
-    place_antennas,
     place,
     rotation_columns,
     uniform_rotation,
@@ -177,8 +171,8 @@ class TestUniformRotation:
     def test_orthogonality_and_determinant(self):
         rng = np.random.default_rng(0)
         us = uniform_rotation(rng, 500)
-        for u in us:
-            assert is_rotation(u, tol=1e-12)
+        assert np.abs(us @ us.transpose(0, 2, 1) - np.eye(3)).max() <= 1e-12
+        assert np.abs(np.linalg.det(us) - 1.0).max() <= 1e-12
 
     def test_seed_determinism(self):
         a = uniform_rotation(np.random.default_rng(123), 50)
@@ -226,7 +220,7 @@ class TestUniformRotation:
         # |e_y . U^T v| is uniform on [0, 1] for a fixed unit v
         rng = np.random.default_rng(42)
         us = uniform_rotation(rng, 1_000_000)
-        v = transverse_axis(0.3)
+        v = np.array([-np.sin(0.3), 0.0, np.cos(0.3)])
         comp = np.abs((us.transpose(0, 2, 1) @ v)[:, 1])
         stat = kstest(comp, "uniform")
         assert stat.pvalue > 0.01
@@ -241,37 +235,33 @@ PLACEMENT_LAYOUTS = {
 }
 
 
-def per_axis_positions(layout, u):
-    """(n, n_ant, 3) positions of ``layout`` under the rotations ``u`` (n, 3, 3):
-    each antenna's coordinate on axis j times column j of its link's rotation,
-    summed over j in order. A coordinate of 0 adds an exact 0, so this is the
-    sum over the axes the layout occupies."""
-    pos = layout.positions
-    return sum(pos[None, :, j, None] * u[:, None, :, j] for j in range(3))
+def one_link(tx_layout, rx_layout, u_tx=np.eye(3), u_rx=np.eye(3), r_link=10.0):
+    """Library (3, n_ant) transmit and receive positions of one link along +x."""
+    tx = place(tx_layout, u_tx.T[tx_layout.axes, :, None])[:, :, 0]
+    rx = place(rx_layout, u_rx.T[rx_layout.axes, :, None])[:, :, 0]
+    return tx, rx + r_link * LINK_DIRECTION[:, None]
 
 
 class TestPlacement:
-    def _scenario(self, beta=0.0, R=10.0, rx_kind="tetrahedron", **kw):
-        tx = make_layout("ula", 2, 0.145)
-        rx = make_layout(rx_kind, spacing=0.25) if rx_kind == "tetrahedron" \
-            else make_layout(rx_kind, 4, 0.25)
-        return LinkScenario(R=R, beta=beta,
-                            tx_layout=tx, rx_layout=rx, **kw)
+    TX = make_layout("ula", 2, 0.145)
+    RX = make_layout("tetrahedron", spacing=0.25)
 
     def test_centroid_at_beta_zero(self):
-        _, rx = place_antennas(self._scenario())
-        np.testing.assert_allclose(rx.mean(axis=0), [10, 0, 0], atol=1e-12)
+        _, rx = one_link(self.TX, self.RX)
+        np.testing.assert_allclose(rx.mean(axis=1), [10, 0, 0], atol=1e-12)
 
     def test_centroid_rotation_invariant(self):
         rng = np.random.default_rng(3)
-        sc = self._scenario(beta=0.4, U_rx=uniform_rotation(rng))
-        _, rx = place_antennas(sc)
-        np.testing.assert_allclose(
-            rx.mean(axis=0), 10 * np.array([np.cos(0.4), 0, np.sin(0.4)]), atol=1e-9)
+        _, rx = one_link(self.TX, self.RX, elevation(0.4), uniform_rotation(rng))
+        np.testing.assert_allclose(rx.mean(axis=1), [10, 0, 0], atol=1e-9)
 
     def test_centroid_on_transmit_axis(self):
-        _, rx = place_antennas(self._scenario(beta=np.pi / 2))
-        np.testing.assert_allclose(rx.mean(axis=0), [0, 0, 10], atol=1e-9)
+        # at elevation pi/2 the transmit ULA lies along the link, and the
+        # receive centroid on its axis
+        tx, rx = one_link(self.TX, self.RX, elevation(np.pi / 2))
+        np.testing.assert_allclose(tx[1:], 0, atol=1e-16)
+        np.testing.assert_allclose(np.abs(tx[0]), 0.0725, rtol=1e-15)
+        np.testing.assert_allclose(rx.mean(axis=1), [10, 0, 0], atol=1e-9)
 
     def test_place_matches_einsum_reference(self):
         # einsum sums each coordinate in its own order: equal up to rounding,
@@ -299,28 +289,18 @@ class TestPlacement:
         u_tx, u_rx = uniform_rotation(rng, n), uniform_rotation(rng, n)
         r_link = rng.uniform(4.43, 12.7, n)
         axis = np.array([2.0, -1.0, 3.0]) / np.sqrt(14.0) if tilted else LINK_DIRECTION
-        ref_tx, ref_rot = per_axis_positions(tx_lay, u_tx), per_axis_positions(rx_lay, u_rx)
-        ref_rx = r_link[:, None, None] * axis + ref_rot
-        ref = np.linalg.norm(ref_rx[:, :, None, :] - ref_tx[:, None, :, :], axis=-1)
+        ref_tx, ref_rx = link_positions(tx_lay, rx_lay, u_tx, u_rx, r_link, axis)
+        ref = distances(ref_tx, ref_rx)
         tx = place(tx_lay, u_tx.T[tx_lay.axes])
         rx = place(rx_lay, u_rx.T[rx_lay.axes])
         rx += np.multiply.outer(axis, r_link)[:, None]
         assert np.array_equal(tx, ref_tx.transpose(2, 1, 0))
         assert np.array_equal(rx, ref_rx.transpose(2, 1, 0))
         assert np.array_equal(link_distances(tx, rx), ref.transpose(1, 2, 0))
-        assert np.array_equal(exact_distances(ref_tx, ref_rx), ref)
-        # the scalar API is a batch of one; its receive centroid lies in the x-z plane
-        beta = 0.3 if tilted else 0.0
-        for i in range(0, n, 97):
-            sc = LinkScenario(R=r_link[i], beta=beta, tx_layout=tx_lay, rx_layout=rx_lay,
-                              U_tx=u_tx[i], U_rx=u_rx[i])
-            tx_pos, rx_pos = place_antennas(sc)
-            assert np.array_equal(tx_pos, ref_tx[i])
-            assert np.array_equal(rx_pos, ref_rot[i] + r_link[i] * link_axis(beta))
 
     @pytest.mark.parametrize("kind", sorted(PLACEMENT_LAYOUTS))
     def test_columns_place_as_whole_rotations(self, kind):
-        # the engine builds only the columns, the scalar API whole matrices:
+        # the engine builds only the columns, uniform_rotation whole matrices:
         # both place an array with the same bits
         lay = PLACEMENT_LAYOUTS[kind]
         q = np.random.default_rng(5).standard_normal((8_209, 4))
@@ -360,21 +340,14 @@ class TestPlacement:
             place_both()
         assert time.process_time() - cpu < 1.3 * (time.perf_counter() - wall)
 
-    def test_near_field_warning(self):
-        with pytest.warns(UserWarning, match="array extent"):
-            self._scenario(R=0.5)
-
     @pytest.mark.parametrize("value", BAD_LENGTHS)
-    @pytest.mark.parametrize("field,message", [("R", "R must be positive"),
-                                               ("wavelength", "wavelength must be positive")])
+    @pytest.mark.parametrize("field,message", [("wavelength", "wavelength must be positive")])
     def test_lengths_must_be_finite(self, field, message, value):
-        # one link's lengths: R is the scenario's to check, and the wavelength
-        # enters its channel through los_channel
-        lengths = {"R": 10.0, "wavelength": 0.0042, field: value}
+        # the wavelength enters a link's channel through los_channel
+        lengths = {"wavelength": 0.0042, field: value}
+        tx, rx = one_link(self.TX, self.RX)
         with pytest.raises(ValueError, match=message):
-            sc = LinkScenario(R=lengths["R"], beta=0.0, tx_layout=make_layout("ula", 2, 0.145),
-                              rx_layout=make_layout("tetrahedron", spacing=0.25))
-            los_channel(exact_distances(*place_antennas(sc)), lengths["wavelength"])
+            los_channel(link_distances(tx[:, :, None], rx[:, :, None]), lengths["wavelength"])
 
 
 class TestLinkSpec:
@@ -411,69 +384,73 @@ class TestLinkSpec:
 
 
 class TestDistances:
+    @staticmethod
+    def link(tx, rx):
+        """``link_distances`` of one link's (n_t, 3) and (n_r, 3) positions, (n_r, n_t)."""
+        return link_distances(np.asarray(tx, float).T[:, :, None],
+                              np.asarray(rx, float).T[:, :, None])[:, :, 0]
+
     def test_pythagorean(self):
-        r = exact_distances(np.zeros((1, 3)), np.array([[3.0, 4.0, 0.0]]))
+        r = self.link(np.zeros((1, 3)), [[3.0, 4.0, 0.0]])
         assert r.shape == (1, 1)
         assert r[0, 0] == pytest.approx(5.0)
 
     def test_symmetric_midpoint_receiver(self):
         tx = make_layout("ula", 2, 0.145).positions
-        rx = np.array([[10.0, 0.0, 0.0]])
-        r = exact_distances(tx, rx)
+        r = self.link(tx, [[10.0, 0.0, 0.0]])
         expected = np.hypot(10.0, 0.0725)
         np.testing.assert_allclose(r, expected, rtol=1e-15)
 
     def test_coincident_antennas_rejected(self):
         with pytest.raises(ValueError, match="coincident"):
-            exact_distances(np.zeros((1, 3)), np.zeros((1, 3)))
+            self.link(np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 class TestApproxPathDifference:
-    def _random_scenario(self, rng, R=10.0, rx_kind="ura"):
-        tx = make_layout("ula", 2, 0.145)
-        rx = make_layout("ura", 4, 0.145) if rx_kind == "ura" \
-            else make_layout("tetrahedron", spacing=0.25)
-        return LinkScenario(R=R, beta=rng.uniform(-0.5, 0.5),
-                            tx_layout=tx, rx_layout=rx,
-                            U_tx=np.eye(3), U_rx=uniform_rotation(rng))
+    """The paper's first-order path difference (``reference.path_difference``)
+    against the exact distances of ``place`` and ``link_distances``. The
+    transmit ULA is turned to elevation beta (``reference.elevation``), so z
+    is the transverse axis and cos(theta_m) is antenna m's z offset over d_m."""
+
+    TX = make_layout("ula", 2, 0.145)
+
+    def exact_and_first_order(self, rx_layout, beta, u_rx, r_link):
+        tx, rx = one_link(self.TX, rx_layout, elevation(beta), u_rx, r_link)
+        r = link_distances(tx[:, :, None], rx[:, :, None])[:, :, 0]
+        cos_theta = (u_rx @ rx_layout.directions.T)[2]
+        return r[:, 1] - r[:, 0], path_difference(
+            self.TX.spacing, rx_layout.radii, beta, r_link, cos_theta)
 
     def test_orthogonal_antenna_term_vanishes(self):
-        tx = make_layout("ula", 2, 0.145)
         # a receive ULA rotated from the z onto the y axis lies in the plane
         # orthogonal to the transverse axis: theta = pi/2
-        rx = make_layout("ula", 2, 0.2)
         onto_y = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-        sc = LinkScenario(R=10.0, beta=0.3, tx_layout=tx, rx_layout=rx, U_rx=onto_y)
-        assert approx_path_difference(sc, 0) == pytest.approx(0.145 * np.sin(0.3), abs=1e-15)
+        _, approx = self.exact_and_first_order(make_layout("ula", 2, 0.2), 0.3, onto_y, 10.0)
+        np.testing.assert_allclose(approx, 0.145 * np.sin(0.3), rtol=0, atol=1e-15)
 
     def test_aligned_two_antenna_case(self):
         # receiver on the transverse axis at d_r / 2: difference d_t d_r / (2 R)
         d_t, d_r, R = 0.145, 0.145, 10.0
-        tx = make_layout("ula", 2, d_t)
-        rx = make_layout("ula", 2, d_r)
-        sc = LinkScenario(R=R, beta=0.0, tx_layout=tx, rx_layout=rx)
-        assert approx_path_difference(sc, 0) == pytest.approx(d_t * d_r / (2 * R), rel=1e-12)
+        _, approx = self.exact_and_first_order(make_layout("ula", 2, d_r), 0.0, np.eye(3), R)
+        assert approx[0] == pytest.approx(d_t * d_r / (2 * R), rel=1e-12)
 
     def test_matches_exact_distances(self):
         rng = np.random.default_rng(5)
+        rx = make_layout("ura", 4, 0.145)
         for _ in range(20):
-            sc = self._random_scenario(rng)
-            tx, rx = place_antennas(sc)
-            r = exact_distances(tx, rx)
-            for m in range(sc.rx_layout.n):
-                exact = r[m, 1] - r[m, 0]
-                assert abs(exact - approx_path_difference(sc, m)) < 1e-5
+            beta = rng.uniform(-0.5, 0.5)
+            exact, approx = self.exact_and_first_order(rx, beta, uniform_rotation(rng), 10.0)
+            assert np.abs(exact - approx).max() < 1e-5
 
     def test_error_shrinks_quadratically_with_distance(self):
+        rx = make_layout("tetrahedron", spacing=0.25)
         worst = {}
         for R in (10.0, 20.0):
             errs = []
             for k in range(50):
-                sc = self._random_scenario(np.random.default_rng(100 + k), R=R,
-                                           rx_kind="tetrahedron")
-                tx, rx = place_antennas(sc)
-                r = exact_distances(tx, rx)
-                errs += [abs((r[m, 1] - r[m, 0]) - approx_path_difference(sc, m))
-                         for m in range(4)]
+                rng = np.random.default_rng(100 + k)
+                beta = rng.uniform(-0.5, 0.5)
+                exact, approx = self.exact_and_first_order(rx, beta, uniform_rotation(rng), R)
+                errs.append(np.abs(exact - approx).max())
             worst[R] = max(errs)
         assert worst[10.0] / worst[20.0] >= 1.9

@@ -17,20 +17,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import correlation, distances, link_positions
 from scipy.stats import norm
 
 from losmimo import montecarlo
-from losmimo.channel import _phasors, los_channel, reduce_channel
+from losmimo.channel import _phasors, los_channel
 from losmimo.codes import build_codebook, difference_spectrum
 from losmimo.design import select_tx_pair
 from losmimo.geometry import (
-    LinkScenario,
     LinkSpec,
-    exact_distances,
     link_distances,
     make_layout,
     place,
-    place_antennas,
     rotation_normals,
     uniform_rotation,
 )
@@ -675,22 +673,40 @@ class TestRunBer:
     def test_phases_must_stay_floats(self):
         # 1 / 5e-324 is infinite, so every phase 2 pi r / wavelength was
         with pytest.raises(ValueError, match=re.escape(
-                "wavelength 5e-324 m gives a phase 2 pi r / wavelength beyond a float at the "
-                "largest antenna distance, ")):
+                "wavelength 5e-324 m and distance 10.0 m: the rounding of an antenna distance "
+                "near 10.2068 m moves its phase by up to inf rad, more than 1e-06 rad")):
             law(distance=10.0, wavelength=5e-324)
         law(distance=10.0, wavelength=5e-324, ideal=True)
 
     @pytest.mark.parametrize("side", [0.999, 1.001])
     def test_geometry_bound_is_where_the_links_overflow(self, side):
-        # just inside the bound every channel and every rho is finite, with
-        # no RuntimeWarning (an error in these tests); just past it the law
-        # is rejected
+        # just past the bound the squared distances overflow, and that is
+        # checked first; just inside it the rounding of a distance moves its
+        # phase by far more than the phase resolution
         high = side * math.sqrt(np.finfo(float).max / 3.0)
-        if side > 1:
-            with pytest.raises(ValueError, match="squared distance"):
+        message = "squared distance" if side > 1 else "moves its phase by up to 1.11e+141 rad"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            law("pentagon", "tetrahedron", distance=high)
+
+    @pytest.mark.parametrize("side", ["inside", "past"])
+    def test_phase_resolution_bound(self, side):
+        # a float rounds a distance r by up to ulp(r) / 2, which moves its
+        # phase 2 pi r / wavelength by up to pi ulp(r) / wavelength. At 4.2 mm
+        # that stays within PHASE_RESOLUTION below 2^23 m, where ulp doubles;
+        # the largest antenna distance is the law's distance plus both radii
+        channel_law = law()
+        reach = float(channel_law.link.tx.radii.max() + channel_law.link.rx.radii.max())
+        high = 2.0**23 - reach + (-1.0 if side == "inside" else 1.0)
+        error = math.pi * math.ulp(high + reach) / 0.0042
+        assert (error > montecarlo.PHASE_RESOLUTION) == (side == "past")
+        if side == "past":
+            with pytest.raises(ValueError, match=re.escape(
+                    f"wavelength 0.0042 m and distance {high!r} m: the rounding of an antenna "
+                    "distance near 8.38861e+06 m moves its phase by up to 1.39e-06 rad, more "
+                    "than 1e-06 rad")):
                 law(distance=high)
             return
-        channel_law = law("pentagon", "tetrahedron", distance=high)
+        channel_law = law(distance=high)
         assert np.all(np.isfinite(channel_law.draw(100, np.random.default_rng(3))))
         assert np.all(np.isfinite(channel_law.rho(100, np.random.default_rng(3))))
 
@@ -1032,7 +1048,8 @@ class TestEngineChannels:
     @pytest.mark.parametrize("tx_kind", ["ula", "triangle", "pentagon"])
     def test_match_scalar_link_pipeline(self, tx_kind, rx_kind):
         # the law draws distance, then transmit and receive rotations; the
-        # scalar path gets the same draws one link at a time
+        # reference positions and distances (plain NumPy) get the same draws,
+        # and a polygon's pair is selected one link at a time
         channel_law = law(tx_kind, rx_kind)
         tx, rx = channel_law.link.tx, channel_law.link.rx
         n = 2_000
@@ -1041,14 +1058,12 @@ class TestEngineChannels:
         r_link = rng.uniform(*channel_law.distance, n)
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
-        for i in range(n):
-            link = LinkScenario(R=r_link[i], beta=0.0,
-                                tx_layout=tx, rx_layout=rx, U_tx=u_tx[i], U_rx=u_rx[i])
-            tx_pos, rx_pos = place_antennas(link)
-            if tx.n > 2:
-                tx_pos = tx_pos[list(select_tx_pair(tx, u_tx[i]).pair)]
-            want = los_channel(exact_distances(tx_pos, rx_pos), channel_law.link.wavelength)
-            assert np.array_equal(h[i], want)
+        tx_pos, rx_pos = link_positions(tx, rx, u_tx, u_rx, r_link)
+        if tx.n > 2:
+            tx_pos = np.stack([pos[list(select_tx_pair(tx, u).pair)]
+                               for pos, u in zip(tx_pos, u_tx)])
+        want = los_channel(distances(tx_pos, rx_pos), channel_law.link.wavelength)
+        assert np.array_equal(h, want)
 
     @pytest.mark.parametrize("tx_kind", ["triangle", "pentagon"])
     def test_match_whole_matrix_pipeline_across_pieces(self, tx_kind):
@@ -1365,8 +1380,9 @@ class TestJointDensity:
 
     @pytest.mark.parametrize("rx_kind", ["ula", "ura"])
     def test_matches_scalar_exact_geometry(self, rx_kind):
-        # the batched histogram bins exactly what the scalar link pipeline
-        # gives for the same rotations (transmit drawn first, then receive)
+        # the batched histogram bins exactly what the reference link pipeline
+        # (plain NumPy, one link's mu and theta_mu at a time) gives for the
+        # same rotations (transmit drawn first, then receive)
         tx = make_layout("ula", 2, 0.145)
         rx = make_layout(rx_kind, 2 if rx_kind == "ula" else 4, 0.145)
         seed, n = 8, 20_000
@@ -1376,11 +1392,8 @@ class TestJointDensity:
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
         theta, mu = np.empty(n), np.empty(n)
+        h = los_channel(distances(*link_positions(tx, rx, u_tx, u_rx, np.full(n, 10.0))), 0.0042)
         for i in range(n):
-            link = LinkScenario(R=10.0, beta=0.0, tx_layout=tx,
-                                rx_layout=rx, U_tx=u_tx[i], U_rx=u_rx[i])
-            red = reduce_channel(los_channel(exact_distances(*place_antennas(link)),
-                                             0.0042))
-            theta[i], mu[i] = red.theta_mu, red.mu
+            mu[i], theta[i] = correlation(h[i])
         counts, _, _ = np.histogram2d(theta, mu, bins=[grid.theta_edges, grid.mu_edges])
         assert np.array_equal(grid.counts, counts.astype(np.int64))

@@ -3,19 +3,17 @@ import itertools
 
 import numpy as np
 import pytest
+from reference import EDGE_CHUNK, correlation, edge_code_region_minima
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from losmimo import orientation
-from losmimo.channel import mu_model, reduce_channel
+from losmimo.channel import mu_model
 from losmimo.geometry import TETRAHEDRON_DIRECTIONS, _fibonacci_sphere, make_layout, uniform_rotation
 from losmimo.orientation import (
     PENTAGON_ETA_SCALE,
-    best_submatrix,
     compute_mu_star_curve,
     edge_code,
-    edge_code_region_minima,
-    edge_code_worst_distortion,
     fundamental_domain,
     icosphere_vertices,
     mu_of_direction,
@@ -92,6 +90,12 @@ def model_tetra_channel(eta, v):
     return np.column_stack([np.ones(4, dtype=complex), np.exp(1j * phases)])
 
 
+def best_submatrix_mu(h):
+    """The least column correlation of the six 2 x 2 row-pair submatrices of
+    a 4 x 2 channel."""
+    return min(correlation(h[list(pair)])[0] for pair in itertools.combinations(range(4), 2))
+
+
 class TestEdgeCode:
     def test_twelve_unit_vectors(self):
         g = edge_code()
@@ -144,8 +148,7 @@ class TestMuOfDirection:
         # cos(pi/2) = 0
         g = edge_code()[0]
         h = model_tetra_channel(1.0, g)
-        _, musub = best_submatrix(h)
-        assert musub == pytest.approx(0.0, abs=1e-12)
+        assert best_submatrix_mu(h) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestIcosphere:
@@ -465,7 +468,8 @@ class TestMuPentStar:
 
 class TestDistortion:
     def test_converges_to_sqrt_half(self):
-        val = edge_code_worst_distortion(samples=400_000)
+        # min over v of max_i g_i . v: the least of the region minima
+        val = edge_code_region_minima(400_000).min()
         assert SQRT_HALF - 1e-9 <= val <= SQRT_HALF + 2e-3
 
     def test_edge_directions_are_fixed_points(self):
@@ -474,8 +478,9 @@ class TestDistortion:
             assert np.max(g @ v) == pytest.approx(1.0)
 
     def test_region_minima_match_per_region_loop(self):
-        # 1.1M samples: two full pieces of the scan and a partial one
-        samples, chunk = 1_100_000, 500_000
+        # the reference scan that criterion 2 reads, against a plain loop over
+        # the regions; 1.1M samples: two full pieces of the scan and a partial one
+        samples, chunk = 1_100_000, EDGE_CHUNK
         g = edge_code()
         expected = np.full(12, np.inf)
         for s in range(0, samples, chunk):
@@ -488,7 +493,7 @@ class TestDistortion:
         assert np.array_equal(edge_code_region_minima(samples), expected)
 
     def test_region_minima_congruent(self):
-        minima = edge_code_region_minima(samples=2_000_000)
+        minima = edge_code_region_minima(2_000_000)
         assert np.all(np.isfinite(minima))
         assert minima.max() - minima.min() < 2e-3
         np.testing.assert_allclose(minima, SQRT_HALF, atol=2e-3)
@@ -500,8 +505,7 @@ class TestBestSubmatrix:
         cap = np.cos(np.pi / (2 * np.sqrt(2)))
         for _ in range(2000):
             v = uniform_rotation(rng) @ np.array([0, 0, 1.0])
-            _, musub = best_submatrix(model_tetra_channel(1.0, v))
-            assert musub <= cap + 1e-9
+            assert best_submatrix_mu(model_tetra_channel(1.0, v)) <= cap + 1e-9
 
     def test_formula_matches_reduction(self):
         rng = np.random.default_rng(3)
@@ -512,7 +516,7 @@ class TestBestSubmatrix:
             eta = rng.uniform(0.5, 2.5)
             h = model_tetra_channel(eta, v)
             for idx, (m, l) in enumerate(pairs):
-                direct = reduce_channel(h[[m, l], :]).mu
+                direct, _ = correlation(h[[m, l], :])
                 formula = abs(np.cos((np.pi / (2 * eta)) * float(g[idx] @ v)))
                 assert direct == pytest.approx(formula, abs=1e-9)
 
@@ -522,13 +526,8 @@ class TestBestSubmatrix:
             v = uniform_rotation(rng) @ np.array([0, 0, 1.0])
             eta = rng.uniform(0.8, 3.0)
             h = model_tetra_channel(eta, v)
-            mu = reduce_channel(h).mu
-            _, musub = best_submatrix(h)
-            assert mu <= 0.5 * musub + 0.5 + 1e-9
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            best_submatrix(np.ones((3, 2)))
+            mu, _ = correlation(h)
+            assert mu <= 0.5 * best_submatrix_mu(h) + 0.5 + 1e-9
 
 
 def test_curve_csv_export(tmp_path, curve):
