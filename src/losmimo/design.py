@@ -46,14 +46,14 @@ def beta_cap(tx_kind: str) -> float:
 
 @dataclass(frozen=True)
 class PairSelection:
-    """Chosen transmit pair: indices, realised elevation, baseline length and
-    (for pentagons) whether the pair is a neighbouring one. A selection over a
-    batch of n rotations holds arrays: ``pair`` (n, 2) and the rest (n,)."""
+    """The transmit pair of each of n links: indices ``pair`` (n, 2), and (n,)
+    realised elevations, baseline lengths and (for pentagons; None otherwise)
+    whether the pair is a neighbouring one."""
 
-    pair: tuple[int, int] | NDArray
-    beta: float | NDArray
-    spacing: float | NDArray
-    neighbouring: bool | NDArray | None
+    pair: NDArray
+    beta: NDArray
+    spacing: NDArray
+    neighbouring: NDArray | None
 
 
 @dataclass(frozen=True)
@@ -74,70 +74,59 @@ class DesignSpec:
         beta_cap(self.link.tx.kind)
 
 
-def _sin_beta_table(tx_layout: ArrayLayout, columns: NDArray) -> tuple[NDArray, NDArray, NDArray]:
-    """Every index pair of ``tx_layout`` (pairs, 2), its baseline length and the
+def _sin_beta_table(tx_layout: ArrayLayout, columns: NDArray) -> tuple:
+    """Every index pair of ``tx_layout`` (pairs, 2), its baseline length, which
+    pairs are neighbouring (a pentagon's edges; None for other kinds) and the
     (n, pairs) table of ``sin(beta)``: the x component of the unit baseline
-    rotated by each of n rotations, the link running along +x. The rotations
-    are their (len(axes), 3, n) columns on ``tx_layout.axes``, as
-    ``geometry.rotation_columns`` builds them."""
+    rotated by each of the n rotations whose columns on ``tx_layout.axes`` are
+    ``columns`` (len(axes), 3, n), the link running along +x."""
     if tx_layout.n < 3:
         raise ValueError("pair selection needs at least 3 transmit antennas")
+    axes = tx_layout.axes.tolist()
+    # all three columns of a polygon would read its x column as its y column
+    if np.ndim(columns) != 3 or np.shape(columns)[:2] != (len(axes), 3):
+        raise ValueError(f"columns must be the ({len(axes)}, 3, n) rotation columns on the "
+                         f"transmit axes {axes}, got shape {np.shape(columns)}")
     pairs = np.array([(m, n) for m in range(tx_layout.n) for n in range(m + 1, tx_layout.n)])
     b = tx_layout.positions[pairs[:, 0]] - tx_layout.positions[pairs[:, 1]]
     lengths = np.linalg.norm(b, axis=1)
+    near = (np.abs(lengths - tx_layout.spacing) < 1e-9 * tx_layout.spacing
+            if tx_layout.kind == "pentagon" else None)
     # the x row of the rotations against every baseline, summed over the axes
     # present in einsum's order (x0 b0 + x2 b2) + x1 b1: the pentagon's
     # spacing class hangs on the last bit
-    axes = list(tx_layout.axes)
     terms = [columns[axes.index(a), 0, :, None] * b[:, a] for a in (0, 2, 1) if a in axes]
-    return pairs, lengths, sum(terms[1:], terms[0]) / lengths
+    return pairs, lengths, near, sum(terms[1:], terms[0]) / lengths
 
 
-def _axis_columns(tx_layout: ArrayLayout, u_tx: NDArray) -> NDArray:
-    """The columns on ``tx_layout.axes`` of one (3, 3) rotation or of (n, 3, 3)."""
-    return np.asarray(u_tx, dtype=float).reshape(-1, 3, 3).T[tx_layout.axes]
-
-
-def _selection(tx_layout: ArrayLayout, pairs: NDArray, lengths: NDArray, sin_beta: NDArray,
-               best: NDArray, batch: bool) -> PairSelection:
-    """The ``best`` pair of each row of the table; scalars unless ``batch``."""
+def _selection(pairs: NDArray, lengths: NDArray, near: NDArray | None, sin_beta: NDArray,
+               best: NDArray) -> PairSelection:
+    """The ``best`` pair of each row of ``_sin_beta_table``'s table."""
     beta = np.arcsin(np.clip(sin_beta[np.arange(len(best)), best], -1, 1))
-    spacing = lengths[best]
-    neighbouring = None
-    if tx_layout.kind == "pentagon":
-        neighbouring = np.abs(spacing - tx_layout.spacing) < 1e-9 * tx_layout.spacing
-    if batch:
-        return PairSelection(pair=pairs[best], beta=beta, spacing=spacing,
-                             neighbouring=neighbouring)
-    return PairSelection(pair=tuple(int(i) for i in pairs[best[0]]), beta=float(beta[0]),
-                         spacing=float(spacing[0]),
-                         neighbouring=None if neighbouring is None else bool(neighbouring[0]))
+    return PairSelection(pair=pairs[best], beta=beta, spacing=lengths[best],
+                         neighbouring=None if near is None else near[best])
 
 
-def select_tx_pair(tx_layout: ArrayLayout, u_tx: NDArray) -> PairSelection:
-    """Pick the two transmit antennas minimising ``|sin(beta)|`` for a link
-    along +x (``geometry.LINK_DIRECTION``), the array rotated by ``u_tx``: one
-    (3, 3) rotation, or (n, 3, 3) for a batch.
+def select_tx_pair(tx_layout: ArrayLayout, columns: NDArray) -> PairSelection:
+    """Pick the two transmit antennas minimising ``|sin(beta)|`` for each of n
+    links along +x (``geometry.LINK_DIRECTION``), the array rotated by the
+    rotations whose columns on ``tx_layout.axes`` are ``columns``: the
+    (len(axes), 3, n) ``geometry.rotation_columns(q, tx_layout.axes)``, or
+    ``u.T[tx_layout.axes]`` for (n, 3, 3) matrices ``u``.
 
     Exact ties go to the smallest index pair, but each pentagon edge is
     parallel to a diagonal, so their ``|sin(beta)|`` agree up to rounding
     (4e-16) and rounding picks either, about half the time each.
     """
-    return _closest_pairs(tx_layout, _axis_columns(tx_layout, u_tx), np.ndim(u_tx) == 3)
+    table = _sin_beta_table(tx_layout, columns)
+    return _selection(*table, np.argmin(np.abs(table[3]), axis=1))
 
 
-def _closest_pairs(tx_layout: ArrayLayout, columns: NDArray, batch: bool = True) -> PairSelection:
-    """``select_tx_pair`` of the rotations given by their columns on
-    ``tx_layout.axes``, as the Monte-Carlo engine builds them."""
-    pairs, lengths, sin_beta = _sin_beta_table(tx_layout, columns)
-    return _selection(tx_layout, pairs, lengths, sin_beta, np.argmin(np.abs(sin_beta), axis=1),
-                      batch)
-
-
-def select_tx_pair_for_quality(spec: DesignSpec, u_tx: NDArray, r_link: float | NDArray,
+def select_tx_pair_for_quality(spec: DesignSpec, columns: NDArray, r_link: float | NDArray,
                                curve: MuStarCurve) -> PairSelection:
-    """Pentagon-aware selection honouring ``spec``'s quality target, for one
-    link (``u_tx`` (3, 3), ``r_link`` a float) or a batch ((n, 3, 3) and (n,)).
+    """Pentagon-aware selection honouring ``spec``'s quality target for n
+    links at distances ``r_link`` (a float, or (n,)), the transmit rotations
+    given by their columns as for ``select_tx_pair``.
 
     Each link takes the minimum-``|beta|`` pair first. Where the worst-case
     curve at that pair's deviation factor exceeds ``mu_max``, it takes the
@@ -145,19 +134,17 @@ def select_tx_pair_for_quality(spec: DesignSpec, u_tx: NDArray, r_link: float | 
     baseline moves eta onto the admissible branch; either class on its own
     caps ``|beta|`` at pi/10. Triangles keep the plain selection.
     """
-    tx = spec.link.tx
-    pairs, lengths, sin_beta = _sin_beta_table(tx, _axis_columns(tx, u_tx))
-    size = np.abs(sin_beta)
+    table = _sin_beta_table(spec.link.tx, columns)
+    near, size = table[2], np.abs(table[3])
     best = np.argmin(size, axis=1)
-    if tx.kind == "pentagon":
-        first = _selection(tx, pairs, lengths, sin_beta, best, batch=True)
+    if near is not None:
+        first = _selection(*table, best)
         eta = deviation_factor(r_link, first.spacing, spec.link.rx.spacing, first.beta,
                                spec.link.wavelength)
         fails = curve.value_at(np.clip(eta, curve.etas[0], curve.etas[-1])) > spec.mu_max
-        near = np.abs(lengths - tx.spacing) < 1e-9 * tx.spacing   # neighbouring pairs
         other_class = np.where(near == near[best, None], np.inf, size)
         best = np.where(fails, np.argmin(other_class, axis=1), best)
-    return _selection(tx, pairs, lengths, sin_beta, best, np.ndim(u_tx) == 3)
+    return _selection(*table, best)
 
 
 @dataclass(frozen=True)

@@ -78,13 +78,14 @@ class ArrayLayout:
         object.__setattr__(self, "radii", r)
         if d.shape != (len(r), 3):
             raise ValueError("directions must be (n, 3) matching radii length")
+        # both checks are written so that a NaN fails them
         norms = np.linalg.norm(d, axis=1)
-        bad = np.abs(norms - 1.0) > 1e-9
+        bad = ~(np.abs(norms - 1.0) <= 1e-9)
         # antennas at the centroid itself (radius 0) may carry any direction
-        if np.any(bad & (r > 0)):
+        if np.any(bad & (r != 0)):
             raise ValueError("direction rows must be unit vectors")
         centroid = np.linalg.norm((r[:, None] * d).mean(axis=0))
-        if centroid > 1e-9 * max(r.max(), 1e-30):
+        if not centroid <= 1e-9 * max(r.max(), 1e-30):
             raise ValueError(f"layout centroid is off-origin by {centroid:g} m")
 
     def _key(self) -> tuple:
@@ -140,17 +141,29 @@ def _fibonacci_sphere(n: int, start: int = 0, stop: int | None = None) -> NDArra
 
 
 def _read_unit_vectors(path) -> NDArray:
+    """The (rows, 3) unit vectors of a CSV file, one per row; a file that
+    cannot be read or a row that is no unit vector is a ValueError naming the
+    file."""
     rows = []
-    with open(path, newline="") as f:
-        for rec in csv.reader(f):
-            if not rec or rec[0].lstrip().startswith("#"):
-                continue
-            if len(rec) != 3:
-                raise ValueError(f"{path}: expected 3 columns per row, got {len(rec)}")
-            rows.append([float(x) for x in rec])
-    v = np.array(rows, dtype=float)
+    try:
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            for rec in reader:
+                if not rec or rec[0].lstrip().startswith("#"):
+                    continue
+                line = f"{path}: line {reader.line_num}"
+                if len(rec) != 3:
+                    raise ValueError(f"{line}: expected 3 columns per row, got {len(rec)}")
+                try:
+                    rows.append([float(x) for x in rec])
+                except ValueError as exc:
+                    raise ValueError(f"{line}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    v = np.array(rows, dtype=float).reshape(-1, 3)
     norms = np.linalg.norm(v, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
+    # written so that a NaN row fails it
+    if not np.all(np.abs(norms - 1.0) <= 1e-6):
         raise ValueError(f"{path}: rows must be unit vectors within 1e-6")
     return v / norms[:, None]
 

@@ -29,7 +29,7 @@ from numpy.typing import NDArray
 from ._csv import write_csv
 from .channel import _phasors, los_channel
 from .codes import Codebook, build_codebook
-from .design import _closest_pairs
+from .design import select_tx_pair
 # nothing here draws whole rotation matrices, but the benchmark's tracer
 # patches uniform_rotation in this module, so it stays imported
 from .geometry import (LINK_DIRECTION, LinkSpec, link_distances, place, rotation_columns,
@@ -59,6 +59,9 @@ DENSITY_PIECE = 8_192
 # counts, and each block's np.bincount of as many, stay at 8 MB, and the CSV
 # at 10^6 rows
 DENSITY_BINS = 1_000
+# the most points of a campaign's SNR grid: the engine builds one (4 + 4T) x K
+# weight matrix per point (24 KiB for Golden); counted before any is built
+SNR_POINTS = 1_000
 # the most samples of joint_density: about an hour on 2 cores for a 2 x 2 link
 # at a fixed distance, at 0.35 us per sample (0.55 us for pentagon x
 # tetrahedron over a distance range); counted before any array is built
@@ -185,13 +188,13 @@ def _link_distances(link: LinkSpec, q_tx: NDArray, q_rx: NDArray,
     ``r_link`` (a float, or (n,)) along ``LINK_DIRECTION``, the arrays rotated
     by the quaternions ``q_tx`` and ``q_rx`` (n, 4). Each array is placed from
     the rotation columns of its axes alone, and a polygon's transmit pair is
-    read off the same transmit columns (``design.select_tx_pair``'s rule)."""
+    read off the same transmit columns (``design.select_tx_pair``)."""
     tx_columns = rotation_columns(q_tx, link.tx.axes)
     tx = place(link.tx, tx_columns)
     rx = place(link.rx, rotation_columns(q_rx, link.rx.axes))
     rx += LINK_DIRECTION[:, None, None] * r_link
     if link.tx.n > 2:
-        pair = _closest_pairs(link.tx, tx_columns).pair
+        pair = select_tx_pair(link.tx, tx_columns).pair
         tx = tx[:, pair.T, np.arange(len(q_tx))]
     return link_distances(tx, rx)
 
@@ -252,6 +255,8 @@ def check_campaign(snr_db, max_trials, target_errors, seed, block_trials) -> tup
         raise ValueError("trial budgets must be positive")
     check_seed(seed)
     snr_db = tuple(snr_db)
+    if len(snr_db) > SNR_POINTS:
+        raise ValueError(f"SNR grid must have at most {SNR_POINTS} points, got {len(snr_db)}")
     if not snr_db or not all(_is_real(s) and _is_finite(s) for s in snr_db):
         raise ValueError(f"SNR grid must be a non-empty list of finite numbers, got {snr_db!r}")
     if list(snr_db) != sorted(snr_db):

@@ -165,10 +165,10 @@ def test_criterion_07_selection_guarantees():
         results[kind] = np.arcsin(worst)
         assert results[kind] <= cap + 1e-9
         # spot-check the vectorised sweep against the selection routine
-        for u in uniform_rotation(rng, 200):
-            sel = select_tx_pair(lay, u)
-            sweep = np.abs(base @ u[0, :]).min()
-            assert abs(np.sin(sel.beta)) == pytest.approx(sweep, abs=1e-12)
+        u = uniform_rotation(rng, 200)
+        sel = select_tx_pair(lay, u.T[lay.axes])
+        sweep = np.abs(u[:, 0, :] @ base.T).min(axis=1)
+        np.testing.assert_allclose(np.abs(np.sin(sel.beta)), sweep, rtol=0, atol=1e-12)
     report(7, True, f"10^6 rotations: triangle max |beta|={results['triangle']:.4f}"
                     f" <= pi/6, pentagon max |beta|={results['pentagon']:.4f} <= pi/10")
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_geometry import BAD_COORDS, bad_coords_file
 
 import losmimo
 from losmimo import orientation
@@ -25,6 +26,7 @@ from losmimo.cli import (
     main,
 )
 from losmimo.geometry import ANTENNAS_MAX
+from losmimo.montecarlo import SNR_POINTS
 
 MINI_SIM = {
     "wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25, "n_r": 4,
@@ -160,16 +162,31 @@ class TestSimulate:
         assert main(["simulate", "--config", path,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
-    def test_runtime_failure_exit_code(self, tmp_path):
-        cfg = dict(MINI_SIM)
-        cfg["runs"] = [{"name": "bad", "scheme": "sm", "tx_kind": "ula",
-                        "rx_kind": "spherical-code",
-                        "rx_coords_file": str(tmp_path / "missing.csv")}]
-        path = write_config(tmp_path, cfg)
+    def test_runtime_failure_exit_code(self, tmp_path, monkeypatch):
+        def fail(sims, workers):
+            raise RuntimeError("the engine failed")
+
+        monkeypatch.setattr(losmimo.cli, "run_ber", fail)
         out = tmp_path / "out"
-        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_RUNTIME
+        assert main(["simulate", "--config", write_config(tmp_path, MINI_SIM),
+                     "--out", str(out)]) == EXIT_RUNTIME
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
+
+    @pytest.mark.parametrize("case", list(BAD_COORDS))
+    def test_unusable_coords_file_is_config_error(self, tmp_path, case):
+        # a missing file or a directory used to exit 4, a NaN row to fail on
+        # the NaN radii of the layout it built, and an empty file or a
+        # non-numeric cell to name neither the file nor the line
+        path, message = bad_coords_file(tmp_path, case)
+        cfg = dict(MINI_SIM, runs=[{"name": "code", "scheme": "sm", "tx_kind": "ula",
+                                    "rx_kind": "spherical-code", "rx_coords_file": str(path)}])
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error.startswith(f"runs[0]: {path}: ") and message in error, error
+        assert not (out / "code.csv").exists()
 
     def test_coords_file_with_another_rx_kind_is_config_error(self, tmp_path):
         # used to run on the built-in URA and ignore the file
@@ -1056,7 +1073,8 @@ class TestSimulateSweep:
     ENTRIES = {"empty": lambda first: [], "repeated": lambda first: [first, first],
                "number": lambda first: [0], "str": lambda first: ["7"],
                "bool": lambda first: [True], "null": lambda first: [None],
-               "list": lambda first: [[first]], "object": lambda first: [{}]}
+               "list": lambda first: [[first]], "object": lambda first: [{}],
+               "beyond-bound": lambda first: [first] * (SNR_POINTS + 1)}
 
     def config(self, where, field, value):
         cfg = copy.deepcopy(self.BASE)
@@ -1095,6 +1113,21 @@ class TestSimulateSweep:
     def test_list_field_boundary_exits_0_2_or_3(self, tmp_path, field, entries):
         # no entry raises the base's trial budget, so no run can go long
         self.run(tmp_path, {**self.BASE, field: self.ENTRIES[entries](self.BASE[field][0])})
+
+    def test_snr_grid_beyond_the_bound_is_config_error(self, tmp_path, monkeypatch):
+        # a 200,000-point grid used to build 4.6 GiB of decoder weights for
+        # Golden and exit 4 with a MemoryError under a 2 GB address-space limit
+        def no_run(sims, workers):
+            raise AssertionError("a campaign started")
+
+        monkeypatch.setattr(losmimo.cli, "run_ber", no_run)
+        out = tmp_path / "out"
+        cfg = {**self.BASE, "snr_db": list(range(SNR_POINTS + 1))}
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert json.loads((out / "manifest.json").read_text())["error"] == (
+            f"simulate config: SNR grid must have at most {SNR_POINTS} points, "
+            f"got {SNR_POINTS + 1}")
 
 
 class TestDesignSweep:

@@ -1,3 +1,7 @@
+import importlib.resources
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -13,10 +17,23 @@ from losmimo.design import (
     select_tx_pair,
     select_tx_pair_for_quality,
 )
-from losmimo.geometry import LINK_DIRECTION, LinkSpec, make_layout, uniform_rotation
-from losmimo.orientation import MuStarCurve
+from losmimo.geometry import (
+    LINK_DIRECTION,
+    LinkSpec,
+    make_layout,
+    rotation_columns,
+    rotation_normals,
+    uniform_rotation,
+)
+from losmimo.orientation import PENTAGON_ETA_SCALE, MuStarCurve, mu_star
 
 GOLDEN = (1 + np.sqrt(5)) / 2
+
+
+def columns(tx_layout, u):
+    """The columns on ``tx_layout.axes`` of (n, 3, 3) rotations ``u``, as the
+    pair rules take them."""
+    return u.T[tx_layout.axes]
 
 
 def spec_for(kind, mu_max=2 / 3, rx=None):
@@ -99,39 +116,32 @@ class TestSelectTxPair:
     def test_perpendicular_link_breaks_ties_low(self):
         # polygons lie in the y-z plane, so the x axis is normal to them
         lay = make_layout("triangle", spacing=0.06)
-        sel = select_tx_pair(lay, np.eye(3))
-        assert sel.pair == (0, 1)
-        assert sel.beta == pytest.approx(0.0, abs=1e-15)
+        sel = select_tx_pair(lay, columns(lay, np.eye(3)[None]))
+        assert sel.pair.tolist() == [[0, 1]]
+        assert sel.beta[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_triangle_cap(self):
         lay = make_layout("triangle", spacing=0.06)
         rng = np.random.default_rng(0)
-        cap = np.sin(np.pi / 6)
-        for u in uniform_rotation(rng, 20_000):
-            sel = select_tx_pair(lay, u)
-            assert abs(np.sin(sel.beta)) <= cap + 1e-12
+        sel = select_tx_pair(lay, columns(lay, uniform_rotation(rng, 20_000)))
+        assert np.all(np.abs(np.sin(sel.beta)) <= np.sin(np.pi / 6) + 1e-12)
 
     def test_pentagon_cap_and_classes(self):
         lay = make_layout("pentagon", spacing=0.06)
         rng = np.random.default_rng(1)
-        cap = np.sin(np.pi / 10)
-        seen = set()
-        for u in uniform_rotation(rng, 20_000):
-            sel = select_tx_pair(lay, u)
-            assert abs(np.sin(sel.beta)) <= cap + 1e-12
-            seen.add(sel.neighbouring)
-            want = 0.06 if sel.neighbouring else GOLDEN * 0.06
-            assert sel.spacing == pytest.approx(want)
-        assert seen == {True, False}
+        sel = select_tx_pair(lay, columns(lay, uniform_rotation(rng, 20_000)))
+        assert np.all(np.abs(np.sin(sel.beta)) <= np.sin(np.pi / 10) + 1e-12)
+        assert set(sel.neighbouring) == {True, False}
+        np.testing.assert_allclose(sel.spacing, np.where(sel.neighbouring, 0.06, GOLDEN * 0.06))
 
     def test_restricted_classes(self, curve):
         # no pair meets mu_max = 0.01, so every link moves to the best pair of
         # the other spacing class, which still caps |beta| at pi/10
         spec = spec_for("pentagon", mu_max=0.01)
         rng = np.random.default_rng(2)
-        u_tx = uniform_rotation(rng, 2_000)
-        plain = select_tx_pair(spec.link.tx, u_tx)
-        sel = select_tx_pair_for_quality(spec, u_tx, rng.uniform(4.43, 12.7, 2_000), curve)
+        cols = columns(spec.link.tx, uniform_rotation(rng, 2_000))
+        plain = select_tx_pair(spec.link.tx, cols)
+        sel = select_tx_pair_for_quality(spec, cols, rng.uniform(4.43, 12.7, 2_000), curve)
         assert np.array_equal(sel.neighbouring, ~plain.neighbouring)
         assert np.all(np.abs(np.sin(sel.beta)) <= np.sin(np.pi / 10) + 1e-12)
         want = np.where(sel.neighbouring, 0.06, GOLDEN * 0.06)
@@ -141,31 +151,36 @@ class TestSelectTxPair:
         ("triangle", None), ("pentagon", None),
         pytest.param("triangle", 2 / 3, id="triangle-quality"),
         pytest.param("pentagon", 2 / 3, id="pentagon-quality")])
-    def test_batch_matches_per_row(self, kind, mu_max, curve):
-        # without mu_max the plain selection; with it the quality rule, whose
-        # scalar call is a batch of one
+    def test_selection_does_not_depend_on_the_batch(self, kind, mu_max, curve):
+        # without mu_max the plain selection; with it the quality rule. The
+        # cuts are those of the engine's link test: one link, an uneven
+        # middle and the rest
         lay = make_layout(kind, spacing=0.06)
         rng = np.random.default_rng(4)
-        u_tx = uniform_rotation(rng, 2_000)
-        r_link = rng.uniform(4.43, 12.7, 2_000)
+        n = 10_000
+        cols = rotation_columns(rotation_normals(rng, n), lay.axes)
+        r_link = rng.uniform(4.43, 12.7, n)
         if mu_max is None:
-            batch = select_tx_pair(lay, u_tx)
-            rows = [select_tx_pair(lay, u) for u in u_tx]
+            def select(i):
+                return select_tx_pair(lay, cols[:, :, i])
         else:
             spec = spec_for(kind, mu_max)
-            batch = select_tx_pair_for_quality(spec, u_tx, r_link, curve)
-            rows = [select_tx_pair_for_quality(spec, u, r, curve) for u, r in zip(u_tx, r_link)]
-        assert batch.pair.shape == (2_000, 2)
-        for i, one in enumerate(rows):
-            assert one.pair == tuple(batch.pair[i])
-            assert one.beta == batch.beta[i]
-            assert one.spacing == batch.spacing[i]
-            assert one.neighbouring == (None if batch.neighbouring is None
-                                        else batch.neighbouring[i])
+
+            def select(i):
+                return select_tx_pair_for_quality(spec, cols[:, :, i], r_link[i], curve)
+        whole = select(np.arange(n))
+        cut = [select(i) for i in np.split(np.arange(n), [1, 4_096, 8_193])]
+        assert whole.pair.shape == (n, 2)
+        for field in ("pair", "beta", "spacing", "neighbouring"):
+            got = [getattr(piece, field) for piece in cut]
+            if getattr(whole, field) is None:
+                assert got == [None] * len(cut)
+            else:
+                assert np.concatenate(got).tobytes() == getattr(whole, field).tobytes()
         if kind == "triangle":
-            plain = select_tx_pair(lay, u_tx)
-            assert np.array_equal(batch.pair, plain.pair)
-            assert np.array_equal(batch.beta, plain.beta)
+            plain = select_tx_pair(lay, cols)
+            assert np.array_equal(whole.pair, plain.pair)
+            assert np.array_equal(whole.beta, plain.beta)
 
     @pytest.mark.parametrize("kind,n", [("triangle", None), ("pentagon", None),
                                         ("spherical-code", 4)],
@@ -181,15 +196,32 @@ class TestSelectTxPair:
         sin_beta = (np.einsum("nij,pj->npi", u_tx, baselines)
                     / np.linalg.norm(baselines, axis=1)[:, None]) @ LINK_DIRECTION
         best = np.argmin(np.abs(sin_beta), axis=1)
-        sel = select_tx_pair(lay, u_tx)
+        sel = select_tx_pair(lay, columns(lay, u_tx))
         assert np.array_equal(sel.pair, pairs[best])
         beta = np.arcsin(sin_beta[np.arange(len(best)), best])
         # sign bits too: bytes, not values
         assert sel.beta.tobytes() == beta.tobytes()
 
     def test_too_few_antennas(self):
+        lay = make_layout("ula", 2, 0.06)
         with pytest.raises(ValueError, match="at least 3"):
-            select_tx_pair(make_layout("ula", 2, 0.06), np.eye(3))
+            select_tx_pair(lay, columns(lay, np.eye(3)[None]))
+
+    @pytest.mark.parametrize("kind", ["triangle", "pentagon"])
+    def test_columns_must_be_those_of_the_layout_axes(self, kind, curve):
+        # all three columns of a polygon in the y-z plane would read its x
+        # column as y and pick the wrong pairs; whole matrices and one
+        # rotation's columns are no columns either
+        spec = spec_for(kind)
+        lay = spec.link.tx
+        u = uniform_rotation(np.random.default_rng(5), 4)
+        for wrong in (u.T, u, u[0].T[lay.axes]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"columns must be the (2, 3, n) rotation columns on the transmit axes "
+                    f"[1, 2], got shape {wrong.shape}")):
+                select_tx_pair(lay, wrong)
+            with pytest.raises(ValueError, match="columns must be the"):
+                select_tx_pair_for_quality(spec, wrong, 8.0, curve)
 
 
 class TestQualityRule:
@@ -202,13 +234,13 @@ class TestQualityRule:
         n = 20_000
         r_link = rng.uniform(4.43, 12.7, n)
         u_tx = uniform_rotation(rng, n)
-        sel = select_tx_pair_for_quality(spec, u_tx, r_link, curve)
+        sel = select_tx_pair_for_quality(spec, columns(tx, u_tx), r_link, curve)
         want = [parent_quality_rule(tx, u_tx[i], LINK_DIRECTION, r_link[i], rx.spacing,
                                     spec.link.wavelength, spec.mu_max, curve) for i in range(n)]
         assert np.array_equal(sel.pair, np.array([w.pair for w in want]))
         assert sel.beta.tobytes() == np.array([w.beta for w in want]).tobytes()
         assert np.array_equal(sel.neighbouring, [w.neighbouring for w in want])
-        switched = np.mean(sel.neighbouring != select_tx_pair(tx, u_tx).neighbouring)
+        switched = np.mean(sel.neighbouring != select_tx_pair(tx, columns(tx, u_tx)).neighbouring)
         assert 0.3 < switched < 0.5
 
 
@@ -296,22 +328,39 @@ class TestDesignGuarantee:
         res = design_link(spec, curve)
         tx, rx = spec.link.tx, spec.link.rx
         rng = np.random.default_rng(3)
-        worst = 0.0
-        for _ in range(4000):
-            r_link = rng.uniform(res.r_min, res.r_max)
-            u_tx = uniform_rotation(rng)
-            u_rx = uniform_rotation(rng)
-            sel = select_tx_pair_for_quality(spec, u_tx, r_link, curve)
-            pos = tx.positions @ u_tx.T
-            t = pos[sel.pair[0]] - pos[sel.pair[1]]
-            t /= np.linalg.norm(t)
-            # auxiliary z' axis: in-plane transverse component of the baseline
-            z_aux = (t - np.sin(sel.beta) * LINK_DIRECTION) / np.cos(sel.beta)
-            eta = deviation_factor(r_link, sel.spacing, rx.spacing, sel.beta,
-                                   spec.link.wavelength)
-            mu = mu_model(rx, u_rx.T @ z_aux, eta)
-            worst = max(worst, mu)
-        assert worst <= spec.mu_max + 0.01
+        n = 4000
+        draws = [(rng.uniform(res.r_min, res.r_max), uniform_rotation(rng), uniform_rotation(rng))
+                 for _ in range(n)]
+        r_link, u_tx, u_rx = (np.array(d) for d in zip(*draws))
+        sel = select_tx_pair_for_quality(spec, columns(tx, u_tx), r_link, curve)
+        pos = np.einsum("nij,aj->nai", u_tx, tx.positions)
+        t = pos[np.arange(n), sel.pair[:, 0]] - pos[np.arange(n), sel.pair[:, 1]]
+        t /= np.linalg.norm(t, axis=1, keepdims=True)
+        # auxiliary z' axis: in-plane transverse component of the baseline
+        z_aux = (t - np.sin(sel.beta)[:, None] * LINK_DIRECTION) / np.cos(sel.beta)[:, None]
+        eta = deviation_factor(r_link, sel.spacing, rx.spacing, sel.beta, spec.link.wavelength)
+        mu = mu_model(rx, np.einsum("nji,nj->ni", u_rx, z_aux), eta)
+        assert mu.max() <= spec.mu_max + 0.01
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "FOUND in CHANGES.md: eta_range bisects the linearly interpolated mu* curve, so "
+        "both recipes' eta_max overshoots mu_max by 5.3e-6"))
+    @pytest.mark.parametrize("recipe", ["design_triangle", "design_pentagon"])
+    def test_solver_worst_case_within_target_at_the_window_ends(self, recipe, curve):
+        # the worst case at each end of the designed window, from the solver
+        # rather than the interpolated curve: mu*(eta), and for a pentagon the
+        # better of its two spacing classes
+        cfg = json.loads(importlib.resources.files("losmimo.recipes")
+                         .joinpath(f"{recipe}.json").read_text())
+        spec = DesignSpec(mu_max=cfg["mu_max"], link=LinkSpec(
+            cfg["wavelength"], make_layout(cfg["tx_kind"], spacing=cfg["d_t"]),
+            make_layout("tetrahedron", spacing=cfg["d_r"])))
+        res = design_link(spec, curve)
+        for eta in (res.eta_min, res.eta_max):
+            worst = mu_star(eta)[0]
+            if cfg["tx_kind"] == "pentagon":
+                worst = min(worst, mu_star(PENTAGON_ETA_SCALE * eta)[0])
+            assert worst <= spec.mu_max, f"mu* = {worst!r} at eta = {eta!r}"
 
     def test_triangle_design_result_fields(self, curve):
         res = design_link(spec_for("triangle"), curve)

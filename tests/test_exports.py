@@ -80,6 +80,27 @@ def test_every_module_name_is_read(path):
     assert unread == set()
 
 
+# every private name one library module imports from another, with the reason
+# it is shared rather than made public: (importer, module, name) -> reason
+PRIVATE_IMPORTS = {
+    ("montecarlo", "channel", "_phasors"):
+        "the link phasors are built the way los_channel builds an entry, in one routine",
+    ("cli", "montecarlo", "_usable_cpus"):
+        "simulate's default --workers and the manifest take the engine's count of usable CPUs",
+    ("cli", "orientation", "_cell_grid"):
+        "the manifest records how many grid points the mu* scan screens per eta",
+}
+
+
+def test_private_imports_are_listed():
+    # a private name read across modules is an interface no __all__ shows
+    found = {(path.stem, node.module or "__init__", alias.name)
+             for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names
+             if alias.name.startswith("_") and not alias.name.startswith("__")}
+    assert found == set(PRIVATE_IMPORTS)
+
+
 def test_package_import_loads_no_numpy():
     # the package resolves its names lazily, so losmimo.cli is the first
     # losmimo code to load NumPy and sets nothing up before it

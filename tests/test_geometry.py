@@ -11,6 +11,7 @@ from losmimo.channel import los_channel
 from losmimo.geometry import (
     ANTENNAS_MAX,
     SPACING_MIN,
+    ArrayLayout,
     LinkSpec,
     link_distances,
     make_layout,
@@ -24,6 +25,28 @@ GOLDEN = (1 + np.sqrt(5)) / 2
 
 # lengths a library call must refuse: NaN and +inf pass a bare "<= 0" test
 BAD_LENGTHS = [float("nan"), float("inf"), -float("inf"), 0.0, -0.1]
+
+# coordinates files a 4-antenna spherical code must refuse, each with the end
+# of its error, which begins with the file's path: case -> (the file's text,
+# or None for no file and "dir" for a directory; the message)
+BAD_COORDS = {
+    "missing": (None, "No such file or directory"),
+    "directory": ("dir", "Is a directory"),
+    "nan": ("1,0,0\n0,nan,0\n0,0,1\n-1,0,0\n", "rows must be unit vectors within 1e-6"),
+    "empty": ("", "expected 4 rows, found 0"),
+    "non-numeric": ("1,0,0\na,0,0\n", "line 2: could not convert string to float: 'a'"),
+}
+
+
+def bad_coords_file(tmp_path, case):
+    """The path of a ``BAD_COORDS`` case, made under ``tmp_path``, and its message."""
+    text, message = BAD_COORDS[case]
+    path = tmp_path / f"{case}.csv"
+    if text == "dir":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    return path, message
 
 
 class TestMakeLayout:
@@ -132,6 +155,22 @@ class TestMakeLayout:
         bad_norm.write_text("1,0,0\n0,2,0\n")
         with pytest.raises(ValueError, match="unit vectors"):
             make_layout("spherical-code", 2, 0.5, coords_file=bad_norm)
+
+    @pytest.mark.parametrize("case", list(BAD_COORDS))
+    def test_unusable_coords_file_is_named(self, tmp_path, case):
+        # a missing file or a directory used to raise an OSError, a NaN row to
+        # build a layout of NaN radii, an empty file to fail on a 1-D array
+        # and a non-numeric cell to name neither the file nor the line
+        path, message = bad_coords_file(tmp_path, case)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            make_layout("spherical-code", 4, 0.5, coords_file=path)
+
+    def test_nan_layout_rejected(self):
+        # a NaN direction and a NaN radius used to pass both checks
+        with pytest.raises(ValueError, match="direction rows must be unit vectors"):
+            ArrayLayout("spherical-code", [[np.nan, 0.0, 0.0], [-1.0, 0.0, 0.0]], [1.0, 1.0], 2.0)
+        with pytest.raises(ValueError, match="layout centroid is off-origin by nan m"):
+            ArrayLayout("spherical-code", [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [np.nan, 1.0], 2.0)
 
     @pytest.mark.parametrize("kind", ["ula", "ura", "tetrahedron", "triangle", "pentagon"])
     def test_coords_file_only_for_spherical_code(self, tmp_path, kind):

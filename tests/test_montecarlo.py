@@ -37,6 +37,7 @@ from losmimo.montecarlo import (
     DENSITY_BLOCK,
     DENSITY_PIECE,
     LINK_DIRECTION,
+    SNR_POINTS,
     ChannelLaw,
     SimConfig,
     _Engine,
@@ -768,6 +769,14 @@ class TestRunBer:
         with pytest.raises(ValueError, match="non-empty list of finite numbers"):
             SimConfig(scheme="sm", law=law(), snr_db=snr_db)
 
+    def test_snr_grid_is_bounded(self):
+        # the engine builds a decoder weight matrix per point
+        with pytest.raises(ValueError, match=f"SNR grid must have at most {SNR_POINTS} points, "
+                                             f"got {SNR_POINTS + 1}"):
+            SimConfig(scheme="golden", law=law(), snr_db=range(SNR_POINTS + 1))
+        assert len(SimConfig(scheme="golden", law=law(), snr_db=range(SNR_POINTS)).snr_db) \
+            == SNR_POINTS
+
     @pytest.mark.parametrize("snr_db", [(-4000.0,), (-4000.0, 0.0), (-3300.0,)])
     def test_snr_whose_linear_value_underflows_rejected(self, snr_db):
         # the engine used to decode with zero weights, every trial as codeword 0
@@ -1049,7 +1058,7 @@ class TestEngineChannels:
     def test_match_scalar_link_pipeline(self, tx_kind, rx_kind):
         # the law draws distance, then transmit and receive rotations; the
         # reference positions and distances (plain NumPy) get the same draws,
-        # and a polygon's pair is selected one link at a time
+        # and a polygon's pair is selected on the whole matrices' columns
         channel_law = law(tx_kind, rx_kind)
         tx, rx = channel_law.link.tx, channel_law.link.rx
         n = 2_000
@@ -1060,8 +1069,8 @@ class TestEngineChannels:
         u_rx = uniform_rotation(rng, n)
         tx_pos, rx_pos = link_positions(tx, rx, u_tx, u_rx, r_link)
         if tx.n > 2:
-            tx_pos = np.stack([pos[list(select_tx_pair(tx, u).pair)]
-                               for pos, u in zip(tx_pos, u_tx)])
+            pair = select_tx_pair(tx, u_tx.T[tx.axes]).pair
+            tx_pos = tx_pos[np.arange(n)[:, None], pair]
         want = los_channel(distances(tx_pos, rx_pos), channel_law.link.wavelength)
         assert np.array_equal(h, want)
 
@@ -1077,7 +1086,7 @@ class TestEngineChannels:
         rng = np.random.default_rng(23)
         r_link = rng.uniform(*channel_law.distance, n)
         u_tx, u_rx = uniform_rotation(rng, n), uniform_rotation(rng, n)
-        selection = select_tx_pair(tx, u_tx)
+        selection = select_tx_pair(tx, u_tx.T[tx.axes])
         tx_pos = place(tx, u_tx.T[tx.axes])[:, selection.pair.T, np.arange(n)]
         rx_pos = place(rx, u_rx.T[rx.axes]) + np.multiply.outer(LINK_DIRECTION, r_link)[:, None]
         want = los_channel(link_distances(tx_pos, rx_pos), channel_law.link.wavelength)
@@ -1153,7 +1162,7 @@ def whole_block_counts(channel_law, samples, seed, bins=25):
         u_rx = uniform_rotation(rng, n)
         tx, rx = whole_matrix_positions(link, u_tx, u_rx, r_link)
         if link.tx.n > 2:
-            tx = tx[:, select_tx_pair(link.tx, u_tx).pair.T, np.arange(n)]
+            tx = tx[:, select_tx_pair(link.tx, u_tx.T[link.tx.axes]).pair.T, np.arange(n)]
         dist = link_distances(tx, rx)
         diff = np.ascontiguousarray((dist[:, 1] - dist[:, 0]).T)
         inner = np.exp(2j * np.pi * diff / link.wavelength).sum(axis=1)
