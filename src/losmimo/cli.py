@@ -43,8 +43,8 @@ from .metrics import coding_gain
 from .montecarlo import (ChannelLaw, SimConfig, _usable_cpus, channel_groups, check_campaign,
                          check_density_inputs, check_distance, check_seed, joint_density,
                          run_ber, task_processes)
-from .orientation import (ETA_START, ETA_STEP, ETA_STOP, _cell_grid, check_eta_grid,
-                          compute_mu_star_curve)
+from .orientation import (ETA_START, ETA_STEP, ETA_STOP, EtaGridError, _cell_grid,
+                          check_eta_grid, compute_mu_star_curve)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,6 +53,8 @@ EXIT_RUNTIME = 4
 
 # the most values of a gain grid: every mu step down to 1e-6
 MU_POINTS = 1_000_001
+# the curves flag of each eta grid parameter that check_eta_grid's errors name
+ETA_FLAGS = {"eta_start": "--eta-start", "eta_stop": "--eta-stop", "eta step": "--eta-step"}
 
 
 class ConfigError(Exception):
@@ -353,8 +355,8 @@ def _cmd_design(args, manifest: Manifest) -> int:
 def _cmd_curves(args, manifest: Manifest) -> int:
     try:
         check_eta_grid(args.eta_start, args.eta_stop, args.eta_step)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except EtaGridError as exc:
+        raise ConfigError(f"{', '.join(ETA_FLAGS[p] for p in exc.params)}: {exc}") from exc
     curve = _mu_star_curve(manifest, args.eta_start, args.eta_stop, args.eta_step)
     out = manifest.write("mu_star_curve.csv", curve.write_csv)
     manifest.write("plot_curves.py", lambda path: path.write_text(PLOT_CURVES))
@@ -377,14 +379,14 @@ def _cmd_density(args, manifest: Manifest) -> int:
 
 def _cmd_gain(args, manifest: Manifest) -> int:
     if not np.isfinite(args.mu_step):
-        raise ConfigError(f"mu step must be finite, got {args.mu_step!r}")
+        raise ConfigError(f"--mu-step: mu step must be finite, got {args.mu_step!r}")
     # the mu grid, 0 to 1 inclusive, has ceil(stop / step) values, at most
     # MU_POINTS where stop / step is; that quotient is taken only for a step
     # that keeps it near MU_POINTS, as it would overflow for a small enough one
     stop = 1.0 + 1e-12
     if not (args.mu_step >= stop / MU_POINTS and stop / args.mu_step <= MU_POINTS):
-        raise ConfigError(f"mu step must be at least {stop / MU_POINTS:g}, which leaves at "
-                          f"most {MU_POINTS} mu values, got {args.mu_step!r}")
+        raise ConfigError(f"--mu-step: mu step must be at least {stop / MU_POINTS:g}, which "
+                          f"leaves at most {MU_POINTS} mu values, got {args.mu_step!r}")
     schemes = list(SCHEMES) if args.scheme == "all" else [args.scheme]
     mus = np.arange(0.0, stop, args.mu_step)
     table = np.column_stack(

@@ -16,7 +16,7 @@ from numpy.typing import NDArray
 
 from .channel import deviation_factor
 from .geometry import ArrayLayout, LinkSpec
-from .orientation import MuStarCurve
+from .orientation import ETA_START, ETA_STOP, MuStarCurve
 
 __all__ = [
     "PairSelection",
@@ -60,7 +60,10 @@ class PairSelection:
 class DesignSpec:
     """A quality target ``mu <= mu_max`` for ``link``, whose transmitter is a
     triangle or a pentagon and whose receiver is the tetrahedron that the mu*
-    curve is computed for. The lengths are checked where the link is built."""
+    curve is computed for. The lengths are checked where the link is built,
+    and their link distances R = eta 2 d_t d_r / wavelength here: over the
+    standard eta grid they must be positive finite floats, or no window of
+    ``distance_range`` could be told from an empty one."""
 
     mu_max: float
     link: LinkSpec
@@ -72,6 +75,20 @@ class DesignSpec:
             raise ValueError("the mu* curve is the tetrahedron's; no design for receive "
                              f"kind {self.link.rx.kind!r}")
         beta_cap(self.link.tx.kind)
+        link = self.link
+        r_low, r_high = ETA_START * _eta_scale(link), ETA_STOP * _eta_scale(link)
+        if not 0.0 < r_low <= r_high < np.inf:
+            raise ValueError(
+                f"d_t = {link.tx.spacing!r} m, d_r = {link.rx.spacing!r} m and wavelength "
+                f"{link.wavelength!r} m give link distances R = eta 2 d_t d_r / wavelength "
+                f"from {r_low:g} to {r_high:g} m for eta in [{ETA_START:g}, {ETA_STOP:g}]; "
+                "they must be positive finite floats")
+
+
+def _eta_scale(link: LinkSpec) -> float:
+    """R / eta = 2 d_t d_r / wavelength: the link distance per unit of the
+    deviation factor at boresight."""
+    return 2.0 * link.tx.spacing * link.rx.spacing / link.wavelength
 
 
 def _sin_beta_table(tx_layout: ArrayLayout, columns: NDArray) -> tuple:
@@ -205,10 +222,9 @@ def distance_range(eta_min: float, eta_max: float, spec: DesignSpec) -> tuple[fl
     ``R_max = eta_max 2 d_t d_r cos(beta_max) / wavelength``."""
     if not 0 < eta_min < eta_max:
         raise ValueError("need 0 < eta_min < eta_max")
-    link = spec.link
-    base = 2.0 * link.tx.spacing * link.rx.spacing / link.wavelength
+    base = _eta_scale(spec.link)
     r_min = eta_min * base
-    r_max = eta_max * base * np.cos(beta_cap(link.tx.kind))
+    r_max = eta_max * base * np.cos(beta_cap(spec.link.tx.kind))
     if r_min >= r_max:
         raise InfeasibleDesignError(
             f"empty distance window: R_min = {r_min:.3f} m >= R_max = {r_max:.3f} m")

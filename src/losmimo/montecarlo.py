@@ -62,6 +62,12 @@ DENSITY_BINS = 1_000
 # the most points of a campaign's SNR grid: the engine builds one (4 + 4T) x K
 # weight matrix per point (24 KiB for Golden); counted before any is built
 SNR_POINTS = 1_000
+# the most trials x receive antennas of a BER block, min(block_trials,
+# max_trials) x n_r: a block's (n_r, 2, n) distances and phasors grow with it,
+# and at 2,500 trials and geometry.ANTENNAS_MAX = 256 antennas it peaks near 81
+# MiB, so the default block passes at every layout; counted before any array
+# is built
+BLOCK_ANTENNAS = 2_500 * 256
 # the most samples of joint_density: about an hour on 2 cores for a 2 x 2 link
 # at a fixed distance, at 0.35 us per sample (0.55 us for pentagon x
 # tetrahedron over a distance range); counted before any array is built
@@ -100,9 +106,9 @@ class ChannelLaw:
     them: laws that compare equal draw the same channels from the same stream.
 
     ``link`` holds the wavelength and both arrays; the receive array is any
-    layout, and ``link.rx.n`` is n_r. ``distance`` is either a float (fixed
-    range) or a (low, high) pair for a uniformly distributed inter-terminal
-    distance; unless ``ideal`` is set, it must stay beyond the sum of the
+    layout, and ``link.rx.n`` is n_r. ``distance`` is the (low, high) range of a
+    uniform inter-terminal distance; a number d is (d, d), which draws nothing.
+    Unless ``ideal`` is set, it must stay beyond the sum of the
     transmit and receive array radii, the largest antenna distance it allows,
     squared, must be a float, and the rounding of that distance may move its
     phase 2 pi r / wavelength by at most ``PHASE_RESOLUTION``.
@@ -115,14 +121,13 @@ class ChannelLaw:
     """
 
     link: LinkSpec
-    distance: float | tuple[float, float]
+    distance: tuple[float, float]
     ideal: bool = False
 
     def __post_init__(self):
-        distance = check_distance(self.distance)
-        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "distance", check_distance(self.distance))
         if not self.ideal:
-            low, high = distance if isinstance(distance, tuple) else (distance, distance)
+            low, high = self.distance
             wavelength = self.link.wavelength
             reach = float(self.link.tx.radii.max() + self.link.rx.radii.max())
             if not low > reach:
@@ -172,20 +177,20 @@ def _ideal_channel(n_r: int) -> NDArray:
 
 def _law_draws(law: ChannelLaw, n: int, rng: np.random.Generator) -> tuple:
     """The draws of n links of the geometric ``law`` from ``rng``, in the
-    order every consumer of the law shares: the distances (none at a fixed
-    distance), then the quaternion normals of the transmit rotations, then of
-    the receive rotations. Returned as ``_link_distances``' (q_tx, q_rx,
-    r_link), r_link the law's float at a fixed distance."""
-    distance = law.distance
-    r_link = rng.uniform(*distance, n) if isinstance(distance, tuple) else distance
+    order every consumer of the law shares: the distances (drawn only where
+    low < high), then the quaternion normals of the transmit rotations, then
+    of the receive rotations. Returned as ``_link_distances``' (q_tx, q_rx,
+    r_link), r_link (n,): at low == high a zero-stride view, which holds no
+    memory (``np.full`` raised ``density``'s peak RSS by 3 MiB)."""
+    low, high = law.distance
+    r_link = rng.uniform(low, high, n) if low < high else np.broadcast_to(low, (n,))
     q_tx = rotation_normals(rng, n)
     return q_tx, rotation_normals(rng, n), r_link
 
 
-def _link_distances(link: LinkSpec, q_tx: NDArray, q_rx: NDArray,
-                    r_link: float | NDArray) -> NDArray:
+def _link_distances(link: LinkSpec, q_tx: NDArray, q_rx: NDArray, r_link: NDArray) -> NDArray:
     """The (n_r, 2, n) distances of n links with their receive centroids
-    ``r_link`` (a float, or (n,)) along ``LINK_DIRECTION``, the arrays rotated
+    ``r_link`` (n,) along ``LINK_DIRECTION``, the arrays rotated
     by the quaternions ``q_tx`` and ``q_rx`` (n, 4). Each array is placed from
     the rotation columns of its axes alone, and a polygon's transmit pair is
     read off the same transmit columns (``design.select_tx_pair``)."""
@@ -199,7 +204,7 @@ def _link_distances(link: LinkSpec, q_tx: NDArray, q_rx: NDArray,
     return link_distances(tx, rx)
 
 
-def _links_rho(link: LinkSpec, q_tx: NDArray, q_rx: NDArray, r_link: float | NDArray) -> NDArray:
+def _links_rho(link: LinkSpec, q_tx: NDArray, q_rx: NDArray, r_link: NDArray) -> NDArray:
     """rho = h_0^H h_1 / n_r of the links ``_link_distances`` places: the
     phasors of each link's n_r path differences, each built as ``los_channel``
     builds an entry (one exponential per receive antenna), summed over the
@@ -224,24 +229,28 @@ class SimConfig:
         build_codebook(self.scheme)
         object.__setattr__(self, "snr_db", check_campaign(
             self.snr_db, self.max_trials, self.target_errors, self.seed, self.block_trials))
+        n, n_r = min(self.block_trials, self.max_trials), self.law.link.rx.n
+        if n * n_r > BLOCK_ANTENNAS:
+            raise ValueError(f"block_trials must leave at most {BLOCK_ANTENNAS} trials x receive "
+                             f"antennas per block, got min(block_trials, max_trials) x n_r = "
+                             f"{n} x {n_r}")
 
 
-def check_distance(distance) -> float | tuple[float, float]:
-    """Check a distance law, a fixed distance (a real number, NumPy's too) or a
-    (low, high) range given as a tuple or list of two; return it as floats.
-    Clearance of the arrays is ``ChannelLaw``'s to check."""
-    if _is_real(distance):
-        if not _is_finite(distance):
-            raise ValueError(f"distance must be finite, got {distance!r}")
-        return float(distance)
-    if not (isinstance(distance, (tuple, list)) and len(distance) == 2
-            and all(_is_real(d) for d in distance)):
-        raise ValueError(f"distance must be a number or a (low, high) pair of numbers, "
-                         f"got {distance!r}")
-    lo, hi = distance
-    if not (0 < lo <= hi and _is_finite(hi)):
-        raise ValueError("distance range must satisfy 0 < low <= high < inf")
-    return float(lo), float(hi)
+def check_distance(distance) -> tuple[float, float]:
+    """Check a distance law, a (low, high) range given as a tuple or list of
+    two, or a fixed distance d (a real number, NumPy's too), which is (d, d);
+    return the range as floats. Clearance is ``ChannelLaw``'s to check."""
+    match distance:
+        case (lo, hi) if _is_real(lo) and _is_real(hi):
+            if not (0 < lo <= hi and _is_finite(hi)):
+                raise ValueError("distance range must satisfy 0 < low <= high < inf")
+            return float(lo), float(hi)
+        case d if _is_real(d):
+            if not _is_finite(d):
+                raise ValueError(f"distance must be finite, got {d!r}")
+            return float(d), float(d)
+    raise ValueError(f"distance must be a number or a (low, high) pair of numbers, "
+                     f"got {distance!r}")
 
 
 def check_campaign(snr_db, max_trials, target_errors, seed, block_trials) -> tuple[float, ...]:
@@ -313,8 +322,10 @@ def _wilson(errors: int, n: int) -> tuple[float, float]:
 
 
 class _Engine:
-    """Per-campaign state shared by its trial blocks: the codebook and, per SNR
-    point, the linear SNR, the decoder's weights and the distance bound's scale.
+    """Per-campaign constants shared by its trial blocks: the codebook and, per
+    SNR point, the linear SNR, the decoder's weights and the distance bound's
+    scale. It keeps no counts: ``block_errors`` returns a block's, and
+    ``_run_group`` sums them.
 
     The engine decodes on the 2 x 2 sufficient statistic. A link's n_r x 2
     unit-modulus channel factors as H = Q R, with orthonormal columns in Q and
@@ -323,8 +334,7 @@ class _Engine:
     CN(0, 1) of size 2 x T, and the part of N orthogonal to Q's columns adds
     the same amount to every codeword's metric. So a trial draws W, 2 x T, and
     is decided on r = sqrt(snr) R X + W: the ML decision on (H, y), at a cost
-    that does not grow with n_r. ``decoded`` counts the trials decoded at each
-    point."""
+    that does not grow with n_r."""
 
     def __init__(self, config: SimConfig):
         self.codebook = cb = build_codebook(config.scheme)
@@ -340,7 +350,6 @@ class _Engine:
         self.terms = np.column_stack([a - SETTLE_ALLOWANCE, 2.0 * c.real, -2.0 * c.imag])
         # (2, T, K): a gather over trials comes out n-last
         self.codewords_nlast = np.ascontiguousarray(cb.codewords.transpose(1, 2, 0))
-        self.decoded = [0] * len(self.snr)
 
     def distance(self, rho: NDArray) -> NDArray:
         """The bound D of ``block_errors`` for each correlation ``rho``: the
@@ -355,12 +364,12 @@ class _Engine:
         return d
 
     def block_errors(self, f: NDArray, rho: NDArray, rng: np.random.Generator,
-                     points: Sequence[int]) -> list[int]:
-        """Bit errors of one block over the n-last (2, 2, n) factors ``f``
-        (``_factor``) of the correlations ``rho`` at each of the SNR points
-        ``points``, in increasing order. The codewords and the noise W are
-        drawn from ``rng`` once (``_draw_trials``), and ``point_errors``
-        scores them at every point.
+                     points: Sequence[int]) -> tuple[NDArray, NDArray]:
+        """The bit errors and the trials decoded, (len(points),) each, of one
+        block over the n-last (2, 2, n) factors ``f`` (``_factor``) of the
+        correlations ``rho`` at the SNR points ``points``, in increasing order.
+        The codewords and the noise W are drawn from ``rng`` once
+        (``_draw_trials``), and one loop decides and counts every point.
 
         Only the trials whose decision is in doubt are decoded. On G = R^H R =
         n_r [[1, rho], [rho*, 1]], a difference dX of two codewords moves the
@@ -393,23 +402,18 @@ class _Engine:
         cb = self.codebook
         k_true, noise, energy = _draw_trials(rng, f.shape[-1], cb.size, cb.slots)
         dist = self.distance(rho)
-        doubt, counts = np.arange(f.shape[-1]), []
-        for s in points:
+        doubt = np.arange(f.shape[-1])
+        errors, decoded = np.zeros((2, len(points)), dtype=np.int64)
+        for i, s in enumerate(points):
             doubt = doubt[self.settle_scale[s] * dist[doubt] <= energy[doubt]]
-            counts.append(self.point_errors(s, f, k_true, noise, doubt))
-        return counts
-
-    def point_errors(self, s: int, f: NDArray, k_true: NDArray, noise: NDArray,
-                     doubt: NDArray) -> int:
-        """Bit errors at SNR point ``s`` of a block drawn by ``block_errors``,
-        decoding the trials ``doubt``."""
-        self.decoded[s] += len(doubt)
-        if not len(doubt):
-            return 0
-        # take keeps the trials n-last, where a fancy index would lay them out n-first
-        k_true = k_true[doubt]
-        k = self.decide(s, np.take(f, doubt, axis=2), k_true, np.take(noise, doubt, axis=2))
-        return int(np.sum(self.codebook.bits[k_true] != self.codebook.bits[k]))
+            decoded[i] = len(doubt)
+            if len(doubt):
+                # take keeps the trials n-last, where a fancy index would lay
+                # them out n-first
+                sent = k_true[doubt]
+                k = self.decide(s, np.take(f, doubt, axis=2), sent, np.take(noise, doubt, axis=2))
+                errors[i] = np.count_nonzero(cb.bits[sent] != cb.bits[k])
+        return errors, decoded
 
     def decide(self, s: int, f: NDArray, k_true: NDArray, noise: NDArray) -> NDArray:
         """The ML decisions at SNR point ``s`` on r = sqrt(snr) R X + W for the
@@ -422,7 +426,7 @@ class _Engine:
         r *= np.sqrt(self.snr[s])
         r += noise
         del x    # freed before the decoder's features
-        return _ml_argmin(f.transpose(2, 0, 1), r.transpose(2, 0, 1), self.weights[s])
+        return _ml_argmin(f, r, self.weights[s])
 
 
 def _draw_trials(rng: np.random.Generator, n: int, size: int,
@@ -467,10 +471,10 @@ def channel_groups(configs: Sequence[SimConfig]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _run_group(configs: tuple[SimConfig, ...]) -> list[list[tuple[int, int, int]]]:
-    """(trials, bit errors, trials decoded) at every SNR point of each
-    campaign of one channel group, each point running the group's blocks in
-    order until the budget is used up or its bit-error target is reached.
+def _run_group(configs: tuple[SimConfig, ...]) -> list[BerCurve]:
+    """The curve of each campaign of one channel group, whose counts live here
+    alone, each SNR point running the group's blocks in order until the
+    budget is used up or its bit-error target is reached.
     Block b's stream is ``default_rng([seed, 1, b])``: SeedSequence drops
     trailing zero words, so the nonzero middle word keeps it apart from
     ``joint_density``'s ``default_rng([seed])``. Its links' rho are drawn
@@ -479,8 +483,8 @@ def _run_group(configs: tuple[SimConfig, ...]) -> list[list[tuple[int, int, int]
     np.empty(HEAP_KEEP, dtype=np.uint8)    # see HEAP_KEEP
     engines = [_Engine(c) for c in configs]
     lead = configs[0]
-    trials = np.zeros((len(configs), len(lead.snr_db)), dtype=np.int64)
-    errors = np.zeros_like(trials)
+    # per campaign and SNR point
+    trials, errors, decoded = np.zeros((3, len(configs), len(lead.snr_db)), dtype=np.int64)
     for start in range(0, lead.max_trials, lead.block_trials):
         live = [(i, points) for i, c in enumerate(configs)
                 if len(points := np.flatnonzero(errors[i] < c.target_errors))]
@@ -494,9 +498,11 @@ def _run_group(configs: tuple[SimConfig, ...]) -> list[list[tuple[int, int, int]
         for i, points in live:
             rng.bit_generator.state = drawn
             trials[i, points] += n
-            errors[i, points] += engines[i].block_errors(f, rho, rng, points)
-    return [list(zip(t.tolist(), e.tolist(), engine.decoded))
-            for t, e, engine in zip(trials, errors, engines)]
+            e, d = engines[i].block_errors(f, rho, rng, points)
+            errors[i, points] += e
+            decoded[i, points] += d
+    return [_curve(c, engine.codebook.bits_per_codeword, *counts)
+            for c, engine, *counts in zip(configs, engines, trials, errors, decoded)]
 
 
 def task_processes(configs: Sequence[SimConfig], workers: int = 1) -> int:
@@ -537,16 +543,16 @@ def run_ber(config: SimConfig | Sequence[SimConfig], workers: int = 1) -> BerCur
         finally:
             # after an error, drop the tasks not yet started and join the workers
             executor.shutdown(cancel_futures=True)
-    points = {i: p for members, counts in zip(groups, results) for i, p in zip(members, counts)}
-    curves = [_curve(c, points[i]) for i, c in enumerate(configs)]
+    # the curves come back group by group; put them in the order of configs
+    placed = sorted(zip(sum(groups, []), sum(results, [])), key=lambda pair: pair[0])
+    curves = [curve for _, curve in placed]
     return curves[0] if isinstance(config, SimConfig) else curves
 
 
-def _curve(config: SimConfig, points: list[tuple[int, int, int]]) -> BerCurve:
-    """The curve of ``config`` from its (trials, bit errors, trials decoded)
-    per SNR point."""
-    trials, errors, decoded = np.array(points, dtype=np.int64).reshape(-1, 3).T
-    n_bits = build_codebook(config.scheme).bits_per_codeword
+def _curve(config: SimConfig, n_bits: int, trials: NDArray, errors: NDArray,
+           decoded: NDArray) -> BerCurve:
+    """The curve of ``config``, ``n_bits`` bits per trial, from its trials, bit
+    errors and trials decoded per SNR point."""
     bits_total = trials * n_bits
     ber = np.where(bits_total > 0, errors / np.maximum(bits_total, 1), 0.0)
     ci = np.array([_wilson(int(e), int(nb)) for e, nb in zip(errors, bits_total)])
@@ -568,9 +574,9 @@ def ml_decode(h: NDArray, y: NDArray, snr: float,
     Gram entries and Z), so all K codewords take one real matrix product,
     done in ``ML_ROWS``-row pieces.
 
-    The blocks are taken as n-last views, so the Gram and Z contractions run
-    their inner loops over the batch; inputs that are transposed views of
-    n-last memory, as ``_Engine.decide`` builds them, cost no copy.
+    The batch axis is moved last once, to the n-last blocks ``_ml_argmin``
+    takes, so the Gram and Z contractions run their inner loops over the
+    batch; inputs that are transposed views of n-last memory cost no copy.
     """
     h = np.asarray(h, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -582,18 +588,17 @@ def ml_decode(h: NDArray, y: NDArray, snr: float,
     if not 0 < snr < np.inf:
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
     batch = h.shape[:-2]
-    k = _ml_argmin(h.reshape(-1, *h.shape[-2:]), y.reshape(-1, *y.shape[-2:]),
-                   _ml_weights(codebook, snr)).reshape(batch)
+    h, y = (np.moveaxis(a.reshape(-1, *a.shape[-2:]), 0, -1) for a in (h, y))
+    k = _ml_argmin(h, y, _ml_weights(codebook, snr)).reshape(batch)
     if not batch:
         return int(k), codebook.bits[k].copy()
     return k, codebook.bits[k]
 
 
 def _ml_argmin(h: NDArray, y: NDArray, weights: NDArray) -> NDArray:
-    """``ml_decode``'s decisions for the (n, n_r, 2) channels ``h`` and (n,
-    n_r, slots) blocks ``y`` under the weights ``_ml_weights`` built."""
-    h = np.moveaxis(h, 0, -1)
-    y = np.moveaxis(y, 0, -1)
+    """``ml_decode``'s decisions for the n-last (n_r, 2, n) channels ``h`` and
+    (n_r, slots, n) blocks ``y``, as ``_Engine.decide`` holds them, under the
+    weights ``_ml_weights`` built."""
     n = h.shape[-1]
     hc = np.conj(h)
     gram = np.einsum("rin,rjn->ijn", hc, h)
@@ -781,7 +786,7 @@ def _density_piece(link: LinkSpec, draws: tuple, theta_edges: NDArray, mu_edges:
     theta_mu = angle(rho) mod 2 pi and mu = |rho| clipped to [0, 1]."""
     s = slice(start, start + DENSITY_PIECE)
     q_tx, q_rx, r_link = draws
-    rho = _links_rho(link, q_tx[s], q_rx[s], r_link[s] if np.ndim(r_link) else r_link)
+    rho = _links_rho(link, q_tx[s], q_rx[s], r_link[s])
     mu = np.clip(np.abs(rho), 0.0, 1.0)
     # np.angle, taken mod 2 pi: for an angle in [-pi, pi] that is adding 2 pi
     # below 0, which gives np.mod's bits, but for -0.0, which stays in bin 0

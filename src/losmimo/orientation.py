@@ -34,6 +34,7 @@ __all__ = [
     "mu_star",
     "mu_star_bound",
     "MuStarCurve",
+    "EtaGridError",
     "check_eta_grid",
     "compute_mu_star_curve",
     "default_curve",
@@ -337,16 +338,27 @@ class MuStarCurve:
                    for eta, val in zip(self.etas[mask], self.values[mask])))
 
 
+class EtaGridError(ValueError):
+    """A grid that ``check_eta_grid`` rejects; ``params`` are the parameters
+    the error involves, as its message names them: "eta_start", "eta_stop"
+    and "eta step"."""
+
+    def __init__(self, message: str, *params: str):
+        super().__init__(message)
+        self.params = params
+
+
 def check_eta_grid(eta_start: float, eta_stop: float, step: float) -> NDArray:
     """Check a ``compute_mu_star_curve`` grid; return its etas, the pentagon
-    extension below ``eta_start`` included: at most ``ETA_POINTS`` of them."""
+    extension below ``eta_start`` included: at most ``ETA_POINTS`` of them. A
+    bad grid raises an ``EtaGridError``."""
     for name, value in (("eta_start", eta_start), ("eta_stop", eta_stop), ("eta step", step)):
         if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise EtaGridError(f"{name} must be finite, got {value!r}", name)
     if not 0 < eta_start < eta_stop:
-        raise ValueError("need 0 < eta_start < eta_stop")
+        raise EtaGridError("need 0 < eta_start < eta_stop", "eta_start", "eta_stop")
     if not step > 0:
-        raise ValueError("eta step must be positive")
+        raise EtaGridError("eta step must be positive", "eta step")
     lo = eta_start * PENTAGON_ETA_SCALE
     # the etas are counted before any is built; the spans are divided by the
     # step only when it keeps the quotients near ETA_POINTS, as they would
@@ -355,10 +367,12 @@ def check_eta_grid(eta_start: float, eta_stop: float, step: float) -> NDArray:
     if step >= (eta_stop - lo) / ETA_POINTS:
         below, above = np.ceil((eta_start - lo) / step), np.floor((eta_stop - eta_start) / step)
     if below + above + 1 > ETA_POINTS:
-        raise ValueError(f"eta step {step:g} gives more than {ETA_POINTS} etas")
+        raise EtaGridError(f"eta step {step:g} gives more than {ETA_POINTS} etas",
+                           "eta_start", "eta_stop", "eta step")
     etas = eta_start + step * np.arange(-int(below), above + 1)
     if etas[0] <= 0:
-        raise ValueError(f"eta step {step:g} extends the grid to eta = {etas[0]:g} <= 0")
+        raise EtaGridError(f"eta step {step:g} extends the grid to eta = {etas[0]:g} <= 0",
+                           "eta_start", "eta step")
     return etas
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_design import FLOAT_WINDOWS
 from test_geometry import BAD_COORDS, bad_coords_file
 
 import losmimo
@@ -26,7 +27,7 @@ from losmimo.cli import (
     main,
 )
 from losmimo.geometry import ANTENNAS_MAX
-from losmimo.montecarlo import SNR_POINTS
+from losmimo.montecarlo import BLOCK_ANTENNAS, SNR_POINTS
 
 MINI_SIM = {
     "wavelength": 0.0042, "d_t": 0.06, "d_r": 0.25, "n_r": 4,
@@ -118,6 +119,35 @@ class TestSimulate:
                 assert len(counts) == len(trials)
                 assert all(0 <= d <= t for d, t in zip(counts, trials))
             assert sum(map(sum, decoded.values())) == 32_104
+
+    def test_fixed_law_is_the_uniform_law_of_one_point(self, tmp_path):
+        # {"law": "fixed", "value": d} and {"law": "uniform", "min": d, "max":
+        # d} are one law: same channels, same curves, one channel group
+        csvs = []
+        for name, distance in (("fixed", {"law": "fixed", "value": 8.0}),
+                               ("uniform", {"law": "uniform", "min": 8.0, "max": 8.0})):
+            out = tmp_path / name
+            cfg = {**MINI_SIM, "distance": distance}
+            assert main(["simulate", "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                         "--out", str(out)]) == EXIT_OK
+            csvs.append((out / "mini_sm.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("trials", [10**7, 5 * 10**7])
+    def test_block_beyond_the_bound_is_config_error(self, tmp_path, monkeypatch, trials):
+        # exit 4 with a MemoryError under a 3 GB (10^7) and a 2 GB (5 x 10^7)
+        # address-space limit, before the block was bounded
+        def no_run(sims, workers):
+            raise AssertionError("a campaign started")
+
+        monkeypatch.setattr(losmimo.cli, "run_ber", no_run)
+        out = tmp_path / "out"
+        cfg = {**MINI_SIM, "max_trials": trials, "block_trials": trials}
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert json.loads((out / "manifest.json").read_text())["error"] == (
+            f"runs[0]: block_trials must leave at most {BLOCK_ANTENNAS} trials x receive "
+            f"antennas per block, got min(block_trials, max_trials) x n_r = {trials} x 4")
 
     def test_seed_flag_gives_identical_csv(self, tmp_path):
         cfg = write_config(tmp_path, MINI_SIM)
@@ -590,6 +620,21 @@ class TestDesign:
                      "--out", str(out)]) == EXIT_CONFIG
         assert_tx_kind_rejected(out, kind, "design config", "design_report.csv")
 
+    @pytest.mark.parametrize("case", list(FLOAT_WINDOWS))
+    def test_window_beyond_a_float_is_config_error(self, tmp_path, case):
+        # each used to exit 3, "infeasible design: empty distance window"
+        kind, d_t, d_r, wavelength, _ = FLOAT_WINDOWS[case]
+        cfg = {**_load_config(f"design_{kind}"), "d_t": d_t, "d_r": d_r,
+               "wavelength": wavelength}
+        out = tmp_path / "out"
+        assert main(["design", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "config-error"
+        assert manifest["error"].startswith(
+            f"design config: d_t = {d_t!r} m, d_r = {d_r!r} m and wavelength {wavelength!r} m")
+        assert "mu_star_curve" not in manifest    # rejected before the build
+
     @pytest.mark.parametrize("digits", [400, 5_000])
     def test_length_beyond_float_range_is_config_error(self, tmp_path, digits):
         # a 401-digit wavelength used to exit 4 with an OverflowError; one of
@@ -732,7 +777,9 @@ class TestGain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "config-error"
         if step in ("inf", "nan"):
-            assert manifest["error"] == f"mu step must be finite, got {float(step)!r}"
+            assert manifest["error"] == f"--mu-step: mu step must be finite, got {float(step)!r}"
+        else:
+            assert manifest["error"].startswith("--mu-step: mu step must be at least ")
         assert not (out / "coding_gain.csv").exists()
 
     def test_mu_step_beyond_numpy_sizes_is_config_error(self, tmp_path):
@@ -744,8 +791,8 @@ class TestGain:
             out = tmp_path / step
             assert main(["gain", "sm", f"--mu-step={step}", "--out", str(out)]) == EXIT_CONFIG
             manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["error"] == (f"mu step must be at least {least:g}, which leaves "
-                                         f"at most 1000001 mu values, got {float(step)!r}")
+            assert manifest["error"] == (f"--mu-step: mu step must be at least {least:g}, which "
+                                         f"leaves at most 1000001 mu values, got {float(step)!r}")
             assert not (out / "coding_gain.csv").exists()
 
 
@@ -779,13 +826,19 @@ class TestCurves:
         out = tmp_path / "curves"
         assert main(["curves", f"--eta-{flag}={value}", "--out", str(out)]) == EXIT_CONFIG
         manifest = json.loads((out / "manifest.json").read_text())
+        # each message leads with the flags it involves
         if value in ("nan", "inf"):
             name = "eta step" if flag == "step" else f"eta_{flag}"
-            assert manifest["error"] == f"{name} must be finite, got {float(value)!r}"
+            assert manifest["error"] == (f"--eta-{flag}: {name} must be finite, "
+                                         f"got {float(value)!r}")
         elif 0 < float(value) < 1e-6:
-            assert manifest["error"] == f"eta step {float(value):g} gives more than 100000 etas"
+            assert manifest["error"] == ("--eta-start, --eta-stop, --eta-step: eta step "
+                                         f"{float(value):g} gives more than 100000 etas")
+        elif value == "0.3":
+            assert manifest["error"] == ("--eta-start, --eta-step: eta step 0.3 extends the "
+                                         "grid to eta = 0 <= 0")
         else:
-            assert manifest["error"].startswith("eta step")
+            assert manifest["error"] == "--eta-step: eta step must be positive"
         assert not (out / "mu_star_curve.csv").exists()
         assert "mu_star_curve" not in manifest  # checked before the build
         if flag != "step":
@@ -798,6 +851,20 @@ class TestCurves:
         assert not (out / "design_report.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "config-error" and "mu_star_curve" not in manifest
+
+
+    @pytest.mark.parametrize("argv,flags", [
+        (["--eta-start=2", "--eta-stop=1"], "--eta-start, --eta-stop"),
+        (["--eta-start=0"], "--eta-start, --eta-stop"),
+        (["--eta-start=-1"], "--eta-start, --eta-stop"),
+        (["--eta-stop=1e6"], "--eta-start, --eta-stop, --eta-step")],
+        ids=["reversed", "zero-start", "negative-start", "wide"])
+    def test_grid_error_names_both_flags(self, tmp_path, argv, flags):
+        out = tmp_path / "curves"
+        assert main(["curves", *argv, "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"].startswith(f"{flags}: ")
+        assert "mu_star_curve" not in manifest
 
 
 class TestMuStarBuild:
@@ -1291,6 +1358,30 @@ class TestPinnedOutputs:
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == EXIT_OK
         assert hashlib.sha256((out / csv).read_bytes()).hexdigest() == digest
+
+
+class TestPinnedFig5:
+    """md5 of the six CSVs of the full bundled fig5 recipe (seed 2024), in this
+    process and on two worker processes, recorded when the engine came to
+    decode on the 2 x 2 factor of each channel, with block keys [seed, 1, b].
+    A digest that changes is a changed result, to be explained in CHANGES.md,
+    not re-recorded."""
+
+    MD5 = {"golden_pent_tetr.csv": "6921e3f3abf4ee75d98b244be5550744",
+           "golden_ula_ura.csv": "ce180cec33971ff15dd3c5595a27604d",
+           "ideal_sm.csv": "4a38a26be11949811980dfd743c32990",
+           "simo_ura.csv": "cce5dd48d44ed6ef06ce9deb30ef01f3",
+           "sm_pent_tetr.csv": "71134c16e7b689c0e1a4201898442bfd",
+           "sm_ula_ura.csv": "7a0d2efde0200aff0acdf2caa23192fb"}
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_csvs_are_unchanged(self, tmp_path, workers):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", "fig5", "--seed", "2024", "--workers", workers,
+                     "--out", str(out)]) == EXIT_OK
+        assert {name: hashlib.md5((out / name).read_bytes()).hexdigest()
+                for name in self.MD5} == self.MD5
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(self.MD5)
 
 
 def run_fresh(code: str, **environ) -> str:

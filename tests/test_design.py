@@ -244,7 +244,27 @@ class TestQualityRule:
         assert 0.3 < switched < 0.5
 
 
+# links whose R = eta 2 d_t d_r / wavelength overflows or underflows over the
+# standard eta grid: (tx_kind, d_t, d_r, wavelength, R at eta = 0.3 and 3)
+FLOAT_WINDOWS = {"pentagon-overflow": ("pentagon", 1e150, 0.25, 1e-200, "inf to inf"),
+                 "triangle-overflow": ("triangle", 1e150, 1e150, 1e-10, "inf to inf"),
+                 "pentagon-underflow": ("pentagon", 1e-150, 1e-150, 1e300, "0 to 0")}
+
+
 class TestDesignSpec:
+    @pytest.mark.parametrize("case", list(FLOAT_WINDOWS))
+    def test_window_beyond_a_float_rejected(self, case):
+        # each used to reach distance_range and fail as an infeasible design,
+        # "empty distance window: R_min = inf m >= R_max = inf m" (0.000 m)
+        kind, d_t, d_r, wavelength, reach = FLOAT_WINDOWS[case]
+        link = LinkSpec(wavelength, make_layout(kind, spacing=d_t),
+                        make_layout("tetrahedron", spacing=d_r))
+        with pytest.raises(ValueError, match=re.escape(
+                f"d_t = {d_t!r} m, d_r = {d_r!r} m and wavelength {wavelength!r} m give link "
+                f"distances R = eta 2 d_t d_r / wavelength from {reach} m")) as info:
+            DesignSpec(mu_max=2 / 3, link=link)
+        assert not isinstance(info.value, InfeasibleDesignError)
+
     @pytest.mark.parametrize("rx", [("ura", 4), ("pentagon", None), ("spherical-code", 4)],
                              ids=["ura", "pentagon", "spherical-code"])
     def test_receiver_must_be_a_tetrahedron(self, rx):

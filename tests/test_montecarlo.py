@@ -25,6 +25,7 @@ from losmimo.channel import _phasors, los_channel
 from losmimo.codes import build_codebook, difference_spectrum
 from losmimo.design import select_tx_pair
 from losmimo.geometry import (
+    ANTENNAS_MAX,
     LinkSpec,
     link_distances,
     make_layout,
@@ -78,12 +79,14 @@ class TestMlDecode:
     def test_chunked_argmin_matches_whole_metric(self, monkeypatch, n):
         # every decision is an exact tie: the second half of the weights
         # repeats the first, so each lowest-index minimum lies in the first
-        # half, and a zero channel every seventh trial ties all K codewords
+        # half, and a zero channel every seventh trial ties all K codewords;
+        # the blocks are n-last, (n_r, 2, n) and (n_r, slots, n), as the engine's
         cb = build_codebook("golden")
         rng = np.random.default_rng(n)
         h = rng.standard_normal((n, 4, 2)) + 1j * rng.standard_normal((n, 4, 2))
         h[::7] = 0
         y = rng.standard_normal((n, 4, cb.slots)) + 1j * rng.standard_normal((n, 4, cb.slots))
+        h, y = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (h, y))
         weights = montecarlo._ml_weights(cb, 10.0)
         half = cb.size // 2
         weights[:, half:] = weights[:, :half]
@@ -161,7 +164,7 @@ class TestMlDecode:
 
     @pytest.mark.parametrize("scheme", ["sm", "golden", "simo"])
     def test_same_decisions_for_either_memory_layout(self, scheme):
-        # _Engine.block_errors passes transposed views of n-last memory; C-contiguous
+        # transposed views of n-last memory, the engine's layout, and C-contiguous
         # n-first copies of the same blocks decode to the same indices and bits
         cb = build_codebook(scheme)
         rng = np.random.default_rng(29)
@@ -295,7 +298,7 @@ class TestDistanceBound:
         real = montecarlo._ml_argmin
 
         def counting(h, y, weights):
-            decoded.append(len(h))
+            decoded.append(h.shape[-1])
             return real(h, y, weights)
 
         monkeypatch.setattr(montecarlo, "_ml_argmin", counting)
@@ -316,7 +319,8 @@ class TestDistanceBound:
             drawn = rng.bit_generator.state
             want = bit_errors(engine.codebook, *decode_every_trial(engine, f, rng))
             rng.bit_generator.state = drawn
-            assert engine.block_errors(f, rho, rng, [0]) == [want]
+            errors, _ = engine.block_errors(f, rho, rng, [0])
+            assert errors.tolist() == [want]
             total += want
         if snr_db == 0.0:
             assert total > 0
@@ -372,11 +376,11 @@ class TestDistanceBound:
         normals = [noise.real / np.sqrt(0.5), noise.imag / np.sqrt(0.5)]
         _, k = decode_every_trial(engine, f, Replay(sent, normals))
         decoded = self.count_decoded(monkeypatch)
-        [errors] = engine.block_errors(f, rho, Replay(sent, normals), [0])
+        [errors], [counted] = engine.block_errors(f, rho, Replay(sent, normals), [0])
         # the first half are the trials above the floor that the bound settles
         settled = (np.arange(n) < n // 2) & above
         assert sum(decoded) == n - np.count_nonzero(settled) == self.DECODED[scheme, channels]
-        assert engine.decoded == [sum(decoded)]
+        assert counted == sum(decoded)
         assert np.array_equal(k[settled], sent[settled])
         # past the midpoint the full decode errs, and so does block_errors
         assert np.count_nonzero(k != sent) > n // 4
@@ -392,7 +396,8 @@ class TestDistanceBound:
         for b in range(4):
             rng = np.random.default_rng([37, b])
             f, rho = block(cfg.law, 2_500, rng)
-            assert engine.block_errors(f, rho, rng, [0]) == [0]
+            errors, _ = engine.block_errors(f, rho, rng, [0])
+            assert errors.tolist() == [0]
         assert sum(decoded) <= 0.1 * 4 * 2_500
         if scheme == "golden":
             assert sum(decoded) == 0
@@ -777,6 +782,29 @@ class TestRunBer:
         assert len(SimConfig(scheme="golden", law=law(), snr_db=range(SNR_POINTS)).snr_db) \
             == SNR_POINTS
 
+    @pytest.mark.parametrize("trials", [10**7, 5 * 10**7])
+    def test_block_is_bounded(self, trials):
+        # blocks of 10^7 and 5 x 10^7 trials at n_r = 4 used to fail in the
+        # first block with a MemoryError (exit 4) under a 3 GB and a 2 GB
+        # address-space limit, and to ask for tens of GiB without one
+        bound = montecarlo.BLOCK_ANTENNAS
+        with pytest.raises(ValueError, match=re.escape(
+                f"block_trials must leave at most {bound} trials x receive antennas per "
+                f"block, got min(block_trials, max_trials) x n_r = {trials} x 4")):
+            SimConfig(scheme="sm", law=law(), snr_db=(0.0,), max_trials=trials,
+                      block_trials=trials)
+        # the budget caps the block, and the bound is inclusive
+        SimConfig(scheme="sm", law=law(), snr_db=(0.0,), max_trials=100, block_trials=trials)
+        SimConfig(scheme="sm", law=law(), snr_db=(0.0,), block_trials=bound // 4)
+        with pytest.raises(ValueError, match="block_trials must leave at most"):
+            SimConfig(scheme="sm", law=law(), snr_db=(0.0,), block_trials=bound // 4 + 1)
+
+    def test_default_block_passes_at_the_most_antennas(self):
+        for kind in ("ula", "ura", "spherical-code"):
+            cfg = SimConfig(scheme="golden", snr_db=(0.0,),
+                            law=law(rx_kind=kind, n_r=ANTENNAS_MAX, distance=(40.0, 60.0)))
+            assert cfg.block_trials * ANTENNAS_MAX == montecarlo.BLOCK_ANTENNAS
+
     @pytest.mark.parametrize("snr_db", [(-4000.0,), (-4000.0, 0.0), (-3300.0,)])
     def test_snr_whose_linear_value_underflows_rejected(self, snr_db):
         # the engine used to decode with zero weights, every trial as codeword 0
@@ -810,13 +838,13 @@ class TestRunBer:
             law(distance=distance)
 
     @pytest.mark.parametrize("distance,want", [
-        (np.int64(5), 5.0), (np.float32(5.5), 5.5),
+        (np.int64(5), (5.0, 5.0)), (np.float32(5.5), (5.5, 5.5)),
         ((np.float32(4.5), np.int64(12)), (4.5, 12.0)), ([5, 12.7], (5.0, 12.7)),
     ], ids=["int64", "float32", "numpy-pair", "list-pair"])
     def test_distance_takes_numpy_reals(self, distance, want):
         got = law(distance=distance).distance
         assert got == want
-        assert all(type(d) is float for d in (got if isinstance(got, tuple) else (got,)))
+        assert all(type(d) is float for d in got)
 
     @pytest.mark.parametrize("distance", [
         True, np.True_, "5", None, (1.0,), (4.5, 5.0, 6.0), ("4.5", "12"), (True, 12.0),
@@ -1014,6 +1042,23 @@ class TestSharedChannels:
         # the budget of 1,700 trials ends in a partial block of 200
         assert configs[0].max_trials % configs[0].block_trials == 200
 
+    @pytest.mark.parametrize("kind", ["ula", "pentagon"])
+    def test_fixed_distance_is_a_range_of_one_point(self, kind):
+        # a number d is the range (d, d): the laws compare equal, share one
+        # channel group and draw the same rho from the same stream, which
+        # neither consumes for distances
+        link = law(kind, "tetrahedron").link
+        fixed, pair = ChannelLaw(link, 7.5), ChannelLaw(link, (7.5, 7.5))
+        assert fixed == pair and hash(fixed) == hash(pair) and pair.distance == (7.5, 7.5)
+        configs = [SimConfig(scheme=scheme, law=channel_law, snr_db=(0.0,), seed=3)
+                   for scheme, channel_law in (("sm", fixed), ("golden", pair))]
+        assert montecarlo.channel_groups(configs) == [[0, 1]]
+        a, b, rotations = (np.random.default_rng(9) for _ in range(3))
+        assert np.array_equal(fixed.rho(1_000, a), pair.rho(1_000, b))
+        rotation_normals(rotations, 1_000)
+        rotation_normals(rotations, 1_000)
+        assert a.bit_generator.state == b.bit_generator.state == rotations.bit_generator.state
+
     def test_synthesis_reads_only_key_fields(self):
         # a field that channel synthesis reads but channel_groups' key omits
         # would let campaigns that differ in it share one block's channels
@@ -1156,8 +1201,8 @@ def whole_block_counts(channel_law, samples, seed, bins=25):
     rng = np.random.default_rng([seed])
     for start in range(0, samples, DENSITY_BLOCK):
         n = min(DENSITY_BLOCK, samples - start)
-        distance = channel_law.distance
-        r_link = rng.uniform(*distance, n) if isinstance(distance, tuple) else distance
+        low, high = channel_law.distance
+        r_link = rng.uniform(low, high, n) if low < high else low
         u_tx = uniform_rotation(rng, n)
         u_rx = uniform_rotation(rng, n)
         tx, rx = whole_matrix_positions(link, u_tx, u_rx, r_link)
