@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # each module and the names the package re-exports from it
 _EXPORTS = {
-    "channel": ("closed_form_2x2", "deviation_factor", "los_channel", "mu_model"),
+    "channel": ("closed_form_2x2", "deviation_factor", "mu_model"),
     "codes": ("Codebook", "Constellation", "SCHEMES", "build_codebook", "difference_spectrum",
               "golden_codebook", "gray_qam", "sm_codebook", "simo_codebook"),
     "design": ("DesignResult", "DesignSpec", "InfeasibleDesignError", "design_link",
@@ -25,8 +25,8 @@ _EXPORTS = {
     "metrics": ("coding_gain", "d_metric", "pep_avg_theta", "pep_chernoff", "pep_exact",
                 "pep_worst", "planar_lower_bound", "union_bound"),
     "montecarlo": ("BerCurve", "ChannelLaw", "DensityGrid", "SimConfig", "joint_density",
-                   "ml_decode", "run_ber"),
-    "orientation": ("MuStarCurve", "compute_mu_star_curve", "default_curve", "edge_code",
+                   "run_ber"),
+    "orientation": ("MuStarCurve", "compute_mu_star_curve", "edge_code",
                     "mu_of_direction", "mu_star", "mu_star_bound"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,10 +1,11 @@
-"""LoS channel synthesis, the deviation factor and the correlation of a
+"""The LoS channel's phasors, the deviation factor and the correlation of a
 channel's columns: its first-order model, and its closed form for the aligned
 2x2 link.
 
-The channel entries are pure phases determined by the transmit-receive
-distances; the two-column channel is summarised by the correlation ``mu``
-between its columns and the phase ``theta_mu`` of their inner product.
+The channel entries are pure phases exp(i 2 pi r / wavelength) determined by
+the transmit-receive distances r; the two-column channel is summarised by the
+correlation ``mu`` between its columns and the phase ``theta_mu`` of their
+inner product.
 """
 
 from __future__ import annotations
@@ -15,31 +16,18 @@ from numpy.typing import NDArray
 from .geometry import ArrayLayout
 
 __all__ = [
-    "los_channel",
     "deviation_factor",
     "mu_model",
     "closed_form_2x2",
 ]
 
 
-def los_channel(distances: NDArray, wavelength: float) -> NDArray:
-    """Unit-modulus channel matrix ``exp(i 2 pi r / wavelength)`` entrywise.
-
-    The phase ``(2 pi r) (1 / wavelength)`` is written into the imaginary part
-    of one zeroed buffer and exponentiated in place: the bits of
-    ``np.exp(2j * np.pi * r / wavelength)``, whose complex division by a real
-    number multiplies by its reciprocal, without its complex temporaries."""
-    if not 0.0 < wavelength < np.inf:
-        raise ValueError("wavelength must be positive")
-    r = np.asarray(distances, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("distances must be positive")
-    return _phasors(r, wavelength)
-
-
 def _phasors(lengths: NDArray, wavelength: float) -> NDArray:
     """``exp(i 2 pi x / wavelength)`` of any real lengths or path differences
-    ``x``, built as ``los_channel`` builds its entries."""
+    ``x``: the phase ``(2 pi x) (1 / wavelength)`` is written into the imaginary
+    part of one zeroed buffer and exponentiated in place. That gives the bits of
+    ``np.exp(2j * np.pi * x / wavelength)``, whose complex division by a real
+    number multiplies by its reciprocal, without its complex temporaries."""
     h = np.zeros(np.shape(lengths), dtype=complex)
     np.multiply(lengths, 2.0 * np.pi, out=h.imag)
     h.imag *= 1.0 / wavelength

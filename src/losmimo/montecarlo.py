@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._csv import write_csv
-from .channel import _phasors, los_channel
+from .channel import _phasors
 from .codes import Codebook, build_codebook
 from .design import select_tx_pair
 # nothing here draws whole rotation matrices, but the benchmark's tracer
@@ -40,7 +40,6 @@ __all__ = [
     "SimConfig",
     "BerCurve",
     "DensityGrid",
-    "ml_decode",
     "channel_groups",
     "run_ber",
     "task_processes",
@@ -81,7 +80,7 @@ SETTLE_ALLOWANCE = 1e-8
 # trials per product of _Engine.distance: a (terms x 3) @ (3 x 1,024) product
 # stays below OpenBLAS's threading threshold for up to 85 terms (Golden has 81)
 DISTANCE_TRIALS = 1_024
-# rows per product in ml_decode's stacked GEMM: each (64 x 12) @ (12 x 256)
+# rows per product in _ml_argmin's stacked GEMM: each (64 x 12) @ (12 x 256)
 # stays below OpenBLAS's threading threshold, so decoding starts no BLAS threads
 ML_ROWS = 64
 # products per chunk of that GEMM: one chunk's metric is held at a time, 512
@@ -115,9 +114,9 @@ class ChannelLaw:
     ``ideal`` bypasses the geometry and feeds the decoder a perfectly
     orthogonal channel.
 
-    ``draw`` and ``rho`` are two views of the same links: the (n_r, 2, n)
-    channels H, and the correlation rho = h_0^H h_1 / n_r of their columns,
-    through which alone H reaches the ML decoder. Both consume ``rng`` alike.
+    ``rho`` draws links and gives the correlation rho = h_0^H h_1 / n_r of the
+    columns of each link's n_r x 2 channel H, through which alone H reaches
+    the ML decoder.
     """
 
     link: LinkSpec
@@ -148,20 +147,10 @@ class ChannelLaw:
                                  f"phase by up to {phase_error:.3g} rad, more than "
                                  f"{PHASE_RESOLUTION:g} rad")
 
-    def draw(self, n: int, rng: np.random.Generator) -> NDArray:
-        """The n-last (n_r, 2, n) channels of a block of n trials: the ideal
-        channel, or n random links drawn from ``rng`` by ``_law_draws`` and
-        placed by ``_link_distances``."""
-        if self.ideal:
-            h = _ideal_channel(self.link.rx.n)
-            return np.broadcast_to(h[..., None], h.shape + (n,))
-        return los_channel(_link_distances(self.link, *_law_draws(self, n, rng)),
-                           self.link.wavelength)
-
     def rho(self, n: int, rng: np.random.Generator) -> NDArray:
-        """The correlation rho = h_0^H h_1 / n_r of the columns of each of the
-        n channels that ``draw(n, rng)`` gives, drawn as ``draw`` draws them
-        (``_law_draws``) and mapped by ``_links_rho``."""
+        """The correlation rho = h_0^H h_1 / n_r of the columns of the channels
+        of n links: the ideal channel's, or those of n random links drawn from
+        ``rng`` by ``_law_draws`` and mapped by ``_links_rho``."""
         n_r = self.link.rx.n
         if self.ideal:
             h = _ideal_channel(n_r)
@@ -206,9 +195,9 @@ def _link_distances(link: LinkSpec, q_tx: NDArray, q_rx: NDArray, r_link: NDArra
 
 def _links_rho(link: LinkSpec, q_tx: NDArray, q_rx: NDArray, r_link: NDArray) -> NDArray:
     """rho = h_0^H h_1 / n_r of the links ``_link_distances`` places: the
-    phasors of each link's n_r path differences, each built as ``los_channel``
-    builds an entry (one exponential per receive antenna), summed over the
-    C-ordered (n, n_r) rows (the order of a reduction depends on the layout)."""
+    phasors exp(i 2 pi x / wavelength) of each link's n_r path differences x
+    (one exponential per receive antenna), summed over the C-ordered (n, n_r)
+    rows (the order of a reduction depends on the layout)."""
     dist = _link_distances(link, q_tx, q_rx, r_link)
     return _phasors((dist[:, 1] - dist[:, 0]).T, link.wavelength).sum(axis=1) / link.rx.n
 
@@ -238,17 +227,16 @@ class SimConfig:
 
 def check_distance(distance) -> tuple[float, float]:
     """Check a distance law, a (low, high) range given as a tuple or list of
-    two, or a fixed distance d (a real number, NumPy's too), which is (d, d);
-    return the range as floats. Clearance is ``ChannelLaw``'s to check."""
+    two, or a fixed distance d (a real number, NumPy's too), which is checked
+    as the range (d, d); return the range as floats. Clearance is
+    ``ChannelLaw``'s to check."""
+    if _is_real(distance):
+        distance = (distance, distance)
     match distance:
         case (lo, hi) if _is_real(lo) and _is_real(hi):
             if not (0 < lo <= hi and _is_finite(hi)):
                 raise ValueError("distance range must satisfy 0 < low <= high < inf")
             return float(lo), float(hi)
-        case d if _is_real(d):
-            if not _is_finite(d):
-                raise ValueError(f"distance must be finite, got {d!r}")
-            return float(d), float(d)
     raise ValueError(f"distance must be a number or a (low, high) pair of numbers, "
                      f"got {distance!r}")
 
@@ -322,8 +310,8 @@ def _wilson(errors: int, n: int) -> tuple[float, float]:
 
 
 class _Engine:
-    """Per-campaign constants shared by its trial blocks: the codebook and, per
-    SNR point, the linear SNR, the decoder's weights and the distance bound's
+    """Per-campaign constants shared by its trial blocks: the codebook, n_r and,
+    per SNR point, the linear SNR, the decoder's weights and the distance bound's
     scale. It keeps no counts: ``block_errors`` returns a block's, and
     ``_run_group`` sums them.
 
@@ -340,8 +328,8 @@ class _Engine:
         self.codebook = cb = build_codebook(config.scheme)
         self.snr = [10.0 ** (s / 10.0) for s in config.snr_db]
         self.weights = [_ml_weights(cb, snr) for snr in self.snr]
+        self.n_r = n_r = config.law.link.rx.n
         # a trial is settled when settle_scale * D > ||W||^2
-        n_r = config.law.link.rx.n
         self.settle_scale = [snr * n_r / (4.0 * (1.0 + SETTLE_MARGIN) ** 2) for snr in self.snr]
         self.settle_floor = 2.0 * SETTLE_FLOOR * cb.min_sq_distance
         # (terms, 3): D = min over the rows of (a - allowance, 2 Re c, -2 Im c) .
@@ -411,22 +399,24 @@ class _Engine:
                 # take keeps the trials n-last, where a fancy index would lay
                 # them out n-first
                 sent = k_true[doubt]
-                k = self.decide(s, np.take(f, doubt, axis=2), sent, np.take(noise, doubt, axis=2))
+                k = self.decide(s, np.take(f, doubt, axis=2), rho[doubt], sent,
+                                np.take(noise, doubt, axis=2))
                 errors[i] = np.count_nonzero(cb.bits[sent] != cb.bits[k])
         return errors, decoded
 
-    def decide(self, s: int, f: NDArray, k_true: NDArray, noise: NDArray) -> NDArray:
+    def decide(self, s: int, f: NDArray, rho: NDArray, k_true: NDArray,
+               noise: NDArray) -> NDArray:
         """The ML decisions at SNR point ``s`` on r = sqrt(snr) R X + W for the
-        n-last factors ``f`` (2, 2, n), sent codewords ``k_true`` and noise W
-        ``noise`` (2, T, n); the block stays n-last, so products loop over
-        trials."""
+        n-last factors ``f`` (2, 2, n) of the correlations ``rho`` (n,), sent
+        codewords ``k_true`` and noise W ``noise`` (2, T, n); the block stays
+        n-last, so products loop over trials."""
         x = self.codewords_nlast[:, :, k_true]
         r = np.multiply(f[:, 0, None], x[0])
         r += np.multiply(f[:, 1, None], x[1])
         r *= np.sqrt(self.snr[s])
         r += noise
         del x    # freed before the decoder's features
-        return _ml_argmin(f, r, self.weights[s])
+        return _ml_argmin(f, rho, self.n_r, r, self.weights[s])
 
 
 def _draw_trials(rng: np.random.Generator, n: int, size: int,
@@ -561,55 +551,25 @@ def _curve(config: SimConfig, n_bits: int, trials: NDArray, errors: NDArray,
                     decoded=decoded)
 
 
-def ml_decode(h: NDArray, y: NDArray, snr: float,
-              codebook: Codebook) -> tuple[int | NDArray, NDArray]:
-    """Maximum-likelihood decoding of received blocks.
+def _ml_argmin(f: NDArray, rho: NDArray, n_r: int, r: NDArray, weights: NDArray) -> NDArray:
+    """The ML decisions, lowest index on ties, on the n-last received blocks
+    ``r`` (2, slots, n) of links whose n-last factors ``f`` (2, 2, n) are
+    ``_factor(rho, n_r)``, under the weights ``_ml_weights`` built.
 
-    ``h`` (..., n_r, 2) and ``y`` (..., n_r, slots) share their leading batch
-    axes. Returns the index minimising ``||y - sqrt(snr) h X_k||_F`` (lowest
-    index on ties) and its bit label: an int and a bit row for one block,
-    arrays for a batch. The metric is its expansion without ``||y||^2``,
-    ``snr Re tr(G M_k) - 2 sqrt(snr) Re <X_k, Z>``, ``G = h^H h``, ``Z = h^H y``,
-    ``M_k = X_k X_k^H``. It is linear in 4 + 4 slots real features per block (the
-    Gram entries and Z), so all K codewords take one real matrix product,
-    done in ``ML_ROWS``-row pieces.
-
-    The batch axis is moved last once, to the n-last blocks ``_ml_argmin``
-    takes, so the Gram and Z contractions run their inner loops over the
-    batch; inputs that are transposed views of n-last memory cost no copy.
-    """
-    h = np.asarray(h, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if h.ndim < 2 or h.shape[-1] != 2:
-        raise ValueError("channel must be n_r x 2")
-    if y.shape != h.shape[:-1] + (codebook.slots,):
-        raise ValueError(f"received block must be {h.shape[-2]} x {codebook.slots}")
-    # written so that a NaN snr fails the check
-    if not 0 < snr < np.inf:
-        raise ValueError(f"snr must be positive and finite, got {snr!r}")
-    batch = h.shape[:-2]
-    h, y = (np.moveaxis(a.reshape(-1, *a.shape[-2:]), 0, -1) for a in (h, y))
-    k = _ml_argmin(h, y, _ml_weights(codebook, snr)).reshape(batch)
-    if not batch:
-        return int(k), codebook.bits[k].copy()
-    return k, codebook.bits[k]
-
-
-def _ml_argmin(h: NDArray, y: NDArray, weights: NDArray) -> NDArray:
-    """``ml_decode``'s decisions for the n-last (n_r, 2, n) channels ``h`` and
-    (n_r, slots, n) blocks ``y``, as ``_Engine.decide`` holds them, under the
-    weights ``_ml_weights`` built."""
-    n = h.shape[-1]
-    hc = np.conj(h)
-    gram = np.einsum("rin,rjn->ijn", hc, h)
-    z = np.einsum("rin,rtn->itn", hc, y).reshape(-1, n)
+    The metric of codeword k is ||r - sqrt(snr) R X_k||_F^2 without ||r||^2,
+    ``snr Re tr(G M_k) - 2 sqrt(snr) Re <X_k, Z>``, with ``G = R^H R = n_r [[1,
+    rho], [rho*, 1]]``, ``Z = R^H r`` and ``M_k = X_k X_k^H``. It is linear in 4 +
+    4 slots real features per trial (the Gram entries and Z), so all K
+    codewords take one real matrix product, done in ``ML_ROWS``-row pieces.
+    The Z contraction runs its inner loop over the trials."""
+    n = f.shape[-1]
+    z = np.einsum("rin,rtn->itn", np.conj(f), r).reshape(-1, n)
     # real features, feature-major: G00, G11, Re G01, Im G01, Re Z, Im Z;
     # padded trials stay 0
     feats = np.zeros((4 + 2 * len(z), -(-n // ML_ROWS) * ML_ROWS))
-    feats[0, :n] = gram[0, 0].real
-    feats[1, :n] = gram[1, 1].real
-    feats[2, :n] = gram[0, 1].real
-    feats[3, :n] = gram[0, 1].imag
+    feats[:2, :n] = n_r
+    np.multiply(rho.real, n_r, out=feats[2, :n])
+    np.multiply(rho.imag, n_r, out=feats[3, :n])
     feats[4:4 + len(z), :n] = z.real
     feats[4 + len(z):, :n] = z.imag
     rows = np.ascontiguousarray(feats.T).reshape(-1, ML_ROWS, len(feats))
@@ -624,7 +584,7 @@ def _ml_argmin(h: NDArray, y: NDArray, weights: NDArray) -> NDArray:
 
 
 def _ml_weights(codebook: Codebook, snr: float) -> NDArray:
-    """(4 + 4 T, K) weights that turn ``ml_decode``'s features into its metric:
+    """(4 + 4 T, K) weights that turn ``_ml_argmin``'s features into its metric:
     ``Re tr(G M) = G00 M00 + G11 M11 + 2 (Re G01 Re M10 - Im G01 Im M10)`` and
     ``Re <X, Z> = Re X . Re Z + Im X . Im Z``."""
     cw = codebook.codewords

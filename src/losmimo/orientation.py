@@ -37,7 +37,6 @@ __all__ = [
     "EtaGridError",
     "check_eta_grid",
     "compute_mu_star_curve",
-    "default_curve",
     "icosphere_vertices",
     "fundamental_domain",
 ]
@@ -382,12 +381,6 @@ def compute_mu_star_curve(eta_start: float = ETA_START, eta_stop: float = ETA_ST
     etas = check_eta_grid(eta_start, eta_stop, step)
     values, dirs = _solve(etas)
     return MuStarCurve(etas=etas, values=values, directions=dirs, export_from=eta_start)
-
-
-@lru_cache(maxsize=1)
-def default_curve() -> MuStarCurve:
-    """The standard cached curve on ``ETA_START`` .. ``ETA_STOP`` in ``ETA_STEP`` steps."""
-    return compute_mu_star_curve()
 
 
 def __getattr__(name: str):

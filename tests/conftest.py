@@ -5,14 +5,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from losmimo.orientation import default_curve
+from losmimo.orientation import compute_mu_star_curve
 
 
 @pytest.fixture(scope="session")
 def curve_info():
     """The standard worst-case correlation curve plus its build time."""
     t0 = time.monotonic()
-    c = default_curve()
+    c = compute_mu_star_curve()
     return SimpleNamespace(curve=c, build_seconds=time.monotonic() - t0)
 
 

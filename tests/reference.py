@@ -1,12 +1,14 @@
 """Plain-NumPy references for the link pipeline and the tetrahedral lemmas,
 each written out once and calling no ``losmimo`` routine that it is compared
-against: antenna positions and distances, the QR factor of a channel, the
-correlation of its columns, the paper's first-order path difference and the
-edge-code quantisation of the sphere."""
+against: antenna positions and distances, the LoS channel of distances, the QR
+factor of a channel, the correlation of its columns, the brute-force ML
+decision, the paper's first-order path difference and the edge-code
+quantisation of the sphere."""
 
 import numpy as np
 
 from losmimo.geometry import _fibonacci_sphere
+from losmimo.montecarlo import _ideal_channel, _law_draws, _link_distances
 from losmimo.orientation import edge_code
 
 # sphere samples per piece of the edge-code scan: 48 MB of dot products
@@ -34,6 +36,36 @@ def distances(tx, rx):
     """(..., n_r, n_t) distances between the receive antennas ``rx`` (..., n_r, 3)
     and the transmit antennas ``tx`` (..., n_t, 3)."""
     return np.linalg.norm(rx[..., :, None, :] - tx[..., None, :, :], axis=-1)
+
+
+def channel(lengths, wavelength):
+    """The unit-modulus LoS channel exp(i 2 pi r / wavelength) of the antenna
+    distances r ``lengths``, entrywise."""
+    return np.exp(2j * np.pi * np.asarray(lengths) / wavelength)
+
+
+def law_channels(law, n, rng):
+    """The n-last (n_r, 2, n) channels of n links of ``law``, drawn from ``rng``
+    as ``law.rho`` draws them: the ideal channel, or the ``channel`` of the
+    distances the engine places the links at."""
+    if law.ideal:
+        h = _ideal_channel(law.link.rx.n)
+        return np.broadcast_to(h[..., None], h.shape + (n,))
+    return channel(_link_distances(law.link, *_law_draws(law, n, rng)), law.link.wavelength)
+
+
+def ml_decisions(h, y, snr, codewords):
+    """The index k that minimises ||y - sqrt(snr) h X_k||_F^2, the lowest on
+    ties, for each of the n blocks ``y`` (n, n_r, T) over the channels ``h``
+    (n, n_r, 2): the ML decision, by brute force over the ``codewords``
+    (K, 2, T)."""
+    best = np.full(len(h), np.inf)
+    want = np.zeros(len(h), dtype=int)
+    for k, x in enumerate(codewords):
+        d = (np.abs(y - np.sqrt(snr) * h @ x) ** 2).sum(axis=(1, 2))
+        want[d < best] = k
+        best = np.minimum(best, d)
+    return want
 
 
 def elevation(beta):

@@ -8,10 +8,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from reference import correlation, distances, edge_code_region_minima, link_positions
+from reference import channel, correlation, distances, edge_code_region_minima, link_positions
 from scipy.stats import chi2, norm
 
-from losmimo.channel import closed_form_2x2, los_channel
+from losmimo.channel import closed_form_2x2
 from losmimo.cli import main as cli_main
 from losmimo.codes import build_codebook, difference_spectrum
 from losmimo.design import DesignSpec, design_link, select_tx_pair
@@ -67,7 +67,7 @@ def test_criterion_01_example_one_reproduction():
     tx = make_layout("ula", 2, d)
     rx = make_layout("ula", 2, d)
     tx_pos, rx_pos = link_positions(tx, rx, np.eye(3)[None], np.eye(3)[None], np.array([r_link]))
-    mu_exact, _ = correlation(los_channel(distances(tx_pos, rx_pos)[0], lam))
+    mu_exact, _ = correlation(channel(distances(tx_pos, rx_pos)[0], lam))
     betas = np.linspace(0.0, 0.029, 500)
     mus, thetas = zip(*(closed_form_2x2(d, d, r_link, lam, b) for b in betas))
     gap = float(np.diff(np.sort(thetas)).max())

@@ -1,11 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from reference import correlation, distances, elevation, link_positions, qr_factor
+from reference import (
+    channel,
+    correlation,
+    distances,
+    elevation,
+    law_channels,
+    link_positions,
+    qr_factor,
+)
 
 from losmimo.channel import (
+    _phasors,
     closed_form_2x2,
     deviation_factor,
-    los_channel,
     mu_model,
 )
 from losmimo.geometry import LinkSpec, make_layout, uniform_rotation
@@ -21,29 +31,35 @@ def random_unit_modulus(rng, n_r):
 
 
 class TestLosChannel:
+    """The LoS channel's entries exp(i 2 pi r / wavelength): the phasors the
+    engine builds (``channel._phasors``) and the lengths it takes them of."""
+
     @pytest.mark.parametrize("wavelength", BAD_LENGTHS)
     def test_wavelength_must_be_a_finite_length(self, wavelength):
+        # the engine takes the wavelength of a channel law's link
+        link = LinkSpec(0.0042, make_layout("ula", 2, 0.06), make_layout("ura", 4, 0.25))
         with pytest.raises(ValueError, match="wavelength must be positive"):
-            los_channel(np.full((4, 2), 10.0), wavelength)
+            ChannelLaw(dataclasses.replace(link, wavelength=wavelength), 10.0)
 
     def test_full_and_half_wavelength(self):
         lam = 0.0042
-        h = los_channel(np.array([[lam, lam / 2]]), lam)
+        h = _phasors(np.array([[lam, lam / 2]]), lam)
         assert h[0, 0] == pytest.approx(1.0)
         assert h[0, 1] == pytest.approx(-1.0)
 
     def test_unit_magnitude(self):
         rng = np.random.default_rng(0)
-        h = los_channel(rng.uniform(1.0, 20.0, (6, 2)), 0.0042)
+        h = _phasors(rng.uniform(1.0, 20.0, (6, 2)), 0.0042)
         np.testing.assert_allclose(np.abs(h), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(6, 2), (4, 2, 2501)])
     def test_bits_of_the_complex_formula(self, shape):
-        # the phase built in place has the bits of the complex-arithmetic form
+        # the phase built in place has the bits of the complex-arithmetic form,
+        # the reference channel's
         rng = np.random.default_rng(8)
         r = rng.uniform(1.0, 20.0, shape)
         for lam in (0.0042, 0.0042 / 16, 0.3):
-            got, want = los_channel(r, lam), np.exp(2j * np.pi * r / lam)
+            got, want = _phasors(r, lam), channel(r, lam)
             assert got.shape == shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -57,10 +73,13 @@ class TestLosChannel:
         assert correlation(h)[0] < 1e-10
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            los_channel(np.array([[1.0, -1.0]]), 0.0042)
-        with pytest.raises(ValueError):
-            los_channel(np.array([[1.0]]), 0.0)
+        # a channel law's distance, a number or a range, is positive, for the
+        # ideal channel too
+        link = LinkSpec(0.0042, make_layout("ula", 2, 0.06), make_layout("ura", 4, 0.25))
+        for distance in (-1.0, 0.0, (-1.0, 10.0), (0.0, 10.0)):
+            for ideal in (False, True):
+                with pytest.raises(ValueError, match="0 < low <= high < inf"):
+                    ChannelLaw(link, distance, ideal)
 
 
 def factor(h):
@@ -137,7 +156,7 @@ class TestReduce:
         law = ChannelLaw(link, (4.43, 12.7))
         n, n_r, s = 2_000, link.rx.n, np.sqrt(link.rx.n)
         rho = law.rho(n, np.random.default_rng(41))
-        h = law.draw(n, np.random.default_rng(41)).transpose(2, 0, 1)
+        h = law_channels(law, n, np.random.default_rng(41)).transpose(2, 0, 1)
         r = _factor(rho, n_r).transpose(2, 0, 1)
         gram = n_r * np.stack([np.ones(n), rho, rho.conj(), np.ones(n)], axis=1).reshape(n, 2, 2)
         np.testing.assert_allclose(r.conj().transpose(0, 2, 1) @ r, gram, atol=1e-9)
@@ -321,7 +340,7 @@ class TestClosedForm:
             # transverse axis z
             tx_pos, rx_pos = link_positions(tx, rx, elevation(beta)[None], np.eye(3)[None],
                                             np.array([R]))
-            mu_exact, theta_exact = correlation(los_channel(distances(tx_pos, rx_pos)[0], lam))
+            mu_exact, theta_exact = correlation(channel(distances(tx_pos, rx_pos)[0], lam))
             mu, theta = closed_form_2x2(d, d, R, lam, beta)
             assert mu_exact == pytest.approx(mu, abs=5e-3)
             # phases compared on the circle
@@ -340,7 +359,7 @@ def test_model_matches_exact_distances_far_field():
         u_rx = uniform_rotation(rng)
         tx_pos, rx_pos = link_positions(tx, rx, elevation(beta)[None], u_rx[None],
                                         np.array([r_link]))
-        exact_mu, _ = correlation(los_channel(distances(tx_pos, rx_pos)[0], lam))
+        exact_mu, _ = correlation(channel(distances(tx_pos, rx_pos)[0], lam))
         v = u_rx.T @ np.array([0.0, 0.0, 1.0])
         model_mu = mu_model(rx, v, eta=deviation_factor(r_link, tx.spacing, rx.spacing, beta, lam))
         assert abs(exact_mu - model_mu) < 0.01

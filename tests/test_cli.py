@@ -269,7 +269,7 @@ class TestSimulate:
     @pytest.mark.parametrize("snr_db", [[-4000], [-4000, 0]], ids=["-4000", "-4000-0"])
     def test_snr_underflowing_as_linear_is_config_error(self, tmp_path, snr_db):
         # a dB value whose linear SNR underflows to 0 used to run, decoding
-        # every trial as codeword 0 (BER 0.502), though ml_decode rejects snr 0
+        # every trial as codeword 0 (BER 0.502)
         out = tmp_path / "out"
         cfg = write_config(tmp_path, dict(MINI_SIM, snr_db=snr_db))
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
@@ -412,13 +412,24 @@ class TestSimulate:
         ("max_trials", 0, "trial budgets must be positive"),
         ("snr_db", [8, 0], "SNR grid must be sorted"),
         ("distance", {"law": "uniform", "min": 12.7, "max": 4.43},
+         "distance range must satisfy 0 < low <= high < inf"),
+        ("distance", {"law": "fixed", "value": -1.0},
+         "distance range must satisfy 0 < low <= high < inf"),
+        ("distance", {"law": "fixed", "value": 0.0},
+         "distance range must satisfy 0 < low <= high < inf"),
+        ("distance", {"law": "uniform", "min": -1.0, "max": -1.0},
          "distance range must satisfy 0 < low <= high < inf")],
-        ids=["max_trials-0", "snr_db-unsorted", "distance-min-above-max"])
+        ids=["max_trials-0", "snr_db-unsorted", "distance-min-above-max", "distance-fixed-neg",
+             "distance-fixed-0", "distance-uniform-neg"])
     def test_shared_field_error_is_located_at_the_top_level(self, tmp_path, field, value,
                                                             message):
-        # the fields every run shares used to be reported as runs[0]'s
+        # the fields every run shares used to be reported as runs[0]'s. The
+        # run is an ideal channel's, which has no geometry to check: a fixed
+        # distance of -1 used to run it and exit 0, where the same law written
+        # as the range (-1, -1) exited 2
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, {**MINI_SIM, field: value})
+        run = dict(MINI_SIM["runs"][0], ideal_channel=True)
+        cfg = write_config(tmp_path, {**MINI_SIM, "runs": [run], field: value})
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == f"simulate config: {message}"
@@ -938,10 +949,11 @@ class TestDensity:
     @pytest.mark.parametrize("field,value,message", [
         ("bins", 3, "5 x 5"), ("bins", "x", "'bins' must be int"),
         ("samples", 0, "at least one sample"), ("wavelength", 0.0, "wavelength"),
-        ("distance", 0.1, "array radii"), ("distance", -10.0, "array radii"),
+        ("distance", 0.1, "array radii"),
+        ("distance", -10.0, "distance range must satisfy 0 < low <= high < inf"),
         ("n_r", 2.7, "'n_r' must be int"), ("n_r", True, "'n_r' must be int"),
         ("bins", 25.5, "'bins' must be int"), ("samples", 1000.5, "'samples' must be int"),
-        ("distance", float("inf"), "distance must be finite"),
+        ("distance", float("inf"), "distance range must satisfy 0 < low <= high < inf"),
         ("seed", 2.5, "seed must be a non-negative integer"),
         ("seed", -3, "seed must be a non-negative integer"),
         ("seed", True, "seed must be a non-negative integer"),

@@ -84,7 +84,8 @@ def test_every_module_name_is_read(path):
 # it is shared rather than made public: (importer, module, name) -> reason
 PRIVATE_IMPORTS = {
     ("montecarlo", "channel", "_phasors"):
-        "the link phasors are built the way los_channel builds an entry, in one routine",
+        "the LoS phasors exp(i 2 pi x / wavelength) of the link path differences are built "
+        "in the channel module, in one routine",
     ("cli", "montecarlo", "_usable_cpus"):
         "simulate's default --workers and the manifest take the engine's count of usable CPUs",
     ("cli", "orientation", "_cell_grid"):

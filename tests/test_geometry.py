@@ -7,7 +7,6 @@ import pytest
 from reference import distances, elevation, link_positions, path_difference
 from scipy.stats import kstest
 
-from losmimo.channel import los_channel
 from losmimo.geometry import (
     ANTENNAS_MAX,
     SPACING_MIN,
@@ -382,11 +381,11 @@ class TestPlacement:
     @pytest.mark.parametrize("value", BAD_LENGTHS)
     @pytest.mark.parametrize("field,message", [("wavelength", "wavelength must be positive")])
     def test_lengths_must_be_finite(self, field, message, value):
-        # the wavelength enters a link's channel through los_channel
+        # the wavelength enters a link's channel through its LinkSpec, whose
+        # arrays are placed here
         lengths = {"wavelength": 0.0042, field: value}
-        tx, rx = one_link(self.TX, self.RX)
         with pytest.raises(ValueError, match=message):
-            los_channel(link_distances(tx[:, :, None], rx[:, :, None]), lengths["wavelength"])
+            LinkSpec(lengths["wavelength"], self.TX, self.RX)
 
 
 class TestLinkSpec:
